@@ -204,7 +204,6 @@ def cmd_certify(scen: Scenario, out: Path, args) -> int:
         "phi": {"family": scen.phi.family, "c": scen.phi.c, "a": scen.phi.a},
         "ratios": list(cert.ratios),
         "drift_margin": cert.drift_margin,
-        "condition_c3": cert.condition_c3,
         "valid": cert.valid,
         "uniform": dataclasses.asdict(uni.pos_rec) | {
             "finite_time_integral": uni.finite_time_integral,
@@ -266,6 +265,18 @@ _TAIL_ORACLES = {
 }
 
 
+def _tail_oracle(scen: Scenario):
+    """The preset's closed-form stationary tail, only while the model run is
+    the preset's own input and release (a seed override keeps it)."""
+    oracle = _TAIL_ORACLES.get(scen.name)
+    if oracle is None:
+        return None
+    preset = load_preset(scen.name)
+    if (scen.levy, scen.release) != (preset.levy, preset.release):
+        return None
+    return oracle
+
+
 def cmd_tail(scen: Scenario, out: Path, args) -> int:
     cert = None
     if scen.phi is not None:
@@ -284,7 +295,7 @@ def cmd_tail(scen: Scenario, out: Path, args) -> int:
                         np.asarray(scen.grids["u_grid"]),
                         scen.budgets["n_paths"], seed=scen.seed,
                         eps=scen.truncation_eps, certificate=cert)
-    oracle = _TAIL_ORACLES.get(scen.name)
+    oracle = _tail_oracle(scen)
     rows = []
     for u, p, s in zip(est.levels, est.pi_bar_hat, est.stderr):
         ref = oracle(float(u)) if oracle else math.nan
@@ -443,8 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="KEY=VALUE",
                        help="override a scenario field (dotted path)")
-        p.add_argument("--threads", type=int, default=None,
-                       help="cap BLAS worker threads (needs threadpoolctl)")
         if name in ("simulate", "converge-tv", "converge-wp", "compare"):
             p.add_argument("--x0", type=float, default=0.0)
         if name == "simulate":
@@ -470,12 +479,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.threads:
-        try:
-            from threadpoolctl import threadpool_limits
-            threadpool_limits(args.threads)
-        except ImportError:
-            pass
     try:
         scen = _resolve_scenario(args.scenario, args.overrides)
     except (ScenarioError, FileNotFoundError, KeyError, json.JSONDecodeError) as exc:

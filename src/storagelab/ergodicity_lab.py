@@ -26,9 +26,9 @@ from .errors import (
 from .levy_input import JumpStream, LevyInput, sample_jumps
 from .lyapunov import DriftCertificate, GapBound, LowerRateCurve
 from .numerics import FitResult, fit_loglog, integrate_semiinfinite, invert_monotone
-from .release_rate import ReleaseRate
+from .release_rate import ReleaseRate, signed_drain_time
 from .rng import substream
-from .simulator import endpoint_ensemble, grid_ensemble, signed_drain_vec
+from .simulator import endpoint_ensemble, grid_ensemble
 
 __all__ = [
     "LongRunTimeAverage", "EnsembleEndpoint", "TailEstimate", "DecayCurve",
@@ -127,7 +127,6 @@ def _walk_segments(levy, release, x0: float, total_time: float, seed: int,
     times, sizes = sample_jumps(levy, stream, total_time)
     if levy.activity == "infinite" and levy.compensator_drift(eps) > 0.0:
         raise ValueError("occupation engine needs drift-free inter-jump motion")
-    closed = release.closed_flow
     n = len(times)
     starts = np.empty(n + 1)
     durations = np.empty(n + 1)
@@ -136,10 +135,7 @@ def _walk_segments(levy, release, x0: float, total_time: float, seed: int,
     for i in range(n):
         dt = times[i] - tp
         durations[i] = dt
-        x = closed(x, dt, 0.0)
-        if x is None:
-            raise ValueError("occupation engine needs a closed-form flow")
-        x += sizes[i]
+        x = release.flow(x, dt, 0.0) + sizes[i]
         starts[i + 1] = x
         tp = times[i]
     durations[n] = total_time - tp
@@ -153,14 +149,16 @@ def _occupation_matrix(release, t_start, starts, durations, u_grid, burn,
     keep = t_start >= burn
     t0, xs, dur = t_start[keep], starts[keep], durations[keep]
     window = total_time - burn
-    g_x = signed_drain_vec(release, np.maximum(xs, 1e-300))
-    g_u = signed_drain_vec(release, np.asarray(u_grid, dtype=float))
+    # time above u from a start x is G(x) - G(u), capped by the duration; an
+    # empty start (-inf) never rises, as the inter-jump motion is drift-free
+    g_x = np.array([signed_drain_time(release, x) if x > 0.0 else -math.inf
+                    for x in xs.tolist()])
+    g_u = [signed_drain_time(release, float(u)) for u in u_grid]
     block = np.minimum(((t0 - burn) / window * N_BLOCKS).astype(np.int64),
                        N_BLOCKS - 1)
     occ = np.zeros((N_BLOCKS, len(u_grid)))
     for j, gu in enumerate(g_u):
         above = np.minimum(np.maximum(g_x - gu, 0.0), dur)
-        above[xs <= 0.0] = 0.0
         np.add.at(occ[:, j], block, above)
     return occ, window
 

@@ -47,7 +47,7 @@ from .numerics import (
     integrate_semiinfinite,
     invert_monotone,
 )
-from .release_rate import ReleaseRate, flow_time_integral
+from .release_rate import ReleaseRate, flow_time_integral, signed_drain_time
 
 __all__ = [
     "RateFunction", "DriftCertificate", "TailEnvelope",
@@ -215,13 +215,6 @@ def _exp(x: float) -> float:
     return math.exp(x)
 
 
-def _signed_drain_time(release: ReleaseRate, u: float) -> float:
-    """G(u) = int_1^u dv/r(v), negative below 1."""
-    if u >= 1.0:
-        return flow_time_integral(release, 1.0, u)
-    return -flow_time_integral(release, u, 1.0)
-
-
 @dataclass(frozen=True)
 class DriftCertificate:
     levy: LevyInput
@@ -230,24 +223,23 @@ class DriftCertificate:
     u_probe: tuple
     ratios: tuple
     drift_margin: float
-    condition_c3: bool
 
     @property
     def valid(self) -> bool:
-        return self.condition_c3 and self.drift_margin > 0.0
+        return self.drift_margin > 0.0
 
     # -- profile -----------------------------------------------------------
     def profile(self, u: float) -> float:
         """Vbar(u) = Phi^{-1}(G(u) + 1) for u >= 1, quadratic C^1 patch below."""
         if u >= 1.0:
-            return self.phi.clock_inv(_signed_drain_time(self.release, u) + 1.0)
+            return self.phi.clock_inv(signed_drain_time(self.release, u) + 1.0)
         v1 = self.phi.clock_inv(1.0)
         s1 = self.profile_slope(1.0)
         return max(1.0, v1 - 0.5 * s1 + 0.5 * s1 * u * u)
 
     def log_profile(self, u: float) -> float:
         """log Vbar(u) for u >= 1, usable where Vbar itself overflows."""
-        return self.phi.log_clock_inv(_signed_drain_time(self.release, u) + 1.0)
+        return self.phi.log_clock_inv(signed_drain_time(self.release, u) + 1.0)
 
     def profile_slope(self, u: float) -> float:
         """Vbar'(u) = phi(Vbar(u)) / r(u) on [1, inf)."""
@@ -255,7 +247,7 @@ class DriftCertificate:
 
     def log_phi_profile(self, u: float) -> float:
         """log phi(Vbar(u)), stable for geometric certificates."""
-        return self.phi.log_rate_at_clock(_signed_drain_time(self.release, u) + 1.0)
+        return self.phi.log_rate_at_clock(signed_drain_time(self.release, u) + 1.0)
 
     # -- predictions --------------------------------------------------------
     def log_predicted_tv_rate(self, t: float) -> float:
@@ -276,10 +268,10 @@ class DriftCertificate:
 
 
 def _ratio_integrand(levy, release, phi, u):
-    base = phi.log_rate_at_clock(_signed_drain_time(release, u) + 1.0)
+    base = phi.log_rate_at_clock(signed_drain_time(release, u) + 1.0)
 
     def integrand(v):
-        lr = phi.log_rate_at_clock(_signed_drain_time(release, u + v) + 1.0)
+        lr = phi.log_rate_at_clock(signed_drain_time(release, u + v) + 1.0)
         lt = float(levy.log_tail(v))
         return _exp(lr - base + lt) / float(release.rate(u + v))
 
@@ -322,7 +314,7 @@ def build_certificate(levy: LevyInput, release: ReleaseRate, phi: RateFunction,
             ratios.append(math.inf)
     margin = 1.0 - limit_estimate(ratios, "limsup")
     return DriftCertificate(levy, release, phi, probe_grid, tuple(ratios),
-                            float(margin), True)
+                            float(margin))
 
 
 # ---------------------------------------------------------------------------

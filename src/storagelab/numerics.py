@@ -321,22 +321,18 @@ def invert_monotone(g, y: float, bracket: tuple[float, float],
 def ode_flow(r, x0: float, dt: float, drift: float = 0.0) -> float:
     """Evolve x' = drift - r(x) from x0 over dt, absorbing/saturating at rest points.
 
-    ``r`` is either a release-rate object exposing ``closed_flow``/``rate``, or
-    a plain callable u -> r(u).  Closed-form flows are used whenever the rate
-    family advertises one; otherwise explicit adaptive Runge-Kutta with
+    ``r`` is either a release-rate object, whose ``flow`` is used, or a plain
+    callable u -> r(u), integrated by explicit adaptive Runge-Kutta with
     step-halving error control (per-step tolerance 1e-10).
     """
     if dt < 0:
         raise ValueError("dt must be non-negative")
     if dt == 0.0:
         return float(x0)
-    closed = getattr(r, "closed_flow", None)
-    if closed is not None:
-        out = closed(x0, dt, drift)
-        if out is not None:
-            return out
-    rate = getattr(r, "rate", r)
-    return _rk_flow(rate, float(x0), float(dt), float(drift))
+    flow = getattr(r, "flow", None)
+    if flow is not None:
+        return float(flow(x0, dt, drift))
+    return _rk_flow(r, float(x0), float(dt), float(drift))
 
 
 def _rk_flow(rate, x0: float, dt: float, drift: float,

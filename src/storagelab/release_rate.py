@@ -1,9 +1,12 @@
 """Release-rate families r(u) and their regularity diagnostics.
 
 Families follow the convention r(0) = 0 (realised by an indicator factor),
-keeping the content non-negative.  Each preset advertises closed forms for
-the drain flow x' = drift - r(x) and for the drain-time primitive
-int dv / r(v); the event-driven simulator leans on both.
+keeping the content non-negative.  Each family owns two operations:
+``flow(x, dt, drift)``, the drain flow x' = drift - r(x), which takes a
+float or an array of lanes and uses one closed-form body where the family
+has one (Runge-Kutta per lane otherwise), and the scalar drain-time
+primitive ``drain_time(lo, hi)`` = int dv / r(v), which quadrature
+integrands call one point at a time.
 
 Regularity is verified numerically: local Lipschitz constants by
 finite-difference slopes on dyadic grids (including pairs against 0, which
@@ -19,12 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Divergent, NonFiniteEvaluation
-from .numerics import integrate_interval, integrate_semiinfinite
+from .numerics import _rk_flow, integrate_interval, integrate_semiinfinite
 
 __all__ = [
     "ReleaseRate", "Constant", "Affine", "Power", "PowerSmoothed", "Plateau",
     "Custom", "RateAsymptotics", "RegularityReport",
-    "evaluate", "check_regularity", "flow_time_integral", "modulus_R",
+    "evaluate", "check_regularity", "flow_time_integral", "signed_drain_time",
+    "modulus_R",
 ]
 
 
@@ -52,9 +56,18 @@ class ReleaseRate:
     def asymptotics(self) -> RateAsymptotics:
         raise NotImplementedError
 
-    def closed_flow(self, x0: float, dt: float, drift: float):
-        """Closed-form flow of x' = drift - r(x), or None to use RK."""
-        return None
+    def flow(self, x, dt, drift: float = 0.0):
+        """x' = drift - r(x) from x over dt >= 0, absorbing at the empty
+        state when the drift cannot lift it; ``x`` and ``dt`` are floats or
+        arrays of lanes.  Families without a closed form integrate each lane
+        by adaptive Runge-Kutta."""
+        if np.ndim(x) == 0 and np.ndim(dt) == 0:
+            return _rk_flow(self.rate, float(x), float(dt), float(drift))
+        x, dt = np.broadcast_arrays(np.asarray(x, dtype=float),
+                                    np.asarray(dt, dtype=float))
+        return np.array([_rk_flow(self.rate, xi, di, float(drift))
+                         for xi, di in zip(x.ravel().tolist(), dt.ravel().tolist())]
+                        ).reshape(x.shape)
 
     def drain_time(self, lo: float, hi: float) -> float:
         """int_lo^hi dv / r(v) for 0 < lo <= hi (hi may be inf)."""
@@ -89,12 +102,9 @@ class Constant(ReleaseRate):
     def asymptotics(self):
         return RateAsymptotics("bounded", limit=self.a)
 
-    def closed_flow(self, x0, dt, drift):
-        # empty state is stuck whenever inflow cannot outrun the service level
-        slope = drift - self.a
-        if x0 <= 0.0:
-            return max(slope * dt, 0.0) if drift > self.a else 0.0
-        return max(x0 + slope * dt, 0.0)
+    def flow(self, x, dt, drift=0.0):
+        # the empty state stays empty whenever inflow cannot outrun the level
+        return np.maximum(x + (drift - self.a) * dt, 0.0)
 
     def drain_time(self, lo, hi):
         if math.isinf(hi):
@@ -124,14 +134,9 @@ class Affine(ReleaseRate):
     def asymptotics(self):
         return RateAsymptotics("power", 1.0, self.b)
 
-    def closed_flow(self, x0, dt, drift):
-        if x0 <= 0.0 and drift <= self.a:
-            return 0.0
+    def flow(self, x, dt, drift=0.0):
         x_eq = (drift - self.a) / self.b
-        x = x_eq + (x0 - x_eq) * math.exp(-self.b * dt)
-        if x <= 0.0:
-            return 0.0 if drift <= self.a else max(x, 0.0)
-        return x
+        return np.maximum(x_eq + (x - x_eq) * np.exp(-self.b * dt), 0.0)
 
     def drain_time(self, lo, hi):
         if math.isinf(hi):
@@ -140,6 +145,23 @@ class Affine(ReleaseRate):
 
     def modulus_decrease(self, u):
         return -self.b * u
+
+
+def _power_flow(k, beta, x, dt):
+    """Drift-free flow of x' = -k x^beta from x > 0 (floats or lanes)."""
+    if beta == 1.0:
+        return x * np.exp(-k * dt)
+    base = x ** (1.0 - beta) - k * (1.0 - beta) * dt
+    # for beta < 1 the content empties in finite time: base <= 0 means empty
+    return np.maximum(base, 0.0) ** (1.0 / (1.0 - beta))
+
+
+def _power_time(k, beta, lo, hi):
+    """int_lo^hi dv / (k v^beta) for 0 < lo <= hi; hi may be inf.  ``hi``
+    may be an array of lanes when beta != 1."""
+    if beta == 1.0:
+        return math.log(hi / lo) / k
+    return (hi ** (1.0 - beta) - lo ** (1.0 - beta)) / (k * (1.0 - beta))
 
 
 @dataclass(frozen=True)
@@ -162,29 +184,18 @@ class Power(ReleaseRate):
     def asymptotics(self):
         return RateAsymptotics("power", self.beta, self.k)
 
-    def closed_flow(self, x0, dt, drift):
+    def flow(self, x, dt, drift=0.0):
         if drift != 0.0:
-            return None
-        if x0 <= 0.0:
-            return 0.0
-        if self.beta == 1.0:
-            return x0 * math.exp(-self.k * dt)
-        base = x0 ** (1.0 - self.beta) - self.k * (1.0 - self.beta) * dt
-        if self.beta < 1.0:
-            return 0.0 if base <= 0.0 else base ** (1.0 / (1.0 - self.beta))
-        return base ** (1.0 / (1.0 - self.beta))
+            return super().flow(x, dt, drift)
+        # empty lanes stay empty: they run the formula from 1.0, then are zeroed
+        return _power_flow(self.k, self.beta, x + (x <= 0.0), dt) * (x > 0.0)
 
     def drain_time(self, lo, hi):
-        if math.isinf(hi):
-            if self.beta <= 1.0:
-                return math.inf
-            return lo ** (1.0 - self.beta) / (self.k * (self.beta - 1.0))
+        if math.isinf(hi) and self.beta <= 1.0:
+            return math.inf
         if lo == 0.0 and self.beta >= 1.0:
             raise Divergent("time integral diverges at the empty state")
-        if self.beta == 1.0:
-            return math.log(hi / lo) / self.k
-        return (hi ** (1.0 - self.beta) - lo ** (1.0 - self.beta)) / (
-            self.k * (1.0 - self.beta))
+        return _power_time(self.k, self.beta, lo, hi)
 
     def modulus_decrease(self, u):
         if self.beta < 0.0:
@@ -223,28 +234,23 @@ class PowerSmoothed(ReleaseRate):
     def asymptotics(self):
         return RateAsymptotics("power", self.beta, self.k)
 
-    def closed_flow(self, x0, dt, drift):
+    def flow(self, x, dt, drift=0.0):
         if drift != 0.0:
-            return None
-        if x0 <= 0.0:
-            return 0.0
-        x, remaining = float(x0), float(dt)
-        if x > self.u_s:
-            upper = Power(self.k, self.beta)
-            t_hit = upper.drain_time(self.u_s, x)
-            if remaining <= t_hit:
-                return upper.closed_flow(x, remaining, 0.0)
-            x, remaining = self.u_s, remaining - t_hit
-        # linear ramp region decays exponentially, never reaching 0
-        return x * math.exp(-self._ramp_slope * remaining)
+            return super().flow(x, dt, drift)
+        if self.beta == 1.0:
+            # ramp and power are then one line, r(u) = k u
+            return _power_flow(self.k, 1.0, x, dt)
+        us = self.u_s
+        top = np.maximum(x, us)
+        # power law for the time tau spent above the knee, then the ramp
+        # decays exponentially and never reaches 0
+        tau = np.minimum(dt, _power_time(self.k, self.beta, us, top))
+        y = np.minimum(x, _power_flow(self.k, self.beta, top, tau))
+        return y * np.exp(-self._ramp_slope * (dt - tau))
 
     def drain_time(self, lo, hi):
-        if math.isinf(hi):
-            if self.beta <= 1.0:
-                return math.inf
-            top = Power(self.k, self.beta)
-            return self.drain_time(lo, max(lo, self.u_s)) + top.drain_time(
-                max(lo, self.u_s), math.inf)
+        if math.isinf(hi) and self.beta <= 1.0:
+            return math.inf
         if lo <= 0.0:
             raise Divergent("ramp time integral diverges at 0")
         parts = 0.0
@@ -253,7 +259,7 @@ class PowerSmoothed(ReleaseRate):
             parts += math.log(cap / lo) / self._ramp_slope
             lo = cap
         if hi > lo:
-            parts += Power(self.k, self.beta).drain_time(lo, hi)
+            parts += _power_time(self.k, self.beta, lo, hi)
         return parts
 
     def modulus_decrease(self, u):
@@ -281,23 +287,18 @@ class Plateau(ReleaseRate):
     def asymptotics(self):
         return RateAsymptotics("bounded", limit=self.m)
 
-    def closed_flow(self, x0, dt, drift):
-        if x0 <= 0.0 and drift <= 0.0:
-            return 0.0
+    def flow(self, x, dt, drift=0.0):
+        rate_above = self.m - drift
+        if rate_above <= 0.0:
+            # the drift pushes the content back above the knee
+            return super().flow(x, dt, drift)
         slope = self.m / self.u0
-        x, remaining = float(x0), float(dt)
-        if x > self.u0:
-            rate_above = self.m - drift
-            if rate_above <= 0.0:
-                return x - rate_above * remaining
-            t_hit = (x - self.u0) / rate_above
-            if remaining <= t_hit:
-                return x - rate_above * remaining
-            x, remaining = self.u0, remaining - t_hit
         x_eq = drift / slope
-        if x_eq >= self.u0:
-            return None  # drift pushes back above the plateau knee
-        return x_eq + (x - x_eq) * math.exp(-slope * remaining)
+        # linear descent for the time tau spent above the knee, then
+        # exponential approach to x_eq
+        tau = np.minimum(dt, np.maximum(x - self.u0, 0.0) / rate_above)
+        y = x - rate_above * tau
+        return np.maximum(x_eq + (y - x_eq) * np.exp(-slope * (dt - tau)), 0.0)
 
     def drain_time(self, lo, hi):
         if math.isinf(hi):
@@ -364,6 +365,14 @@ def flow_time_integral(release: ReleaseRate, u_lo: float, u_hi: float) -> float:
     if u_lo < 0 or (u_hi < u_lo):
         raise ValueError("need 0 <= u_lo <= u_hi")
     return float(release.drain_time(u_lo, u_hi))
+
+
+def signed_drain_time(release: ReleaseRate, u: float) -> float:
+    """G(u) = int_1^u dv / r(v), negative below 1; scalar, for integrands
+    and elementwise use."""
+    if u >= 1.0:
+        return release.drain_time(1.0, u)
+    return -release.drain_time(u, 1.0)
 
 
 def modulus_R(release: ReleaseRate, u: float, probe_grid=None) -> float:

@@ -1,14 +1,15 @@
 """Path simulation for the storage process X(t) = x + A(t) - int r(X) ds.
 
 Event-driven and exact for finite-activity inputs: between jumps the state
-follows the drain flow (closed form wherever the release family has one),
-at a jump the size is added.  Infinite-activity inputs keep jumps above the
-stream's truncation level and fold the discarded mean into the inter-jump
-dynamics as a constant inflow, so the flow solves x' = d_eps - r(x).
+follows the release family's drain flow ``release.flow``, at a jump the
+size is added.  Infinite-activity inputs keep jumps above the stream's
+truncation level and fold the discarded mean into the inter-jump dynamics
+as a constant inflow, so the flow solves x' = d_eps - r(x).
 
 ``simulate_*`` walk one path at a time under per-path derived streams (bit
-reproducible, order independent).  The private ``endpoint_ensemble`` /
-``grid_ensemble`` engines vectorise across paths in chunks and are what the
+reproducible, order independent), calling the flow on floats.  The private
+``endpoint_ensemble`` / ``grid_ensemble`` engines vectorise across paths in
+chunks, calling the same flow on arrays of lanes, and are what the
 estimators in ergodicity_lab call; they draw differently from the per-path
 walkers but from the same law, and are equally reproducible.
 """
@@ -21,21 +22,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .levy_input import JumpStream, LevyInput, sample_jumps
-from .numerics import ode_flow
-from .release_rate import (
-    Affine,
-    Constant,
-    Plateau,
-    Power,
-    PowerSmoothed,
-    ReleaseRate,
-)
+from .release_rate import ReleaseRate
 from .rng import substream
 
 __all__ = [
     "Endpoint", "Grid", "FullEvents", "PathConfig", "PathRecord",
     "DistanceCurve", "simulate_path", "simulate_coupled", "simulate_ensemble",
-    "flow_vec", "signed_drain_vec", "endpoint_ensemble", "grid_ensemble",
+    "endpoint_ensemble", "grid_ensemble",
 ]
 
 MERGE_TOL = 1e-9
@@ -128,9 +121,9 @@ def simulate_path(levy: LevyInput, release: ReleaseRate, cfg: PathConfig,
         if grid is not None:
             while gi < len(grid) and grid[gi] < tj:
                 out_t.append(grid[gi])
-                out_v.append(ode_flow(release, x, grid[gi] - t_prev, drift))
+                out_v.append(release.flow(x, grid[gi] - t_prev, drift))
                 gi += 1
-        x = ode_flow(release, x, tj - t_prev, drift) + sj
+        x = release.flow(x, tj - t_prev, drift) + sj
         t_prev = tj
         if grid is None:
             ev_t.append(tj)
@@ -138,7 +131,7 @@ def simulate_path(levy: LevyInput, release: ReleaseRate, cfg: PathConfig,
     if grid is not None:
         while gi < len(grid):
             out_t.append(grid[gi])
-            out_v.append(ode_flow(release, x, grid[gi] - t_prev, drift))
+            out_v.append(release.flow(x, grid[gi] - t_prev, drift))
             gi += 1
         return PathRecord(np.asarray(out_t), np.asarray(out_v),
                           int(len(times)), comp, bias_bound=bias)
@@ -171,8 +164,8 @@ def simulate_coupled(levy: LevyInput, release: ReleaseRate, x: float, y: float,
     gi = 0
 
     def advance(xa, xb, dt):
-        xa2 = ode_flow(release, xa, dt, drift)
-        xb2 = xa2 if merge_time < math.inf else ode_flow(release, xb, dt, drift)
+        xa2 = release.flow(xa, dt, drift)
+        xb2 = xa2 if merge_time < math.inf else release.flow(xb, dt, drift)
         return xa2, xb2
 
     for tj, sj in zip(times, sizes):
@@ -218,125 +211,6 @@ def simulate_ensemble(levy: LevyInput, release: ReleaseRate, cfg: PathConfig,
             return values[:, -1]
         return values
     return records
-
-
-# ---------------------------------------------------------------------------
-# vectorised flows and drain times
-# ---------------------------------------------------------------------------
-
-def flow_vec(release: ReleaseRate, x, dt, drift: float = 0.0):
-    """Closed-form drain flow applied elementwise; falls back to the scalar
-    integrator for families without a vector form."""
-    x = np.asarray(x, dtype=float)
-    dt = np.broadcast_to(np.asarray(dt, dtype=float), x.shape).copy()
-    dt = np.maximum(dt, 0.0)
-    if isinstance(release, Constant):
-        a = release.a
-        if drift <= a:
-            out = np.maximum(x + (drift - a) * dt, 0.0)
-            out[x <= 0.0] = 0.0
-            return out
-        return x + (drift - a) * dt
-    if isinstance(release, Affine):
-        a, b = release.a, release.b
-        x_eq = (drift - a) / b
-        out = x_eq + (x - x_eq) * np.exp(-b * dt)
-        out = np.maximum(out, 0.0)
-        if drift <= a:
-            out[x <= 0.0] = 0.0
-        return out
-    if isinstance(release, Power) and drift == 0.0:
-        k, beta = release.k, release.beta
-        if beta == 1.0:
-            return x * np.exp(-k * dt)
-        base = np.maximum(x, 1e-300) ** (1.0 - beta) - k * (1.0 - beta) * dt
-        if beta < 1.0:
-            out = np.where(base > 0.0, np.maximum(base, 0.0) ** (1.0 / (1.0 - beta)), 0.0)
-        else:
-            out = base ** (1.0 / (1.0 - beta))
-        out[x <= 0.0] = 0.0
-        return out
-    if isinstance(release, PowerSmoothed) and drift == 0.0:
-        k, beta, us = release.k, release.beta, release.u_s
-        slope = release._ramp_slope
-        out = np.empty_like(x)
-        above = x > us
-        if above.any():
-            xa, da = x[above], dt[above]
-            if beta == 1.0:
-                t_hit = np.log(xa / us) / k
-                power_part = xa * np.exp(-k * da)
-            else:
-                t_hit = (xa ** (1.0 - beta) - us ** (1.0 - beta)) / (k * (1.0 - beta))
-                base = xa ** (1.0 - beta) - k * (1.0 - beta) * da
-                power_part = np.maximum(base, 1e-300) ** (1.0 / (1.0 - beta))
-            stays = da <= t_hit
-            ramp_part = us * np.exp(-slope * np.maximum(da - t_hit, 0.0))
-            out[above] = np.where(stays, power_part, ramp_part)
-        below = ~above
-        out[below] = x[below] * np.exp(-slope * dt[below])
-        return out
-    if isinstance(release, Plateau) and drift < release.m:
-        m, u0 = release.m, release.u0
-        slope = m / u0
-        x_eq = drift / slope
-        out = np.empty_like(x)
-        above = x > u0
-        if above.any():
-            xa, da = x[above], dt[above]
-            t_hit = (xa - u0) / (m - drift)
-            linear_part = xa - (m - drift) * da
-            exp_part = x_eq + (u0 - x_eq) * np.exp(-slope * (da - t_hit))
-            out[above] = np.where(da <= t_hit, linear_part, exp_part)
-        below = ~above
-        out[below] = x_eq + (x[below] - x_eq) * np.exp(-slope * dt[below])
-        return np.maximum(out, 0.0)
-    return np.asarray([ode_flow(release, xi, di, drift)
-                       for xi, di in zip(x.ravel(), dt.ravel())]).reshape(x.shape)
-
-
-def signed_drain_vec(release: ReleaseRate, u):
-    """G(u) = int_1^u dv/r(v), elementwise, for occupation bookkeeping.
-
-    Only meaningful where the drain alone drives the motion (drift 0).
-    """
-    u = np.asarray(u, dtype=float)
-    if isinstance(release, Constant):
-        return (u - 1.0) / release.a
-    if isinstance(release, Affine):
-        a, b = release.a, release.b
-        return np.log((a + b * np.maximum(u, 1e-300)) / (a + b)) / b
-    if isinstance(release, Power):
-        k, beta = release.k, release.beta
-        if beta == 1.0:
-            return np.log(np.maximum(u, 1e-300)) / k
-        return (np.maximum(u, 1e-300) ** (1.0 - beta) - 1.0) / (k * (1.0 - beta))
-    if isinstance(release, PowerSmoothed):
-        k, beta, us = release.k, release.beta, release.u_s
-        slope = release._ramp_slope
-        power = Power(k, beta)
-        anchor = signed_drain_vec(power, u)  # valid above u_s
-        if us >= 1.0:
-            raise ValueError("ramp knee above the reference level")
-        ramp = np.log(np.maximum(u, 1e-300) / us) / slope + signed_drain_vec(
-            power, np.asarray(us))
-        return np.where(u >= us, anchor, ramp)
-    if isinstance(release, Plateau):
-        m, u0 = release.m, release.u0
-        out = np.where(u <= u0,
-                       np.log(np.maximum(u, 1e-300) / u0) * u0 / m,
-                       (u - u0) / m)
-        ref = math.log(1.0 / u0) * u0 / m if u0 >= 1.0 else (1.0 - u0) / m
-        return out - ref
-    return np.asarray([_signed_drain_scalar(release, x) for x in u.ravel()]
-                      ).reshape(u.shape)
-
-
-def _signed_drain_scalar(release, u):
-    from .release_rate import flow_time_integral
-    if u >= 1.0:
-        return flow_time_integral(release, 1.0, u)
-    return -flow_time_integral(release, u, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -389,9 +263,9 @@ def endpoint_ensemble(levy: LevyInput, release: ReleaseRate, x0,
         t, s = _chunk_jumps(levy, gen, horizon, m, eps)
         tp = np.zeros(m)
         for k in range(t.shape[1]):
-            x = flow_vec(release, x, t[:, k] - tp, drift) + s[:, k]
+            x = release.flow(x, t[:, k] - tp, drift) + s[:, k]
             tp = t[:, k]
-        x = flow_vec(release, x, horizon - tp, drift)
+        x = release.flow(x, horizon - tp, drift)
         out[done:done + m] = x
         done += m
         ci += 1
@@ -433,11 +307,11 @@ def grid_ensemble(levy: LevyInput, release: ReleaseRate, x0,
                     break
                 rows = rows[move]
                 tj = tj[move]
-                x[rows] = flow_vec(release, x[rows], tj - tp[rows], drift) \
+                x[rows] = release.flow(x[rows], tj - tp[rows], drift) \
                     + s[rows, ptr[rows]]
                 tp[rows] = tj
                 ptr[rows] += 1
-            x = flow_vec(release, x, g - tp, drift)
+            x = release.flow(x, g - tp, drift)
             tp[:] = g
             out[done:done + m, j] = x
         done += m

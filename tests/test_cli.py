@@ -168,6 +168,25 @@ class TestCli:
         assert main(["classify", "preset:plateau-null"]) == 0
         assert (target / "classify.json").exists()
 
+    def test_tail_reference_follows_the_model(self, tmp_path):
+        # the closed-form column holds only for the preset's own input and
+        # release: a seed override keeps it, a release override drops it
+        def reference(name, override):
+            out = tmp_path / name
+            assert main(["tail", "preset:shotnoise-gamma", "--out", str(out),
+                         "--set", "budgets.n_paths=2000",
+                         "--set", override]) == 0
+            rows = (out / "tail.csv").read_text().splitlines()[2:]
+            return [row.split(",")[3] for row in rows]
+
+        kept = reference("seed", "seed=7")
+        assert float(kept[0]) == pytest.approx(1.5 * math.exp(-0.5))
+        assert reference("b2", "release.b=2.0") == [""] * len(kept)
+
+    def test_threads_flag_rejected(self, capsys):
+        assert main(["classify", "preset:plateau-null", "--threads", "2"]) == 2
+        assert "unrecognized arguments: --threads" in capsys.readouterr().err
+
     def test_write_csv_formats(self, tmp_path):
         path = tmp_path / "x.csv"
         write_csv(path, ["a", "b"], [(1, 0.5), ("s", math.nan)])

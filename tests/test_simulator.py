@@ -13,16 +13,24 @@ from storagelab.levy_input import (
     ParetoJumps,
 )
 from storagelab.lyapunov import PowerModulus, wasserstein_rate
-from storagelab.release_rate import Affine, Constant, Plateau, Power, PowerSmoothed
+from storagelab.numerics import QuadratureSpec, _rk_flow, integrate_interval
+from storagelab.release_rate import (
+    Affine,
+    Constant,
+    Custom,
+    Plateau,
+    Power,
+    PowerSmoothed,
+    RateAsymptotics,
+    signed_drain_time,
+)
 from storagelab.simulator import (
     Endpoint,
     FullEvents,
     Grid,
     PathConfig,
     endpoint_ensemble,
-    flow_vec,
     grid_ensemble,
-    signed_drain_vec,
     simulate_coupled,
     simulate_ensemble,
     simulate_path,
@@ -31,6 +39,7 @@ from storagelab.simulator import (
 SEED = 20260810
 NO_JUMPS = CompoundPoisson(0.0, Exponential(1.0))
 CPP = CompoundPoisson(1.0, Exponential(1.0))
+CUSTOM = Custom(lambda u: u + u * u / (1.0 + u), RateAsymptotics("power", 1.0, 2.0))
 
 
 class TestSimulatePath:
@@ -204,28 +213,48 @@ class TestVectorEngines:
         Constant(2.0), Affine(0.0, 1.0), Affine(1.0, 2.0),
         Power(1.0, 2.0), Power(1.0, 1.0), PowerSmoothed(1.0, 0.5),
         Plateau(2.0, 1.0),
+        pytest.param(Power(1.0, 0.5), id="Power-sublinear"),
+        pytest.param(CUSTOM, id="Custom"),
     ], ids=lambda r: f"{type(r).__name__}")
     def test_flow_vec_matches_scalar(self, rel):
-        from storagelab.numerics import ode_flow
+        # one flow body serves floats and lanes, closed form or not
         xs = np.array([0.0, 0.005, 0.5, 1.0, 4.0, 50.0])
         dts = np.array([0.0, 0.3, 1.7, 9.0])
-        for dt in dts:
-            vec = flow_vec(rel, xs, dt)
-            scal = np.array([ode_flow(rel, x, float(dt)) for x in xs])
-            assert vec == pytest.approx(scal, abs=1e-9)
+        for drift in (0.0, 0.7, 2.5):
+            # below r(0+) an emptied lane stays empty, a sliding motion the
+            # RK reference cannot follow
+            sticky = 0.0 < drift < float(rel.rate(1e-12))
+            for dt in dts:
+                lanes = rel.flow(xs, dt, drift)
+                for x, lane in zip(xs, lanes):
+                    one = rel.flow(float(x), float(dt), drift)
+                    assert one == pytest.approx(lane, rel=1e-14, abs=1e-300)
+                    if not (sticky and lane == 0.0):
+                        ref = _rk_flow(rel.rate, float(x), float(dt), drift)
+                        assert lane == pytest.approx(ref, abs=1e-8)
+            for s, t in ((0.3, 1.4), (1.7, 9.0)):
+                two_step = rel.flow(rel.flow(xs, s, drift), t, drift)
+                assert two_step == pytest.approx(rel.flow(xs, s + t, drift), abs=1e-8)
+        for x in xs[xs > 0.0]:
+            for u in (0.05, 0.4, 1.0, 3.0):
+                if u < x:
+                    t = rel.drain_time(u, float(x))
+                    assert rel.flow(float(x), t, 0.0) == pytest.approx(u, rel=1e-8)
 
     @pytest.mark.parametrize("rel", [
         Constant(2.0), Affine(0.0, 1.0), Power(1.0, 2.0),
         PowerSmoothed(1.0, 0.5), Plateau(2.0, 1.0),
+        pytest.param(Power(1.0, 0.5), id="Power-sublinear"),
+        pytest.param(CUSTOM, id="Custom"),
     ], ids=lambda r: f"{type(r).__name__}")
     def test_signed_drain_vec_matches_integral(self, rel):
-        from storagelab.release_rate import flow_time_integral
-        us = np.array([0.05, 0.4, 1.0, 3.0, 42.0])
-        vec = signed_drain_vec(rel, us)
-        for u, v in zip(us, vec):
-            ref = (flow_time_integral(rel, 1.0, u) if u >= 1.0
-                   else -flow_time_integral(rel, u, 1.0))
-            assert v == pytest.approx(ref, rel=1e-9, abs=1e-12)
+        # G(u) = int_1^u dv / r(v) against quadrature of 1/r, not drain_time
+        spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-15)
+        inv_rate = lambda v: 1.0 / float(rel.rate(v))
+        for u in (0.05, 0.4, 1.0, 3.0, 42.0):
+            ref = (integrate_interval(inv_rate, 1.0, u, spec).value if u >= 1.0
+                   else -integrate_interval(inv_rate, u, 1.0, spec).value)
+            assert signed_drain_time(rel, u) == pytest.approx(ref, rel=1e-9, abs=1e-12)
 
     def test_endpoint_engine_matches_law(self):
         # shot-noise mean against the per-path ensemble
