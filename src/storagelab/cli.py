@@ -50,7 +50,7 @@ from .lyapunov import (
 from .presets import load_preset, preset_names
 from .release_rate import check_regularity
 from .scenario import Scenario, ScenarioError
-from .simulator import FullEvents, Grid, PathConfig, simulate_path
+from .simulator import FullEvents, Grid, PathConfig, simulate_ensemble
 from .levy_input import JumpStream
 
 CSV_SCHEMA = 1
@@ -233,27 +233,20 @@ def cmd_predict(scen: Scenario, out: Path, args) -> int:
 
 def cmd_simulate(scen: Scenario, out: Path, args) -> int:
     n = min(scen.budgets["n_paths"], args.paths or scen.budgets["n_paths"])
+    if n < 1:
+        raise ScenarioError("simulate needs at least one path")
     horizon = scen.budgets["horizon"]
-    base = JumpStream(scen.seed, scen.truncation_eps)
-    rows = []
+    grid = tuple(t for t in scen.grids["t_grid"] if t <= horizon)
+    record = FullEvents() if args.mode == "events" else Grid(grid)
+    cfg = PathConfig(args.x0, horizon, record, scen.seed, scen.truncation_eps)
+    paths = simulate_ensemble(scen.levy, scen.release, cfg, n)
     if args.mode == "events":
-        cfg = PathConfig(args.x0, horizon, FullEvents(), scen.seed,
-                         scen.truncation_eps)
-        for i in range(n):
-            rec = simulate_path(scen.levy, scen.release, cfg,
-                                stream=base.derive(i))
-            for t, x, j in zip(rec.times, rec.values, rec.jump_sizes):
-                rows.append((i, float(t), float(j), float(x)))
+        rows = [(i, float(t), float(j), float(x)) for i, rec in enumerate(paths)
+                for t, x, j in zip(rec.times, rec.values, rec.jump_sizes)]
         write_csv(out / "events.csv", ["path_id", "t", "jump_size", "x_after"], rows)
     else:
-        grid = tuple(t for t in scen.grids["t_grid"] if t <= horizon)
-        cfg = PathConfig(args.x0, horizon, Grid(grid), scen.seed,
-                         scen.truncation_eps)
-        for i in range(n):
-            rec = simulate_path(scen.levy, scen.release, cfg,
-                                stream=base.derive(i))
-            for t, x in zip(rec.times, rec.values):
-                rows.append((i, float(t), float(x)))
+        rows = [(i, float(t), float(x)) for i, values in enumerate(paths)
+                for t, x in zip(grid, values)]
         write_csv(out / "paths.csv", ["path_id", "t", "x"], rows)
     print(f"{scen.name}: simulated {n} paths")
     return 0

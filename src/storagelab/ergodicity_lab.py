@@ -23,12 +23,12 @@ from .errors import (
     NoiseFloorReached,
     NotStationaryRegime,
 )
-from .levy_input import JumpStream, LevyInput, sample_jumps
+from .levy_input import JumpStream, LevyInput
 from .lyapunov import DriftCertificate, GapBound, LowerRateCurve
 from .numerics import FitResult, fit_loglog, integrate_semiinfinite, invert_monotone
 from .release_rate import ReleaseRate, signed_drain_time
 from .rng import substream
-from .simulator import endpoint_ensemble, grid_ensemble
+from .simulator import FullEvents, PathConfig, grid_ensemble, simulate_path
 
 __all__ = [
     "LongRunTimeAverage", "EnsembleEndpoint", "TailEstimate", "DecayCurve",
@@ -120,29 +120,6 @@ def _regime_guard(levy, release, regime: str | None):
                       stacklevel=3)
 
 
-def _walk_segments(levy, release, x0: float, total_time: float, seed: int,
-                   eps: float):
-    """Post-jump states and inter-event durations of one long exact path."""
-    stream = JumpStream(seed, eps).derive("longrun")
-    times, sizes = sample_jumps(levy, stream, total_time)
-    if levy.activity == "infinite" and levy.compensator_drift(eps) > 0.0:
-        raise ValueError("occupation engine needs drift-free inter-jump motion")
-    n = len(times)
-    starts = np.empty(n + 1)
-    durations = np.empty(n + 1)
-    x, tp = float(x0), 0.0
-    starts[0] = x
-    for i in range(n):
-        dt = times[i] - tp
-        durations[i] = dt
-        x = release.flow(x, dt, 0.0) + sizes[i]
-        starts[i + 1] = x
-        tp = times[i]
-    durations[n] = total_time - tp
-    t_start = np.concatenate([[0.0], times])
-    return t_start, starts, durations
-
-
 def _occupation_matrix(release, t_start, starts, durations, u_grid, burn,
                        total_time):
     """Time above each level per equal time block: (N_BLOCKS, n_levels)."""
@@ -196,8 +173,8 @@ def estimate_tail(levy: LevyInput, release: ReleaseRate, method, u_grid,
 
     if isinstance(method, EnsembleEndpoint):
         horizon = method.horizon or _endpoint_time(certificate)
-        samples = endpoint_ensemble(levy, release, 0.0, horizon, budget,
-                                    seed, eps)
+        samples = grid_ensemble(levy, release, 0.0, [horizon], budget,
+                                seed, eps)[:, 0]
         pibar = (samples[None, :] > u_grid[:, None]).mean(axis=1)
         se = np.empty_like(pibar)
         for j, p in enumerate(pibar):
@@ -219,7 +196,13 @@ def estimate_tail(levy: LevyInput, release: ReleaseRate, method, u_grid,
             burn = window / 50.0
             geweke = True
         total = window + burn
-        t0, xs, dur = _walk_segments(levy, release, 0.0, total, seed, eps)
+        if levy.activity == "infinite" and levy.compensator_drift(eps) > 0.0:
+            raise ValueError("occupation engine needs drift-free inter-jump motion")
+        rec = simulate_path(levy, release,
+                            PathConfig(0.0, total, FullEvents(), seed, eps),
+                            stream=JumpStream(seed, eps).derive("longrun"))
+        t0, xs = rec.times, rec.values
+        dur = np.diff(np.append(t0, total))
         occ, w_eff = _occupation_matrix(release, t0, xs, dur, u_grid, burn, total)
         if geweke:
             mid = len(u_grid) // 2
@@ -278,8 +261,8 @@ def estimate_tv_decay(levy: LevyInput, release: ReleaseRate, x0: float,
     t_grid = np.asarray(t_grid, dtype=float)
     if reference is None:
         t_ref = max(2.0 * float(t_grid[-1]), _endpoint_time(certificate))
-        reference = endpoint_ensemble(levy, release, 0.0, t_ref, 2 * n_paths,
-                                      seed + 1, eps)
+        reference = grid_ensemble(levy, release, 0.0, [t_ref], 2 * n_paths,
+                                  seed + 1, eps)[:, 0]
     edges = _equal_mass_edges(reference, bins)
     p_ref = _hist_probs(reference, edges)
     mat = grid_ensemble(levy, release, x0, t_grid, n_paths, seed, eps)
@@ -396,8 +379,8 @@ def estimate_wp_decay(levy: LevyInput, release: ReleaseRate, x0,
     starts = mu0 if mu0 is not None else x0
     if reference is None:
         t_ref = max(2.0 * float(t_grid[-1]), _endpoint_time(certificate))
-        reference = endpoint_ensemble(levy, release, 0.0, t_ref, 2 * n_paths,
-                                      seed + 1, eps)
+        reference = grid_ensemble(levy, release, 0.0, [t_ref], 2 * n_paths,
+                                  seed + 1, eps)[:, 0]
     mat = grid_ensemble(levy, release, starts, t_grid, n_paths, seed, eps)
     gen = substream(seed, "wp-boot")
     values = np.empty(t_grid.size)

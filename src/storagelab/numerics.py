@@ -335,10 +335,16 @@ def ode_flow(r, x0: float, dt: float, drift: float = 0.0) -> float:
     return _rk_flow(r, float(x0), float(dt), float(drift))
 
 
+_TINY = 1e-300  # where _rk_flow reads r(0+)
+
+
 def _rk_flow(rate, x0: float, dt: float, drift: float,
              tol: float = 1e-10) -> float:
+    # r(0) = 0 by the indicator convention, so the right-hand side is taken
+    # at r(0+): a lane that empties while drift <= r(0+) then stays empty (a
+    # sliding motion) instead of chattering across 0 with shrinking steps
     def rhs(x):
-        return drift - rate(max(x, 0.0))
+        return drift - rate(max(x, _TINY))
 
     x, t = x0, 0.0
     h = dt / 8.0
@@ -359,7 +365,7 @@ def _rk_flow(rate, x0: float, dt: float, drift: float,
             t += h
             x = x2 + (x2 - x1) / 15.0
             if x <= 0.0:
-                if drift <= 0.0:
+                if drift <= rate(_TINY):
                     return 0.0
                 x = 0.0
             if err < 0.25 * tol * max(1.0, abs(x)):

@@ -6,12 +6,17 @@ size is added.  Infinite-activity inputs keep jumps above the stream's
 truncation level and fold the discarded mean into the inter-jump dynamics
 as a constant inflow, so the flow solves x' = d_eps - r(x).
 
-``simulate_*`` walk one path at a time under per-path derived streams (bit
-reproducible, order independent), calling the flow on floats.  The private
-``endpoint_ensemble`` / ``grid_ensemble`` engines vectorise across paths in
-chunks, calling the same flow on arrays of lanes, and are what the
-estimators in ergodicity_lab call; they draw differently from the per-path
-walkers but from the same law, and are equally reproducible.
+Two ways draw the same law:
+
+* ``simulate_*`` walk one path at a time under per-path derived streams
+  (bit reproducible, order independent), calling the flow on floats;
+* ``grid_ensemble`` is the one cross-path engine, which the estimators in
+  ergodicity_lab call.  It steps chunks of ``_CHUNK`` lanes in lock step,
+  calling the same flow on arrays of lanes, and records the lanes at common
+  grid times (a single grid time gives endpoints).  Chunk c draws from the
+  Philox key ``(seed, "grid", c)``, and its jumps are streamed one time slab
+  of about ``_SLAB`` jumps at a time, so memory stays bounded however high
+  the jump intensity or long the horizon.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from .rng import substream
 __all__ = [
     "Endpoint", "Grid", "FullEvents", "PathConfig", "PathRecord",
     "DistanceCurve", "simulate_path", "simulate_coupled", "simulate_ensemble",
-    "endpoint_ensemble", "grid_ensemble",
+    "grid_ensemble",
 ]
 
 MERGE_TOL = 1e-9
@@ -214,106 +219,67 @@ def simulate_ensemble(levy: LevyInput, release: ReleaseRate, cfg: PathConfig,
 
 
 # ---------------------------------------------------------------------------
-# chunked cross-path engines
+# cross-path lane engine
 # ---------------------------------------------------------------------------
 
-_CHUNK = 8192
+_CHUNK = 8192      # lanes stepped together
+_SLAB = 1 << 20    # jumps one slab expects across a chunk
 
 
-def _chunk_jumps(levy, gen, horizon, m, eps):
-    """Padded (times, sizes) matrices: padding jumps sit at the horizon with
-    size zero, so the stepping loop needs no masks."""
-    lam = levy.proposal_rate(eps)
-    if lam <= 0.0:
-        return np.zeros((m, 0)), np.zeros((m, 0))
-    counts = gen.poisson(lam * horizon, m)
-    kmax = int(counts.max()) if m else 0
-    if kmax == 0:
-        return np.zeros((m, 0)), np.zeros((m, 0))
-    t = gen.random((m, kmax)) * horizon
-    idx = np.arange(kmax)[None, :]
-    t[idx >= counts[:, None]] = horizon
-    t.sort(axis=1)
-    s = levy.sample_sizes(gen, m * kmax, eps).reshape(m, kmax)
-    s[idx >= counts[:, None]] = 0.0
-    return t, s
+def _step_slab(levy, release, gen, x, a, b, lam, drift, eps):
+    """Advance the lanes ``x`` from time a to b through the jumps in (a, b].
 
-
-def _starts(x0, gen, m):
-    if callable(x0):
-        return np.asarray(x0(gen, m), dtype=float)
-    return np.full(m, float(x0))
-
-
-def endpoint_ensemble(levy: LevyInput, release: ReleaseRate, x0,
-                      horizon: float, n_paths: int, seed: int,
-                      eps: float = 1e-4, chunk: int = _CHUNK) -> np.ndarray:
-    """X(horizon) across paths, vectorised in chunks.
-
-    ``x0`` is a level or a sampler ``(gen, m) -> array`` for random starts.
+    Each lane draws a Poisson count and that many uniform times on (a, b].
+    Times and sizes are (slot, lane) matrices, so each step reads one
+    contiguous row; padding slots sit at b with size zero, so the stepping
+    loop needs no masks, and sizes are drawn for real jumps only.
     """
-    drift = _drift_of(levy, eps)
-    out = np.empty(n_paths)
-    done = 0
-    ci = 0
-    while done < n_paths:
-        m = min(chunk, n_paths - done)
-        gen = substream(seed, "endpoint", ci)
-        x = _starts(x0, gen, m)
-        t, s = _chunk_jumps(levy, gen, horizon, m, eps)
-        tp = np.zeros(m)
-        for k in range(t.shape[1]):
-            x = release.flow(x, t[:, k] - tp, drift) + s[:, k]
-            tp = t[:, k]
-        x = release.flow(x, horizon - tp, drift)
-        out[done:done + m] = x
-        done += m
-        ci += 1
-    return out
+    counts = gen.poisson(lam * (b - a), x.size)
+    pad = np.arange(counts.max())[:, None] >= counts
+    t = gen.random(pad.shape)
+    t *= a - b
+    t += b
+    t[pad] = b
+    t.sort(axis=0)
+    s = np.zeros(pad.shape)
+    s[~pad] = levy.sample_sizes(gen, int(counts.sum()), eps)
+    tp = a
+    for tk, sk in zip(t, s):
+        x = release.flow(x, tk - tp, drift) + sk
+        tp = tk
+    return release.flow(x, b - tp, drift)
 
 
 def grid_ensemble(levy: LevyInput, release: ReleaseRate, x0,
-                  grid, n_paths: int, seed: int, eps: float = 1e-4,
-                  chunk: int = _CHUNK) -> np.ndarray:
-    """Matrix (n_paths, len(grid)) of states at common grid times."""
+                  grid, n_paths: int, seed: int,
+                  eps: float = 1e-4) -> np.ndarray:
+    """Matrix (n_paths, len(grid)) of states at common grid times.
+
+    ``x0`` is a level or a sampler ``(gen, m) -> array`` for random starts;
+    ``grid_ensemble(..., [T], ...)[:, 0]`` is the ensemble of endpoints.
+    Paths run in chunks of ``_CHUNK`` lanes, and chunk c (rows
+    c * _CHUNK onwards) draws its starts and then all its jumps from the
+    Philox key ``(seed, "grid", c)``.  Jumps are drawn and stepped one time
+    slab at a time between consecutive grid times, each slab expecting at
+    most ``_SLAB`` jumps across the chunk, so memory stays bounded whatever
+    the intensity and horizon.
+    """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0 or (np.diff(grid) < 0).any() or grid[0] < 0:
         raise ValueError("grid must be sorted and non-negative")
-    horizon = float(grid[-1])
     drift = _drift_of(levy, eps)
+    lam = levy.proposal_rate(eps)
     out = np.empty((n_paths, grid.size))
-    done = 0
-    ci = 0
-    while done < n_paths:
-        m = min(chunk, n_paths - done)
-        gen = substream(seed, "grid", ci)
-        x = _starts(x0, gen, m)
-        t, s = _chunk_jumps(levy, gen, horizon, m, eps)
-        kmax = t.shape[1]
-        tp = np.zeros(m)
-        ptr = np.zeros(m, dtype=np.int64)
-        rows_all = np.arange(m)
+    for c, lo in enumerate(range(0, n_paths, _CHUNK)):
+        m = min(_CHUNK, n_paths - lo)
+        gen = substream(seed, "grid", c)
+        x = (np.asarray(x0(gen, m), dtype=float) if callable(x0)
+             else np.full(m, float(x0)))
+        a = 0.0
         for j, g in enumerate(grid):
-            while True:
-                if kmax == 0:
-                    break
-                has = ptr < kmax
-                rows = rows_all[has]
-                if rows.size == 0:
-                    break
-                tj = t[rows, ptr[rows]]
-                move = tj <= g
-                if not move.any():
-                    break
-                rows = rows[move]
-                tj = tj[move]
-                x[rows] = release.flow(x[rows], tj - tp[rows], drift) \
-                    + s[rows, ptr[rows]]
-                tp[rows] = tj
-                ptr[rows] += 1
-            x = release.flow(x, g - tp, drift)
-            tp[:] = g
-            out[done:done + m, j] = x
-        done += m
-        ci += 1
+            n_slabs = max(1, math.ceil(m * lam * (g - a) / _SLAB))
+            for b in np.linspace(a, g, n_slabs + 1)[1:]:
+                x = _step_slab(levy, release, gen, x, a, b, lam, drift, eps)
+                a = b
+            out[lo:lo + m, j] = x
     return out

@@ -156,6 +156,11 @@ class TestCli:
         assert lines[1] == "path_id,t,jump_size,x_after"
         assert len(lines) > 3
 
+    def test_simulate_rejects_no_paths(self, tmp_path, capsys):
+        assert main(["simulate", "preset:constant-mm1", "--paths", "-3",
+                     "--out", str(tmp_path / "neg")]) == 1
+        assert "at least one path" in capsys.readouterr().err
+
     def test_laplace_command(self, tmp_path):
         out = tmp_path / "lp"
         code = main(["laplace", "preset:gamma-linear", "--out", str(out),

@@ -123,9 +123,9 @@ class TestEstimateTail:
 class TestTvDecay:
     def test_self_distance_below_floor(self):
         # two stationary samples: TV estimate within the noise floor
-        from storagelab.simulator import endpoint_ensemble
-        ref = endpoint_ensemble(*MM1, 0.0, 40.0, 20_000, SEED)
-        curve_ref = endpoint_ensemble(*MM1, 0.0, 40.0, 20_000, SEED + 5)
+        from storagelab.simulator import grid_ensemble
+        ref = grid_ensemble(*MM1, 0.0, [40.0], 20_000, SEED)[:, 0]
+        curve_ref = grid_ensemble(*MM1, 0.0, [40.0], 20_000, SEED + 5)[:, 0]
         from storagelab.ergodicity_lab import _equal_mass_edges, _hist_probs
         edges = _equal_mass_edges(ref, 64)
         tv = 0.5 * np.abs(_hist_probs(curve_ref, edges) - _hist_probs(ref, edges)).sum()

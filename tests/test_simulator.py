@@ -1,10 +1,13 @@
 """Path simulation: exactness, coupling, ensembles, vector engines."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import stats
 
+from storagelab import simulator
 from storagelab.levy_input import (
     CompoundPoisson,
     Exponential,
@@ -29,7 +32,6 @@ from storagelab.simulator import (
     FullEvents,
     Grid,
     PathConfig,
-    endpoint_ensemble,
     grid_ensemble,
     simulate_coupled,
     simulate_ensemble,
@@ -221,17 +223,13 @@ class TestVectorEngines:
         xs = np.array([0.0, 0.005, 0.5, 1.0, 4.0, 50.0])
         dts = np.array([0.0, 0.3, 1.7, 9.0])
         for drift in (0.0, 0.7, 2.5):
-            # below r(0+) an emptied lane stays empty, a sliding motion the
-            # RK reference cannot follow
-            sticky = 0.0 < drift < float(rel.rate(1e-12))
             for dt in dts:
                 lanes = rel.flow(xs, dt, drift)
                 for x, lane in zip(xs, lanes):
                     one = rel.flow(float(x), float(dt), drift)
                     assert one == pytest.approx(lane, rel=1e-14, abs=1e-300)
-                    if not (sticky and lane == 0.0):
-                        ref = _rk_flow(rel.rate, float(x), float(dt), drift)
-                        assert lane == pytest.approx(ref, abs=1e-8)
+                    ref = _rk_flow(rel.rate, float(x), float(dt), drift)
+                    assert lane == pytest.approx(ref, abs=1e-8)
             for s, t in ((0.3, 1.4), (1.7, 9.0)):
                 two_step = rel.flow(rel.flow(xs, s, drift), t, drift)
                 assert two_step == pytest.approx(rel.flow(xs, s + t, drift), abs=1e-8)
@@ -240,6 +238,23 @@ class TestVectorEngines:
                 if u < x:
                     t = rel.drain_time(u, float(x))
                     assert rel.flow(float(x), t, 0.0) == pytest.approx(u, rel=1e-8)
+
+    def test_flow_sticks_at_empty_below_r0(self):
+        # 0 < drift <= r(0+): an emptied lane stays empty (a sliding motion)
+        # where RK used to chatter across 0 without end or underflow its step
+        calls = []
+
+        def fn(u):
+            calls.append(u)
+            if len(calls) > 100_000:
+                raise RuntimeError("RK flow does not terminate")
+            return 1.0 + 2.0 * u
+
+        rel = Custom(fn, RateAsymptotics("power", 1.0, 2.0))
+        assert rel.flow(0.005, 0.3, 0.7) == 0.0
+        assert Power(1.0, -0.5).flow(0.005, 0.3, 0.7) == 0.0
+        # a drift above r(0+) still lifts the empty state towards r(x) = drift
+        assert Power(1.0, 0.5).flow(0.0, 30.0, 0.7) == pytest.approx(0.49, abs=1e-6)
 
     @pytest.mark.parametrize("rel", [
         Constant(2.0), Affine(0.0, 1.0), Power(1.0, 2.0),
@@ -258,14 +273,14 @@ class TestVectorEngines:
 
     def test_endpoint_engine_matches_law(self):
         # shot-noise mean against the per-path ensemble
-        vals = endpoint_ensemble(CPP, Affine(0.0, 1.0), 0.0, 1.0, 20_000, SEED)
+        vals = grid_ensemble(CPP, Affine(0.0, 1.0), 0.0, [1.0], 20_000, SEED)[:, 0]
         target = 1.0 - math.exp(-1.0)
         se = vals.std(ddof=1) / math.sqrt(vals.size)
         assert abs(vals.mean() - target) <= 3.5 * se
 
     def test_endpoint_engine_reproducible(self):
-        a = endpoint_ensemble(CPP, Constant(2.0), 1.0, 5.0, 300, SEED)
-        b = endpoint_ensemble(CPP, Constant(2.0), 1.0, 5.0, 300, SEED)
+        a = grid_ensemble(CPP, Constant(2.0), 1.0, [5.0], 300, SEED)
+        b = grid_ensemble(CPP, Constant(2.0), 1.0, [5.0], 300, SEED)
         assert (a == b).all()
 
     def test_grid_engine_consistent_with_endpoint(self):
@@ -273,7 +288,7 @@ class TestVectorEngines:
         mat = grid_ensemble(CPP, Affine(0.0, 1.0), 0.0, grid, 5000, SEED)
         assert mat.shape == (5000, 3)
         assert (mat >= 0.0).all()
-        end = endpoint_ensemble(CPP, Affine(0.0, 1.0), 0.0, 2.0, 5000, SEED + 1)
+        end = grid_ensemble(CPP, Affine(0.0, 1.0), 0.0, [2.0], 5000, SEED + 1)[:, 0]
         se = math.sqrt(mat[:, -1].var(ddof=1) / 5000 + end.var(ddof=1) / 5000)
         assert abs(mat[:, -1].mean() - end.mean()) <= 5 * se
 
@@ -282,3 +297,34 @@ class TestVectorEngines:
         mat = grid_ensemble(NO_JUMPS, Constant(2.0), 3.0, grid, 4, SEED)
         expect = np.maximum(3.0 - 2.0 * grid, 0.0)
         assert mat == pytest.approx(np.tile(expect, (4, 1)))
+
+    @pytest.mark.parametrize("slab", [None, 256])
+    @pytest.mark.parametrize("levy, rel, eps", [
+        (CPP, PowerSmoothed(1.0, 0.5), 1e-4),
+        (GammaSub(1.0, 1.0), Affine(0.0, 1.0), 1e-2),
+    ], ids=["cpp-powersmoothed", "gamma-affine"])
+    def test_grid_engine_agrees_in_law_with_walker(self, levy, rel, eps, slab,
+                                                   monkeypatch):
+        # at _SLAB = 256 each segment of 2000 lanes spans several slabs
+        if slab is not None:
+            monkeypatch.setattr(simulator, "_SLAB", slab)
+        grid = (0.5, 1.0, 2.0, 4.0)
+        lanes = grid_ensemble(levy, rel, 2.0, grid, 2000, SEED, eps)
+        cfg = PathConfig(2.0, 4.0, Grid(grid), seed=SEED, truncation_eps=eps)
+        walked = simulate_ensemble(levy, rel, cfg, 2000)
+        # paths without jumps form an atom, which the lane engine reaches
+        # through several slab steps and so in other last bits; KS needs
+        # the atom at one value in both samples
+        for a, b in zip(np.round(lanes, 9).T, np.round(walked, 9).T):
+            assert stats.ks_2samp(a, b).pvalue > 1e-3
+
+    def test_grid_engine_memory_bounded(self):
+        # 2e7 jumps in one chunk: slabs keep the padded matrices small
+        tracemalloc.start()
+        try:
+            grid_ensemble(CompoundPoisson(100.0, Exponential(1.0)),
+                          Constant(120.0), 0.0, [100.0], 2000, SEED)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 2**20
