@@ -77,7 +77,7 @@ def criterion_bounded_drift(levy: LevyInput, release: ReleaseRate) -> CriterionR
 
 def _heavy_tail_value(levy, release, u):
     integral = integrate_semiinfinite(
-        lambda v: float(levy.tail(u * v)) / (1.0 + v * v))
+        lambda v: levy.tail(u * v) / (1.0 + v * v))
     return u / float(release.rate(u)) * integral.value
 
 
@@ -102,7 +102,7 @@ def criterion_heavy_tail(levy: LevyInput, release: ReleaseRate,
 
 def _pos_rec_value(levy, release, u):
     integral = integrate_semiinfinite(
-        lambda v: float(levy.tail(v)) / float(release.rate(u + v)))
+        lambda v: levy.tail(v) / release.rate(u + v))
     return integral.value
 
 

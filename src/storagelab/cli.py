@@ -187,7 +187,7 @@ def _envelope_section(scen: Scenario, cert) -> dict:
             "kind": env.kind,
             "u_report": env.u_report,
             "up_to_constant": env.up_to_constant,
-            "values": {str(u): float(env(u)) for u in us},
+            "values": {str(u): float(v) for u, v in zip(us, env(np.asarray(us)))},
         }
     return section
 

@@ -38,6 +38,10 @@ __all__ = [
 
 N_BOOT = 200
 N_BLOCKS = 100
+# resampled draws one bootstrap block holds: the W_p bootstrap resamples a few
+# replicates at a time, so its working memory stays near 2 MB per array
+# whatever the ensemble size
+_BOOT_CELLS = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -128,9 +132,9 @@ def _occupation_matrix(release, t_start, starts, durations, u_grid, burn,
     window = total_time - burn
     # time above u from a start x is G(x) - G(u), capped by the duration; an
     # empty start (-inf) never rises, as the inter-jump motion is drift-free
-    g_x = np.array([signed_drain_time(release, x) if x > 0.0 else -math.inf
-                    for x in xs.tolist()])
-    g_u = [signed_drain_time(release, float(u)) for u in u_grid]
+    full = xs > 0.0
+    g_x = np.where(full, signed_drain_time(release, np.where(full, xs, 1.0)), -np.inf)
+    g_u = signed_drain_time(release, u_grid)
     block = np.minimum(((t0 - burn) / window * N_BLOCKS).astype(np.int64),
                        N_BLOCKS - 1)
     occ = np.zeros((N_BLOCKS, len(u_grid)))
@@ -348,9 +352,9 @@ def _wp_moment_guard(levy: LevyInput, p: float):
     """int (u or u^p) nu(du) < inf, checked through the tail identity."""
     try:
         head = integrate_semiinfinite(
-            lambda u: float(levy.tail(u)) if u <= 1.0 else 0.0).value
+            lambda u: np.where(u <= 1.0, levy.tail(np.minimum(u, 1.0)), 0.0)).value
         tail_part = integrate_semiinfinite(
-            lambda u: p * u ** (p - 1.0) * float(levy.tail(u)), lower=1.0).value
+            lambda u: p * u ** (p - 1.0) * levy.tail(u), lower=1.0).value
     except Divergent as exc:
         raise MomentConditionFailed(
             f"int u^{p} nu(du) is infinite") from exc
@@ -386,15 +390,21 @@ def estimate_wp_decay(levy: LevyInput, release: ReleaseRate, x0,
     values = np.empty(t_grid.size)
     se = np.empty(t_grid.size)
     ref_sorted = np.sort(reference)
+    q = (np.arange(n_paths) + 0.5) / n_paths
+    refq = ref_sorted[np.minimum((q * ref_sorted.size).astype(np.int64),
+                                 ref_sorted.size - 1)]
+    rows = max(1, _BOOT_CELLS // n_paths)
+    wp_boot = np.empty(N_BOOT)
     for j in range(t_grid.size):
         col = mat[:, j]
         values[j] = wasserstein_1d(col, reference, p)
-        ridx = gen.integers(0, col.size, (N_BOOT, col.size))
-        bs = np.sort(col[ridx], axis=1)
-        q = (np.arange(col.size) + 0.5) / col.size
-        refq = ref_sorted[np.minimum((q * ref_sorted.size).astype(np.int64),
-                                     ref_sorted.size - 1)]
-        wp_boot = (np.abs(bs - refq[None, :]) ** p).mean(axis=1) ** (1.0 / p)
+        # the generator streams row by row, so block after block draws the
+        # same resamples as one (N_BOOT, n_paths) matrix would
+        for r in range(0, N_BOOT, rows):
+            ridx = gen.integers(0, n_paths, (min(rows, N_BOOT - r), n_paths))
+            bs = np.sort(col[ridx], axis=1)
+            wp_boot[r:r + len(bs)] = ((np.abs(bs - refq) ** p).mean(axis=1)
+                                      ** (1.0 / p))
         se[j] = wp_boot.std(ddof=1)
     # floor: self-distance of two reference halves
     half = reference.size // 2

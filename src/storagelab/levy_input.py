@@ -157,7 +157,7 @@ class LevyInput:
         psi(lam) = -lam * int_0^inf e^{-lam u} nu_bar(u) du."""
         if lam == 0.0:
             return 0.0
-        res = integrate_semiinfinite(lambda u: math.exp(-lam * u) * float(self.tail(u)))
+        res = integrate_semiinfinite(lambda u: np.exp(-lam * u) * self.tail(u))
         return -lam * res.value
 
     def asymptotics(self) -> TailAsymptotics:
@@ -479,7 +479,7 @@ class TabulatedTail(LevyInput):
         return np.asarray(self.knots_tail)
 
     def tail(self, u):
-        scalar = np.isscalar(u)
+        scalar = np.ndim(u) == 0
         u = np.atleast_1d(np.asarray(u, dtype=float))
         ku, kt = self._u(), self._t()
         out = np.exp(np.interp(np.log(np.maximum(u, ku[0])), np.log(ku), np.log(kt)))
@@ -501,7 +501,7 @@ class TabulatedTail(LevyInput):
 
     def first_moment(self):
         try:
-            res = integrate_semiinfinite(lambda u: float(self.tail(u)))
+            res = integrate_semiinfinite(self.tail)
         except Divergent:
             return math.inf
         return res.value
@@ -519,29 +519,29 @@ class TabulatedTail(LevyInput):
         return self.knots_tail[0]
 
     def sample_sizes(self, gen, n, eps):
-        # inverse transform through the normalised tail
-        total = self.knots_tail[0]
-        q = gen.random(n)
-
-        def cond_tail(u):
-            return self.tail(u) / total
-
-        lo, hi = self.knots_u[0], self.knots_u[-1]
-        out = np.empty(n)
-        for i, qi in enumerate(q):
-            if qi >= 1.0 - cond_tail(hi) or self.extension is None:
-                target = 1.0 - qi
-                if self.extension is not None and target < cond_tail(hi):
-                    kind, par = self.extension
-                    frac = target * total / self.knots_tail[-1]
-                    if kind == "power":
-                        out[i] = hi * frac ** (-1.0 / par)
-                    else:
-                        out[i] = hi - math.log(frac) / par
-                    continue
-            from .numerics import invert_monotone
-            out[i] = invert_monotone(lambda u: 1.0 - cond_tail(u), qi, (lo, hi))
-        return out
+        # inverse transform through the normalised tail S = tail / tail(u_0):
+        # -log S is piecewise linear in log u between knots, and follows the
+        # extension beyond the last knot
+        if self.extension is None:
+            raise OutOfGrid("sampling needs a tail extension beyond the last "
+                            f"knot {self.knots_u[-1]}")
+        lu = np.log(self._u())
+        lt = np.log(self._t())
+        drop = lt[0] - lt  # -log S at the knots: 0, then non-decreasing
+        x = -np.log1p(-gen.random(n))  # -log S of each draw
+        k = np.searchsorted(drop, x, side="right") - 1
+        inside = k < drop.size - 1  # drop[k] <= x < drop[k + 1]
+        i = k[inside]
+        slope = (lu[i + 1] - lu[i]) / (drop[i + 1] - drop[i])
+        log_u = np.empty(n)
+        log_u[inside] = lu[i] + (x[inside] - drop[i]) * slope
+        over = x[~inside] - drop[-1]  # -log of the tail relative to the last knot
+        kind, par = self.extension
+        if kind == "power":
+            log_u[~inside] = lu[-1] + over / par
+        else:
+            log_u[~inside] = np.log(self.knots_u[-1] + over / par)
+        return np.exp(log_u)
 
 
 # ---------------------------------------------------------------------------

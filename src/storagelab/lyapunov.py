@@ -42,6 +42,7 @@ from .levy_input import LevyInput
 from .numerics import (
     FitResult,
     QuadratureSpec,
+    _elementwise,
     fit_loglog,
     integrate_interval,
     integrate_semiinfinite,
@@ -102,14 +103,16 @@ class RateFunction:
     def custom(cls, fn):
         return cls("custom", fn=fn)
 
-    def value(self, t: float) -> float:
+    def value(self, t):
+        """phi(t) for a float or an array; a custom callable is applied per
+        element."""
         if self.family == "constant1":
             return 1.0
         if self.family == "linear":
             return self.c * t
         if self.family == "power":
             return t ** self.a
-        return float(self.fn(t))
+        return _elementwise(self.fn, t)
 
     def clock(self, t: float) -> float:
         """Phi(t) = int_1^t ds / phi(s)."""
@@ -121,7 +124,7 @@ class RateFunction:
             return math.log(t) / self.c
         if self.family == "power":
             return (t ** (1.0 - self.a) - 1.0) / (1.0 - self.a)
-        return integrate_interval(lambda s: 1.0 / float(self.fn(s)), 1.0, t).value
+        return integrate_interval(lambda s: 1.0 / self.value(s), 1.0, t).value
 
     def clock_inv(self, s: float) -> float:
         if s < 0.0:
@@ -149,21 +152,22 @@ class RateFunction:
             return math.log1p((1.0 - self.a) * s) / (1.0 - self.a)
         return math.log(self.clock_inv(s))
 
-    def log_rate_at_clock(self, s: float) -> float:
-        """log phi(Phi^{-1}(s)), the log of the predicted rate at clock s."""
+    def log_rate_at_clock(self, s):
+        """log phi(Phi^{-1}(s)), the log of the predicted rate at clock s,
+        for a float or an array of clock values."""
         if self.family == "constant1":
-            return 0.0
+            return np.zeros_like(s, dtype=float)[()]
         if self.family == "linear":
             return math.log(self.c) + self.c * s
         if self.family == "power":
             r = self.a / (1.0 - self.a)
-            return r * math.log1p((1.0 - self.a) * s)
-        return math.log(self.value(self.clock_inv(s)))
+            return r * np.log1p((1.0 - self.a) * s)
+        return np.log(_elementwise(lambda x: self.value(self.clock_inv(x)), s))
 
 
 def _check_concave_nondecreasing(fn, tol: float = 1e-7):
     t = np.linspace(1.0, 1e4, 400)
-    vals = np.array([float(fn(x)) for x in t])
+    vals = _elementwise(fn, t)
     if (vals <= 0).any():
         raise InvalidRateFunction("rate function must be positive")
     if (np.diff(vals) < -tol * np.abs(vals[:-1])).any():
@@ -184,7 +188,9 @@ def generator_apply(levy: LevyInput, release: ReleaseRate, f, u: float,
 
     'fubini' uses int_0^inf f'(u+v) nu_bar(v) dv (valid for non-decreasing
     C^1 f); 'direct' integrates (f(u+v) - f(u)) against the Levy density.
-    Both are exposed so they can cross-check each other.
+    Both are exposed so they can cross-check each other.  ``f`` and
+    ``f_prime`` take arrays (numpy arithmetic), as the quadrature evaluates
+    them on all nodes of a panel at once; a constant return broadcasts.
     """
     if form not in ("fubini", "direct"):
         raise ValueError("form must be 'fubini' or 'direct'")
@@ -194,10 +200,10 @@ def generator_apply(levy: LevyInput, release: ReleaseRate, f, u: float,
     drift_term = -float(release.rate(u)) * float(f_prime(u))
     if form == "fubini":
         jump = integrate_semiinfinite(
-            lambda v: float(f_prime(u + v)) * float(levy.tail(v))).value
+            lambda v: f_prime(u + v) * levy.tail(v)).value
     else:
         jump = integrate_semiinfinite(
-            lambda v: (float(f(u + v)) - float(f(u))) * float(levy.density(v))).value
+            lambda v: (f(u + v) - f(u)) * levy.density(v)).value
     return drift_term + jump
 
 
@@ -205,14 +211,11 @@ def generator_apply(levy: LevyInput, release: ReleaseRate, f, u: float,
 # drift certificates
 # ---------------------------------------------------------------------------
 
-def _exp(x: float) -> float:
-    """exp saturating to inf/0 instead of raising; infinities then surface
-    through the quadrature's divergence handling."""
-    if x > 709.0:
-        return math.inf
-    if x < -745.0:
-        return 0.0
-    return math.exp(x)
+def _exp(x):
+    """exp of a float or an array, saturating to inf above 709 instead of
+    overflowing (and to 0 far below); infinities then surface through the
+    quadrature's divergence handling."""
+    return np.exp(np.where(x > 709.0, np.inf, x))
 
 
 @dataclass(frozen=True)
@@ -257,11 +260,11 @@ class DriftCertificate:
         """phi(Phi^{-1}(t)); grows to +inf for valid certificates."""
         return math.exp(min(self.log_predicted_tv_rate(t), 700.0))
 
-    def predicted_tail_upper(self, u: float) -> float:
+    def predicted_tail_upper(self, u):
         """Envelope 1 / max(phi(Phi^{-1}(u)), phi(Vbar(u))) from the moment
-        bound on the invariant law."""
-        biggest = max(self.log_predicted_tv_rate(u), self.log_phi_profile(u))
-        return math.exp(-biggest)
+        bound on the invariant law, at a float or an array of levels."""
+        biggest = np.maximum(self.log_predicted_tv_rate(u), self.log_phi_profile(u))
+        return np.exp(-biggest)
 
     def ratio(self, u: float) -> float:
         return _drift_ratio(self.levy, self.release, self.phi, u)
@@ -271,9 +274,9 @@ def _ratio_integrand(levy, release, phi, u):
     base = phi.log_rate_at_clock(signed_drain_time(release, u) + 1.0)
 
     def integrand(v):
-        lr = phi.log_rate_at_clock(signed_drain_time(release, u + v) + 1.0)
-        lt = float(levy.log_tail(v))
-        return _exp(lr - base + lt) / float(release.rate(u + v))
+        w = u + v
+        lr = phi.log_rate_at_clock(signed_drain_time(release, w) + 1.0)
+        return _exp(lr - base + levy.log_tail(v)) / release.rate(w)
 
     return integrand
 
@@ -358,7 +361,7 @@ class TailEnvelope:
     def fitted_exponent(self, lo: float = None, hi: float = 1e6) -> FitResult:
         lo = self.u_report if lo is None else lo
         us = np.geomspace(max(lo, 1e-6), hi, 40)
-        return fit_loglog(us, np.array([float(self.fn(u)) for u in us]))
+        return fit_loglog(us, self.fn(us))
 
 
 @dataclass(frozen=True)
@@ -380,14 +383,14 @@ class ExponentialTail:
 def _subgeometric_ratio(levy, release, eps, u) -> float:
     """Folded form of the sub-geometric ratio hypothesis: one integral,
     assembled in log space so exponential tails cause no overflow."""
-    lt_u = float(levy.log_tail(u))
-    lr_u = math.log(float(release.rate(u)))
-    lu = math.log(u)
+    lt_u = levy.log_tail(u)
+    lr_u = np.log(release.rate(u))
+    lu = np.log(u)
 
     def integrand(v):
-        expo = (lt_u - float(levy.log_tail(u + v))
-                + (1.0 + eps) * (lu - math.log(u + v))
-                + float(levy.log_tail(v)) - lr_u)
+        expo = (lt_u - levy.log_tail(u + v)
+                + (1.0 + eps) * (lu - np.log(u + v))
+                + levy.log_tail(v) - lr_u)
         return _exp(expo)
 
     return integrate_semiinfinite(integrand).value
@@ -413,11 +416,11 @@ def tail_upper(levy: LevyInput, release: ReleaseRate, mode,
     if isinstance(mode, SubGeometric):
         eps = mode.eps
         us = np.geomspace(probe_grid[0], probe_grid[-1], 40)
-        if not np.all(np.isfinite([float(levy.log_tail(u)) for u in us])):
+        lt = levy.log_tail(us)
+        if not np.all(np.isfinite(lt)):
             raise HypothesisFailed("positive-tail", "nu_bar vanishes on the grid")
-        incr = [math.log(float(release.rate(u))) - (1.0 + eps) * math.log(u)
-                - float(levy.log_tail(u)) for u in us]
-        if any(b < a - 1e-9 for a, b in zip(incr[-12:], incr[-11:])):
+        incr = np.log(release.rate(us)) - (1.0 + eps) * np.log(us) - lt
+        if np.any(incr[-11:] < incr[-12:-1] - 1e-9):
             raise HypothesisFailed(
                 "monotone-ratio", "r(u)/(u^{1+eps} nu_bar(u)) is not eventually non-decreasing")
         vals = []
@@ -434,8 +437,8 @@ def tail_upper(levy: LevyInput, release: ReleaseRate, mode,
         u_report = probe_grid[0]
 
         def env(u, eps=eps):
-            return _exp((1.0 + eps) * math.log(u) + float(levy.log_tail(u))
-                        - math.log(float(release.rate(u))))
+            return _exp((1.0 + eps) * np.log(u) + levy.log_tail(u)
+                        - np.log(release.rate(u)))
 
         return TailEnvelope("UpperPower", env, u_report, up_to_constant=True)
 
@@ -445,13 +448,14 @@ def tail_upper(levy: LevyInput, release: ReleaseRate, mode,
             raise ValueError("need 0 < eps < c")
         if release.asymptotics().limsup() != math.inf:
             raise HypothesisFailed("rate-unbounded", "release rate must diverge")
-        checks = [c * u + float(levy.log_tail(u)) for u in probe_grid]
+        pg = np.asarray(probe_grid, dtype=float)
+        checks = c * pg + levy.log_tail(pg)
         if limit_estimate(checks, "limsup") > 700.0:
             raise HypothesisFailed("exp-moment",
                                    "e^{cu} nu_bar(u) is unbounded on the probe grid")
 
         def env(u, c=c, eps=eps):
-            return _exp(-(c - eps) * u) / float(release.rate(u))
+            return _exp(-(c - eps) * u) / release.rate(u)
 
         return TailEnvelope("UpperExponential", env, probe_grid[0],
                             up_to_constant=True)
@@ -491,7 +495,7 @@ def tail_lower(levy: LevyInput, release: ReleaseRate, eps: float,
     if eps <= 0:
         raise ValueError("eps must be positive")
     us = np.geomspace(1.0, probe_grid[-1], 50)
-    lt = np.array([float(levy.log_tail(u)) for u in us])
+    lt = levy.log_tail(us)
     if (np.diff(lt) > 1e-12).any():
         raise HypothesisFailed("tail-decreasing", "1/nu_bar is not increasing")
     ra = release.asymptotics()
@@ -505,8 +509,8 @@ def tail_lower(levy: LevyInput, release: ReleaseRate, eps: float,
             raise HypothesisFailed("rate-sublinear", "r(u)/u does not decrease to 0")
 
         def env(u):
-            return _exp((1.0 - eps) * math.log(u) + float(levy.log_tail(u))
-                        - math.log(float(release.rate(u))))
+            return _exp((1.0 - eps) * np.log(u) + levy.log_tail(u)
+                        - np.log(release.rate(u)))
 
         return TailEnvelope("LowerPolyQuotient", env, 1.0, up_to_constant=True,
                             note="constant c_eps set to 1; exponent-level only")
@@ -523,7 +527,7 @@ def tail_lower(levy: LevyInput, release: ReleaseRate, eps: float,
                                    "r(u)/(u log u) does not decrease to 0")
 
         def env(u):
-            return _exp(-eps * math.log(u) + float(levy.log_tail(u)))
+            return _exp(-eps * np.log(u) + levy.log_tail(u))
 
         return TailEnvelope("LowerLogScale", env, 1.0, up_to_constant=True,
                             note="constant c_eps set to 1; exponent-level only")
@@ -632,17 +636,14 @@ class CustomModulus:
     fn: object
 
     def __post_init__(self):
-        t = np.linspace(0.0, 10.0, 200)
-        vals = np.array([float(self.fn(x)) for x in t])
+        vals = _elementwise(self.fn, np.linspace(0.0, 10.0, 200))
         if vals[0] != 0.0 or (vals[1:] <= 0).any():
             raise InvalidModulus("modulus must vanish exactly at 0 and be positive after")
         if (np.diff(vals, 2) < -1e-9 * max(1.0, vals.max())).any():
             raise InvalidModulus("modulus must be convex")
 
     def value(self, t):
-        if np.isscalar(t) or np.ndim(t) == 0:
-            return float(self.fn(float(t)))
-        return np.asarray([float(self.fn(x)) for x in t])
+        return _elementwise(self.fn, t)
 
 
 def check_wasserstein_contraction(release: ReleaseRate, modulus, Gamma: float,
@@ -690,7 +691,7 @@ class GapBound:
             if d == 1.0:
                 return math.log(self.kappa / t)
             return (t ** (1.0 - d) - self.kappa ** (1.0 - d)) / (d - 1.0)
-        return integrate_interval(lambda s: 1.0 / float(self.modulus.value(s)),
+        return integrate_interval(lambda s: 1.0 / self.modulus.value(s),
                                   t, self.kappa).value
 
     def __call__(self, t: float) -> float:

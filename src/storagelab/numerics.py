@@ -9,6 +9,10 @@ integrated with a globally adaptive 7-15 Gauss-Kronrod rule.  Block sums of
 a power-law integrand form a geometric series, so convergence, remainder
 size, and divergence are all read off the block-ratio trend; divergence is
 reported as Divergent, never silently truncated.
+
+Integrands are array-native: the rule evaluates all 15 nodes of a panel in
+one call, and both halves of a split panel (30 nodes) in one call, so an
+integrand maps an ndarray of nodes to an array of the same shape.
 """
 
 from __future__ import annotations
@@ -90,18 +94,28 @@ _WG = np.array([
 _GAUSS_IDX = np.arange(1, 15, 2)
 
 
-def _gk_panel(f, a: float, b: float):
-    """One Gauss-Kronrod pass; returns (integral, error estimate)."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    x = mid + half * _XK
-    y = np.array([f(xi) for xi in x], dtype=float)
-    if np.isnan(y).any():
-        bad = x[np.isnan(y)][0]
-        raise NonFiniteEvaluation(f"integrand returned NaN at node {bad!r}")
-    if np.isinf(y).any():
-        raise Divergent("integrand is infinite at a quadrature node")
+def _evaluate(f, x: np.ndarray) -> np.ndarray:
+    """f on an array of nodes; a scalar return broadcasts, any other shape
+    than the nodes' raises ValueError."""
+    y = np.asarray(f(x), dtype=float)
+    if y.shape == x.shape:
+        return y
+    if y.ndim == 0:
+        return np.full(x.shape, float(y))
+    raise ValueError(f"integrand returned shape {y.shape} for {x.shape} nodes")
+
+
+def _gk_rule(x: np.ndarray, y: np.ndarray, half: float):
+    """Kronrod value and error estimate of one panel from its 15 values."""
     ik = half * float(_WK @ y)
+    if not math.isfinite(ik):
+        # a NaN or an infinite value makes the sum non-finite; so may
+        # overflow of finite values, which passes both checks
+        if np.isnan(y).any():
+            bad = x[np.isnan(y)][0]
+            raise NonFiniteEvaluation(f"integrand returned NaN at node {bad!r}")
+        if np.isinf(y).any():
+            raise Divergent("integrand is infinite at a quadrature node")
     ig = half * float(_WG @ y[_GAUSS_IDX])
     diff = abs(ik - ig)
     if diff == 0.0 or diff > 1e200:
@@ -109,6 +123,23 @@ def _gk_panel(f, a: float, b: float):
     else:
         err = min(diff, (200.0 * diff) ** 1.5)
     return ik, err
+
+
+def _gk_panel(f, a: float, b: float):
+    """One Gauss-Kronrod pass, one integrand call; returns (integral,
+    error estimate)."""
+    x = 0.5 * (a + b) + 0.5 * (b - a) * _XK
+    return _gk_rule(x, _evaluate(f, x), 0.5 * (b - a))
+
+
+def _gk_halves(f, a: float, m: float, b: float):
+    """Gauss-Kronrod passes over [a, m] and [m, b] from one integrand call
+    on their 30 nodes; returns ((integral, error), (integral, error))."""
+    x = np.concatenate([0.5 * (a + m) + 0.5 * (m - a) * _XK,
+                        0.5 * (m + b) + 0.5 * (b - m) * _XK])
+    y = _evaluate(f, x)
+    left = _gk_rule(x[:15], y[:15], 0.5 * (m - a))
+    return left, _gk_rule(x[15:], y[15:], 0.5 * (b - m))
 
 
 def _adaptive(f, a: float, b: float, spec: QuadratureSpec, budget: int):
@@ -124,8 +155,7 @@ def _adaptive(f, a: float, b: float, spec: QuadratureSpec, budget: int):
             heapq.heappush(heap, (neg_err, pa, pb, pval, perr))
             break
         m = 0.5 * (pa + pb)
-        lv, le = _gk_panel(f, pa, m)
-        rv, re = _gk_panel(f, m, pb)
+        (lv, le), (rv, re) = _gk_halves(f, pa, m, pb)
         total += (lv + rv) - pval
         total_err += (le + re) - perr
         heapq.heappush(heap, (-le, pa, m, lv, le))
@@ -142,8 +172,8 @@ _RATIO_DIVERGENT = 0.997  # geometric block ratio treated as non-summable
 def _geo_mean(ratios: list[float]) -> float | None:
     if not ratios:
         return None
-    recent = np.asarray(ratios[-5:])
-    return float(np.exp(np.mean(np.log(recent))))
+    recent = ratios[-5:]
+    return math.exp(sum(map(math.log, recent)) / len(recent))
 
 
 def _block_sum(f, edges, spec: QuadratureSpec, budget: list,
@@ -227,7 +257,10 @@ def integrate_interval(f, a: float, b: float,
                        singular_left: bool = False) -> QuadResult:
     """Adaptive integral of f over a finite interval [a, b].
 
-    With ``singular_left`` the left endpoint is approached through shrinking
+    ``f`` maps an ndarray of nodes to an array of the same shape (a scalar
+    return broadcasts; any other shape raises ValueError); a NaN value
+    raises NonFiniteEvaluation and an infinite one Divergent.  With
+    ``singular_left`` the left endpoint is approached through shrinking
     dyadic blocks, so integrable singularities converge and non-integrable
     ones raise Divergent.
     """
@@ -247,9 +280,11 @@ def integrate_semiinfinite(f, spec: QuadratureSpec | None = None,
                            lower: float = 0.0) -> QuadResult:
     """Integral of f over (lower, inf) with divergence detection.
 
-    The domain splits at ``tail_split``; the head is resolved by dyadic
-    blocks shrinking to the lower edge (integrable endpoint singularities
-    such as v^{-1/2} are fine), the tail by dyadic blocks doubling outward.
+    ``f`` maps an ndarray of nodes to an array of the same shape, as for
+    ``integrate_interval``.  The domain splits at ``tail_split``; the head
+    is resolved by dyadic blocks shrinking to the lower edge (integrable
+    endpoint singularities such as v^{-1/2} are fine), the tail by dyadic
+    blocks doubling outward.
     """
     spec = spec or QuadratureSpec()
     ustar = spec.tail_split
@@ -266,6 +301,14 @@ def integrate_semiinfinite(f, spec: QuadratureSpec | None = None,
     tv, te, _ = _block_sum(g, _tail_edges(ustar), spec, budget, tol, "tail",
                            mass_seen=(hv != 0.0))
     return QuadResult(hv + tv, he + te, spec.max_subdivisions - budget[0])
+
+
+def _elementwise(fn, x):
+    """A user callable on floats applied to each element of ``x``: an array
+    of x's shape for an array, a float for a float."""
+    x = np.asarray(x, dtype=float)
+    out = np.array([float(fn(xi)) for xi in x.ravel().tolist()]).reshape(x.shape)
+    return out if out.ndim else float(out)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +387,7 @@ def _rk_flow(rate, x0: float, dt: float, drift: float,
     # at r(0+): a lane that empties while drift <= r(0+) then stays empty (a
     # sliding motion) instead of chattering across 0 with shrinking steps
     def rhs(x):
-        return drift - rate(max(x, _TINY))
+        return drift - float(rate(max(x, _TINY)))
 
     x, t = x0, 0.0
     h = dt / 8.0
@@ -371,6 +414,14 @@ def _rk_flow(rate, x0: float, dt: float, drift: float,
             if err < 0.25 * tol * max(1.0, abs(x)):
                 h *= 2.0
         else:
+            # a field that strengthens towards 0 (sampled below x, down to
+            # r(0+)) empties the lane within x / |f0| and holds it there; the
+            # flow then ends at 0 when that fits in the time left, which RK
+            # cannot resolve for an r singular at 0
+            below = [x * 0.5 ** k for k in range(1, 9)] + [_TINY]
+            if (x + (dt - t) * f0 <= 0.0
+                    and all(rhs(v) <= f0 for v in below)):
+                return 0.0
             h *= 0.5
             if h < 1e-15 * dt:
                 raise FloatingPointError("flow step size underflow")

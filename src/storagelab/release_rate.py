@@ -1,12 +1,13 @@
 """Release-rate families r(u) and their regularity diagnostics.
 
 Families follow the convention r(0) = 0 (realised by an indicator factor),
-keeping the content non-negative.  Each family owns two operations:
-``flow(x, dt, drift)``, the drain flow x' = drift - r(x), which takes a
-float or an array of lanes and uses one closed-form body where the family
-has one (Runge-Kutta per lane otherwise), and the scalar drain-time
-primitive ``drain_time(lo, hi)`` = int dv / r(v), which quadrature
-integrands call one point at a time.
+keeping the content non-negative.  Each family owns two operations, each
+taking floats or arrays: ``flow(x, dt, drift)``, the drain flow
+x' = drift - r(x) of a lane or of many, and the drain-time primitive
+``drain_time(lo, hi)`` = int dv / r(v), which quadrature integrands call
+on all nodes of a panel at once.  Both use one closed-form body where the
+family has one; otherwise ``flow`` runs Runge-Kutta per lane and
+``drain_time`` quadrature per element.
 
 Regularity is verified numerically: local Lipschitz constants by
 finite-difference slopes on dyadic grids (including pairs against 0, which
@@ -22,7 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Divergent, NonFiniteEvaluation
-from .numerics import _rk_flow, integrate_interval, integrate_semiinfinite
+from .numerics import (
+    _elementwise,
+    _rk_flow,
+    integrate_interval,
+    integrate_semiinfinite,
+)
 
 __all__ = [
     "ReleaseRate", "Constant", "Affine", "Power", "PowerSmoothed", "Plateau",
@@ -69,8 +75,9 @@ class ReleaseRate:
                          for xi, di in zip(x.ravel().tolist(), dt.ravel().tolist())]
                         ).reshape(x.shape)
 
-    def drain_time(self, lo: float, hi: float) -> float:
-        """int_lo^hi dv / r(v) for 0 < lo <= hi (hi may be inf)."""
+    def drain_time(self, lo, hi):
+        """int_lo^hi dv / r(v) for 0 < lo <= hi (hi may be inf); ``lo`` and
+        ``hi`` are floats or arrays."""
         raise NotImplementedError
 
     def rate_vec(self, u):
@@ -82,7 +89,7 @@ class ReleaseRate:
 
 
 def _indicator(u):
-    return np.where(np.asarray(u, dtype=float) > 0.0, 1.0, 0.0)
+    return np.greater(u, 0.0)
 
 
 @dataclass(frozen=True)
@@ -107,8 +114,6 @@ class Constant(ReleaseRate):
         return np.maximum(x + (drift - self.a) * dt, 0.0)
 
     def drain_time(self, lo, hi):
-        if math.isinf(hi):
-            return math.inf
         return (hi - lo) / self.a
 
     def modulus_decrease(self, u):
@@ -139,9 +144,7 @@ class Affine(ReleaseRate):
         return np.maximum(x_eq + (x - x_eq) * np.exp(-self.b * dt), 0.0)
 
     def drain_time(self, lo, hi):
-        if math.isinf(hi):
-            return math.inf
-        return math.log((self.a + self.b * hi) / (self.a + self.b * lo)) / self.b
+        return np.log((self.a + self.b * hi) / (self.a + self.b * lo)) / self.b
 
     def modulus_decrease(self, u):
         return -self.b * u
@@ -157,10 +160,10 @@ def _power_flow(k, beta, x, dt):
 
 
 def _power_time(k, beta, lo, hi):
-    """int_lo^hi dv / (k v^beta) for 0 < lo <= hi; hi may be inf.  ``hi``
-    may be an array of lanes when beta != 1."""
+    """int_lo^hi dv / (k v^beta) for 0 < lo <= hi; hi may be inf.  ``lo``
+    and ``hi`` are floats or arrays."""
     if beta == 1.0:
-        return math.log(hi / lo) / k
+        return np.log(hi / lo) / k
     return (hi ** (1.0 - beta) - lo ** (1.0 - beta)) / (k * (1.0 - beta))
 
 
@@ -177,7 +180,7 @@ class Power(ReleaseRate):
 
     def rate(self, u):
         u = np.asarray(u, dtype=float)
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             vals = self.k * np.maximum(u, 1e-300) ** self.beta
         return vals * _indicator(u)
 
@@ -191,9 +194,7 @@ class Power(ReleaseRate):
         return _power_flow(self.k, self.beta, x + (x <= 0.0), dt) * (x > 0.0)
 
     def drain_time(self, lo, hi):
-        if math.isinf(hi) and self.beta <= 1.0:
-            return math.inf
-        if lo == 0.0 and self.beta >= 1.0:
+        if self.beta >= 1.0 and np.asarray(lo).min(initial=np.inf) == 0.0:
             raise Divergent("time integral diverges at the empty state")
         return _power_time(self.k, self.beta, lo, hi)
 
@@ -249,18 +250,14 @@ class PowerSmoothed(ReleaseRate):
         return y * np.exp(-self._ramp_slope * (dt - tau))
 
     def drain_time(self, lo, hi):
-        if math.isinf(hi) and self.beta <= 1.0:
-            return math.inf
-        if lo <= 0.0:
+        if np.asarray(lo).min(initial=np.inf) <= 0.0:
             raise Divergent("ramp time integral diverges at 0")
-        parts = 0.0
-        if lo < self.u_s:
-            cap = min(hi, self.u_s)
-            parts += math.log(cap / lo) / self._ramp_slope
-            lo = cap
-        if hi > lo:
-            parts += _power_time(self.k, self.beta, lo, hi)
-        return parts
+        # the part of [lo, hi] below the knee on the ramp, the rest on the
+        # power law; an empty part contributes exactly 0
+        us = self.u_s
+        ramp = np.log(np.minimum(hi, us) / np.minimum(lo, us)) / self._ramp_slope
+        return ramp + _power_time(self.k, self.beta, np.maximum(lo, us),
+                                  np.maximum(hi, us))
 
     def modulus_decrease(self, u):
         if self.beta <= 1.0:
@@ -301,19 +298,12 @@ class Plateau(ReleaseRate):
         return np.maximum(x_eq + (y - x_eq) * np.exp(-slope * (dt - tau)), 0.0)
 
     def drain_time(self, lo, hi):
-        if math.isinf(hi):
-            return math.inf
-        if lo <= 0.0:
+        if np.asarray(lo).min(initial=np.inf) <= 0.0:
             raise Divergent("ramp time integral diverges at 0")
-        slope = self.m / self.u0
-        parts = 0.0
-        if lo < self.u0:
-            cap = min(hi, self.u0)
-            parts += math.log(cap / lo) / slope
-            lo = cap
-        if hi > lo:
-            parts += (hi - lo) / self.m
-        return parts
+        # ramp below the knee, constant m above it, as for PowerSmoothed
+        u0 = self.u0
+        ramp = np.log(np.minimum(hi, u0) / np.minimum(lo, u0)) / (self.m / u0)
+        return ramp + (np.maximum(hi, u0) - np.maximum(lo, u0)) / self.m
 
     def modulus_decrease(self, u):
         return 0.0
@@ -328,24 +318,28 @@ class Custom(ReleaseRate):
     name: str = "custom"
 
     def rate(self, u):
-        scalar = np.isscalar(u) or np.ndim(u) == 0
-        arr = np.atleast_1d(np.asarray(u, dtype=float))
-        vals = np.asarray([self.fn(x) for x in arr], dtype=float)
+        vals = _elementwise(self.fn, u)
         if not np.isfinite(vals).all():
             raise NonFiniteEvaluation("custom release rate returned a non-finite value")
-        out = vals * _indicator(arr)
-        return float(out[0]) if scalar else out
+        return vals * _indicator(u)
 
     def asymptotics(self):
         return self.declared
 
     def drain_time(self, lo, hi):
+        # one quadrature of 1/r per element
+        lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float),
+                                     np.asarray(hi, dtype=float))
+        out = np.array([self._quad_time(a, b) for a, b in
+                        zip(lo.ravel().tolist(), hi.ravel().tolist())])
+        return out.reshape(lo.shape) if lo.ndim else float(out[0])
+
+    def _quad_time(self, lo, hi):
+        inv_rate = lambda v: 1.0 / self.rate(v)
         if math.isinf(hi):
-            res = integrate_semiinfinite(lambda v: 1.0 / float(self.rate(v)), lower=lo)
-            return res.value
-        res = integrate_interval(lambda v: 1.0 / float(self.rate(v)), lo, hi,
-                                 singular_left=(lo == 0.0))
-        return res.value
+            return integrate_semiinfinite(inv_rate, lower=lo).value
+        return integrate_interval(inv_rate, lo, hi,
+                                  singular_left=(lo == 0.0)).value
 
 
 # ---------------------------------------------------------------------------
@@ -367,12 +361,13 @@ def flow_time_integral(release: ReleaseRate, u_lo: float, u_hi: float) -> float:
     return float(release.drain_time(u_lo, u_hi))
 
 
-def signed_drain_time(release: ReleaseRate, u: float) -> float:
-    """G(u) = int_1^u dv / r(v), negative below 1; scalar, for integrands
-    and elementwise use."""
-    if u >= 1.0:
-        return release.drain_time(1.0, u)
-    return -release.drain_time(u, 1.0)
+def signed_drain_time(release: ReleaseRate, u):
+    """G(u) = int_1^u dv / r(v), negative below 1, for a float (a float
+    back) or an array of levels (an array back)."""
+    u = np.asarray(u, dtype=float)
+    g = np.copysign(release.drain_time(np.minimum(u, 1.0), np.maximum(u, 1.0)),
+                    u - 1.0)
+    return g if g.ndim else float(g)
 
 
 def modulus_R(release: ReleaseRate, u: float, probe_grid=None) -> float:

@@ -10,10 +10,12 @@ Oracles, derived before the estimators existed:
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from storagelab import ergodicity_lab
 from storagelab.errors import (
     MomentConditionFailed,
     NoiseFloorReached,
@@ -239,6 +241,35 @@ class TestWpDecay:
         assert curve.metric == "W2"
         assert (curve.values >= 0).all()
         assert curve.values[-1] < curve.values[0]
+
+    def test_bootstrap_blocks_match_one_matrix(self, monkeypatch):
+        # ragged blocks of 7 replicates draw the same resamples, hence the
+        # same stderr bit for bit, as one (N_BOOT, n_paths) matrix
+        t_grid = np.array([0.5, 2.0])
+        ref = np.random.default_rng(4).exponential(1.0, 900)
+        stderr = []
+        for cells in (ergodicity_lab.N_BOOT * 500, 7 * 500 + 3):
+            monkeypatch.setattr(ergodicity_lab, "_BOOT_CELLS", cells)
+            curve = estimate_wp_decay(*SHOTNOISE, 5.0, None, 2.0, t_grid, 500,
+                                      seed=SEED, reference=ref,
+                                      regime="PositiveRecurrent")
+            stderr.append(curve.stderr)
+        assert (stderr[0] > 0).all()
+        np.testing.assert_array_equal(stderr[0], stderr[1])
+
+    def test_bootstrap_memory_bounded(self):
+        # one (N_BOOT, 20000) matrix of resamples is 30.5 MiB, and the
+        # bootstrap used to hold several such arrays at once
+        ref = np.random.default_rng(4).exponential(1.0, 40_000)
+        tracemalloc.start()
+        try:
+            estimate_wp_decay(*SHOTNOISE, 5.0, None, 1.0, np.array([0.5, 1.0]),
+                              20_000, seed=SEED, reference=ref,
+                              regime="PositiveRecurrent")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestCompareRates:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import special
+from scipy import special, stats
 
 from storagelab.errors import OutOfGrid
 from storagelab.levy_input import (
@@ -23,7 +23,7 @@ from storagelab.levy_input import (
     sample_jumps,
     tail,
 )
-from storagelab.numerics import integrate_semiinfinite
+from storagelab.numerics import integrate_semiinfinite, invert_monotone
 
 SEED = 20260810
 
@@ -53,7 +53,7 @@ class TestTail:
     def test_tempered_tail_matches_density_integral(self):
         inp = TemperedStableSub(0.4, 0.7, 2.0)
         for u in (0.3, 1.0, 4.0):
-            num = integrate_semiinfinite(lambda v: float(inp.density(v)), lower=u)
+            num = integrate_semiinfinite(lambda v: inp.density(v), lower=u)
             assert float(inp.tail(u)) == pytest.approx(num.value, rel=1e-6)
 
     def test_nonpositive_level_rejected(self):
@@ -90,7 +90,7 @@ class TestFirstMoment:
         TemperedStableSub(0.5, 1.0, 1.0),
     ], ids=lambda i: type(i).__name__)
     def test_matches_tail_integral(self, inp):
-        res = integrate_semiinfinite(lambda u: float(inp.tail(u)))
+        res = integrate_semiinfinite(lambda u: inp.tail(u))
         assert inp.first_moment() == pytest.approx(res.value, rel=1e-6)
 
 
@@ -112,7 +112,7 @@ class TestLaplace:
     def test_closed_form_matches_tail_identity(self, inp):
         for lam in (0.5, 2.0):
             numeric = -lam * integrate_semiinfinite(
-                lambda u: math.exp(-lam * u) * float(inp.tail(u))).value
+                lambda u: np.exp(-lam * u) * inp.tail(u)).value
             assert inp.laplace_exponent(lam) == pytest.approx(numeric, rel=1e-6)
 
     def test_zero_lambda(self):
@@ -272,6 +272,43 @@ class TestTabulated:
         frac = np.mean(draws > 1.0)
         expect = float(tab.tail(1.0)) / tab.knots_tail[0]
         assert abs(frac - expect) <= 4 * math.sqrt(expect * (1 - expect) / 2000)
+
+    @staticmethod
+    def invert_per_draw(tab, q):
+        """Reference sampler: one monotone inversion of the tail per draw."""
+        total, hi = tab.knots_tail[0], tab.knots_u[-1]
+        kind, par = tab.extension
+        out = np.empty(q.size)
+        for i, qi in enumerate(q):
+            target = 1.0 - qi
+            if target < tab.tail(hi) / total:
+                frac = target * total / tab.knots_tail[-1]
+                out[i] = hi * frac ** (-1.0 / par) if kind == "power" else hi - math.log(frac) / par
+            else:
+                out[i] = invert_monotone(lambda u: 1.0 - tab.tail(u) / total, qi,
+                                         (tab.knots_u[0], hi))
+        return out
+
+    @pytest.mark.parametrize("extension", [("power", 2.0), ("exp", 1.5)])
+    def test_sampling_matches_per_draw_inverse(self, extension):
+        knots = (0.5, 1.0, 2.0, 4.0, 8.0)
+        tab = TabulatedTail(knots, (1.0, 0.6, 0.3, 0.1, 0.03), extension)
+        fast = tab.sample_sizes(np.random.default_rng(SEED), 2000, 0.0)
+        ref = self.invert_per_draw(tab, np.random.default_rng(SEED + 1).random(2000))
+        assert stats.ks_2samp(fast, ref).pvalue > 1e-3
+        assert fast.min() >= knots[0] and (fast > knots[-1]).any()
+        # the same uniforms give the same sizes up to the inversion tolerance
+        same = self.invert_per_draw(tab, np.random.default_rng(SEED).random(500))
+        assert fast[:500] == pytest.approx(same, rel=1e-8)
+
+    def test_sampling_without_extension_is_out_of_grid(self):
+        # mass above the last knot has no law to draw from
+        tab = TabulatedTail((0.5, 1.0, 2.0, 4.0, 8.0), (1.0, 0.6, 0.3, 0.1, 0.03))
+        gen = np.random.default_rng(SEED)
+        with pytest.raises(OutOfGrid):
+            tab.sample_sizes(gen, 2000, 0.0)
+        # raised before any draw
+        assert gen.random() == np.random.default_rng(SEED).random()
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -253,6 +253,9 @@ class TestVectorEngines:
         rel = Custom(fn, RateAsymptotics("power", 1.0, 2.0))
         assert rel.flow(0.005, 0.3, 0.7) == 0.0
         assert Power(1.0, -0.5).flow(0.005, 0.3, 0.7) == 0.0
+        # r more singular at 0 than u^-0.5, where RK alone underflows its step
+        assert Power(1.0, -0.9).flow(0.5, 1.0, 0.7) == 0.0
+        assert Power(1.0, -2.0).flow(0.5, 1.0, 0.7) == 0.0
         # a drift above r(0+) still lifts the empty state towards r(x) = drift
         assert Power(1.0, 0.5).flow(0.0, 30.0, 0.7) == pytest.approx(0.49, abs=1e-6)
 
@@ -265,11 +268,15 @@ class TestVectorEngines:
     def test_signed_drain_vec_matches_integral(self, rel):
         # G(u) = int_1^u dv / r(v) against quadrature of 1/r, not drain_time
         spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-15)
-        inv_rate = lambda v: 1.0 / float(rel.rate(v))
+        inv_rate = lambda v: 1.0 / rel.rate(v)
         for u in (0.05, 0.4, 1.0, 3.0, 42.0):
             ref = (integrate_interval(inv_rate, 1.0, u, spec).value if u >= 1.0
                    else -integrate_interval(inv_rate, u, 1.0, spec).value)
             assert signed_drain_time(rel, u) == pytest.approx(ref, rel=1e-9, abs=1e-12)
+        # one array call gives each level's float call
+        us = np.array([0.05, 0.4, 1.0, 3.0, 42.0])
+        assert signed_drain_time(rel, us).tolist() == [signed_drain_time(rel, u)
+                                                       for u in us.tolist()]
 
     def test_endpoint_engine_matches_law(self):
         # shot-noise mean against the per-path ensemble
