@@ -62,7 +62,6 @@ from .numerics import (
     fit_loglog,
     integrate_semiinfinite,
     invert_monotone,
-    ode_flow,
 )
 from .presets import load_preset, preset_names, preset_row
 from .release_rate import (
@@ -73,8 +72,6 @@ from .release_rate import (
     Power,
     PowerSmoothed,
     check_regularity,
-    evaluate,
-    flow_time_integral,
     modulus_R,
 )
 from .scenario import Scenario

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import Divergent
 from .levy_input import LevyInput
 from .numerics import integrate_semiinfinite
-from .release_rate import Plateau, ReleaseRate, flow_time_integral
+from .release_rate import Plateau, ReleaseRate
 
 __all__ = [
     "DEFAULT_PROBE_GRID", "DEFAULT_DECISION_MARGIN", "limit_estimate",
@@ -136,7 +136,7 @@ def _plateau_matches_mean(levy, release) -> bool:
 def _uniform_flag(levy, release, pos_rec_ok: bool) -> bool:
     if not pos_rec_ok:
         return False
-    return math.isfinite(flow_time_integral(release, 1.0, math.inf))
+    return math.isfinite(float(release.drain_time(1.0, math.inf)))
 
 
 def _symbolic_available(levy, release) -> bool:

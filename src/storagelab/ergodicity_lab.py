@@ -200,7 +200,7 @@ def estimate_tail(levy: LevyInput, release: ReleaseRate, method, u_grid,
             burn = window / 50.0
             geweke = True
         total = window + burn
-        if levy.activity == "infinite" and levy.compensator_drift(eps) > 0.0:
+        if levy.compensator_drift(eps) > 0.0:
             raise ValueError("occupation engine needs drift-free inter-jump motion")
         rec = simulate_path(levy, release,
                             PathConfig(0.0, total, FullEvents(), seed, eps),

@@ -179,7 +179,8 @@ class LevyInput:
         raise NotImplementedError
 
     def compensator_drift(self, eps: float) -> float:
-        """Mean drift of discarded small jumps, int_0^eps u nu(du)."""
+        """Mean drift of discarded small jumps, int_0^eps u nu(du); 0 for
+        finite activity, which discards none."""
         return 0.0
 
     def small_jump_msq(self, eps: float) -> float:
@@ -622,7 +623,7 @@ def sample_increment(levy: LevyInput, stream: JumpStream, t: float):
     it back via levy.compensator_drift(stream.truncation_eps).
     """
     times, sizes = sample_jumps(levy, stream, t)
-    drift = levy.compensator_drift(stream.truncation_eps) if levy.activity == "infinite" else 0.0
+    drift = levy.compensator_drift(stream.truncation_eps)
     a_t = float(sizes.sum() + drift * t)
     return a_t, list(zip(times.tolist(), sizes.tolist()))
 
@@ -647,7 +648,7 @@ def laplace_check(levy: LevyInput, t: float, lambdas, n_paths: int,
     bounds = np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(np.int64)
     sums = np.add.reduceat(sizes, bounds) if total else np.zeros(n_paths)
     sums[counts == 0] = 0.0
-    drift = levy.compensator_drift(eps) if levy.activity == "infinite" else 0.0
+    drift = levy.compensator_drift(eps)
     a = sums + drift * t
     out = []
     for lam in np.atleast_1d(lambdas):

@@ -48,7 +48,7 @@ from .numerics import (
     integrate_semiinfinite,
     invert_monotone,
 )
-from .release_rate import ReleaseRate, flow_time_integral, signed_drain_time
+from .release_rate import ReleaseRate, signed_drain_time
 
 __all__ = [
     "RateFunction", "DriftCertificate", "TailEnvelope",
@@ -337,7 +337,7 @@ def check_uniform(levy: LevyInput, release: ReleaseRate,
                   margin: float = DEFAULT_DECISION_MARGIN) -> UniformReport:
     """Uniform ergodicity: finite int_1^inf du/r(u) plus the ergodicity
     criterion."""
-    ti = flow_time_integral(release, 1.0, math.inf)
+    ti = float(release.drain_time(1.0, math.inf))
     finite = math.isfinite(ti)
     pr = criterion_positive_recurrent(levy, release, probe_grid, margin)
     return UniformReport(ti, finite, pr, bool(finite and pr.satisfied))
@@ -657,7 +657,7 @@ def check_wasserstein_contraction(release: ReleaseRate, modulus, Gamma: float,
     if grid is None:
         grid = np.concatenate([[0.0], np.geomspace(1e-3, 1e4, 29)])
     grid = np.asarray(grid, dtype=float)
-    r = release.rate_vec(grid)
+    r = release.rate(grid)
     worst, worst_pair = -math.inf, (0.0, 0.0)
     for i in range(len(grid) - 1):
         u, ru = grid[i], r[i]

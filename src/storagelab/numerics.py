@@ -1,7 +1,7 @@
 """Shared numeric kernel.
 
-Adaptive quadrature on semi-infinite domains, monotone root finding,
-ODE flow integration for drain dynamics, and log-log regression.
+Adaptive quadrature on semi-infinite domains, monotone root finding, the
+drain flow by step-doubling RK4 over lanes, and log-log regression.
 
 The semi-infinite integrator splits [0, inf) at ``tail_split`` and covers
 each side by dyadic scale blocks ([a, 2a] outward, [a/2, a] inward), each
@@ -32,7 +32,6 @@ __all__ = [
     "integrate_semiinfinite",
     "integrate_interval",
     "invert_monotone",
-    "ode_flow",
     "fit_loglog",
 ]
 
@@ -361,75 +360,74 @@ def invert_monotone(g, y: float, bracket: tuple[float, float],
 # drain flow
 # ---------------------------------------------------------------------------
 
-def ode_flow(r, x0: float, dt: float, drift: float = 0.0) -> float:
-    """Evolve x' = drift - r(x) from x0 over dt, absorbing/saturating at rest points.
-
-    ``r`` is either a release-rate object, whose ``flow`` is used, or a plain
-    callable u -> r(u), integrated by explicit adaptive Runge-Kutta with
-    step-halving error control (per-step tolerance 1e-10).
-    """
-    if dt < 0:
-        raise ValueError("dt must be non-negative")
-    if dt == 0.0:
-        return float(x0)
-    flow = getattr(r, "flow", None)
-    if flow is not None:
-        return float(flow(x0, dt, drift))
-    return _rk_flow(r, float(x0), float(dt), float(drift))
-
-
 _TINY = 1e-300  # where _rk_flow reads r(0+)
 
 
-def _rk_flow(rate, x0: float, dt: float, drift: float,
-             tol: float = 1e-10) -> float:
-    # r(0) = 0 by the indicator convention, so the right-hand side is taken
-    # at r(0+): a lane that empties while drift <= r(0+) then stays empty (a
-    # sliding motion) instead of chattering across 0 with shrinking steps
+def _rk_flow(rate, x0, dt, drift: float, tol: float = 1e-10):
+    """x' = drift - r(x) from ``x0`` over ``dt`` by step-doubling RK4 with
+    per-step tolerance ``tol``; floats (a float back) or arrays of lanes.
+
+    Each lane keeps its own time and step, the accept, reject and stopping
+    rules are masks, and a lane leaves the running set when it stops.  The
+    right-hand side takes r at r(0+), not r(0) = 0: a lane that empties
+    while drift <= r(0+) then stays empty (a sliding motion) instead of
+    chattering across 0 with shrinking steps.
+    """
     def rhs(x):
-        return drift - float(rate(max(x, _TINY)))
+        return drift - rate(np.maximum(x, _TINY))
 
-    x, t = x0, 0.0
-    h = dt / 8.0
-    scale = max(1.0, abs(x0))
-    while t < dt:
-        f0 = rhs(x)
-        if abs(f0) <= 1e-14 * scale:
+    x0, dt = np.broadcast_arrays(np.asarray(x0, dtype=float),
+                                 np.asarray(dt, dtype=float))
+    out = np.maximum(x0.ravel(), 0.0)  # where a lane's time runs out
+    lane = np.flatnonzero(dt.ravel() > 0.0)
+    x, dt = x0.ravel()[lane], dt.ravel()[lane]
+    t, h = np.zeros(lane.size), dt / 8.0
+    scale = np.maximum(1.0, np.abs(x))
+    sticks = drift <= rate(_TINY)
+    # as on floats, inf - inf = nan from a rate singular at 0 rejects a step
+    with np.errstate(over="ignore", invalid="ignore"):
+        while lane.size:
+            f0 = rhs(x)
             # rest point (drained reservoir or interior equilibrium)
-            if x <= 1e-14 * scale and drift <= 0.0:
-                return 0.0
-            return x
-        h = min(h, dt - t)
-        x1 = _rk4_step(rhs, x, h)
-        xh = _rk4_step(rhs, x, 0.5 * h)
-        x2 = _rk4_step(rhs, xh, 0.5 * h)
-        err = abs(x2 - x1) / 15.0
-        if err <= tol * max(1.0, abs(x)):
-            t += h
-            x = x2 + (x2 - x1) / 15.0
-            if x <= 0.0:
-                if drift <= rate(_TINY):
-                    return 0.0
-                x = 0.0
-            if err < 0.25 * tol * max(1.0, abs(x)):
-                h *= 2.0
-        else:
-            # a field that strengthens towards 0 (sampled below x, down to
-            # r(0+)) empties the lane within x / |f0| and holds it there; the
-            # flow then ends at 0 when that fits in the time left, which RK
-            # cannot resolve for an r singular at 0
-            below = [x * 0.5 ** k for k in range(1, 9)] + [_TINY]
-            if (x + (dt - t) * f0 <= 0.0
-                    and all(rhs(v) <= f0 for v in below)):
-                return 0.0
-            h *= 0.5
-            if h < 1e-15 * dt:
+            rest = np.abs(f0) <= 1e-14 * scale
+            at_rest = np.where((x <= 1e-14 * scale) & (drift <= 0.0), 0.0, x)
+            # a step of h and a first half step, stacked, then the second
+            h = np.minimum(h, dt - t)
+            y = _rk4_step(rhs, np.concatenate((x, x)),
+                          np.concatenate((h, 0.5 * h)), np.concatenate((f0, f0)))
+            x1, xh = y[:lane.size], y[lane.size:]
+            x2 = _rk4_step(rhs, xh, 0.5 * h, rhs(xh))
+            err = np.abs(x2 - x1) / 15.0
+            ok = ~rest & (err <= tol * np.maximum(1.0, np.abs(x)))
+            # accepted: a lane that crosses 0 ends there if the drift cannot
+            # lift it, and restarts from 0 otherwise
+            xa = x2 + (x2 - x1) / 15.0
+            empty = ok & (xa <= 0.0) & sticks
+            xa = np.where(xa <= 0.0, 0.0, xa)
+            grow = err < 0.25 * tol * np.maximum(1.0, np.abs(xa))
+            # rejected: a field that strengthens towards 0 (sampled below x,
+            # down to r(0+)) empties the lane within x / |f0| and holds it
+            # there, which RK cannot resolve for an r singular at 0
+            strong = ~rest & ~ok & (x + (dt - t) * f0 <= 0.0)
+            if strong.any():
+                below = np.vstack([x[strong] * 0.5 ** np.arange(1.0, 9.0)[:, None],
+                                   np.full((1, strong.sum()), _TINY)])
+                strong[strong] = (rhs(below) <= f0[strong]).all(axis=0)
+            t = np.where(ok, t + h, t)
+            x = np.where(ok, xa, x)
+            h = np.where(ok, np.where(grow, 2.0 * h, h), 0.5 * h)
+            if (~rest & ~ok & ~strong & (h < 1e-15 * dt)).any():
                 raise FloatingPointError("flow step size underflow")
-    return max(x, 0.0)
+            empty |= strong
+            stop = rest | empty | (ok & (t >= dt))
+            out[lane[stop]] = np.where(rest, at_rest, np.where(
+                empty, 0.0, np.maximum(x, 0.0)))[stop]
+            lane, x, t, h, dt, scale = (
+                a[~stop] for a in (lane, x, t, h, dt, scale))
+    return out.reshape(x0.shape) if x0.ndim else float(out[0])
 
 
-def _rk4_step(rhs, x, h):
-    k1 = rhs(x)
+def _rk4_step(rhs, x, h, k1):
     k2 = rhs(x + 0.5 * h * k1)
     k3 = rhs(x + 0.5 * h * k2)
     k4 = rhs(x + h * k3)

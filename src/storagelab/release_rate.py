@@ -6,8 +6,8 @@ taking floats or arrays: ``flow(x, dt, drift)``, the drain flow
 x' = drift - r(x) of a lane or of many, and the drain-time primitive
 ``drain_time(lo, hi)`` = int dv / r(v), which quadrature integrands call
 on all nodes of a panel at once.  Both use one closed-form body where the
-family has one; otherwise ``flow`` runs Runge-Kutta per lane and
-``drain_time`` quadrature per element.
+family has one; otherwise ``flow`` runs one Runge-Kutta call over all
+lanes and ``drain_time`` one quadrature per element.
 
 Regularity is verified numerically: local Lipschitz constants by
 finite-difference slopes on dyadic grids (including pairs against 0, which
@@ -33,7 +33,7 @@ from .numerics import (
 __all__ = [
     "ReleaseRate", "Constant", "Affine", "Power", "PowerSmoothed", "Plateau",
     "Custom", "RateAsymptotics", "RegularityReport",
-    "evaluate", "check_regularity", "flow_time_integral", "signed_drain_time",
+    "check_regularity", "signed_drain_time",
     "modulus_R",
 ]
 
@@ -65,23 +65,14 @@ class ReleaseRate:
     def flow(self, x, dt, drift: float = 0.0):
         """x' = drift - r(x) from x over dt >= 0, absorbing at the empty
         state when the drift cannot lift it; ``x`` and ``dt`` are floats or
-        arrays of lanes.  Families without a closed form integrate each lane
-        by adaptive Runge-Kutta."""
-        if np.ndim(x) == 0 and np.ndim(dt) == 0:
-            return _rk_flow(self.rate, float(x), float(dt), float(drift))
-        x, dt = np.broadcast_arrays(np.asarray(x, dtype=float),
-                                    np.asarray(dt, dtype=float))
-        return np.array([_rk_flow(self.rate, xi, di, float(drift))
-                         for xi, di in zip(x.ravel().tolist(), dt.ravel().tolist())]
-                        ).reshape(x.shape)
+        arrays of lanes.  Families without a closed form integrate all lanes
+        in one adaptive Runge-Kutta call."""
+        return _rk_flow(self.rate, x, dt, float(drift))
 
     def drain_time(self, lo, hi):
         """int_lo^hi dv / r(v) for 0 < lo <= hi (hi may be inf); ``lo`` and
         ``hi`` are floats or arrays."""
         raise NotImplementedError
-
-    def rate_vec(self, u):
-        return self.rate(np.asarray(u, dtype=float))
 
     # analytic regularity flags; None means "decide numerically"
     _c1 = True
@@ -346,21 +337,6 @@ class Custom(ReleaseRate):
 # module-level operations
 # ---------------------------------------------------------------------------
 
-def evaluate(release: ReleaseRate, u: float) -> float:
-    """r(u), exactly 0 at u = 0."""
-    if u < 0:
-        raise ValueError("content level must be non-negative")
-    return float(release.rate(u))
-
-
-def flow_time_integral(release: ReleaseRate, u_lo: float, u_hi: float) -> float:
-    """int_{u_lo}^{u_hi} dv / r(v); math.inf when the upper end diverges,
-    Divergent raised when u_lo = 0 is requested and 1/r is not integrable."""
-    if u_lo < 0 or (u_hi < u_lo):
-        raise ValueError("need 0 <= u_lo <= u_hi")
-    return float(release.drain_time(u_lo, u_hi))
-
-
 def signed_drain_time(release: ReleaseRate, u):
     """G(u) = int_1^u dv / r(v), negative below 1, for a float (a float
     back) or an array of levels (an array back)."""
@@ -383,7 +359,7 @@ def modulus_R(release: ReleaseRate, u: float, probe_grid=None) -> float:
     probe_grid = np.asarray(probe_grid, dtype=float)
     if probe_grid.size == 0:
         raise ValueError("probe grid must be non-empty")
-    diffs = release.rate_vec(probe_grid) - release.rate_vec(probe_grid + u)
+    diffs = release.rate(probe_grid) - release.rate(probe_grid + u)
     return float(np.max(diffs))
 
 
@@ -410,9 +386,9 @@ def _lipschitz_scan(release: ReleaseRate, rho: float):
     ks = np.arange(2, 40)
     x = rho * 2.0 ** -ks.astype(float)
     r0 = float(release.rate(0.0))
-    slopes_zero = np.abs(release.rate_vec(x) - r0) / x
+    slopes_zero = np.abs(release.rate(x) - r0) / x
     grid = np.linspace(0.0, rho, 513)[1:]
-    vals = release.rate_vec(grid)
+    vals = release.rate(grid)
     slopes_grid = np.abs(np.diff(vals)) / np.diff(grid)
     finest = float(np.max(slopes_zero[-6:]))
     mid = float(np.max(slopes_zero[-18:-12]))
@@ -441,7 +417,7 @@ def check_regularity(release: ReleaseRate, activity: str) -> RegularityReport:
     if activity not in ("finite", "infinite"):
         raise ValueError("activity must be 'finite' or 'infinite'")
     c1 = bool(release._c1) and float(release.rate(0.0)) == 0.0 and bool(
-        np.all(release.rate_vec(np.geomspace(1e-9, 1e6, 61)) > 0.0))
+        np.all(release.rate(np.geomspace(1e-9, 1e6, 61)) > 0.0))
     lipschitz = {}
     c2 = True
     for rho in (1.0, 10.0, 100.0):

@@ -6,17 +6,23 @@ size is added.  Infinite-activity inputs keep jumps above the stream's
 truncation level and fold the discarded mean into the inter-jump dynamics
 as a constant inflow, so the flow solves x' = d_eps - r(x).
 
-Two ways draw the same law:
+One kernel, ``_step_lanes``, steps every path through rows of jump times
+and sizes, x = flow(x, t_k - t_{k-1}) + s_k; a row holds one jump per lane
+of a (slot, lane) matrix, or one jump of a single path's column.  Four
+feeders lay out the jumps:
 
-* ``simulate_*`` walk one path at a time under per-path derived streams
-  (bit reproducible, order independent), calling the flow on floats;
-* ``grid_ensemble`` is the one cross-path engine, which the estimators in
-  ergodicity_lab call.  It steps chunks of ``_CHUNK`` lanes in lock step,
-  calling the same flow on arrays of lanes, and records the lanes at common
-  grid times (a single grid time gives endpoints).  Chunk c draws from the
-  Philox key ``(seed, "grid", c)``, and its jumps are streamed one time slab
-  of about ``_SLAB`` jumps at a time, so memory stays bounded however high
-  the jump intensity or long the horizon.
+* ``simulate_path``, one path's keyed draws as a column, float state;
+* ``simulate_coupled``, one column driving two lanes (synchronous coupling);
+* ``simulate_ensemble``, the draws of path i, keyed ``(seed, i, ...)``, as
+  column i, padded after its last jump with size-0 slots at the horizon;
+* ``grid_ensemble``, the engine of the estimators: chunk c of ``_CHUNK``
+  lanes draws from the key ``(seed, "grid", c)`` one time slab of about
+  ``_SLAB`` jumps at a time, so memory stays bounded, and records its
+  lanes at each grid time (a single grid time gives endpoints).
+
+The per-path feeders record after stepping, so recording never perturbs
+the dynamics: a grid value is the lane flowed from its last jump at or
+before the grid time.
 """
 
 from __future__ import annotations
@@ -97,51 +103,79 @@ class DistanceCurve:
     merge_time: float  # inf if the paths never merged
 
 
-def _drift_of(levy: LevyInput, eps: float) -> float:
-    return levy.compensator_drift(eps) if levy.activity == "infinite" else 0.0
+def _step_lanes(release: ReleaseRate, x, t, s, drift: float, tp, out=None):
+    """Step the state ``x`` from time ``tp`` through the rows of jump times
+    ``t`` and sizes ``s``; ``x`` is a vector of lanes or a float.  With
+    ``out``, row k of it receives the state after row k."""
+    for k, (tk, sk) in enumerate(zip(t, s)):
+        x = release.flow(x, tk - tp, drift) + sk
+        tp = tk
+        if out is not None:
+            out[k] = x
+    return x
+
+
+def _record_grid(cfg: PathConfig) -> np.ndarray:
+    """The grid times ``cfg`` records at; the horizon unless a Grid."""
+    times = cfg.record.times if isinstance(cfg.record, Grid) else [cfg.horizon]
+    return np.asarray(times, dtype=float)
+
+
+def _grid_values(release, t, n, states, grid, drift):
+    """States at the grid times (first axis), each lane flowed from its last
+    jump at or before the grid time: row 0 of the times ``t`` and ``states``
+    is the start, row k jump k, and rows past a lane's ``n`` jumps pad."""
+    k = np.array([(t <= g).sum(axis=0) - 1 for g in grid], dtype=np.intp)
+    k = np.minimum(k.reshape(grid.shape + t.shape[1:]), n)
+    g = grid.reshape(grid.shape + (1,) * (t.ndim - 1))
+    return release.flow(np.take_along_axis(states, k, 0),
+                        g - np.take_along_axis(t, k, 0), drift)
+
+
+def _walk(levy, release, cfg: PathConfig, group, eps: float) -> list:
+    """PathRecords of a group of paths' keyed draws, stepped from ``cfg.x0``.
+
+    A lone path steps as a column with a float state, a group as the
+    columns of (slot, lane) matrices, each padded after its last jump with
+    slots at the horizon of size 0.  Row 0 of the layout is the start.
+    """
+    drift = levy.compensator_drift(eps)
+    bias = levy.small_jump_msq(eps) * cfg.horizon  # 0 for finite activity
+    n = np.array([times.size for times, _ in group])
+    if n.size == 1:
+        x, (times, s) = float(cfg.x0), group[0]
+        t, n = np.concatenate([[0.0], times]), n[0]
+    else:
+        x = np.full(n.size, float(cfg.x0))
+        t = np.full((n.max() + 1, n.size), cfg.horizon)
+        t[0] = 0.0
+        s = np.zeros((n.max(), n.size))
+        real = np.arange(n.max()) < n[:, None]  # lane by lane, in order
+        t[1:].T[real] = np.concatenate([times for times, _ in group])
+        s.T[real] = np.concatenate([sizes for _, sizes in group])
+    states = np.empty(t.shape)
+    states[0] = x
+    _step_lanes(release, x, t[1:], s, drift, 0.0, states[1:])
+    if isinstance(cfg.record, FullEvents):
+        lanes = states.reshape(len(t), -1)
+        return [PathRecord(np.concatenate([[0.0], times]),
+                           lanes[:times.size + 1, i].copy(), times.size,
+                           drift > 0.0,
+                           jump_sizes=np.concatenate([[0.0], sizes]),
+                           bias_bound=bias)
+                for i, (times, sizes) in enumerate(group)]
+    grid = _record_grid(cfg)
+    vals = _grid_values(release, t, n, states, grid, drift).reshape(grid.size, -1)
+    return [PathRecord(grid, vals[:, i], times.size, drift > 0.0, bias_bound=bias)
+            for i, (times, _) in enumerate(group)]
 
 
 def simulate_path(levy: LevyInput, release: ReleaseRate, cfg: PathConfig,
                   stream: JumpStream | None = None) -> PathRecord:
     """One exact event-driven path; recording never perturbs the dynamics."""
     stream = stream or JumpStream(cfg.seed, cfg.truncation_eps)
-    times, sizes = sample_jumps(levy, stream, cfg.horizon)
-    drift = _drift_of(levy, stream.truncation_eps)
-    comp = drift > 0.0
-    bias = (levy.small_jump_msq(stream.truncation_eps) * cfg.horizon
-            if comp else 0.0)
-
-    if isinstance(cfg.record, Grid):
-        grid = np.asarray(cfg.record.times, dtype=float)
-    elif isinstance(cfg.record, Endpoint):
-        grid = np.asarray([cfg.horizon])
-    else:
-        grid = None
-
-    x, t_prev = float(cfg.x0), 0.0
-    out_t, out_v = [], []
-    gi = 0
-    ev_t, ev_v = [0.0], [x]
-    for tj, sj in zip(times, sizes):
-        if grid is not None:
-            while gi < len(grid) and grid[gi] < tj:
-                out_t.append(grid[gi])
-                out_v.append(release.flow(x, grid[gi] - t_prev, drift))
-                gi += 1
-        x = release.flow(x, tj - t_prev, drift) + sj
-        t_prev = tj
-        if grid is None:
-            ev_t.append(tj)
-            ev_v.append(x)
-    if grid is not None:
-        while gi < len(grid):
-            out_t.append(grid[gi])
-            out_v.append(release.flow(x, grid[gi] - t_prev, drift))
-            gi += 1
-        return PathRecord(np.asarray(out_t), np.asarray(out_v),
-                          int(len(times)), comp, bias_bound=bias)
-    return PathRecord(np.asarray(ev_t), np.asarray(ev_v), int(len(times)), comp,
-                      jump_sizes=np.concatenate([[0.0], sizes]), bias_bound=bias)
+    draws = sample_jumps(levy, stream, cfg.horizon)
+    return _walk(levy, release, cfg, [draws], stream.truncation_eps)[0]
 
 
 def simulate_coupled(levy: LevyInput, release: ReleaseRate, x: float, y: float,
@@ -150,72 +184,66 @@ def simulate_coupled(levy: LevyInput, release: ReleaseRate, x: float, y: float,
     """Two copies driven by the identical jump sequence (synchronous coupling).
 
     After the first recorded time the gap falls below ``merge_tol`` the paths
-    are identified; the distance curve before merging is untouched.
-    """
+    are identified; the distance curve before merging is untouched.  The
+    copies are two lanes of one column; a never depends on b, so merging
+    copies a's records into b's."""
     if x < 0 or y < 0:
         raise ValueError("starts must be non-negative")
     stream = stream or JumpStream(cfg.seed, cfg.truncation_eps)
     times, sizes = sample_jumps(levy, stream, cfg.horizon)
-    drift = _drift_of(levy, stream.truncation_eps)
-    if isinstance(cfg.record, Grid):
-        grid = np.asarray(cfg.record.times, dtype=float)
+    drift = levy.compensator_drift(stream.truncation_eps)
+    grid = _record_grid(cfg)
+    t = np.concatenate([[0.0], times])
+    states = np.empty((t.size, 2))
+    states[0] = x, y
+    _step_lanes(release, states[0], t[1:], sizes, drift, 0.0, states[1:])
+    vals = _grid_values(release, t[:, None], times.size, states, grid, drift)
+    # the merge is the first recorded time with a gap below merge_tol; a
+    # jump at a grid time comes before it
+    at_jump = np.flatnonzero(np.abs(states[1:, 0] - states[1:, 1]) < merge_tol)
+    at_grid = np.flatnonzero(np.abs(vals[:, 0] - vals[:, 1]) < merge_tol)
+    t_jump = times[at_jump[0]] if at_jump.size else math.inf
+    t_grid = grid[at_grid[0]] if at_grid.size else math.inf
+    if t_jump <= t_grid:
+        merge_time, after = float(t_jump), np.searchsorted(grid, t_jump)
     else:
-        grid = np.asarray([cfg.horizon])
+        merge_time, after = float(t_grid), at_grid[0] + 1
+    vals[after:, 1] = vals[after:, 0]
+    gaps = np.abs(vals[:, 0] - vals[:, 1])
+    rec = lambda v: PathRecord(grid.copy(), v, int(times.size), drift > 0.0)
+    return (rec(vals[:, 0].copy()), rec(vals[:, 1].copy()),
+            DistanceCurve(grid.copy(), gaps, merge_time))
 
-    xa, xb = float(x), float(y)
-    t_prev = 0.0
-    merge_time = math.inf
-    rec_a, rec_b = [], []
-    gi = 0
 
-    def advance(xa, xb, dt):
-        xa2 = release.flow(xa, dt, drift)
-        xb2 = xa2 if merge_time < math.inf else release.flow(xb, dt, drift)
-        return xa2, xb2
-
-    for tj, sj in zip(times, sizes):
-        while gi < len(grid) and grid[gi] < tj:
-            ga, gb = advance(xa, xb, grid[gi] - t_prev)
-            rec_a.append(ga)
-            rec_b.append(gb)
-            if merge_time == math.inf and abs(ga - gb) < merge_tol:
-                merge_time = float(grid[gi])
-            gi += 1
-        xa, xb = advance(xa, xb, tj - t_prev)
-        xa += sj
-        xb = xa if merge_time < math.inf else xb + sj
-        t_prev = tj
-        if merge_time == math.inf and abs(xa - xb) < merge_tol:
-            merge_time = float(tj)
-    while gi < len(grid):
-        ga, gb = advance(xa, xb, grid[gi] - t_prev)
-        rec_a.append(ga)
-        rec_b.append(gb)
-        if merge_time == math.inf and abs(ga - gb) < merge_tol:
-            merge_time = float(grid[gi])
-        gi += 1
-    gaps = np.abs(np.asarray(rec_a) - np.asarray(rec_b))
-    rec = lambda vals: PathRecord(grid.copy(), np.asarray(vals), int(len(times)),
-                                  drift > 0.0)
-    return rec(rec_a), rec(rec_b), DistanceCurve(grid.copy(), gaps, merge_time)
+def _path_groups(levy, base: JumpStream, horizon: float, n_paths: int):
+    """Per-path keyed draws in groups whose padded matrices hold at most
+    ``_SLAB`` slots, and at least one path each."""
+    group, rows = [], 0
+    for i in range(n_paths):
+        times, sizes = sample_jumps(levy, base.derive(i), horizon)
+        if group and max(rows, times.size) * (len(group) + 1) > _SLAB:
+            yield group
+            group, rows = [], 0
+        group.append((times, sizes))
+        rows = max(rows, times.size)
+    yield group
 
 
 def simulate_ensemble(levy: LevyInput, release: ReleaseRate, cfg: PathConfig,
                       n_paths: int):
     """Independent paths on streams derived per path index from the master
-    seed; results are order-independent and bit-reproducible, and a single
-    path reduces exactly to simulate_path on the derived stream."""
+    seed; results are order-independent and bit-reproducible.  Path i draws
+    what ``simulate_path`` draws on ``JumpStream(seed, eps).derive(i)``, and
+    groups of paths step together as lanes."""
     if n_paths < 1:
         raise ValueError("need at least one path")
     base = JumpStream(cfg.seed, cfg.truncation_eps)
-    records = [simulate_path(levy, release, cfg, stream=base.derive(i))
-               for i in range(n_paths)]
-    if isinstance(cfg.record, (Endpoint, Grid)):
-        values = np.vstack([r.values for r in records])
-        if isinstance(cfg.record, Endpoint):
-            return values[:, -1]
-        return values
-    return records
+    records = [rec for group in _path_groups(levy, base, cfg.horizon, n_paths)
+               for rec in _walk(levy, release, cfg, group, cfg.truncation_eps)]
+    if isinstance(cfg.record, FullEvents):
+        return records
+    values = np.vstack([r.values for r in records])
+    return values[:, -1] if isinstance(cfg.record, Endpoint) else values
 
 
 # ---------------------------------------------------------------------------
@@ -226,28 +254,26 @@ _CHUNK = 8192      # lanes stepped together
 _SLAB = 1 << 20    # jumps one slab expects across a chunk
 
 
-def _step_slab(levy, release, gen, x, a, b, lam, drift, eps):
-    """Advance the lanes ``x`` from time a to b through the jumps in (a, b].
-
-    Each lane draws a Poisson count and that many uniform times on (a, b].
-    Times and sizes are (slot, lane) matrices, so each step reads one
-    contiguous row; padding slots sit at b with size zero, so the stepping
-    loop needs no masks, and sizes are drawn for real jumps only.
-    """
-    counts = gen.poisson(lam * (b - a), x.size)
-    pad = np.arange(counts.max())[:, None] >= counts
-    t = gen.random(pad.shape)
-    t *= a - b
-    t += b
+def _draw_slab(levy, gen, bufs, m, a, b, lam, eps):
+    """Jump times and sizes of m lanes in (a, b] as (slot, lane) matrices in
+    the chunk's buffers ``bufs``.  A lane draws a Poisson count and that
+    many uniform times; padding slots, and a last row that takes every lane
+    to b, sit at b with size 0, and sizes are drawn for real jumps only."""
+    counts = gen.poisson(lam * (b - a), m)
+    rows = int(counts.max())
+    if bufs[0].shape[0] <= rows:
+        bufs[:] = [None, None]  # free the old buffers first: never both
+        bufs[:] = [np.empty((rows + rows // 8 + 1, m)) for _ in range(2)]
+    t, s = bufs[0][:rows + 1], bufs[1][:rows + 1]
+    pad = np.arange(rows + 1)[:, None] >= counts
+    gen.random(out=t[:rows])
+    t[:rows] *= a - b
+    t[:rows] += b
     t[pad] = b
     t.sort(axis=0)
-    s = np.zeros(pad.shape)
+    s[pad] = 0.0
     s[~pad] = levy.sample_sizes(gen, int(counts.sum()), eps)
-    tp = a
-    for tk, sk in zip(t, s):
-        x = release.flow(x, tk - tp, drift) + sk
-        tp = tk
-    return release.flow(x, b - tp, drift)
+    return t, s
 
 
 def grid_ensemble(levy: LevyInput, release: ReleaseRate, x0,
@@ -257,17 +283,15 @@ def grid_ensemble(levy: LevyInput, release: ReleaseRate, x0,
 
     ``x0`` is a level or a sampler ``(gen, m) -> array`` for random starts;
     ``grid_ensemble(..., [T], ...)[:, 0]`` is the ensemble of endpoints.
-    Paths run in chunks of ``_CHUNK`` lanes, and chunk c (rows
-    c * _CHUNK onwards) draws its starts and then all its jumps from the
-    Philox key ``(seed, "grid", c)``.  Jumps are drawn and stepped one time
-    slab at a time between consecutive grid times, each slab expecting at
-    most ``_SLAB`` jumps across the chunk, so memory stays bounded whatever
-    the intensity and horizon.
+    Chunk c of ``_CHUNK`` lanes (rows c * _CHUNK onwards) draws its starts,
+    then its jumps one time slab at a time, from the Philox key
+    ``(seed, "grid", c)``; a slab expects at most ``_SLAB`` jumps across
+    the chunk, so memory stays bounded whatever the intensity and horizon.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0 or (np.diff(grid) < 0).any() or grid[0] < 0:
         raise ValueError("grid must be sorted and non-negative")
-    drift = _drift_of(levy, eps)
+    drift = levy.compensator_drift(eps)
     lam = levy.proposal_rate(eps)
     out = np.empty((n_paths, grid.size))
     for c, lo in enumerate(range(0, n_paths, _CHUNK)):
@@ -275,11 +299,14 @@ def grid_ensemble(levy: LevyInput, release: ReleaseRate, x0,
         gen = substream(seed, "grid", c)
         x = (np.asarray(x0(gen, m), dtype=float) if callable(x0)
              else np.full(m, float(x0)))
+        bufs = [np.empty((0, m))] * 2
         a = 0.0
         for j, g in enumerate(grid):
             n_slabs = max(1, math.ceil(m * lam * (g - a) / _SLAB))
             for b in np.linspace(a, g, n_slabs + 1)[1:]:
-                x = _step_slab(levy, release, gen, x, a, b, lam, drift, eps)
+                # no view of the buffer outlives the step, so it can regrow
+                x = _step_lanes(release, x, *_draw_slab(
+                    levy, gen, bufs, m, a, b, lam, eps), drift, a)
                 a = b
             out[lo:lo + m, j] = x
     return out

@@ -25,8 +25,8 @@ from storagelab.numerics import (
     fit_loglog,
     integrate_semiinfinite,
     invert_monotone,
-    ode_flow,
 )
+from storagelab.release_rate import Custom, RateAsymptotics
 
 
 def trapezoid_tan_oracle(n=2_000_001):
@@ -136,43 +136,48 @@ class TestInvertMonotone:
         assert invert_monotone(g, y, (0.1, 10.0)) == pytest.approx(2.5, rel=1e-7)
 
 
+def custom(fn):
+    """A plain callable u -> r(u) as a release, whose flow runs the RK."""
+    return Custom(fn, RateAsymptotics("power", 1.0, 1.0))
+
+
 class TestOdeFlow:
     def test_linear_decay(self):
-        x = ode_flow(lambda u: u, 5.0, 1.0)
+        x = custom(lambda u: u).flow(5.0, 1.0)
         assert x == pytest.approx(5 * math.exp(-1.0), abs=1e-8)
 
     def test_constant_drain_absorbs(self):
-        r = lambda u: 2.0 if u > 0 else 0.0
-        assert ode_flow(r, 3.0, 2.0) == pytest.approx(0.0, abs=1e-8)
+        r = custom(lambda u: 2.0 if u > 0 else 0.0)
+        assert r.flow(3.0, 2.0) == pytest.approx(0.0, abs=1e-8)
 
     def test_sqrt_drain_closed_form(self):
         # x' = -sqrt(x) has x(t) = (sqrt(x0) - t/2)^2 until it empties
-        x = ode_flow(lambda u: math.sqrt(max(u, 0.0)), 4.0, 2.0)
+        x = custom(lambda u: math.sqrt(max(u, 0.0))).flow(4.0, 2.0)
         assert x == pytest.approx(1.0, abs=1e-7)
 
     def test_semigroup(self):
-        for rate in (lambda u: 1.5 if u > 0 else 0.0,
-                     lambda u: 0.7 * u,
-                     lambda u: max(u, 0.0) ** 1.7):
-            two_step = ode_flow(rate, ode_flow(rate, 6.0, 0.8), 1.3)
-            one_step = ode_flow(rate, 6.0, 2.1)
+        for rate in (custom(lambda u: 1.5 if u > 0 else 0.0),
+                     custom(lambda u: 0.7 * u),
+                     custom(lambda u: max(u, 0.0) ** 1.7)):
+            two_step = rate.flow(rate.flow(6.0, 0.8), 1.3)
+            one_step = rate.flow(6.0, 2.1)
             assert two_step == pytest.approx(one_step, abs=1e-8)
 
     def test_monotone_nonnegative(self):
-        rate = lambda u: max(u, 0.0) ** 0.5
+        rate = custom(lambda u: max(u, 0.0) ** 0.5)
         prev = 9.0
         for dt in np.linspace(0.1, 8.0, 25):
-            x = ode_flow(rate, 9.0, float(dt))
+            x = rate.flow(9.0, float(dt))
             assert 0.0 <= x <= prev + 1e-12
             prev = x
 
     def test_drift_equilibrium(self):
         # x' = 1 - x saturates at 1 from both sides
-        assert ode_flow(lambda u: u, 5.0, 50.0, drift=1.0) == pytest.approx(1.0, abs=1e-6)
-        assert ode_flow(lambda u: u, 0.2, 50.0, drift=1.0) == pytest.approx(1.0, abs=1e-6)
+        assert custom(lambda u: u).flow(5.0, 50.0, drift=1.0) == pytest.approx(1.0, abs=1e-6)
+        assert custom(lambda u: u).flow(0.2, 50.0, drift=1.0) == pytest.approx(1.0, abs=1e-6)
 
     def test_zero_dt(self):
-        assert ode_flow(lambda u: u, 3.0, 0.0) == 3.0
+        assert custom(lambda u: u).flow(3.0, 0.0) == 3.0
 
 
 class TestFitLoglog:

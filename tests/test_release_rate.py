@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from storagelab.errors import Divergent
-from storagelab.numerics import ode_flow
+from storagelab.numerics import _rk_flow
 from storagelab.release_rate import (
     Affine,
     Constant,
@@ -16,8 +16,6 @@ from storagelab.release_rate import (
     PowerSmoothed,
     RateAsymptotics,
     check_regularity,
-    evaluate,
-    flow_time_integral,
     modulus_R,
 )
 
@@ -34,112 +32,111 @@ FAMILIES = [
 class TestEvaluate:
     def test_constant_indicator(self):
         r = Constant(2.0)
-        assert evaluate(r, 0.0) == 0.0
-        assert evaluate(r, 0.1) == 2.0
+        assert float(r.rate(0.0)) == 0.0
+        assert float(r.rate(0.1)) == 2.0
 
     def test_affine(self):
-        assert evaluate(Affine(1.0, 2.0), 3.0) == 7.0
+        assert float(Affine(1.0, 2.0).rate(3.0)) == 7.0
 
     def test_power(self):
-        assert evaluate(Power(1.0, 0.5), 9.0) == pytest.approx(3.0)
+        assert float(Power(1.0, 0.5).rate(9.0)) == pytest.approx(3.0)
 
     @pytest.mark.parametrize("r", FAMILIES, ids=lambda r: type(r).__name__)
     def test_nonnegative_zero_at_origin(self, r):
-        assert evaluate(r, 0.0) == 0.0
+        assert float(r.rate(0.0)) == 0.0
         grid = np.geomspace(1e-9, 1e6, 50)
-        assert (r.rate_vec(grid) >= 0.0).all()
+        assert (r.rate(grid) >= 0.0).all()
 
 
 class TestFlowTimeIntegral:
     def test_constant(self):
-        assert flow_time_integral(Constant(2.0), 1.0, 5.0) == pytest.approx(2.0)
+        assert Constant(2.0).drain_time(1.0, 5.0) == pytest.approx(2.0)
 
     def test_power_beta2_to_infinity(self):
         # int_1^inf u^-2 du = 1, the uniform-ergodicity gate
-        assert flow_time_integral(Power(1.0, 2.0), 1.0, math.inf) == pytest.approx(1.0)
+        assert Power(1.0, 2.0).drain_time(1.0, math.inf) == pytest.approx(1.0)
 
     def test_linear_log(self):
-        assert flow_time_integral(Affine(0.0, 1.0), 1.0, math.e) == pytest.approx(1.0)
+        assert Affine(0.0, 1.0).drain_time(1.0, math.e) == pytest.approx(1.0)
 
     def test_sublinear_to_infinity_diverges(self):
-        assert flow_time_integral(Affine(0.0, 1.0), 1.0, math.inf) == math.inf
-        assert flow_time_integral(Constant(1.0), 1.0, math.inf) == math.inf
+        assert Affine(0.0, 1.0).drain_time(1.0, math.inf) == math.inf
+        assert Constant(1.0).drain_time(1.0, math.inf) == math.inf
 
     def test_from_zero_divergent(self):
         with pytest.raises(Divergent):
-            flow_time_integral(Power(1.0, 2.0), 0.0, 1.0)
+            Power(1.0, 2.0).drain_time(0.0, 1.0)
 
     @pytest.mark.parametrize("r", FAMILIES, ids=lambda r: type(r).__name__)
     def test_additivity(self, r):
         lo, mid, hi = 0.5, 3.0, 40.0
-        total = flow_time_integral(r, lo, hi)
-        split = flow_time_integral(r, lo, mid) + flow_time_integral(r, mid, hi)
+        total = r.drain_time(lo, hi)
+        split = r.drain_time(lo, mid) + r.drain_time(mid, hi)
         assert split == pytest.approx(total, abs=1e-9 * max(1.0, total))
 
     @pytest.mark.parametrize("r", FAMILIES, ids=lambda r: type(r).__name__)
     def test_matches_flow_descent(self, r):
         # time to drain from u_hi to u_lo equals the time integral
         u_hi, u_lo = 8.0, 2.0
-        t = flow_time_integral(r, u_lo, u_hi)
-        assert ode_flow(r, u_hi, t) == pytest.approx(u_lo, abs=1e-8 * u_hi)
+        t = r.drain_time(u_lo, u_hi)
+        assert r.flow(u_hi, t) == pytest.approx(u_lo, abs=1e-8 * u_hi)
 
     def test_custom_quadrature(self):
         r = Custom(lambda u: 1.0 + u, RateAsymptotics("power", 1.0, 1.0))
         expect = math.log(6.0 / 2.0)
-        assert flow_time_integral(r, 1.0, 5.0) == pytest.approx(expect, rel=1e-7)
+        assert r.drain_time(1.0, 5.0) == pytest.approx(expect, rel=1e-7)
 
 
 class TestClosedFlows:
     def test_constant_absorbs(self):
-        assert ode_flow(Constant(2.0), 3.0, 2.0) == 0.0
-        assert ode_flow(Constant(2.0), 3.0, 1.0) == pytest.approx(1.0)
+        assert Constant(2.0).flow(3.0, 2.0) == 0.0
+        assert Constant(2.0).flow(3.0, 1.0) == pytest.approx(1.0)
 
     def test_linear_decay(self):
-        assert ode_flow(Affine(0.0, 1.0), 5.0, 1.0) == pytest.approx(5 * math.exp(-1))
+        assert Affine(0.0, 1.0).flow(5.0, 1.0) == pytest.approx(5 * math.exp(-1))
 
     def test_power_sqrt(self):
-        assert ode_flow(Power(1.0, 0.5), 4.0, 2.0) == pytest.approx(1.0)
+        assert Power(1.0, 0.5).flow(4.0, 2.0) == pytest.approx(1.0)
 
     def test_power_superlinear_never_empties(self):
-        x = ode_flow(Power(1.0, 2.0), 5.0, 100.0)
+        x = Power(1.0, 2.0).flow(5.0, 100.0)
         assert 0.0 < x < 0.02
 
     def test_smoothed_crosses_ramp(self):
         r = PowerSmoothed(1.0, 0.5, u_s=1.0)
         # above the knee: sqrt drain from 4 to 1 takes 2(2 - 1) = 2
-        t_hit = flow_time_integral(r, 1.0, 4.0)
+        t_hit = r.drain_time(1.0, 4.0)
         assert t_hit == pytest.approx(2.0)
-        x = ode_flow(r, 4.0, 3.0)
+        x = r.flow(4.0, 3.0)
         assert x == pytest.approx(math.exp(-1.0), rel=1e-9)
 
     def test_plateau_piecewise(self):
         r = Plateau(2.0, 1.0)
         # constant drain 2 from 5 to 1 takes 2 s, then exponential
-        assert ode_flow(r, 5.0, 2.0) == pytest.approx(1.0)
-        assert ode_flow(r, 5.0, 3.0) == pytest.approx(math.exp(-2.0), rel=1e-9)
+        assert r.flow(5.0, 2.0) == pytest.approx(1.0)
+        assert r.flow(5.0, 3.0) == pytest.approx(math.exp(-2.0), rel=1e-9)
 
     @pytest.mark.parametrize("r", FAMILIES, ids=lambda r: type(r).__name__)
     def test_semigroup(self, r):
-        x = ode_flow(r, ode_flow(r, 7.0, 0.9), 1.4)
-        assert x == pytest.approx(ode_flow(r, 7.0, 2.3), abs=1e-8)
+        x = r.flow(r.flow(7.0, 0.9), 1.4)
+        assert x == pytest.approx(r.flow(7.0, 2.3), abs=1e-8)
 
     @pytest.mark.parametrize("r", FAMILIES, ids=lambda r: type(r).__name__)
     def test_closed_matches_rk(self, r):
         # closed forms against the generic integrator
         for x0, dt in ((6.0, 0.7), (0.5, 2.5)):
-            closed = ode_flow(r, x0, dt)
-            from storagelab.numerics import _rk_flow
-            rk = _rk_flow(lambda u: float(r.rate(u)), x0, dt, 0.0)
+            closed = r.flow(x0, dt)
+            rk = _rk_flow(r.rate, x0, dt, 0.0)
             assert closed == pytest.approx(rk, abs=2e-6)
 
     def test_drift_equilibrium_affine(self):
         # x' = 0.5 - x saturates at 0.5
-        x = ode_flow(Affine(0.0, 1.0), 5.0, 60.0, drift=0.5)
+        x = Affine(0.0, 1.0).flow(5.0, 60.0, drift=0.5)
         assert x == pytest.approx(0.5, abs=1e-9)
 
     def test_drift_power_rk_fallback(self):
         # no closed form with drift: equilibrium at drift^(1/beta)
-        x = ode_flow(Power(1.0, 2.0), 5.0, 200.0, drift=0.25)
+        x = Power(1.0, 2.0).flow(5.0, 200.0, drift=0.25)
         assert x == pytest.approx(0.5, abs=1e-5)
 
 
@@ -166,7 +163,7 @@ class TestModulusR:
         from storagelab.errors import NonFiniteEvaluation
         r = Custom(lambda u: float("nan"), RateAsymptotics("bounded", limit=1.0))
         with pytest.raises(NonFiniteEvaluation):
-            evaluate(r, 2.0)
+            float(r.rate(2.0))
 
 
 class TestRegularity:
@@ -223,8 +220,8 @@ class TestDecreasingRelease:
         # x' = -x^{-1/2} empties from x0 at t = (2/3) x0^{3/2}
         r = Power(1.0, -0.5)
         t_empty = (2.0 / 3.0) * 4.0 ** 1.5
-        assert ode_flow(r, 4.0, t_empty * 0.5) > 0.0
-        assert ode_flow(r, 4.0, t_empty * 1.01) == 0.0
+        assert r.flow(4.0, t_empty * 0.5) > 0.0
+        assert r.flow(4.0, t_empty * 1.01) == 0.0
 
     def test_classified_transient(self):
         # vanishing drain loses to any input with positive mean

@@ -14,9 +14,11 @@ from storagelab.levy_input import (
     GammaSub,
     JumpStream,
     ParetoJumps,
+    sample_jumps,
 )
 from storagelab.lyapunov import PowerModulus, wasserstein_rate
 from storagelab.numerics import QuadratureSpec, _rk_flow, integrate_interval
+from storagelab.presets import load_preset, preset_names
 from storagelab.release_rate import (
     Affine,
     Constant,
@@ -42,6 +44,120 @@ SEED = 20260810
 NO_JUMPS = CompoundPoisson(0.0, Exponential(1.0))
 CPP = CompoundPoisson(1.0, Exponential(1.0))
 CUSTOM = Custom(lambda u: u + u * u / (1.0 + u), RateAsymptotics("power", 1.0, 2.0))
+
+
+# ---------------------------------------------------------------------------
+# slow references: one float lane at a time, for the batched paths to match
+# ---------------------------------------------------------------------------
+
+def _scalar_rk_flow(rate, x0, dt, drift, tol=1e-10):
+    """Step-doubling RK4 of x' = drift - r(x) on one float lane."""
+    tiny = 1e-300
+
+    def rhs(x):
+        return drift - float(rate(max(x, tiny)))
+
+    def rk4(x, h):
+        k1 = rhs(x)
+        k2 = rhs(x + 0.5 * h * k1)
+        k3 = rhs(x + 0.5 * h * k2)
+        k4 = rhs(x + h * k3)
+        return x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+    x, t = x0, 0.0
+    h = dt / 8.0
+    scale = max(1.0, abs(x0))
+    while t < dt:
+        f0 = rhs(x)
+        if abs(f0) <= 1e-14 * scale:
+            if x <= 1e-14 * scale and drift <= 0.0:
+                return 0.0
+            return x
+        h = min(h, dt - t)
+        x1 = rk4(x, h)
+        x2 = rk4(rk4(x, 0.5 * h), 0.5 * h)
+        err = abs(x2 - x1) / 15.0
+        if err <= tol * max(1.0, abs(x)):
+            t += h
+            x = x2 + (x2 - x1) / 15.0
+            if x <= 0.0:
+                if drift <= rate(tiny):
+                    return 0.0
+                x = 0.0
+            if err < 0.25 * tol * max(1.0, abs(x)):
+                h *= 2.0
+        else:
+            below = [x * 0.5 ** k for k in range(1, 9)] + [tiny]
+            if (x + (dt - t) * f0 <= 0.0
+                    and all(rhs(v) <= f0 for v in below)):
+                return 0.0
+            h *= 0.5
+            if h < 1e-15 * dt:
+                raise FloatingPointError("flow step size underflow")
+    return max(x, 0.0)
+
+
+def _walk_reference(levy, release, cfg, stream):
+    """One path jump by jump on floats, grid values flowed on the way:
+    (times, values, jump sizes), or (grid, values, None) for a grid."""
+    times, sizes = sample_jumps(levy, stream, cfg.horizon)
+    eps = stream.truncation_eps
+    drift = levy.compensator_drift(eps) if levy.activity == "infinite" else 0.0
+    grid = (np.asarray(cfg.record.times) if isinstance(cfg.record, Grid)
+            else np.asarray([cfg.horizon]) if isinstance(cfg.record, Endpoint)
+            else None)
+    x, t_prev, gi = float(cfg.x0), 0.0, 0
+    out_v, ev_t, ev_v = [], [0.0], [x]
+    for tj, sj in zip(times, sizes):
+        while grid is not None and gi < len(grid) and grid[gi] < tj:
+            out_v.append(release.flow(x, grid[gi] - t_prev, drift))
+            gi += 1
+        x = release.flow(x, tj - t_prev, drift) + sj
+        t_prev = tj
+        ev_t.append(tj)
+        ev_v.append(x)
+    if grid is None:
+        return np.asarray(ev_t), np.asarray(ev_v), np.concatenate([[0.0], sizes])
+    out_v += [release.flow(x, g - t_prev, drift) for g in grid[gi:]]
+    return grid, np.asarray(out_v), None
+
+
+def _coupled_reference(levy, release, x, y, cfg, stream, merge_tol):
+    """Two float copies on one jump sequence, b set to a once they merge:
+    (gaps, merge_time)."""
+    times, sizes = sample_jumps(levy, stream, cfg.horizon)
+    eps = stream.truncation_eps
+    drift = levy.compensator_drift(eps) if levy.activity == "infinite" else 0.0
+    grid = np.asarray(cfg.record.times)
+    xa, xb, t_prev, gi = float(x), float(y), 0.0, 0
+    merge_time, rec_a, rec_b = math.inf, [], []
+
+    def advance(xa, xb, dt):
+        xa2 = release.flow(xa, dt, drift)
+        xb2 = xa2 if merge_time < math.inf else release.flow(xb, dt, drift)
+        return xa2, xb2
+
+    def record(g):
+        nonlocal merge_time
+        ga, gb = advance(xa, xb, g - t_prev)
+        rec_a.append(ga)
+        rec_b.append(gb)
+        if merge_time == math.inf and abs(ga - gb) < merge_tol:
+            merge_time = float(g)
+
+    for tj, sj in zip(times, sizes):
+        while gi < len(grid) and grid[gi] < tj:
+            record(grid[gi])
+            gi += 1
+        xa, xb = advance(xa, xb, tj - t_prev)
+        xa += sj
+        xb = xa if merge_time < math.inf else xb + sj
+        t_prev = tj
+        if merge_time == math.inf and abs(xa - xb) < merge_tol:
+            merge_time = float(tj)
+    for g in grid[gi:]:
+        record(g)
+    return np.abs(np.asarray(rec_a) - np.asarray(rec_b)), merge_time
 
 
 class TestSimulatePath:
@@ -181,7 +297,51 @@ class TestCoupled:
                 assert g <= bound(t) + 1e-6
 
 
+    @pytest.mark.parametrize("rel, x, y, grid", [
+        (Constant(2.0), 1.0, 0.0, (0.25, 5.0, 10.0)),
+        (Affine(0.0, 1.0), 5.0, 0.0, (10.0, 20.0, 30.0, 40.0)),
+    ], ids=["constant", "affine"])
+    def test_matches_float_reference(self, rel, x, y, grid):
+        # the gap closes between grid points and is caught at a jump
+        cfg = PathConfig(x, grid[-1], Grid(grid), seed=SEED)
+        stream = JumpStream(SEED, 1e-4).derive(2)
+        _, _, dist = simulate_coupled(CPP, rel, x, y, cfg, stream=stream)
+        gaps, merge_time = _coupled_reference(CPP, rel, x, y, cfg, stream,
+                                              simulator.MERGE_TOL)
+        assert grid[0] < merge_time < grid[-1] and merge_time not in grid
+        assert merge_time in sample_jumps(CPP, stream, grid[-1])[0]
+        assert dist.merge_time == merge_time
+        assert dist.gaps.tolist() == gaps.tolist()
+
+
+PAIRS = {name: (load_preset(name).levy, load_preset(name).release)
+         for name in preset_names()}
+
+
 class TestEnsemble:
+    @pytest.mark.parametrize("name", sorted(PAIRS))
+    def test_matches_walker_reference(self, name):
+        # the keyed draws of each path stepped as lanes against the float
+        # walk of that path; only power-heavy's pair has no closed-form flow
+        levy, rel = PAIRS[name]
+        tol = (dict(rel=0.0, abs=1e-8) if name == "power-heavy"
+               else dict(rel=1e-14, abs=1e-300))
+        base = JumpStream(SEED, 1e-4)
+        for record in (Grid((0.5, 2.0, 3.0, 6.0)), Endpoint(), FullEvents()):
+            cfg = PathConfig(1.5, 6.0, record, seed=SEED)
+            got = simulate_ensemble(levy, rel, cfg, 6)
+            for i in range(6):
+                t, v, sizes = _walk_reference(levy, rel, cfg, base.derive(i))
+                if isinstance(record, FullEvents):
+                    assert (got[i].times == t).all()
+                    assert (got[i].jump_sizes == sizes).all()
+                    assert got[i].values == pytest.approx(v, **tol)
+                elif isinstance(record, Grid):
+                    assert got[i] == pytest.approx(v, **tol)
+                else:
+                    assert got[i] == pytest.approx(v[-1], **tol)
+
+
     def test_single_path_reduces(self):
         cfg = PathConfig(2.0, 5.0, Endpoint(), seed=SEED)
         single = simulate_ensemble(CPP, Constant(2.0), cfg, 1)
@@ -228,7 +388,7 @@ class TestVectorEngines:
                 for x, lane in zip(xs, lanes):
                     one = rel.flow(float(x), float(dt), drift)
                     assert one == pytest.approx(lane, rel=1e-14, abs=1e-300)
-                    ref = _rk_flow(rel.rate, float(x), float(dt), drift)
+                    ref = _scalar_rk_flow(rel.rate, float(x), float(dt), drift)
                     assert lane == pytest.approx(ref, abs=1e-8)
             for s, t in ((0.3, 1.4), (1.7, 9.0)):
                 two_step = rel.flow(rel.flow(xs, s, drift), t, drift)
@@ -238,6 +398,31 @@ class TestVectorEngines:
                 if u < x:
                     t = rel.drain_time(u, float(x))
                     assert rel.flow(float(x), t, 0.0) == pytest.approx(u, rel=1e-8)
+
+    @pytest.mark.parametrize("rel", [
+        Constant(2.0), Affine(0.0, 1.0), Affine(1.0, 2.0),
+        Power(1.0, 2.0), Power(1.0, 1.0), PowerSmoothed(1.0, 0.5),
+        Plateau(2.0, 1.0),
+        pytest.param(Power(1.0, 0.5), id="Power-sublinear"),
+        pytest.param(Power(1.0, -0.9), id="Power-singular"),
+        pytest.param(CUSTOM, id="Custom"),
+    ], ids=lambda r: f"{type(r).__name__}")
+    def test_batched_rk_matches_scalar_reference(self, rel):
+        # every lane of one batched RK call is the float RK on that lane,
+        # and the same lane run alone; Plateau also at drift >= m
+        drifts = (0.0, 0.7, 2.5)
+        if isinstance(rel, Plateau):
+            drifts += (rel.m, 2.0 * rel.m)
+        xs, dts = np.meshgrid([0.0, 0.005, 0.5, 1.0, 4.0, 50.0],
+                              [0.0, 0.3, 1.7, 9.0])
+        for drift in drifts:
+            lanes = _rk_flow(rel.rate, xs, dts, drift)
+            assert lanes.shape == xs.shape
+            for x, dt, lane in zip(xs.ravel(), dts.ravel(), lanes.ravel()):
+                ref = _scalar_rk_flow(rel.rate, float(x), float(dt), drift)
+                assert lane == pytest.approx(ref, rel=1e-15, abs=0.0)
+                alone = _rk_flow(rel.rate, float(x), float(dt), drift)
+                assert isinstance(alone, float) and alone == lane
 
     def test_flow_sticks_at_empty_below_r0(self):
         # 0 < drift <= r(0+): an emptied lane stays empty (a sliding motion)
@@ -256,6 +441,14 @@ class TestVectorEngines:
         # r more singular at 0 than u^-0.5, where RK alone underflows its step
         assert Power(1.0, -0.9).flow(0.5, 1.0, 0.7) == 0.0
         assert Power(1.0, -2.0).flow(0.5, 1.0, 0.7) == 0.0
+        # the same as lanes of one call, next to an empty lane and one that
+        # sticks later
+        lanes = np.array([0.005, 0.0, 0.002])
+        assert (rel.flow(lanes, 0.3, 0.7) == 0.0).all()
+        assert (Power(1.0, -0.5).flow(lanes, 0.3, 0.7) == 0.0).all()
+        lanes = np.array([0.5, 0.0, 0.25])
+        assert (Power(1.0, -0.9).flow(lanes, 1.0, 0.7) == 0.0).all()
+        assert (Power(1.0, -2.0).flow(lanes, 1.0, 0.7) == 0.0).all()
         # a drift above r(0+) still lifts the empty state towards r(x) = drift
         assert Power(1.0, 0.5).flow(0.0, 30.0, 0.7) == pytest.approx(0.49, abs=1e-6)
 
@@ -334,4 +527,18 @@ class TestVectorEngines:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert peak < 100 * 2**20
+
+    def test_simulate_ensemble_memory_bounded(self):
+        # 2e7 jumps across 2000 keyed paths: groups of paths keep the padded
+        # matrices near _SLAB slots
+        cfg = PathConfig(0.0, 100.0, Grid((50.0, 100.0)), seed=SEED)
+        tracemalloc.start()
+        try:
+            vals = simulate_ensemble(CompoundPoisson(100.0, Exponential(1.0)),
+                                     Constant(120.0), cfg, 2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert vals.shape == (2000, 2)
         assert peak < 100 * 2**20
