@@ -221,6 +221,8 @@ def cmd_predict(scen: Scenario, out: Path, args) -> int:
         raise ScenarioError("predict needs a 'phi' block in the scenario")
     cert = build_certificate(scen.levy, scen.release, scen.phi,
                              tuple(scen.grids["probe_u"]))
+    if not cert.valid:
+        raise HypothesisFailed("certificate", "certificate is not valid")
     rows = []
     for t in scen.grids["t_grid"]:
         rows.append((float(t), 1.0 / cert.predicted_tv_rate(float(t)), "tv_bound_shape"))

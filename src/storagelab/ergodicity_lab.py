@@ -159,7 +159,8 @@ def estimate_tail(levy: LevyInput, release: ReleaseRate, method, u_grid,
                   budget: int, seed: int = 0, eps: float = 1e-4,
                   certificate: DriftCertificate | None = None,
                   regime: str | None = None) -> TailEstimate:
-    """Stationary tail pi_bar on a level grid with bootstrap errors.
+    """Stationary tail pi_bar on a strictly increasing level grid, with
+    bootstrap errors.
 
     LongRunTimeAverage integrates exact occupation times of one long path
     (time window = budget * spacing) with a block bootstrap; burn-in
@@ -173,6 +174,8 @@ def estimate_tail(levy: LevyInput, release: ReleaseRate, method, u_grid,
         raise ValueError("budget must provide at least 1e3 effective samples")
     _regime_guard(levy, release, regime)
     u_grid = np.asarray(u_grid, dtype=float)
+    if u_grid.ndim != 1 or u_grid.size == 0 or (np.diff(u_grid) <= 0).any():
+        raise ValueError("u_grid must be a non-empty, strictly increasing array")
     gen = substream(seed, "tail-boot")
 
     if isinstance(method, EnsembleEndpoint):

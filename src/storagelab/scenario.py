@@ -10,6 +10,7 @@ the canonical form it was built from.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .classifier import DEFAULT_DECISION_MARGIN, DEFAULT_PROBE_GRID
@@ -79,6 +80,28 @@ def _coerce(value, typ, context):
             raise ScenarioError(f"{context}: expected an object")
         return value
     raise AssertionError(typ)
+
+
+def _check_grids(grids: dict) -> None:
+    """Each grid is a non-empty list of finite numbers.  probe_u and u_grid
+    are strictly increasing and positive, probe_u with at least 3 points
+    (the criteria's rule); t_grid is sorted and non-negative (the Grid rule).
+    """
+    for name, xs in grids.items():
+        if not xs or any(isinstance(x, bool) or not isinstance(x, (int, float))
+                         or not math.isfinite(x) for x in xs):
+            raise ScenarioError(
+                f"grids.{name}: expected a non-empty list of finite numbers")
+        pairs = list(zip(xs, xs[1:]))
+        if name == "t_grid":
+            if xs[0] < 0 or any(b < a for a, b in pairs):
+                raise ScenarioError(
+                    "grids.t_grid: times must be sorted and non-negative")
+        elif xs[0] <= 0 or any(b <= a for a, b in pairs):
+            raise ScenarioError(
+                f"grids.{name}: levels must be strictly increasing and positive")
+    if len(grids["probe_u"]) < 3:
+        raise ScenarioError("grids.probe_u: needs at least 3 points")
 
 
 def _build_jump(d: dict):
@@ -209,6 +232,7 @@ class Scenario:
             extra = _take(top["grids"], "grids", {},
                           {k: (list, v) for k, v in _DEFAULT_GRIDS.items()})
             grids.update(extra)
+        _check_grids(grids)
         budgets = dict(_DEFAULT_BUDGETS)
         if top["budgets"]:
             budgets.update(_take(top["budgets"], "budgets", {}, {

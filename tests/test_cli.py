@@ -110,6 +110,33 @@ class TestCli:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "criterion"
 
+    @pytest.mark.parametrize("command,preset,override", [
+        ("certify", "constant-mm1", "grids.probe_u=[]"),
+        ("certify", "constant-mm1", "grids.probe_u=[1e4,1e3,1e2]"),
+        ("tail", "constant-mm1", "grids.u_grid=[]"),
+        ("converge-tv", "shotnoise-gamma", "grids.t_grid=[]"),
+        ("predict", "constant-mm1", "grids.t_grid=[-1]"),
+        ("tail", "constant-mm1", "grids.u_grid=[4.0,1.0,2.0]"),
+    ], ids=["probe-empty", "probe-decreasing", "u-empty", "t-empty",
+            "t-negative", "u-unsorted"])
+    def test_malformed_grid_is_usage_error(self, command, preset, override,
+                                           tmp_path, capsys):
+        code = main([command, f"preset:{preset}", "--out", str(tmp_path),
+                     "--set", override])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "usage"
+        assert not any(tmp_path.iterdir())
+
+    def test_predict_refuses_invalid_certificate(self, tmp_path, capsys):
+        # phi = linear(1.5) passes (C3) but has drift margin -1
+        code = main(["predict", "preset:constant-mm1", "--out", str(tmp_path),
+                     "--set", "phi.c=1.5"])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "criterion"
+        assert err["message"] == "certificate is not valid"
+        assert not (tmp_path / "predictions.csv").exists()
+
     def test_override_applies(self, tmp_path):
         out = tmp_path / "o"
         code = main(["classify", "preset:constant-mm1", "--out", str(out),

@@ -111,6 +111,14 @@ class TestEstimateTail:
             estimate_tail(*MM1, LongRunTimeAverage(), np.array([1.0]), 100,
                           seed=SEED, regime="PositiveRecurrent")
 
+    @pytest.mark.parametrize("grid", [[], [4.0, 1.0, 2.0], [1.0, 1.0]],
+                             ids=["empty", "unsorted", "repeated"])
+    def test_level_grid_must_increase(self, grid):
+        # pooling runs in array order, so an unsorted grid would be wrong
+        with pytest.raises(ValueError, match="strictly increasing"):
+            estimate_tail(*MM1, LongRunTimeAverage(), np.array(grid), 20_000,
+                          seed=SEED, regime="PositiveRecurrent")
+
     def test_geweke_burnin_without_certificate(self):
         # no certificate, no explicit burn-in: the doubling heuristic picks
         # one and the estimate still hits the oracle

@@ -6,15 +6,22 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
-from storagelab.classifier import criterion_positive_recurrent
+from storagelab import lyapunov
+from storagelab.classifier import (
+    DEFAULT_PROBE_GRID,
+    criterion_positive_recurrent,
+    limit_estimate,
+)
 from storagelab.errors import (
     C3Violation,
+    Divergent,
     HypothesisFailed,
     InvalidModulus,
     InvalidRateFunction,
 )
 from storagelab.levy_input import (
     CompoundPoisson,
+    DeterministicJumps,
     Exponential,
     GammaSub,
     LevyInput,
@@ -41,11 +48,15 @@ from storagelab.lyapunov import (
     tv_lower_rate,
     wasserstein_rate,
 )
+from storagelab.presets import load_preset, preset_names
 from storagelab.release_rate import Affine, Constant, Power, PowerSmoothed
 
 MM1 = (CompoundPoisson(1.0, Exponential(1.0)), Constant(2.0))
 POWER_SHARP = (CompoundPoisson(1.0, ParetoJumps(1.0)), PowerSmoothed(1.0, 0.5))
 SHARP_CONST = (CompoundPoisson(0.5, ParetoJumps(1.5)), Constant(2.0))
+# the drift ratio diverges at u = 1e5 and 1e6 while (C3) stays finite there
+RATIO_DIVERGES = (CompoundPoisson(1.0, DeterministicJumps(1.0)), Power(1.0, -0.5),
+                  RateFunction.linear(2.5))
 
 
 class TestRateFunction:
@@ -237,6 +248,91 @@ class TestCertificate:
             direct = 1.0 / max(cert.predicted_tv_rate(u),
                                math.exp(cert.log_phi_profile(u)))
             assert cert.predicted_tail_upper(u) == pytest.approx(direct, rel=1e-12)
+
+
+def _two_pass_certificate(levy, release, phi, probe_grid):
+    """Reference: (C3) over [1, inf) at every probe, then every ratio."""
+    for u in probe_grid:
+        try:
+            lyapunov._c3_jump_integral(levy, release, phi, u)
+        except Divergent as exc:
+            raise C3Violation(
+                f"profile jump integral diverges at probe u = {u}") from exc
+    ratios = []
+    for u in probe_grid:
+        try:
+            ratios.append(lyapunov._drift_ratio(levy, release, phi, u))
+        except Divergent:
+            ratios.append(math.inf)
+    return tuple(ratios), 1.0 - limit_estimate(ratios, "limsup")
+
+
+def _phi_preset_cases():
+    cases = {}
+    for name in preset_names():
+        scen = load_preset(name)
+        if scen.phi is not None:
+            cases[name] = (scen.levy, scen.release, scen.phi,
+                           tuple(scen.grids["probe_u"]))
+    return cases
+
+
+_ONE_PASS_CASES = _phi_preset_cases() | {
+    "mm1-c3": (*MM1, RateFunction.linear(2.5), DEFAULT_PROBE_GRID),
+    "sharp-const-c3": (*SHARP_CONST, RateFunction.power(1.0 / 3.0),
+                       DEFAULT_PROBE_GRID),
+    "mm1-invalid": (*MM1, RateFunction.linear(1.5), DEFAULT_PROBE_GRID),
+    "ratio-diverges": (*RATIO_DIVERGES, DEFAULT_PROBE_GRID),
+}
+
+
+class TestOnePassCertificate:
+    def test_seven_presets_have_a_phi(self):
+        assert len(_phi_preset_cases()) == 7
+
+    @pytest.mark.parametrize("case", sorted(_ONE_PASS_CASES))
+    def test_matches_two_pass_reference(self, case):
+        levy, rel, phi, grid = _ONE_PASS_CASES[case]
+        try:
+            want = _two_pass_certificate(levy, rel, phi, grid)
+        except Exception as exc:
+            with pytest.raises(Exception) as got:
+                build_certificate(levy, rel, phi, grid)
+            assert (got.type, str(got.value)) == (type(exc), str(exc))
+            return
+        cert = build_certificate(levy, rel, phi, grid)
+        assert (cert.ratios, cert.drift_margin) == want
+
+    @staticmethod
+    def _count_c3_calls(monkeypatch):
+        calls = []
+        real = lyapunov._c3_jump_integral
+
+        def counted(*args):
+            calls.append(args[-1])
+            return real(*args)
+
+        monkeypatch.setattr(lyapunov, "_c3_jump_integral", counted)
+        return calls
+
+    def test_no_c3_integral_when_every_ratio_is_finite(self, monkeypatch):
+        calls = self._count_c3_calls(monkeypatch)
+        assert build_certificate(*MM1, RateFunction.linear(0.5)).valid
+        assert calls == []
+
+    def test_c3_integral_only_where_the_ratio_diverged(self, monkeypatch):
+        calls = self._count_c3_calls(monkeypatch)
+        cert = build_certificate(*RATIO_DIVERGES)
+        assert calls == [1e5, 1e6]
+        assert cert.ratios[-2:] == (math.inf, math.inf)
+        assert all(math.isfinite(r) for r in cert.ratios[:-2])
+        assert cert.drift_margin == -math.inf and not cert.valid
+
+    def test_c3_violation_still_raised(self, monkeypatch):
+        calls = self._count_c3_calls(monkeypatch)
+        with pytest.raises(C3Violation):
+            build_certificate(*MM1, RateFunction.linear(2.5))
+        assert len(calls) >= 1
 
 
 class TestUniform:
