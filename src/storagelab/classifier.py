@@ -29,7 +29,7 @@ __all__ = [
     "DEFAULT_PROBE_GRID", "DEFAULT_DECISION_MARGIN", "limit_estimate",
     "RegimeReport", "CriterionResult",
     "criterion_bounded_drift", "criterion_heavy_tail",
-    "criterion_positive_recurrent", "classify",
+    "criterion_positive_recurrent", "classify", "drain_time_from_infinity",
 ]
 
 DEFAULT_PROBE_GRID = (1e2, 1e3, 1e4, 1e5, 1e6)
@@ -133,10 +133,19 @@ def _plateau_matches_mean(levy, release) -> bool:
     return math.isclose(release.m, m_nu, rel_tol=1e-9)
 
 
-def _uniform_flag(levy, release, pos_rec_ok: bool) -> bool:
-    if not pos_rec_ok:
-        return False
-    return math.isfinite(float(release.drain_time(1.0, math.inf)))
+def drain_time_from_infinity(release: ReleaseRate) -> float:
+    """int_1^inf du / r(u), +inf where the integral diverges; a positive
+    recurrent model is uniformly ergodic exactly when it is finite."""
+    try:
+        return float(release.drain_time(1.0, math.inf))
+    except Divergent:
+        return math.inf
+
+
+def _positive_recurrent(release, method, evidence, margin) -> RegimeReport:
+    uniform = math.isfinite(drain_time_from_infinity(release))
+    return RegimeReport("PositiveRecurrent", "criterion", method, evidence,
+                        uniform, margin)
 
 
 def _symbolic_available(levy, release) -> bool:
@@ -161,27 +170,21 @@ def _classify_symbolic(levy, release, margin) -> RegimeReport | None:
     if ra.kind == "bounded":
         # bounded drain exceeding the mean input drains any finite load
         if math.isfinite(m_nu) and m_nu < limsup_r:
-            uni = _uniform_flag(levy, release, True)
-            return RegimeReport("PositiveRecurrent", "criterion", "Symbolic",
-                                evidence, uni, margin)
+            return _positive_recurrent(release, "Symbolic", evidence, margin)
         return RegimeReport("Inconclusive", "boundary", "Symbolic",
                             evidence, False, margin)
     beta = ra.exponent
     if beta <= 0:
         return None  # decreasing drains have no exponent shortcut
     if ia.kind == "exp":
-        uni = _uniform_flag(levy, release, True)
-        return RegimeReport("PositiveRecurrent", "criterion", "Symbolic",
-                            evidence, uni, margin)
+        return _positive_recurrent(release, "Symbolic", evidence, margin)
     alpha = ia.index
     s = alpha + beta
     if s < 1.0:
         return RegimeReport("Transient", "HeavyTailCriterion", "Symbolic",
                             evidence, False, margin)
     if s > 1.0:
-        uni = _uniform_flag(levy, release, True)
-        return RegimeReport("PositiveRecurrent", "criterion", "Symbolic",
-                            evidence, uni, margin)
+        return _positive_recurrent(release, "Symbolic", evidence, margin)
     return RegimeReport("Inconclusive", "boundary", "Symbolic",
                         evidence, False, margin)
 
@@ -222,8 +225,6 @@ def classify(levy: LevyInput, release: ReleaseRate,
     pr = criterion_positive_recurrent(levy, release, probe_grid, margin)
     evidence["positive_recurrent"] = pr
     if pr.satisfied:
-        uni = _uniform_flag(levy, release, True)
-        return RegimeReport("PositiveRecurrent", "criterion", "Numeric",
-                            evidence, uni, margin)
+        return _positive_recurrent(release, "Numeric", evidence, margin)
     return RegimeReport("Inconclusive", "criterion", "Numeric",
                         evidence, False, margin)

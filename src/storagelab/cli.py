@@ -5,6 +5,8 @@ artifacts under ``--out`` (default ``./out/<scenario>/<command>/``,
 overridable by the STORAGELAB_OUT environment variable), and exit 0 on
 success, 2 when a hypothesis or criterion check fails, 1 on usage errors.
 Every error is also emitted as a structured JSON object on stderr.
+certify and predict need the scenario's drift certificate; tail,
+converge-tv, compare and report use it only where it can be built.
 """
 
 from __future__ import annotations
@@ -91,8 +93,19 @@ def _json_default(obj):
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if dataclasses.is_dataclass(obj):
-        return {k: v for k, v in dataclasses.asdict(obj).items()}
+        return dataclasses.asdict(obj)
     return str(obj)
+
+
+def _write_curve(path: Path, x_name: str, xs, estimates, stderr,
+                 reference=None) -> None:
+    """(x, estimate, stderr, reference) rows; with no reference its column
+    stays empty."""
+    if reference is None:
+        reference = [math.nan] * len(xs)
+    write_csv(path, [x_name, "estimate", "stderr", "reference"],
+              [tuple(map(float, row))
+               for row in zip(xs, estimates, stderr, reference)])
 
 
 def _resolve_scenario(spec: str, overrides: list[str]) -> Scenario:
@@ -147,8 +160,7 @@ def cmd_classify(scen: Scenario, out: Path, args) -> int:
         "uniform": rep.uniform,
         "decision_margin": rep.decision_margin,
         "regularity": dataclasses.asdict(reg),
-        "evidence": {k: _json_default(v) if dataclasses.is_dataclass(v) else v
-                     for k, v in rep.evidence.items()},
+        "evidence": rep.evidence,
     }
     write_json(out / "classify.json", payload)
     print(f"{scen.name}: {rep.verdict} (method={rep.method}, uniform={rep.uniform})")
@@ -234,7 +246,8 @@ def cmd_predict(scen: Scenario, out: Path, args) -> int:
 
 
 def cmd_simulate(scen: Scenario, out: Path, args) -> int:
-    n = min(scen.budgets["n_paths"], args.paths or scen.budgets["n_paths"])
+    n = scen.budgets["n_paths"]
+    n = n if args.paths is None else min(n, args.paths)
     if n < 1:
         raise ScenarioError("simulate needs at least one path")
     horizon = scen.budgets["horizon"]
@@ -272,14 +285,20 @@ def _tail_oracle(scen: Scenario):
     return oracle
 
 
+def _context_certificate(scen: Scenario):
+    """The scenario's drift certificate for the commands that only use it as
+    context (burn-in, reference horizon and column, rate label); None when
+    the scenario has no phi or the certificate cannot be built."""
+    if scen.phi is None:
+        return None
+    try:
+        return build_certificate(scen.levy, scen.release, scen.phi,
+                                 tuple(scen.grids["probe_u"]))
+    except _CRITERION_ERRORS:
+        return None
+
+
 def cmd_tail(scen: Scenario, out: Path, args) -> int:
-    cert = None
-    if scen.phi is not None:
-        try:
-            cert = build_certificate(scen.levy, scen.release, scen.phi,
-                                     tuple(scen.grids["probe_u"]))
-        except _CRITERION_ERRORS:
-            cert = None
     choice = args.method
     if choice == "auto":
         # the exact occupation engine needs drift-free inter-jump motion
@@ -289,38 +308,34 @@ def cmd_tail(scen: Scenario, out: Path, args) -> int:
     est = estimate_tail(scen.levy, scen.release, method,
                         np.asarray(scen.grids["u_grid"]),
                         scen.budgets["n_paths"], seed=scen.seed,
-                        eps=scen.truncation_eps, certificate=cert)
+                        eps=scen.truncation_eps,
+                        certificate=_context_certificate(scen))
     oracle = _tail_oracle(scen)
-    rows = []
-    for u, p, s in zip(est.levels, est.pi_bar_hat, est.stderr):
-        ref = oracle(float(u)) if oracle else math.nan
-        rows.append((float(u), float(p), float(s), ref))
-    write_csv(out / "tail.csv", ["u", "estimate", "stderr", "reference"], rows)
-    print(f"{scen.name}: tail estimated at {len(rows)} levels ({est.method})")
+    _write_curve(out / "tail.csv", "u", est.levels, est.pi_bar_hat, est.stderr,
+                 [oracle(float(u)) for u in est.levels] if oracle else None)
+    print(f"{scen.name}: tail estimated at {est.levels.size} levels ({est.method})")
     return 0
 
 
 def _tv_curve(scen: Scenario, x0: float):
-    cert = None
-    if scen.phi is not None:
-        cert = build_certificate(scen.levy, scen.release, scen.phi,
-                                 tuple(scen.grids["probe_u"]))
-    return estimate_tv_decay(scen.levy, scen.release, x0,
-                             np.asarray(scen.grids["t_grid"]),
-                             scen.budgets["n_paths"], seed=scen.seed,
-                             eps=scen.truncation_eps, certificate=cert), cert
+    """The TV curve with its exponent fit, or NoiseFloorReached."""
+    cert = _context_certificate(scen)
+    curve = estimate_tv_decay(scen.levy, scen.release, x0,
+                              np.asarray(scen.grids["t_grid"]),
+                              scen.budgets["n_paths"], seed=scen.seed,
+                              eps=scen.truncation_eps, certificate=cert)
+    if curve.fitted is None:
+        raise NoiseFloorReached(
+            "no usable TV points above the noise floor past the grid midpoint")
+    return curve, cert
 
 
 def cmd_converge_tv(scen: Scenario, out: Path, args) -> int:
     curve, cert = _tv_curve(scen, args.x0)
-    rows = []
-    for t, v, s in zip(curve.times, curve.values, curve.stderr):
-        ref = (1.0 / cert.predicted_tv_rate(float(t))
-               if cert is not None and cert.valid else math.nan)
-        rows.append((float(t), float(v), float(s), ref))
-    write_csv(out / "tv.csv", ["t", "estimate", "stderr", "reference"], rows)
-    exp = curve.fitted.exponent if curve.fitted else math.nan
-    print(f"{scen.name}: TV curve fitted exponent {exp:.3f} "
+    _write_curve(out / "tv.csv", "t", curve.times, curve.values, curve.stderr,
+                 [1.0 / cert.predicted_tv_rate(float(t)) for t in curve.times]
+                 if cert is not None and cert.valid else None)
+    print(f"{scen.name}: TV curve fitted exponent {curve.fitted.exponent:.3f} "
           f"(noise floor {curve.noise_floor:.3f})")
     return 0
 
@@ -334,13 +349,9 @@ def cmd_converge_wp(scen: Scenario, out: Path, args) -> int:
                               np.asarray(scen.grids["t_grid"]),
                               scen.budgets["n_paths"], seed=scen.seed,
                               eps=scen.truncation_eps, contraction=bound)
-    rows = []
-    for j, (t, v, s) in enumerate(zip(curve.times, curve.values, curve.stderr)):
-        ref = (float(curve.reference_curve[j])
-               if curve.reference_curve is not None else math.nan)
-        rows.append((float(t), float(v), float(s), ref))
-    write_csv(out / "wp.csv", ["t", "estimate", "stderr", "reference"], rows)
-    print(f"{scen.name}: W{args.p:g} curve estimated at {len(rows)} times")
+    _write_curve(out / "wp.csv", "t", curve.times, curve.values, curve.stderr,
+                 curve.reference_curve)
+    print(f"{scen.name}: W{args.p:g} curve estimated at {curve.times.size} times")
     return 0
 
 
@@ -369,12 +380,8 @@ def _row_labels(scen: Scenario) -> dict:
         return labels
     if rep.uniform:
         labels["rate"] = "uniform"
-    elif scen.phi is not None:
-        try:
-            cert = build_certificate(scen.levy, scen.release, scen.phi,
-                                     tuple(scen.grids["probe_u"]))
-        except _CRITERION_ERRORS:
-            cert = None
+    else:
+        cert = _context_certificate(scen)
         if cert is not None and cert.valid:
             labels["rate"] = ("exponential" if scen.phi.family == "linear"
                               else "polynomial")

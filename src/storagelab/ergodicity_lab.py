@@ -17,12 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifier import classify
-from .errors import (
-    Divergent,
-    MomentConditionFailed,
-    NoiseFloorReached,
-    NotStationaryRegime,
-)
+from .errors import Divergent, MomentConditionFailed, NotStationaryRegime
 from .levy_input import JumpStream, LevyInput
 from .lyapunov import DriftCertificate, GapBound, LowerRateCurve
 from .numerics import FitResult, fit_loglog, integrate_semiinfinite, invert_monotone
@@ -66,7 +61,6 @@ class DecayCurve:
     fitted: FitResult | None
     noise_floor: float
     fit_mask: np.ndarray
-    reference_exponent: float | None = None
     reference_curve: np.ndarray | None = None
 
 
@@ -262,7 +256,7 @@ def estimate_tv_decay(levy: LevyInput, release: ReleaseRate, x0: float,
     bins; the reported TV is a lower bound on the true total variation up
     to binning bias.  Points below twice the noise floor
     sqrt(bins / n_paths) and before the grid midpoint are excluded from the
-    exponent fit; with no usable points the fit raises NoiseFloorReached.
+    exponent fit; with fewer than two usable points ``fitted`` is None.
     """
     _regime_guard(levy, release, regime)
     t_grid = np.asarray(t_grid, dtype=float)
@@ -284,19 +278,8 @@ def estimate_tv_decay(levy: LevyInput, release: ReleaseRate, x0: float,
         se[j] = (0.5 * np.abs(bt - br).sum(axis=1)).std(ddof=1)
     floor = math.sqrt(len(p_ref) / n_paths)
     mask = (np.arange(t_grid.size) >= t_grid.size // 2) & (values > 2.0 * floor)
-    fitted = None
-    if mask.sum() >= 2:
-        fitted = fit_loglog(t_grid[mask], values[mask])
-    ref_exp = _certificate_decay_exponent(certificate)
-    curve = DecayCurve(t_grid, "TV", values, se, fitted, floor, mask,
-                       reference_exponent=ref_exp)
-    if fitted is None:
-        # the raw curve still matters (ordering checks); carry it along
-        err = NoiseFloorReached(
-            "no usable TV points above the noise floor past the grid midpoint")
-        err.curve = curve
-        raise err
-    return curve
+    fitted = fit_loglog(t_grid[mask], values[mask]) if mask.sum() >= 2 else None
+    return DecayCurve(t_grid, "TV", values, se, fitted, floor, mask)
 
 
 def _certificate_decay_exponent(cert: DriftCertificate | None) -> float | None:

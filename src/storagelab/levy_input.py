@@ -645,9 +645,8 @@ def laplace_check(levy: LevyInput, t: float, lambdas, n_paths: int,
     counts = gen.poisson(lam_rate * t, n_paths)
     total = int(counts.sum())
     sizes = levy.sample_sizes(gen, total, eps) if total else np.empty(0)
-    bounds = np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(np.int64)
-    sums = np.add.reduceat(sizes, bounds) if total else np.zeros(n_paths)
-    sums[counts == 0] = 0.0
+    sums = np.bincount(np.repeat(np.arange(n_paths), counts), weights=sizes,
+                       minlength=n_paths)
     drift = levy.compensator_drift(eps)
     a = sums + drift * t
     out = []

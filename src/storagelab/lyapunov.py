@@ -29,6 +29,7 @@ from .classifier import (
     DEFAULT_PROBE_GRID,
     CriterionResult,
     criterion_positive_recurrent,
+    drain_time_from_infinity,
     limit_estimate,
 )
 from .errors import (
@@ -337,7 +338,7 @@ def check_uniform(levy: LevyInput, release: ReleaseRate,
                   margin: float = DEFAULT_DECISION_MARGIN) -> UniformReport:
     """Uniform ergodicity: finite int_1^inf du/r(u) plus the ergodicity
     criterion."""
-    ti = float(release.drain_time(1.0, math.inf))
+    ti = drain_time_from_infinity(release)
     finite = math.isfinite(ti)
     pr = criterion_positive_recurrent(levy, release, probe_grid, margin)
     return UniformReport(ti, finite, pr, bool(finite and pr.satisfied))
@@ -591,14 +592,17 @@ def tv_lower_rate(levy: LevyInput, release: ReleaseRate, eps: float = 0.1,
     c = max(max(drift_vals), 1e-6)
 
     def log_L(w: float) -> float:
-        return math.log(float(envelope.fn(math.exp(w))))
+        # an envelope that underflowed to 0 logs as -inf and fails F-monotone
+        value = float(envelope.fn(math.exp(w)))
+        return math.log(value) if value > 0.0 else -math.inf
 
     def log_F(y: float) -> float:
         return y + log_L(y / a_h)
 
     ys = np.linspace(0.0, 600.0, 121)
     lf = np.array([log_F(y) for y in ys])
-    if (np.diff(lf) <= 0).any() or lf[-1] <= lf[0] + 1.0:
+    if (not np.isfinite(lf).all() or (np.diff(lf) <= 0).any()
+            or lf[-1] <= lf[0] + 1.0):
         raise HypothesisFailed("F-monotone", "u L(h^{-1}(u)) is not increasing to infinity")
 
     def curve(t: float) -> float:

@@ -239,6 +239,10 @@ class Scenario:
                 "n_paths": (int, _DEFAULT_BUDGETS["n_paths"]),
                 "horizon": (float, _DEFAULT_BUDGETS["horizon"]),
             }))
+        if budgets["n_paths"] < 1:
+            raise ScenarioError("budgets.n_paths: needs at least one path")
+        if not (math.isfinite(budgets["horizon"]) and budgets["horizon"] > 0):
+            raise ScenarioError("budgets.horizon: expected a finite positive time")
         tolerances = dict(_DEFAULT_TOLERANCES)
         if top["tolerances"]:
             tolerances.update(_take(top["tolerances"], "tolerances", {}, {

@@ -31,7 +31,6 @@ from storagelab.ergodicity_lab import (
     w1_cdf_area,
     wasserstein_1d,
 )
-from storagelab.errors import NoiseFloorReached
 from storagelab.levy_input import (
     CompoundPoisson,
     Exponential,
@@ -188,11 +187,8 @@ def test_criterion_6_tv_rates():
     t_grid = np.geomspace(2.0, 120.0, 16)
 
     def curve_for(pair, seed):
-        try:
-            return estimate_tv_decay(*pair, 0.0, t_grid, 30_000, seed=seed,
-                                     regime="PositiveRecurrent")
-        except NoiseFloorReached as exc:
-            return exc.curve
+        return estimate_tv_decay(*pair, 0.0, t_grid, 30_000, seed=seed,
+                                 regime="PositiveRecurrent")
 
     c10 = curve_for(POWER_SHARP, SEED)
     c15 = curve_for(POWER_SHARP_FAST, SEED + 7)

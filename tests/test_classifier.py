@@ -21,9 +21,11 @@ from storagelab.levy_input import (
 from storagelab.release_rate import (
     Affine,
     Constant,
+    Custom,
     Plateau,
     Power,
     PowerSmoothed,
+    RateAsymptotics,
 )
 
 
@@ -127,6 +129,18 @@ class TestClassify:
     def test_uniform_flag_superlinear(self):
         inp, rel = power_pair(1.0, 2.0)
         rep = classify(inp, rel)
+        assert rep.verdict == "PositiveRecurrent"
+        assert rep.uniform
+
+    def test_uniform_flag_divergent_drain_time(self):
+        # int_1^inf du / (2 + u) diverges: positive recurrent, not uniform
+        inp = CompoundPoisson(1.0, Exponential(1.0))
+        rep = classify(inp, Custom(lambda u: 2.0 + u,
+                                   RateAsymptotics("power", 1.0, 1.0)))
+        assert rep.verdict == "PositiveRecurrent"
+        assert not rep.uniform
+        rep = classify(inp, Custom(lambda u: 1.0 + u * u,
+                                   RateAsymptotics("power", 2.0, 1.0)))
         assert rep.verdict == "PositiveRecurrent"
         assert rep.uniform
 

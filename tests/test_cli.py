@@ -117,8 +117,12 @@ class TestCli:
         ("converge-tv", "shotnoise-gamma", "grids.t_grid=[]"),
         ("predict", "constant-mm1", "grids.t_grid=[-1]"),
         ("tail", "constant-mm1", "grids.u_grid=[4.0,1.0,2.0]"),
+        ("simulate", "constant-mm1", "budgets.horizon=-1"),
+        ("tail", "constant-mm1", "budgets.n_paths=-3"),
+        ("predict", "constant-mm1", "budgets.horizon=-1"),
     ], ids=["probe-empty", "probe-decreasing", "u-empty", "t-empty",
-            "t-negative", "u-unsorted"])
+            "t-negative", "u-unsorted", "horizon-negative", "paths-negative",
+            "predict-horizon-negative"])
     def test_malformed_grid_is_usage_error(self, command, preset, override,
                                            tmp_path, capsys):
         code = main([command, f"preset:{preset}", "--out", str(tmp_path),
@@ -187,6 +191,42 @@ class TestCli:
         assert main(["simulate", "preset:constant-mm1", "--paths", "-3",
                      "--out", str(tmp_path / "neg")]) == 1
         assert "at least one path" in capsys.readouterr().err
+        # --paths 0 is not "the full budget"
+        assert main(["simulate", "preset:shotnoise-gamma", "--paths", "0",
+                     "--set", "budgets.n_paths=3",
+                     "--out", str(tmp_path / "zero")]) == 1
+        assert "at least one path" in capsys.readouterr().err
+        assert not (tmp_path / "zero").exists()
+
+    def test_context_certificate_failure_reads_as_no_phi(self, tmp_path):
+        # phi = linear(2.0) violates (C3) on constant-mm1's pair; the TV
+        # commands then run as if the scenario had no phi block
+        overrides = ["--x0", "20", "--set", "budgets.n_paths=2000",
+                     "--set", "grids.t_grid=[1,2,3,4,5,6,8,10]"]
+        results = {}
+        for tag, scen in (("lin2", dict(MINIMAL, phi={"family": "linear",
+                                                      "c": 2.0})),
+                          ("nophi", MINIMAL)):
+            path = tmp_path / f"{tag}.json"
+            path.write_text(json.dumps(scen))
+            for command in ("converge-tv", "compare"):
+                out = tmp_path / tag / command
+                code = main([command, str(path), "--out", str(out)] + overrides)
+                files = {f.name: f.read_bytes() for f in out.iterdir()}
+                results.setdefault(tag, []).append((code, files))
+        assert results["lin2"] == results["nophi"]
+        assert [code for code, _ in results["lin2"]] == [0, 0]
+
+    def test_compare_without_lower_bound(self, tmp_path):
+        # the exponential-tail lower envelope underflows, so tv_lower_rate
+        # fails F-monotone and compare reports no lower exponent
+        out = tmp_path / "cmp"
+        code = main(["compare", "preset:constant-mm1", "--x0", "20",
+                     "--out", str(out), "--set", "budgets.n_paths=2000",
+                     "--set", "grids.t_grid=[1,2,3,4,5,6,8,10]"])
+        payload = json.loads((out / "compare.json").read_text())
+        assert payload["predicted_lower"] is None
+        assert code == (0 if payload["verdict"] == "PASS" else 2)
 
     def test_laplace_command(self, tmp_path):
         out = tmp_path / "lp"

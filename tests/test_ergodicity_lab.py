@@ -16,11 +16,7 @@ import numpy as np
 import pytest
 
 from storagelab import ergodicity_lab
-from storagelab.errors import (
-    MomentConditionFailed,
-    NoiseFloorReached,
-    NotStationaryRegime,
-)
+from storagelab.errors import MomentConditionFailed, NotStationaryRegime
 from storagelab.ergodicity_lab import (
     EnsembleEndpoint,
     LongRunTimeAverage,
@@ -145,12 +141,18 @@ class TestTvDecay:
         # equal-mass histograms saturate at 1 - 1/bins, so the 0.99 check
         # needs at least 128 bins to be reachable at all
         t_grid = np.array([0.05, 0.1, 0.2, 0.4])
-        try:
-            curve = estimate_tv_decay(*MM1, 1000.0, t_grid, 4_000, seed=SEED,
-                                      bins=128, regime="PositiveRecurrent")
-        except NoiseFloorReached as exc:
-            curve = exc.curve
+        curve = estimate_tv_decay(*MM1, 1000.0, t_grid, 4_000, seed=SEED,
+                                  bins=128, regime="PositiveRecurrent")
         assert (curve.values >= 0.99).all()
+
+    def test_noise_floor_returns_curve_without_fit(self):
+        # a stationary start stays within the noise floor: no fit, no raise
+        t_grid = np.array([10.0, 20.0, 30.0, 40.0])
+        curve = estimate_tv_decay(*MM1, 0.0, t_grid, 1_000, seed=SEED,
+                                  regime="PositiveRecurrent")
+        assert curve.fitted is None
+        assert not curve.fit_mask.any()
+        assert (curve.values <= 2.0 * curve.noise_floor).all()
 
     def test_power_sharp_exponent(self):
         levy, rel = CompoundPoisson(1.0, ParetoJumps(1.0)), PowerSmoothed(1.0, 0.5)
@@ -170,11 +172,8 @@ class TestTvDecay:
         tail_fit = fit_loglog(est.levels, est.pi_bar_hat)
         assert abs(tail_fit.exponent - (-0.5)) <= 0.3, tail_fit.exponent
         t_grid = np.geomspace(2.0, 200.0, 16)
-        try:
-            curve = estimate_tv_decay(*sc, 0.0, t_grid, 30_000, seed=SEED,
-                                      regime="PositiveRecurrent")
-        except NoiseFloorReached as exc:
-            curve = exc.curve
+        curve = estimate_tv_decay(*sc, 0.0, t_grid, 30_000, seed=SEED,
+                                  regime="PositiveRecurrent")
         assert curve.fitted is not None
         assert abs(curve.fitted.exponent - (-0.5)) <= 0.3, curve.fitted.exponent
 
@@ -183,12 +182,8 @@ class TestTvDecay:
         t_grid = np.array([0.25, 0.5, 1.0, 2.0, 4.0, 8.0])
         vals = {}
         for x0 in (2.0, 20.0):
-            try:
-                c = estimate_tv_decay(*MM1, x0, t_grid, 8_000, seed=SEED,
-                                      regime="PositiveRecurrent")
-            except NoiseFloorReached as exc:
-                c = exc.curve
-            vals[x0] = c
+            vals[x0] = estimate_tv_decay(*MM1, x0, t_grid, 8_000, seed=SEED,
+                                         regime="PositiveRecurrent")
         big, small = vals[20.0], vals[2.0]
         joint = np.sqrt(big.stderr ** 2 + small.stderr ** 2)
         assert (big.values[:3] >= small.values[:3] - 2 * joint[:3]).all()
@@ -296,11 +291,8 @@ class TestCompareRates:
         levy, rel = MM1
         cert = build_certificate(levy, rel, RateFunction.linear(0.5))
         t_grid = np.linspace(1.0, 14.0, 14)
-        try:
-            curve = estimate_tv_decay(levy, rel, 30.0, t_grid, 8_000, seed=SEED,
-                                      certificate=cert, regime="PositiveRecurrent")
-        except NoiseFloorReached as exc:
-            curve = exc.curve
+        curve = estimate_tv_decay(levy, rel, 30.0, t_grid, 8_000, seed=SEED,
+                                  certificate=cert, regime="PositiveRecurrent")
         if curve.fitted is not None:
             rep = compare_rates(curve, certificate=cert)
             assert rep.predicted_upper == -math.inf

@@ -235,6 +235,13 @@ class TestLaplaceCheck:
         assert rows[0]["analytic"] == pytest.approx(0.5, rel=1e-12)
         assert abs(rows[0]["z"]) <= 3.5
 
+    def test_last_path_without_jumps(self):
+        # at rate 0.01 most paths, the last one included, draw no jump
+        inp = CompoundPoisson(0.01, Exponential(1.0))
+        rows = laplace_check(inp, 1.0, [1.0], 1000, JumpStream(3))
+        assert rows[0]["analytic"] == pytest.approx(math.exp(-0.005), rel=1e-12)
+        assert abs(rows[0]["z"]) <= 4.0
+
     @pytest.mark.parametrize("inp", PRESETS, ids=lambda i: type(i).__name__)
     def test_presets_z_bounded(self, inp):
         rows = laplace_check(inp, 1.0, [0.5, 1.0, 2.0], 100_000, JumpStream(SEED))

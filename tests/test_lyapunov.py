@@ -49,7 +49,14 @@ from storagelab.lyapunov import (
     wasserstein_rate,
 )
 from storagelab.presets import load_preset, preset_names
-from storagelab.release_rate import Affine, Constant, Power, PowerSmoothed
+from storagelab.release_rate import (
+    Affine,
+    Constant,
+    Custom,
+    Power,
+    PowerSmoothed,
+    RateAsymptotics,
+)
 
 MM1 = (CompoundPoisson(1.0, Exponential(1.0)), Constant(2.0))
 POWER_SHARP = (CompoundPoisson(1.0, ParetoJumps(1.0)), PowerSmoothed(1.0, 0.5))
@@ -351,6 +358,16 @@ class TestUniform:
         levy, rel = MM1
         assert not check_uniform(levy, rel).uniform
 
+    def test_divergent_drain_time_not_uniform(self):
+        # int_1^inf du / (2 + u) diverges: not uniform, and no Divergent
+        levy = CompoundPoisson(1.0, Exponential(1.0))
+        rel = Custom(lambda u: 2.0 + u, RateAsymptotics("power", 1.0, 1.0))
+        rep = check_uniform(levy, rel)
+        assert rep.pos_rec.satisfied and not rep.uniform
+        assert rep.time_integral == math.inf
+        rel = Custom(lambda u: 1.0 + u * u, RateAsymptotics("power", 2.0, 1.0))
+        assert check_uniform(levy, rel).uniform
+
 
 @dataclass(frozen=True)
 class _GaussianTailInput(LevyInput):
@@ -451,6 +468,12 @@ class TestTvLowerRate:
         with pytest.raises(HypothesisFailed) as exc:
             tv_lower_rate(levy, rel, eps=0.1, a_h=1.2, x=1.0)
         assert exc.value.condition == "moment-drift"
+
+    def test_underflowed_envelope_fails_f_monotone(self):
+        # an exponential-tail envelope underflows to 0 on the log grid
+        with pytest.raises(HypothesisFailed) as exc:
+            tv_lower_rate(*MM1)
+        assert exc.value.condition == "F-monotone"
 
     def test_monotone_curve(self):
         levy, rel = SHARP_CONST
