@@ -34,6 +34,7 @@ from .errors import (
     NotStationaryRegime,
 )
 from .ergodicity_lab import (
+    _MIN_TAIL_SAMPLES,
     EnsembleEndpoint,
     LongRunTimeAverage,
     compare_rates,
@@ -299,6 +300,9 @@ def _context_certificate(scen: Scenario):
 
 
 def cmd_tail(scen: Scenario, out: Path, args) -> int:
+    if scen.budgets["n_paths"] < _MIN_TAIL_SAMPLES:
+        raise ScenarioError(f"budgets.n_paths: tail needs at least "
+                            f"{_MIN_TAIL_SAMPLES} paths")
     choice = args.method
     if choice == "auto":
         # the exact occupation engine needs drift-free inter-jump motion

@@ -149,6 +149,10 @@ def _geweke_stationary(series: np.ndarray, z_max: float = 2.0) -> bool:
     return abs(a.mean() - b.mean()) / math.sqrt(var) <= z_max
 
 
+# fewest effective samples a tail estimate accepts as its budget
+_MIN_TAIL_SAMPLES = 1000
+
+
 def estimate_tail(levy: LevyInput, release: ReleaseRate, method, u_grid,
                   budget: int, seed: int = 0, eps: float = 1e-4,
                   certificate: DriftCertificate | None = None,
@@ -164,8 +168,9 @@ def estimate_tail(levy: LevyInput, release: ReleaseRate, method, u_grid,
     rate exceeds 100.  Estimates are isotonically corrected to be
     non-increasing in the level.
     """
-    if budget < 1000:
-        raise ValueError("budget must provide at least 1e3 effective samples")
+    if budget < _MIN_TAIL_SAMPLES:
+        raise ValueError(f"budget must provide at least {_MIN_TAIL_SAMPLES} "
+                         "effective samples")
     _regime_guard(levy, release, regime)
     u_grid = np.asarray(u_grid, dtype=float)
     if u_grid.ndim != 1 or u_grid.size == 0 or (np.diff(u_grid) <= 0).any():

@@ -6,6 +6,9 @@ activity families are simulated by keeping jumps above a truncation level
 ``eps`` exactly and replacing the discarded small jumps by their mean drift
 int_0^eps u nu(du); the induced bias is controlled by the discarded second
 moment int_0^eps u^2 nu(du), which every family reports.
+
+``scipy.special`` is imported inside the gamma, stable and tempered-stable
+closed forms that use it, so importing the package does not load scipy.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
 
 from .errors import Divergent, OutOfGrid
 from .numerics import integrate_semiinfinite
@@ -259,10 +261,12 @@ class GammaSub(LevyInput):
             raise ValueError("shape and rate must be positive")
 
     def tail(self, u):
+        from scipy import special
         u = np.asarray(u, dtype=float)
         return self.shape * special.exp1(self.rate_ * u)
 
     def log_tail(self, u):
+        from scipy import special
         u = np.asarray(u, dtype=float)
         x = self.rate_ * u
         # exp1(x) ~ e^{-x}/x (1 - 1/x) for large x, beyond float range of exp1
@@ -285,6 +289,7 @@ class GammaSub(LevyInput):
         return TailAsymptotics("exp", self.rate_)
 
     def restricted_rate(self, eps):
+        from scipy import special
         return float(self.shape * special.exp1(self.rate_ * eps))
 
     def sample_sizes(self, gen, n, eps):
@@ -302,6 +307,7 @@ class GammaSub(LevyInput):
 @lru_cache(maxsize=64)
 def _gamma_quantile_table(shape: float, rate: float, eps: float, n: int = 4096):
     """Inverse of the normalised restricted tail E1(rate*u)/E1(rate*eps)."""
+    from scipy import special
     e_eps = special.exp1(rate * eps)
     # march out until the conditional tail is numerically exhausted
     hi = eps
@@ -346,6 +352,7 @@ class StableSub(LevyInput):
         return math.inf
 
     def laplace_exponent(self, lam):
+        from scipy import special
         if lam == 0.0:
             return 0.0
         return -self.scale * special.gamma(1.0 - self.alpha) * lam ** self.alpha
@@ -383,6 +390,7 @@ class TemperedStableSub(LevyInput):
             raise ValueError("scale and tempering must be positive")
 
     def tail(self, u):
+        from scipy import special
         u = np.asarray(u, dtype=float)
         x = self.tempering * np.maximum(u, 1e-300)
         upper = special.gammaincc(1.0 - self.alpha, x) * special.gamma(1.0 - self.alpha)
@@ -406,10 +414,12 @@ class TemperedStableSub(LevyInput):
                 * np.exp(-self.tempering * u))
 
     def first_moment(self):
+        from scipy import special
         return (self.scale * self.alpha * special.gamma(1.0 - self.alpha)
                 * self.tempering ** (self.alpha - 1.0))
 
     def laplace_exponent(self, lam):
+        from scipy import special
         if lam == 0.0:
             return 0.0
         c = self.tempering
@@ -432,11 +442,13 @@ class TemperedStableSub(LevyInput):
         return np.where(keep, j, 0.0)
 
     def compensator_drift(self, eps):
+        from scipy import special
         a, c = self.alpha, self.tempering
         lower = special.gammainc(1.0 - a, c * eps) * special.gamma(1.0 - a)
         return self.scale * a * c ** (a - 1.0) * lower
 
     def small_jump_msq(self, eps):
+        from scipy import special
         a, c = self.alpha, self.tempering
         lower = special.gammainc(2.0 - a, c * eps) * special.gamma(2.0 - a)
         return self.scale * a * c ** (a - 2.0) * lower

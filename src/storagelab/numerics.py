@@ -12,12 +12,20 @@ reported as Divergent, never silently truncated.
 
 Integrands are array-native: the rule evaluates all 15 nodes of a panel in
 one call, and both halves of a split panel (30 nodes) in one call, so an
-integrand maps an ndarray of nodes to an array of the same shape.
+integrand maps an ndarray of nodes to an array of the same shape.  Along
+the dyadic march, the first panels of a run of blocks (1, 2, 4, ... up to
+``_PREFETCH``) share one call too.  The march still takes the blocks one at
+a time and stops where it would without the shared call, so every adaptive
+tree is the same; the integrand may thus be evaluated on nodes past the
+stopping block, at most as many as the march used.  A shared call that
+raises is replaced by one call per block, so an error surfaces only at a
+block the march reaches.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -141,10 +149,16 @@ def _gk_halves(f, a: float, m: float, b: float):
     return left, _gk_rule(x[15:], y[15:], 0.5 * (b - m))
 
 
-def _adaptive(f, a: float, b: float, spec: QuadratureSpec, budget: int):
+def _adaptive(f, a: float, b: float, spec: QuadratureSpec, budget: int,
+              first=None):
     """Globally adaptive integration over a finite [a, b] free of endpoint
-    singularities.  Returns (value, error, panels_used)."""
-    val, err = _gk_panel(f, a, b)
+    singularities.  Returns (value, error, panels_used).  ``first``, the
+    (nodes, values) of the panel over all of [a, b] if already evaluated,
+    saves its integrand call."""
+    if first is None:
+        val, err = _gk_panel(f, a, b)
+    else:
+        val, err = _gk_rule(*first, 0.5 * (b - a))
     heap = [(-err, a, b, val, err)]
     total, total_err = val, err
     used = 1
@@ -166,6 +180,7 @@ def _adaptive(f, a: float, b: float, spec: QuadratureSpec, budget: int):
 _MAX_BLOCKS = 420
 _GROWTH_OCTAVES = 60      # octaves of non-decaying blocks before declaring divergence
 _RATIO_DIVERGENT = 0.997  # geometric block ratio treated as non-summable
+_PREFETCH = 64            # most blocks whose first panels share one call
 
 
 def _geo_mean(ratios: list[float]) -> float | None:
@@ -173,6 +188,24 @@ def _geo_mean(ratios: list[float]) -> float | None:
         return None
     recent = ratios[-5:]
     return math.exp(sum(map(math.log, recent)) / len(recent))
+
+
+def _first_panels(f, blocks: list):
+    """(a, b, first) for each (a, b) block, ``first`` being the (nodes,
+    values) of its whole-block panel, all from one integrand call.  A lone
+    block, or a run whose call raises, gets None: each such block is
+    evaluated on its own when reached, so an error surfaces at the block
+    that causes it."""
+    if len(blocks) > 1:
+        lo, hi = np.array(blocks).T[:, :, None]
+        x = 0.5 * (lo + hi) + 0.5 * (hi - lo) * _XK
+        try:
+            y = _evaluate(f, x.ravel()).reshape(x.shape)
+        except Exception:
+            pass
+        else:
+            return [(a, b, (x[i], y[i])) for i, (a, b) in enumerate(blocks)]
+    return [(a, b, None) for a, b in blocks]
 
 
 def _block_sum(f, edges, spec: QuadratureSpec, budget: list,
@@ -196,10 +229,20 @@ def _block_sum(f, edges, spec: QuadratureSpec, budget: list,
     last = 0.0
     zero_run = 0
     octaves = 0
-    for a, b in edges:
-        if budget[0] <= 8 or octaves >= _MAX_BLOCKS:
-            break
-        v, e, used = _adaptive(f, a, b, spec, min(64, budget[0]))
+    edges = iter(edges)
+    run: list = []
+    size = 1
+    while budget[0] > 8 and octaves < _MAX_BLOCKS:
+        if not run:
+            # every block takes a panel, so no more than this many are left
+            room = min(size, budget[0] - 8, _MAX_BLOCKS - octaves)
+            blocks = list(itertools.islice(edges, room))
+            if not blocks:
+                break
+            run = _first_panels(f, blocks)[::-1]
+            size = min(2 * size, _PREFETCH)
+        a, b, first = run.pop()
+        v, e, used = _adaptive(f, a, b, spec, min(64, budget[0]), first)
         budget[0] -= used
         total += v
         total_err += e

@@ -5,6 +5,10 @@ values.  The reference wraps the same integrand with ``np.frompyfunc``, so
 the quadrature sees it called on one node at a time; both must give the
 same value within 1e-12 relative, exactly the same number of panels, and
 the same error type where the reference fails (``Divergent`` included).
+
+The dyadic block march evaluates the first panels of a run of blocks in one
+integrand call; against a march that evaluates one block per call, value,
+error and panel count must be equal, not close.
 """
 
 import math
@@ -29,29 +33,34 @@ from storagelab.presets import load_preset, preset_names
 from storagelab.release_rate import Custom, RateAsymptotics, signed_drain_time
 
 
-def _one_node_at_a_time(f):
+def _one_node_at_a_time(integrate, f, *args, **kwargs):
     one = np.frompyfunc(f, 1, 1)
-    return lambda x: one(x).astype(float)
+    return integrate(lambda x: one(x).astype(float), *args, **kwargs)
 
 
-@pytest.fixture
-def paired(monkeypatch):
-    """Route every library quadrature through a check of the array form
-    against its reference; returns the list of checked integrals."""
+def _one_block_per_call(integrate, f, *args, **kwargs):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numerics, "_PREFETCH", 1)
+        return integrate(f, *args, **kwargs)
+
+
+def _route(monkeypatch, reference, check):
+    """Route every library quadrature through ``check(got, ref)`` against
+    ``reference``, or through a check of the error type where the reference
+    raises; returns the list of checked integrals."""
     checked = []
 
     def pair(integrate):
         def run(f, *args, **kwargs):
             try:
-                ref = integrate(_one_node_at_a_time(f), *args, **kwargs)
+                ref = reference(integrate, f, *args, **kwargs)
             except Exception as exc:
                 with pytest.raises(type(exc)):
                     integrate(f, *args, **kwargs)
                 checked.append(type(exc).__name__)
                 raise
             got = integrate(f, *args, **kwargs)
-            assert got.subdivisions == ref.subdivisions
-            assert got.value == pytest.approx(ref.value, rel=1e-12, abs=0.0)
+            check(got, ref)
             checked.append("value")
             return got
         return run
@@ -63,6 +72,28 @@ def paired(monkeypatch):
     return checked
 
 
+def _same_tree(got, ref):
+    assert got.subdivisions == ref.subdivisions
+    assert got.value == pytest.approx(ref.value, rel=1e-12, abs=0.0)
+
+
+def _equal(got, ref):
+    assert (got.value, got.error, got.subdivisions) == (
+        ref.value, ref.error, ref.subdivisions)
+
+
+@pytest.fixture
+def paired(monkeypatch):
+    """Every library quadrature checked against one node per call."""
+    return _route(monkeypatch, _one_node_at_a_time, _same_tree)
+
+
+@pytest.fixture
+def block_paired(monkeypatch):
+    """Every library quadrature checked against one block per call."""
+    return _route(monkeypatch, _one_block_per_call, _equal)
+
+
 def _quietly(call, *args):
     """Run a criterion whose divergence is an answer, not a failure."""
     try:
@@ -71,8 +102,7 @@ def _quietly(call, *args):
         pass
 
 
-@pytest.mark.parametrize("name", preset_names())
-def test_preset_integrands_match_reference(name, paired):
+def _preset_integrals(name):
     scen = load_preset(name)
     levy, rel = scen.levy, scen.release
     phi = scen.phi or RateFunction.constant1()
@@ -91,10 +121,21 @@ def test_preset_integrands_match_reference(name, paired):
         LevyInput.laplace_exponent(levy, lam)
     for p in (1.0, 2.0):
         _quietly(ergodicity_lab._wp_moment_guard, levy, p)
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_preset_integrands_match_reference(name, paired):
+    _preset_integrals(name)
     assert len(paired) >= 7 * len(DEFAULT_PROBE_GRID) + 4
 
 
-def test_user_callable_integrands_match_reference(paired):
+@pytest.mark.parametrize("name", preset_names())
+def test_preset_integrands_match_one_block_per_call(name, block_paired):
+    _preset_integrals(name)
+    assert len(block_paired) >= 7 * len(DEFAULT_PROBE_GRID) + 4
+
+
+def _user_callable_integrals():
     rel = Custom(lambda x: 1.0 + math.sqrt(x), RateAsymptotics("power", 0.5, 1.0))
     for u in (0.05, 0.4, 3.0, 42.0):
         signed_drain_time(rel, u)
@@ -109,7 +150,16 @@ def test_user_callable_integrands_match_reference(paired):
     tab = TabulatedTail(tuple(u), tuple(np.minimum(u ** -2.0, 100.0)), ("power", 2.0))
     tab.first_moment()
     LevyInput.laplace_exponent(tab, 1.0)
+
+
+def test_user_callable_integrands_match_reference(paired):
+    _user_callable_integrals()
     assert paired.count("value") >= 10
+
+
+def test_user_callable_integrands_match_one_block_per_call(block_paired):
+    _user_callable_integrals()
+    assert block_paired.count("value") >= 10
 
 
 class TestIntegrandContract:

@@ -131,6 +131,22 @@ class TestCli:
         assert json.loads(capsys.readouterr().err.strip())["error"] == "usage"
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("n_paths", [5, 999])
+    def test_tail_below_sample_floor_is_usage_error(self, n_paths, tmp_path,
+                                                    capsys):
+        code = main(["tail", "preset:constant-mm1", "--out", str(tmp_path),
+                     "--set", f"budgets.n_paths={n_paths}"])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "usage"
+        assert "at least 1000 paths" in err["message"]
+        assert not (tmp_path / "tail.csv").exists()
+
+    def test_tail_at_sample_floor_runs(self, tmp_path):
+        assert main(["tail", "preset:constant-mm1", "--out", str(tmp_path),
+                     "--set", "budgets.n_paths=1000"]) == 0
+        assert (tmp_path / "tail.csv").exists()
+
     def test_predict_refuses_invalid_certificate(self, tmp_path, capsys):
         # phi = linear(1.5) passes (C3) but has drift margin -1
         code = main(["predict", "preset:constant-mm1", "--out", str(tmp_path),

@@ -1,6 +1,10 @@
 """Input-subordinator checks: tails, moments, Laplace identities, sampling."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +27,7 @@ from storagelab.levy_input import (
     sample_jumps,
     tail,
 )
+import storagelab
 from storagelab.numerics import integrate_semiinfinite, invert_monotone
 
 SEED = 20260810
@@ -345,3 +350,18 @@ class TestJumpLaws:
             ParetoJumps(-1.0)
         with pytest.raises(ValueError):
             CompoundPoisson(-1.0, Exponential(1.0))
+
+
+def test_import_and_presets_leave_scipy_unloaded():
+    # scipy.special is imported by the closed forms that use it, not by the
+    # package, so the CLI and every preset's scenario load without scipy
+    code = (
+        "import sys, storagelab, storagelab.cli\n"
+        "for name in storagelab.preset_names():\n"
+        "    storagelab.Scenario.from_dict(storagelab.load_preset(name).raw)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(storagelab.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "[]"

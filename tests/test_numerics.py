@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from storagelab import numerics
 from storagelab.errors import (
     DegenerateInput,
     Divergent,
@@ -93,6 +94,66 @@ class TestIntegrateSemiinfinite:
             QuadratureSpec(rel_tol=0.0)
         with pytest.raises(ValueError):
             QuadratureSpec(max_subdivisions=0)
+
+
+def _recorded(f):
+    """f and the list of node arrays it is called on."""
+    seen = []
+
+    def g(v):
+        seen.append(np.array(v))
+        return f(v)
+    return g, seen
+
+
+class TestBlockRuns:
+    """The first panels of a run of dyadic blocks share one integrand call;
+    the march still takes its blocks one at a time."""
+
+    def test_fewer_calls_at_most_twice_the_nodes(self, monkeypatch):
+        f = lambda v: (1.0 + v) ** -1.1
+        g, batched = _recorded(f)
+        got = integrate_semiinfinite(g)
+        monkeypatch.setattr(numerics, "_PREFETCH", 1)
+        g, single = _recorded(f)
+        ref = integrate_semiinfinite(g)
+        assert got == ref
+        assert 3 * len(batched) <= len(single)
+        nodes = [sum(v.size for v in calls) for calls in (batched, single)]
+        assert nodes[0] <= 2 * nodes[1]
+
+    def test_callable_failing_past_the_stop(self, monkeypatch):
+        # one block per call evaluates no node outside [lo, hi]; the batched
+        # march meets nodes out there, and its answer must not change
+        f = lambda v: v ** -0.5 / (1.0 + v) ** 2
+        with monkeypatch.context() as mp:
+            mp.setattr(numerics, "_PREFETCH", 1)
+            g, seen = _recorded(f)
+            ref = integrate_semiinfinite(g)
+        lo = min(v.min() for v in seen)
+        hi = max(v.max() for v in seen)
+        failed = []
+
+        def strict(v):
+            if (v < lo).any() or (v > hi).any():
+                failed.append(v.size)
+                raise RuntimeError("node past the stopping block")
+            return f(v)
+
+        assert integrate_semiinfinite(strict) == ref
+        assert failed
+
+    def test_error_inside_the_march_surfaces(self, monkeypatch):
+        def f(v):
+            if (v > 3e4).any():
+                raise KeyError("left the table")
+            return (1.0 + v) ** -1.5
+
+        with pytest.raises(KeyError, match="left the table"):
+            integrate_semiinfinite(f)
+        monkeypatch.setattr(numerics, "_PREFETCH", 1)
+        with pytest.raises(KeyError, match="left the table"):
+            integrate_semiinfinite(f)
 
 
 class TestInvertMonotone:
