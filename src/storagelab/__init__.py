@@ -39,20 +39,16 @@ from .levy_input import (
 )
 from .lyapunov import (
     DriftCertificate,
-    ExponentialTail,
-    FromRate,
-    LogScale,
-    PolyQuotient,
     PowerModulus,
     RateFunction,
-    SubGeometric,
     build_certificate,
     check_irreducibility_sufficient,
-    check_uniform,
     check_wasserstein_contraction,
     generator_apply,
     tail_lower,
+    tail_lower_log,
     tail_upper,
+    tail_upper_exponential,
     tv_lower_rate,
     wasserstein_rate,
 )

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -44,9 +45,8 @@ from .ergodicity_lab import (
 )
 from .levy_input import laplace_check
 from .lyapunov import (
-    FromRate,
+    TailEnvelope,
     build_certificate,
-    check_uniform,
     tv_lower_rate,
     wasserstein_rate,
 )
@@ -169,25 +169,25 @@ def cmd_classify(scen: Scenario, out: Path, args) -> int:
 
 
 def _envelope_section(scen: Scenario, cert) -> dict:
-    """Tail envelopes evaluated on the scenario's level grid; modes whose
-    hypotheses fail are reported by the failing condition, not an error."""
-    from .lyapunov import LogScale, PolyQuotient, SubGeometric, tail_lower, tail_upper
+    """Tail envelopes of a valid certificate, evaluated on the scenario's
+    level grid; envelopes whose hypotheses fail are reported by the failing
+    condition, not an error."""
+    from .lyapunov import tail_lower, tail_lower_log, tail_upper
 
     us = [float(u) for u in scen.grids["u_grid"]]
     eps = scen.tolerances["epsilon"]
+    probe_u = tuple(scen.grids["probe_u"])
     section = {}
     candidates = {
-        "upper_from_rate": lambda: tail_upper(scen.levy, scen.release,
-                                              FromRate(cert)),
+        "upper_from_rate": lambda: TailEnvelope(
+            "UpperFromRate", cert.predicted_tail_upper, 1.0),
         "upper_subgeometric": lambda: tail_upper(
-            scen.levy, scen.release, SubGeometric(eps),
-            tuple(scen.grids["probe_u"]), scen.tolerances["decision_margin"]),
+            scen.levy, scen.release, eps, probe_u,
+            scen.tolerances["decision_margin"]),
         "lower_poly_quotient": lambda: tail_lower(
-            scen.levy, scen.release, eps, PolyQuotient(),
-            tuple(scen.grids["probe_u"])),
-        "lower_log_scale": lambda: tail_lower(
-            scen.levy, scen.release, eps, LogScale(),
-            tuple(scen.grids["probe_u"])),
+            scen.levy, scen.release, eps, probe_u),
+        "lower_log_scale": lambda: tail_lower_log(
+            scen.levy, scen.release, eps, probe_u),
     }
     for key, build in candidates.items():
         try:
@@ -210,22 +210,21 @@ def cmd_certify(scen: Scenario, out: Path, args) -> int:
         raise ScenarioError("certify needs a 'phi' block in the scenario")
     cert = build_certificate(scen.levy, scen.release, scen.phi,
                              tuple(scen.grids["probe_u"]))
-    uni = check_uniform(scen.levy, scen.release, tuple(scen.grids["probe_u"]),
-                        scen.tolerances["decision_margin"])
+    rep = classify(scen.levy, scen.release, tuple(scen.grids["probe_u"]),
+                   scen.tolerances["decision_margin"])
     payload = {
         "scenario": scen.name,
         "phi": {"family": scen.phi.family, "c": scen.phi.c, "a": scen.phi.a},
         "ratios": list(cert.ratios),
         "drift_margin": cert.drift_margin,
         "valid": cert.valid,
-        "uniform": dataclasses.asdict(uni.pos_rec) | {
-            "finite_time_integral": uni.finite_time_integral,
-            "uniform": uni.uniform},
+        "uniform": {"verdict": rep.verdict, "method": rep.method,
+                    "uniform": rep.uniform},
         "tail_envelopes": _envelope_section(scen, cert) if cert.valid else {},
     }
     write_json(out / "certificate.json", payload)
     print(f"{scen.name}: drift margin {cert.drift_margin:.6f} "
-          f"(valid={cert.valid}, uniform={uni.uniform})")
+          f"(valid={cert.valid}, uniform={rep.uniform})")
     return 0 if cert.valid else 2
 
 
@@ -253,6 +252,9 @@ def cmd_simulate(scen: Scenario, out: Path, args) -> int:
         raise ScenarioError("simulate needs at least one path")
     horizon = scen.budgets["horizon"]
     grid = tuple(t for t in scen.grids["t_grid"] if t <= horizon)
+    if args.mode == "grid" and not grid:
+        raise ScenarioError("simulate --mode grid needs a t_grid time "
+                            "within the horizon")
     record = FullEvents() if args.mode == "events" else Grid(grid)
     cfg = PathConfig(args.x0, horizon, record, scen.seed, scen.truncation_eps)
     paths = simulate_ensemble(scen.levy, scen.release, cfg, n)
@@ -443,7 +445,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="storagelab",
         description="Levy-driven storage processes: simulate, classify, "

@@ -13,8 +13,12 @@ phi(Phi^{-1}(t)) and stationary tail envelope 1 / max(phi(Phi^{-1}(u)),
 phi(Vbar(u))).  Geometric certificates make phi(Vbar) astronomically large,
 so every integrand here is assembled in log space and exponentiated once.
 
-Lower bounds, uniform ergodicity, Wasserstein contraction moduli, and the
-sufficient small-jump density check for irreducibility live here too.
+One function per stationary-tail envelope theorem, each checking its own
+hypotheses: ``tail_upper`` (sub-geometric), ``tail_upper_exponential``,
+``tail_lower`` (polynomial quotient) and ``tail_lower_log`` (log scale).
+The total-variation lower rate, Wasserstein contraction moduli, and the
+sufficient small-jump density check for irreducibility live here too;
+uniform ergodicity is answered by ``classifier.classify``.
 """
 
 from __future__ import annotations
@@ -27,9 +31,6 @@ import numpy as np
 from .classifier import (
     DEFAULT_DECISION_MARGIN,
     DEFAULT_PROBE_GRID,
-    CriterionResult,
-    criterion_positive_recurrent,
-    drain_time_from_infinity,
     limit_estimate,
 )
 from .errors import (
@@ -53,10 +54,10 @@ from .release_rate import ReleaseRate, signed_drain_time
 
 __all__ = [
     "RateFunction", "DriftCertificate", "TailEnvelope",
-    "FromRate", "SubGeometric", "ExponentialTail", "PolyQuotient", "LogScale",
     "PowerModulus", "CustomModulus", "GapBound", "LowerRateCurve",
-    "UniformReport", "generator_apply", "build_certificate", "check_uniform",
-    "tail_upper", "tail_lower", "tv_lower_rate",
+    "generator_apply", "build_certificate",
+    "tail_upper", "tail_upper_exponential", "tail_lower", "tail_lower_log",
+    "tv_lower_rate",
     "check_wasserstein_contraction", "wasserstein_rate",
     "check_irreducibility_sufficient",
 ]
@@ -322,29 +323,6 @@ def build_certificate(levy: LevyInput, release: ReleaseRate, phi: RateFunction,
 
 
 # ---------------------------------------------------------------------------
-# uniform ergodicity
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class UniformReport:
-    time_integral: float
-    finite_time_integral: bool
-    pos_rec: CriterionResult
-    uniform: bool
-
-
-def check_uniform(levy: LevyInput, release: ReleaseRate,
-                  probe_grid=DEFAULT_PROBE_GRID,
-                  margin: float = DEFAULT_DECISION_MARGIN) -> UniformReport:
-    """Uniform ergodicity: finite int_1^inf du/r(u) plus the ergodicity
-    criterion."""
-    ti = drain_time_from_infinity(release)
-    finite = math.isfinite(ti)
-    pr = criterion_positive_recurrent(levy, release, probe_grid, margin)
-    return UniformReport(ti, finite, pr, bool(finite and pr.satisfied))
-
-
-# ---------------------------------------------------------------------------
 # tail envelopes
 # ---------------------------------------------------------------------------
 
@@ -365,22 +343,6 @@ class TailEnvelope:
         return fit_loglog(us, self.fn(us))
 
 
-@dataclass(frozen=True)
-class FromRate:
-    certificate: DriftCertificate
-
-
-@dataclass(frozen=True)
-class SubGeometric:
-    eps: float = 0.1
-
-
-@dataclass(frozen=True)
-class ExponentialTail:
-    c: float
-    eps: float = 0.1
-
-
 def _subgeometric_ratio(levy, release, eps, u) -> float:
     """Folded form of the sub-geometric ratio hypothesis: one integral,
     assembled in log space so exponential tails cause no overflow."""
@@ -397,81 +359,61 @@ def _subgeometric_ratio(levy, release, eps, u) -> float:
     return integrate_semiinfinite(integrand).value
 
 
-def tail_upper(levy: LevyInput, release: ReleaseRate, mode,
+def tail_upper(levy: LevyInput, release: ReleaseRate, eps: float = 0.1,
                probe_grid=DEFAULT_PROBE_GRID,
                margin: float = DEFAULT_DECISION_MARGIN) -> TailEnvelope:
-    """Stationary-tail upper envelope under one of three modes.
-
-    FromRate reads the certificate's moment bound; SubGeometric(eps) gives
-    u^{1+eps} nu_bar(u) / r(u) after its ratio and monotonicity hypotheses
-    check out; ExponentialTail(c, eps) gives e^{-(c-eps)u} / r(u) when the
-    drain is unbounded and e^{cu} nu_bar(u) stays bounded.
-    """
+    """Sub-geometric upper envelope u^{1+eps} nu_bar(u) / r(u), up to a
+    constant: needs r(u) / (u^{1+eps} nu_bar(u)) eventually non-decreasing
+    and its ratio integral's limsup below 1 - margin on the probe grid."""
     probe_grid = tuple(probe_grid)
-    if isinstance(mode, FromRate):
-        cert = mode.certificate
-        if not cert.valid:
-            raise HypothesisFailed("certificate", "certificate is not valid")
-        return TailEnvelope("UpperFromRate", cert.predicted_tail_upper, 1.0)
-
-    if isinstance(mode, SubGeometric):
-        eps = mode.eps
-        us = np.geomspace(probe_grid[0], probe_grid[-1], 40)
-        lt = levy.log_tail(us)
-        if not np.all(np.isfinite(lt)):
-            raise HypothesisFailed("positive-tail", "nu_bar vanishes on the grid")
-        incr = np.log(release.rate(us)) - (1.0 + eps) * np.log(us) - lt
-        if np.any(incr[-11:] < incr[-12:-1] - 1e-9):
+    us = np.geomspace(probe_grid[0], probe_grid[-1], 40)
+    lt = levy.log_tail(us)
+    if not np.all(np.isfinite(lt)):
+        raise HypothesisFailed("positive-tail", "nu_bar vanishes on the grid")
+    incr = np.log(release.rate(us)) - (1.0 + eps) * np.log(us) - lt
+    if np.any(incr[-11:] < incr[-12:-1] - 1e-9):
+        raise HypothesisFailed(
+            "monotone-ratio", "r(u)/(u^{1+eps} nu_bar(u)) is not eventually non-decreasing")
+    vals = []
+    for u in probe_grid:
+        try:
+            vals.append(_subgeometric_ratio(levy, release, eps, u))
+        except Divergent as exc:
             raise HypothesisFailed(
-                "monotone-ratio", "r(u)/(u^{1+eps} nu_bar(u)) is not eventually non-decreasing")
-        vals = []
-        for u in probe_grid:
-            try:
-                vals.append(_subgeometric_ratio(levy, release, eps, u))
-            except Divergent as exc:
-                raise HypothesisFailed(
-                    "subgeometric-ratio",
-                    f"ratio integral diverges at u = {u}") from exc
-        if limit_estimate(vals, "limsup") >= 1.0 - margin:
-            raise HypothesisFailed("subgeometric-ratio",
-                                   f"limsup estimate {limit_estimate(vals, 'limsup'):.3g} not below 1")
-        u_report = probe_grid[0]
+                "subgeometric-ratio",
+                f"ratio integral diverges at u = {u}") from exc
+    if limit_estimate(vals, "limsup") >= 1.0 - margin:
+        raise HypothesisFailed("subgeometric-ratio",
+                               f"limsup estimate {limit_estimate(vals, 'limsup'):.3g} not below 1")
 
-        def env(u, eps=eps):
-            return _exp((1.0 + eps) * np.log(u) + levy.log_tail(u)
-                        - np.log(release.rate(u)))
+    def env(u):
+        return _exp((1.0 + eps) * np.log(u) + levy.log_tail(u)
+                    - np.log(release.rate(u)))
 
-        return TailEnvelope("UpperPower", env, u_report, up_to_constant=True)
-
-    if isinstance(mode, ExponentialTail):
-        c, eps = mode.c, mode.eps
-        if not 0 < eps < c:
-            raise ValueError("need 0 < eps < c")
-        if release.asymptotics().limsup() != math.inf:
-            raise HypothesisFailed("rate-unbounded", "release rate must diverge")
-        pg = np.asarray(probe_grid, dtype=float)
-        checks = c * pg + levy.log_tail(pg)
-        if limit_estimate(checks, "limsup") > 700.0:
-            raise HypothesisFailed("exp-moment",
-                                   "e^{cu} nu_bar(u) is unbounded on the probe grid")
-
-        def env(u, c=c, eps=eps):
-            return _exp(-(c - eps) * u) / release.rate(u)
-
-        return TailEnvelope("UpperExponential", env, probe_grid[0],
-                            up_to_constant=True)
-
-    raise ValueError(f"unknown tail_upper mode {mode!r}")
+    return TailEnvelope("UpperPower", env, probe_grid[0], up_to_constant=True)
 
 
-@dataclass(frozen=True)
-class PolyQuotient:
-    pass
+def tail_upper_exponential(levy: LevyInput, release: ReleaseRate, c: float,
+                           eps: float = 0.1,
+                           probe_grid=DEFAULT_PROBE_GRID) -> TailEnvelope:
+    """Exponential upper envelope e^{-(c-eps)u} / r(u), up to a constant:
+    needs an unbounded release rate and e^{cu} nu_bar(u) bounded on the
+    probe grid."""
+    if not 0 < eps < c:
+        raise ValueError("need 0 < eps < c")
+    if release.asymptotics().limsup() != math.inf:
+        raise HypothesisFailed("rate-unbounded", "release rate must diverge")
+    pg = np.asarray(probe_grid, dtype=float)
+    checks = c * pg + levy.log_tail(pg)
+    if limit_estimate(checks, "limsup") > 700.0:
+        raise HypothesisFailed("exp-moment",
+                               "e^{cu} nu_bar(u) is unbounded on the probe grid")
 
+    def env(u):
+        return _exp(-(c - eps) * u) / release.rate(u)
 
-@dataclass(frozen=True)
-class LogScale:
-    pass
+    return TailEnvelope("UpperExponential", env, probe_grid[0],
+                        up_to_constant=True)
 
 
 def _submultiplicative(log_tail_fn, lo: float, hi: float, n: int = 1000,
@@ -484,56 +426,60 @@ def _submultiplicative(log_tail_fn, lo: float, hi: float, n: int = 1000,
     return bool(np.max(gap) <= math.log(8.0) + 1e-9)
 
 
-def tail_lower(levy: LevyInput, release: ReleaseRate, eps: float,
-               scale=PolyQuotient(), probe_grid=DEFAULT_PROBE_GRID) -> TailEnvelope:
-    """Stationary-tail lower envelope, up to an unknown constant (set to 1).
-
-    PolyQuotient: L(u) = u^{1-eps} nu_bar(u) / r(u), needing 1/nu_bar
-    increasing submultiplicative and r(u)/u decreasing to 0.  LogScale:
-    L(u) = u^{-eps} nu_bar(u), needing the same in log coordinates and
-    r(u)/(u log u) -> 0.  Only the exponent of these envelopes is meaningful.
-    """
+def _check_tail_decreasing(levy, eps, probe_grid) -> None:
+    """The hypotheses both lower envelopes share: eps > 0 and 1/nu_bar
+    increasing on [1, the last probe]."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    us = np.geomspace(1.0, probe_grid[-1], 50)
-    lt = levy.log_tail(us)
+    lt = levy.log_tail(np.geomspace(1.0, probe_grid[-1], 50))
     if (np.diff(lt) > 1e-12).any():
         raise HypothesisFailed("tail-decreasing", "1/nu_bar is not increasing")
+
+
+def tail_lower(levy: LevyInput, release: ReleaseRate, eps: float,
+               probe_grid=DEFAULT_PROBE_GRID) -> TailEnvelope:
+    """Polynomial-quotient lower envelope L(u) = u^{1-eps} nu_bar(u) / r(u),
+    up to an unknown constant (set to 1, so only its exponent is
+    meaningful): needs 1/nu_bar increasing and submultiplicative and r(u)/u
+    decreasing to 0."""
+    _check_tail_decreasing(levy, eps, probe_grid)
     ra = release.asymptotics()
-    if isinstance(scale, PolyQuotient):
-        if not _submultiplicative(lambda x: np.asarray(levy.log_tail(x), dtype=float),
-                                  0.05, 50.0):
-            raise HypothesisFailed("submultiplicative",
-                                   "1/nu_bar fails the sampled submultiplicativity check")
-        ok = (ra.kind == "bounded") or (ra.kind == "power" and ra.exponent < 1.0)
-        if not ok:
-            raise HypothesisFailed("rate-sublinear", "r(u)/u does not decrease to 0")
+    if not _submultiplicative(lambda x: np.asarray(levy.log_tail(x), dtype=float),
+                              0.05, 50.0):
+        raise HypothesisFailed("submultiplicative",
+                               "1/nu_bar fails the sampled submultiplicativity check")
+    if not (ra.kind == "bounded" or (ra.kind == "power" and ra.exponent < 1.0)):
+        raise HypothesisFailed("rate-sublinear", "r(u)/u does not decrease to 0")
 
-        def env(u):
-            return _exp((1.0 - eps) * np.log(u) + levy.log_tail(u)
-                        - np.log(release.rate(u)))
+    def env(u):
+        return _exp((1.0 - eps) * np.log(u) + levy.log_tail(u)
+                    - np.log(release.rate(u)))
 
-        return TailEnvelope("LowerPolyQuotient", env, 1.0, up_to_constant=True,
-                            note="constant c_eps set to 1; exponent-level only")
+    return TailEnvelope("LowerPolyQuotient", env, 1.0, up_to_constant=True,
+                        note="constant c_eps set to 1; exponent-level only")
 
-    if isinstance(scale, LogScale):
-        if not _submultiplicative(
-                lambda x: np.asarray(levy.log_tail(np.exp(x)), dtype=float),
-                0.5, 20.0):
-            raise HypothesisFailed("submultiplicative-log",
-                                   "1/nu_bar(e^u) fails the sampled submultiplicativity check")
-        ok = (ra.kind == "bounded") or (ra.kind == "power" and ra.exponent <= 1.0)
-        if not ok:
-            raise HypothesisFailed("rate-subloglinear",
-                                   "r(u)/(u log u) does not decrease to 0")
 
-        def env(u):
-            return _exp(-eps * np.log(u) + levy.log_tail(u))
+def tail_lower_log(levy: LevyInput, release: ReleaseRate, eps: float,
+                   probe_grid=DEFAULT_PROBE_GRID) -> TailEnvelope:
+    """Log-scale lower envelope L(u) = u^{-eps} nu_bar(u), up to an unknown
+    constant (set to 1): needs 1/nu_bar increasing, 1/nu_bar(e^u)
+    submultiplicative and r(u)/(u log u) decreasing to 0."""
+    _check_tail_decreasing(levy, eps, probe_grid)
+    ra = release.asymptotics()
+    if not _submultiplicative(
+            lambda x: np.asarray(levy.log_tail(np.exp(x)), dtype=float),
+            0.5, 20.0):
+        raise HypothesisFailed("submultiplicative-log",
+                               "1/nu_bar(e^u) fails the sampled submultiplicativity check")
+    if not (ra.kind == "bounded" or (ra.kind == "power" and ra.exponent <= 1.0)):
+        raise HypothesisFailed("rate-subloglinear",
+                               "r(u)/(u log u) does not decrease to 0")
 
-        return TailEnvelope("LowerLogScale", env, 1.0, up_to_constant=True,
-                            note="constant c_eps set to 1; exponent-level only")
+    def env(u):
+        return _exp(-eps * np.log(u) + levy.log_tail(u))
 
-    raise ValueError(f"unknown tail_lower scale {scale!r}")
+    return TailEnvelope("LowerLogScale", env, 1.0, up_to_constant=True,
+                        note="constant c_eps set to 1; exponent-level only")
 
 
 # ---------------------------------------------------------------------------
@@ -561,8 +507,7 @@ def default_h_exponent(levy: LevyInput, margin: float = 0.1) -> float:
 
 
 def tv_lower_rate(levy: LevyInput, release: ReleaseRate, eps: float = 0.1,
-                  a_h: float | None = None, x: float = 1.0,
-                  envelope: TailEnvelope | None = None) -> LowerRateCurve:
+                  a_h: float | None = None, x: float = 1.0) -> LowerRateCurve:
     """Lower bound t -> 0.5 L(h^{-1}(F^{-1}(2(h(x) + c t)))).
 
     h(u) = u^{a_h} must have a verified moment drift L h <= c on the probe
@@ -574,8 +519,7 @@ def tv_lower_rate(levy: LevyInput, release: ReleaseRate, eps: float = 0.1,
     """
     if a_h is None:
         a_h = default_h_exponent(levy)
-    if envelope is None:
-        envelope = tail_lower(levy, release, eps, PolyQuotient())
+    envelope = tail_lower(levy, release, eps)
 
     # moment drift: c bounding L h over a wide grid
     grid = np.concatenate([[1e-2, 0.1, 1.0], np.geomspace(10.0, 1e6, 21)])

@@ -79,7 +79,9 @@ class PathConfig:
             raise ValueError("initial content must be non-negative")
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
-        if isinstance(self.record, Grid) and self.record.times:
+        if isinstance(self.record, Grid):
+            if not self.record.times:
+                raise ValueError("grid must hold at least one time")
             if self.record.times[-1] > self.horizon:
                 raise ValueError("grid times must lie within the horizon")
 

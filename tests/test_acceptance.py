@@ -41,7 +41,6 @@ from storagelab.levy_input import (
     laplace_check,
 )
 from storagelab.lyapunov import (
-    PolyQuotient,
     PowerModulus,
     RateFunction,
     build_certificate,
@@ -239,7 +238,7 @@ def test_criterion_8_contraction_clock():
 def test_criterion_9_lower_bounds():
     # gates for the power/power pair: tail strictly decreasing and
     # submultiplicative, sublinear release, finite moment drift
-    env = tail_lower(*POWER_SHARP, 0.1, PolyQuotient())
+    env = tail_lower(*POWER_SHARP, 0.1)
     assert env.kind == "LowerPolyQuotient"
 
     def composed(alpha, beta, eps, a_h):

@@ -7,7 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from storagelab.cli import main, write_csv
+from storagelab.classifier import classify
+from storagelab.cli import _resolve_scenario, build_parser, main, write_csv
+from storagelab.lyapunov import build_certificate
 from storagelab.presets import load_preset, preset_names, preset_row
 from storagelab.scenario import Scenario, ScenarioError
 
@@ -19,6 +21,14 @@ MINIMAL = {
               "jump": {"law": "exp", "mu": 1.0}},
     "release": {"family": "constant", "a": 2.0},
 }
+
+# a positive recurrent model with finite int_1^inf du / r(u), certified
+# with a phi and probe grid on which the numeric ergodicity estimate fails
+POWER_UNIFORM_REPRO = ["--set", 'phi={"family":"linear","c":0.5}',
+                       "--set", "grids.probe_u=[0.1,0.2,0.4]"]
+PHI_CASES = [(name, []) for name in preset_names()
+             if load_preset(name).phi is not None]
+PHI_CASES.append(("power-uniform", POWER_UNIFORM_REPRO))
 
 
 class TestScenario:
@@ -271,6 +281,32 @@ class TestCli:
         assert float(kept[0]) == pytest.approx(1.5 * math.exp(-0.5))
         assert reference("b2", "release.b=2.0") == [""] * len(kept)
 
+    def test_simulate_grid_needs_a_time_within_the_horizon(self, tmp_path,
+                                                           capsys):
+        # constant-mm1's first t_grid time lies past a horizon of 1
+        args = ["simulate", "preset:constant-mm1", "--paths", "3",
+                "--set", "budgets.horizon=1"]
+        assert main(args + ["--out", str(tmp_path / "grid")]) == 1
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "usage"
+        assert not (tmp_path / "grid").exists()
+        assert main(args + ["--mode", "events",
+                            "--out", str(tmp_path / "events")]) == 0
+        assert (tmp_path / "events" / "events.csv").exists()
+
+    def test_parser_is_built_once_and_keeps_no_state(self, tmp_path, capsys):
+        assert build_parser() is build_parser()
+        args = ["simulate", "preset:constant-mm1", "--paths", "2",
+                "--set", "budgets.horizon=5"]
+        assert main(args + ["--out", str(tmp_path / "a")]) == 0
+        assert main(args + ["--set", "seed=3", "--out", str(tmp_path / "b")]) == 0
+        assert main(args + ["--out", str(tmp_path / "c")]) == 0
+        paths = {k: (tmp_path / k / "paths.csv").read_bytes() for k in "abc"}
+        assert paths["c"] == paths["a"] != paths["b"]
+        assert build_parser().parse_args(args).overrides == [
+            "budgets.horizon=5"]
+        assert main(["classify", "preset:plateau-null", "--bogus"]) == 2
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+
     def test_threads_flag_rejected(self, capsys):
         assert main(["classify", "preset:plateau-null", "--threads", "2"]) == 2
         assert "unrecognized arguments: --threads" in capsys.readouterr().err
@@ -281,3 +317,44 @@ class TestCli:
         lines = path.read_text().splitlines()
         assert lines[2] == "1,5.000000000e-01"
         assert lines[3] == "s,"
+
+
+class TestCertificateJson:
+    @pytest.mark.parametrize("name,overrides", PHI_CASES,
+                             ids=[n + ("-repro" if o else "") for n, o in PHI_CASES])
+    def test_uniform_and_envelopes(self, name, overrides, tmp_path):
+        out = tmp_path / "certify"
+        code = main(["certify", f"preset:{name}", "--out", str(out)] + overrides)
+        cert_json = json.loads((out / "certificate.json").read_text())
+        assert set(cert_json) == {"scenario", "phi", "ratios", "drift_margin",
+                                  "valid", "uniform", "tail_envelopes"}
+        assert set(cert_json["uniform"]) == {"verdict", "method", "uniform"}
+        assert code == (0 if cert_json["valid"] else 2)
+
+        # the uniform verdict is classify's, and report's rate label agrees
+        scen = _resolve_scenario(f"preset:{name}", overrides[1::2])
+        probe_u = tuple(scen.grids["probe_u"])
+        rep = classify(scen.levy, scen.release, probe_u,
+                       scen.tolerances["decision_margin"])
+        assert cert_json["uniform"] == {"verdict": rep.verdict,
+                                        "method": rep.method,
+                                        "uniform": rep.uniform}
+        report = tmp_path / "report"
+        assert main(["report", f"preset:{name}", "--out", str(report)]
+                    + overrides) == 0
+        rate = (report / "row.csv").read_text().splitlines()[-1].split(",")[2]
+        assert (rate == "uniform") == cert_json["uniform"]["uniform"]
+        if overrides:
+            assert cert_json["uniform"]["uniform"]
+
+        # the from-rate envelope is the certificate's moment bound
+        if not cert_json["valid"]:
+            assert cert_json["tail_envelopes"] == {}
+            return
+        cert = build_certificate(scen.levy, scen.release, scen.phi, probe_u)
+        us = [float(u) for u in scen.grids["u_grid"]]
+        from_rate = cert_json["tail_envelopes"]["upper_from_rate"]
+        assert from_rate["kind"] == "UpperFromRate"
+        assert from_rate["values"] == {
+            str(u): float(v)
+            for u, v in zip(us, cert.predicted_tail_upper(np.asarray(us)))}

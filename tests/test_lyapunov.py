@@ -9,7 +9,9 @@ import pytest
 from storagelab import lyapunov
 from storagelab.classifier import (
     DEFAULT_PROBE_GRID,
+    classify,
     criterion_positive_recurrent,
+    drain_time_from_infinity,
     limit_estimate,
 )
 from storagelab.errors import (
@@ -30,21 +32,17 @@ from storagelab.levy_input import (
 )
 from storagelab.lyapunov import (
     CustomModulus,
-    ExponentialTail,
-    FromRate,
-    LogScale,
-    PolyQuotient,
     PowerModulus,
     RateFunction,
-    SubGeometric,
     build_certificate,
     check_irreducibility_sufficient,
-    check_uniform,
     check_wasserstein_contraction,
     default_h_exponent,
     generator_apply,
     tail_lower,
+    tail_lower_log,
     tail_upper,
+    tail_upper_exponential,
     tv_lower_rate,
     wasserstein_rate,
 )
@@ -345,28 +343,30 @@ class TestOnePassCertificate:
 class TestUniform:
     def test_superlinear_uniform(self):
         levy = CompoundPoisson(1.0, ParetoJumps(1.0))
-        rep = check_uniform(levy, Power(1.0, 2.0))
-        assert rep.uniform and rep.finite_time_integral
+        rel = Power(1.0, 2.0)
+        assert classify(levy, rel).uniform
+        assert math.isfinite(drain_time_from_infinity(rel))
 
     def test_linear_not_uniform(self):
         levy = CompoundPoisson(1.0, Exponential(1.0))
-        rep = check_uniform(levy, Affine(0.0, 1.0))
-        assert not rep.uniform
-        assert rep.time_integral == math.inf
+        rel = Affine(0.0, 1.0)
+        assert not classify(levy, rel).uniform
+        assert drain_time_from_infinity(rel) == math.inf
 
     def test_constant_not_uniform(self):
         levy, rel = MM1
-        assert not check_uniform(levy, rel).uniform
+        assert not classify(levy, rel).uniform
 
     def test_divergent_drain_time_not_uniform(self):
         # int_1^inf du / (2 + u) diverges: not uniform, and no Divergent
         levy = CompoundPoisson(1.0, Exponential(1.0))
         rel = Custom(lambda u: 2.0 + u, RateAsymptotics("power", 1.0, 1.0))
-        rep = check_uniform(levy, rel)
-        assert rep.pos_rec.satisfied and not rep.uniform
-        assert rep.time_integral == math.inf
+        rep = classify(levy, rel)
+        assert rep.verdict == "PositiveRecurrent" and not rep.uniform
+        assert criterion_positive_recurrent(levy, rel).satisfied
+        assert drain_time_from_infinity(rel) == math.inf
         rel = Custom(lambda u: 1.0 + u * u, RateAsymptotics("power", 2.0, 1.0))
-        assert check_uniform(levy, rel).uniform
+        assert classify(levy, rel).uniform
 
 
 @dataclass(frozen=True)
@@ -388,38 +388,32 @@ class _GaussianTailInput(LevyInput):
 class TestTailUpper:
     def test_subgeometric_power_power(self):
         levy, rel = (CompoundPoisson(1.0, ParetoJumps(1.0)), Power(1.0, 2.0))
-        env = tail_upper(levy, rel, SubGeometric(0.1))
+        env = tail_upper(levy, rel, 0.1)
         fit = env.fitted_exponent(10.0, 1e5)
         assert fit.exponent == pytest.approx(1.1 - 1.0 - 2.0, abs=1e-3)
 
     def test_exponential_mode(self):
         levy = CompoundPoisson(1.0, Exponential(1.0))
-        env = tail_upper(levy, Power(1.0, 2.0), ExponentialTail(1.0, 0.1))
+        env = tail_upper_exponential(levy, Power(1.0, 2.0), 1.0, 0.1)
         # envelope e^{-0.9 u} / u^2
         assert env(10.0) == pytest.approx(math.exp(-9.0) / 100.0, rel=1e-9)
 
     def test_gaussian_tail_rejected(self):
         env_err = None
         with pytest.raises(HypothesisFailed) as exc:
-            tail_upper(_GaussianTailInput(), Power(1.0, 2.0), SubGeometric(0.1))
+            tail_upper(_GaussianTailInput(), Power(1.0, 2.0), 0.1)
         assert "ratio" in exc.value.condition
 
     def test_exponential_mode_needs_unbounded_rate(self):
         levy = CompoundPoisson(1.0, Exponential(1.0))
         with pytest.raises(HypothesisFailed):
-            tail_upper(levy, Constant(2.0), ExponentialTail(1.0, 0.1))
-
-    def test_from_rate(self):
-        levy, rel = MM1
-        cert = build_certificate(levy, rel, RateFunction.linear(0.5))
-        env = tail_upper(levy, rel, FromRate(cert))
-        assert env(5.0) == pytest.approx(cert.predicted_tail_upper(5.0))
+            tail_upper_exponential(levy, Constant(2.0), 1.0, 0.1)
 
 
 class TestTailLower:
     def test_poly_quotient_power_sharp(self):
         levy, rel = POWER_SHARP
-        env = tail_lower(levy, rel, 0.1, PolyQuotient())
+        env = tail_lower(levy, rel, 0.1)
         fit = env.fitted_exponent(10.0, 1e5)
         # 1 - eps - alpha - beta = -0.6, bracketing the sharp -0.5
         assert fit.exponent == pytest.approx(-0.6, abs=0.02)
@@ -428,14 +422,14 @@ class TestTailLower:
         levy = CompoundPoisson(1.0, ParetoJumps(2.0))
         rel = Affine(0.0, 1.0)
         with pytest.raises(HypothesisFailed):
-            tail_lower(levy, rel, 0.1, PolyQuotient())
-        env = tail_lower(levy, rel, 0.1, LogScale())
+            tail_lower(levy, rel, 0.1)
+        env = tail_lower_log(levy, rel, 0.1)
         fit = env.fitted_exponent(10.0, 1e5)
         assert fit.exponent == pytest.approx(-2.1, abs=0.02)
 
     def test_gaussian_tail_not_submultiplicative(self):
         with pytest.raises(HypothesisFailed) as exc:
-            tail_lower(_GaussianTailInput(), Constant(2.0), 0.1, PolyQuotient())
+            tail_lower(_GaussianTailInput(), Constant(2.0), 0.1)
         assert "submult" in exc.value.condition
 
 

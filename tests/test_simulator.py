@@ -213,6 +213,10 @@ class TestSimulatePath:
         with pytest.raises(ValueError):
             PathConfig(0.0, 1.0, Grid((0.5, 2.0)))
 
+    def test_grid_requires_a_time(self):
+        with pytest.raises(ValueError, match="at least one time"):
+            PathConfig(0.0, 1.0, Grid(()))
+
     def test_grid_endpoint_consistent(self):
         # the last grid value on a stream equals the endpoint on that stream
         stream = JumpStream(SEED, 1e-4).derive(3)
