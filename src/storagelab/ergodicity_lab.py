@@ -37,6 +37,9 @@ N_BLOCKS = 100
 # replicates at a time, so its working memory stays near 2 MB per array
 # whatever the ensemble size
 _BOOT_CELLS = 1 << 18
+# samples each lane of the stationary reference records (see
+# _stationary_reference)
+_REF_K = 16
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +109,26 @@ def _endpoint_time(certificate: DriftCertificate | None, t_min: float = 20.0,
         return t_min
     t = invert_monotone(certificate.log_predicted_tv_rate, goal, (1e-6, 1e6))
     return max(t, t_min)
+
+
+def _stationary_reference(levy, release, n: int, t_ref: float, seed: int,
+                          eps: float) -> np.ndarray:
+    """At least ``n`` stationary draws as an (M, _REF_K) matrix, rows lanes.
+
+    M = ceil(n / _REF_K) lanes start at 0 and each is recorded at the
+    _REF_K times t_ref (1 + j / _REF_K), j < _REF_K: many samples along a
+    few long chains (Gelman & Rubin 1992) cost about 2 / _REF_K of n
+    independent endpoints at t_ref.  Samples on one lane are correlated, so
+    resampling and splitting go by whole lanes.
+    """
+    grid = t_ref * (1.0 + np.arange(_REF_K) / _REF_K)
+    return grid_ensemble(levy, release, 0.0, grid, -(-n // _REF_K), seed, eps)
+
+
+def _as_lanes(reference: np.ndarray) -> np.ndarray:
+    """A reference as a matrix of lanes: a 1-D sample is one draw per lane."""
+    reference = np.asarray(reference, dtype=float)
+    return reference.reshape(len(reference), -1)
 
 
 def _regime_guard(levy, release, regime: str | None):
@@ -249,6 +272,15 @@ def _hist_probs(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return counts / x.size
 
 
+def _lane_counts(lanes: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Histogram counts of each lane, shape (lanes, bins), binned as
+    np.histogram bins them (half-open bins, finite values)."""
+    m, bins = len(lanes), len(edges) - 1
+    idx = np.searchsorted(edges[1:-1], lanes, side="right")
+    idx += np.arange(m)[:, None] * bins
+    return np.bincount(idx.ravel(), minlength=m * bins).reshape(m, bins)
+
+
 def estimate_tv_decay(levy: LevyInput, release: ReleaseRate, x0: float,
                       t_grid, n_paths: int, seed: int = 0, bins: int = 64,
                       eps: float = 1e-4,
@@ -257,29 +289,36 @@ def estimate_tv_decay(levy: LevyInput, release: ReleaseRate, x0: float,
                       regime: str | None = None) -> DecayCurve:
     """Histogram TV between the time-t ensemble and a stationary reference.
 
-    The reference sample (doubled budget, long horizon) fixes equal-mass
-    bins; the reported TV is a lower bound on the true total variation up
-    to binning bias.  Points below twice the noise floor
-    sqrt(bins / n_paths) and before the grid midpoint are excluded from the
-    exponent fit; with fewer than two usable points ``fitted`` is None.
+    The reference sample (doubled budget from _stationary_reference) fixes
+    equal-mass bins; the reported TV is a lower bound on the true total
+    variation up to binning bias.  The bootstrap resamples the time-t
+    ensemble path by path and the reference lane by lane.  Points below
+    twice the noise floor sqrt(bins / n_paths) and before the grid midpoint
+    are excluded from the exponent fit; with fewer than two usable points
+    ``fitted`` is None.
     """
     _regime_guard(levy, release, regime)
     t_grid = np.asarray(t_grid, dtype=float)
     if reference is None:
         t_ref = max(2.0 * float(t_grid[-1]), _endpoint_time(certificate))
-        reference = grid_ensemble(levy, release, 0.0, [t_ref], 2 * n_paths,
-                                  seed + 1, eps)[:, 0]
-    edges = _equal_mass_edges(reference, bins)
-    p_ref = _hist_probs(reference, edges)
+        reference = _stationary_reference(levy, release, 2 * n_paths, t_ref,
+                                          seed + 1, eps)
+    lanes = _as_lanes(reference)
+    edges = _equal_mass_edges(lanes.ravel(), bins)
+    p_ref = _hist_probs(lanes.ravel(), edges)
     mat = grid_ensemble(levy, release, x0, t_grid, n_paths, seed, eps)
     gen = substream(seed, "tv-boot")
+    # the reference is one sample for the whole curve, so one set of lane
+    # resamples serves every time point
+    m = len(lanes)
+    weights = gen.multinomial(m, np.full(m, 1.0 / m), N_BOOT)
+    br = weights @ _lane_counts(lanes, edges).astype(float) / lanes.size
     values = np.empty(t_grid.size)
     se = np.empty(t_grid.size)
     for j in range(t_grid.size):
         p_t = _hist_probs(mat[:, j], edges)
         values[j] = 0.5 * np.abs(p_t - p_ref).sum()
         bt = gen.multinomial(n_paths, p_t, N_BOOT) / n_paths
-        br = gen.multinomial(reference.size, p_ref, N_BOOT) / reference.size
         se[j] = (0.5 * np.abs(bt - br).sum(axis=1)).std(ddof=1)
     floor = math.sqrt(len(p_ref) / n_paths)
     mask = (np.arange(t_grid.size) >= t_grid.size // 2) & (values > 2.0 * floor)
@@ -353,6 +392,14 @@ def _wp_moment_guard(levy: LevyInput, p: float):
         raise MomentConditionFailed(f"int u^{p} nu(du) is infinite")
 
 
+def _lane_halves(lanes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The draws of the first M // 2 lanes and of the next M // 2: the two
+    independent halves whose self-distance is the W_p noise floor (an odd
+    last lane is left out)."""
+    half = len(lanes) // 2
+    return lanes[:half].ravel(), lanes[half:2 * half].ravel()
+
+
 def estimate_wp_decay(levy: LevyInput, release: ReleaseRate, x0,
                       mu0=None, p: float = 1.0, t_grid=None,
                       n_paths: int = 10_000, seed: int = 0, eps: float = 1e-4,
@@ -363,6 +410,8 @@ def estimate_wp_decay(levy: LevyInput, release: ReleaseRate, x0,
     """Empirical W_p between the time-t ensemble and the stationary reference.
 
     ``mu0`` overrides the fixed start with a sampler (gen, m) -> levels.
+    The reference comes from _stationary_reference (doubled budget); the
+    noise floor is the distance between its two halves of lanes.
     With a contraction bound the curve carries the deterministic reference
     (W_p(mu0, pi)/kappa + 1) B_kappa^{-1}(Gamma t) alongside the estimates.
     """
@@ -374,8 +423,10 @@ def estimate_wp_decay(levy: LevyInput, release: ReleaseRate, x0,
     starts = mu0 if mu0 is not None else x0
     if reference is None:
         t_ref = max(2.0 * float(t_grid[-1]), _endpoint_time(certificate))
-        reference = grid_ensemble(levy, release, 0.0, [t_ref], 2 * n_paths,
-                                  seed + 1, eps)[:, 0]
+        reference = _stationary_reference(levy, release, 2 * n_paths, t_ref,
+                                          seed + 1, eps)
+    lanes = _as_lanes(reference)
+    reference = lanes.ravel()
     mat = grid_ensemble(levy, release, starts, t_grid, n_paths, seed, eps)
     gen = substream(seed, "wp-boot")
     values = np.empty(t_grid.size)
@@ -397,9 +448,7 @@ def estimate_wp_decay(levy: LevyInput, release: ReleaseRate, x0,
             wp_boot[r:r + len(bs)] = ((np.abs(bs - refq) ** p).mean(axis=1)
                                       ** (1.0 / p))
         se[j] = wp_boot.std(ddof=1)
-    # floor: self-distance of two reference halves
-    half = reference.size // 2
-    floor = wasserstein_1d(reference[:half], reference[half:2 * half], p)
+    floor = wasserstein_1d(*_lane_halves(lanes), p)
     mask = (np.arange(t_grid.size) >= t_grid.size // 2) & (values > 2.0 * floor)
     fitted = fit_loglog(t_grid[mask], values[mask]) if mask.sum() >= 2 else None
     ref_curve = None

@@ -62,7 +62,13 @@ def _coerce(value, typ, context):
     if typ is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ScenarioError(f"{context}: expected a number")
-        return float(value)
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            number = math.inf
+        if not math.isfinite(number):
+            raise ScenarioError(f"{context}: expected a finite number")
+        return number
     if typ is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ScenarioError(f"{context}: expected an integer")
@@ -223,6 +229,8 @@ class Scenario:
         if top["scenario_schema"] != SCHEMA_VERSION:
             raise ScenarioError(
                 f"scenario_schema {top['scenario_schema']} != {SCHEMA_VERSION}")
+        if top["seed"] < 0:
+            raise ScenarioError("seed: expected a non-negative integer")
         levy, eps = build_input(top["input"])
         release = build_release(top["release"])
         phi = build_phi(top["phi"])
@@ -241,7 +249,7 @@ class Scenario:
             }))
         if budgets["n_paths"] < 1:
             raise ScenarioError("budgets.n_paths: needs at least one path")
-        if not (math.isfinite(budgets["horizon"]) and budgets["horizon"] > 0):
+        if budgets["horizon"] <= 0:
             raise ScenarioError("budgets.horizon: expected a finite positive time")
         tolerances = dict(_DEFAULT_TOLERANCES)
         if top["tolerances"]:
@@ -249,6 +257,9 @@ class Scenario:
                 "decision_margin": (float, _DEFAULT_TOLERANCES["decision_margin"]),
                 "epsilon": (float, _DEFAULT_TOLERANCES["epsilon"]),
             }))
+        if tolerances["epsilon"] <= 0:
+            raise ScenarioError(
+                "tolerances.epsilon: expected a finite positive number")
         return cls(top["name"], top["seed"], d, levy, release, phi, modulus,
                    gamma, kappa, eps, grids, budgets, tolerances)
 

@@ -66,6 +66,13 @@ class TestScenario:
         with pytest.raises(ScenarioError, match="integer"):
             Scenario.from_dict(bad)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400])
+    def test_non_finite_number_rejected(self, value):
+        bad = json.loads(json.dumps(MINIMAL))
+        bad["input"]["jump"]["mu"] = value
+        with pytest.raises(ScenarioError, match="input.jump.mu: expected a finite"):
+            Scenario.from_dict(bad)
+
     def test_defaults_filled(self):
         scen = Scenario.from_dict(MINIMAL)
         assert scen.tolerances["decision_margin"] == pytest.approx(0.05)
@@ -140,6 +147,21 @@ class TestCli:
         assert code == 1
         assert json.loads(capsys.readouterr().err.strip())["error"] == "usage"
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command, override, artifact", [
+        ("certify", "tolerances.epsilon=0", "certificate.json"),
+        ("laplace", "seed=-1", "laplace.csv"),
+        ("certify", "input.jump.mu=NaN", "certificate.json"),
+    ], ids=["epsilon-zero", "seed-negative", "mu-nan"])
+    def test_bad_number_is_usage_error(self, command, override, artifact,
+                                       tmp_path, capsys):
+        code = main([command, "preset:constant-mm1", "--out", str(tmp_path),
+                     "--set", override])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "usage"
+        assert override.split("=")[0].split(".")[-1] in err["message"]
+        assert not (tmp_path / artifact).exists()
 
     @pytest.mark.parametrize("n_paths", [5, 999])
     def test_tail_below_sample_floor_is_usage_error(self, n_paths, tmp_path,

@@ -189,6 +189,81 @@ class TestTvDecay:
         assert (big.values[:3] >= small.values[:3] - 2 * joint[:3]).all()
 
 
+class TestStationaryReference:
+    def test_shape(self):
+        for n in (1, 16, 17, 100):
+            ref = ergodicity_lab._stationary_reference(*MM1, n, 5.0, SEED, 1e-4)
+            assert ref.shape == (math.ceil(n / ergodicity_lab._REF_K),
+                                 ergodicity_lab._REF_K)
+
+    def test_estimators_draw_their_reference_from_long_chains(self, monkeypatch):
+        calls = []
+        real = ergodicity_lab.grid_ensemble
+
+        def spy(levy, release, x0, grid, n_paths, seed, eps=1e-4):
+            calls.append((len(grid), n_paths, seed))
+            return real(levy, release, x0, grid, n_paths, seed, eps)
+
+        monkeypatch.setattr(ergodicity_lab, "grid_ensemble", spy)
+        t_grid = np.array([1.0, 2.0, 4.0])
+        k = ergodicity_lab._REF_K
+        estimate_tv_decay(*MM1, 5.0, t_grid, 100, seed=SEED,
+                          regime="PositiveRecurrent")
+        estimate_wp_decay(*SHOTNOISE, 5.0, None, 1.0, t_grid, 100, seed=SEED,
+                          regime="PositiveRecurrent")
+        reference = (k, math.ceil(200 / k), SEED + 1)
+        assert calls == [reference, (3, 100, SEED)] * 2
+
+    @pytest.mark.parametrize("shape", [(40, 16), (300,)])
+    def test_lane_counts_add_up_to_the_histogram(self, shape):
+        from storagelab.ergodicity_lab import (
+            _as_lanes, _equal_mass_edges, _hist_probs, _lane_counts)
+        # MM1's stationary law has an atom at 0, so draws sit on an edge
+        ref = ergodicity_lab._stationary_reference(*MM1, 640, 20.0, SEED, 1e-4)
+        ref = ref.ravel()[:np.prod(shape)].reshape(shape)
+        lanes = _as_lanes(ref)
+        edges = _equal_mass_edges(ref.ravel(), 32)
+        counts = _lane_counts(lanes, edges)
+        assert counts.shape == (len(lanes), len(edges) - 1)
+        assert (counts.sum(axis=1) == lanes.shape[1]).all()
+        np.testing.assert_array_equal(
+            counts.sum(axis=0), _hist_probs(ref.ravel(), edges) * ref.size)
+
+    def test_wp_floor_compares_disjoint_lanes(self):
+        # an odd lane count: the split drops the last lane, where ravelling
+        # and halving would put one lane on both sides
+        lanes = np.repeat([[0.0], [1.0], [5.0]], 2, axis=1)
+        a, b = ergodicity_lab._lane_halves(lanes)
+        np.testing.assert_array_equal(a, [0.0, 0.0])
+        np.testing.assert_array_equal(b, [1.0, 1.0])
+        curve = estimate_wp_decay(*SHOTNOISE, 5.0, None, 1.0,
+                                  np.array([1.0, 2.0]), 100, seed=SEED,
+                                  reference=lanes, regime="PositiveRecurrent")
+        assert curve.noise_floor == 1.0
+
+    def test_mm1_tail_matches_the_oracle(self):
+        # the long-chain reference of `converge-tv preset:constant-mm1`
+        # against the preset's closed-form stationary tail; a level no
+        # draw reaches is off by at most one draw's mass
+        from storagelab.cli import _context_certificate, _tail_oracle
+        from storagelab.presets import load_preset
+        scen = load_preset("constant-mm1")
+        oracle = _tail_oracle(scen)
+        t_ref = max(2.0 * scen.grids["t_grid"][-1],
+                    ergodicity_lab._endpoint_time(_context_certificate(scen)))
+        ref = ergodicity_lab._stationary_reference(
+            scen.levy, scen.release, 2 * scen.budgets["n_paths"], t_ref,
+            scen.seed + 1, scen.truncation_eps)
+        u = np.asarray(scen.grids["u_grid"])
+        per_lane = (ref[:, :, None] > u).mean(axis=1)  # (lanes, levels)
+        m = len(ref)
+        weights = np.random.default_rng(SEED).multinomial(
+            m, np.full(m, 1.0 / m), ergodicity_lab.N_BOOT)
+        se = (weights @ per_lane / m).std(axis=0, ddof=1)
+        gap = np.abs(per_lane.mean(axis=0) - [oracle(x) for x in u])
+        assert (gap <= 5.0 * se + 1.0 / ref.size).all(), (gap, se)
+
+
 class TestWasserstein1d:
     def test_identical(self):
         x = np.random.default_rng(1).exponential(1.0, 500)
