@@ -34,7 +34,6 @@ from .levy_input import (
     TemperedStableSub,
     first_moment,
     laplace_check,
-    sample_increment,
     tail,
 )
 from .lyapunov import (
@@ -50,7 +49,6 @@ from .lyapunov import (
     tail_upper,
     tail_upper_exponential,
     tv_lower_rate,
-    wasserstein_rate,
 )
 from .numerics import (
     FitResult,
@@ -77,7 +75,6 @@ from .simulator import (
     Grid,
     PathConfig,
     PathRecord,
-    simulate_coupled,
     simulate_ensemble,
     simulate_path,
 )

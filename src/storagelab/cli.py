@@ -44,12 +44,7 @@ from .ergodicity_lab import (
     estimate_wp_decay,
 )
 from .levy_input import laplace_check
-from .lyapunov import (
-    TailEnvelope,
-    build_certificate,
-    tv_lower_rate,
-    wasserstein_rate,
-)
+from .lyapunov import GapBound, TailEnvelope, build_certificate, tv_lower_rate
 from .presets import load_preset, preset_names
 from .release_rate import check_regularity
 from .scenario import Scenario, ScenarioError
@@ -350,14 +345,21 @@ def cmd_converge_wp(scen: Scenario, out: Path, args) -> int:
     bound = None
     if scen.modulus is not None:
         kappa = max(args.x0, scen.kappa)
-        bound = wasserstein_rate(scen.modulus, scen.gamma, kappa)
+        bound = GapBound(scen.modulus, scen.gamma, kappa)
     curve = estimate_wp_decay(scen.levy, scen.release, args.x0, None, args.p,
                               np.asarray(scen.grids["t_grid"]),
                               scen.budgets["n_paths"], seed=scen.seed,
                               eps=scen.truncation_eps, contraction=bound)
-    _write_curve(out / "wp.csv", "t", curve.times, curve.values, curve.stderr,
-                 curve.reference_curve)
+    # the reference column only where the contraction check let it through
+    cols = {"t": curve.times, "estimate": curve.values, "stderr": curve.stderr}
+    if curve.reference_curve is not None:
+        cols["reference"] = curve.reference_curve
+    write_csv(out / "wp.csv", list(cols),
+              [tuple(map(float, row)) for row in zip(*cols.values())])
     print(f"{scen.name}: W{args.p:g} curve estimated at {curve.times.size} times")
+    if bound is not None and curve.reference_curve is None:
+        print(f"{scen.name}: no reference column: the release fails the "
+              "beta_modulus contraction")
     return 0
 
 

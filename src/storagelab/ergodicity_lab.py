@@ -19,7 +19,12 @@ import numpy as np
 from .classifier import classify
 from .errors import Divergent, MomentConditionFailed, NotStationaryRegime
 from .levy_input import JumpStream, LevyInput
-from .lyapunov import DriftCertificate, GapBound, LowerRateCurve
+from .lyapunov import (
+    DriftCertificate,
+    GapBound,
+    LowerRateCurve,
+    check_wasserstein_contraction,
+)
 from .numerics import FitResult, fit_loglog, integrate_semiinfinite, invert_monotone
 from .release_rate import ReleaseRate, signed_drain_time
 from .rng import substream
@@ -413,7 +418,10 @@ def estimate_wp_decay(levy: LevyInput, release: ReleaseRate, x0,
     The reference comes from _stationary_reference (doubled budget); the
     noise floor is the distance between its two halves of lanes.
     With a contraction bound the curve carries the deterministic reference
-    (W_p(mu0, pi)/kappa + 1) B_kappa^{-1}(Gamma t) alongside the estimates.
+    (W_p(mu0, pi)/kappa + 1) B_kappa^{-1}(Gamma t) alongside the estimates,
+    but only when ``release`` satisfies the contraction the bound assumes
+    (``check_wasserstein_contraction``); otherwise ``reference_curve`` is
+    None.
     """
     if p < 1:
         raise ValueError("order must be >= 1")
@@ -452,7 +460,8 @@ def estimate_wp_decay(levy: LevyInput, release: ReleaseRate, x0,
     mask = (np.arange(t_grid.size) >= t_grid.size // 2) & (values > 2.0 * floor)
     fitted = fit_loglog(t_grid[mask], values[mask]) if mask.sum() >= 2 else None
     ref_curve = None
-    if contraction is not None:
+    if contraction is not None and check_wasserstein_contraction(
+            release, contraction.modulus, contraction.Gamma)[0]:
         w0 = wasserstein_1d(mat[:, 0] if mu0 is not None else
                             np.full(256, float(x0)), reference, p)
         scale = w0 / contraction.kappa + 1.0

@@ -27,7 +27,7 @@ __all__ = [
     "Exponential", "ParetoJumps", "DeterministicJumps",
     "CompoundPoisson", "GammaSub", "StableSub", "TemperedStableSub",
     "TabulatedTail", "JumpStream", "TailAsymptotics",
-    "tail", "first_moment", "sample_increment", "laplace_check",
+    "tail", "first_moment", "laplace_check",
     "sample_jumps",
 ]
 
@@ -625,19 +625,6 @@ def tail(levy: LevyInput, u: float):
 def first_moment(levy: LevyInput) -> float:
     """m_nu = int u nu(du) = int_0^inf nu_bar(u) du, possibly +inf."""
     return levy.first_moment()
-
-
-def sample_increment(levy: LevyInput, stream: JumpStream, t: float):
-    """One draw of (A(t), [(time, size), ...]) under the truncation scheme.
-
-    A(t) sums the retained jumps plus compensator_drift * t; the drift is
-    folded in here so callers treating it as continuous inflow can subtract
-    it back via levy.compensator_drift(stream.truncation_eps).
-    """
-    times, sizes = sample_jumps(levy, stream, t)
-    drift = levy.compensator_drift(stream.truncation_eps)
-    a_t = float(sizes.sum() + drift * t)
-    return a_t, list(zip(times.tolist(), sizes.tolist()))
 
 
 def laplace_check(levy: LevyInput, t: float, lambdas, n_paths: int,

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .classifier import DEFAULT_DECISION_MARGIN, DEFAULT_PROBE_GRID
+from .errors import StorageLabError
 from .levy_input import (
     CompoundPoisson,
     DeterministicJumps,
@@ -195,7 +196,22 @@ def build_modulus(d: dict | None):
               {"Gamma": (float, 1.0), "kappa": (float, 1.0)})
     if f["family"] != "power":
         raise ScenarioError(f"beta_modulus: unknown family {f['family']!r}")
+    for key in ("Gamma", "kappa"):
+        if f[key] <= 0:
+            raise ScenarioError(
+                f"beta_modulus.{key}: expected a finite positive number")
     return PowerModulus(f["d"]), f["Gamma"], f["kappa"]
+
+
+def _build(block: str, build, d):
+    """``build(d)``, with a model constructor's own error re-raised as a
+    ScenarioError that names the scenario block."""
+    try:
+        return build(d)
+    except ScenarioError:
+        raise
+    except (ValueError, StorageLabError) as exc:
+        raise ScenarioError(f"{block}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -231,10 +247,11 @@ class Scenario:
                 f"scenario_schema {top['scenario_schema']} != {SCHEMA_VERSION}")
         if top["seed"] < 0:
             raise ScenarioError("seed: expected a non-negative integer")
-        levy, eps = build_input(top["input"])
-        release = build_release(top["release"])
-        phi = build_phi(top["phi"])
-        modulus, gamma, kappa = build_modulus(top["beta_modulus"])
+        levy, eps = _build("input", build_input, top["input"])
+        release = _build("release", build_release, top["release"])
+        phi = _build("phi", build_phi, top["phi"])
+        modulus, gamma, kappa = _build("beta_modulus", build_modulus,
+                                       top["beta_modulus"])
         grids = dict(_DEFAULT_GRIDS)
         if top["grids"]:
             extra = _take(top["grids"], "grids", {},

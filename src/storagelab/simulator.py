@@ -8,17 +8,18 @@ as a constant inflow, so the flow solves x' = d_eps - r(x).
 
 One kernel, ``_step_lanes``, steps every path through rows of jump times
 and sizes, x = flow(x, t_k - t_{k-1}) + s_k; a row holds one jump per lane
-of a (slot, lane) matrix, or one jump of a single path's column.  Four
+of a (slot, lane) matrix, or one jump of a single path's column.  Three
 feeders lay out the jumps:
 
 * ``simulate_path``, one path's keyed draws as a column, float state;
-* ``simulate_coupled``, one column driving two lanes (synchronous coupling);
 * ``simulate_ensemble``, the draws of path i, keyed ``(seed, i, ...)``, as
   column i, padded after its last jump with size-0 slots at the horizon;
 * ``grid_ensemble``, the engine of the estimators: chunk c of ``_CHUNK``
   lanes draws from the key ``(seed, "grid", c)`` one time slab of about
   ``_SLAB`` jumps at a time, so memory stays bounded, and records its
-  lanes at each grid time (a single grid time gives endpoints).
+  lanes at each grid time (a single grid time gives endpoints).  Two calls
+  with the same seed and ``n_paths`` from two fixed starts are a
+  synchronous coupling: lane i of each sees the same jumps.
 
 The per-path feeders record after stepping, so recording never perturbs
 the dynamics: a grid value is the lane flowed from its last jump at or
@@ -38,11 +39,8 @@ from .rng import substream
 
 __all__ = [
     "Endpoint", "Grid", "FullEvents", "PathConfig", "PathRecord",
-    "DistanceCurve", "simulate_path", "simulate_coupled", "simulate_ensemble",
-    "grid_ensemble",
+    "simulate_path", "simulate_ensemble", "grid_ensemble",
 ]
-
-MERGE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -96,13 +94,6 @@ class PathRecord:
     # mean-square truncation bias bound int_0^eps u^2 nu(du) * horizon;
     # zero when no compensation was needed
     bias_bound: float = 0.0
-
-
-@dataclass(frozen=True)
-class DistanceCurve:
-    times: np.ndarray
-    gaps: np.ndarray
-    merge_time: float  # inf if the paths never merged
 
 
 def _step_lanes(release: ReleaseRate, x, t, s, drift: float, tp, out=None):
@@ -180,43 +171,6 @@ def simulate_path(levy: LevyInput, release: ReleaseRate, cfg: PathConfig,
     return _walk(levy, release, cfg, [draws], stream.truncation_eps)[0]
 
 
-def simulate_coupled(levy: LevyInput, release: ReleaseRate, x: float, y: float,
-                     cfg: PathConfig, stream: JumpStream | None = None,
-                     merge_tol: float = MERGE_TOL):
-    """Two copies driven by the identical jump sequence (synchronous coupling).
-
-    After the first recorded time the gap falls below ``merge_tol`` the paths
-    are identified; the distance curve before merging is untouched.  The
-    copies are two lanes of one column; a never depends on b, so merging
-    copies a's records into b's."""
-    if x < 0 or y < 0:
-        raise ValueError("starts must be non-negative")
-    stream = stream or JumpStream(cfg.seed, cfg.truncation_eps)
-    times, sizes = sample_jumps(levy, stream, cfg.horizon)
-    drift = levy.compensator_drift(stream.truncation_eps)
-    grid = _record_grid(cfg)
-    t = np.concatenate([[0.0], times])
-    states = np.empty((t.size, 2))
-    states[0] = x, y
-    _step_lanes(release, states[0], t[1:], sizes, drift, 0.0, states[1:])
-    vals = _grid_values(release, t[:, None], times.size, states, grid, drift)
-    # the merge is the first recorded time with a gap below merge_tol; a
-    # jump at a grid time comes before it
-    at_jump = np.flatnonzero(np.abs(states[1:, 0] - states[1:, 1]) < merge_tol)
-    at_grid = np.flatnonzero(np.abs(vals[:, 0] - vals[:, 1]) < merge_tol)
-    t_jump = times[at_jump[0]] if at_jump.size else math.inf
-    t_grid = grid[at_grid[0]] if at_grid.size else math.inf
-    if t_jump <= t_grid:
-        merge_time, after = float(t_jump), np.searchsorted(grid, t_jump)
-    else:
-        merge_time, after = float(t_grid), at_grid[0] + 1
-    vals[after:, 1] = vals[after:, 0]
-    gaps = np.abs(vals[:, 0] - vals[:, 1])
-    rec = lambda v: PathRecord(grid.copy(), v, int(times.size), drift > 0.0)
-    return (rec(vals[:, 0].copy()), rec(vals[:, 1].copy()),
-            DistanceCurve(grid.copy(), gaps, merge_time))
-
-
 def _path_groups(levy, base: JumpStream, horizon: float, n_paths: int):
     """Per-path keyed draws in groups whose padded matrices hold at most
     ``_SLAB`` slots, and at least one path each."""
@@ -289,6 +243,11 @@ def grid_ensemble(levy: LevyInput, release: ReleaseRate, x0,
     then its jumps one time slab at a time, from the Philox key
     ``(seed, "grid", c)``; a slab expects at most ``_SLAB`` jumps across
     the chunk, so memory stays bounded whatever the intensity and horizon.
+
+    A fixed start draws nothing, so two calls with equal seeds and equal
+    ``n_paths`` give the same jumps lane by lane, whatever their starts:
+    lane i of ``grid_ensemble(levy, release, x, ...)`` and of
+    ``grid_ensemble(levy, release, y, ...)`` is a synchronously coupled pair.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0 or (np.diff(grid) < 0).any() or grid[0] < 0:

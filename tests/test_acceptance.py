@@ -41,13 +41,13 @@ from storagelab.levy_input import (
     laplace_check,
 )
 from storagelab.lyapunov import (
+    GapBound,
     PowerModulus,
     RateFunction,
     build_certificate,
     generator_apply,
     tail_lower,
     tv_lower_rate,
-    wasserstein_rate,
 )
 from storagelab.numerics import fit_loglog
 from storagelab.release_rate import (
@@ -59,9 +59,8 @@ from storagelab.release_rate import (
 )
 from storagelab.simulator import (
     Endpoint,
-    Grid,
     PathConfig,
-    simulate_coupled,
+    grid_ensemble,
     simulate_ensemble,
 )
 
@@ -206,30 +205,29 @@ def test_criterion_6_tv_rates():
 
 @criterion(7, "synchronous coupling matches the contraction bounds pathwise", 60)
 def test_criterion_7_wasserstein_pathwise():
-    grid = Grid((0.5, 1.0, 2.0, 4.0))
-    cfg = PathConfig(5.0, 4.0, grid, seed=SEED)
-    base = JumpStream(SEED, 1e-4)
-    for i in range(100):
-        _, _, dist = simulate_coupled(*SHOTNOISE[:1], Affine(0.0, 1.0), 5.0, 0.0,
-                                      cfg, stream=base.derive(i))
-        for t, g in zip(dist.times, dist.gaps):
-            assert abs(g - 5.0 * math.exp(-t)) <= 1e-6, (i, t, g)
-    # no-jump quadratic-drain pair against B_kappa^{-1}
-    nojump = CompoundPoisson(0.0, Exponential(1.0))
-    bound = wasserstein_rate(PowerModulus(2.0), 1.0, 3.0)
-    grid2 = Grid(tuple(np.linspace(0.2, 10.0, 25)))
-    cfg2 = PathConfig(3.0, 10.0, grid2, seed=SEED)
-    _, _, dist = simulate_coupled(nojump, Power(1.0, 2.0), 3.0, 0.0, cfg2)
-    for t, g in zip(dist.times, dist.gaps):
-        assert g <= bound(t) + 1e-6, (t, g, bound(t))
+    # coupled pairs are lanes: two grid_ensemble calls with one seed give
+    # lane i of each the same jumps
+    levy = SHOTNOISE[0]
+    grid = np.array([0.5, 1.0, 2.0, 4.0])
+    a, b = (grid_ensemble(levy, Affine(0.0, 1.0), x, grid, 128, SEED)
+            for x in (5.0, 0.0))
+    assert (np.abs(np.abs(a - b) - 5.0 * np.exp(-grid)) <= 1e-6).all()
+    # jump-driven quadratic-drain pairs against B_kappa^{-1}
+    bound = GapBound(PowerModulus(2.0), 1.0, 3.0)
+    grid2 = np.linspace(0.2, 10.0, 25)
+    a, b = (grid_ensemble(levy, Power(1.0, 2.0), x, grid2, 4096, SEED)
+            for x in (3.0, 0.0))
+    assert (b[:, -1] > 0.0).all()  # every lane jumped
+    worst = np.abs(a - b) - np.array([bound(t) for t in grid2])
+    assert (worst <= 1e-6).all(), worst.max()
 
 
 @criterion(8, "closed-form contraction clocks", None)
 def test_criterion_8_contraction_clock():
-    lin = wasserstein_rate(PowerModulus(1.0), 1.0, 2.0)
+    lin = GapBound(PowerModulus(1.0), 1.0, 2.0)
     for s in np.linspace(0.0, 20.0, 41):
         assert abs(lin(s) - 2.0 * math.exp(-s)) <= 1e-10
-    quad = wasserstein_rate(PowerModulus(2.0), 1.0, 1.0)
+    quad = GapBound(PowerModulus(2.0), 1.0, 1.0)
     s = 1e4
     assert abs(s * quad(s) - 1.0) <= 1e-3
 
@@ -277,11 +275,12 @@ def test_criterion_10_invariant_suites():
         lhs = dlog * float(MM1[1].rate(u))
         rhs = math.exp(cert.log_phi_profile(u) - cert.log_profile(u))
         assert lhs == pytest.approx(rhs, rel=1e-6)
-    # coupling order preservation
-    cfg = PathConfig(9.0, 20.0, Grid(tuple(np.linspace(0.2, 20.0, 40))), seed=SEED)
-    ra, rb, _ = simulate_coupled(CompoundPoisson(1.0, Exponential(1.0)),
-                                 Affine(0.0, 1.0), 9.0, 1.0, cfg)
-    assert (ra.values >= rb.values - 1e-12).all()
+    # coupling order preservation, lane by lane
+    grid = np.linspace(0.2, 20.0, 40)
+    ra, rb = (grid_ensemble(CompoundPoisson(1.0, Exponential(1.0)),
+                            Affine(0.0, 1.0), x, grid, 256, SEED)
+              for x in (9.0, 1.0))
+    assert (ra >= rb - 1e-12).all()
     # one-dimensional W1 identity
     rng = np.random.default_rng(SEED)
     a, b = rng.exponential(1.0, 700), rng.gamma(2.0, 1.0, 400)

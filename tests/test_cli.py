@@ -148,14 +148,22 @@ class TestCli:
         assert json.loads(capsys.readouterr().err.strip())["error"] == "usage"
         assert not any(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("command, override, artifact", [
-        ("certify", "tolerances.epsilon=0", "certificate.json"),
-        ("laplace", "seed=-1", "laplace.csv"),
-        ("certify", "input.jump.mu=NaN", "certificate.json"),
-    ], ids=["epsilon-zero", "seed-negative", "mu-nan"])
-    def test_bad_number_is_usage_error(self, command, override, artifact,
-                                       tmp_path, capsys):
-        code = main([command, "preset:constant-mm1", "--out", str(tmp_path),
+    @pytest.mark.parametrize("command, preset, override, artifact", [
+        ("certify", "constant-mm1", "tolerances.epsilon=0", "certificate.json"),
+        ("laplace", "constant-mm1", "seed=-1", "laplace.csv"),
+        ("certify", "constant-mm1", "input.jump.mu=NaN", "certificate.json"),
+        ("classify", "constant-mm1", "input.rate=-1", "classify.json"),
+        ("classify", "power-sharp", "phi.a=0", "classify.json"),
+        ("classify", "gamma-linear", "beta_modulus.d=0.5", "classify.json"),
+        ("converge-wp", "shotnoise-gamma",
+         'beta_modulus={"family":"power","d":1.0,"Gamma":0}', "wp.csv"),
+        ("classify", "gamma-linear", "beta_modulus.kappa=0", "classify.json"),
+    ], ids=["epsilon-zero", "seed-negative", "mu-nan", "input-rate-negative",
+            "phi-a-zero", "modulus-d-below-1", "modulus-gamma-zero",
+            "modulus-kappa-zero"])
+    def test_bad_number_is_usage_error(self, command, preset, override,
+                                       artifact, tmp_path, capsys):
+        code = main([command, f"preset:{preset}", "--out", str(tmp_path),
                      "--set", override])
         assert code == 1
         err = json.loads(capsys.readouterr().err.strip())
@@ -302,6 +310,23 @@ class TestCli:
         kept = reference("seed", "seed=7")
         assert float(kept[0]) == pytest.approx(1.5 * math.exp(-0.5))
         assert reference("b2", "release.b=2.0") == [""] * len(kept)
+
+    def test_wp_reference_needs_the_contraction(self, tmp_path, capsys):
+        # a constant drain fails r(u) - r(v) <= -Gamma (v - u): wp.csv gets
+        # no reference column, while shotnoise-gamma's affine drain keeps it
+        def header(preset, *overrides):
+            out = tmp_path / preset
+            args = ["converge-wp", f"preset:{preset}", "--out", str(out),
+                    "--set", "budgets.n_paths=2000"]
+            for override in overrides:
+                args += ["--set", override]
+            assert main(args) == 0
+            return (out / "wp.csv").read_text().splitlines()[1]
+
+        assert header("constant-mm1", 'beta_modulus={"family":"power",'
+                      '"d":1.0,"Gamma":5.0}') == "t,estimate,stderr"
+        assert "no reference column" in capsys.readouterr().out
+        assert header("shotnoise-gamma") == "t,estimate,stderr,reference"
 
     def test_simulate_grid_needs_a_time_within_the_horizon(self, tmp_path,
                                                            capsys):

@@ -35,11 +35,11 @@ from storagelab.levy_input import (
     StableSub,
 )
 from storagelab.lyapunov import (
+    GapBound,
     PowerModulus,
     RateFunction,
     build_certificate,
     tv_lower_rate,
-    wasserstein_rate,
 )
 from storagelab.release_rate import Affine, Constant, PowerSmoothed
 
@@ -289,13 +289,22 @@ class TestWasserstein1d:
 
 class TestWpDecay:
     def test_shotnoise_bounded_by_contraction(self):
-        bound = wasserstein_rate(PowerModulus(1.0), 1.0, 5.0)
+        bound = GapBound(PowerModulus(1.0), 1.0, 5.0)
         t_grid = np.linspace(0.25, 6.0, 12)
         curve = estimate_wp_decay(*SHOTNOISE, 5.0, None, 1.0, t_grid, 10_000,
                                   seed=SEED, contraction=bound,
                                   regime="PositiveRecurrent")
         assert curve.reference_curve is not None
         assert (curve.values <= curve.reference_curve + 3 * curve.stderr).all()
+
+    def test_no_reference_when_release_fails_contraction(self):
+        # a constant drain does not contract: r(u) - r(v) = 0 > -5 (v - u)
+        bound = GapBound(PowerModulus(1.0), 5.0, 1.0)
+        curve = estimate_wp_decay(*MM1, 0.0, None, 1.0, np.array([2.0, 4.0]),
+                                  2_000, seed=SEED, contraction=bound,
+                                  regime="PositiveRecurrent")
+        assert curve.reference_curve is None
+        assert np.isfinite(curve.values).all()
 
     def test_moment_gate(self):
         levy = CompoundPoisson(1.0, ParetoJumps(1.5))

@@ -23,7 +23,6 @@ from storagelab.levy_input import (
     TemperedStableSub,
     first_moment,
     laplace_check,
-    sample_increment,
     sample_jumps,
     tail,
 )
@@ -137,32 +136,40 @@ class TestLaplace:
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
 
 
+def _increment(levy, stream, t):
+    """A(t) under the truncation scheme, with its retained jumps: their
+    sizes plus the compensator drift of the discarded small jumps."""
+    times, sizes = sample_jumps(levy, stream, t)
+    return sizes.sum() + levy.compensator_drift(stream.truncation_eps) * t, times, sizes
+
+
 class TestSampling:
     def test_zero_time(self):
         stream = JumpStream(SEED)
-        a, jumps = sample_increment(CompoundPoisson(1.0, Exponential(1.0)), stream, 0.0)
-        assert a == 0.0 and jumps == []
+        a, times, _ = _increment(CompoundPoisson(1.0, Exponential(1.0)), stream, 0.0)
+        assert a == 0.0 and times.size == 0
 
     def test_zero_rate_degenerate(self):
         stream = JumpStream(SEED)
-        a, jumps = sample_increment(CompoundPoisson(0.0, Exponential(1.0)), stream, 5.0)
-        assert a == 0.0 and jumps == []
+        a, times, _ = _increment(CompoundPoisson(0.0, Exponential(1.0)), stream, 5.0)
+        assert a == 0.0 and times.size == 0
 
     def test_reproducible(self):
         inp = GammaSub(1.0, 1.0)
-        a1 = sample_increment(inp, JumpStream(SEED), 1.0)
-        a2 = sample_increment(inp, JumpStream(SEED), 1.0)
-        assert a1 == a2
+        a1, t1, s1 = _increment(inp, JumpStream(SEED), 1.0)
+        a2, t2, s2 = _increment(inp, JumpStream(SEED), 1.0)
+        assert a1 == a2 and (t1 == t2).all() and (s1 == s2).all()
 
     def test_nested_horizons_non_decreasing(self):
         inp = CompoundPoisson(2.0, Exponential(0.5))
         stream = JumpStream(SEED)
-        values = [sample_increment(inp, stream, t)[0] for t in (0.5, 1.0, 2.0, 4.0)]
+        values = [_increment(inp, stream, t)[0] for t in (0.5, 1.0, 2.0, 4.0)]
         assert all(b >= a for a, b in zip(values, values[1:]))
         # the t=0.5 jump set is a prefix of the t=2 jump set
-        j_small = sample_increment(inp, stream, 0.5)[1]
-        j_big = sample_increment(inp, stream, 2.0)[1]
-        assert j_big[: len(j_small)] == j_small
+        _, t_small, s_small = _increment(inp, stream, 0.5)
+        _, t_big, s_big = _increment(inp, stream, 2.0)
+        assert (t_big[:t_small.size] == t_small).all()
+        assert (s_big[:s_small.size] == s_small).all()
 
     def test_gamma_increment_mean(self):
         # gamma subordinator: E[A(1)] = shape/rate = 1
@@ -171,7 +178,7 @@ class TestSampling:
         draws = laplace_check(inp, 1.0, [0.0], 10_000, stream)  # warms stream
         gen_a = []
         for i in range(10_000):
-            gen_a.append(sample_increment(inp, stream.derive(i), 1.0)[0])
+            gen_a.append(_increment(inp, stream.derive(i), 1.0)[0])
         gen_a = np.asarray(gen_a)
         se = gen_a.std(ddof=1) / math.sqrt(gen_a.size)
         assert abs(gen_a.mean() - 1.0) <= 3 * se
@@ -183,8 +190,8 @@ class TestSampling:
         inp = StableSub(0.5, 1.0)
         counts = []
         for i in range(4000):
-            _, jumps = sample_increment(inp, JumpStream(SEED, 1e-3).derive(i), 1.0)
-            counts.append(sum(1 for _, s in jumps if s > 1.0))
+            _, sizes = sample_jumps(inp, JumpStream(SEED, 1e-3).derive(i), 1.0)
+            counts.append(int((sizes > 1.0).sum()))
         counts = np.asarray(counts, dtype=float)
         se = counts.std(ddof=1) / math.sqrt(counts.size)
         assert abs(counts.mean() - 1.0) <= 3 * se
@@ -214,8 +221,8 @@ class TestSampling:
         stream = JumpStream(SEED, 1e-2)
         n, hits = 3000, 0
         for i in range(n):
-            _, jumps = sample_increment(inp, stream.derive(i), 1.0)
-            hits += sum(1 for _, s in jumps if s > 0.5)
+            _, sizes = sample_jumps(inp, stream.derive(i), 1.0)
+            hits += int((sizes > 0.5).sum())
         expect = float(inp.tail(0.5))
         se = math.sqrt(expect / n)
         assert abs(hits / n - expect) <= 4 * se

@@ -32,6 +32,7 @@ from storagelab.levy_input import (
 )
 from storagelab.lyapunov import (
     CustomModulus,
+    GapBound,
     PowerModulus,
     RateFunction,
     build_certificate,
@@ -44,7 +45,6 @@ from storagelab.lyapunov import (
     tail_upper,
     tail_upper_exponential,
     tv_lower_rate,
-    wasserstein_rate,
 )
 from storagelab.presets import load_preset, preset_names
 from storagelab.release_rate import (
@@ -522,23 +522,23 @@ class TestWasserstein:
         CustomModulus(lambda t: t * t)  # fine
 
     def test_rate_exponential(self):
-        bound = wasserstein_rate(PowerModulus(1.0), 0.7, 2.0)
+        bound = GapBound(PowerModulus(1.0), 0.7, 2.0)
         for t in (0.0, 0.5, 3.0, 20.0):
             assert bound(t) == pytest.approx(2.0 * math.exp(-0.7 * t), abs=1e-9)
 
     def test_rate_power_limit(self):
         # d = 2, kappa = 1: B^{-1}(s) = 1/(1+s), so s B^{-1}(s) -> 1
-        bound = wasserstein_rate(PowerModulus(2.0), 1.0, 1.0)
+        bound = GapBound(PowerModulus(2.0), 1.0, 1.0)
         s = 1e4
         assert s * bound(s) == pytest.approx(1.0, abs=1e-3)
 
     def test_rate_zero_time_kappa(self):
         for d in (1.0, 2.0, 3.0):
-            assert wasserstein_rate(PowerModulus(d), 1.0, 0.8)(0.0) == 0.8
+            assert GapBound(PowerModulus(d), 1.0, 0.8)(0.0) == 0.8
 
     def test_custom_modulus_matches_closed(self):
-        closed = wasserstein_rate(PowerModulus(2.0), 1.0, 1.0)
-        numeric = wasserstein_rate(CustomModulus(lambda t: t * t), 1.0, 1.0)
+        closed = GapBound(PowerModulus(2.0), 1.0, 1.0)
+        numeric = GapBound(CustomModulus(lambda t: t * t), 1.0, 1.0)
         for t in (0.1, 1.0, 10.0):
             assert numeric(t) == pytest.approx(closed(t), rel=1e-7)
 

@@ -16,7 +16,7 @@ from storagelab.levy_input import (
     ParetoJumps,
     sample_jumps,
 )
-from storagelab.lyapunov import PowerModulus, wasserstein_rate
+from storagelab.lyapunov import GapBound, PowerModulus
 from storagelab.numerics import QuadratureSpec, _rk_flow, integrate_interval
 from storagelab.presets import load_preset, preset_names
 from storagelab.release_rate import (
@@ -35,7 +35,6 @@ from storagelab.simulator import (
     Grid,
     PathConfig,
     grid_ensemble,
-    simulate_coupled,
     simulate_ensemble,
     simulate_path,
 )
@@ -120,44 +119,6 @@ def _walk_reference(levy, release, cfg, stream):
         return np.asarray(ev_t), np.asarray(ev_v), np.concatenate([[0.0], sizes])
     out_v += [release.flow(x, g - t_prev, drift) for g in grid[gi:]]
     return grid, np.asarray(out_v), None
-
-
-def _coupled_reference(levy, release, x, y, cfg, stream, merge_tol):
-    """Two float copies on one jump sequence, b set to a once they merge:
-    (gaps, merge_time)."""
-    times, sizes = sample_jumps(levy, stream, cfg.horizon)
-    eps = stream.truncation_eps
-    drift = levy.compensator_drift(eps) if levy.activity == "infinite" else 0.0
-    grid = np.asarray(cfg.record.times)
-    xa, xb, t_prev, gi = float(x), float(y), 0.0, 0
-    merge_time, rec_a, rec_b = math.inf, [], []
-
-    def advance(xa, xb, dt):
-        xa2 = release.flow(xa, dt, drift)
-        xb2 = xa2 if merge_time < math.inf else release.flow(xb, dt, drift)
-        return xa2, xb2
-
-    def record(g):
-        nonlocal merge_time
-        ga, gb = advance(xa, xb, g - t_prev)
-        rec_a.append(ga)
-        rec_b.append(gb)
-        if merge_time == math.inf and abs(ga - gb) < merge_tol:
-            merge_time = float(g)
-
-    for tj, sj in zip(times, sizes):
-        while gi < len(grid) and grid[gi] < tj:
-            record(grid[gi])
-            gi += 1
-        xa, xb = advance(xa, xb, tj - t_prev)
-        xa += sj
-        xb = xa if merge_time < math.inf else xb + sj
-        t_prev = tj
-        if merge_time == math.inf and abs(xa - xb) < merge_tol:
-            merge_time = float(tj)
-    for g in grid[gi:]:
-        record(g)
-    return np.abs(np.asarray(rec_a) - np.asarray(rec_b)), merge_time
 
 
 class TestSimulatePath:
@@ -250,72 +211,64 @@ class TestSimulatePath:
         assert med[-1] > med[0]
 
 
+def _coupled(levy, release, x, y, grid, n_paths):
+    """Lanes (n_paths, len(grid)) of the pair started at x and at y: two
+    calls with one seed, so lane i of each sees the same jumps."""
+    return (grid_ensemble(levy, release, x, grid, n_paths, SEED),
+            grid_ensemble(levy, release, y, grid, n_paths, SEED))
+
+
 class TestCoupled:
+    def test_equal_seeds_give_lanes_the_same_jumps(self):
+        # the coupling rule, across two chunks: under the affine drain the
+        # jump part X(t) - x e^{-t} of a lane does not depend on its start
+        grid = np.array([0.5, 1.0, 2.0, 4.0])
+        n = simulator._CHUNK + 64
+        a, b = _coupled(CPP, Affine(0.0, 1.0), 5.0, 0.0, grid, n)
+        assert a - 5.0 * np.exp(-grid) == pytest.approx(b, rel=0, abs=1e-12)
+        assert (b[:, -1] > 0.0).mean() > 0.9  # the lanes did jump
+        other = grid_ensemble(CPP, Affine(0.0, 1.0), 0.0, grid, n, SEED + 1)
+        assert (other != b).any()
+
     def test_linear_gap_exact(self):
-        grid = Grid((0.5, 1.0, 2.0, 4.0))
-        cfg = PathConfig(5.0, 4.0, grid, seed=SEED)
-        _, _, dist = simulate_coupled(CPP, Affine(0.0, 1.0), 5.0, 0.0, cfg)
-        for t, g in zip(dist.times, dist.gaps):
-            assert g == pytest.approx(5.0 * math.exp(-t), abs=1e-9)
+        grid = np.array([0.5, 1.0, 2.0, 4.0])
+        a, b = _coupled(CPP, Affine(0.0, 1.0), 5.0, 0.0, grid, 256)
+        assert np.abs(a - b) == pytest.approx(
+            np.tile(5.0 * np.exp(-grid), (256, 1)), abs=1e-9)
 
     def test_identical_starts(self):
-        cfg = PathConfig(2.0, 3.0, Grid((1.0, 2.0, 3.0)), seed=SEED)
-        _, _, dist = simulate_coupled(CPP, Affine(0.0, 1.0), 2.0, 2.0, cfg)
-        assert (dist.gaps == 0.0).all()
-        assert dist.merge_time <= 1.0
+        a, b = _coupled(CPP, Affine(0.0, 1.0), 2.0, 2.0, [1.0, 2.0, 3.0], 256)
+        assert a.tobytes() == b.tobytes()
 
     def test_constant_drain_gap_closes(self):
-        cfg = PathConfig(1.0, 1.0, Grid(tuple(np.linspace(0.05, 1.0, 20))), seed=SEED)
-        _, _, dist = simulate_coupled(NO_JUMPS, Constant(2.0), 1.0, 0.0, cfg)
-        assert (np.diff(dist.gaps) <= 1e-12).all()
-        at_half = np.searchsorted(dist.times, 0.5)
-        assert (dist.gaps[at_half:] == pytest.approx(0.0, abs=1e-9))
+        grid = np.linspace(0.05, 1.0, 20)
+        a, b = _coupled(NO_JUMPS, Constant(2.0), 1.0, 0.0, grid, 16)
+        gaps = np.abs(a - b)
+        assert (np.diff(gaps, axis=1) <= 1e-12).all()
+        at_half = np.searchsorted(grid, 0.5)
+        assert (gaps[:, at_half:] == pytest.approx(0.0, abs=1e-9))
 
     def test_order_preserved(self):
-        grid = Grid(tuple(np.linspace(0.2, 20.0, 40)))
-        cfg = PathConfig(9.0, 20.0, grid, seed=SEED)
+        grid = np.linspace(0.2, 20.0, 40)
         for rel in (Affine(0.0, 1.0), Power(1.0, 2.0), Plateau(2.0, 1.0)):
-            ra, rb, _ = simulate_coupled(CPP, rel, 9.0, 1.0, cfg)
-            assert (ra.values >= rb.values - 1e-12).all()
+            a, b = _coupled(CPP, rel, 9.0, 1.0, grid, 256)
+            assert (a >= b - 1e-12).all()
 
     def test_gap_dominated_by_contraction_bound(self):
         # power drain with quadratic modulus: |X - Z| <= B_kappa^{-1}(t),
         # and the gap only shrinks (jumps cancel, the drift contracts)
-        grid = Grid(tuple(np.linspace(0.1, 10.0, 30)))
-        cfg = PathConfig(3.0, 10.0, grid, seed=SEED)
-        bound = wasserstein_rate(PowerModulus(2.0), 1.0, 2.0)
-        _, _, dist = simulate_coupled(CPP, Power(1.0, 2.0), 3.0, 1.0, cfg)
-        for t, g in zip(dist.times, dist.gaps):
-            assert g <= bound(t) + 1e-6
-        assert (np.diff(dist.gaps) <= 1e-12).all()
+        grid = np.linspace(0.1, 10.0, 30)
+        bound = GapBound(PowerModulus(2.0), 1.0, 2.0)
+        a, b = _coupled(CPP, Power(1.0, 2.0), 3.0, 1.0, grid, 256)
+        gaps = np.abs(a - b)
+        assert (gaps <= np.array([bound(t) for t in grid]) + 1e-6).all()
+        assert (np.diff(gaps, axis=1) <= 1e-12).all()
 
     def test_affine_gap_with_jumps_matches_exponential_bound(self):
-        grid = Grid(tuple(np.linspace(0.25, 8.0, 16)))
-        cfg = PathConfig(4.0, 8.0, grid, seed=SEED)
-        bound = wasserstein_rate(PowerModulus(1.0), 1.0, 4.0)
-        for i in range(20):
-            stream = JumpStream(SEED, 1e-4).derive(i)
-            _, _, dist = simulate_coupled(CPP, Affine(0.0, 1.0), 4.0, 0.0, cfg,
-                                          stream=stream)
-            for t, g in zip(dist.times, dist.gaps):
-                assert g <= bound(t) + 1e-6
-
-
-    @pytest.mark.parametrize("rel, x, y, grid", [
-        (Constant(2.0), 1.0, 0.0, (0.25, 5.0, 10.0)),
-        (Affine(0.0, 1.0), 5.0, 0.0, (10.0, 20.0, 30.0, 40.0)),
-    ], ids=["constant", "affine"])
-    def test_matches_float_reference(self, rel, x, y, grid):
-        # the gap closes between grid points and is caught at a jump
-        cfg = PathConfig(x, grid[-1], Grid(grid), seed=SEED)
-        stream = JumpStream(SEED, 1e-4).derive(2)
-        _, _, dist = simulate_coupled(CPP, rel, x, y, cfg, stream=stream)
-        gaps, merge_time = _coupled_reference(CPP, rel, x, y, cfg, stream,
-                                              simulator.MERGE_TOL)
-        assert grid[0] < merge_time < grid[-1] and merge_time not in grid
-        assert merge_time in sample_jumps(CPP, stream, grid[-1])[0]
-        assert dist.merge_time == merge_time
-        assert dist.gaps.tolist() == gaps.tolist()
+        grid = np.linspace(0.25, 8.0, 16)
+        bound = GapBound(PowerModulus(1.0), 1.0, 4.0)
+        a, b = _coupled(CPP, Affine(0.0, 1.0), 4.0, 0.0, grid, 256)
+        assert (np.abs(a - b) <= np.array([bound(t) for t in grid]) + 1e-6).all()
 
 
 PAIRS = {name: (load_preset(name).levy, load_preset(name).release)
