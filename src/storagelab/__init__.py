@@ -27,7 +27,6 @@ from .levy_input import (
     DeterministicJumps,
     Exponential,
     GammaSub,
-    JumpStream,
     ParetoJumps,
     StableSub,
     TabulatedTail,
@@ -69,12 +68,4 @@ from .release_rate import (
     modulus_R,
 )
 from .scenario import Scenario
-from .simulator import (
-    Endpoint,
-    FullEvents,
-    Grid,
-    PathConfig,
-    PathRecord,
-    simulate_ensemble,
-    simulate_path,
-)
+from .simulator import event_ensemble, grid_ensemble

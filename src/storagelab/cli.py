@@ -48,10 +48,11 @@ from .lyapunov import GapBound, TailEnvelope, build_certificate, tv_lower_rate
 from .presets import load_preset, preset_names
 from .release_rate import check_regularity
 from .scenario import Scenario, ScenarioError
-from .simulator import FullEvents, Grid, PathConfig, simulate_ensemble
-from .levy_input import JumpStream
+from .simulator import event_ensemble, grid_ensemble
 
 CSV_SCHEMA = 1
+# most retained jumps a `simulate` or `laplace` run may expect to draw
+_MAX_JUMPS = 10**7
 _CRITERION_ERRORS = (HypothesisFailed, C3Violation, NotStationaryRegime,
                      MomentConditionFailed, Divergent, NoiseFloorReached,
                      InvalidRateFunction, InvalidModulus)
@@ -240,25 +241,39 @@ def cmd_predict(scen: Scenario, out: Path, args) -> int:
     return 0
 
 
+def _check_work(scen: Scenario, horizon: float, n_paths: int) -> None:
+    """Refuse a run expected to draw more than _MAX_JUMPS retained jumps
+    (proposal rate x horizon x paths), before it draws any."""
+    jumps = scen.levy.proposal_rate(scen.truncation_eps) * horizon * n_paths
+    if not jumps <= _MAX_JUMPS:
+        raise ScenarioError(f"the run expects {jumps:.3g} jumps, more than "
+                            f"the {_MAX_JUMPS:.0e} a run may draw")
+
+
 def cmd_simulate(scen: Scenario, out: Path, args) -> int:
     n = scen.budgets["n_paths"]
     n = n if args.paths is None else min(n, args.paths)
     if n < 1:
         raise ScenarioError("simulate needs at least one path")
     horizon = scen.budgets["horizon"]
-    grid = tuple(t for t in scen.grids["t_grid"] if t <= horizon)
+    grid = [float(t) for t in scen.grids["t_grid"] if t <= horizon]
     if args.mode == "grid" and not grid:
         raise ScenarioError("simulate --mode grid needs a t_grid time "
                             "within the horizon")
-    record = FullEvents() if args.mode == "events" else Grid(grid)
-    cfg = PathConfig(args.x0, horizon, record, scen.seed, scen.truncation_eps)
-    paths = simulate_ensemble(scen.levy, scen.release, cfg, n)
+    _check_work(scen, horizon, n)
+    draw = (scen.levy, scen.release, args.x0)
     if args.mode == "events":
-        rows = [(i, float(t), float(j), float(x)) for i, rec in enumerate(paths)
-                for t, x, j in zip(rec.times, rec.values, rec.jump_sizes)]
-        write_csv(out / "events.csv", ["path_id", "t", "jump_size", "x_after"], rows)
+        lane, t, size, x = event_ensemble(*draw, horizon, n, scen.seed,
+                                          scen.truncation_eps)
+        # each path's rows open with its start at t = 0
+        first = np.searchsorted(lane, np.arange(n))
+        cols = [np.insert(col, first, start).tolist() for col, start in
+                ((lane, np.arange(n)), (t, 0.0), (size, 0.0), (x, args.x0))]
+        write_csv(out / "events.csv", ["path_id", "t", "jump_size", "x_after"],
+                  zip(*cols))
     else:
-        rows = [(i, float(t), float(x)) for i, values in enumerate(paths)
+        paths = grid_ensemble(*draw, grid, n, scen.seed, scen.truncation_eps)
+        rows = [(i, t, x) for i, values in enumerate(paths.tolist())
                 for t, x in zip(grid, values)]
         write_csv(out / "paths.csv", ["path_id", "t", "x"], rows)
     print(f"{scen.name}: simulated {n} paths")
@@ -422,9 +437,10 @@ def cmd_report(scen: Scenario, out: Path, args) -> int:
 
 
 def cmd_laplace(scen: Scenario, out: Path, args) -> int:
-    stream = JumpStream(scen.seed, scen.truncation_eps)
-    rows = laplace_check(scen.levy, 1.0, [0.5, 1.0, 2.0],
-                         max(scen.budgets["n_paths"], 1000), stream)
+    n = max(scen.budgets["n_paths"], 1000)
+    _check_work(scen, 1.0, n)
+    rows = laplace_check(scen.levy, 1.0, [0.5, 1.0, 2.0], n, scen.seed,
+                         scen.truncation_eps)
     write_csv(out / "laplace.csv", ["lam", "empirical", "analytic", "se", "z"],
               [(r["lam"], r["empirical"], r["analytic"], r["se"], r["z"])
                for r in rows])

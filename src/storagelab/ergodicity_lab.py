@@ -3,9 +3,10 @@
 Estimators here are the empirical side of the story: occupation-based or
 endpoint-based stationary tails, histogram total-variation decay against a
 stationary reference sample, and one-dimensional Wasserstein decay from
-sorted samples.  Each reports bootstrap standard errors and, where a decay
-exponent is wanted, a log-log fit restricted to the trustworthy part of the
-curve (past the transient, above the estimator noise floor).
+sorted samples.  Each reports standard errors (bootstrap, or the spread
+between independent chains) and, where a decay exponent is wanted, a
+log-log fit restricted to the trustworthy part of the curve (past the
+transient, above the estimator noise floor).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .classifier import classify
 from .errors import Divergent, MomentConditionFailed, NotStationaryRegime
-from .levy_input import JumpStream, LevyInput
+from .levy_input import LevyInput
 from .lyapunov import (
     DriftCertificate,
     GapBound,
@@ -28,7 +29,7 @@ from .lyapunov import (
 from .numerics import FitResult, fit_loglog, integrate_semiinfinite, invert_monotone
 from .release_rate import ReleaseRate, signed_drain_time
 from .rng import substream
-from .simulator import FullEvents, PathConfig, grid_ensemble, simulate_path
+from .simulator import event_ensemble, grid_ensemble
 
 __all__ = [
     "LongRunTimeAverage", "EnsembleEndpoint", "TailEstimate", "DecayCurve",
@@ -37,7 +38,8 @@ __all__ = [
 ]
 
 N_BOOT = 200
-N_BLOCKS = 100
+# independent chains of the long-run tail estimator (see estimate_tail)
+_LONGRUN_LANES = 16
 # resampled draws one bootstrap block holds: the W_p bootstrap resamples a few
 # replicates at a time, so its working memory stays near 2 MB per array
 # whatever the ensemble size
@@ -146,35 +148,26 @@ def _regime_guard(levy, release, regime: str | None):
                       stacklevel=3)
 
 
-def _occupation_matrix(release, t_start, starts, durations, u_grid, burn,
-                       total_time):
-    """Time above each level per equal time block: (N_BLOCKS, n_levels)."""
-    keep = t_start >= burn
-    t0, xs, dur = t_start[keep], starts[keep], durations[keep]
-    window = total_time - burn
-    # time above u from a start x is G(x) - G(u), capped by the duration; an
-    # empty start (-inf) never rises, as the inter-jump motion is drift-free
-    full = xs > 0.0
-    g_x = np.where(full, signed_drain_time(release, np.where(full, xs, 1.0)), -np.inf)
+def _occupation(release, lane, t_jump, x_after, u_grid, burn, total,
+               n_lanes):
+    """Time above each level per lane, (n_lanes, n_levels), on [burn, total].
+
+    Lanes start empty, and an empty lane stays so until its next jump, so
+    the segments that count start at jumps and run to the lane's next jump
+    or to ``total``; a segment that starts before ``burn`` is dropped."""
+    end = np.full(t_jump.shape, float(total))
+    nxt = lane[1:] == lane[:-1]  # the next jump is on the same lane
+    end[:-1][nxt] = t_jump[1:][nxt]
+    keep = t_jump >= burn
+    lane, xs, dur = lane[keep], x_after[keep], (end - t_jump)[keep]
+    # time above u from a start x is G(x) - G(u), capped by the duration
+    g_x = signed_drain_time(release, xs)
     g_u = signed_drain_time(release, u_grid)
-    block = np.minimum(((t0 - burn) / window * N_BLOCKS).astype(np.int64),
-                       N_BLOCKS - 1)
-    occ = np.zeros((N_BLOCKS, len(u_grid)))
+    occ = np.empty((n_lanes, len(u_grid)))
     for j, gu in enumerate(g_u):
         above = np.minimum(np.maximum(g_x - gu, 0.0), dur)
-        np.add.at(occ[:, j], block, above)
-    return occ, window
-
-
-def _geweke_stationary(series: np.ndarray, z_max: float = 2.0) -> bool:
-    """Geweke-style mean comparison: first 10% of blocks vs last 50%."""
-    n = series.size
-    a = series[: max(n // 10, 2)]
-    b = series[-(n // 2):]
-    var = a.var(ddof=1) / a.size + b.var(ddof=1) / b.size
-    if var == 0.0:
-        return True
-    return abs(a.mean() - b.mean()) / math.sqrt(var) <= z_max
+        occ[:, j] = np.bincount(lane, weights=above, minlength=n_lanes)
+    return occ
 
 
 # fewest effective samples a tail estimate accepts as its budget
@@ -186,15 +179,18 @@ def estimate_tail(levy: LevyInput, release: ReleaseRate, method, u_grid,
                   certificate: DriftCertificate | None = None,
                   regime: str | None = None) -> TailEstimate:
     """Stationary tail pi_bar on a strictly increasing level grid, with
-    bootstrap errors.
+    standard errors.
 
-    LongRunTimeAverage integrates exact occupation times of one long path
-    (time window = budget * spacing) with a block bootstrap; burn-in
-    defaults to 10x the certificate's relaxation guess 1/drift_margin,
-    capped at a fifth of the window.  EnsembleEndpoint draws ``budget``
-    independent endpoints at a horizon where the certificate's predicted
-    rate exceeds 100.  Estimates are isotonically corrected to be
-    non-increasing in the level.
+    LongRunTimeAverage integrates exact occupation times along
+    ``_LONGRUN_LANES`` independent chains from 0 (Gelman & Rubin 1992),
+    each over its burn-in plus window / _LONGRUN_LANES, where the window is
+    budget * spacing; the estimate is the mean over chains and its stderr
+    their spread / sqrt(_LONGRUN_LANES).  An explicit burn-in wins;
+    otherwise it is 10x the certificate's relaxation guess 1/drift_margin,
+    capped at a fifth of a chain's window, or that fifth without a valid
+    certificate.  EnsembleEndpoint draws ``budget`` independent endpoints
+    at a horizon where the certificate's predicted rate exceeds 100.
+    Estimates are isotonically corrected to be non-increasing in the level.
     """
     if budget < _MIN_TAIL_SAMPLES:
         raise ValueError(f"budget must provide at least {_MIN_TAIL_SAMPLES} "
@@ -203,9 +199,9 @@ def estimate_tail(levy: LevyInput, release: ReleaseRate, method, u_grid,
     u_grid = np.asarray(u_grid, dtype=float)
     if u_grid.ndim != 1 or u_grid.size == 0 or (np.diff(u_grid) <= 0).any():
         raise ValueError("u_grid must be a non-empty, strictly increasing array")
-    gen = substream(seed, "tail-boot")
 
     if isinstance(method, EnsembleEndpoint):
+        gen = substream(seed, "tail-boot")
         horizon = method.horizon or _endpoint_time(certificate)
         samples = grid_ensemble(levy, release, 0.0, [horizon], budget,
                                 seed, eps)[:, 0]
@@ -218,45 +214,27 @@ def estimate_tail(levy: LevyInput, release: ReleaseRate, method, u_grid,
                             f"EnsembleEndpoint(T={horizon:g})", float(budget))
 
     if isinstance(method, LongRunTimeAverage):
+        if levy.compensator_drift(eps) > 0.0:
+            raise ValueError("occupation engine needs drift-free inter-jump motion")
         window = budget * method.spacing
-        geweke = False
+        lane_window = window / _LONGRUN_LANES
         if method.burn_in is not None:
             burn = method.burn_in
         elif certificate is not None and certificate.valid:
-            burn = min(10.0 / max(certificate.drift_margin, 1e-2), window / 5.0)
+            burn = min(10.0 / max(certificate.drift_margin, 1e-2),
+                       lane_window / 5.0)
         else:
-            # no relaxation guess: start small and double until the occupation
-            # series looks stationary under a Geweke-style mean comparison
-            burn = window / 50.0
-            geweke = True
-        total = window + burn
-        if levy.compensator_drift(eps) > 0.0:
-            raise ValueError("occupation engine needs drift-free inter-jump motion")
-        rec = simulate_path(levy, release,
-                            PathConfig(0.0, total, FullEvents(), seed, eps),
-                            stream=JumpStream(seed, eps).derive("longrun"))
-        t0, xs = rec.times, rec.values
-        dur = np.diff(np.append(t0, total))
-        occ, w_eff = _occupation_matrix(release, t0, xs, dur, u_grid, burn, total)
-        if geweke:
-            mid = len(u_grid) // 2
-            for _ in range(5):
-                series = occ[:, mid] / (w_eff / N_BLOCKS)
-                if _geweke_stationary(series):
-                    break
-                burn *= 2.0
-                if burn > total / 3.0:
-                    warnings.warn("burn-in doubling hit its cap before the "
-                                  "occupation series stabilised", stacklevel=2)
-                    break
-                occ, w_eff = _occupation_matrix(release, t0, xs, dur, u_grid,
-                                                burn, total)
-        pibar = occ.sum(axis=0) / w_eff
-        idx = gen.integers(0, N_BLOCKS, (N_BOOT, N_BLOCKS))
-        boots = occ[idx].sum(axis=1) / w_eff  # (N_BOOT, n_levels)
-        se = boots.std(axis=0, ddof=1)
+            burn = lane_window / 5.0
+        total = burn + lane_window
+        lane, t, _, x = event_ensemble(levy, release, 0.0, total,
+                                       _LONGRUN_LANES, seed, eps)
+        per_lane = _occupation(release, lane, t, x, u_grid, burn, total,
+                               _LONGRUN_LANES) / lane_window
+        pibar = per_lane.mean(axis=0)
+        se = per_lane.std(axis=0, ddof=1) / math.sqrt(_LONGRUN_LANES)
         return TailEstimate(u_grid, _isotonic_decreasing(pibar), se,
-                            f"LongRunTimeAverage(window={window:g}, burn={burn:g})",
+                            f"LongRunTimeAverage(lanes={_LONGRUN_LANES}, "
+                            f"window={window:g}, burn={burn:g})",
                             float(budget))
 
     raise ValueError(f"unknown estimation method {method!r}")

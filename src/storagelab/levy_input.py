@@ -26,9 +26,8 @@ from .rng import substream
 __all__ = [
     "Exponential", "ParetoJumps", "DeterministicJumps",
     "CompoundPoisson", "GammaSub", "StableSub", "TemperedStableSub",
-    "TabulatedTail", "JumpStream", "TailAsymptotics",
+    "TabulatedTail", "TailAsymptotics",
     "tail", "first_moment", "laplace_check",
-    "sample_jumps",
 ]
 
 
@@ -557,64 +556,6 @@ class TabulatedTail(LevyInput):
         return np.exp(log_u)
 
 
-# ---------------------------------------------------------------------------
-# jump streams and sampling
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class JumpStream:
-    """Reproducibility token: (seed, path tags) keys every random draw.
-
-    Identical seeds reproduce identical jump sequences bit for bit, and
-    sequences are nested in the horizon (longer horizons extend, never
-    reshuffle).
-    """
-
-    seed: int
-    truncation_eps: float = 1e-4
-    tags: tuple = ()
-
-    def __post_init__(self):
-        if self.truncation_eps <= 0:
-            raise ValueError("truncation level must be positive")
-
-    def derive(self, *tags) -> "JumpStream":
-        return JumpStream(self.seed, self.truncation_eps, self.tags + tags)
-
-    def generator(self, purpose: str) -> np.random.Generator:
-        return substream(self.seed, *self.tags, purpose)
-
-
-def sample_jumps(levy: LevyInput, stream: JumpStream, horizon: float):
-    """Jump times and sizes on [0, horizon]; zero-size entries are dropped.
-
-    Arrival times come from exponential inter-arrival blocks, sizes from a
-    lock-stepped second stream, so the k-th arrival is the same random pair
-    for every horizon (nested consistency).
-    """
-    if horizon < 0:
-        raise ValueError("horizon must be non-negative")
-    eps = stream.truncation_eps
-    lam = levy.proposal_rate(eps)
-    if lam <= 0.0 or horizon == 0.0:
-        return np.empty(0), np.empty(0)
-    gen_t = stream.generator("arrivals")
-    gen_s = stream.generator("sizes")
-    block = 256
-    times_parts, size_parts = [], []
-    t_last = 0.0
-    while t_last <= horizon:
-        gaps = gen_t.exponential(1.0 / lam, block)
-        t = t_last + np.cumsum(gaps)
-        times_parts.append(t)
-        size_parts.append(levy.sample_sizes(gen_s, block, eps))
-        t_last = t[-1]
-    times = np.concatenate(times_parts)
-    sizes = np.concatenate(size_parts)
-    keep = (times <= horizon) & (sizes > 0.0)
-    return times[keep], sizes[keep]
-
-
 def tail(levy: LevyInput, u: float):
     """nu_bar(u) = nu((u, inf)) for u > 0."""
     if np.any(np.asarray(u) <= 0):
@@ -628,19 +569,18 @@ def first_moment(levy: LevyInput) -> float:
 
 
 def laplace_check(levy: LevyInput, t: float, lambdas, n_paths: int,
-                  stream: JumpStream):
+                  seed: int, eps: float = 1e-4):
     """Empirical vs analytic Laplace transform of A(t), with z-scores.
 
-    Vectorised across paths under a single purpose-tagged stream; the whole
-    batch is reproducible from the seed.
+    Vectorised across paths, all drawn from the Philox key
+    ``(seed, "laplace")``; the whole batch is reproducible from the seed.
     """
     if t <= 0:
         raise ValueError("t must be positive")
     if n_paths < 100:
         raise ValueError("need at least 100 paths")
-    eps = stream.truncation_eps
     lam_rate = levy.proposal_rate(eps)
-    gen = stream.generator("laplace")
+    gen = substream(seed, "laplace")
     counts = gen.poisson(lam_rate * t, n_paths)
     total = int(counts.sum())
     sizes = levy.sample_sizes(gen, total, eps) if total else np.empty(0)

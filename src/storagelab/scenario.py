@@ -92,7 +92,8 @@ def _coerce(value, typ, context):
 def _check_grids(grids: dict) -> None:
     """Each grid is a non-empty list of finite numbers.  probe_u and u_grid
     are strictly increasing and positive, probe_u with at least 3 points
-    (the criteria's rule); t_grid is sorted and non-negative (the Grid rule).
+    (the criteria's rule); t_grid is sorted and non-negative (the rule of
+    ``grid_ensemble``).
     """
     for name, xs in grids.items():
         if not xs or any(isinstance(x, bool) or not isinstance(x, (int, float))

@@ -35,7 +35,6 @@ from storagelab.levy_input import (
     CompoundPoisson,
     Exponential,
     GammaSub,
-    JumpStream,
     ParetoJumps,
     StableSub,
     laplace_check,
@@ -57,12 +56,7 @@ from storagelab.release_rate import (
     Power,
     PowerSmoothed,
 )
-from storagelab.simulator import (
-    Endpoint,
-    PathConfig,
-    grid_ensemble,
-    simulate_ensemble,
-)
+from storagelab.simulator import event_ensemble, grid_ensemble
 
 SEED = 20260810
 
@@ -100,14 +94,13 @@ def criterion(cid, desc, limit_s=None):
 
 @criterion(1, "input-law Laplace transforms, |z| <= 4 at 1e5 paths", 30)
 def test_criterion_1_input_law():
-    stream = JumpStream(SEED)
     rows = laplace_check(CompoundPoisson(1.0, Exponential(1.0)), 1.0,
-                         [0.5, 1.0, 2.0], 100_000, stream)
+                         [0.5, 1.0, 2.0], 100_000, SEED)
     for row in rows:
         lam = row["lam"]
         assert row["analytic"] == pytest.approx(math.exp(-lam / (1 + lam)), rel=1e-12)
         assert abs(row["z"]) <= 4.0, row
-    rows = laplace_check(GammaSub(1.0, 1.0), 1.0, [0.5, 1.0, 2.0], 100_000, stream)
+    rows = laplace_check(GammaSub(1.0, 1.0), 1.0, [0.5, 1.0, 2.0], 100_000, SEED)
     for row in rows:
         lam = row["lam"]
         assert row["analytic"] == pytest.approx(1.0 / (1.0 + lam), rel=1e-12)
@@ -285,11 +278,11 @@ def test_criterion_10_invariant_suites():
     rng = np.random.default_rng(SEED)
     a, b = rng.exponential(1.0, 700), rng.gamma(2.0, 1.0, 400)
     assert wasserstein_1d(a, b, 1.0) == pytest.approx(w1_cdf_area(a, b), abs=1e-12)
-    # determinism / bit-reproducibility
-    cfg = PathConfig(1.0, 5.0, Endpoint(), seed=SEED)
-    run1 = simulate_ensemble(*MM1, cfg, 64)
-    run2 = simulate_ensemble(*MM1, cfg, 64)
-    assert (run1 == run2).all()
+    # determinism / bit-reproducibility, for both consumers of the engine
+    run1, run2 = (grid_ensemble(*MM1, 1.0, [5.0], 64, SEED) for _ in range(2))
+    assert run1.tobytes() == run2.tobytes()
+    ev1, ev2 = (event_ensemble(*MM1, 1.0, 5.0, 64, SEED) for _ in range(2))
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(ev1, ev2))
 
 
 def test_zzz_print_summary():

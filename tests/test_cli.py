@@ -2,6 +2,7 @@
 
 import json
 import math
+import signal
 from pathlib import Path
 
 import numpy as np
@@ -242,6 +243,45 @@ class TestCli:
         lines = (out / "events.csv").read_text().splitlines()
         assert lines[1] == "path_id,t,jump_size,x_after"
         assert len(lines) > 3
+        rows = [line.split(",") for line in lines[2:]]
+        ids = [int(r[0]) for r in rows]
+        assert sorted(set(ids)) == [0, 1, 2] and ids == sorted(ids)
+        # each path opens with its start at t = 0
+        firsts = [r for i, r in enumerate(rows) if i == 0 or ids[i - 1] != ids[i]]
+        assert all(float(r[1]) == float(r[2]) == float(r[3]) == 0.0
+                   for r in firsts)
+
+    @pytest.mark.parametrize("command, override, extra", [
+        ("simulate", "input.rate=1e300", ["--paths", "2"]),
+        ("simulate", "budgets.horizon=1e300", ["--paths", "2"]),
+        ("laplace", "input.rate=1e300", []),
+    ], ids=["simulate-rate", "simulate-horizon", "laplace-rate"])
+    def test_unbounded_work_is_usage_error(self, command, override, extra,
+                                           tmp_path, capsys):
+        # refused before any draw: a hang fails at the alarm, not the suite
+        def hang(signum, frame):
+            raise TimeoutError(f"{command} --set {override} did not return")
+
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(15)
+        try:
+            code = main([command, "preset:constant-mm1", "--set", override,
+                         "--out", str(tmp_path / "o")] + extra)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "usage" and "jumps" in err["message"]
+        assert not (tmp_path / "o").exists()
+
+    def test_tiny_rate_simulates(self, tmp_path):
+        # a gamma input of rate 1e-300 has a finite proposal rate and a zero
+        # compensator drift (1 - e^{-1e-304} is 0 in floats)
+        out = tmp_path / "g"
+        assert main(["simulate", "preset:gamma-linear", "--set",
+                     "input.rate=1e-300", "--paths", "2", "--out", str(out)]) == 0
+        assert (out / "paths.csv").exists()
 
     def test_simulate_rejects_no_paths(self, tmp_path, capsys):
         assert main(["simulate", "preset:constant-mm1", "--paths", "-3",

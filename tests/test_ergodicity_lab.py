@@ -41,7 +41,9 @@ from storagelab.lyapunov import (
     build_certificate,
     tv_lower_rate,
 )
+from storagelab.presets import load_preset
 from storagelab.release_rate import Affine, Constant, PowerSmoothed
+from storagelab.simulator import grid_ensemble
 
 SEED = 20260810
 MM1 = (CompoundPoisson(1.0, Exponential(1.0)), Constant(2.0))
@@ -115,21 +117,28 @@ class TestEstimateTail:
             estimate_tail(*MM1, LongRunTimeAverage(), np.array(grid), 20_000,
                           seed=SEED, regime="PositiveRecurrent")
 
-    def test_geweke_burnin_without_certificate(self):
-        # no certificate, no explicit burn-in: the doubling heuristic picks
-        # one and the estimate still hits the oracle
+    def test_default_burnin_without_certificate(self):
+        # no certificate, no explicit burn-in: each of the 16 chains burns a
+        # fifth of its window, 20_000 / 16 / 5 = 250, and the estimate
+        # still hits the oracle
         grid = np.array([1.0, 2.0])
         est = estimate_tail(*MM1, LongRunTimeAverage(), grid, 20_000,
                             seed=SEED, regime="PositiveRecurrent")
-        assert "burn=" in est.method
+        assert est.method.endswith("burn=250)")
         for u, p, s in zip(est.levels, est.pi_bar_hat, est.stderr):
             assert abs(p - mm1_tail(u)) <= 4 * s
+        # a certificate caps it at 10 / drift margin, an explicit one wins
+        cert = build_certificate(*MM1, RateFunction.linear(0.5))
+        for method, burn in ((LongRunTimeAverage(), "burn=30)"),
+                             (LongRunTimeAverage(burn_in=7.0), "burn=7)")):
+            est = estimate_tail(*MM1, method, grid, 20_000, seed=SEED,
+                                certificate=cert, regime="PositiveRecurrent")
+            assert est.method.endswith(burn)
 
 
 class TestTvDecay:
     def test_self_distance_below_floor(self):
         # two stationary samples: TV estimate within the noise floor
-        from storagelab.simulator import grid_ensemble
         ref = grid_ensemble(*MM1, 0.0, [40.0], 20_000, SEED)[:, 0]
         curve_ref = grid_ensemble(*MM1, 0.0, [40.0], 20_000, SEED + 5)[:, 0]
         from storagelab.ergodicity_lab import _equal_mass_edges, _hist_probs
@@ -246,7 +255,6 @@ class TestStationaryReference:
         # against the preset's closed-form stationary tail; a level no
         # draw reaches is off by at most one draw's mass
         from storagelab.cli import _context_certificate, _tail_oracle
-        from storagelab.presets import load_preset
         scen = load_preset("constant-mm1")
         oracle = _tail_oracle(scen)
         t_ref = max(2.0 * scen.grids["t_grid"][-1],
@@ -305,6 +313,26 @@ class TestWpDecay:
                                   regime="PositiveRecurrent")
         assert curve.reference_curve is None
         assert np.isfinite(curve.values).all()
+
+    def test_coupling_bounds_w1_from_above(self):
+        # lanes from 0 and lanes from stationary draws y see the same jumps
+        # (the sampler draws nothing), so the mean coupled gap bounds
+        # W1(law at t, pi) from above; the estimate may sit below it by its
+        # stderr and its noise floor
+        scen = load_preset("shotnoise-gamma")
+        levy, rel, n = scen.levy, scen.release, 4000
+        t_grid = np.asarray(scen.grids["t_grid"])
+        y = np.random.default_rng(SEED).gamma(2.0, 1.0, n)  # pi is Gamma(2, 1)
+        gap = np.abs(grid_ensemble(levy, rel, 0.0, t_grid, n, SEED)
+                     - grid_ensemble(levy, rel, lambda gen, m: y[:m], t_grid,
+                                     n, SEED))
+        upper = gap.mean(axis=0) + 3 * gap.std(axis=0, ddof=1) / math.sqrt(n)
+        curve = estimate_wp_decay(levy, rel, 0.0, None, 1.0, t_grid, n,
+                                  seed=SEED, regime="PositiveRecurrent")
+        above = curve.values > 2 * curve.noise_floor
+        assert above.sum() >= 4
+        lower = curve.values - 3 * curve.stderr - curve.noise_floor
+        assert (lower[above] <= upper[above]).all(), (lower, upper)
 
     def test_moment_gate(self):
         levy = CompoundPoisson(1.0, ParetoJumps(1.5))

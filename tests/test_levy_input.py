@@ -16,18 +16,18 @@ from storagelab.levy_input import (
     DeterministicJumps,
     Exponential,
     GammaSub,
-    JumpStream,
     ParetoJumps,
     StableSub,
     TabulatedTail,
     TemperedStableSub,
     first_moment,
     laplace_check,
-    sample_jumps,
     tail,
 )
 import storagelab
 from storagelab.numerics import integrate_semiinfinite, invert_monotone
+from storagelab.release_rate import Affine
+from storagelab.simulator import event_ensemble, grid_ensemble
 
 SEED = 20260810
 
@@ -136,50 +136,44 @@ class TestLaplace:
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
 
 
-def _increment(levy, stream, t):
-    """A(t) under the truncation scheme, with its retained jumps: their
+def _jumps(levy, t, n_paths, eps=1e-4, seed=SEED):
+    """The lane engine's retained jumps on (0, t]: (lane, size) arrays."""
+    lane, _, sizes, _ = event_ensemble(levy, Affine(0.0, 1.0), 0.0, t,
+                                       n_paths, seed, eps)
+    return lane, sizes
+
+
+def _increments(levy, t, n_paths, eps=1e-4, seed=SEED):
+    """A(t) of each lane under the truncation scheme: its retained jump
     sizes plus the compensator drift of the discarded small jumps."""
-    times, sizes = sample_jumps(levy, stream, t)
-    return sizes.sum() + levy.compensator_drift(stream.truncation_eps) * t, times, sizes
+    lane, sizes = _jumps(levy, t, n_paths, eps, seed)
+    sums = np.bincount(lane, weights=sizes, minlength=n_paths)
+    return sums + levy.compensator_drift(eps) * t
 
 
 class TestSampling:
     def test_zero_time(self):
-        stream = JumpStream(SEED)
-        a, times, _ = _increment(CompoundPoisson(1.0, Exponential(1.0)), stream, 0.0)
-        assert a == 0.0 and times.size == 0
+        # at time 0 nothing has happened, and no event run covers no time
+        x = grid_ensemble(CompoundPoisson(1.0, Exponential(1.0)),
+                          Affine(0.0, 1.0), 3.0, [0.0], 50, SEED)
+        assert (x == 3.0).all()
+        with pytest.raises(ValueError):
+            _jumps(CompoundPoisson(1.0, Exponential(1.0)), 0.0, 50)
 
     def test_zero_rate_degenerate(self):
-        stream = JumpStream(SEED)
-        a, times, _ = _increment(CompoundPoisson(0.0, Exponential(1.0)), stream, 5.0)
-        assert a == 0.0 and times.size == 0
+        inp = CompoundPoisson(0.0, Exponential(1.0))
+        assert _jumps(inp, 5.0, 50)[0].size == 0
+        assert (_increments(inp, 5.0, 50) == 0.0).all()
 
     def test_reproducible(self):
         inp = GammaSub(1.0, 1.0)
-        a1, t1, s1 = _increment(inp, JumpStream(SEED), 1.0)
-        a2, t2, s2 = _increment(inp, JumpStream(SEED), 1.0)
-        assert a1 == a2 and (t1 == t2).all() and (s1 == s2).all()
-
-    def test_nested_horizons_non_decreasing(self):
-        inp = CompoundPoisson(2.0, Exponential(0.5))
-        stream = JumpStream(SEED)
-        values = [_increment(inp, stream, t)[0] for t in (0.5, 1.0, 2.0, 4.0)]
-        assert all(b >= a for a, b in zip(values, values[1:]))
-        # the t=0.5 jump set is a prefix of the t=2 jump set
-        _, t_small, s_small = _increment(inp, stream, 0.5)
-        _, t_big, s_big = _increment(inp, stream, 2.0)
-        assert (t_big[:t_small.size] == t_small).all()
-        assert (s_big[:s_small.size] == s_small).all()
+        l1, s1 = _jumps(inp, 1.0, 50)
+        l2, s2 = _jumps(inp, 1.0, 50)
+        assert l1.size > 0 and (l1 == l2).all() and (s1 == s2).all()
 
     def test_gamma_increment_mean(self):
         # gamma subordinator: E[A(1)] = shape/rate = 1
-        inp = GammaSub(1.0, 1.0)
-        stream = JumpStream(SEED, truncation_eps=1e-4)
-        draws = laplace_check(inp, 1.0, [0.0], 10_000, stream)  # warms stream
-        gen_a = []
-        for i in range(10_000):
-            gen_a.append(_increment(inp, stream.derive(i), 1.0)[0])
-        gen_a = np.asarray(gen_a)
+        gen_a = _increments(GammaSub(1.0, 1.0), 1.0, 10_000)
         se = gen_a.std(ddof=1) / math.sqrt(gen_a.size)
         assert abs(gen_a.mean() - 1.0) <= 3 * se
         # exact law is Gamma(shape*t, rate): variance shape/rate^2 = 1
@@ -187,12 +181,8 @@ class TestSampling:
 
     def test_stable_large_jump_rate(self):
         # jumps above 1 on [0, 1] are Poisson with mean nu_bar(1) = 1
-        inp = StableSub(0.5, 1.0)
-        counts = []
-        for i in range(4000):
-            _, sizes = sample_jumps(inp, JumpStream(SEED, 1e-3).derive(i), 1.0)
-            counts.append(int((sizes > 1.0).sum()))
-        counts = np.asarray(counts, dtype=float)
+        lane, sizes = _jumps(StableSub(0.5, 1.0), 1.0, 4000, eps=1e-3)
+        counts = np.bincount(lane[sizes > 1.0], minlength=4000).astype(float)
         se = counts.std(ddof=1) / math.sqrt(counts.size)
         assert abs(counts.mean() - 1.0) <= 3 * se
 
@@ -202,15 +192,13 @@ class TestSampling:
         inp = GammaSub(1.0, 1.0)
         eps = 1e-3
         horizon = 1.0
-        gaps = []
-        for i in range(2000):
-            stream = JumpStream(SEED, eps / 10).derive(i)
-            times, sizes = sample_jumps(inp, stream, horizon)
-            a_fine = sizes.sum() + inp.compensator_drift(eps / 10) * horizon
-            kept = sizes[sizes >= eps]
-            a_coarse = kept.sum() + inp.compensator_drift(eps) * horizon
-            gaps.append(a_fine - a_coarse)
-        gaps = np.asarray(gaps)
+        lane, sizes = _jumps(inp, horizon, 2000, eps=eps / 10)
+        a_fine = (np.bincount(lane, weights=sizes, minlength=2000)
+                  + inp.compensator_drift(eps / 10) * horizon)
+        kept = sizes >= eps
+        a_coarse = (np.bincount(lane[kept], weights=sizes[kept], minlength=2000)
+                    + inp.compensator_drift(eps) * horizon)
+        gaps = a_fine - a_coarse
         bound = inp.small_jump_msq(eps) * horizon
         assert np.mean(gaps ** 2) <= 2.0 * bound
         assert abs(np.mean(gaps)) <= 4 * np.std(gaps) / math.sqrt(gaps.size) + 1e-12
@@ -218,11 +206,9 @@ class TestSampling:
     def test_tempered_thinning_matches_tail(self):
         # retained-jump count above u must follow the tempered tail
         inp = TemperedStableSub(0.5, 1.0, 1.0)
-        stream = JumpStream(SEED, 1e-2)
-        n, hits = 3000, 0
-        for i in range(n):
-            _, sizes = sample_jumps(inp, stream.derive(i), 1.0)
-            hits += int((sizes > 0.5).sum())
+        n = 3000
+        _, sizes = _jumps(inp, 1.0, n, eps=1e-2)
+        hits = int((sizes > 0.5).sum())
         expect = float(inp.tail(0.5))
         se = math.sqrt(expect / n)
         assert abs(hits / n - expect) <= 4 * se
@@ -231,32 +217,32 @@ class TestSampling:
 class TestLaplaceCheck:
     def test_cpp_analytic_value(self):
         inp = CompoundPoisson(1.0, Exponential(1.0))
-        rows = laplace_check(inp, 1.0, [1.0], 20_000, JumpStream(SEED))
+        rows = laplace_check(inp, 1.0, [1.0], 20_000, SEED)
         assert rows[0]["analytic"] == pytest.approx(math.exp(-0.5), rel=1e-12)
         assert abs(rows[0]["z"]) <= 3.5
 
     def test_lambda_zero_exact(self):
         for inp in PRESETS:
-            rows = laplace_check(inp, 1.0, [0.0], 200, JumpStream(SEED))
+            rows = laplace_check(inp, 1.0, [0.0], 200, SEED)
             assert rows[0]["empirical"] == 1.0
             assert rows[0]["analytic"] == 1.0
 
     def test_gamma_analytic_value(self):
         inp = GammaSub(1.0, 1.0)
-        rows = laplace_check(inp, 1.0, [1.0], 20_000, JumpStream(SEED))
+        rows = laplace_check(inp, 1.0, [1.0], 20_000, SEED)
         assert rows[0]["analytic"] == pytest.approx(0.5, rel=1e-12)
         assert abs(rows[0]["z"]) <= 3.5
 
     def test_last_path_without_jumps(self):
         # at rate 0.01 most paths, the last one included, draw no jump
         inp = CompoundPoisson(0.01, Exponential(1.0))
-        rows = laplace_check(inp, 1.0, [1.0], 1000, JumpStream(3))
+        rows = laplace_check(inp, 1.0, [1.0], 1000, 3)
         assert rows[0]["analytic"] == pytest.approx(math.exp(-0.005), rel=1e-12)
         assert abs(rows[0]["z"]) <= 4.0
 
     @pytest.mark.parametrize("inp", PRESETS, ids=lambda i: type(i).__name__)
     def test_presets_z_bounded(self, inp):
-        rows = laplace_check(inp, 1.0, [0.5, 1.0, 2.0], 100_000, JumpStream(SEED))
+        rows = laplace_check(inp, 1.0, [0.5, 1.0, 2.0], 100_000, SEED)
         for row in rows:
             assert abs(row["z"]) <= 4.0, row
 

@@ -12,9 +12,7 @@ from storagelab.levy_input import (
     CompoundPoisson,
     Exponential,
     GammaSub,
-    JumpStream,
     ParetoJumps,
-    sample_jumps,
 )
 from storagelab.lyapunov import GapBound, PowerModulus
 from storagelab.numerics import QuadratureSpec, _rk_flow, integrate_interval
@@ -29,15 +27,7 @@ from storagelab.release_rate import (
     RateAsymptotics,
     signed_drain_time,
 )
-from storagelab.simulator import (
-    Endpoint,
-    FullEvents,
-    Grid,
-    PathConfig,
-    grid_ensemble,
-    simulate_ensemble,
-    simulate_path,
-)
+from storagelab.simulator import event_ensemble, grid_ensemble
 
 SEED = 20260810
 NO_JUMPS = CompoundPoisson(0.0, Exponential(1.0))
@@ -96,104 +86,141 @@ def _scalar_rk_flow(rate, x0, dt, drift, tol=1e-10):
     return max(x, 0.0)
 
 
-def _walk_reference(levy, release, cfg, stream):
+def _walk_reference(levy, release, x0, times, sizes, grid, eps=1e-4):
     """One path jump by jump on floats, grid values flowed on the way:
-    (times, values, jump sizes), or (grid, values, None) for a grid."""
-    times, sizes = sample_jumps(levy, stream, cfg.horizon)
-    eps = stream.truncation_eps
-    drift = levy.compensator_drift(eps) if levy.activity == "infinite" else 0.0
-    grid = (np.asarray(cfg.record.times) if isinstance(cfg.record, Grid)
-            else np.asarray([cfg.horizon]) if isinstance(cfg.record, Endpoint)
-            else None)
-    x, t_prev, gi = float(cfg.x0), 0.0, 0
-    out_v, ev_t, ev_v = [], [0.0], [x]
+    (the states after the jumps, the values at the grid times)."""
+    drift = levy.compensator_drift(eps)
+    x, t_prev, gi = float(x0), 0.0, 0
+    after, at_grid = [], []
     for tj, sj in zip(times, sizes):
-        while grid is not None and gi < len(grid) and grid[gi] < tj:
-            out_v.append(release.flow(x, grid[gi] - t_prev, drift))
+        while gi < len(grid) and grid[gi] < tj:
+            at_grid.append(release.flow(x, grid[gi] - t_prev, drift))
             gi += 1
         x = release.flow(x, tj - t_prev, drift) + sj
         t_prev = tj
-        ev_t.append(tj)
-        ev_v.append(x)
-    if grid is None:
-        return np.asarray(ev_t), np.asarray(ev_v), np.concatenate([[0.0], sizes])
-    out_v += [release.flow(x, g - t_prev, drift) for g in grid[gi:]]
-    return grid, np.asarray(out_v), None
+        after.append(x)
+    at_grid += [release.flow(x, g - t_prev, drift) for g in grid[gi:]]
+    return np.asarray(after), np.asarray(at_grid)
+
+
+def _per_lane(events, n_paths):
+    """``event_ensemble``'s flat (lane, t, size, x_after) as one
+    (t, size, x_after) triple of arrays per lane."""
+    cuts = np.searchsorted(events[0], np.arange(1, n_paths))
+    return list(zip(*(np.split(col, cuts) for col in events[1:])))
+
+
+def _engine_jumps(levy, x0, grid, n_paths, eps=1e-4):
+    """Each lane's (times, sizes) as the engine draws them for ``grid``."""
+    lanes = [([], []) for _ in range(n_paths)]
+    for lo, _, slabs in simulator._chunks(levy, x0, grid, n_paths, SEED, eps):
+        for _, t, s, _ in slabs:
+            for i, (ti, si) in enumerate(zip(t.T, s.T)):
+                lanes[lo + i][0].extend(ti[si > 0.0])
+                lanes[lo + i][1].extend(si[si > 0.0])
+    return lanes
+
+
+def _last_states(release, events, x0, horizon, n_paths, drift):
+    """Each lane's last state of ``event_ensemble`` (its start if it has no
+    jump) flowed to the horizon."""
+    lane, t, _, x = events
+    last = np.searchsorted(lane, np.arange(n_paths), side="right") - 1
+    jumped = (last >= 0) & (lane[np.maximum(last, 0)] == np.arange(n_paths))
+    t_last = np.where(jumped, t[last], 0.0)
+    x_last = np.where(jumped, x[last], x0)
+    return release.flow(x_last, horizon - t_last, drift)
+
+
+def _independent_paths(levy, horizon, n_paths, eps, gen):
+    """Jump times and sizes of paths drawn one by one, apart from the
+    engine: a Poisson count of uniform times, then the sizes."""
+    lam = levy.proposal_rate(eps)
+    for _ in range(n_paths):
+        k = gen.poisson(lam * horizon)
+        t = np.sort(gen.uniform(0.0, horizon, k))
+        s = levy.sample_sizes(gen, k, eps)
+        yield t[s > 0.0], s[s > 0.0]
 
 
 class TestSimulatePath:
     def test_pure_drain_matches_flow(self):
-        cfg = PathConfig(3.0, 2.0, Endpoint(), seed=SEED)
-        rec = simulate_path(NO_JUMPS, Constant(2.0), cfg)
-        assert rec.values[-1] == 0.0
-        assert rec.n_jumps == 0
+        lane, _, _, _ = event_ensemble(NO_JUMPS, Constant(2.0), 3.0, 2.0, 1, SEED)
+        assert lane.size == 0
+        assert grid_ensemble(NO_JUMPS, Constant(2.0), 3.0, [2.0], 1, SEED)[0, 0] == 0.0
 
     def test_values_non_negative(self):
-        cfg = PathConfig(0.0, 50.0, Grid(tuple(np.linspace(0, 50, 101))), seed=SEED)
-        rec = simulate_path(CPP, PowerSmoothed(1.0, 0.5), cfg)
-        assert (rec.values >= 0.0).all()
+        mat = grid_ensemble(CPP, PowerSmoothed(1.0, 0.5), 0.0,
+                            np.linspace(0, 50, 101), 8, SEED)
+        assert (mat >= 0.0).all()
 
     def test_events_mode_decreasing_between_jumps(self):
-        cfg = PathConfig(5.0, 10.0, FullEvents(), seed=SEED)
-        rec = simulate_path(CPP, Affine(0.0, 1.0), cfg)
-        assert not rec.compensator_used
-        assert rec.jump_sizes is not None
+        assert CPP.compensator_drift(1e-4) == 0.0
+        events = event_ensemble(CPP, Affine(0.0, 1.0), 5.0, 10.0, 4, SEED)
         # value after each jump = flow from previous value + jump
-        for i in range(1, len(rec.times)):
-            dt = rec.times[i] - rec.times[i - 1]
-            drained = rec.values[i - 1] * math.exp(-dt)
-            assert rec.values[i] == pytest.approx(drained + rec.jump_sizes[i], rel=1e-9)
+        for t, sizes, x in _per_lane(events, 4):
+            assert t.size > 1 and (np.diff(t) > 0.0).all()
+            drained = np.append(5.0, x[:-1]) * np.exp(-np.diff(t, prepend=0.0))
+            assert x == pytest.approx(drained + sizes, rel=1e-9)
 
     def test_shot_noise_mean(self):
         # E[X(t)] = (lam/mu)(1 - e^{-t}) for r(u) = u from x0 = 0
-        cfg = PathConfig(0.0, 1.0, Endpoint(), seed=SEED)
-        vals = simulate_ensemble(CPP, Affine(0.0, 1.0), cfg, 4000)
+        vals = grid_ensemble(CPP, Affine(0.0, 1.0), 0.0, [1.0], 4000, SEED)
         target = 1.0 - math.exp(-1.0)
         se = vals.std(ddof=1) / math.sqrt(vals.size)
         assert abs(vals.mean() - target) <= 3 * se
 
     def test_infinite_activity_compensator(self):
-        cfg = PathConfig(0.0, 1.0, Endpoint(), seed=SEED, truncation_eps=1e-4)
-        rec = simulate_path(GammaSub(1.0, 1.0), Affine(0.0, 1.0), cfg)
-        assert rec.compensator_used
-        assert rec.values[-1] >= 0.0
-        # recorded mean-square truncation bias: int_0^eps u^2 nu(du) * horizon
-        assert rec.bias_bound == pytest.approx(
-            GammaSub(1.0, 1.0).small_jump_msq(1e-4) * 1.0)
-        assert 0.0 < rec.bias_bound < 1e-7
+        # the discarded small jumps enter as the inflow d_eps: E[X(1)] is
+        # (1 - e^{-1}) E[A(1)] = 1 - e^{-1} with or without truncation
+        levy = GammaSub(1.0, 1.0)
+        assert levy.compensator_drift(1e-4) > 0.0
+        lane, _, sizes, x = event_ensemble(levy, Affine(0.0, 1.0), 0.0, 1.0,
+                                           4000, SEED)
+        assert (x >= sizes).all() and (sizes > 0.0).all()
+        vals = grid_ensemble(levy, Affine(0.0, 1.0), 0.0, [1.0], 4000, SEED)
+        assert (vals >= 0.0).all()
+        se = vals.std(ddof=1) / math.sqrt(vals.size)
+        assert abs(vals.mean() - (1.0 - math.exp(-1.0))) <= 4 * se
 
     def test_finite_activity_no_bias(self):
-        cfg = PathConfig(0.0, 1.0, Endpoint(), seed=SEED)
-        rec = simulate_path(CPP, Affine(0.0, 1.0), cfg)
-        assert not rec.compensator_used
-        assert rec.bias_bound == 0.0
+        # finite activity keeps every jump: Poisson(rate * T) of them per
+        # lane, with the jump law's sizes, and no compensating drift
+        lane, _, sizes, _ = event_ensemble(CPP, Affine(0.0, 1.0), 0.0, 5.0,
+                                           2000, SEED)
+        counts = np.bincount(lane, minlength=2000)
+        assert abs(counts.mean() - 5.0) <= 4 * math.sqrt(5.0 / 2000)
+        assert abs(sizes.mean() - 1.0) <= 4 / math.sqrt(sizes.size)
 
     def test_grid_requires_sorted(self):
         with pytest.raises(ValueError):
-            PathConfig(0.0, 1.0, Grid((0.5, 0.2)))
+            grid_ensemble(CPP, Affine(0.0, 1.0), 0.0, (0.5, 0.2), 4, SEED)
         with pytest.raises(ValueError):
-            PathConfig(0.0, 1.0, Grid((0.5, 2.0)))
+            grid_ensemble(CPP, Affine(0.0, 1.0), 0.0, (-1.0, 0.5), 4, SEED)
 
     def test_grid_requires_a_time(self):
-        with pytest.raises(ValueError, match="at least one time"):
-            PathConfig(0.0, 1.0, Grid(()))
+        with pytest.raises(ValueError):
+            grid_ensemble(CPP, Affine(0.0, 1.0), 0.0, (), 4, SEED)
+        with pytest.raises(ValueError, match="horizon must be positive"):
+            event_ensemble(CPP, Affine(0.0, 1.0), 0.0, 0.0, 4, SEED)
 
     def test_grid_endpoint_consistent(self):
-        # the last grid value on a stream equals the endpoint on that stream
-        stream = JumpStream(SEED, 1e-4).derive(3)
-        cfg_g = PathConfig(2.0, 8.0, Grid((1.0, 4.0, 8.0)), seed=SEED)
-        cfg_e = PathConfig(2.0, 8.0, Endpoint(), seed=SEED)
-        g = simulate_path(CPP, Affine(0.0, 1.0), cfg_g, stream=stream)
-        e = simulate_path(CPP, Affine(0.0, 1.0), cfg_e, stream=stream)
-        assert g.values[-1] == e.values[-1]
+        # both consumers read the same draws: a lane's last event state
+        # flowed to T is its endpoint, closed-form flow or Runge-Kutta
+        for levy, rel in ((CPP, Affine(0.0, 1.0)),
+                          (GammaSub(1.0, 1.0), PowerSmoothed(1.0, 0.5))):
+            events = event_ensemble(levy, rel, 2.0, 3.0, 64, SEED)
+            end = grid_ensemble(levy, rel, 2.0, [3.0], 64, SEED)[:, 0]
+            flowed = _last_states(rel, events, 2.0, 3.0, 64,
+                                  levy.compensator_drift(1e-4))
+            assert flowed == pytest.approx(end, rel=1e-12, abs=0.0)
+            assert np.unique(events[0]).size > 48  # most lanes jumped
 
     def test_transient_model_escapes(self):
         # alpha + beta < 1: paths drift to infinity; medians must ratchet up
         levy = CompoundPoisson(1.0, ParetoJumps(0.3))
         rel = PowerSmoothed(1.0, 0.3)
-        grid = Grid((5.0, 20.0, 50.0))
-        cfg = PathConfig(0.0, 50.0, grid, seed=SEED)
-        mat = simulate_ensemble(levy, rel, cfg, 200)
+        mat = grid_ensemble(levy, rel, 0.0, (5.0, 20.0, 50.0), 200, SEED)
         med = np.median(mat, axis=0)
         assert med[0] < med[1] < med[2]
         assert med[2] > 10.0 * max(med[0], 1.0)
@@ -203,9 +230,7 @@ class TestSimulatePath:
         # inter-jump ODE, which only the step-halving integrator covers
         from storagelab.levy_input import StableSub
         levy, rel = StableSub(0.3, 1.0), PowerSmoothed(1.0, 0.3)
-        grid = Grid((2.0, 8.0, 20.0))
-        cfg = PathConfig(0.0, 20.0, grid, seed=SEED, truncation_eps=1e-2)
-        mat = simulate_ensemble(levy, rel, cfg, 20)
+        mat = grid_ensemble(levy, rel, 0.0, (2.0, 8.0, 20.0), 20, SEED, 1e-2)
         assert (mat >= 0.0).all()
         med = np.median(mat, axis=0)
         assert med[-1] > med[0]
@@ -278,51 +303,58 @@ PAIRS = {name: (load_preset(name).levy, load_preset(name).release)
 class TestEnsemble:
     @pytest.mark.parametrize("name", sorted(PAIRS))
     def test_matches_walker_reference(self, name):
-        # the keyed draws of each path stepped as lanes against the float
-        # walk of that path; only power-heavy's pair has no closed-form flow
+        # each lane's draws, stepped as lanes, against the float walk of
+        # those draws; only power-heavy's pair has no closed-form flow
         levy, rel = PAIRS[name]
         tol = (dict(rel=0.0, abs=1e-8) if name == "power-heavy"
                else dict(rel=1e-14, abs=1e-300))
-        base = JumpStream(SEED, 1e-4)
-        for record in (Grid((0.5, 2.0, 3.0, 6.0)), Endpoint(), FullEvents()):
-            cfg = PathConfig(1.5, 6.0, record, seed=SEED)
-            got = simulate_ensemble(levy, rel, cfg, 6)
-            for i in range(6):
-                t, v, sizes = _walk_reference(levy, rel, cfg, base.derive(i))
-                if isinstance(record, FullEvents):
-                    assert (got[i].times == t).all()
-                    assert (got[i].jump_sizes == sizes).all()
-                    assert got[i].values == pytest.approx(v, **tol)
-                elif isinstance(record, Grid):
-                    assert got[i] == pytest.approx(v, **tol)
-                else:
-                    assert got[i] == pytest.approx(v[-1], **tol)
+        events = event_ensemble(levy, rel, 1.5, 6.0, 6, SEED)
+        end = grid_ensemble(levy, rel, 1.5, [6.0], 6, SEED)[:, 0]
+        for i, (t, sizes, x) in enumerate(_per_lane(events, 6)):
+            after, at_end = _walk_reference(levy, rel, 1.5, t, sizes, [6.0])
+            assert x == pytest.approx(after, **tol)
+            assert end[i] == pytest.approx(at_end[0], **tol)
+        grid = (0.5, 2.0, 3.0, 6.0)
+        mat = grid_ensemble(levy, rel, 1.5, grid, 6, SEED)
+        for i, (t, sizes) in enumerate(_engine_jumps(levy, 1.5, grid, 6)):
+            _, at_grid = _walk_reference(levy, rel, 1.5, t, sizes, grid)
+            assert mat[i] == pytest.approx(at_grid, **tol)
 
+    def test_event_lanes_span_chunks_and_slabs(self, monkeypatch):
+        # three chunks of up to 16 lanes, each over many slabs: the events
+        # still come lane by lane in time order, and each lane walks to its
+        # endpoint
+        monkeypatch.setattr(simulator, "_CHUNK", 16)
+        monkeypatch.setattr(simulator, "_SLAB", 64)
+        rel = Affine(0.0, 1.0)
+        events = event_ensemble(CPP, rel, 1.0, 20.0, 40, SEED)
+        lane, t = events[:2]
+        assert (np.diff(lane) >= 0).all() and np.unique(lane).size == 40
+        end = grid_ensemble(CPP, rel, 1.0, [20.0], 40, SEED)[:, 0]
+        for i, (t, sizes, x) in enumerate(_per_lane(events, 40)):
+            assert (np.diff(t) > 0.0).all()
+            after, at_end = _walk_reference(CPP, rel, 1.0, t, sizes, [20.0])
+            assert x == pytest.approx(after, rel=1e-12)
+            assert end[i] == pytest.approx(at_end[0], rel=1e-12)
 
     def test_single_path_reduces(self):
-        cfg = PathConfig(2.0, 5.0, Endpoint(), seed=SEED)
-        single = simulate_ensemble(CPP, Constant(2.0), cfg, 1)
-        direct = simulate_path(CPP, Constant(2.0), cfg,
-                               stream=JumpStream(SEED, 1e-4).derive(0))
-        assert single[0] == direct.values[-1]
+        # one lane: its events end where its endpoint does
+        events = event_ensemble(CPP, Constant(2.0), 2.0, 5.0, 1, SEED)
+        end = grid_ensemble(CPP, Constant(2.0), 2.0, [5.0], 1, SEED)
+        assert events[0].size > 0
+        assert _last_states(Constant(2.0), events, 2.0, 5.0, 1, 0.0) == end[0]
 
     def test_bit_reproducible(self):
-        cfg = PathConfig(1.0, 5.0, Endpoint(), seed=SEED)
-        a = simulate_ensemble(CPP, Affine(0.0, 1.0), cfg, 50)
-        b = simulate_ensemble(CPP, Affine(0.0, 1.0), cfg, 50)
-        assert (a == b).all()
-
-    def test_order_independent_streams(self):
-        cfg3 = PathConfig(1.0, 5.0, Endpoint(), seed=SEED)
-        big = simulate_ensemble(CPP, Affine(0.0, 1.0), cfg3, 20)
-        small = simulate_ensemble(CPP, Affine(0.0, 1.0), cfg3, 7)
-        assert (big[:7] == small).all()
+        a = grid_ensemble(CPP, Affine(0.0, 1.0), 1.0, [5.0], 50, SEED)
+        b = grid_ensemble(CPP, Affine(0.0, 1.0), 1.0, [5.0], 50, SEED)
+        assert a.tobytes() == b.tobytes()
+        a = event_ensemble(CPP, Affine(0.0, 1.0), 1.0, 5.0, 50, SEED)
+        b = event_ensemble(CPP, Affine(0.0, 1.0), 1.0, 5.0, 50, SEED)
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
 
     def test_disjoint_seed_halves_consistent(self):
-        cfg_a = PathConfig(0.0, 2.0, Endpoint(), seed=101)
-        cfg_b = PathConfig(0.0, 2.0, Endpoint(), seed=202)
-        a = simulate_ensemble(CPP, Affine(0.0, 1.0), cfg_a, 3000)
-        b = simulate_ensemble(CPP, Affine(0.0, 1.0), cfg_b, 3000)
+        a = grid_ensemble(CPP, Affine(0.0, 1.0), 0.0, [2.0], 3000, 101)
+        b = grid_ensemble(CPP, Affine(0.0, 1.0), 0.0, [2.0], 3000, 202)
         se = math.sqrt(a.var(ddof=1) / a.size + b.var(ddof=1) / b.size)
         assert abs(a.mean() - b.mean()) <= 6 * se
 
@@ -467,8 +499,10 @@ class TestVectorEngines:
             monkeypatch.setattr(simulator, "_SLAB", slab)
         grid = (0.5, 1.0, 2.0, 4.0)
         lanes = grid_ensemble(levy, rel, 2.0, grid, 2000, SEED, eps)
-        cfg = PathConfig(2.0, 4.0, Grid(grid), seed=SEED, truncation_eps=eps)
-        walked = simulate_ensemble(levy, rel, cfg, 2000)
+        gen = np.random.default_rng(SEED)
+        walked = np.array([
+            _walk_reference(levy, rel, 2.0, t, s, grid, eps)[1]
+            for t, s in _independent_paths(levy, grid[-1], 2000, eps, gen)])
         # paths without jumps form an atom, which the lane engine reaches
         # through several slab steps and so in other last bits; KS needs
         # the atom at one value in both samples
@@ -486,16 +520,16 @@ class TestVectorEngines:
             tracemalloc.stop()
         assert peak < 100 * 2**20
 
-    def test_simulate_ensemble_memory_bounded(self):
-        # 2e7 jumps across 2000 keyed paths: groups of paths keep the padded
-        # matrices near _SLAB slots
-        cfg = PathConfig(0.0, 100.0, Grid((50.0, 100.0)), seed=SEED)
+    def test_event_ensemble_memory_bounded(self):
+        # 2e6 jumps: beyond the arrays it returns, the event engine holds
+        # one slab's buffers and copies, or a sort order over its output
         tracemalloc.start()
         try:
-            vals = simulate_ensemble(CompoundPoisson(100.0, Exponential(1.0)),
-                                     Constant(120.0), cfg, 2000)
+            events = event_ensemble(CompoundPoisson(100.0, Exponential(1.0)),
+                                    Constant(120.0), 0.0, 10.0, 2000, SEED)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert vals.shape == (2000, 2)
-        assert peak < 100 * 2**20
+        out = sum(col.nbytes for col in events)
+        assert events[0].size == pytest.approx(2e6, rel=0.01)
+        assert peak < 1.5 * out + 64 * 2**20
