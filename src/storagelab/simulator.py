@@ -78,7 +78,9 @@ def _draw_slab(levy, gen, bufs, m, a, b, lam, eps):
 def _slabs(levy, gen, m, grid, lam, eps):
     """A chunk's slabs in time order, as ``(a, t, s, j)``: the slab starts
     at time a, and j is the index of the grid time it ends at, or None.
-    The matrices t and s are only valid until the next slab is drawn."""
+    The matrices t and s view the chunk's buffers: they are only valid
+    until the next slab is drawn, and a view still held then keeps the old
+    buffers alive next to the new ones."""
     bufs = [np.empty((0, m))] * 2
     a = 0.0
     for j, g in enumerate(grid):
@@ -129,6 +131,7 @@ def grid_ensemble(levy: LevyInput, release: ReleaseRate, x0,
     for lo, x, slabs in _chunks(levy, x0, grid, n_paths, seed, eps):
         for a, t, s, j in slabs:
             x = _step_lanes(release, x, t, s, drift, a)
+            del t, s  # drop the views, so the next slab can regrow the buffers
             if j is not None:
                 out[lo:lo + len(x), j] = x
     return out
@@ -158,6 +161,7 @@ def event_ensemble(levy: LevyInput, release: ReleaseRate, x0,
             # the states overwrite the sizes, which are copied out above
             x = _step_lanes(release, x, t, s, drift, a, out=s)
             parts.append((lane, t.T[real], sizes, s.T[real]))
+            del t, s  # as in grid_ensemble
     cols = list(zip(*parts))
     del parts  # so that each column's pieces are freed once it is joined
     lane, t, size, x_after = (np.concatenate(cols.pop(0)) for _ in range(4))
