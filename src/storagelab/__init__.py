@@ -12,8 +12,6 @@ __version__ = "0.1.0"
 from .classifier import RegimeReport, classify
 from .ergodicity_lab import (
     DecayCurve,
-    EnsembleEndpoint,
-    LongRunTimeAverage,
     TailEstimate,
     compare_rates,
     estimate_tail,

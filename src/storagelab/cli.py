@@ -36,8 +36,6 @@ from .errors import (
 )
 from .ergodicity_lab import (
     _MIN_TAIL_SAMPLES,
-    EnsembleEndpoint,
-    LongRunTimeAverage,
     compare_rates,
     estimate_tail,
     estimate_tv_decay,
@@ -51,7 +49,7 @@ from .scenario import Scenario, ScenarioError
 from .simulator import event_ensemble, grid_ensemble
 
 CSV_SCHEMA = 1
-# most retained jumps a `simulate` or `laplace` run may expect to draw
+# most retained jumps a run may expect to draw (see _check_work)
 _MAX_JUMPS = 10**7
 _CRITERION_ERRORS = (HypothesisFailed, C3Violation, NotStationaryRegime,
                      MomentConditionFailed, Divergent, NoiseFloorReached,
@@ -71,11 +69,20 @@ def _fmt(value) -> str:
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
+    """The schema line, the header, then one line per row, written as the
+    rows come, so memory does not grow with the file."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [f"# csv_schema={CSV_SCHEMA}", ",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with path.open("w", encoding="utf-8") as f:
+        f.write(f"# csv_schema={CSV_SCHEMA}\n{','.join(header)}\n")
+        f.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
+
+
+def _rows(cols):
+    """The rows of equal-length column arrays as Python values, converted
+    2^16 rows at a time, so no list as long as the columns is built."""
+    block = 1 << 16
+    for lo in range(0, len(cols[0]), block):
+        yield from zip(*(col[lo:lo + block].tolist() for col in cols))
 
 
 def write_json(path: Path, payload: dict) -> None:
@@ -267,15 +274,15 @@ def cmd_simulate(scen: Scenario, out: Path, args) -> int:
                                           scen.truncation_eps)
         # each path's rows open with its start at t = 0
         first = np.searchsorted(lane, np.arange(n))
-        cols = [np.insert(col, first, start).tolist() for col, start in
+        cols = [np.insert(col, first, start) for col, start in
                 ((lane, np.arange(n)), (t, 0.0), (size, 0.0), (x, args.x0))]
         write_csv(out / "events.csv", ["path_id", "t", "jump_size", "x_after"],
-                  zip(*cols))
+                  _rows(cols))
     else:
         paths = grid_ensemble(*draw, grid, n, scen.seed, scen.truncation_eps)
-        rows = [(i, t, x) for i, values in enumerate(paths.tolist())
-                for t, x in zip(grid, values)]
-        write_csv(out / "paths.csv", ["path_id", "t", "x"], rows)
+        cols = [np.repeat(np.arange(n), len(grid)), np.tile(grid, n),
+                paths.ravel()]
+        write_csv(out / "paths.csv", ["path_id", "t", "x"], _rows(cols))
     print(f"{scen.name}: simulated {n} paths")
     return 0
 
@@ -315,13 +322,9 @@ def cmd_tail(scen: Scenario, out: Path, args) -> int:
     if scen.budgets["n_paths"] < _MIN_TAIL_SAMPLES:
         raise ScenarioError(f"budgets.n_paths: tail needs at least "
                             f"{_MIN_TAIL_SAMPLES} paths")
-    choice = args.method
-    if choice == "auto":
-        # the exact occupation engine needs drift-free inter-jump motion
-        choice = "longrun" if scen.levy.activity == "finite" else "endpoint"
-    method = (EnsembleEndpoint() if choice == "endpoint"
-              else LongRunTimeAverage())
-    est = estimate_tail(scen.levy, scen.release, method,
+    # the window is n_paths time units: at least n_paths x rate jumps
+    _check_work(scen, 1.0, scen.budgets["n_paths"])
+    est = estimate_tail(scen.levy, scen.release,
                         np.asarray(scen.grids["u_grid"]),
                         scen.budgets["n_paths"], seed=scen.seed,
                         eps=scen.truncation_eps,
@@ -335,6 +338,7 @@ def cmd_tail(scen: Scenario, out: Path, args) -> int:
 
 def _tv_curve(scen: Scenario, x0: float):
     """The TV curve with its exponent fit, or NoiseFloorReached."""
+    _check_work(scen, scen.grids["t_grid"][-1], scen.budgets["n_paths"])
     cert = _context_certificate(scen)
     curve = estimate_tv_decay(scen.levy, scen.release, x0,
                               np.asarray(scen.grids["t_grid"]),
@@ -357,11 +361,12 @@ def cmd_converge_tv(scen: Scenario, out: Path, args) -> int:
 
 
 def cmd_converge_wp(scen: Scenario, out: Path, args) -> int:
+    _check_work(scen, scen.grids["t_grid"][-1], scen.budgets["n_paths"])
     bound = None
     if scen.modulus is not None:
         kappa = max(args.x0, scen.kappa)
         bound = GapBound(scen.modulus, scen.gamma, kappa)
-    curve = estimate_wp_decay(scen.levy, scen.release, args.x0, None, args.p,
+    curve = estimate_wp_decay(scen.levy, scen.release, args.x0, args.p,
                               np.asarray(scen.grids["t_grid"]),
                               scen.budgets["n_paths"], seed=scen.seed,
                               eps=scen.truncation_eps, contraction=bound)
@@ -487,9 +492,6 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "simulate":
             p.add_argument("--mode", choices=["grid", "events"], default="grid")
             p.add_argument("--paths", type=int, default=None)
-        if name == "tail":
-            p.add_argument("--method", choices=["auto", "longrun", "endpoint"],
-                           default="auto")
         if name == "converge-wp":
             p.add_argument("--p", type=float, default=1.0)
     return parser

@@ -32,9 +32,9 @@ from .rng import substream
 from .simulator import event_ensemble, grid_ensemble
 
 __all__ = [
-    "LongRunTimeAverage", "EnsembleEndpoint", "TailEstimate", "DecayCurve",
-    "RateComparison", "estimate_tail", "estimate_tv_decay", "estimate_wp_decay",
-    "compare_rates", "wasserstein_1d", "w1_cdf_area", "select_tail_scale",
+    "TailEstimate", "DecayCurve", "RateComparison", "estimate_tail",
+    "estimate_tv_decay", "estimate_wp_decay", "compare_rates",
+    "wasserstein_1d", "w1_cdf_area", "select_tail_scale",
 ]
 
 N_BOOT = 200
@@ -47,6 +47,10 @@ _BOOT_CELLS = 1 << 18
 # samples each lane of the stationary reference records (see
 # _stationary_reference)
 _REF_K = 16
+# the stationary horizon: at least _T_MIN, and where the certificate
+# predicts a TV rate above _TARGET_RATE (see _endpoint_time)
+_T_MIN = 20.0
+_TARGET_RATE = 100.0
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +63,6 @@ class TailEstimate:
     pi_bar_hat: np.ndarray
     stderr: np.ndarray
     method: str
-    n_effective: float
 
 
 @dataclass(frozen=True)
@@ -74,48 +77,20 @@ class DecayCurve:
     reference_curve: np.ndarray | None = None
 
 
-@dataclass(frozen=True)
-class LongRunTimeAverage:
-    burn_in: float | None = None
-    spacing: float = 1.0
-
-
-@dataclass(frozen=True)
-class EnsembleEndpoint:
-    horizon: float | None = None
-
-
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
 
-def _isotonic_decreasing(y: np.ndarray) -> np.ndarray:
-    """Pool adjacent violators, enforcing a non-increasing sequence."""
-    vals = list(-np.asarray(y, dtype=float))
-    weights = [1.0] * len(vals)
-    merged = [[vals[0], weights[0]]]
-    for v in vals[1:]:
-        merged.append([v, 1.0])
-        while len(merged) > 1 and merged[-2][0] > merged[-1][0]:
-            v2, w2 = merged.pop()
-            v1, w1 = merged.pop()
-            merged.append([(v1 * w1 + v2 * w2) / (w1 + w2), w1 + w2])
-    out = []
-    for v, w in merged:
-        out.extend([v] * int(w))
-    return -np.asarray(out)
-
-
-def _endpoint_time(certificate: DriftCertificate | None, t_min: float = 20.0,
-                   target_rate: float = 100.0) -> float:
-    """Horizon with predicted rate above target (TV bound below 1/target)."""
+def _endpoint_time(certificate: DriftCertificate | None) -> float:
+    """Horizon with predicted rate above _TARGET_RATE (TV bound below its
+    inverse), and at least _T_MIN."""
     if certificate is None or not certificate.valid:
-        return t_min
-    goal = math.log(target_rate)
+        return _T_MIN
+    goal = math.log(_TARGET_RATE)
     if certificate.log_predicted_tv_rate(1e6) < goal:
-        return t_min
+        return _T_MIN
     t = invert_monotone(certificate.log_predicted_tv_rate, goal, (1e-6, 1e6))
-    return max(t, t_min)
+    return max(t, _T_MIN)
 
 
 def _stationary_reference(levy, release, n: int, t_ref: float, seed: int,
@@ -148,96 +123,82 @@ def _regime_guard(levy, release, regime: str | None):
                       stacklevel=3)
 
 
-def _occupation(release, lane, t_jump, x_after, u_grid, burn, total,
-               n_lanes):
-    """Time above each level per lane, (n_lanes, n_levels), on [burn, total].
+def _occupation_tails(levy, release, u_grid, budget, seed, eps, certificate):
+    """Per-chain fractions of time above each level, (_LONGRUN_LANES,
+    n_levels), and the method label: exact occupation times along
+    _LONGRUN_LANES chains from 0, each over its burn-in plus budget /
+    _LONGRUN_LANES time units.  The burn-in is a fifth of a chain's window,
+    capped by 10x the certificate's relaxation guess 1/drift_margin.
 
-    Lanes start empty, and an empty lane stays so until its next jump, so
-    the segments that count start at jumps and run to the lane's next jump
-    or to ``total``; a segment that starts before ``burn`` is dropped."""
-    end = np.full(t_jump.shape, float(total))
+    Chains start empty, and an empty chain stays so until its next jump, so
+    the segments that count start at jumps and run to the chain's next jump
+    or to its end; a segment that starts before the burn-in is dropped."""
+    lane_window = budget / _LONGRUN_LANES
+    burn = lane_window / 5.0
+    if certificate is not None and certificate.valid:
+        burn = min(10.0 / max(certificate.drift_margin, 1e-2), burn)
+    total = burn + lane_window
+    lane, t, _, x = event_ensemble(levy, release, 0.0, total, _LONGRUN_LANES,
+                                   seed, eps)
+    end = np.full(t.shape, total)
     nxt = lane[1:] == lane[:-1]  # the next jump is on the same lane
-    end[:-1][nxt] = t_jump[1:][nxt]
-    keep = t_jump >= burn
-    lane, xs, dur = lane[keep], x_after[keep], (end - t_jump)[keep]
+    end[:-1][nxt] = t[1:][nxt]
+    keep = t >= burn
+    lane, x, dur = lane[keep], x[keep], (end - t)[keep]
     # time above u from a start x is G(x) - G(u), capped by the duration
-    g_x = signed_drain_time(release, xs)
-    g_u = signed_drain_time(release, u_grid)
-    occ = np.empty((n_lanes, len(u_grid)))
-    for j, gu in enumerate(g_u):
+    g_x = signed_drain_time(release, x)
+    occ = np.empty((_LONGRUN_LANES, len(u_grid)))
+    for j, gu in enumerate(signed_drain_time(release, u_grid)):
         above = np.minimum(np.maximum(g_x - gu, 0.0), dur)
-        occ[:, j] = np.bincount(lane, weights=above, minlength=n_lanes)
-    return occ
+        occ[:, j] = np.bincount(lane, weights=above, minlength=_LONGRUN_LANES)
+    return occ / lane_window, (f"LongRunTimeAverage(lanes={_LONGRUN_LANES}, "
+                               f"window={budget:g}, burn={burn:g})")
 
 
-# fewest effective samples a tail estimate accepts as its budget
+def _endpoint_tails(levy, release, u_grid, budget, seed, eps, certificate):
+    """Per-chain fractions of draws above each level, (lanes, n_levels),
+    and the method label: the lanes of ``_stationary_reference`` (at least
+    ``budget`` draws) from the certificate's ``_endpoint_time``."""
+    horizon = _endpoint_time(certificate)
+    lanes = _stationary_reference(levy, release, budget, horizon, seed, eps)
+    return ((lanes[:, :, None] > u_grid).mean(axis=1),
+            f"EnsembleEndpoint(T={horizon:g})")
+
+
+# fewest samples a tail estimate accepts as its budget
 _MIN_TAIL_SAMPLES = 1000
 
 
-def estimate_tail(levy: LevyInput, release: ReleaseRate, method, u_grid,
-                  budget: int, seed: int = 0, eps: float = 1e-4,
+def estimate_tail(levy: LevyInput, release: ReleaseRate, u_grid, budget: int,
+                  seed: int = 0, eps: float = 1e-4,
                   certificate: DriftCertificate | None = None,
                   regime: str | None = None) -> TailEstimate:
     """Stationary tail pi_bar on a strictly increasing level grid, with
-    standard errors.
+    standard errors, from a few long chains (Gelman & Rubin 1992).
 
-    LongRunTimeAverage integrates exact occupation times along
-    ``_LONGRUN_LANES`` independent chains from 0 (Gelman & Rubin 1992),
-    each over its burn-in plus window / _LONGRUN_LANES, where the window is
-    budget * spacing; the estimate is the mean over chains and its stderr
-    their spread / sqrt(_LONGRUN_LANES).  An explicit burn-in wins;
-    otherwise it is 10x the certificate's relaxation guess 1/drift_margin,
-    capped at a fifth of a chain's window, or that fifth without a valid
-    certificate.  EnsembleEndpoint draws ``budget`` independent endpoints
-    at a horizon where the certificate's predicted rate exceeds 100.
-    Estimates are isotonically corrected to be non-increasing in the level.
+    Between jumps a drift-free input (``levy.compensator_drift(eps) == 0``,
+    finite activity) only drains, so occupation times are exact: each of
+    ``_LONGRUN_LANES`` chains integrates them over budget / _LONGRUN_LANES
+    time units past its burn-in (_occupation_tails).  Any other input reads
+    the chains of the stationary reference, ``budget`` draws in all
+    (_endpoint_tails).  The estimate is the mean over chains and its stderr
+    their spread / sqrt(chains).  A chain's fraction of time, or of draws,
+    above a level cannot grow with the level, so neither can the estimate.
     """
     if budget < _MIN_TAIL_SAMPLES:
         raise ValueError(f"budget must provide at least {_MIN_TAIL_SAMPLES} "
-                         "effective samples")
+                         "samples")
     _regime_guard(levy, release, regime)
     u_grid = np.asarray(u_grid, dtype=float)
     if u_grid.ndim != 1 or u_grid.size == 0 or (np.diff(u_grid) <= 0).any():
         raise ValueError("u_grid must be a non-empty, strictly increasing array")
-
-    if isinstance(method, EnsembleEndpoint):
-        gen = substream(seed, "tail-boot")
-        horizon = method.horizon or _endpoint_time(certificate)
-        samples = grid_ensemble(levy, release, 0.0, [horizon], budget,
-                                seed, eps)[:, 0]
-        pibar = (samples[None, :] > u_grid[:, None]).mean(axis=1)
-        se = np.empty_like(pibar)
-        for j, p in enumerate(pibar):
-            boots = gen.binomial(budget, min(max(p, 0.0), 1.0), N_BOOT) / budget
-            se[j] = boots.std(ddof=1)
-        return TailEstimate(u_grid, _isotonic_decreasing(pibar), se,
-                            f"EnsembleEndpoint(T={horizon:g})", float(budget))
-
-    if isinstance(method, LongRunTimeAverage):
-        if levy.compensator_drift(eps) > 0.0:
-            raise ValueError("occupation engine needs drift-free inter-jump motion")
-        window = budget * method.spacing
-        lane_window = window / _LONGRUN_LANES
-        if method.burn_in is not None:
-            burn = method.burn_in
-        elif certificate is not None and certificate.valid:
-            burn = min(10.0 / max(certificate.drift_margin, 1e-2),
-                       lane_window / 5.0)
-        else:
-            burn = lane_window / 5.0
-        total = burn + lane_window
-        lane, t, _, x = event_ensemble(levy, release, 0.0, total,
-                                       _LONGRUN_LANES, seed, eps)
-        per_lane = _occupation(release, lane, t, x, u_grid, burn, total,
-                               _LONGRUN_LANES) / lane_window
-        pibar = per_lane.mean(axis=0)
-        se = per_lane.std(axis=0, ddof=1) / math.sqrt(_LONGRUN_LANES)
-        return TailEstimate(u_grid, _isotonic_decreasing(pibar), se,
-                            f"LongRunTimeAverage(lanes={_LONGRUN_LANES}, "
-                            f"window={window:g}, burn={burn:g})",
-                            float(budget))
-
-    raise ValueError(f"unknown estimation method {method!r}")
+    tails = (_occupation_tails if levy.compensator_drift(eps) == 0.0
+             else _endpoint_tails)
+    per_chain, method = tails(levy, release, u_grid, budget, seed, eps,
+                              certificate)
+    return TailEstimate(u_grid, per_chain.mean(axis=0),
+                        per_chain.std(axis=0, ddof=1) / math.sqrt(len(per_chain)),
+                        method)
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +345,7 @@ def _lane_halves(lanes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def estimate_wp_decay(levy: LevyInput, release: ReleaseRate, x0,
-                      mu0=None, p: float = 1.0, t_grid=None,
+                      p: float = 1.0, t_grid=None,
                       n_paths: int = 10_000, seed: int = 0, eps: float = 1e-4,
                       reference: np.ndarray | None = None,
                       contraction: GapBound | None = None,
@@ -392,11 +353,12 @@ def estimate_wp_decay(levy: LevyInput, release: ReleaseRate, x0,
                       regime: str | None = None) -> DecayCurve:
     """Empirical W_p between the time-t ensemble and the stationary reference.
 
-    ``mu0`` overrides the fixed start with a sampler (gen, m) -> levels.
+    ``x0`` is a level or a sampler (gen, m) -> levels, as grid_ensemble
+    takes it.
     The reference comes from _stationary_reference (doubled budget); the
     noise floor is the distance between its two halves of lanes.
     With a contraction bound the curve carries the deterministic reference
-    (W_p(mu0, pi)/kappa + 1) B_kappa^{-1}(Gamma t) alongside the estimates,
+    (W_p(mu_0, pi)/kappa + 1) B_kappa^{-1}(Gamma t) alongside the estimates,
     but only when ``release`` satisfies the contraction the bound assumes
     (``check_wasserstein_contraction``); otherwise ``reference_curve`` is
     None.
@@ -406,14 +368,13 @@ def estimate_wp_decay(levy: LevyInput, release: ReleaseRate, x0,
     _wp_moment_guard(levy, p)
     _regime_guard(levy, release, regime)
     t_grid = np.asarray(t_grid, dtype=float)
-    starts = mu0 if mu0 is not None else x0
     if reference is None:
         t_ref = max(2.0 * float(t_grid[-1]), _endpoint_time(certificate))
         reference = _stationary_reference(levy, release, 2 * n_paths, t_ref,
                                           seed + 1, eps)
     lanes = _as_lanes(reference)
     reference = lanes.ravel()
-    mat = grid_ensemble(levy, release, starts, t_grid, n_paths, seed, eps)
+    mat = grid_ensemble(levy, release, x0, t_grid, n_paths, seed, eps)
     gen = substream(seed, "wp-boot")
     values = np.empty(t_grid.size)
     se = np.empty(t_grid.size)
@@ -440,7 +401,7 @@ def estimate_wp_decay(levy: LevyInput, release: ReleaseRate, x0,
     ref_curve = None
     if contraction is not None and check_wasserstein_contraction(
             release, contraction.modulus, contraction.Gamma)[0]:
-        w0 = wasserstein_1d(mat[:, 0] if mu0 is not None else
+        w0 = wasserstein_1d(mat[:, 0] if callable(x0) else
                             np.full(256, float(x0)), reference, p)
         scale = w0 / contraction.kappa + 1.0
         ref_curve = np.asarray([scale * contraction(t) for t in t_grid])

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 
 class StorageLabError(Exception):
     """Base class for all package-specific failures."""
@@ -12,15 +10,13 @@ class StorageLabError(Exception):
 class Divergent(StorageLabError):
     """An integral (or limit) fails to converge.
 
-    ``direction`` is +inf for integrals of non-negative integrands that grow
-    without bound; ``partial`` carries the best estimate accumulated before
-    the subdivision budget ran out.
+    ``partial`` carries the best estimate accumulated before the
+    subdivision budget ran out.
     """
 
     def __init__(self, message: str = "integral diverges",
-                 direction: float = math.inf, partial: float | None = None):
+                 partial: float | None = None):
         super().__init__(message)
-        self.direction = direction
         self.partial = partial
 
 

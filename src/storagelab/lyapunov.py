@@ -271,9 +271,6 @@ class DriftCertificate:
         biggest = np.maximum(self.log_predicted_tv_rate(u), self.log_phi_profile(u))
         return np.exp(-biggest)
 
-    def ratio(self, u: float) -> float:
-        return _drift_ratio(self.levy, self.release, self.phi, u)
-
 
 def _ratio_integrand(levy, release, phi, u):
     base = phi.log_rate_at_clock(signed_drain_time(release, u) + 1.0)

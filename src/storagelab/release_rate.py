@@ -74,10 +74,6 @@ class ReleaseRate:
         ``hi`` are floats or arrays."""
         raise NotImplementedError
 
-    # analytic regularity flags; None means "decide numerically"
-    _c1 = True
-    _cbar1 = True
-
 
 def _indicator(u):
     return np.greater(u, 0.0)
@@ -399,11 +395,8 @@ def _lipschitz_scan(release: ReleaseRate, rho: float):
 
 def _inv_rate_integrable(release: ReleaseRate) -> bool:
     try:
-        val = release.drain_time(0.0, 1.0)
-        return math.isfinite(val)
-    except Divergent:
-        return False
-    except (ZeroDivisionError, OverflowError):
+        return math.isfinite(release.drain_time(0.0, 1.0))
+    except (Divergent, ZeroDivisionError, OverflowError):
         return False
 
 
@@ -416,7 +409,7 @@ def check_regularity(release: ReleaseRate, activity: str) -> RegularityReport:
     """
     if activity not in ("finite", "infinite"):
         raise ValueError("activity must be 'finite' or 'infinite'")
-    c1 = bool(release._c1) and float(release.rate(0.0)) == 0.0 and bool(
+    c1 = float(release.rate(0.0)) == 0.0 and bool(
         np.all(release.rate(np.geomspace(1e-9, 1e6, 61)) > 0.0))
     lipschitz = {}
     c2 = True
@@ -424,12 +417,12 @@ def check_regularity(release: ReleaseRate, activity: str) -> RegularityReport:
         ok, gamma = _lipschitz_scan(release, rho)
         lipschitz[rho] = gamma
         c2 = c2 and ok
-    cbar1 = bool(release._cbar1)
     cbar2 = _inv_rate_integrable(release)
     if c1 and c2:
         regime = "smooth"
-    elif activity == "finite" and cbar1 and cbar2:
+    elif activity == "finite" and cbar2:
         regime = "finite_activity"
     else:
         regime = "none"
-    return RegularityReport(c1, c2, lipschitz, cbar1, cbar2, regime)
+    # (Cbar1), left continuity, is assumed: no finite scan can test it
+    return RegularityReport(c1, c2, lipschitz, True, cbar2, regime)

@@ -2,8 +2,10 @@
 
 Every consumer derives its generator from ``(seed, *tags)`` via a Philox
 counter-based bit generator, so ensembles are reproducible bit-for-bit and
-independent of evaluation order: path ``i`` draws the same numbers whether it
-runs first, last, or in parallel.
+independent of evaluation order.  The path engine keys its draws per chunk
+of 8192 lanes, ``(seed, "grid", c)`` for chunk ``c``: a chunk draws the same
+numbers whether it runs first, last, or in parallel, but a lane's draws
+depend on how many lanes share its chunk.
 """
 
 from __future__ import annotations

@@ -249,6 +249,9 @@ class Scenario:
         if top["seed"] < 0:
             raise ScenarioError("seed: expected a non-negative integer")
         levy, eps = _build("input", build_input, top["input"])
+        if eps <= 0:
+            raise ScenarioError(
+                "input.truncation_eps: expected a finite positive number")
         release = _build("release", build_release, top["release"])
         phi = _build("phi", build_phi, top["phi"])
         modulus, gamma, kappa = _build("beta_modulus", build_modulus,

@@ -25,7 +25,6 @@ import pytest
 
 from storagelab.classifier import classify, criterion_positive_recurrent
 from storagelab.ergodicity_lab import (
-    LongRunTimeAverage,
     estimate_tail,
     estimate_tv_decay,
     w1_cdf_area,
@@ -135,12 +134,12 @@ def test_criterion_2_classifier_grid():
 def test_criterion_3_stationary_oracles():
     cert = build_certificate(*MM1, RateFunction.linear(0.5))
     grid = np.array([1.0, 2.0, 4.0])
-    est = estimate_tail(*MM1, LongRunTimeAverage(), grid, 100_000, seed=SEED,
+    est = estimate_tail(*MM1, grid, 100_000, seed=SEED,
                         certificate=cert, regime="PositiveRecurrent")
     for u, p, s in zip(est.levels, est.pi_bar_hat, est.stderr):
         target = 0.5 * math.exp(-0.5 * u)
         assert abs(p - target) <= 3.0 * s, (u, p, target, s)
-    est2 = estimate_tail(*SHOTNOISE, LongRunTimeAverage(), np.array([2.0]),
+    est2 = estimate_tail(*SHOTNOISE, np.array([2.0]),
                          100_000, seed=SEED, regime="PositiveRecurrent")
     target = 3.0 * math.exp(-2.0)
     assert abs(est2.pi_bar_hat[0] - target) <= 3.0 * est2.stderr[0]
@@ -159,15 +158,15 @@ def test_criterion_4_certificate_numerics():
 @criterion(5, "stationary tail exponents reproduce the summary table", 600)
 def test_criterion_5_tail_exponents():
     grid = np.geomspace(10.0, 1000.0, 13)
-    est = estimate_tail(*POWER_SHARP, LongRunTimeAverage(spacing=10.0), grid,
-                        100_000, seed=SEED, regime="PositiveRecurrent")
+    est = estimate_tail(*POWER_SHARP, grid, 1_000_000, seed=SEED,
+                        regime="PositiveRecurrent")
     fit = fit_loglog(est.levels, est.pi_bar_hat,
                      weights=1.0 / np.maximum(est.stderr, 1e-6) ** 2)
     assert abs(fit.exponent - (-0.5)) <= 0.3, fit.exponent
 
     grid2 = np.geomspace(5.0, 200.0, 11)
-    est2 = estimate_tail(*POWER_UNIFORM, LongRunTimeAverage(spacing=10.0), grid2,
-                         100_000, seed=SEED, regime="PositiveRecurrent")
+    est2 = estimate_tail(*POWER_UNIFORM, grid2, 1_000_000, seed=SEED,
+                         regime="PositiveRecurrent")
     fit2 = fit_loglog(est2.levels, est2.pi_bar_hat,
                       weights=1.0 / np.maximum(est2.stderr, 1e-7) ** 2)
     assert fit2.exponent <= 1.0 - 1.0 - 2.0 + 0.3, fit2.exponent

@@ -3,6 +3,7 @@
 import json
 import math
 import signal
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -159,9 +160,12 @@ class TestCli:
         ("converge-wp", "shotnoise-gamma",
          'beta_modulus={"family":"power","d":1.0,"Gamma":0}', "wp.csv"),
         ("classify", "gamma-linear", "beta_modulus.kappa=0", "classify.json"),
+        ("tail", "gamma-linear", "input.truncation_eps=0", "tail.csv"),
+        ("simulate", "gamma-linear", "input.truncation_eps=-1", "paths.csv"),
     ], ids=["epsilon-zero", "seed-negative", "mu-nan", "input-rate-negative",
             "phi-a-zero", "modulus-d-below-1", "modulus-gamma-zero",
-            "modulus-kappa-zero"])
+            "modulus-kappa-zero", "truncation-eps-zero",
+            "truncation-eps-negative"])
     def test_bad_number_is_usage_error(self, command, preset, override,
                                        artifact, tmp_path, capsys):
         code = main([command, f"preset:{preset}", "--out", str(tmp_path),
@@ -251,13 +255,20 @@ class TestCli:
         assert all(float(r[1]) == float(r[2]) == float(r[3]) == 0.0
                    for r in firsts)
 
-    @pytest.mark.parametrize("command, override, extra", [
-        ("simulate", "input.rate=1e300", ["--paths", "2"]),
-        ("simulate", "budgets.horizon=1e300", ["--paths", "2"]),
-        ("laplace", "input.rate=1e300", []),
-    ], ids=["simulate-rate", "simulate-horizon", "laplace-rate"])
-    def test_unbounded_work_is_usage_error(self, command, override, extra,
-                                           tmp_path, capsys):
+    @pytest.mark.parametrize("command, preset, override, extra", [
+        ("simulate", "constant-mm1", "input.rate=1e300", ["--paths", "2"]),
+        ("simulate", "constant-mm1", "budgets.horizon=1e300", ["--paths", "2"]),
+        ("laplace", "constant-mm1", "input.rate=1e300", []),
+        ("tail", "constant-mm1", "input.rate=1e9",
+         ["--set", "release.a=2e9", "--set", "budgets.n_paths=1000"]),
+        ("converge-wp", "shotnoise-gamma", "input.rate=1e300",
+         ["--set", "budgets.n_paths=200"]),
+        ("converge-tv", "shotnoise-gamma", "input.rate=1e300", []),
+        ("compare", "power-sharp", "input.rate=1e300", []),
+    ], ids=["simulate-rate", "simulate-horizon", "laplace-rate", "tail-rate",
+            "converge-wp-rate", "converge-tv-rate", "compare-rate"])
+    def test_unbounded_work_is_usage_error(self, command, preset, override,
+                                           extra, tmp_path, capsys):
         # refused before any draw: a hang fails at the alarm, not the suite
         def hang(signum, frame):
             raise TimeoutError(f"{command} --set {override} did not return")
@@ -265,7 +276,7 @@ class TestCli:
         previous = signal.signal(signal.SIGALRM, hang)
         signal.alarm(15)
         try:
-            code = main([command, "preset:constant-mm1", "--set", override,
+            code = main([command, f"preset:{preset}", "--set", override,
                          "--out", str(tmp_path / "o")] + extra)
         finally:
             signal.alarm(0)
@@ -395,8 +406,12 @@ class TestCli:
         assert "unrecognized arguments: --bogus" in capsys.readouterr().err
 
     def test_threads_flag_rejected(self, capsys):
-        assert main(["classify", "preset:plateau-null", "--threads", "2"]) == 2
-        assert "unrecognized arguments: --threads" in capsys.readouterr().err
+        # removed flags: --threads, and tail's --method (the input picks it)
+        for argv in (["classify", "preset:plateau-null", "--threads", "2"],
+                     ["tail", "preset:constant-mm1", "--method", "endpoint"]):
+            assert main(argv) == 2
+            assert (f"unrecognized arguments: {argv[2]}"
+                    in capsys.readouterr().err)
 
     def test_write_csv_formats(self, tmp_path):
         path = tmp_path / "x.csv"
@@ -404,6 +419,21 @@ class TestCli:
         lines = path.read_text().splitlines()
         assert lines[2] == "1,5.000000000e-01"
         assert lines[3] == "s,"
+
+    def test_write_csv_streams_rows(self, tmp_path):
+        # rows go to the file as they come: memory does not grow with it
+        path = tmp_path / "big.csv"
+        rows = ((i, i * 0.5, "x") for i in range(200_000))
+        tracemalloc.start()
+        try:
+            write_csv(path, ["i", "v", "s"], rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20, peak
+        lines = path.read_text().splitlines()
+        assert len(lines) == 200_002
+        assert lines[-1] == "199999,9.999950000e+04,x"
 
 
 class TestCertificateJson:

@@ -18,8 +18,6 @@ import pytest
 from storagelab import ergodicity_lab
 from storagelab.errors import MomentConditionFailed, NotStationaryRegime
 from storagelab.ergodicity_lab import (
-    EnsembleEndpoint,
-    LongRunTimeAverage,
     compare_rates,
     estimate_tail,
     estimate_tv_decay,
@@ -57,83 +55,91 @@ def mm1_tail(u):
 class TestEstimateTail:
     def test_mm1_longrun(self):
         grid = np.array([1.0, 2.0, 4.0])
-        est = estimate_tail(*MM1, LongRunTimeAverage(), grid, 30_000,
+        est = estimate_tail(*MM1, grid, 30_000,
                             seed=SEED, regime="PositiveRecurrent")
         for u, p, s in zip(est.levels, est.pi_bar_hat, est.stderr):
             assert abs(p - mm1_tail(u)) <= 3 * s
 
     def test_mm1_endpoint(self):
+        # the chains estimate_tail reads for an input with drift
         cert = build_certificate(*MM1, RateFunction.linear(0.5))
         grid = np.array([1.0, 2.0, 4.0])
-        est = estimate_tail(*MM1, EnsembleEndpoint(), grid, 20_000,
-                            seed=SEED, certificate=cert, regime="PositiveRecurrent")
-        for u, p, s in zip(est.levels, est.pi_bar_hat, est.stderr):
+        per_chain, method = ergodicity_lab._endpoint_tails(
+            *MM1, grid, 20_000, SEED, 1e-4, cert)
+        assert method.startswith("EnsembleEndpoint(T=")
+        pibar = per_chain.mean(axis=0)
+        se = per_chain.std(axis=0, ddof=1) / math.sqrt(len(per_chain))
+        for u, p, s in zip(grid, pibar, se):
             assert abs(p - mm1_tail(u)) <= 3.5 * s
 
     def test_shotnoise_gamma(self):
-        est = estimate_tail(*SHOTNOISE, LongRunTimeAverage(), np.array([2.0]),
+        est = estimate_tail(*SHOTNOISE, np.array([2.0]),
                             30_000, seed=SEED, regime="PositiveRecurrent")
         assert abs(est.pi_bar_hat[0] - 3 * math.exp(-2.0)) <= 3 * est.stderr[0]
 
     def test_level_zero_bounded(self):
-        est = estimate_tail(*MM1, LongRunTimeAverage(), np.array([1e-9, 1.0]),
+        est = estimate_tail(*MM1, np.array([1e-9, 1.0]),
                             10_000, seed=SEED, regime="PositiveRecurrent")
         # emptiness has positive probability, so P(X > 0) < 1
         assert est.pi_bar_hat[0] < 1.0
         assert est.pi_bar_hat[0] > est.pi_bar_hat[1]
 
     def test_monotone_after_isotonic(self):
+        # no correction pass: per-chain fractions above a level cannot grow
+        # with it, and their mean keeps that order exactly, on both paths
         grid = np.geomspace(0.5, 8.0, 12)
-        est = estimate_tail(*MM1, LongRunTimeAverage(), grid, 5_000,
-                            seed=SEED, regime="PositiveRecurrent")
-        assert (np.diff(est.pi_bar_hat) <= 1e-12).all()
-        assert ((est.pi_bar_hat >= 0) & (est.pi_bar_hat <= 1)).all()
+        gamma = load_preset("gamma-linear")
+        for levy, rel, eps in (MM1 + (1e-4,),
+                               (gamma.levy, gamma.release,
+                                gamma.truncation_eps)):
+            est = estimate_tail(levy, rel, grid, 5_000, seed=SEED, eps=eps,
+                                regime="PositiveRecurrent")
+            assert (np.diff(est.pi_bar_hat) <= 0).all()
+            assert ((est.pi_bar_hat >= 0) & (est.pi_bar_hat <= 1)).all()
 
     def test_transient_hard_error(self):
         levy, rel = StableSub(0.3, 1.0), PowerSmoothed(1.0, 0.3)
         with pytest.raises(NotStationaryRegime):
-            estimate_tail(levy, rel, LongRunTimeAverage(), np.array([1.0]), 2_000,
+            estimate_tail(levy, rel, np.array([1.0]), 2_000,
                           seed=SEED)
 
     def test_shift_consistency(self):
         grid = np.array([1.0, 2.0, 4.0])
-        a = estimate_tail(*MM1, LongRunTimeAverage(), grid, 20_000, seed=11,
+        a = estimate_tail(*MM1, grid, 20_000, seed=11,
                           regime="PositiveRecurrent")
-        b = estimate_tail(*MM1, LongRunTimeAverage(), grid, 20_000, seed=22,
+        b = estimate_tail(*MM1, grid, 20_000, seed=22,
                           regime="PositiveRecurrent")
         joint = np.sqrt(a.stderr ** 2 + b.stderr ** 2)
         assert (np.abs(a.pi_bar_hat - b.pi_bar_hat) <= 6 * joint).all()
 
     def test_budget_floor(self):
         with pytest.raises(ValueError):
-            estimate_tail(*MM1, LongRunTimeAverage(), np.array([1.0]), 100,
+            estimate_tail(*MM1, np.array([1.0]), 100,
                           seed=SEED, regime="PositiveRecurrent")
 
     @pytest.mark.parametrize("grid", [[], [4.0, 1.0, 2.0], [1.0, 1.0]],
                              ids=["empty", "unsorted", "repeated"])
     def test_level_grid_must_increase(self, grid):
-        # pooling runs in array order, so an unsorted grid would be wrong
+        # the estimate is non-increasing only along increasing levels
         with pytest.raises(ValueError, match="strictly increasing"):
-            estimate_tail(*MM1, LongRunTimeAverage(), np.array(grid), 20_000,
+            estimate_tail(*MM1, np.array(grid), 20_000,
                           seed=SEED, regime="PositiveRecurrent")
 
     def test_default_burnin_without_certificate(self):
-        # no certificate, no explicit burn-in: each of the 16 chains burns a
-        # fifth of its window, 20_000 / 16 / 5 = 250, and the estimate
-        # still hits the oracle
+        # no certificate: each of the 16 chains burns a fifth of its
+        # window, 20_000 / 16 / 5 = 250, and the estimate still hits the
+        # oracle
         grid = np.array([1.0, 2.0])
-        est = estimate_tail(*MM1, LongRunTimeAverage(), grid, 20_000,
+        est = estimate_tail(*MM1, grid, 20_000,
                             seed=SEED, regime="PositiveRecurrent")
         assert est.method.endswith("burn=250)")
         for u, p, s in zip(est.levels, est.pi_bar_hat, est.stderr):
             assert abs(p - mm1_tail(u)) <= 4 * s
-        # a certificate caps it at 10 / drift margin, an explicit one wins
+        # a certificate caps it at 10 / drift margin
         cert = build_certificate(*MM1, RateFunction.linear(0.5))
-        for method, burn in ((LongRunTimeAverage(), "burn=30)"),
-                             (LongRunTimeAverage(burn_in=7.0), "burn=7)")):
-            est = estimate_tail(*MM1, method, grid, 20_000, seed=SEED,
-                                certificate=cert, regime="PositiveRecurrent")
-            assert est.method.endswith(burn)
+        est = estimate_tail(*MM1, grid, 20_000, seed=SEED,
+                            certificate=cert, regime="PositiveRecurrent")
+        assert est.method.endswith("burn=30)")
 
 
 class TestTvDecay:
@@ -176,8 +182,8 @@ class TestTvDecay:
         from storagelab.numerics import fit_loglog
         sc = (CompoundPoisson(0.5, ParetoJumps(1.5)), Constant(2.0))
         grid = np.geomspace(20.0, 1280.0, 13)
-        est = estimate_tail(*sc, LongRunTimeAverage(spacing=30.0), grid,
-                            100_000, seed=SEED, regime="PositiveRecurrent")
+        est = estimate_tail(*sc, grid, 3_000_000, seed=SEED,
+                            regime="PositiveRecurrent")
         tail_fit = fit_loglog(est.levels, est.pi_bar_hat)
         assert abs(tail_fit.exponent - (-0.5)) <= 0.3, tail_fit.exponent
         t_grid = np.geomspace(2.0, 200.0, 16)
@@ -218,10 +224,17 @@ class TestStationaryReference:
         k = ergodicity_lab._REF_K
         estimate_tv_decay(*MM1, 5.0, t_grid, 100, seed=SEED,
                           regime="PositiveRecurrent")
-        estimate_wp_decay(*SHOTNOISE, 5.0, None, 1.0, t_grid, 100, seed=SEED,
+        estimate_wp_decay(*SHOTNOISE, 5.0, 1.0, t_grid, 100, seed=SEED,
                           regime="PositiveRecurrent")
         reference = (k, math.ceil(200 / k), SEED + 1)
         assert calls == [reference, (3, 100, SEED)] * 2
+        # the tail of an input with drift reads the chains alone
+        calls.clear()
+        gamma = load_preset("gamma-linear")
+        estimate_tail(gamma.levy, gamma.release, np.array([1.0, 2.0]), 1_000,
+                      seed=SEED, eps=gamma.truncation_eps,
+                      regime="PositiveRecurrent")
+        assert calls == [(k, math.ceil(1_000 / k), SEED)]
 
     @pytest.mark.parametrize("shape", [(40, 16), (300,)])
     def test_lane_counts_add_up_to_the_histogram(self, shape):
@@ -245,7 +258,7 @@ class TestStationaryReference:
         a, b = ergodicity_lab._lane_halves(lanes)
         np.testing.assert_array_equal(a, [0.0, 0.0])
         np.testing.assert_array_equal(b, [1.0, 1.0])
-        curve = estimate_wp_decay(*SHOTNOISE, 5.0, None, 1.0,
+        curve = estimate_wp_decay(*SHOTNOISE, 5.0, 1.0,
                                   np.array([1.0, 2.0]), 100, seed=SEED,
                                   reference=lanes, regime="PositiveRecurrent")
         assert curve.noise_floor == 1.0
@@ -299,7 +312,7 @@ class TestWpDecay:
     def test_shotnoise_bounded_by_contraction(self):
         bound = GapBound(PowerModulus(1.0), 1.0, 5.0)
         t_grid = np.linspace(0.25, 6.0, 12)
-        curve = estimate_wp_decay(*SHOTNOISE, 5.0, None, 1.0, t_grid, 10_000,
+        curve = estimate_wp_decay(*SHOTNOISE, 5.0, 1.0, t_grid, 10_000,
                                   seed=SEED, contraction=bound,
                                   regime="PositiveRecurrent")
         assert curve.reference_curve is not None
@@ -308,7 +321,7 @@ class TestWpDecay:
     def test_no_reference_when_release_fails_contraction(self):
         # a constant drain does not contract: r(u) - r(v) = 0 > -5 (v - u)
         bound = GapBound(PowerModulus(1.0), 5.0, 1.0)
-        curve = estimate_wp_decay(*MM1, 0.0, None, 1.0, np.array([2.0, 4.0]),
+        curve = estimate_wp_decay(*MM1, 0.0, 1.0, np.array([2.0, 4.0]),
                                   2_000, seed=SEED, contraction=bound,
                                   regime="PositiveRecurrent")
         assert curve.reference_curve is None
@@ -327,7 +340,7 @@ class TestWpDecay:
                      - grid_ensemble(levy, rel, lambda gen, m: y[:m], t_grid,
                                      n, SEED))
         upper = gap.mean(axis=0) + 3 * gap.std(axis=0, ddof=1) / math.sqrt(n)
-        curve = estimate_wp_decay(levy, rel, 0.0, None, 1.0, t_grid, n,
+        curve = estimate_wp_decay(levy, rel, 0.0, 1.0, t_grid, n,
                                   seed=SEED, regime="PositiveRecurrent")
         above = curve.values > 2 * curve.noise_floor
         assert above.sum() >= 4
@@ -337,21 +350,21 @@ class TestWpDecay:
     def test_moment_gate(self):
         levy = CompoundPoisson(1.0, ParetoJumps(1.5))
         with pytest.raises(MomentConditionFailed):
-            estimate_wp_decay(levy, PowerSmoothed(1.0, 0.5), 1.0, None, 2.0,
+            estimate_wp_decay(levy, PowerSmoothed(1.0, 0.5), 1.0, 2.0,
                               np.array([1.0, 2.0]), 2_000, seed=SEED,
                               regime="PositiveRecurrent")
 
     def test_sampled_initial_law(self):
         t_grid = np.linspace(0.5, 4.0, 8)
         mu0 = lambda gen, m: gen.uniform(0.0, 10.0, m)
-        curve = estimate_wp_decay(*SHOTNOISE, 0.0, mu0, 1.0, t_grid, 5_000,
+        curve = estimate_wp_decay(*SHOTNOISE, mu0, 1.0, t_grid, 5_000,
                                   seed=SEED, regime="PositiveRecurrent")
         assert (np.diff(curve.values) <= 2 * (curve.stderr[1:] + curve.stderr[:-1])).all()
 
     def test_second_order(self):
         # p = 2 needs the second jump moment, which Exp(1) jumps provide
         t_grid = np.linspace(0.5, 4.0, 8)
-        curve = estimate_wp_decay(*SHOTNOISE, 5.0, None, 2.0, t_grid, 5_000,
+        curve = estimate_wp_decay(*SHOTNOISE, 5.0, 2.0, t_grid, 5_000,
                                   seed=SEED, regime="PositiveRecurrent")
         assert curve.metric == "W2"
         assert (curve.values >= 0).all()
@@ -365,7 +378,7 @@ class TestWpDecay:
         stderr = []
         for cells in (ergodicity_lab.N_BOOT * 500, 7 * 500 + 3):
             monkeypatch.setattr(ergodicity_lab, "_BOOT_CELLS", cells)
-            curve = estimate_wp_decay(*SHOTNOISE, 5.0, None, 2.0, t_grid, 500,
+            curve = estimate_wp_decay(*SHOTNOISE, 5.0, 2.0, t_grid, 500,
                                       seed=SEED, reference=ref,
                                       regime="PositiveRecurrent")
             stderr.append(curve.stderr)
@@ -378,7 +391,7 @@ class TestWpDecay:
         ref = np.random.default_rng(4).exponential(1.0, 40_000)
         tracemalloc.start()
         try:
-            estimate_wp_decay(*SHOTNOISE, 5.0, None, 1.0, np.array([0.5, 1.0]),
+            estimate_wp_decay(*SHOTNOISE, 5.0, 1.0, np.array([0.5, 1.0]),
                               20_000, seed=SEED, reference=ref,
                               regime="PositiveRecurrent")
             peak = tracemalloc.get_traced_memory()[1]
@@ -431,7 +444,7 @@ class TestTailScaleSelection:
         # levels, not the asymptotic rate -1, so the reference is the same
         # OLS slope of the oracle (-0.822 on these 13 levels).  OLS is linear,
         # so this is the check that the ln(1+u)-corrected rate is -1 +- 0.15.
-        est = estimate_tail(*SHOTNOISE, LongRunTimeAverage(),
+        est = estimate_tail(*SHOTNOISE,
                             np.linspace(2.0, 8.0, 13), 100_000, seed=SEED,
                             regime="PositiveRecurrent")
         kind, fit = select_tail_scale(est.levels, est.pi_bar_hat)
