@@ -32,6 +32,8 @@ from .errors import (
     InvalidRateFunction,
     MomentConditionFailed,
     NoiseFloorReached,
+    NonFiniteEvaluation,
+    NotBracketed,
     NotStationaryRegime,
 )
 from .ergodicity_lab import (
@@ -54,6 +56,12 @@ _MAX_JUMPS = 10**7
 _CRITERION_ERRORS = (HypothesisFailed, C3Violation, NotStationaryRegime,
                      MomentConditionFailed, Divergent, NoiseFloorReached,
                      InvalidRateFunction, InvalidModulus)
+# the scenario's numbers leave what floats represent: a rate that overflows
+# (NaN integrands, overflowing flows), a flow too stiff to step, a bound
+# beyond the inversion's e^600 bracket.  A usage error, as no run of the
+# scenario can succeed.
+_RANGE_ERRORS = (NonFiniteEvaluation, NotBracketed, OverflowError,
+                 FloatingPointError)
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +525,7 @@ def main(argv=None) -> int:
     out = _out_dir(args, scen, args.command)
     try:
         return _COMMANDS[args.command](scen, out, args)
-    except ScenarioError as exc:
+    except (ScenarioError, *_RANGE_ERRORS) as exc:
         _emit_error("usage", exc)
         return 1
     except _CRITERION_ERRORS as exc:

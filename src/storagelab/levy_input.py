@@ -73,6 +73,15 @@ class Exponential:
         return TailAsymptotics("exp", self.mu)
 
 
+def _pareto_draw(gen, n, alpha, xm):
+    """n Pareto(alpha) draws on [xm, inf), xm * u^(-1/alpha) of n uniforms
+    u, computed in place on the uniforms: the output is the only array."""
+    u = gen.random(n)
+    u **= -1.0 / alpha
+    u *= xm
+    return u
+
+
 @dataclass(frozen=True)
 class ParetoJumps:
     """Pareto(alpha) sizes on [xm, inf): P(J > u) = (u/xm)^{-alpha}."""
@@ -99,7 +108,7 @@ class ParetoJumps:
         return np.where(u >= self.xm, out, 0.0)
 
     def sample(self, gen, n):
-        return self.xm * gen.random(n) ** (-1.0 / self.alpha)
+        return _pareto_draw(gen, n, self.alpha, self.xm)
 
     def asymptotics(self):
         return TailAsymptotics("power", self.alpha, self.xm ** self.alpha)
@@ -247,6 +256,10 @@ class CompoundPoisson(LevyInput):
         return self.jump.sample(gen, n)
 
 
+# uniforms GammaSub.sample_sizes sorts at a time: 3 MB of work arrays
+_SORTED_BLOCK = 1 << 17
+
+
 @dataclass(frozen=True)
 class GammaSub(LevyInput):
     """Gamma subordinator: nu(du) = shape * exp(-rate_ * u) / u du."""
@@ -292,8 +305,21 @@ class GammaSub(LevyInput):
         return float(self.shape * special.exp1(self.rate_ * eps))
 
     def sample_sizes(self, gen, n, eps):
+        """Inverse transform through the cached quantile table: the draw
+        is exp(np.interp(u, q, log u_knots)) of n uniforms.  The lookup
+        runs on the uniforms in sorted order, ``_SORTED_BLOCK`` of them at
+        a time, and scatters back: numpy's interpolation then finds each
+        knot next to the last instead of by a binary search over the whole
+        table, and the work arrays stay bounded by the block.  Each value,
+        and its place, are those of the unsorted lookup, bit for bit."""
         q, logu = _gamma_quantile_table(self.shape, self.rate_, eps)
-        return np.exp(np.interp(gen.random(n), q, logu))
+        out = gen.random(n)
+        for lo in range(0, n, _SORTED_BLOCK):
+            u = out[lo:lo + _SORTED_BLOCK]
+            order = u.argsort()
+            u[order] = np.interp(u[order], q, logu)
+        np.exp(out, out=out)
+        return out
 
     def compensator_drift(self, eps):
         return self.shape * (1.0 - math.exp(-self.rate_ * eps)) / self.rate_
@@ -364,7 +390,7 @@ class StableSub(LevyInput):
 
     def sample_sizes(self, gen, n, eps):
         # restricted law is exactly Pareto(alpha) above eps
-        return eps * gen.random(n) ** (-1.0 / self.alpha)
+        return _pareto_draw(gen, n, self.alpha, eps)
 
     def compensator_drift(self, eps):
         return self.scale * self.alpha * eps ** (1.0 - self.alpha) / (1.0 - self.alpha)
@@ -436,9 +462,13 @@ class TemperedStableSub(LevyInput):
         return self.scale * eps ** -self.alpha
 
     def sample_sizes(self, gen, n, eps):
-        j = eps * gen.random(n) ** (-1.0 / self.alpha)
-        keep = gen.random(n) < np.exp(-self.tempering * j)
-        return np.where(keep, j, 0.0)
+        # Pareto proposals as in StableSub, each kept with probability
+        # exp(-tempering * j); the others are set to 0 in place
+        j = _pareto_draw(gen, n, self.alpha, eps)
+        keep = np.multiply(j, -self.tempering)
+        np.exp(keep, out=keep)
+        j[gen.random(n) >= keep] = 0.0
+        return j
 
     def compensator_drift(self, eps):
         from scipy import special

@@ -71,7 +71,8 @@ def _draw_slab(levy, gen, bufs, m, a, b, lam, eps):
     t[pad] = b
     t.sort(axis=0)
     s[pad] = 0.0
-    s[~pad] = levy.sample_sizes(gen, int(counts.sum()), eps)
+    real = np.logical_not(pad, out=pad)  # in place: no second mask
+    s[real] = levy.sample_sizes(gen, int(counts.sum()), eps)
     return t, s
 
 

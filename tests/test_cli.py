@@ -33,6 +33,21 @@ PHI_CASES = [(name, []) for name in preset_names()
 PHI_CASES.append(("power-uniform", POWER_UNIFORM_REPRO))
 
 
+def _main_capped(argv, seconds):
+    """main(argv), failing at an alarm after ``seconds`` instead of hanging
+    the suite."""
+    def hang(signum, frame):
+        raise TimeoutError(f"{' '.join(argv)} did not return")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(seconds)
+    try:
+        return main(argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 class TestScenario:
     def test_roundtrip_lossless(self):
         scen = Scenario.from_dict(MINIMAL)
@@ -270,20 +285,33 @@ class TestCli:
     def test_unbounded_work_is_usage_error(self, command, preset, override,
                                            extra, tmp_path, capsys):
         # refused before any draw: a hang fails at the alarm, not the suite
-        def hang(signum, frame):
-            raise TimeoutError(f"{command} --set {override} did not return")
-
-        previous = signal.signal(signal.SIGALRM, hang)
-        signal.alarm(15)
-        try:
-            code = main([command, f"preset:{preset}", "--set", override,
-                         "--out", str(tmp_path / "o")] + extra)
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
+        code = _main_capped([command, f"preset:{preset}", "--set", override,
+                             "--out", str(tmp_path / "o")] + extra, 15)
         assert code == 1
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "usage" and "jumps" in err["message"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv, error", [
+        # the rate overflows past u = 1: NaN integrands in the certificate
+        (["certify", "preset:power-sharp", "--set", "release.beta=1e300"],
+         "NonFiniteEvaluation"),
+        # ... and the power flow's drain time overflows
+        (["simulate", "preset:power-sharp", "--set", "release.beta=1e300",
+          "--paths", "2"], "OverflowError"),
+        # a ramp slope of 1e301 is too stiff for the Runge-Kutta flow
+        (["simulate", "preset:power-heavy", "--set", "release.k=1e300",
+          "--paths", "2"], "FloatingPointError"),
+        # the lower-rate envelope lies beyond the inversion's e^600 bracket
+        (["compare", "preset:power-sharp", "--set", "release.k=1e-300",
+          "--set", "budgets.n_paths=1000"], "NotBracketed"),
+    ], ids=["certify-beta", "simulate-beta", "simulate-k", "compare-k"])
+    def test_out_of_range_scenario_is_usage_error(self, argv, error, tmp_path,
+                                                  capsys):
+        code = _main_capped(argv + ["--out", str(tmp_path / "o")], 10)
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "usage" and err["type"] == error
         assert not (tmp_path / "o").exists()
 
     def test_tiny_rate_simulates(self, tmp_path):

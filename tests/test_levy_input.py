@@ -1,9 +1,11 @@
 """Input-subordinator checks: tails, moments, Laplace identities, sampling."""
 
+import copy
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +22,8 @@ from storagelab.levy_input import (
     StableSub,
     TabulatedTail,
     TemperedStableSub,
+    _SORTED_BLOCK,
+    _gamma_quantile_table,
     first_moment,
     laplace_check,
     tail,
@@ -27,6 +31,7 @@ from storagelab.levy_input import (
 import storagelab
 from storagelab.numerics import integrate_semiinfinite, invert_monotone
 from storagelab.release_rate import Affine
+from storagelab.rng import substream
 from storagelab.simulator import event_ensemble, grid_ensemble
 
 SEED = 20260810
@@ -212,6 +217,68 @@ class TestSampling:
         expect = float(inp.tail(0.5))
         se = math.sqrt(expect / n)
         assert abs(hits / n - expect) <= 4 * se
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+class TestSizeKernels:
+    """The in-place and sorted-order size draws give the doubles of the
+    plain expressions, and leave the generator where those leave it."""
+
+    @pytest.mark.parametrize("n", [0, 1, _SORTED_BLOCK - 1, _SORTED_BLOCK,
+                                   2 * _SORTED_BLOCK + 3])
+    def test_gamma_is_the_unsorted_lookup(self, n):
+        inp, eps = GammaSub(1.3, 0.7), 1e-4
+        gen = substream(SEED, "sizes", n)
+        twin = copy.deepcopy(gen)
+        got = inp.sample_sizes(gen, n, eps)
+        q, logu = _gamma_quantile_table(inp.shape, inp.rate_, eps)
+        want = np.exp(np.interp(twin.random(n), q, logu))
+        assert got.shape == (n,)
+        assert (_bits(got) == _bits(want)).all()
+        assert gen.random() == twin.random()
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0, 1.5, 2.0])
+    def test_power_families_are_the_plain_expressions(self, alpha):
+        n, eps = 10_001, 1e-3
+        cases = [(CompoundPoisson(1.0, ParetoJumps(alpha, 0.7)),
+                  lambda g: 0.7 * g.random(n) ** (-1.0 / alpha))]
+        if alpha < 1.0:
+            stable = StableSub(alpha, 2.0)
+            tempered = TemperedStableSub(alpha, 2.0, 1.5)
+
+            def tempered_plain(g):
+                j = eps * g.random(n) ** (-1.0 / alpha)
+                keep = g.random(n) < np.exp(-tempered.tempering * j)
+                return np.where(keep, j, 0.0)
+
+            cases += [(stable, lambda g: eps * g.random(n) ** (-1.0 / alpha)),
+                      (tempered, tempered_plain)]
+        for inp, plain in cases:
+            gen = substream(SEED, "sizes", alpha)
+            twin = copy.deepcopy(gen)
+            got = inp.sample_sizes(gen, n, eps)
+            assert (_bits(got) == _bits(plain(twin))).all(), inp
+            assert gen.random() == twin.random()
+
+    @pytest.mark.parametrize("inp, extra", [
+        (GammaSub(1.0, 1.0), 4 << 20),
+        (CompoundPoisson(1.0, ParetoJumps(1.5)), 1 << 20),
+    ], ids=["gamma", "pareto"])
+    def test_traced_peak_is_the_output_plus_a_block(self, inp, extra):
+        n, eps = 1 << 20, 1e-4
+        inp.sample_sizes(substream(SEED, "warm"), 1, eps)  # builds the table
+        gen = substream(SEED, "sizes")
+        tracemalloc.start()
+        try:
+            out = inp.sample_sizes(gen, n, eps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.nbytes == 8 * n
+        assert peak <= out.nbytes + extra, peak
 
 
 class TestLaplaceCheck:
