@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -76,13 +77,35 @@ def _fmt(value) -> str:
     return str(value)
 
 
+# the %-conversion that writes a value of each type as _fmt does (NaN aside)
+_CSV_CONVERSIONS = {int: "%d", float: "%.9e", str: "%s"}
+
+
+def _csv_lines(rows):
+    """One line per row, formatted as _fmt formats each value.  A row is
+    filled into one %-template built from its value types; a row with any
+    other type, or whose line shows a NaN (an empty field), goes through
+    _fmt."""
+    templates = {}
+    for row in rows:
+        kinds = tuple(map(type, row))
+        template = templates.get(kinds)
+        if template is None:
+            template = templates[kinds] = (
+                ",".join(map(_CSV_CONVERSIONS.__getitem__, kinds)) + "\n"
+                if all(kind in _CSV_CONVERSIONS for kind in kinds) else "")
+        line = template and template % tuple(row)
+        yield (line if line and "nan" not in line
+               else ",".join(map(_fmt, row)) + "\n")
+
+
 def write_csv(path: Path, header: list[str], rows) -> None:
     """The schema line, the header, then one line per row, written as the
     rows come, so memory does not grow with the file."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8") as f:
         f.write(f"# csv_schema={CSV_SCHEMA}\n{','.join(header)}\n")
-        f.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
+        f.writelines(_csv_lines(rows))
 
 
 def _rows(cols):
@@ -346,7 +369,6 @@ def cmd_tail(scen: Scenario, out: Path, args) -> int:
 
 def _tv_curve(scen: Scenario, x0: float):
     """The TV curve with its exponent fit, or NoiseFloorReached."""
-    _check_work(scen, scen.grids["t_grid"][-1], scen.budgets["n_paths"])
     cert = _context_certificate(scen)
     curve = estimate_tv_decay(scen.levy, scen.release, x0,
                               np.asarray(scen.grids["t_grid"]),
@@ -359,6 +381,7 @@ def _tv_curve(scen: Scenario, x0: float):
 
 
 def cmd_converge_tv(scen: Scenario, out: Path, args) -> int:
+    _check_work(scen, scen.grids["t_grid"][-1], scen.budgets["n_paths"])
     curve, cert = _tv_curve(scen, args.x0)
     _write_curve(out / "tv.csv", "t", curve.times, curve.values, curve.stderr,
                  [1.0 / cert.predicted_tv_rate(float(t)) for t in curve.times]
@@ -392,13 +415,15 @@ def cmd_converge_wp(scen: Scenario, out: Path, args) -> int:
 
 
 def cmd_compare(scen: Scenario, out: Path, args) -> int:
-    curve, cert = _tv_curve(scen, args.x0)
-    lower = None
+    _check_work(scen, scen.grids["t_grid"][-1], scen.budgets["n_paths"])
+    # the lower rate first: a release out of its range is refused before
+    # the curve is drawn
     try:
         lower = tv_lower_rate(scen.levy, scen.release,
                               eps=scen.tolerances["epsilon"], x=max(args.x0, 1.0))
     except _CRITERION_ERRORS:
         lower = None
+    curve, cert = _tv_curve(scen, args.x0)
     rep = compare_rates(curve, certificate=cert, lower=lower,
                         eps=scen.tolerances["epsilon"])
     payload = dataclasses.asdict(rep) | {"scenario": scen.name}
@@ -523,14 +548,20 @@ def main(argv=None) -> int:
         _emit_error("usage", exc)
         return 1
     out = _out_dir(args, scen, args.command)
-    try:
-        return _COMMANDS[args.command](scen, out, args)
-    except (ScenarioError, *_RANGE_ERRORS) as exc:
-        _emit_error("usage", exc)
-        return 1
-    except _CRITERION_ERRORS as exc:
-        _emit_error("criterion", exc)
-        return 2
+    # the warnings of a run that ends in an error are dropped, so its stderr
+    # is the one JSON line; a run that returns shows them
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            code = _COMMANDS[args.command](scen, out, args)
+        except (ScenarioError, *_RANGE_ERRORS) as exc:
+            _emit_error("usage", exc)
+            return 1
+        except _CRITERION_ERRORS as exc:
+            _emit_error("criterion", exc)
+            return 2
+    for w in caught:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+    return code
 
 
 if __name__ == "__main__":

@@ -41,9 +41,9 @@ N_BOOT = 200
 # independent chains of the long-run tail estimator (see estimate_tail)
 _LONGRUN_LANES = 16
 # resampled draws one bootstrap block holds: the W_p bootstrap resamples a few
-# replicates at a time, so its working memory stays near 2 MB per array
+# replicates at a time, so its working memory stays near 1 MB per array
 # whatever the ensemble size
-_BOOT_CELLS = 1 << 18
+_BOOT_CELLS = 1 << 17
 # samples each lane of the stationary reference records (see
 # _stationary_reference)
 _REF_K = 16
@@ -344,6 +344,44 @@ def _lane_halves(lanes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lanes[:half].ravel(), lanes[half:2 * half].ravel()
 
 
+def _wp_bootstrap_stderr(mat: np.ndarray, refq: np.ndarray, p: float,
+                         gen: np.random.Generator) -> np.ndarray:
+    """Bootstrap stderr of W_p(column, reference) for every column of the
+    (n_paths, T) ensemble ``mat``, which this sorts in place; ``refq`` holds
+    the reference quantiles at the n_paths mid-probabilities.
+
+    Each replicate resamples whole paths, the same ones at every time.  A
+    column's resample is sorted as int32 ranks into the sorted column, which
+    gives the same doubles as sorting the resampled values.
+    """
+    n_paths, n_t = mat.shape
+    rank = np.empty((n_t, n_paths), dtype=np.int32)
+    ids = np.arange(n_paths, dtype=np.int32)
+    for j in range(n_t):
+        order = np.argsort(mat[:, j])
+        rank[j, order] = ids
+        mat[:, j] = mat[order, j]
+    # one contiguous row of replicates per time: its std sums them in the
+    # same order as the 1-D array of a single time would
+    wp_boot = np.empty((n_t, N_BOOT))
+    rows = max(1, _BOOT_CELLS // n_paths)
+    for r in range(0, N_BOOT, rows):
+        # the generator streams row by row, so block after block draws the
+        # same resamples as one (N_BOOT, n_paths) matrix would.  The indices
+        # stay intp: numpy converts an int32 index array before gathering.
+        ridx = gen.integers(0, n_paths, (min(rows, N_BOOT - r), n_paths))
+        for j in range(n_t):
+            pos = rank[j][ridx]
+            pos.sort(axis=1)
+            bs = np.take(mat[:, j], pos)
+            bs -= refq
+            np.abs(bs, out=bs)
+            if p != 1.0:
+                bs **= p
+            wp_boot[j, r:r + len(bs)] = bs.mean(axis=1) ** (1.0 / p)
+    return wp_boot.std(axis=1, ddof=1)
+
+
 def estimate_wp_decay(levy: LevyInput, release: ReleaseRate, x0,
                       p: float = 1.0, t_grid=None,
                       n_paths: int = 10_000, seed: int = 0, eps: float = 1e-4,
@@ -357,6 +395,8 @@ def estimate_wp_decay(levy: LevyInput, release: ReleaseRate, x0,
     takes it.
     The reference comes from _stationary_reference (doubled budget); the
     noise floor is the distance between its two halves of lanes.
+    The bootstrap stderr resamples paths jointly across times: each of the
+    N_BOOT replicates draws one set of paths and uses it at every time.
     With a contraction bound the curve carries the deterministic reference
     (W_p(mu_0, pi)/kappa + 1) B_kappa^{-1}(Gamma t) alongside the estimates,
     but only when ``release`` satisfies the contraction the bound assumes
@@ -375,26 +415,7 @@ def estimate_wp_decay(levy: LevyInput, release: ReleaseRate, x0,
     lanes = _as_lanes(reference)
     reference = lanes.ravel()
     mat = grid_ensemble(levy, release, x0, t_grid, n_paths, seed, eps)
-    gen = substream(seed, "wp-boot")
-    values = np.empty(t_grid.size)
-    se = np.empty(t_grid.size)
-    ref_sorted = np.sort(reference)
-    q = (np.arange(n_paths) + 0.5) / n_paths
-    refq = ref_sorted[np.minimum((q * ref_sorted.size).astype(np.int64),
-                                 ref_sorted.size - 1)]
-    rows = max(1, _BOOT_CELLS // n_paths)
-    wp_boot = np.empty(N_BOOT)
-    for j in range(t_grid.size):
-        col = mat[:, j]
-        values[j] = wasserstein_1d(col, reference, p)
-        # the generator streams row by row, so block after block draws the
-        # same resamples as one (N_BOOT, n_paths) matrix would
-        for r in range(0, N_BOOT, rows):
-            ridx = gen.integers(0, n_paths, (min(rows, N_BOOT - r), n_paths))
-            bs = np.sort(col[ridx], axis=1)
-            wp_boot[r:r + len(bs)] = ((np.abs(bs - refq) ** p).mean(axis=1)
-                                      ** (1.0 / p))
-        se[j] = wp_boot.std(ddof=1)
+    values = np.array([wasserstein_1d(col, reference, p) for col in mat.T])
     floor = wasserstein_1d(*_lane_halves(lanes), p)
     mask = (np.arange(t_grid.size) >= t_grid.size // 2) & (values > 2.0 * floor)
     fitted = fit_loglog(t_grid[mask], values[mask]) if mask.sum() >= 2 else None
@@ -405,6 +426,11 @@ def estimate_wp_decay(levy: LevyInput, release: ReleaseRate, x0,
                             np.full(256, float(x0)), reference, p)
         scale = w0 / contraction.kappa + 1.0
         ref_curve = np.asarray([scale * contraction(t) for t in t_grid])
+    ref_sorted = np.sort(reference)
+    q = (np.arange(n_paths) + 0.5) / n_paths
+    refq = ref_sorted[np.minimum((q * ref_sorted.size).astype(np.int64),
+                                 ref_sorted.size - 1)]
+    se = _wp_bootstrap_stderr(mat, refq, p, substream(seed, "wp-boot"))
     return DecayCurve(t_grid, f"W{p:g}", values, se, fitted, floor, mask,
                       reference_curve=ref_curve)
 

@@ -120,7 +120,7 @@ def _gk_rule(x: np.ndarray, y: np.ndarray, half: float):
         # overflow of finite values, which passes both checks
         if np.isnan(y).any():
             bad = x[np.isnan(y)][0]
-            raise NonFiniteEvaluation(f"integrand returned NaN at node {bad!r}")
+            raise NonFiniteEvaluation(f"integrand returned NaN at node {float(bad)!r}")
         if np.isinf(y).any():
             raise Divergent("integrand is infinite at a quadrature node")
     ig = half * float(_WG @ y[_GAUSS_IDX])

@@ -4,13 +4,15 @@ import json
 import math
 import signal
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from storagelab.classifier import classify
-from storagelab.cli import _resolve_scenario, build_parser, main, write_csv
+from storagelab import cli
+from storagelab.cli import _fmt, _resolve_scenario, build_parser, main, write_csv
 from storagelab.lyapunov import build_certificate
 from storagelab.presets import load_preset, preset_names, preset_row
 from storagelab.scenario import Scenario, ScenarioError
@@ -314,6 +316,48 @@ class TestCli:
         assert err["error"] == "usage" and err["type"] == error
         assert not (tmp_path / "o").exists()
 
+    def test_error_stderr_is_one_json_line(self, tmp_path, capsys):
+        # the overflowing rate raises numpy RuntimeWarnings before the NaN
+        # integrand; a run that ends in an error drops them
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            code = main(["certify", "preset:power-sharp", "--set",
+                         "release.beta=1e300", "--out", str(tmp_path / "o")])
+        assert code == 1 and seen == []
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["type"] == "NonFiniteEvaluation"
+
+    def test_warnings_of_a_run_that_returns_are_shown(self, monkeypatch,
+                                                       tmp_path, capsys):
+        def warn_then(result):
+            def command(scen, out, args):
+                warnings.warn("from the command", RuntimeWarning)
+                if isinstance(result, Exception):
+                    raise result
+                return result
+            return command
+
+        for result, shown in ((0, 1), (2, 1), (ScenarioError("bad"), 0)):
+            monkeypatch.setitem(cli._COMMANDS, "classify", warn_then(result))
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                main(["classify", "preset:plateau-null",
+                      "--out", str(tmp_path / "o")])
+            assert [str(w.message) for w in seen] == ["from the command"] * shown
+        assert json.loads(capsys.readouterr().err)["message"] == "bad"
+
+    def test_compare_refuses_out_of_range_release_before_drawing(
+            self, monkeypatch, tmp_path, capsys):
+        def drawn(*args, **kwargs):
+            raise AssertionError("the TV curve was drawn")
+
+        monkeypatch.setattr(cli, "estimate_tv_decay", drawn)
+        code = main(["compare", "preset:power-sharp", "--set",
+                     "release.k=1e-300", "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err)["type"] == "NotBracketed"
+
     def test_tiny_rate_simulates(self, tmp_path):
         # a gamma input of rate 1e-300 has a finite proposal rate and a zero
         # compensator drift (1 - e^{-1e-304} is 0 in floats)
@@ -447,6 +491,19 @@ class TestCli:
         lines = path.read_text().splitlines()
         assert lines[2] == "1,5.000000000e-01"
         assert lines[3] == "s,"
+
+    def test_write_csv_matches_fmt(self, tmp_path):
+        # rows filled into per-type templates read exactly as _fmt writes
+        # them, NaN, bool, numpy scalars and type changes mid-stream included
+        rows = [(1, 0.5, "a"), (-7, math.inf, "b"), (0, -math.inf, "c"),
+                (3, -0.0, "d"), (4, math.nan, "e"), (5, 1e-300, "nan"),
+                (True, 2.5, "f"), (False, 0.1, "g"), ("h", 6, 7.0),
+                (np.float64(0.25), np.int64(8), "i"), (10**20, 1e300, ""),
+                (9, 0.5, "j")]
+        path = tmp_path / "m.csv"
+        write_csv(path, ["x", "y", "z"], iter(rows))
+        expected = "".join(",".join(map(_fmt, row)) + "\n" for row in rows)
+        assert path.read_text().split("\n", 2)[2] == expected
 
     def test_write_csv_streams_rows(self, tmp_path):
         # rows go to the file as they come: memory does not grow with it

@@ -41,6 +41,7 @@ from storagelab.lyapunov import (
 )
 from storagelab.presets import load_preset
 from storagelab.release_rate import Affine, Constant, PowerSmoothed
+from storagelab.rng import substream
 from storagelab.simulator import grid_ensemble
 
 SEED = 20260810
@@ -385,6 +386,50 @@ class TestWpDecay:
         assert (stderr[0] > 0).all()
         np.testing.assert_array_equal(stderr[0], stderr[1])
 
+    @staticmethod
+    def _ref_quantiles(ref, n):
+        ref = np.sort(ref)
+        q = (np.arange(n) + 0.5) / n
+        return ref[np.minimum((q * ref.size).astype(np.int64), ref.size - 1)]
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_bootstrap_resamples_paths_jointly(self, monkeypatch, p):
+        # the naive joint bootstrap: each block of resampled paths, its
+        # values at every time sorted as floats; blocks of 7 are ragged
+        cells, n = 7 * 500 + 3, 500
+        monkeypatch.setattr(ergodicity_lab, "_BOOT_CELLS", cells)
+        t_grid = np.array([0.5, 1.0, 2.0])
+        ref = np.random.default_rng(4).exponential(1.0, 900)
+        curve = estimate_wp_decay(*SHOTNOISE, 5.0, p, t_grid, n, seed=SEED,
+                                  reference=ref, regime="PositiveRecurrent")
+        mat = grid_ensemble(*SHOTNOISE, 5.0, t_grid, n, SEED)
+        refq = self._ref_quantiles(ref, n)
+        gen = substream(SEED, "wp-boot")
+        boot = np.empty((t_grid.size, ergodicity_lab.N_BOOT))
+        for r in range(0, ergodicity_lab.N_BOOT, cells // n):
+            ridx = gen.integers(0, n, (min(cells // n,
+                                           ergodicity_lab.N_BOOT - r), n))
+            for j in range(t_grid.size):
+                bs = np.sort(mat[ridx, j], axis=1)
+                boot[j, r:r + len(bs)] = ((np.abs(bs - refq) ** p).mean(axis=1)
+                                          ** (1.0 / p))
+        np.testing.assert_array_equal(curve.stderr,
+                                      [row.std(ddof=1) for row in boot])
+
+    def test_bootstrap_first_time_matches_per_time_scheme(self):
+        # the first time point draws the same blocks it drew when every time
+        # had a bootstrap of its own, so its stderr has not moved
+        n, t_grid = 500, np.array([0.5, 1.0, 2.0])
+        ref = np.random.default_rng(4).exponential(1.0, 900)
+        curve = estimate_wp_decay(*SHOTNOISE, 5.0, 1.0, t_grid, n, seed=SEED,
+                                  reference=ref, regime="PositiveRecurrent")
+        col = grid_ensemble(*SHOTNOISE, 5.0, t_grid, n, SEED)[:, 0]
+        ridx = substream(SEED, "wp-boot").integers(
+            0, n, (ergodicity_lab.N_BOOT, n))
+        boot = np.abs(np.sort(col[ridx], axis=1)
+                      - self._ref_quantiles(ref, n)).mean(axis=1)
+        assert curve.stderr[0] == boot.std(ddof=1)
+
     def test_bootstrap_memory_bounded(self):
         # one (N_BOOT, 20000) matrix of resamples is 30.5 MiB, and the
         # bootstrap used to hold several such arrays at once
@@ -392,6 +437,19 @@ class TestWpDecay:
         tracemalloc.start()
         try:
             estimate_wp_decay(*SHOTNOISE, 5.0, 1.0, np.array([0.5, 1.0]),
+                              20_000, seed=SEED, reference=ref,
+                              regime="PositiveRecurrent")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
+    def test_bootstrap_memory_bounded_eight_times(self):
+        # the ranks of all eight columns are held at once, beside the block
+        ref = np.random.default_rng(4).exponential(1.0, 40_000)
+        tracemalloc.start()
+        try:
+            estimate_wp_decay(*SHOTNOISE, 5.0, 1.0, np.linspace(0.5, 4.0, 8),
                               20_000, seed=SEED, reference=ref,
                               regime="PositiveRecurrent")
             peak = tracemalloc.get_traced_memory()[1]

@@ -69,6 +69,15 @@ class TestIntegrateSemiinfinite:
         with pytest.raises(NonFiniteEvaluation):
             integrate_semiinfinite(lambda v: math.nan)
 
+    def test_nan_message_names_the_node_as_a_float(self):
+        # the first NaN node, written as a Python float and not as the
+        # numpy repr np.float64(...)
+        x = np.arange(15) / 16.0
+        y = np.where(x > 0.5, math.nan, 1.0)
+        with pytest.raises(NonFiniteEvaluation) as exc:
+            numerics._gk_rule(x, y, 0.5)
+        assert str(exc.value) == "integrand returned NaN at node 0.5625"
+
     def test_shifted_lower(self):
         res = integrate_semiinfinite(lambda v: np.exp(-v), lower=2.0)
         assert res.value == pytest.approx(math.exp(-2.0), rel=1e-9)
