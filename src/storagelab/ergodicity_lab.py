@@ -297,17 +297,24 @@ def wasserstein_1d(a: np.ndarray, b: np.ndarray, p: float = 1.0) -> float:
     which both empirical quantile functions are constant.
     """
     a = np.sort(np.asarray(a, dtype=float))
-    b = np.sort(np.asarray(b, dtype=float))
-    if a.size == b.size:
-        return float(np.mean(np.abs(a - b) ** p) ** (1.0 / p))
-    edges = np.union1d(np.arange(1, a.size) / a.size,
-                       np.arange(1, b.size) / b.size)
+    return _wp_sorted([a], np.sort(np.asarray(b, dtype=float)), p)[0]
+
+
+def _wp_sorted(cols, ref: np.ndarray, p: float) -> list[float]:
+    """W_p of each sorted sample in ``cols`` (all of one size) from the
+    sorted sample ``ref``.  The quantile segments of unequal sizes are
+    built once for all of them."""
+    n = len(cols[0])
+    if n == ref.size:
+        return [float(np.mean(np.abs(a - ref) ** p) ** (1.0 / p)) for a in cols]
+    edges = np.union1d(np.arange(1, n) / n, np.arange(1, ref.size) / ref.size)
     edges = np.concatenate([[0.0], edges, [1.0]])
     widths = np.diff(edges)
     mids = 0.5 * (edges[:-1] + edges[1:])
-    qa = a[np.minimum((mids * a.size).astype(np.int64), a.size - 1)]
-    qb = b[np.minimum((mids * b.size).astype(np.int64), b.size - 1)]
-    return float(np.sum(widths * np.abs(qa - qb) ** p) ** (1.0 / p))
+    ia = np.minimum((mids * n).astype(np.int64), n - 1)
+    qb = ref[np.minimum((mids * ref.size).astype(np.int64), ref.size - 1)]
+    return [float(np.sum(widths * np.abs(a[ia] - qb) ** p) ** (1.0 / p))
+            for a in cols]
 
 
 def w1_cdf_area(a: np.ndarray, b: np.ndarray) -> float:
@@ -413,24 +420,24 @@ def estimate_wp_decay(levy: LevyInput, release: ReleaseRate, x0,
         reference = _stationary_reference(levy, release, 2 * n_paths, t_ref,
                                           seed + 1, eps)
     lanes = _as_lanes(reference)
-    reference = lanes.ravel()
+    ref_sorted = np.sort(lanes, axis=None)
     mat = grid_ensemble(levy, release, x0, t_grid, n_paths, seed, eps)
-    values = np.array([wasserstein_1d(col, reference, p) for col in mat.T])
+    q = (np.arange(n_paths) + 0.5) / n_paths
+    refq = ref_sorted[np.minimum((q * ref_sorted.size).astype(np.int64),
+                                 ref_sorted.size - 1)]
+    se = _wp_bootstrap_stderr(mat, refq, p, substream(seed, "wp-boot"))
+    # the bootstrap has sorted mat's columns
+    values = np.array(_wp_sorted(mat.T, ref_sorted, p))
     floor = wasserstein_1d(*_lane_halves(lanes), p)
     mask = (np.arange(t_grid.size) >= t_grid.size // 2) & (values > 2.0 * floor)
     fitted = fit_loglog(t_grid[mask], values[mask]) if mask.sum() >= 2 else None
     ref_curve = None
     if contraction is not None and check_wasserstein_contraction(
             release, contraction.modulus, contraction.Gamma)[0]:
-        w0 = wasserstein_1d(mat[:, 0] if callable(x0) else
-                            np.full(256, float(x0)), reference, p)
+        w0 = (values[0] if callable(x0) else
+              _wp_sorted([np.full(256, float(x0))], ref_sorted, p)[0])
         scale = w0 / contraction.kappa + 1.0
         ref_curve = np.asarray([scale * contraction(t) for t in t_grid])
-    ref_sorted = np.sort(reference)
-    q = (np.arange(n_paths) + 0.5) / n_paths
-    refq = ref_sorted[np.minimum((q * ref_sorted.size).astype(np.int64),
-                                 ref_sorted.size - 1)]
-    se = _wp_bootstrap_stderr(mat, refq, p, substream(seed, "wp-boot"))
     return DecayCurve(t_grid, f"W{p:g}", values, se, fitted, floor, mask,
                       reference_curve=ref_curve)
 

@@ -1,7 +1,8 @@
 """Shared numeric kernel.
 
 Adaptive quadrature on semi-infinite domains, monotone root finding, the
-drain flow by step-doubling RK4 over lanes, and log-log regression.
+drain flow by step-doubling RK4 (one walk of lanes, each through its own
+rows of jumps), and log-log regression.
 
 The semi-infinite integrator splits [0, inf) at ``tail_split`` and covers
 each side by dyadic scale blocks ([a, 2a] outward, [a/2, a] inward), each
@@ -403,28 +404,67 @@ def invert_monotone(g, y: float, bracket: tuple[float, float],
 # drain flow
 # ---------------------------------------------------------------------------
 
-_TINY = 1e-300  # where _rk_flow reads r(0+)
+_TINY = 1e-300   # where the RK flow reads r(0+)
+_RK_TOL = 1e-10  # per-step tolerance of the RK flow
 
 
-def _rk_flow(rate, x0, dt, drift: float, tol: float = 1e-10):
-    """x' = drift - r(x) from ``x0`` over ``dt`` by step-doubling RK4 with
-    per-step tolerance ``tol``; floats (a float back) or arrays of lanes.
+def _rk_walk(rate, x, t, s, drift: float, tp, out=None):
+    """Walk the lanes ``x`` from time ``tp`` through the rows of the
+    (row, lane) matrices of jump times ``t`` and sizes ``s``: over each row
+    a lane flows by x' = drift - r(x) from the time of its last row, by
+    step-doubling RK4 with per-step tolerance ``_RK_TOL``, then adds the row's
+    size.  Returns the lanes' states after the last row; with ``out``, row
+    k of it receives the states after row k (``out`` may be ``s`` itself,
+    as a lane reads its row's size before writing its state there).
 
-    Each lane keeps its own time and step, the accept, reject and stopping
-    rules are masks, and a lane leaves the running set when it stops.  The
-    right-hand side takes r at r(0+), not r(0) = 0: a lane that empties
-    while drift <= r(0+) then stays empty (a sliding motion) instead of
-    chattering across 0 with shrinking steps.
+    Each lane keeps its own row, time and step, so one loop steps every
+    lane through its own rows; the accept, reject and stopping rules are
+    masks.  A lane starts each row as a walk of that row alone would (step
+    dt / 8 from time 0), so its values are those of the rows taken one at
+    a time, and a row of zero length gives max(x, 0) plus its size.  A
+    lane whose rows left all have zero length and size leaves the running
+    set: they would only clamp it at 0.  The right-hand side takes r at
+    r(0+), not r(0) = 0: a lane that empties while drift <= r(0+) then
+    stays empty (a sliding motion) instead of chattering across 0 with
+    shrinking steps.
     """
-    def rhs(x):
-        return drift - rate(np.maximum(x, _TINY))
+    def rhs(y):
+        return drift - rate(np.maximum(y, _TINY))
 
-    x0, dt = np.broadcast_arrays(np.asarray(x0, dtype=float),
-                                 np.asarray(dt, dtype=float))
-    out = np.maximum(x0.ravel(), 0.0)  # where a lane's time runs out
-    lane = np.flatnonzero(dt.ravel() > 0.0)
-    x, dt = x0.ravel()[lane], dt.ravel()[lane]
-    t, h = np.zeros(lane.size), dt / 8.0
+    def finish(ids, y):
+        # lanes ``ids`` end their rows at y and add the rows' sizes
+        k = row[ids]
+        state[ids] = y + s[k, ids]
+        if out is not None:
+            out[k, ids] = state[ids]
+        prev[ids] = t[k, ids]
+        row[ids] = k + 1
+
+    def start(ids):
+        # lanes ``ids`` at the start of their rows: rows of zero length are
+        # done at once; the lanes that flow next come back with their rows'
+        # lengths
+        while True:
+            ids = ids[row[ids] < n[ids]]
+            dt = t[row[ids], ids] - prev[ids]
+            zero = ~(dt > 0.0)
+            if not zero.any():
+                return ids, dt
+            finish(ids[zero], np.maximum(state[ids[zero]], 0.0))
+
+    rows, m = t.shape
+    # each lane walks up to the trailing rows that repeat its last time
+    # with size 0
+    idle = np.zeros((rows, m), dtype=bool)
+    np.equal(t[1:], t[:-1], out=idle[1:])
+    idle[1:] &= s[1:] == 0.0
+    n = rows - np.argmin(idle[::-1], axis=0)
+    state = np.array(x, dtype=float)
+    row = np.zeros(m, dtype=np.intp)
+    prev = np.full(m, tp, dtype=float)
+    lane, dt = start(np.arange(m))
+    x = state[lane]
+    tl, h = np.zeros(lane.size), dt / 8.0
     scale = np.maximum(1.0, np.abs(x))
     sticks = drift <= rate(_TINY)
     # as on floats, inf - inf = nan from a rate singular at 0 rejects a step
@@ -435,39 +475,63 @@ def _rk_flow(rate, x0, dt, drift: float, tol: float = 1e-10):
             rest = np.abs(f0) <= 1e-14 * scale
             at_rest = np.where((x <= 1e-14 * scale) & (drift <= 0.0), 0.0, x)
             # a step of h and a first half step, stacked, then the second
-            h = np.minimum(h, dt - t)
+            h = np.minimum(h, dt - tl)
             y = _rk4_step(rhs, np.concatenate((x, x)),
                           np.concatenate((h, 0.5 * h)), np.concatenate((f0, f0)))
             x1, xh = y[:lane.size], y[lane.size:]
             x2 = _rk4_step(rhs, xh, 0.5 * h, rhs(xh))
             err = np.abs(x2 - x1) / 15.0
-            ok = ~rest & (err <= tol * np.maximum(1.0, np.abs(x)))
+            ok = ~rest & (err <= _RK_TOL * np.maximum(1.0, np.abs(x)))
             # accepted: a lane that crosses 0 ends there if the drift cannot
             # lift it, and restarts from 0 otherwise
             xa = x2 + (x2 - x1) / 15.0
             empty = ok & (xa <= 0.0) & sticks
             xa = np.where(xa <= 0.0, 0.0, xa)
-            grow = err < 0.25 * tol * np.maximum(1.0, np.abs(xa))
+            grow = err < 0.25 * _RK_TOL * np.maximum(1.0, np.abs(xa))
             # rejected: a field that strengthens towards 0 (sampled below x,
             # down to r(0+)) empties the lane within x / |f0| and holds it
             # there, which RK cannot resolve for an r singular at 0
-            strong = ~rest & ~ok & (x + (dt - t) * f0 <= 0.0)
+            strong = ~rest & ~ok & (x + (dt - tl) * f0 <= 0.0)
             if strong.any():
                 below = np.vstack([x[strong] * 0.5 ** np.arange(1.0, 9.0)[:, None],
                                    np.full((1, strong.sum()), _TINY)])
                 strong[strong] = (rhs(below) <= f0[strong]).all(axis=0)
-            t = np.where(ok, t + h, t)
+            tl = np.where(ok, tl + h, tl)
             x = np.where(ok, xa, x)
             h = np.where(ok, np.where(grow, 2.0 * h, h), 0.5 * h)
             if (~rest & ~ok & ~strong & (h < 1e-15 * dt)).any():
                 raise FloatingPointError("flow step size underflow")
             empty |= strong
-            stop = rest | empty | (ok & (t >= dt))
-            out[lane[stop]] = np.where(rest, at_rest, np.where(
-                empty, 0.0, np.maximum(x, 0.0)))[stop]
-            lane, x, t, h, dt, scale = (
-                a[~stop] for a in (lane, x, t, h, dt, scale))
-    return out.reshape(x0.shape) if x0.ndim else float(out[0])
+            stop = rest | empty | (ok & (tl >= dt))
+            if stop.any():
+                done = lane[stop]
+                finish(done, np.where(rest, at_rest, np.where(
+                    empty, 0.0, np.maximum(x, 0.0)))[stop])
+                # the lanes that start a row join at time 0 with step dt / 8
+                new, seg = start(done)
+                go = ~stop
+                lane = np.concatenate((lane[go], new))
+                x = np.concatenate((x[go], state[new]))
+                tl = np.concatenate((tl[go], np.zeros(new.size)))
+                h = np.concatenate((h[go], seg / 8.0))
+                dt = np.concatenate((dt[go], seg))
+                scale = np.concatenate((scale[go], np.maximum(1.0, np.abs(state[new]))))
+    # the idle rows left to a lane clamp it at 0 and add nothing
+    tail = n < rows
+    state[tail] = np.maximum(state[tail], 0.0)
+    if out is not None:
+        np.copyto(out, state, where=np.arange(rows)[:, None] >= n)
+    return state
+
+
+def _rk_flow(rate, x0, dt, drift: float):
+    """x' = drift - r(x) from ``x0`` over ``dt``, floats (a float back) or
+    arrays of lanes: a ``_rk_walk`` of one row of size 0."""
+    x0, dt = np.broadcast_arrays(np.asarray(x0, dtype=float),
+                                 np.asarray(dt, dtype=float))
+    x = _rk_walk(rate, x0.ravel(), dt.reshape(1, -1), np.zeros((1, dt.size)),
+                 drift, 0.0)
+    return x.reshape(x0.shape) if x0.ndim else float(x[0])
 
 
 def _rk4_step(rhs, x, h, k1):

@@ -7,7 +7,10 @@ x' = drift - r(x) of a lane or of many, and the drain-time primitive
 ``drain_time(lo, hi)`` = int dv / r(v), which quadrature integrands call
 on all nodes of a panel at once.  Both use one closed-form body where the
 family has one; otherwise ``flow`` runs one Runge-Kutta call over all
-lanes and ``drain_time`` one quadrature per element.
+lanes and ``drain_time`` one quadrature per element.  ``has_closed_flow``
+says at which drifts a family's flow has its closed form: ``flow`` reads
+it, and so does the simulator, which walks the lanes of a family without
+one through all their jumps in one Runge-Kutta loop.
 
 Regularity is verified numerically: local Lipschitz constants by
 finite-difference slopes on dyadic grids (including pairs against 0, which
@@ -62,11 +65,18 @@ class ReleaseRate:
     def asymptotics(self) -> RateAsymptotics:
         raise NotImplementedError
 
+    def has_closed_flow(self, drift: float) -> bool:
+        """Whether the flow at this drift has a closed form, which a family
+        that says so computes in ``_closed_flow(x, dt, drift)``."""
+        return False
+
     def flow(self, x, dt, drift: float = 0.0):
         """x' = drift - r(x) from x over dt >= 0, absorbing at the empty
         state when the drift cannot lift it; ``x`` and ``dt`` are floats or
-        arrays of lanes.  Families without a closed form integrate all lanes
-        in one adaptive Runge-Kutta call."""
+        arrays of lanes.  Without a closed form at this drift, all lanes
+        are integrated in one adaptive Runge-Kutta call."""
+        if self.has_closed_flow(drift):
+            return self._closed_flow(x, dt, drift)
         return _rk_flow(self.rate, x, dt, float(drift))
 
     def drain_time(self, lo, hi):
@@ -96,7 +106,10 @@ class Constant(ReleaseRate):
     def asymptotics(self):
         return RateAsymptotics("bounded", limit=self.a)
 
-    def flow(self, x, dt, drift=0.0):
+    def has_closed_flow(self, drift):
+        return True
+
+    def _closed_flow(self, x, dt, drift):
         # the empty state stays empty whenever inflow cannot outrun the level
         return np.maximum(x + (drift - self.a) * dt, 0.0)
 
@@ -126,7 +139,10 @@ class Affine(ReleaseRate):
     def asymptotics(self):
         return RateAsymptotics("power", 1.0, self.b)
 
-    def flow(self, x, dt, drift=0.0):
+    def has_closed_flow(self, drift):
+        return True
+
+    def _closed_flow(self, x, dt, drift):
         x_eq = (drift - self.a) / self.b
         return np.maximum(x_eq + (x - x_eq) * np.exp(-self.b * dt), 0.0)
 
@@ -174,9 +190,10 @@ class Power(ReleaseRate):
     def asymptotics(self):
         return RateAsymptotics("power", self.beta, self.k)
 
-    def flow(self, x, dt, drift=0.0):
-        if drift != 0.0:
-            return super().flow(x, dt, drift)
+    def has_closed_flow(self, drift):
+        return drift == 0.0
+
+    def _closed_flow(self, x, dt, drift):
         # empty lanes stay empty: they run the formula from 1.0, then are zeroed
         return _power_flow(self.k, self.beta, x + (x <= 0.0), dt) * (x > 0.0)
 
@@ -222,9 +239,10 @@ class PowerSmoothed(ReleaseRate):
     def asymptotics(self):
         return RateAsymptotics("power", self.beta, self.k)
 
-    def flow(self, x, dt, drift=0.0):
-        if drift != 0.0:
-            return super().flow(x, dt, drift)
+    def has_closed_flow(self, drift):
+        return drift == 0.0
+
+    def _closed_flow(self, x, dt, drift):
         if self.beta == 1.0:
             # ramp and power are then one line, r(u) = k u
             return _power_flow(self.k, 1.0, x, dt)
@@ -271,11 +289,12 @@ class Plateau(ReleaseRate):
     def asymptotics(self):
         return RateAsymptotics("bounded", limit=self.m)
 
-    def flow(self, x, dt, drift=0.0):
+    def has_closed_flow(self, drift):
+        # at drift >= m the drift pushes the content back above the knee
+        return drift < self.m
+
+    def _closed_flow(self, x, dt, drift):
         rate_above = self.m - drift
-        if rate_above <= 0.0:
-            # the drift pushes the content back above the knee
-            return super().flow(x, dt, drift)
         slope = self.m / self.u0
         x_eq = drift / slope
         # linear descent for the time tau spent above the knee, then

@@ -10,8 +10,12 @@ One engine draws every path.  ``_chunks`` lays the jumps out: chunk c of
 ``_CHUNK`` lanes draws from the key ``(seed, "grid", c)`` its starts, then
 its jumps one time slab of about ``_SLAB`` jumps at a time as (slot, lane)
 matrices, so memory stays bounded.  One kernel, ``_step_lanes``, steps the
-lanes through a slab's rows, x = flow(x, t_k - t_{k-1}) + s_k.  Two
-consumers read the engine:
+lanes through a slab's rows, x = flow(x, t_k - t_{k-1}) + s_k: row by row
+where the release family has a closed-form flow at the drift, and
+otherwise by one Runge-Kutta walk (``numerics._rk_walk``) in which each
+lane steps through its own rows, so a slab costs about the RK steps of its
+slowest lane, not the sum over rows of each row's slowest.  Two consumers
+read the engine:
 
 * ``grid_ensemble`` records the lanes at each grid time (a single grid
   time gives endpoints).  Two calls with the same seed and ``n_paths``
@@ -32,6 +36,7 @@ import math
 import numpy as np
 
 from .levy_input import LevyInput
+from .numerics import _rk_walk
 from .release_rate import ReleaseRate
 from .rng import substream
 
@@ -44,7 +49,13 @@ _SLAB = 1 << 20    # jumps one slab expects across a chunk
 def _step_lanes(release: ReleaseRate, x, t, s, drift: float, tp, out=None):
     """Step the lanes ``x`` from time ``tp`` through the rows of jump times
     ``t`` and sizes ``s``.  With ``out``, row k of it receives the state
-    after row k; ``out`` may be ``s`` itself, as row k is read first."""
+    after row k; ``out`` may be ``s`` itself, as row k is read first.
+
+    A closed-form flow steps all lanes one row at a time; otherwise one
+    Runge-Kutta walk takes each lane through its own rows, with the values
+    of the row loop over ``release.flow``."""
+    if not release.has_closed_flow(drift):
+        return _rk_walk(release.rate, x, t, s, drift, tp, out)
     for k, (tk, sk) in enumerate(zip(t, s)):
         x = release.flow(x, tk - tp, drift) + sk
         tp = tk

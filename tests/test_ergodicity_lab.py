@@ -319,6 +319,28 @@ class TestWpDecay:
         assert curve.reference_curve is not None
         assert (curve.values <= curve.reference_curve + 3 * curve.stderr).all()
 
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    @pytest.mark.parametrize("n_ref", [900, 500])
+    def test_values_are_wasserstein_1d_per_time(self, p, n_ref):
+        # the reference sorted once, and the columns as the bootstrap sorts
+        # them, give wasserstein_1d at each time bit for bit, and so do the
+        # reference column's W_p(mu_0, pi), for a level and a sampled start
+        bound = GapBound(PowerModulus(1.0), 1.0, 5.0)
+        t_grid = np.array([0.5, 1.0, 2.0])
+        ref = np.random.default_rng(4).exponential(1.0, n_ref)
+        for x0 in (5.0, lambda gen, m: gen.uniform(0.0, 10.0, m)):
+            curve = estimate_wp_decay(*SHOTNOISE, x0, p, t_grid, 500,
+                                      seed=SEED, reference=ref,
+                                      contraction=bound,
+                                      regime="PositiveRecurrent")
+            mat = grid_ensemble(*SHOTNOISE, x0, t_grid, 500, SEED)
+            assert curve.values.tolist() == [wasserstein_1d(col, ref, p)
+                                             for col in mat.T]
+            w0 = wasserstein_1d(mat[:, 0] if callable(x0) else
+                                np.full(256, x0), ref, p)
+            assert curve.reference_curve.tolist() == [
+                (w0 / bound.kappa + 1.0) * bound(t) for t in t_grid]
+
     def test_no_reference_when_release_fails_contraction(self):
         # a constant drain does not contract: r(u) - r(v) = 0 > -5 (v - u)
         bound = GapBound(PowerModulus(1.0), 5.0, 1.0)

@@ -25,6 +25,7 @@ from storagelab.release_rate import (
     Power,
     PowerSmoothed,
     RateAsymptotics,
+    ReleaseRate,
     signed_drain_time,
 )
 from storagelab.simulator import event_ensemble, grid_ensemble
@@ -533,3 +534,92 @@ class TestVectorEngines:
         out = sum(col.nbytes for col in events)
         assert events[0].size == pytest.approx(2e6, rel=0.01)
         assert peak < 1.5 * out + 64 * 2**20
+
+
+def _row_loop(release, x, t, s, drift, tp, out=None):
+    """The slow reference of ``simulator._step_lanes``: every row of lanes
+    through ``release.flow``, one row at a time."""
+    for k, (tk, sk) in enumerate(zip(t, s)):
+        x = release.flow(x, tk - tp, drift) + sk
+        tp = tk
+        if out is not None:
+            out[k] = x
+    return x
+
+
+class _NanAbove(ReleaseRate):
+    """r(u) = u up to 2, NaN beyond: no RK step can cross 2."""
+
+    def rate(self, u):
+        u = np.asarray(u, dtype=float)
+        return np.where(u > 2.0, np.nan, u)
+
+
+GAMMA = GammaSub(1.0, 1.0)
+# (input, release, eps): each release has no closed-form flow at the drift
+WALKS = {
+    "Power-drift": (GAMMA, Power(1.0, 2.0), 1e-4),
+    "PowerSmoothed-drift": (GAMMA, PowerSmoothed(1.0, 0.5), 1e-4),
+    "Power-sticking": (GAMMA, Power(1.0, -0.5), 1e-4),
+    "Custom": (CPP, CUSTOM, 1e-4),
+    # at eps = 0.5 the drift, 1 - e^-0.5 = 0.39, is above m
+    "Plateau-above-m": (GAMMA, Plateau(0.3, 1.0), 0.5),
+    # most lanes have no jump in a slab
+    "Custom-sparse": (CompoundPoisson(0.05, Exponential(1.0)), CUSTOM, 1e-4),
+}
+
+
+class TestRKWalk:
+    @pytest.mark.parametrize("small", [False, True], ids=["preset", "small-slabs"])
+    @pytest.mark.parametrize("name", sorted(WALKS))
+    def test_walk_is_the_row_loop(self, name, small, monkeypatch):
+        # the walk gives the row loop's states bit for bit; with chunks of
+        # 16 lanes and slabs of 64 jumps the lanes cross chunks and walk
+        # through many slabs
+        levy, rel, eps = WALKS[name]
+        assert not rel.has_closed_flow(levy.compensator_drift(eps))
+        if small:
+            monkeypatch.setattr(simulator, "_CHUNK", 16)
+            monkeypatch.setattr(simulator, "_SLAB", 64)
+        grid = (0.0, 1.0, 2.5, 4.0)
+
+        def run():
+            return (grid_ensemble(levy, rel, 1.0, grid, 24, SEED, eps),
+                    event_ensemble(levy, rel, 1.0, 4.0, 24, SEED, eps))
+
+        mat, events = run()
+        monkeypatch.setattr(simulator, "_step_lanes", _row_loop)
+        ref_mat, ref_events = run()
+        assert mat.tobytes() == ref_mat.tobytes()
+        assert len(events) == 4
+        for col, ref in zip(events, ref_events):
+            assert col.tobytes() == ref.tobytes()
+        if name == "Custom-sparse":
+            # some lane walks a slab without a jump, and some lane has no
+            # jump at all
+            assert np.unique(events[0]).size < 24
+
+    def test_walk_saves_rate_evaluations(self, monkeypatch):
+        # each lane steps through its own rows, so the loop no longer runs
+        # every row until its slowest lane is done
+        calls = [0]
+        rate = PowerSmoothed.rate
+
+        def counting(self, u):
+            calls[0] += 1
+            return rate(self, u)
+
+        monkeypatch.setattr(PowerSmoothed, "rate", counting)
+        rel, grid = PowerSmoothed(1.0, 0.5), (2.0, 3.0, 5.0, 8.0, 12.0)
+        walk = grid_ensemble(GAMMA, rel, 1.0, grid, 8, SEED)
+        walked = calls[0]
+        monkeypatch.setattr(simulator, "_step_lanes", _row_loop)
+        calls[0] = 0
+        ref = grid_ensemble(GAMMA, rel, 1.0, grid, 8, SEED)
+        assert walk.tobytes() == ref.tobytes()
+        assert walked <= 0.6 * calls[0]
+
+    def test_walk_step_underflow_raises(self):
+        # lanes that jump above 2 cannot take a step there
+        with pytest.raises(FloatingPointError, match="underflow"):
+            grid_ensemble(CPP, _NanAbove(), 1.0, [2.0, 6.0], 16, SEED)
