@@ -408,7 +408,8 @@ def estimate_wp_decay(levy: LevyInput, release: ReleaseRate, x0,
     (W_p(mu_0, pi)/kappa + 1) B_kappa^{-1}(Gamma t) alongside the estimates,
     but only when ``release`` satisfies the contraction the bound assumes
     (``check_wasserstein_contraction``); otherwise ``reference_curve`` is
-    None.
+    None.  A sampled start gives mu_0 as ``n_paths`` draws of the sampler
+    from the key ``(seed, "wp-start")``.
     """
     if p < 1:
         raise ValueError("order must be >= 1")
@@ -434,8 +435,9 @@ def estimate_wp_decay(levy: LevyInput, release: ReleaseRate, x0,
     ref_curve = None
     if contraction is not None and check_wasserstein_contraction(
             release, contraction.modulus, contraction.Gamma)[0]:
-        w0 = (values[0] if callable(x0) else
-              _wp_sorted([np.full(256, float(x0))], ref_sorted, p)[0])
+        start = (np.sort(x0(substream(seed, "wp-start"), n_paths)) if callable(x0)
+                 else np.full(256, float(x0)))
+        w0 = _wp_sorted([start], ref_sorted, p)[0]
         scale = w0 / contraction.kappa + 1.0
         ref_curve = np.asarray([scale * contraction(t) for t in t_grid])
     return DecayCurve(t_grid, f"W{p:g}", values, se, fitted, floor, mask,

@@ -602,8 +602,9 @@ def laplace_check(levy: LevyInput, t: float, lambdas, n_paths: int,
                   seed: int, eps: float = 1e-4):
     """Empirical vs analytic Laplace transform of A(t), with z-scores.
 
-    Vectorised across paths, all drawn from the Philox key
-    ``(seed, "laplace")``; the whole batch is reproducible from the seed.
+    Vectorised across paths, all drawn from the key ``(seed, "laplace")``
+    (an SFC64 stream, see ``rng``); the whole batch is reproducible from
+    the seed.
     """
     if t <= 0:
         raise ValueError("t must be positive")

@@ -408,25 +408,25 @@ _TINY = 1e-300   # where the RK flow reads r(0+)
 _RK_TOL = 1e-10  # per-step tolerance of the RK flow
 
 
-def _rk_walk(rate, x, t, s, drift: float, tp, out=None):
-    """Walk the lanes ``x`` from time ``tp`` through the rows of the
-    (row, lane) matrices of jump times ``t`` and sizes ``s``: over each row
-    a lane flows by x' = drift - r(x) from the time of its last row, by
-    step-doubling RK4 with per-step tolerance ``_RK_TOL``, then adds the row's
-    size.  Returns the lanes' states after the last row; with ``out``, row
-    k of it receives the states after row k (``out`` may be ``s`` itself,
-    as a lane reads its row's size before writing its state there).
+def _rk_walk(rate, x, t, s, rows, drift: float, tp, out=None):
+    """Walk the lanes ``x`` from time ``tp`` through their rows of the
+    (row, lane) matrices of jump times ``t`` and sizes ``s``: lane p takes
+    rows 0..rows[p]-1, and over each a lane flows by x' = drift - r(x) from
+    the time of its last row, by step-doubling RK4 with per-step tolerance
+    ``_RK_TOL``, then adds the row's size.  Returns the lanes' states after
+    their last rows; with ``out``, cell (k, p) of it receives lane p's state
+    after its row k (``out`` may be ``s`` itself, as a lane reads its row's
+    size before writing its state there).  No cell past a lane's last row
+    is read or written.
 
     Each lane keeps its own row, time and step, so one loop steps every
     lane through its own rows; the accept, reject and stopping rules are
     masks.  A lane starts each row as a walk of that row alone would (step
     dt / 8 from time 0), so its values are those of the rows taken one at
-    a time, and a row of zero length gives max(x, 0) plus its size.  A
-    lane whose rows left all have zero length and size leaves the running
-    set: they would only clamp it at 0.  The right-hand side takes r at
-    r(0+), not r(0) = 0: a lane that empties while drift <= r(0+) then
-    stays empty (a sliding motion) instead of chattering across 0 with
-    shrinking steps.
+    a time, and a row of zero length gives max(x, 0) plus its size.  The
+    right-hand side takes r at r(0+), not r(0) = 0: a lane that empties
+    while drift <= r(0+) then stays empty (a sliding motion) instead of
+    chattering across 0 with shrinking steps.
     """
     def rhs(y):
         return drift - rate(np.maximum(y, _TINY))
@@ -445,21 +445,15 @@ def _rk_walk(rate, x, t, s, drift: float, tp, out=None):
         # done at once; the lanes that flow next come back with their rows'
         # lengths
         while True:
-            ids = ids[row[ids] < n[ids]]
+            ids = ids[row[ids] < rows[ids]]
             dt = t[row[ids], ids] - prev[ids]
             zero = ~(dt > 0.0)
             if not zero.any():
                 return ids, dt
             finish(ids[zero], np.maximum(state[ids[zero]], 0.0))
 
-    rows, m = t.shape
-    # each lane walks up to the trailing rows that repeat its last time
-    # with size 0
-    idle = np.zeros((rows, m), dtype=bool)
-    np.equal(t[1:], t[:-1], out=idle[1:])
-    idle[1:] &= s[1:] == 0.0
-    n = rows - np.argmin(idle[::-1], axis=0)
     state = np.array(x, dtype=float)
+    m = state.size
     row = np.zeros(m, dtype=np.intp)
     prev = np.full(m, tp, dtype=float)
     lane, dt = start(np.arange(m))
@@ -516,11 +510,6 @@ def _rk_walk(rate, x, t, s, drift: float, tp, out=None):
                 h = np.concatenate((h[go], seg / 8.0))
                 dt = np.concatenate((dt[go], seg))
                 scale = np.concatenate((scale[go], np.maximum(1.0, np.abs(state[new]))))
-    # the idle rows left to a lane clamp it at 0 and add nothing
-    tail = n < rows
-    state[tail] = np.maximum(state[tail], 0.0)
-    if out is not None:
-        np.copyto(out, state, where=np.arange(rows)[:, None] >= n)
     return state
 
 
@@ -530,7 +519,7 @@ def _rk_flow(rate, x0, dt, drift: float):
     x0, dt = np.broadcast_arrays(np.asarray(x0, dtype=float),
                                  np.asarray(dt, dtype=float))
     x = _rk_walk(rate, x0.ravel(), dt.reshape(1, -1), np.zeros((1, dt.size)),
-                 drift, 0.0)
+                 np.ones(dt.size, dtype=np.intp), drift, 0.0)
     return x.reshape(x0.shape) if x0.ndim else float(x[0])
 
 

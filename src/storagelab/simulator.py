@@ -8,21 +8,26 @@ constant inflow, so the flow solves x' = d_eps - r(x).
 
 One engine draws every path.  ``_chunks`` lays the jumps out: chunk c of
 ``_CHUNK`` lanes draws from the key ``(seed, "grid", c)`` its starts, then
-its jumps one time slab of about ``_SLAB`` jumps at a time as (slot, lane)
-matrices, so memory stays bounded.  One kernel, ``_step_lanes``, steps the
-lanes through a slab's rows, x = flow(x, t_k - t_{k-1}) + s_k: row by row
-where the release family has a closed-form flow at the drift, and
-otherwise by one Runge-Kutta walk (``numerics._rk_walk``) in which each
-lane steps through its own rows, so a slab costs about the RK steps of its
-slowest lane, not the sum over rows of each row's slowest.  Two consumers
-read the engine:
+its jumps one time slab (a, b] of about ``_SLAB`` jumps at a time, so
+memory stays bounded.  A slab is a staircase: its lanes are ordered by
+their Poisson counts, descending, and a lane with c jumps has c + 1 rows,
+its jumps in time order and then the slab end b with size 0.  Row k is
+held by the lanes with at least k jumps, a prefix of the order, and no
+cell past a lane's last row is drawn, sorted or stepped.  One kernel,
+``_step_lanes``, steps the lanes through their rows, x = flow(x, t_k -
+t_{k-1}) + s_k: row by row where the release family has a closed-form
+flow at the drift, and otherwise by one Runge-Kutta walk
+(``numerics._rk_walk``) in which each lane steps through its own rows, so
+a slab costs about the RK steps of its slowest lane, not the sum over rows
+of each row's slowest.  Two consumers read the engine:
 
 * ``grid_ensemble`` records the lanes at each grid time (a single grid
-  time gives endpoints).  Two calls with the same seed and ``n_paths``
-  from two fixed starts are a synchronous coupling: lane i of each sees
-  the same jumps.
+  time gives endpoints); it puts the lanes in a slab's order to step them
+  and back after.  Two calls with the same seed and ``n_paths`` from two
+  fixed starts are a synchronous coupling: lane i of each sees the same
+  jumps.
 * ``event_ensemble`` keeps every jump with its time, size and the state
-  after it.
+  after it, gathered lane by lane in the lanes' own order.
 
 Both consume the same draws, so the last state of a lane of
 ``event_ensemble``, flowed to the horizon, is that lane of
@@ -46,54 +51,84 @@ _CHUNK = 8192      # lanes stepped together
 _SLAB = 1 << 20    # jumps one slab expects across a chunk
 
 
-def _step_lanes(release: ReleaseRate, x, t, s, drift: float, tp, out=None):
-    """Step the lanes ``x`` from time ``tp`` through the rows of jump times
-    ``t`` and sizes ``s``.  With ``out``, row k of it receives the state
-    after row k; ``out`` may be ``s`` itself, as row k is read first.
+def _step_lanes(release: ReleaseRate, x, t, s, rows, drift: float, tp,
+                out=None):
+    """Step the lanes ``x`` from time ``tp`` through a staircase slab: lane
+    p takes rows 0..rows[p]-1 of the (row, lane) matrices of jump times
+    ``t`` and sizes ``s``, and ``rows`` is non-increasing, so row k is held
+    by a prefix of the lanes.  With ``out``, cell (k, p) of it receives
+    lane p's state after its row k; ``out`` may be ``s`` itself, as a cell
+    is read first.  No cell past a lane's last row is read or written.
 
-    A closed-form flow steps all lanes one row at a time; otherwise one
-    Runge-Kutta walk takes each lane through its own rows, with the values
-    of the row loop over ``release.flow``."""
+    A closed-form flow steps whole rows while every lane has them, then the
+    lanes that still have a row, in place; otherwise one Runge-Kutta walk
+    takes each lane through its own rows, with the values of the row loop
+    over ``release.flow``."""
     if not release.has_closed_flow(drift):
-        return _rk_walk(release.rate, x, t, s, drift, tp, out)
-    for k, (tk, sk) in enumerate(zip(t, s)):
-        x = release.flow(x, tk - tp, drift) + sk
+        return _rk_walk(release.rate, x, t, s, rows, drift, tp, out)
+    # the number of lanes that have row k, for each k
+    width = np.searchsorted(-rows, -np.arange(rows[0]), side="left")
+    for k, w in enumerate(width):
+        tk, sk = t[k, :w], s[k, :w]
+        if w == x.size:  # as row 0 is: x is the flow's own array after it
+            x = release.flow(x, tk - tp, drift) + sk
+        else:
+            np.add(release.flow(x[:w], tk - tp[:w], drift), sk, out=x[:w])
         tp = tk
         if out is not None:
-            out[k] = x
+            out[k, :w] = x[:w]
     return x
 
 
 def _draw_slab(levy, gen, bufs, m, a, b, lam, eps):
-    """Jump times and sizes of m lanes in (a, b] as (slot, lane) matrices in
-    the chunk's buffers ``bufs``.  A lane draws a Poisson count and that
-    many uniform times; padding slots, and a last row that takes every lane
-    to b, sit at b with size 0, and sizes are drawn for real jumps only."""
+    """The jumps of m lanes in (a, b] as a staircase slab in the chunk's
+    buffers ``bufs``: ``(order, rows, t, s)``.
+
+    Each lane draws a Poisson count c; the lanes are ordered by count,
+    descending and stable, and ``order`` gives each position's lane.  The
+    lane at position p has rows[p] = c + 1 rows: its c jumps in time order,
+    then the slab end b with size 0.  t and s are (row, lane) views of
+    lane-major (position, row) buffers, of which only those cells are
+    drawn.  One ``sample_sizes`` call draws the sizes of every jump; then
+    the lanes of each count, from the highest down, draw one block of
+    uniform times sorted along the lane, in their own cells of the size
+    buffer, which take their sizes once the times are written."""
     counts = gen.poisson(lam * (b - a), m)
-    rows = int(counts.max())
-    if bufs[0].shape[0] <= rows:
+    top = int(counts.max())
+    # a stable sort of a key of at most 16 bits is a radix sort
+    order = np.argsort((top - counts).astype(np.min_scalar_type(top)),
+                       kind="stable")
+    rows = counts[order] + 1
+    n = top + 1
+    if bufs[0].size < m * n:
         bufs[:] = [None, None]  # free the old buffers first: never both
-        bufs[:] = [np.empty((rows + rows // 8 + 1, m)) for _ in range(2)]
-    t, s = bufs[0][:rows + 1], bufs[1][:rows + 1]
-    pad = np.arange(rows + 1)[:, None] >= counts
-    gen.random(out=t[:rows])
-    t[:rows] *= a - b
-    t[:rows] += b
-    t[pad] = b
-    t.sort(axis=0)
-    s[pad] = 0.0
-    real = np.logical_not(pad, out=pad)  # in place: no second mask
-    s[real] = levy.sample_sizes(gen, int(counts.sum()), eps)
-    return t, s
+        bufs[:] = [np.empty(m * (n + n // 8 + 1)) for _ in range(2)]
+    t, s = (buf[:m * n].reshape(m, n) for buf in bufs)
+    sizes = levy.sample_sizes(gen, int(rows.sum()) - m, eps)
+    # the first position of each count, and the sizes its lanes take
+    firsts = np.flatnonzero(np.diff(rows, prepend=0))
+    for c, lo, hi in zip(rows[firsts] - 1, firsts, np.append(firsts[1:], m)):
+        used, sizes = sizes[:(hi - lo) * c], sizes[(hi - lo) * c:]
+        u = bufs[1][lo * n:lo * n + used.size].reshape(hi - lo, c)
+        gen.random(out=u)
+        u.sort(axis=1)
+        # b + (a - b) u is in (a, b] and falls as u rises
+        np.multiply(u[:, ::-1], a - b, out=t[lo:hi, :c])
+        t[lo:hi, :c] += b
+        t[lo:hi, c] = b
+        s[lo:hi, :c] = used.reshape(hi - lo, c)
+        s[lo:hi, c] = 0.0
+    return order, rows, t.T, s.T
 
 
 def _slabs(levy, gen, m, grid, lam, eps):
-    """A chunk's slabs in time order, as ``(a, t, s, j)``: the slab starts
-    at time a, and j is the index of the grid time it ends at, or None.
-    The matrices t and s view the chunk's buffers: they are only valid
-    until the next slab is drawn, and a view still held then keeps the old
-    buffers alive next to the new ones."""
-    bufs = [np.empty((0, m))] * 2
+    """A chunk's slabs in time order, as ``(a, order, rows, t, s, j)``: the
+    slab starts at time a, ``_draw_slab`` gives the staircase, and j is
+    the index of the grid time it ends at, or None.  The matrices t and s
+    view the chunk's buffers: they are only valid until the next slab is
+    drawn, and a view still held then keeps the old buffers alive next to
+    the new ones."""
+    bufs = [np.empty(0)] * 2
     a = 0.0
     for j, g in enumerate(grid):
         n_slabs = max(1, math.ceil(m * lam * (g - a) / _SLAB))
@@ -106,14 +141,14 @@ def _slabs(levy, gen, m, grid, lam, eps):
 def _chunks(levy, x0, grid, n_paths, seed, eps):
     """The engine's draws, one chunk of lanes at a time: ``(lo, x, slabs)``
     with the chunk's first lane lo, its starts x and its ``_slabs``.
-    Chunk c draws from the Philox key ``(seed, "grid", c)``: its starts
-    first (``x0`` is a level or a sampler ``(gen, m) -> array``), then its
+    Chunk c draws from the key ``(seed, "grid", c)``: its starts first
+    (``x0`` is a level or a sampler ``(gen, m) -> array``), then its
     slabs, each expecting at most ``_SLAB`` jumps across the chunk."""
     lam = levy.proposal_rate(eps)
     for c, lo in enumerate(range(0, n_paths, _CHUNK)):
         m = min(_CHUNK, n_paths - lo)
         gen = substream(seed, "grid", c)
-        x = (np.asarray(x0(gen, m), dtype=float) if callable(x0)
+        x = (np.array(x0(gen, m), dtype=float) if callable(x0)
              else np.full(m, float(x0)))
         yield lo, x, _slabs(levy, gen, m, grid, lam, eps)
 
@@ -126,7 +161,7 @@ def grid_ensemble(levy: LevyInput, release: ReleaseRate, x0,
     ``x0`` is a level or a sampler ``(gen, m) -> array`` for random starts;
     ``grid_ensemble(..., [T], ...)[:, 0]`` is the ensemble of endpoints.
     Chunk c of ``_CHUNK`` lanes (rows c * _CHUNK onwards) draws its starts,
-    then its jumps one time slab at a time, from the Philox key
+    then its jumps one time slab at a time, from the key
     ``(seed, "grid", c)``; a slab expects at most ``_SLAB`` jumps across
     the chunk, so memory stays bounded whatever the intensity and horizon.
 
@@ -141,8 +176,8 @@ def grid_ensemble(levy: LevyInput, release: ReleaseRate, x0,
     drift = levy.compensator_drift(eps)
     out = np.empty((n_paths, grid.size))
     for lo, x, slabs in _chunks(levy, x0, grid, n_paths, seed, eps):
-        for a, t, s, j in slabs:
-            x = _step_lanes(release, x, t, s, drift, a)
+        for a, order, rows, t, s, j in slabs:
+            x[order] = _step_lanes(release, x[order], t, s, rows, drift, a)
             del t, s  # drop the views, so the next slab can regrow the buffers
             if j is not None:
                 out[lo:lo + len(x), j] = x
@@ -166,13 +201,23 @@ def event_ensemble(levy: LevyInput, release: ReleaseRate, x0,
     drift = levy.compensator_drift(eps)
     parts = []
     for lo, x, slabs in _chunks(levy, x0, [horizon], n_paths, seed, eps):
-        for a, t, s, _ in slabs:
-            real = (s > 0.0).T  # (lane, slot), so the kept jumps are lane-major
-            lane = np.repeat(np.arange(lo, lo + len(x)), real.sum(axis=1))
-            sizes = s.T[real]
+        m = len(x)
+        for a, order, rows, t, s, _ in slabs:
+            # lane i's jumps are the first rows of its position pos[i] in
+            # the lane-major buffers t.T and s.T, here flat in lane order
+            pos = np.empty_like(order)
+            pos[order] = np.arange(m)
+            c = rows[pos] - 1
+            idx = np.repeat(pos * len(t) - (np.cumsum(c) - c), c)
+            idx += np.arange(idx.size)
+            sizes = s.T.ravel()[idx]
+            keep = sizes > 0.0
+            idx = idx[keep]
             # the states overwrite the sizes, which are copied out above
-            x = _step_lanes(release, x, t, s, drift, a, out=s)
-            parts.append((lane, t.T[real], sizes, s.T[real]))
+            x[order] = _step_lanes(release, x[order], t, s, rows, drift, a,
+                                   out=s)
+            parts.append((np.repeat(np.arange(lo, lo + m), c)[keep],
+                          t.T.ravel()[idx], sizes[keep], s.T.ravel()[idx]))
             del t, s  # as in grid_ensemble
     cols = list(zip(*parts))
     del parts  # so that each column's pieces are freed once it is joined

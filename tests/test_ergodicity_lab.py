@@ -336,10 +336,27 @@ class TestWpDecay:
             mat = grid_ensemble(*SHOTNOISE, x0, t_grid, 500, SEED)
             assert curve.values.tolist() == [wasserstein_1d(col, ref, p)
                                              for col in mat.T]
-            w0 = wasserstein_1d(mat[:, 0] if callable(x0) else
-                                np.full(256, x0), ref, p)
+            start = (x0(substream(SEED, "wp-start"), 500) if callable(x0)
+                     else np.full(256, x0))
+            w0 = wasserstein_1d(start, ref, p)
             assert curve.reference_curve.tolist() == [
                 (w0 / bound.kappa + 1.0) * bound(t) for t in t_grid]
+
+    def test_sampled_start_reference_is_w_of_the_start_law(self):
+        # W1(mu_0, pi) of a uniform(0, 10) start from pi = Gamma(2, 1), not
+        # of the law at t_grid[0] = 0.5 (about 1.82)
+        from scipy import stats
+        bound = GapBound(PowerModulus(1.0), 1.0, 5.0)
+        t_grid = np.array([0.5, 1.0, 2.0, 4.0])
+        curve = estimate_wp_decay(*SHOTNOISE,
+                                  lambda gen, m: gen.uniform(0.0, 10.0, m),
+                                  1.0, t_grid, 4000, seed=SEED,
+                                  contraction=bound,
+                                  regime="PositiveRecurrent")
+        w0 = (curve.reference_curve[0] / bound(0.5) - 1.0) * bound.kappa
+        q = (np.arange(100_000) + 0.5) / 100_000
+        exact = np.abs(10.0 * q - stats.gamma.ppf(q, 2.0)).mean()
+        assert w0 == pytest.approx(exact, abs=0.1)
 
     def test_no_reference_when_release_fails_contraction(self):
         # a constant drain does not contract: r(u) - r(v) = 0 > -5 (v - u)

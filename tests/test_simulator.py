@@ -115,8 +115,9 @@ def _engine_jumps(levy, x0, grid, n_paths, eps=1e-4):
     """Each lane's (times, sizes) as the engine draws them for ``grid``."""
     lanes = [([], []) for _ in range(n_paths)]
     for lo, _, slabs in simulator._chunks(levy, x0, grid, n_paths, SEED, eps):
-        for _, t, s, _ in slabs:
-            for i, (ti, si) in enumerate(zip(t.T, s.T)):
+        for _, order, rows, t, s, _ in slabs:
+            for i, n, ti, si in zip(order, rows, t.T, s.T):
+                ti, si = ti[:n - 1], si[:n - 1]  # the last row is the slab end
                 lanes[lo + i][0].extend(ti[si > 0.0])
                 lanes[lo + i][1].extend(si[si > 0.0])
     return lanes
@@ -511,7 +512,7 @@ class TestVectorEngines:
             assert stats.ks_2samp(a, b).pvalue > 1e-3
 
     def test_grid_engine_memory_bounded(self):
-        # 2e7 jumps in one chunk: slabs keep the padded matrices small
+        # 2e7 jumps in one chunk: slabs keep the staircase buffers small
         tracemalloc.start()
         try:
             grid_ensemble(CompoundPoisson(100.0, Exponential(1.0)),
@@ -536,14 +537,18 @@ class TestVectorEngines:
         assert peak < 1.5 * out + 64 * 2**20
 
 
-def _row_loop(release, x, t, s, drift, tp, out=None):
-    """The slow reference of ``simulator._step_lanes``: every row of lanes
-    through ``release.flow``, one row at a time."""
-    for k, (tk, sk) in enumerate(zip(t, s)):
-        x = release.flow(x, tk - tp, drift) + sk
-        tp = tk
+def _row_loop(release, x, t, s, rows, drift, tp, out=None):
+    """The slow reference of ``simulator._step_lanes``: row k of the
+    staircase, on the lanes that have it, through ``release.flow``, one
+    row at a time."""
+    x = np.array(x, dtype=float)
+    tp = np.full(x.size, float(tp))
+    for k in range(rows.max()):
+        on = rows > k
+        x[on] = release.flow(x[on], t[k, on] - tp[on], drift) + s[k, on]
+        tp[on] = t[k, on]
         if out is not None:
-            out[k] = x
+            out[k, on] = x[on]
     return x
 
 
@@ -623,3 +628,86 @@ class TestRKWalk:
         # lanes that jump above 2 cannot take a step there
         with pytest.raises(FloatingPointError, match="underflow"):
             grid_ensemble(CPP, _NanAbove(), 1.0, [2.0, 6.0], 16, SEED)
+
+
+def _slabs_of(levy, grid, n_paths, eps=1e-4):
+    """Every slab of the engine's draws for ``grid`` as ``(a, b, order,
+    rows, t, s)``, with copies of the matrices."""
+    out = []
+    for _, _, slabs in simulator._chunks(levy, 0.0, grid, n_paths, SEED, eps):
+        for a, order, rows, t, s, _ in slabs:
+            b = t[rows[0] - 1, 0]  # the first lane's last row is the slab end
+            out.append((a, b, order, rows, t.copy(), s.copy()))
+    return out
+
+
+class TestStaircase:
+    def test_each_lane_is_its_jumps_then_the_slab_end(self, monkeypatch):
+        # lanes sorted by count; a lane's times are in (a, b] in order, and
+        # its last row is (b, 0)
+        monkeypatch.setattr(simulator, "_CHUNK", 300)
+        monkeypatch.setattr(simulator, "_SLAB", 256)
+        slabs = _slabs_of(CPP, (0.5, 2.0, 3.0), 700)
+        assert len(slabs) > 10
+        for a, b, order, rows, t, s in slabs:
+            m = order.size
+            assert np.sort(order).tolist() == list(range(m))
+            assert (np.diff(rows) <= 0).all() and rows[-1] >= 1
+            for p, n in enumerate(rows):
+                tp, sp = t[:n, p], s[:n, p]
+                assert (tp > a).all() and (tp <= b).all()
+                assert (np.diff(tp) >= 0.0).all()
+                assert tp[-1] == b and sp[-1] == 0.0
+                assert (sp[:-1] > 0.0).all()
+            # lanes of one count keep their order
+            for n in np.unique(rows):
+                assert (np.diff(order[rows == n]) > 0).all()
+            times = np.concatenate([t[:n - 1, p] for p, n in enumerate(rows)])
+            assert stats.kstest((times - a) / (b - a), "uniform").pvalue > 1e-3
+
+    def test_counts_are_poisson(self):
+        # 8192 lanes of one slab: mean and variance of Poisson(rate (b - a))
+        levy = CompoundPoisson(3.0, Exponential(1.0))
+        (a, b, _, rows, _, _), = _slabs_of(levy, (2.0,), simulator._CHUNK)
+        counts, mean = rows - 1, 3.0 * (b - a)
+        n = counts.size
+        assert abs(counts.mean() - mean) <= 5 * math.sqrt(mean / n)
+        assert abs(counts.var(ddof=1) - mean) <= 5 * math.sqrt(
+            (2 * mean ** 2 + mean) / n)
+
+    def test_flow_steps_only_real_rows(self, monkeypatch):
+        # row k of a slab is flowed on the lanes that have it: each slab
+        # costs its real jumps plus one end row per lane
+        monkeypatch.setattr(simulator, "_CHUNK", 300)
+        monkeypatch.setattr(simulator, "_SLAB", 256)
+        grid = (0.5, 2.0, 3.0)
+        sizes, flow = [], Affine.flow
+
+        def counting(self, x, dt, drift):
+            sizes.append(np.size(x))
+            return flow(self, x, dt, drift)
+
+        monkeypatch.setattr(Affine, "flow", counting)
+        grid_ensemble(CPP, Affine(0.0, 1.0), 1.0, grid, 700, SEED)
+        slabs = _slabs_of(CPP, grid, 700)
+        assert sizes == [int((rows > k).sum()) for *_, rows, _, _ in slabs
+                         for k in range(rows[0])]
+        assert sum(sizes) == sum(int((rows - 1).sum()) + rows.size
+                                 for *_, rows, _, _ in slabs)
+
+    @pytest.mark.parametrize("rel", [Affine(0.0, 1.0), CUSTOM],
+                             ids=["closed-flow", "RK"])
+    def test_step_reads_no_cell_past_a_lane(self, rel):
+        # NaN in every cell past a lane's last row: the states stay finite,
+        # those cells stay NaN, and the rest is the row loop's
+        (a, _, _, rows, t, s), = _slabs_of(CPP, (4.0,), 64)
+        past = np.arange(len(t))[:, None] >= rows
+        t[past] = s[past] = np.nan
+        x0 = np.linspace(0.0, 3.0, 64)
+        out = s.copy()
+        x = simulator._step_lanes(rel, x0, t, s, rows, 0.0, a, out=out)
+        ref_out = s.copy()
+        ref = _row_loop(rel, x0, t, s, rows, 0.0, a, out=ref_out)
+        assert np.isfinite(x).all() and np.isnan(out[past]).all()
+        assert x.tobytes() == ref.tobytes()
+        assert out[~past].tobytes() == ref_out[~past].tobytes()
