@@ -196,17 +196,16 @@ def classify(levy: LevyInput, release: ReleaseRate,
     """Regime verdict; structural null-recurrence first, then the criteria.
 
     ``method`` is 'auto' (symbolic shortcut when both sides are presets with
-    known exponents), 'symbolic', or 'numeric'.  Verdicts are deterministic
-    functions of the inputs and the configuration.
+    known exponents) or 'numeric' (the criteria alone, the reference the
+    shortcut is tested against).  Verdicts are deterministic functions of
+    the inputs and the configuration.
     """
-    if method not in ("auto", "symbolic", "numeric"):
-        raise ValueError("method must be auto, symbolic or numeric")
-    if method != "numeric" and _symbolic_available(levy, release):
+    if method not in ("auto", "numeric"):
+        raise ValueError("method must be auto or numeric")
+    if method == "auto" and _symbolic_available(levy, release):
         report = _classify_symbolic(levy, release, margin)
         if report is not None:
             return report
-    if method == "symbolic":
-        raise ValueError("symbolic classification unavailable for these inputs")
 
     evidence = {}
     if _plateau_matches_mean(levy, release):

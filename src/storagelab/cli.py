@@ -279,10 +279,20 @@ def cmd_predict(scen: Scenario, out: Path, args) -> int:
     return 0
 
 
+def _check_args(args) -> None:
+    """Refuse a start ``--x0`` outside the state space [0, inf) and a
+    Wasserstein order ``--p`` below 1, before anything is drawn."""
+    for flag, low in (("x0", 0.0), ("p", 1.0)):
+        value = getattr(args, flag, low)
+        if not (math.isfinite(value) and value >= low):
+            raise ScenarioError(f"--{flag} must be finite and >= {low:g}, "
+                                f"not {value}")
+
+
 def _check_work(scen: Scenario, horizon: float, n_paths: int) -> None:
     """Refuse a run expected to draw more than _MAX_JUMPS retained jumps
-    (proposal rate x horizon x paths), before it draws any."""
-    jumps = scen.levy.proposal_rate(scen.truncation_eps) * horizon * n_paths
+    (retained rate x horizon x paths), before it draws any."""
+    jumps = scen.levy.restricted_rate(scen.truncation_eps) * horizon * n_paths
     if not jumps <= _MAX_JUMPS:
         raise ScenarioError(f"the run expects {jumps:.3g} jumps, more than "
                             f"the {_MAX_JUMPS:.0e} a run may draw")
@@ -543,6 +553,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _check_args(args)
         scen = _resolve_scenario(args.scenario, args.overrides)
     except (ScenarioError, FileNotFoundError, KeyError, json.JSONDecodeError) as exc:
         _emit_error("usage", exc)

@@ -2,10 +2,13 @@
 
 Each family knows its tail function nu_bar(u) = nu((u, inf)), Levy density,
 first moment, Laplace exponent, and how to sample its jumps.  Infinite
-activity families are simulated by keeping jumps above a truncation level
-``eps`` exactly and replacing the discarded small jumps by their mean drift
-int_0^eps u nu(du); the induced bias is controlled by the discarded second
-moment int_0^eps u^2 nu(du), which every family reports.
+activity families are simulated by keeping the jumps above a truncation
+level ``eps``, which arrive at rate nu_bar(eps) and whose sizes are exact
+draws of the restricted law (Pareto for the stable family, one rejection
+sampler, ``_tempered_draw``, for Gamma and tempered stable), and replacing
+the discarded small jumps by their mean drift int_0^eps u nu(du); the
+induced bias is controlled by the discarded second moment
+int_0^eps u^2 nu(du), which every family reports.
 
 ``scipy.special`` is imported inside the gamma, stable and tempered-stable
 closed forms that use it, so importing the package does not load scipy.
@@ -15,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -175,17 +177,14 @@ class LevyInput:
 
     # --- truncation bookkeeping ------------------------------------------
     def restricted_rate(self, eps: float) -> float:
-        """Intensity of retained jumps (arrival rate of the thinning target)."""
-        raise NotImplementedError
-
-    def proposal_rate(self, eps: float) -> float:
-        """Arrival rate actually simulated; >= restricted_rate for thinned
-        families, equal otherwise."""
-        return self.restricted_rate(eps)
+        """Arrival rate of the retained jumps, nu_bar(eps); finite activity
+        families, which retain every jump, give their total rate."""
+        return float(self.tail(eps))
 
     def sample_sizes(self, gen, n: int, eps: float):
-        """Sizes for n proposal arrivals; thinned-away proposals come back
-        as exact zeros so arrival pairing stays deterministic."""
+        """The sizes of n retained jumps: n independent draws of the
+        restricted law nu(. & (eps, inf)) / nu_bar(eps) (of the jump law,
+        for finite activity).  No size is a zero placeholder."""
         raise NotImplementedError
 
     def compensator_drift(self, eps: float) -> float:
@@ -256,8 +255,42 @@ class CompoundPoisson(LevyInput):
         return self.jump.sample(gen, n)
 
 
-# uniforms GammaSub.sample_sizes sorts at a time: 3 MB of work arrays
-_SORTED_BLOCK = 1 << 17
+# proposals _tempered_draw makes at a time: about 2 MB of work arrays
+_PROPOSALS = 1 << 15
+
+
+def _tempered_draw(gen, n, alpha, c, eps):
+    """n independent draws of the density proportional to u^(-1-alpha)
+    e^(-c u) on (eps, inf), 0 <= alpha < 1, by rejection in blocks of at
+    most ``_PROPOSALS`` proposals.  Below k = max(eps, 1/c) a proposal
+    follows u^(-1-alpha), kept with probability e^(-c u); above k it is
+    k + Exp(c), kept with probability (k/u)^(1+alpha).  Each proposal picks
+    its piece by the envelope's masses, and the kept ones keep its order."""
+    k = max(eps, 1.0 / c)
+    span = math.log(k / eps)
+    # the envelope's masses below and above k, both times k^alpha
+    below = math.expm1(alpha * span) / alpha if alpha else span
+    above = math.exp(-c * k) / (c * k)
+    p = below / (below + above) if below else 0.0
+    out = np.empty(n)
+    filled = 0
+    while filled < n:
+        # 5/4 of the draws still wanted, as most proposals are kept
+        u = gen.random(min(_PROPOSALS, (n - filled) * 5 // 4 + 64))
+        w = gen.random(u.size)  # kept where w / acceptance probability < 1
+        lo, hi = u < p, u >= p
+        x = np.empty(u.size)
+        v = u[lo] / p  # uniform on [0, 1): inverse transform on (eps, k)
+        x[lo] = (eps * np.exp(span * v) if alpha == 0 else
+                 eps * (1.0 + v * math.expm1(-alpha * span)) ** (-1.0 / alpha))
+        w[lo] *= np.exp(c * x[lo])
+        # (u - p) / (1 - p) is the survival function of the Exp(c) above k
+        x[hi] = k + (math.log1p(-p) - np.log1p(-u[hi])) / c
+        w[hi] *= (x[hi] / k) ** (1.0 + alpha)
+        kept = x[w < 1.0][:n - filled]
+        out[filled:filled + kept.size] = kept
+        filled += kept.size
+    return out
 
 
 @dataclass(frozen=True)
@@ -300,26 +333,8 @@ class GammaSub(LevyInput):
     def asymptotics(self):
         return TailAsymptotics("exp", self.rate_)
 
-    def restricted_rate(self, eps):
-        from scipy import special
-        return float(self.shape * special.exp1(self.rate_ * eps))
-
     def sample_sizes(self, gen, n, eps):
-        """Inverse transform through the cached quantile table: the draw
-        is exp(np.interp(u, q, log u_knots)) of n uniforms.  The lookup
-        runs on the uniforms in sorted order, ``_SORTED_BLOCK`` of them at
-        a time, and scatters back: numpy's interpolation then finds each
-        knot next to the last instead of by a binary search over the whole
-        table, and the work arrays stay bounded by the block.  Each value,
-        and its place, are those of the unsorted lookup, bit for bit."""
-        q, logu = _gamma_quantile_table(self.shape, self.rate_, eps)
-        out = gen.random(n)
-        for lo in range(0, n, _SORTED_BLOCK):
-            u = out[lo:lo + _SORTED_BLOCK]
-            order = u.argsort()
-            u[order] = np.interp(u[order], q, logu)
-        np.exp(out, out=out)
-        return out
+        return _tempered_draw(gen, n, 0.0, self.rate_, eps)
 
     def compensator_drift(self, eps):
         return self.shape * (1.0 - math.exp(-self.rate_ * eps)) / self.rate_
@@ -327,20 +342,6 @@ class GammaSub(LevyInput):
     def small_jump_msq(self, eps):
         t = self.rate_ * eps
         return self.shape * (1.0 - math.exp(-t) * (1.0 + t)) / self.rate_ ** 2
-
-
-@lru_cache(maxsize=64)
-def _gamma_quantile_table(shape: float, rate: float, eps: float, n: int = 4096):
-    """Inverse of the normalised restricted tail E1(rate*u)/E1(rate*eps)."""
-    from scipy import special
-    e_eps = special.exp1(rate * eps)
-    # march out until the conditional tail is numerically exhausted
-    hi = eps
-    while special.exp1(rate * hi) / e_eps > 1e-14:
-        hi *= 2.0
-    u = np.geomspace(eps, hi, n)
-    q = 1.0 - special.exp1(rate * u) / e_eps
-    return q, np.log(u)
 
 
 @dataclass(frozen=True)
@@ -454,21 +455,8 @@ class TemperedStableSub(LevyInput):
     def asymptotics(self):
         return TailAsymptotics("exp", self.tempering)
 
-    def restricted_rate(self, eps):
-        return float(self.tail(eps))
-
-    def proposal_rate(self, eps):
-        # untempered Pareto proposals, thinned by exp(-tempering * J)
-        return self.scale * eps ** -self.alpha
-
     def sample_sizes(self, gen, n, eps):
-        # Pareto proposals as in StableSub, each kept with probability
-        # exp(-tempering * j); the others are set to 0 in place
-        j = _pareto_draw(gen, n, self.alpha, eps)
-        keep = np.multiply(j, -self.tempering)
-        np.exp(keep, out=keep)
-        j[gen.random(n) >= keep] = 0.0
-        return j
+        return _tempered_draw(gen, n, self.alpha, self.tempering, eps)
 
     def compensator_drift(self, eps):
         from scipy import special
@@ -610,7 +598,7 @@ def laplace_check(levy: LevyInput, t: float, lambdas, n_paths: int,
         raise ValueError("t must be positive")
     if n_paths < 100:
         raise ValueError("need at least 100 paths")
-    lam_rate = levy.proposal_rate(eps)
+    lam_rate = levy.restricted_rate(eps)
     gen = substream(seed, "laplace")
     counts = gen.poisson(lam_rate * t, n_paths)
     total = int(counts.sum())

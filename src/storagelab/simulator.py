@@ -144,7 +144,7 @@ def _chunks(levy, x0, grid, n_paths, seed, eps):
     Chunk c draws from the key ``(seed, "grid", c)``: its starts first
     (``x0`` is a level or a sampler ``(gen, m) -> array``), then its
     slabs, each expecting at most ``_SLAB`` jumps across the chunk."""
-    lam = levy.proposal_rate(eps)
+    lam = levy.restricted_rate(eps)
     for c, lo in enumerate(range(0, n_paths, _CHUNK)):
         m = min(_CHUNK, n_paths - lo)
         gen = substream(seed, "grid", c)
@@ -189,8 +189,8 @@ def event_ensemble(levy: LevyInput, release: ReleaseRate, x0,
                    eps: float = 1e-4):
     """Every jump of ``n_paths`` lanes on (0, horizon]: flat arrays
     ``(lane, t, size, x_after)``, lane-major and in time order within a
-    lane, with the state just after each jump.  Only jumps of size > 0
-    are kept; a lane without one has no entry.
+    lane, with the state just after each jump.  A lane without a jump has
+    no entry.
 
     The draws are ``grid_ensemble(levy, release, x0, [horizon], n_paths,
     seed, eps)``'s, so a lane's last ``x_after`` flowed to the horizon (or
@@ -211,13 +211,11 @@ def event_ensemble(levy: LevyInput, release: ReleaseRate, x0,
             idx = np.repeat(pos * len(t) - (np.cumsum(c) - c), c)
             idx += np.arange(idx.size)
             sizes = s.T.ravel()[idx]
-            keep = sizes > 0.0
-            idx = idx[keep]
             # the states overwrite the sizes, which are copied out above
             x[order] = _step_lanes(release, x[order], t, s, rows, drift, a,
                                    out=s)
-            parts.append((np.repeat(np.arange(lo, lo + m), c)[keep],
-                          t.T.ravel()[idx], sizes[keep], s.T.ravel()[idx]))
+            parts.append((np.repeat(np.arange(lo, lo + m), c),
+                          t.T.ravel()[idx], sizes, s.T.ravel()[idx]))
             del t, s  # as in grid_ensemble
     cols = list(zip(*parts))
     del parts  # so that each column's pieces are freed once it is joined

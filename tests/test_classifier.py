@@ -185,8 +185,9 @@ class TestClassify:
 
     def test_method_validation(self):
         inp, rel = power_pair(0.5, 0.7)
-        with pytest.raises(ValueError):
-            classify(inp, rel, method="guess")
+        for method in ("guess", "symbolic"):
+            with pytest.raises(ValueError):
+                classify(inp, rel, method=method)
 
     def test_tabulated_tail_with_extension(self):
         # declared power extension gives the symbolic path its exponent

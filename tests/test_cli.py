@@ -272,6 +272,38 @@ class TestCli:
         assert all(float(r[1]) == float(r[2]) == float(r[3]) == 0.0
                    for r in firsts)
 
+    @pytest.mark.parametrize("command", ["simulate", "converge-tv",
+                                         "converge-wp", "compare"])
+    @pytest.mark.parametrize("x0", ["-3", "nan", "inf"])
+    def test_start_outside_the_state_space_is_usage_error(
+            self, command, x0, monkeypatch, tmp_path, capsys):
+        def drawn(*args, **kwargs):
+            raise AssertionError("paths were drawn")
+
+        for name in ("grid_ensemble", "event_ensemble", "estimate_tv_decay",
+                     "estimate_wp_decay"):
+            monkeypatch.setattr(cli, name, drawn)
+        code = main([command, "preset:shotnoise-gamma", "--x0", x0,
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "usage" and "--x0" in err["message"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("p", ["0.5", "0", "nan", "inf"])
+    def test_wasserstein_order_below_one_is_usage_error(self, p, monkeypatch,
+                                                        tmp_path, capsys):
+        def drawn(*args, **kwargs):
+            raise AssertionError("paths were drawn")
+
+        monkeypatch.setattr(cli, "estimate_wp_decay", drawn)
+        code = main(["converge-wp", "preset:shotnoise-gamma", "--p", p,
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "usage" and "--p" in err["message"]
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command, preset, override, extra", [
         ("simulate", "constant-mm1", "input.rate=1e300", ["--paths", "2"]),
         ("simulate", "constant-mm1", "budgets.horizon=1e300", ["--paths", "2"]),

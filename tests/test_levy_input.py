@@ -22,8 +22,6 @@ from storagelab.levy_input import (
     StableSub,
     TabulatedTail,
     TemperedStableSub,
-    _SORTED_BLOCK,
-    _gamma_quantile_table,
     first_moment,
     laplace_check,
     tail,
@@ -223,22 +221,51 @@ def _bits(x):
     return np.asarray(x, dtype=float).view(np.int64)
 
 
-class TestSizeKernels:
-    """The in-place and sorted-order size draws give the doubles of the
-    plain expressions, and leave the generator where those leave it."""
+class _Counting:
+    """A generator that counts the values it hands out."""
 
-    @pytest.mark.parametrize("n", [0, 1, _SORTED_BLOCK - 1, _SORTED_BLOCK,
-                                   2 * _SORTED_BLOCK + 3])
-    def test_gamma_is_the_unsorted_lookup(self, n):
-        inp, eps = GammaSub(1.3, 0.7), 1e-4
-        gen = substream(SEED, "sizes", n)
-        twin = copy.deepcopy(gen)
-        got = inp.sample_sizes(gen, n, eps)
-        q, logu = _gamma_quantile_table(inp.shape, inp.rate_, eps)
-        want = np.exp(np.interp(twin.random(n), q, logu))
-        assert got.shape == (n,)
-        assert (_bits(got) == _bits(want)).all()
-        assert gen.random() == twin.random()
+    def __init__(self, gen):
+        self._gen, self.values = gen, 0
+
+    def __getattr__(self, name):
+        method = getattr(self._gen, name)
+
+        def counted(*args, **kwargs):
+            out = method(*args, **kwargs)
+            self.values += np.size(out)
+            return out
+        return counted
+
+
+class TestSizeKernels:
+    """The exact samplers draw the restricted law, and the in-place power
+    draws give the doubles of the plain expressions, leaving the generator
+    where those leave it."""
+
+    @pytest.mark.parametrize("inp, eps", [
+        (GammaSub(1.0, 1.0), 1e-4),
+        (GammaSub(1.0, 0.7), 1e-4),
+        (GammaSub(1.0, 2.0), 1e-2),
+        (GammaSub(1.0, 1.0), 1.0),
+        (GammaSub(1.0, 1.0), 3.0),
+        (TemperedStableSub(0.5, 1.0, 1.0), 1e-2),
+        (TemperedStableSub(0.3, 1.0, 1.5), 1e-3),
+        (TemperedStableSub(0.7, 1.0, 50.0), 0.1),
+        (TemperedStableSub(0.5, 1.0, 1e3), 1e-4),
+    ], ids=["gamma-1-1e-4", "gamma-0.7-1e-4", "gamma-2-1e-2", "gamma-1-1",
+            "gamma-1-3", "ts-0.5-1-1e-2", "ts-0.3-1.5-1e-3", "ts-0.7-50-0.1",
+            "ts-0.5-1e3-1e-4"])
+    def test_tempered_draws_are_exact(self, inp, eps):
+        # the sizes follow 1 - nu_bar(u)/nu_bar(eps), each above eps, at
+        # most 3 proposals of 2 uniforms each per kept draw
+        n = 200_000
+        gen = _Counting(substream(SEED, "exact", eps))
+        sizes = inp.sample_sizes(gen, n, eps)
+        assert sizes.shape == (n,) and (sizes > eps).all()
+        assert gen.values <= 2 * 3 * n, gen.values / (2 * n)
+        top = float(inp.tail(eps))
+        p = stats.kstest(sizes, lambda u: 1.0 - inp.tail(u) / top).pvalue
+        assert p > 1e-3, p
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0, 1.5, 2.0])
     def test_power_families_are_the_plain_expressions(self, alpha):
@@ -246,16 +273,8 @@ class TestSizeKernels:
         cases = [(CompoundPoisson(1.0, ParetoJumps(alpha, 0.7)),
                   lambda g: 0.7 * g.random(n) ** (-1.0 / alpha))]
         if alpha < 1.0:
-            stable = StableSub(alpha, 2.0)
-            tempered = TemperedStableSub(alpha, 2.0, 1.5)
-
-            def tempered_plain(g):
-                j = eps * g.random(n) ** (-1.0 / alpha)
-                keep = g.random(n) < np.exp(-tempered.tempering * j)
-                return np.where(keep, j, 0.0)
-
-            cases += [(stable, lambda g: eps * g.random(n) ** (-1.0 / alpha)),
-                      (tempered, tempered_plain)]
+            cases.append((StableSub(alpha, 2.0),
+                          lambda g: eps * g.random(n) ** (-1.0 / alpha)))
         for inp, plain in cases:
             gen = substream(SEED, "sizes", alpha)
             twin = copy.deepcopy(gen)
@@ -269,7 +288,7 @@ class TestSizeKernels:
     ], ids=["gamma", "pareto"])
     def test_traced_peak_is_the_output_plus_a_block(self, inp, extra):
         n, eps = 1 << 20, 1e-4
-        inp.sample_sizes(substream(SEED, "warm"), 1, eps)  # builds the table
+        inp.sample_sizes(substream(SEED, "warm"), 1, eps)  # outside the trace
         gen = substream(SEED, "sizes")
         tracemalloc.start()
         try:

@@ -117,9 +117,9 @@ def _engine_jumps(levy, x0, grid, n_paths, eps=1e-4):
     for lo, _, slabs in simulator._chunks(levy, x0, grid, n_paths, SEED, eps):
         for _, order, rows, t, s, _ in slabs:
             for i, n, ti, si in zip(order, rows, t.T, s.T):
-                ti, si = ti[:n - 1], si[:n - 1]  # the last row is the slab end
-                lanes[lo + i][0].extend(ti[si > 0.0])
-                lanes[lo + i][1].extend(si[si > 0.0])
+                # the last row is the slab end
+                lanes[lo + i][0].extend(ti[:n - 1])
+                lanes[lo + i][1].extend(si[:n - 1])
     return lanes
 
 
@@ -137,12 +137,11 @@ def _last_states(release, events, x0, horizon, n_paths, drift):
 def _independent_paths(levy, horizon, n_paths, eps, gen):
     """Jump times and sizes of paths drawn one by one, apart from the
     engine: a Poisson count of uniform times, then the sizes."""
-    lam = levy.proposal_rate(eps)
+    lam = levy.restricted_rate(eps)
     for _ in range(n_paths):
         k = gen.poisson(lam * horizon)
-        t = np.sort(gen.uniform(0.0, horizon, k))
-        s = levy.sample_sizes(gen, k, eps)
-        yield t[s > 0.0], s[s > 0.0]
+        yield (np.sort(gen.uniform(0.0, horizon, k)),
+               levy.sample_sizes(gen, k, eps))
 
 
 class TestSimulatePath:
