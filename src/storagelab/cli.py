@@ -58,11 +58,9 @@ _CRITERION_ERRORS = (HypothesisFailed, C3Violation, NotStationaryRegime,
                      MomentConditionFailed, Divergent, NoiseFloorReached,
                      InvalidRateFunction, InvalidModulus)
 # the scenario's numbers leave what floats represent: a rate that overflows
-# (NaN integrands, overflowing flows), a flow too stiff to step, a bound
-# beyond the inversion's e^600 bracket.  A usage error, as no run of the
-# scenario can succeed.
-_RANGE_ERRORS = (NonFiniteEvaluation, NotBracketed, OverflowError,
-                 FloatingPointError)
+# (NaN integrands, overflowing flows), a bound beyond the inversion's e^600
+# bracket.  A usage error, as no run of the scenario can succeed.
+_RANGE_ERRORS = (NonFiniteEvaluation, NotBracketed, OverflowError)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Shared numeric kernel.
 
 Adaptive quadrature on semi-infinite domains, monotone root finding, the
-drain flow by step-doubling RK4 (one walk of lanes, each through its own
-rows of jumps), and log-log regression.
+drain clock (the flow of x' = drift - r(x) from a table of its time
+integral, for rates without a closed-form flow), and log-log regression.
 
 The semi-infinite integrator splits [0, inf) at ``tail_split`` and covers
 each side by dyadic scale blocks ([a, 2a] outward, [a/2, a] inward), each
@@ -401,133 +401,138 @@ def invert_monotone(g, y: float, bracket: tuple[float, float],
 
 
 # ---------------------------------------------------------------------------
-# drain flow
+# drain clock
 # ---------------------------------------------------------------------------
 
-_TINY = 1e-300   # where the RK flow reads r(0+)
-_RK_TOL = 1e-10  # per-step tolerance of the RK flow
+_CLOCK_SCAN = np.geomspace(1e-30, 1e30, 1201)  # where equilibria are sought
 
 
-def _rk_walk(rate, x, t, s, rows, drift: float, tp, out=None):
-    """Walk the lanes ``x`` from time ``tp`` through their rows of the
-    (row, lane) matrices of jump times ``t`` and sizes ``s``: lane p takes
-    rows 0..rows[p]-1, and over each a lane flows by x' = drift - r(x) from
-    the time of its last row, by step-doubling RK4 with per-step tolerance
-    ``_RK_TOL``, then adds the row's size.  Returns the lanes' states after
-    their last rows; with ``out``, cell (k, p) of it receives lane p's state
-    after its row k (``out`` may be ``s`` itself, as a lane reads its row's
-    size before writing its state there).  No cell past a lane's last row
-    is read or written.
-
-    Each lane keeps its own row, time and step, so one loop steps every
-    lane through its own rows; the accept, reject and stopping rules are
-    masks.  A lane starts each row as a walk of that row alone would (step
-    dt / 8 from time 0), so its values are those of the rows taken one at
-    a time, and a row of zero length gives max(x, 0) plus its size.  The
-    right-hand side takes r at r(0+), not r(0) = 0: a lane that empties
-    while drift <= r(0+) then stays empty (a sliding motion) instead of
-    chattering across 0 with shrinking steps.
-    """
-    def rhs(y):
-        return drift - rate(np.maximum(y, _TINY))
-
-    def finish(ids, y):
-        # lanes ``ids`` end their rows at y and add the rows' sizes
-        k = row[ids]
-        state[ids] = y + s[k, ids]
-        if out is not None:
-            out[k, ids] = state[ids]
-        prev[ids] = t[k, ids]
-        row[ids] = k + 1
-
-    def start(ids):
-        # lanes ``ids`` at the start of their rows: rows of zero length are
-        # done at once; the lanes that flow next come back with their rows'
-        # lengths
-        while True:
-            ids = ids[row[ids] < rows[ids]]
-            dt = t[row[ids], ids] - prev[ids]
-            zero = ~(dt > 0.0)
-            if not zero.any():
-                return ids, dt
-            finish(ids[zero], np.maximum(state[ids[zero]], 0.0))
-
-    state = np.array(x, dtype=float)
-    m = state.size
-    row = np.zeros(m, dtype=np.intp)
-    prev = np.full(m, tp, dtype=float)
-    lane, dt = start(np.arange(m))
-    x = state[lane]
-    tl, h = np.zeros(lane.size), dt / 8.0
-    scale = np.maximum(1.0, np.abs(x))
-    sticks = drift <= rate(_TINY)
-    # as on floats, inf - inf = nan from a rate singular at 0 rejects a step
-    with np.errstate(over="ignore", invalid="ignore"):
-        while lane.size:
-            f0 = rhs(x)
-            # rest point (drained reservoir or interior equilibrium)
-            rest = np.abs(f0) <= 1e-14 * scale
-            at_rest = np.where((x <= 1e-14 * scale) & (drift <= 0.0), 0.0, x)
-            # a step of h and a first half step, stacked, then the second
-            h = np.minimum(h, dt - tl)
-            y = _rk4_step(rhs, np.concatenate((x, x)),
-                          np.concatenate((h, 0.5 * h)), np.concatenate((f0, f0)))
-            x1, xh = y[:lane.size], y[lane.size:]
-            x2 = _rk4_step(rhs, xh, 0.5 * h, rhs(xh))
-            err = np.abs(x2 - x1) / 15.0
-            ok = ~rest & (err <= _RK_TOL * np.maximum(1.0, np.abs(x)))
-            # accepted: a lane that crosses 0 ends there if the drift cannot
-            # lift it, and restarts from 0 otherwise
-            xa = x2 + (x2 - x1) / 15.0
-            empty = ok & (xa <= 0.0) & sticks
-            xa = np.where(xa <= 0.0, 0.0, xa)
-            grow = err < 0.25 * _RK_TOL * np.maximum(1.0, np.abs(xa))
-            # rejected: a field that strengthens towards 0 (sampled below x,
-            # down to r(0+)) empties the lane within x / |f0| and holds it
-            # there, which RK cannot resolve for an r singular at 0
-            strong = ~rest & ~ok & (x + (dt - tl) * f0 <= 0.0)
-            if strong.any():
-                below = np.vstack([x[strong] * 0.5 ** np.arange(1.0, 9.0)[:, None],
-                                   np.full((1, strong.sum()), _TINY)])
-                strong[strong] = (rhs(below) <= f0[strong]).all(axis=0)
-            tl = np.where(ok, tl + h, tl)
-            x = np.where(ok, xa, x)
-            h = np.where(ok, np.where(grow, 2.0 * h, h), 0.5 * h)
-            if (~rest & ~ok & ~strong & (h < 1e-15 * dt)).any():
-                raise FloatingPointError("flow step size underflow")
-            empty |= strong
-            stop = rest | empty | (ok & (tl >= dt))
-            if stop.any():
-                done = lane[stop]
-                finish(done, np.where(rest, at_rest, np.where(
-                    empty, 0.0, np.maximum(x, 0.0)))[stop])
-                # the lanes that start a row join at time 0 with step dt / 8
-                new, seg = start(done)
-                go = ~stop
-                lane = np.concatenate((lane[go], new))
-                x = np.concatenate((x[go], state[new]))
-                tl = np.concatenate((tl[go], np.zeros(new.size)))
-                h = np.concatenate((h[go], seg / 8.0))
-                dt = np.concatenate((dt[go], seg))
-                scale = np.concatenate((scale[go], np.maximum(1.0, np.abs(state[new]))))
-    return state
+def _poly(P, k, z):
+    """Polynomial k of the (degree + 1, n) coefficients P at z, by lane."""
+    t = P[-1, k]
+    for row in P[-2::-1]:
+        t = t * z + row[k]
+    return t
 
 
-def _rk_flow(rate, x0, dt, drift: float):
-    """x' = drift - r(x) from ``x0`` over ``dt``, floats (a float back) or
-    arrays of lanes: a ``_rk_walk`` of one row of size 0."""
-    x0, dt = np.broadcast_arrays(np.asarray(x0, dtype=float),
-                                 np.asarray(dt, dtype=float))
-    x = _rk_walk(rate, x0.ravel(), dt.reshape(1, -1), np.zeros((1, dt.size)),
-                 np.ones(dt.size, dtype=np.intp), drift, 0.0)
-    return x.reshape(x0.shape) if x0.ndim else float(x[0])
+class _Basin:
+    """G between adjacent equilibria lo < hi (or lo = 0, hi = inf) as T =
+    sign * G, rising with x, in w = ln((x - lo) / ell) - ln((hi - x) / ell)
+    (no second term if hi = inf), where it is smooth up to both ends.  Knots
+    are 1/16 apart, one at any kink of r.  On each interval T is F(z), the
+    integral of the polynomial through dT/dw at 8 Gauss-Legendre nodes, and
+    w is W(p), the polynomial through the nodes and knots in T.  Past the
+    ends dT/dw goes on as exp(a w); a = 0 at an equilibrium (G ~ log)."""
+
+    def __init__(self, rate, drift, lo, hi, kink):
+        h = self.h = 1.0 / 16
+        self.lo, self.hi, self.ell = lo, hi, hi - lo if hi < math.inf else (lo or 1.0)
+        w0 = -20.0 if lo > 0.0 else math.log(1e-16)
+        w1 = 20.0 if hi < math.inf else max(math.log(1e30 / self.ell), 20.0)
+        if kink is not None and lo < kink < hi:
+            wk = float(self.coord(np.float64(kink)))
+            w0 = wk - h * math.ceil((wk - w0) / h)
+        # knot, the 8 Gauss-Legendre nodes, knot (numpy.polynomial is
+        # imported here, by the first table, not with the package)
+        zs = np.concatenate([[-1.0], np.polynomial.legendre.leggauss(8)[0], [1.0]])
+        with np.errstate(all="ignore"):
+            x, dxdw = self.place(w0 + h * (np.arange(math.ceil((w1 - w0) / h))[:, None]
+                                           + 0.5 * (1.0 + zs)))
+            f = rate(x) - drift
+            self.sign = np.sign(np.median(f))
+            m = self.sign * dxdw / f  # dT/dw
+        # cut the end intervals where r overflows or r - drift rounds to 0
+        good = np.flatnonzero(((m > 0) & np.isfinite(m)).all(axis=1))
+        if np.isnan(f).any() or good.size == 0 or good[-1] - good[0] + 1 != good.size:
+            raise NonFiniteEvaluation("release rate NaN, or r - drift not finite")
+        self.w0, self.n, m = w0 + h * good[0], good.size, m[good]
+        fit = np.linalg.inv(np.vander(zs[1:-1], 8, increasing=True)).T  # coefficients
+        coef = 0.5 * h * m[:, 1:-1] @ fit / np.arange(1.0, 9.0)
+        F = np.column_stack([-coef @ (-1.0) ** np.arange(1, 9), coef])
+        dT = F @ np.vander(zs, 9, increasing=True).T  # T - T_k at zs
+        (m00, m01), (m10, m11) = m[[0, -1]][:, [0, -1]]
+        a0 = 0.0 if lo > 0 else math.log(m01 / m00) / h
+        a1 = 0.0 if hi < math.inf else math.log(m11 / m10) / h
+        # T is 0 at 0, or at inf if it converges there: precise where |r| is large
+        self.T = (np.concatenate([[0.0], np.cumsum(dT[:, -1])]) if a1 > -h else
+                  np.concatenate([-np.cumsum(dT[::-1, -1])[::-1], [0.0]]) + m11 / a1)
+        F[:, 0] += self.T[:-1]
+        self.span = 2.0 / dT[:, -1]
+        p = dT * self.span[:, None] - 1.0
+        V = np.vander(p.ravel(), 10, increasing=True).reshape(-1, 10, 10)
+        W = np.linalg.solve(V, zs[:, None])[..., 0] * (0.5 * h)
+        W[:, 0] += self.w0 + h * (np.arange(self.n) + 0.5)
+        self.F, self.W = F.T.copy(), W.T.copy()
+        self.ends = ((self.w0, self.T[0], m00, a0),
+                     (self.w0 + h * self.n, self.T[-1], m11, a1))
+
+    # coord: x -> w, place: w -> (x, dx/dw); all run under a flow's errstate
+    def coord(self, x):
+        w = np.log((x - self.lo) / self.ell)
+        return w if self.hi == math.inf else w - np.log((self.hi - x) / self.ell)
+
+    def place(self, w):
+        if self.hi == math.inf:
+            e = self.ell * np.exp(w)
+            return self.lo + e, e
+        s = self.ell / (1.0 + np.exp(-w))
+        return self.lo + s, s / (1.0 + np.exp(w))
+
+    def clock(self, w):
+        u = (w - self.w0) / self.h
+        k = np.minimum(np.maximum(u, 0), self.n - 1).astype(np.intp)
+        t = _poly(self.F, k, np.minimum(np.maximum(2.0 * (u - k) - 1.0, -1.0), 1.0))
+        if u.min() < 0 or u.max() > self.n:
+            for (we, te, mu, a), out in zip(self.ends, (u < 0, u > self.n)):
+                v = w[out] - we  # int_0^v exp(a s) ds past the end
+                t[out] = te + mu * (v if a == 0.0 else np.expm1(a * v) / a)
+        return t
+
+    def unclock(self, t):
+        k = np.minimum(np.maximum(np.searchsorted(self.T, t) - 1, 0), self.n - 1)
+        p = (t - self.T[k]) * self.span[k] - 1.0
+        w = _poly(self.W, k, np.minimum(np.maximum(p, -1.0), 1.0))
+        if p.min() < -1.0 or p.max() > 1.0:
+            for (we, te, mu, a), out in zip(self.ends, (t < self.T[0], t > self.T[-1])):
+                y = (t[out] - te) / mu  # the inverse of clock's continuation;
+                # NaN below the low end, which a lane reaches in finite time
+                w[out] = np.fmax(we + (y if a == 0.0 else np.log1p(a * y) / a), -np.inf)
+        return w
 
 
-def _rk4_step(rhs, x, h, k1):
-    k2 = rhs(x + 0.5 * h * k1)
-    k3 = rhs(x + 0.5 * h * k2)
-    k4 = rhs(x + h * k3)
-    return x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+class DrainClock:
+    """The flow of x' = drift - r(x) by its clock G(x) = int dv / (r(v) -
+    drift), which falls by dt along the flow: x(dt) = G^-1(G(x) - dt).
+    Equilibria (r = drift, by a scan over ``_CLOCK_SCAN`` and bisection) cut
+    (0, inf) into basins no lane leaves, each tabulating G (``_Basin``).  A
+    lane at an equilibrium stays, as does one that empties (then r(0+) >=
+    drift); dt = 0 gives max(x, 0).  ``kink``: a level where r is not smooth."""
+
+    def __init__(self, rate, drift: float, kink=None):
+        with np.errstate(all="ignore"):
+            up = rate(_CLOCK_SCAN) >= drift
+            i = np.flatnonzero(up[:-1] != up[1:])
+            lo, hi = _CLOCK_SCAN[i], _CLOCK_SCAN[i + 1]
+            for _ in range(64):  # bisection, down to adjacent floats
+                mid = 0.5 * (lo + hi)
+                left = (rate(mid) >= drift) == up[i]
+                lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
+        self.roots, ends = hi, [0.0, *hi.tolist(), math.inf]
+        self.basins = [_Basin(rate, drift, *pair, kink) for pair in zip(ends, ends[1:])]
+
+    def flow(self, x, dt):
+        """The flow over dt >= 0 from x; floats or arrays of lanes."""
+        x, dt = np.broadcast_arrays(x, dt)
+        shape, x, dt = x.shape, np.maximum(x.ravel(), 0.0), dt.ravel()
+        which, out = np.searchsorted(self.roots, x, side="right"), np.empty_like(x)
+        first, last = which.min(), which.max()
+        with np.errstate(all="ignore"):
+            for i in range(first, last + 1):
+                on = which == i if first < last else slice(None)
+                xo, dto, b = x[on], dt[on], self.basins[i]
+                w = b.unclock(b.clock(b.coord(xo)) - b.sign * dto)
+                out[on] = np.where(dto > 0.0, b.place(w)[0], xo)
+        return out.reshape(shape) if shape else float(out[0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,13 @@
 """Release-rate families r(u) and their regularity diagnostics.
 
-Families follow the convention r(0) = 0 (realised by an indicator factor),
-keeping the content non-negative.  Each family owns two operations, each
-taking floats or arrays: ``flow(x, dt, drift)``, the drain flow
-x' = drift - r(x) of a lane or of many, and the drain-time primitive
-``drain_time(lo, hi)`` = int dv / r(v), which quadrature integrands call
-on all nodes of a panel at once.  Both use one closed-form body where the
-family has one; otherwise ``flow`` runs one Runge-Kutta call over all
-lanes and ``drain_time`` one quadrature per element.  ``has_closed_flow``
-says at which drifts a family's flow has its closed form: ``flow`` reads
-it, and so does the simulator, which walks the lanes of a family without
-one through all their jumps in one Runge-Kutta loop.
+Families follow the convention r(0) = 0 (exactly 0 for u <= 0), keeping
+the content non-negative.  Each family owns two operations, each taking
+floats or arrays: ``flow(x, dt, drift)``, the drain flow x' = drift - r(x)
+of a lane or of many, and the drain-time primitive ``drain_time(lo, hi)`` =
+int dv / r(v), which quadrature integrands call on all nodes of a panel at
+once.  Both use one closed-form body where the family has one; otherwise
+``drain_time`` runs a quadrature per element, and ``flow`` the drain clock
+of (release, drift), ``numerics.DrainClock``, built once.
 
 Regularity is verified numerically: local Lipschitz constants by
 finite-difference slopes on dyadic grids (including pairs against 0, which
@@ -20,6 +17,7 @@ is where constant and raw-power rates fail), and integrability of 1/r near
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -27,8 +25,8 @@ import numpy as np
 
 from .errors import Divergent, NonFiniteEvaluation
 from .numerics import (
+    DrainClock,
     _elementwise,
-    _rk_flow,
     integrate_interval,
     integrate_semiinfinite,
 )
@@ -59,25 +57,23 @@ class RateAsymptotics:
 class ReleaseRate:
     """Base class; subclasses are immutable and shareable."""
 
+    kink = None  # a level where r is not smooth: a knot of its clock tables
+
     def rate(self, u):
         raise NotImplementedError
 
     def asymptotics(self) -> RateAsymptotics:
         raise NotImplementedError
 
-    def has_closed_flow(self, drift: float) -> bool:
-        """Whether the flow at this drift has a closed form, which a family
-        that says so computes in ``_closed_flow(x, dt, drift)``."""
-        return False
-
     def flow(self, x, dt, drift: float = 0.0):
         """x' = drift - r(x) from x over dt >= 0, absorbing at the empty
         state when the drift cannot lift it; ``x`` and ``dt`` are floats or
-        arrays of lanes.  Without a closed form at this drift, all lanes
-        are integrated in one adaptive Runge-Kutta call."""
-        if self.has_closed_flow(drift):
-            return self._closed_flow(x, dt, drift)
-        return _rk_flow(self.rate, x, dt, float(drift))
+        arrays of lanes.  Closed forms override this drain-clock flow."""
+        return self._clock(float(drift)).flow(x, dt)
+
+    @functools.lru_cache(maxsize=16)
+    def _clock(self, drift):
+        return DrainClock(self.rate, drift, self.kink)
 
     def drain_time(self, lo, hi):
         """int_lo^hi dv / r(v) for 0 < lo <= hi (hi may be inf); ``lo`` and
@@ -85,8 +81,9 @@ class ReleaseRate:
         raise NotImplementedError
 
 
-def _indicator(u):
-    return np.greater(u, 0.0)
+def _on_positive(u, vals):
+    """``vals`` where u > 0, and exactly 0 elsewhere even if vals is not."""
+    return np.where(np.greater(u, 0.0), vals, 0.0)[()]
 
 
 @dataclass(frozen=True)
@@ -101,15 +98,12 @@ class Constant(ReleaseRate):
             raise ValueError("release level must be positive")
 
     def rate(self, u):
-        return self.a * _indicator(u)
+        return _on_positive(u, self.a)
 
     def asymptotics(self):
         return RateAsymptotics("bounded", limit=self.a)
 
-    def has_closed_flow(self, drift):
-        return True
-
-    def _closed_flow(self, x, dt, drift):
+    def flow(self, x, dt, drift=0.0):
         # the empty state stays empty whenever inflow cannot outrun the level
         return np.maximum(x + (drift - self.a) * dt, 0.0)
 
@@ -134,15 +128,12 @@ class Affine(ReleaseRate):
 
     def rate(self, u):
         u = np.asarray(u, dtype=float)
-        return (self.a + self.b * u) * _indicator(u)
+        return _on_positive(u, self.a + self.b * u)
 
     def asymptotics(self):
         return RateAsymptotics("power", 1.0, self.b)
 
-    def has_closed_flow(self, drift):
-        return True
-
-    def _closed_flow(self, x, dt, drift):
+    def flow(self, x, dt, drift=0.0):
         x_eq = (drift - self.a) / self.b
         return np.maximum(x_eq + (x - x_eq) * np.exp(-self.b * dt), 0.0)
 
@@ -185,15 +176,14 @@ class Power(ReleaseRate):
         u = np.asarray(u, dtype=float)
         with np.errstate(divide="ignore", over="ignore"):
             vals = self.k * np.maximum(u, 1e-300) ** self.beta
-        return vals * _indicator(u)
+        return _on_positive(u, vals)
 
     def asymptotics(self):
         return RateAsymptotics("power", self.beta, self.k)
 
-    def has_closed_flow(self, drift):
-        return drift == 0.0
-
-    def _closed_flow(self, x, dt, drift):
+    def flow(self, x, dt, drift=0.0):
+        if drift != 0.0:
+            return super().flow(x, dt, drift)
         # empty lanes stay empty: they run the formula from 1.0, then are zeroed
         return _power_flow(self.k, self.beta, x + (x <= 0.0), dt) * (x > 0.0)
 
@@ -234,15 +224,18 @@ class PowerSmoothed(ReleaseRate):
         u = np.asarray(u, dtype=float)
         ramp = self._ramp_slope * u
         power = self.k * np.maximum(u, 1e-300) ** self.beta
-        return np.where(u <= self.u_s, np.maximum(ramp, 0.0), power) * _indicator(u)
+        return _on_positive(u, np.where(u <= self.u_s, ramp, power))
+
+    @property
+    def kink(self):
+        return self.u_s
 
     def asymptotics(self):
         return RateAsymptotics("power", self.beta, self.k)
 
-    def has_closed_flow(self, drift):
-        return drift == 0.0
-
-    def _closed_flow(self, x, dt, drift):
+    def flow(self, x, dt, drift=0.0):
+        if drift != 0.0:
+            return super().flow(x, dt, drift)
         if self.beta == 1.0:
             # ramp and power are then one line, r(u) = k u
             return _power_flow(self.k, 1.0, x, dt)
@@ -284,24 +277,27 @@ class Plateau(ReleaseRate):
 
     def rate(self, u):
         u = np.asarray(u, dtype=float)
-        return np.minimum(self.m * u / self.u0, self.m) * _indicator(u)
+        return _on_positive(u, np.minimum(self.m * u / self.u0, self.m))
 
     def asymptotics(self):
         return RateAsymptotics("bounded", limit=self.m)
 
-    def has_closed_flow(self, drift):
-        # at drift >= m the drift pushes the content back above the knee
-        return drift < self.m
-
-    def _closed_flow(self, x, dt, drift):
-        rate_above = self.m - drift
-        slope = self.m / self.u0
+    def flow(self, x, dt, drift=0.0):
+        u0, slope = self.u0, self.m / self.u0
         x_eq = drift / slope
-        # linear descent for the time tau spent above the knee, then
-        # exponential approach to x_eq
-        tau = np.minimum(dt, np.maximum(x - self.u0, 0.0) / rate_above)
-        y = x - rate_above * tau
-        return np.maximum(x_eq + (y - x_eq) * np.exp(-slope * (dt - tau)), 0.0)
+        if drift < self.m:
+            # linear descent for the time tau spent above the knee, then
+            # exponential approach to x_eq
+            tau = np.minimum(dt, np.maximum(x - u0, 0.0) / (self.m - drift))
+            y = x - (self.m - drift) * tau
+            return np.maximum(x_eq + (y - x_eq) * np.exp(-slope * (dt - tau)), 0.0)
+        # the ramp rises towards x_eq >= u0 and crosses the knee after tau
+        # (never if x_eq = u0), then the content grows at drift - m
+        x = np.maximum(x, 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tau = np.log(np.where(x < u0, (x_eq - x) / (x_eq - u0), 1.0)) / slope
+        y = x - (x_eq - x) * np.expm1(-slope * np.minimum(dt, tau))
+        return y + (drift - self.m) * np.maximum(dt - tau, 0.0)
 
     def drain_time(self, lo, hi):
         if np.asarray(lo).min(initial=np.inf) <= 0.0:
@@ -327,7 +323,7 @@ class Custom(ReleaseRate):
         vals = _elementwise(self.fn, u)
         if not np.isfinite(vals).all():
             raise NonFiniteEvaluation("custom release rate returned a non-finite value")
-        return vals * _indicator(u)
+        return _on_positive(u, vals)
 
     def asymptotics(self):
         return self.declared
@@ -386,10 +382,6 @@ class RegularityReport:
     cbar1: bool
     cbar2: bool
     applicable_regime: str  # "smooth" | "finite_activity" | "none"
-
-    @property
-    def applicable(self) -> bool:
-        return self.applicable_regime != "none"
 
 
 def _lipschitz_scan(release: ReleaseRate, rho: float):

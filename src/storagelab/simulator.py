@@ -15,11 +15,9 @@ its jumps in time order and then the slab end b with size 0.  Row k is
 held by the lanes with at least k jumps, a prefix of the order, and no
 cell past a lane's last row is drawn, sorted or stepped.  One kernel,
 ``_step_lanes``, steps the lanes through their rows, x = flow(x, t_k -
-t_{k-1}) + s_k: row by row where the release family has a closed-form
-flow at the drift, and otherwise by one Runge-Kutta walk
-(``numerics._rk_walk``) in which each lane steps through its own rows, so
-a slab costs about the RK steps of its slowest lane, not the sum over rows
-of each row's slowest.  Two consumers read the engine:
+t_{k-1}) + s_k: one ``release.flow`` call per row on the lanes that have
+it, in closed form or by the release's drain clock.  Two consumers read
+the engine:
 
 * ``grid_ensemble`` records the lanes at each grid time (a single grid
   time gives endpoints); it puts the lanes in a slab's order to step them
@@ -41,7 +39,6 @@ import math
 import numpy as np
 
 from .levy_input import LevyInput
-from .numerics import _rk_walk
 from .release_rate import ReleaseRate
 from .rng import substream
 
@@ -49,6 +46,7 @@ __all__ = ["grid_ensemble", "event_ensemble"]
 
 _CHUNK = 8192      # lanes stepped together
 _SLAB = 1 << 20    # jumps one slab expects across a chunk
+_NETWORK = 5       # the longest rows sorted by a compare-exchange network
 
 
 def _step_lanes(release: ReleaseRate, x, t, s, rows, drift: float, tp,
@@ -58,14 +56,8 @@ def _step_lanes(release: ReleaseRate, x, t, s, rows, drift: float, tp,
     ``t`` and sizes ``s``, and ``rows`` is non-increasing, so row k is held
     by a prefix of the lanes.  With ``out``, cell (k, p) of it receives
     lane p's state after its row k; ``out`` may be ``s`` itself, as a cell
-    is read first.  No cell past a lane's last row is read or written.
-
-    A closed-form flow steps whole rows while every lane has them, then the
-    lanes that still have a row, in place; otherwise one Runge-Kutta walk
-    takes each lane through its own rows, with the values of the row loop
-    over ``release.flow``."""
-    if not release.has_closed_flow(drift):
-        return _rk_walk(release.rate, x, t, s, rows, drift, tp, out)
+    is read first.  No cell past a lane's last row is read or written.  Rows
+    that every lane has are stepped whole, the rest on their prefix, in place."""
     # the number of lanes that have row k, for each k
     width = np.searchsorted(-rows, -np.arange(rows[0]), side="left")
     for k, w in enumerate(width):
@@ -78,6 +70,18 @@ def _step_lanes(release: ReleaseRate, x, t, s, rows, drift: float, tp,
         if out is not None:
             out[k, :w] = x[:w]
     return x
+
+
+def _sort_rows(u):
+    """Sort each row of u in place; numpy takes one call per row, so short
+    rows go through an insertion network of compare-exchanges on columns."""
+    m, c = u.shape
+    if c > _NETWORK or 64 * c * (c - 1) > m:  # 128 rows to a compare-exchange
+        return u.sort(axis=1)
+    for i in range(1, c):
+        for j in range(i, 0, -1):
+            a, b = u[:, j - 1], u[:, j]
+            a[:], b[:] = np.minimum(a, b), np.maximum(a, b)
 
 
 def _draw_slab(levy, gen, bufs, m, a, b, lam, eps):
@@ -111,7 +115,7 @@ def _draw_slab(levy, gen, bufs, m, a, b, lam, eps):
         used, sizes = sizes[:(hi - lo) * c], sizes[(hi - lo) * c:]
         u = bufs[1][lo * n:lo * n + used.size].reshape(hi - lo, c)
         gen.random(out=u)
-        u.sort(axis=1)
+        _sort_rows(u)
         # b + (a - b) u is in (a, b] and falls as u rises
         np.multiply(u[:, ::-1], a - b, out=t[lo:hi, :c])
         t[lo:hi, :c] += b

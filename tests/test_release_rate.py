@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from scipy.integrate import solve_ivp
+
 from storagelab.errors import Divergent
-from storagelab.numerics import _rk_flow
 from storagelab.release_rate import (
     Affine,
     Constant,
@@ -27,6 +28,47 @@ FAMILIES = [
     PowerSmoothed(1.0, 0.5),
     Plateau(1.0, 1.0),
 ]
+
+
+def _dop853_flow(release, x0, dt, drift):
+    """x' = drift - r(x) from x0 over dt by scipy's DOP853 (rtol 1e-13, atol
+    1e-14), restarted at each kink of r.  Where |drift - r| falls below
+    1e-10, near an equilibrium that may be stiff, Radau takes the rest at
+    the same tolerances.  When drift <= r(0+) the empty state absorbs: a
+    path that comes within 1e-13 of it, or whose step underflows on the way
+    there (r singular at 0), ends at 0."""
+    sticks = drift <= float(release.rate(1e-300))
+    kinks = [k for k in (release.kink, getattr(release, "u0", None)) if k]
+
+    def rhs(s, y):
+        return [drift - float(release.rate(max(y[0], 1e-300)))]
+
+    def near_rest(s, y):
+        return abs(rhs(s, y)[0]) - 1e-10
+
+    def empty(s, y):
+        return y[0] - 1e-13
+
+    near_rest.terminal = empty.terminal = True
+    near_rest.direction = empty.direction = -1.0
+    t, x, method = 0.0, float(x0), "DOP853"
+    while t < dt:
+        events = [lambda s, y, k=k: y[0] - k for k in kinks]
+        for event in events:
+            event.terminal = True
+        events += [near_rest] * (method == "DOP853") + [empty] * sticks
+        sol = solve_ivp(rhs, (t, dt), [x], method=method, rtol=1e-13,
+                        atol=1e-14, events=events)
+        hits = dict(zip(events, sol.t_events))
+        if sticks and (hits[empty].size or sol.status == -1 and sol.y[0, -1] < 1e-6):
+            return 0.0
+        assert sol.status in (0, 1), sol.message
+        t, x = sol.t[-1], sol.y[0, -1]
+        if near_rest in hits and hits[near_rest].size:
+            method = "Radau"
+        # a monotone flow crosses a kink once: go on from it without it
+        kinks = [k for k, hit in zip(kinks, sol.t_events) if not hit.size]
+    return max(x, 0.0)
 
 
 class TestEvaluate:
@@ -123,10 +165,10 @@ class TestClosedFlows:
 
     @pytest.mark.parametrize("r", FAMILIES, ids=lambda r: type(r).__name__)
     def test_closed_matches_rk(self, r):
-        # closed forms against the generic integrator
+        # closed forms against an adaptive Runge-Kutta integrator (DOP853)
         for x0, dt in ((6.0, 0.7), (0.5, 2.5)):
             closed = r.flow(x0, dt)
-            rk = _rk_flow(r.rate, x0, dt, 0.0)
+            rk = _dop853_flow(r, x0, dt, 0.0)
             assert closed == pytest.approx(rk, abs=2e-6)
 
     def test_drift_equilibrium_affine(self):
@@ -135,7 +177,8 @@ class TestClosedFlows:
         assert x == pytest.approx(0.5, abs=1e-9)
 
     def test_drift_power_rk_fallback(self):
-        # no closed form with drift: equilibrium at drift^(1/beta)
+        # no closed form with drift, so the drain clock: the lane settles at
+        # the equilibrium drift^(1/beta)
         x = Power(1.0, 2.0).flow(5.0, 200.0, drift=0.25)
         assert x == pytest.approx(0.5, abs=1e-5)
 
@@ -174,7 +217,7 @@ class TestRegularity:
 
     def test_constant_infinite_not_applicable(self):
         rep = check_regularity(Constant(2.0), "infinite")
-        assert not rep.applicable
+        assert rep.applicable_regime == "none"
 
     def test_power_smooth(self):
         rep = check_regularity(Power(1.0, 2.0), "infinite")
@@ -207,6 +250,17 @@ class TestRegularity:
         for rho in (1.0, 10.0, 100.0):
             assert rep.lipschitz_constants[rho] == pytest.approx(3.0, rel=1e-6)
 
+    def test_steep_decreasing_power_is_zero_at_empty(self):
+        # u^-2 overflows near 0; r(0) is still exactly 0, so the slopes
+        # against 0 stay finite
+        r = Power(1.0, -2.0)
+        assert float(r.rate(0.0)) == 0.0
+        assert r.rate(np.array([-1.0, 0.0, 1e-200, 2.0])).tolist() == [
+            0.0, 0.0, math.inf, 0.25]
+        rep = check_regularity(r, "finite")
+        assert rep.c1 and not rep.c2
+        assert all(math.isfinite(g) for g in rep.lipschitz_constants.values())
+
     def test_decreasing_power_finite_route(self):
         # r(u) = k u^beta with beta < 0 blows up at 0+ but 1/r is integrable
         rep = check_regularity(Power(1.0, -0.5), "finite")
@@ -230,3 +284,76 @@ class TestDecreasingRelease:
         rep = classify(CompoundPoisson(1.0, Exponential(1.0)), Power(1.0, -0.5))
         assert rep.verdict == "Transient"
         assert rep.via == "BoundedDrift"
+
+
+# every family the drain clock serves, and Plateau's closed form above m
+CLOCKED = [
+    pytest.param(Power(1.0, -0.9), id="Power-negative"),
+    pytest.param(Power(1.0, 0.5), id="Power-sublinear"),
+    pytest.param(Power(1.0, 2.0), id="Power-superlinear"),
+    pytest.param(PowerSmoothed(1.0, 0.5), id="PowerSmoothed"),
+    pytest.param(Plateau(0.5, 1.0), id="Plateau-above-m"),
+    pytest.param(Custom(lambda u: 0.5 + u ** 1.5,
+                        RateAsymptotics("power", 1.5, 1.0)), id="Custom"),
+    # asymptotically linear: G neither converges nor grows like a power
+    pytest.param(Custom(lambda u: u + u * u / (1.0 + u),
+                        RateAsymptotics("power", 1.0, 2.0)), id="Custom-linear"),
+]
+
+
+class TestDrainClock:
+    """Flows against DOP853 at rtol 1e-13, within 1e-10 max(1, |x|), on
+    random (x, dt): x log-uniform on [1e-12, 1e8], dt on [1e-6, 1e2]."""
+
+    @pytest.mark.parametrize("drift", [0.0, 1e-4, 0.7])
+    @pytest.mark.parametrize("rel", CLOCKED)
+    def test_matches_dop853(self, rel, drift):
+        rng = np.random.default_rng(20261019)
+        xs, dts = 10.0 ** rng.uniform(-12, 8, 24), 10.0 ** rng.uniform(-6, 2, 24)
+        ref = np.array([_dop853_flow(rel, x, t, drift) for x, t in zip(xs, dts)])
+        assert (np.abs(rel.flow(xs, dts, drift) - ref) <= 1e-10 * np.maximum(1.0, ref)).all()
+
+    @pytest.mark.parametrize("drift", [0.0, 1e-4, 0.7])
+    @pytest.mark.parametrize("rel", CLOCKED)
+    def test_semigroup(self, rel, drift):
+        rng = np.random.default_rng(7)
+        xs = 10.0 ** rng.uniform(-12, 8, 200)
+        s, t = 10.0 ** rng.uniform(-6, 2, (2, 200))
+        one = rel.flow(xs, s + t, drift)
+        two = rel.flow(rel.flow(xs, s, drift), t, drift)
+        assert (np.abs(two - one) <= 1e-10 * np.maximum(1.0, one)).all()
+
+    @pytest.mark.parametrize("rel", CLOCKED)
+    def test_zero_time_is_identity(self, rel):
+        # at the drifts where the family has no closed form of old
+        xs = np.array([-1.0, 0.0, 1e-12, 0.3, 7.0, 1e8])
+        drifts = ((0.7,) if isinstance(rel, Plateau) else
+                  (0.0, 1e-4, 0.7) if isinstance(rel, Custom) else (1e-4, 0.7))
+        for drift in drifts:
+            assert rel.flow(xs, 0.0, drift).tolist() == np.maximum(xs, 0.0).tolist()
+
+    def test_unstable_equilibrium_of_decreasing_rate(self):
+        # r(x) = x^-0.5 crosses drift 0.7 at x* = 1/0.49: a lane there
+        # stays, up to its rounding, which grows by e^(t r'(x*)) = e^0.86;
+        # one below empties, one above grows without bound
+        rel, eq = Power(1.0, -0.5), 1.0 / 0.49
+        assert rel.flow(eq, 5.0, 0.7) == pytest.approx(eq, rel=1e-14)
+        at = rel.flow(np.array([0.999 * eq, 1.001 * eq]), 50.0, 0.7)
+        assert at[0] == 0.0 and at[1] > 2.0 * eq
+        assert at[1] == pytest.approx(_dop853_flow(rel, 1.001 * eq, 50.0, 0.7), rel=1e-10)
+
+    def test_table_is_built_once_per_drift(self):
+        calls = []
+
+        def fn(u):
+            calls.append(u)
+            return u * u
+
+        rel = Custom(fn, RateAsymptotics("power", 2.0, 1.0))
+        first = rel.flow(np.array([0.5, 3.0]), 1.0, 0.7)
+        assert calls
+        calls.clear()
+        assert rel.flow(np.array([0.5, 3.0]), 1.0, 0.7).tolist() == first.tolist()
+        assert not calls
+        rel.flow(0.5, 1.0, 0.25)  # another drift, another table
+        assert calls
