@@ -527,7 +527,7 @@ class DrainClock:
         which, out = np.searchsorted(self.roots, x, side="right"), np.empty_like(x)
         first, last = which.min(), which.max()
         with np.errstate(all="ignore"):
-            for i in range(first, last + 1):
+            for i in np.unique(which) if first < last else (first,):
                 on = which == i if first < last else slice(None)
                 xo, dto, b = x[on], dt[on], self.basins[i]
                 w = b.unclock(b.clock(b.coord(xo)) - b.sign * dto)

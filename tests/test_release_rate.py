@@ -342,6 +342,15 @@ class TestDrainClock:
         assert at[0] == 0.0 and at[1] > 2.0 * eq
         assert at[1] == pytest.approx(_dop853_flow(rel, 1.001 * eq, 50.0, 0.7), rel=1e-10)
 
+    def test_lanes_in_basins_apart(self):
+        # r = 1.2 at 0.13, 0.98, 2.09, ...: one call with lanes in the first
+        # and the third basin, none in the second
+        rel = Custom(lambda u: 1.0 + 0.5 * math.sin(3.0 * u) + 0.1 * u,
+                     RateAsymptotics("power", 1.0, 0.1))
+        xs = np.array([0.05, 1.5])
+        ref = [_dop853_flow(rel, x, 0.5, 1.2) for x in xs]
+        assert rel.flow(xs, 0.5, 1.2) == pytest.approx(ref, rel=1e-10, abs=1e-10)
+
     def test_table_is_built_once_per_drift(self):
         calls = []
 
