@@ -453,7 +453,7 @@ class _Basin:
         (m00, m01), (m10, m11) = m[[0, -1]][:, [0, -1]]
         a0 = 0.0 if lo > 0 else math.log(m01 / m00) / h
         a1 = 0.0 if hi < math.inf else math.log(m11 / m10) / h
-        # T is 0 at 0, or at inf if it converges there: precise where |r| is large
+        # T is 0 at the low end, or at inf where it converges: precise where |r| is big
         self.T = (np.concatenate([[0.0], np.cumsum(dT[:, -1])]) if a1 > -h else
                   np.concatenate([-np.cumsum(dT[::-1, -1])[::-1], [0.0]]) + m11 / a1)
         F[:, 0] += self.T[:-1]
