@@ -293,6 +293,7 @@ CLOCKED = [
     pytest.param(Power(1.0, 2.0), id="Power-superlinear"),
     pytest.param(PowerSmoothed(1.0, 0.5), id="PowerSmoothed"),
     pytest.param(Plateau(0.5, 1.0), id="Plateau-above-m"),
+    pytest.param(Plateau(1e-4, 1.0), id="Plateau-at-m"),  # d = m: x_eq = u0
     pytest.param(Custom(lambda u: 0.5 + u ** 1.5,
                         RateAsymptotics("power", 1.5, 1.0)), id="Custom"),
     # asymptotically linear: G neither converges nor grows like a power
@@ -327,7 +328,7 @@ class TestDrainClock:
     def test_zero_time_is_identity(self, rel):
         # at the drifts where the family has no closed form of old
         xs = np.array([-1.0, 0.0, 1e-12, 0.3, 7.0, 1e8])
-        drifts = ((0.7,) if isinstance(rel, Plateau) else
+        drifts = ((rel.m, 0.7) if isinstance(rel, Plateau) else
                   (0.0, 1e-4, 0.7) if isinstance(rel, Custom) else (1e-4, 0.7))
         for drift in drifts:
             assert rel.flow(xs, 0.0, drift).tolist() == np.maximum(xs, 0.0).tolist()
