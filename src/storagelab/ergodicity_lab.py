@@ -47,8 +47,7 @@ _BOOT_CELLS = 1 << 17
 # samples each lane of the stationary reference records (see
 # _stationary_reference)
 _REF_K = 16
-# the stationary horizon: at least _T_MIN, and where the certificate
-# predicts a TV rate above _TARGET_RATE (see _endpoint_time)
+# the stationary horizon's floor and target TV rate (see _stationary_reference)
 _T_MIN = 20.0
 _TARGET_RATE = 100.0
 
@@ -81,21 +80,11 @@ class DecayCurve:
 # helpers
 # ---------------------------------------------------------------------------
 
-def _endpoint_time(certificate: DriftCertificate | None) -> float:
-    """Horizon with predicted rate above _TARGET_RATE (TV bound below its
-    inverse), and at least _T_MIN."""
-    if certificate is None or not certificate.valid:
-        return _T_MIN
-    goal = math.log(_TARGET_RATE)
-    if certificate.log_predicted_tv_rate(1e6) < goal:
-        return _T_MIN
-    t = invert_monotone(certificate.log_predicted_tv_rate, goal, (1e-6, 1e6))
-    return max(t, _T_MIN)
-
-
-def _stationary_reference(levy, release, n: int, t_ref: float, seed: int,
-                          eps: float) -> np.ndarray:
-    """At least ``n`` stationary draws as an (M, _REF_K) matrix, rows lanes.
+def _stationary_reference(levy, release, n: int, t_last: float,
+                          certificate: DriftCertificate | None, seed: int, eps: float):
+    """At least ``n`` stationary draws as an (M, _REF_K) matrix, rows lanes,
+    and their horizon t_ref: the latest of 2 ``t_last`` (the last time compared
+    against), _T_MIN, and where a valid certificate's TV rate passes _TARGET_RATE.
 
     M = ceil(n / _REF_K) lanes start at 0 and each is recorded at the
     _REF_K times t_ref (1 + j / _REF_K), j < _REF_K: many samples along a
@@ -103,8 +92,19 @@ def _stationary_reference(levy, release, n: int, t_ref: float, seed: int,
     independent endpoints at t_ref.  Samples on one lane are correlated, so
     resampling and splitting go by whole lanes.
     """
+    t_ref, goal = max(2.0 * t_last, _T_MIN), math.log(_TARGET_RATE)
+    if (certificate is not None and certificate.valid
+            and certificate.log_predicted_tv_rate(1e6) >= goal):
+        t_ref = max(t_ref, invert_monotone(certificate.log_predicted_tv_rate, goal,
+                                           (1e-6, 1e6)))
     grid = t_ref * (1.0 + np.arange(_REF_K) / _REF_K)
-    return grid_ensemble(levy, release, 0.0, grid, -(-n // _REF_K), seed, eps)
+    return grid_ensemble(levy, release, 0.0, grid, -(-n // _REF_K), seed, eps), t_ref
+
+
+def _fit_past_floor(t_grid: np.ndarray, values: np.ndarray, floor: float):
+    """Fit mask (grid midpoint on, above twice the floor) and its fit, or None."""
+    mask = (np.arange(t_grid.size) >= t_grid.size // 2) & (values > 2.0 * floor)
+    return mask, fit_loglog(t_grid[mask], values[mask]) if mask.sum() >= 2 else None
 
 
 def _as_lanes(reference: np.ndarray) -> np.ndarray:
@@ -158,9 +158,9 @@ def _occupation_tails(levy, release, u_grid, budget, seed, eps, certificate):
 def _endpoint_tails(levy, release, u_grid, budget, seed, eps, certificate):
     """Per-chain fractions of draws above each level, (lanes, n_levels),
     and the method label: the lanes of ``_stationary_reference`` (at least
-    ``budget`` draws) from the certificate's ``_endpoint_time``."""
-    horizon = _endpoint_time(certificate)
-    lanes = _stationary_reference(levy, release, budget, horizon, seed, eps)
+    ``budget`` draws) at the horizon it picks."""
+    lanes, horizon = _stationary_reference(levy, release, budget, 0.0,
+                                           certificate, seed, eps)
     return ((lanes[:, :, None] > u_grid).mean(axis=1),
             f"EnsembleEndpoint(T={horizon:g})")
 
@@ -244,9 +244,8 @@ def estimate_tv_decay(levy: LevyInput, release: ReleaseRate, x0: float,
     _regime_guard(levy, release, regime)
     t_grid = np.asarray(t_grid, dtype=float)
     if reference is None:
-        t_ref = max(2.0 * float(t_grid[-1]), _endpoint_time(certificate))
-        reference = _stationary_reference(levy, release, 2 * n_paths, t_ref,
-                                          seed + 1, eps)
+        reference = _stationary_reference(levy, release, 2 * n_paths, float(t_grid[-1]),
+                                          certificate, seed + 1, eps)[0]
     lanes = _as_lanes(reference)
     edges = _equal_mass_edges(lanes.ravel(), bins)
     p_ref = _hist_probs(lanes.ravel(), edges)
@@ -265,8 +264,7 @@ def estimate_tv_decay(levy: LevyInput, release: ReleaseRate, x0: float,
         bt = gen.multinomial(n_paths, p_t, N_BOOT) / n_paths
         se[j] = (0.5 * np.abs(bt - br).sum(axis=1)).std(ddof=1)
     floor = math.sqrt(len(p_ref) / n_paths)
-    mask = (np.arange(t_grid.size) >= t_grid.size // 2) & (values > 2.0 * floor)
-    fitted = fit_loglog(t_grid[mask], values[mask]) if mask.sum() >= 2 else None
+    mask, fitted = _fit_past_floor(t_grid, values, floor)
     return DecayCurve(t_grid, "TV", values, se, fitted, floor, mask)
 
 
@@ -417,9 +415,8 @@ def estimate_wp_decay(levy: LevyInput, release: ReleaseRate, x0,
     _regime_guard(levy, release, regime)
     t_grid = np.asarray(t_grid, dtype=float)
     if reference is None:
-        t_ref = max(2.0 * float(t_grid[-1]), _endpoint_time(certificate))
-        reference = _stationary_reference(levy, release, 2 * n_paths, t_ref,
-                                          seed + 1, eps)
+        reference = _stationary_reference(levy, release, 2 * n_paths, float(t_grid[-1]),
+                                          certificate, seed + 1, eps)[0]
     lanes = _as_lanes(reference)
     ref_sorted = np.sort(lanes, axis=None)
     mat = grid_ensemble(levy, release, x0, t_grid, n_paths, seed, eps)
@@ -430,8 +427,7 @@ def estimate_wp_decay(levy: LevyInput, release: ReleaseRate, x0,
     # the bootstrap has sorted mat's columns
     values = np.array(_wp_sorted(mat.T, ref_sorted, p))
     floor = wasserstein_1d(*_lane_halves(lanes), p)
-    mask = (np.arange(t_grid.size) >= t_grid.size // 2) & (values > 2.0 * floor)
-    fitted = fit_loglog(t_grid[mask], values[mask]) if mask.sum() >= 2 else None
+    mask, fitted = _fit_past_floor(t_grid, values, floor)
     ref_curve = None
     if contraction is not None and check_wasserstein_contraction(
             release, contraction.modulus, contraction.Gamma)[0]:

@@ -12,6 +12,8 @@ having limsup < 1 certifies ergodicity with total-variation rate
 phi(Phi^{-1}(t)) and stationary tail envelope 1 / max(phi(Phi^{-1}(u)),
 phi(Vbar(u))).  Geometric certificates make phi(Vbar) astronomically large,
 so every integrand here is assembled in log space and exponentiated once.
+A custom phi, and a custom modulus beta, read ``numerics.DrainClock`` (see
+``RateFunction._clock`` and ``GapBound``); the others have closed forms.
 
 One function per stationary-tail envelope theorem, each checking its own
 hypotheses: ``tail_upper`` (sub-geometric), ``tail_upper_exponential``,
@@ -27,6 +29,7 @@ only for a release that passes it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -46,10 +49,10 @@ from .errors import (
 )
 from .levy_input import LevyInput
 from .numerics import (
+    DrainClock,
     FitResult,
     _elementwise,
     fit_loglog,
-    integrate_interval,
     integrate_semiinfinite,
     invert_monotone,
 )
@@ -73,7 +76,8 @@ __all__ = [
 @dataclass(frozen=True)
 class RateFunction:
     """phi on [1, inf): family 'constant1' (phi = 1), 'linear' (phi = c t),
-    'power' (phi = t^a, a in (0,1)), or 'custom' (callable, numeric clock)."""
+    'power' (phi = t^a, a in (0,1)), or 'custom' (callable, drain clock; it
+    must be finite on [1, 1e30])."""
 
     family: str
     c: float = 1.0
@@ -119,20 +123,8 @@ class RateFunction:
             return t ** self.a
         return _elementwise(self.fn, t)
 
-    def clock(self, t: float) -> float:
-        """Phi(t) = int_1^t ds / phi(s)."""
-        if t < 1.0:
-            raise ValueError("clock is defined on [1, inf)")
-        if self.family == "constant1":
-            return t - 1.0
-        if self.family == "linear":
-            return math.log(t) / self.c
-        if self.family == "power":
-            return (t ** (1.0 - self.a) - 1.0) / (1.0 - self.a)
-        return integrate_interval(lambda s: 1.0 / self.value(s), 1.0, t).value
-
     def clock_inv(self, s: float) -> float:
-        if s < 0.0:
+        if np.min(s) < 0.0:
             raise ValueError("clock values are non-negative")
         if self.family == "constant1":
             return 1.0 + s
@@ -140,12 +132,10 @@ class RateFunction:
             return math.exp(self.c * s)
         if self.family == "power":
             return (1.0 + (1.0 - self.a) * s) ** (1.0 / (1.0 - self.a))
-        hi = 2.0
-        while self.clock(hi) < s:
-            hi *= 2.0
-            if hi > 1e300:
-                raise Divergent("clock inverse out of range")
-        return invert_monotone(self.clock, s, (1.0, hi))
+        x = self._clock().flow(1.0, s)
+        if not np.isfinite(x).all():
+            raise Divergent("clock inverse out of range")
+        return x
 
     def log_clock_inv(self, s: float) -> float:
         """log Phi^{-1}(s), stable deep into geometric growth."""
@@ -167,7 +157,12 @@ class RateFunction:
         if self.family == "power":
             r = self.a / (1.0 - self.a)
             return r * np.log1p((1.0 - self.a) * s)
-        return np.log(_elementwise(lambda x: self.value(self.clock_inv(x)), s))
+        return np.log(self.value(self.clock_inv(s)))
+
+    @functools.lru_cache(maxsize=16)
+    def _clock(self):
+        """The drain clock of x' = phi(x), phi held at phi(1) below 1."""
+        return DrainClock(lambda x: -self.value(np.maximum(x, 1.0)), 0.0, 1.0)
 
 
 def _check_concave_nondecreasing(fn, tol: float = 1e-7):
@@ -623,7 +618,8 @@ class GapBound:
     """t -> B_kappa^{-1}(Gamma t): deterministic bound on the coupled gap.
 
     Decreasing, with value kappa at t = 0; closed form for power moduli,
-    quadrature plus inversion otherwise."""
+    otherwise the flow over s = Gamma t from kappa of x' = -beta(x), read
+    off its drain clock, beta held at beta(kappa) above kappa."""
 
     modulus: object
     Gamma: float
@@ -632,18 +628,6 @@ class GapBound:
     def __post_init__(self):
         if self.kappa <= 0 or self.Gamma <= 0:
             raise ValueError("kappa and Gamma must be positive")
-
-    def clock(self, t: float) -> float:
-        """B_kappa(t) = int_t^kappa ds / beta(s) on (0, kappa]."""
-        if not 0 < t <= self.kappa:
-            raise ValueError("clock argument must lie in (0, kappa]")
-        if isinstance(self.modulus, PowerModulus):
-            d = self.modulus.d
-            if d == 1.0:
-                return math.log(self.kappa / t)
-            return (t ** (1.0 - d) - self.kappa ** (1.0 - d)) / (d - 1.0)
-        return integrate_interval(lambda s: 1.0 / self.modulus.value(s),
-                                  t, self.kappa).value
 
     def __call__(self, t: float) -> float:
         if t < 0:
@@ -656,12 +640,12 @@ class GapBound:
             if d == 1.0:
                 return self.kappa * math.exp(-s)
             return (s * (d - 1.0) + self.kappa ** (1.0 - d)) ** (-1.0 / (d - 1.0))
-        lo = self.kappa
-        while self.clock(lo) < s:
-            lo *= 0.5
-            if lo < 1e-290:
-                return 0.0
-        return invert_monotone(lambda w: -self.clock(w), -s, (lo, self.kappa))
+        return self._clock().flow(self.kappa, s)
+
+    @functools.lru_cache(maxsize=16)
+    def _clock(self):
+        return DrainClock(lambda x: self.modulus.value(np.minimum(x, self.kappa)),
+                          0.0, self.kappa)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Shared numeric kernel.
 
 Adaptive quadrature on semi-infinite domains, monotone root finding, the
-drain clock (the flow of x' = drift - r(x) from a table of its time
-integral, for rates without a closed-form flow), and log-log regression.
+drain clock (a table of the time integral G of x' = drift - r(x), read for
+the flow and for G differences: the one numeric clock, of release rates,
+custom rate functions phi and custom moduli beta), and log-log regression.
 
 The semi-infinite integrator splits [0, inf) at ``tail_split`` and covers
 each side by dyadic scale blocks ([a, 2a] outward, [a/2, a] inward), each
@@ -181,6 +182,7 @@ def _adaptive(f, a: float, b: float, spec: QuadratureSpec, budget: int,
 _MAX_BLOCKS = 420
 _GROWTH_OCTAVES = 60      # octaves of non-decaying blocks before declaring divergence
 _RATIO_DIVERGENT = 0.997  # geometric block ratio treated as non-summable
+_EDGE = -math.log2(_RATIO_DIVERGENT)  # the same boundary for an end exponent of G
 _PREFETCH = 64            # most blocks whose first panels share one call
 
 
@@ -296,27 +298,18 @@ def _head_edges(stop: float, floor: float = 1e-290):
 
 
 def integrate_interval(f, a: float, b: float,
-                       spec: QuadratureSpec | None = None,
-                       singular_left: bool = False) -> QuadResult:
-    """Adaptive integral of f over a finite interval [a, b].
+                       spec: QuadratureSpec | None = None) -> QuadResult:
+    """Adaptive integral of f over a finite interval [a, b] free of endpoint
+    singularities.
 
     ``f`` maps an ndarray of nodes to an array of the same shape (a scalar
     return broadcasts; any other shape raises ValueError); a NaN value
-    raises NonFiniteEvaluation and an infinite one Divergent.  With
-    ``singular_left`` the left endpoint is approached through shrinking
-    dyadic blocks, so integrable singularities converge and non-integrable
-    ones raise Divergent.
+    raises NonFiniteEvaluation and an infinite one Divergent.
     """
     spec = spec or QuadratureSpec()
     if b <= a:
         return QuadResult(0.0, 0.0, 0)
-    budget = [spec.max_subdivisions]
-    if not singular_left or a > 0:
-        v, e, used = _adaptive(f, a, b, spec, budget[0])
-        return QuadResult(v, e, used)
-    tol_share = spec.abs_tol / 2
-    v, e, _ = _block_sum(f, _head_edges(b), spec, budget, tol_share, "head")
-    return QuadResult(v, e, spec.max_subdivisions - budget[0])
+    return QuadResult(*_adaptive(f, a, b, spec, spec.max_subdivisions))
 
 
 def integrate_semiinfinite(f, spec: QuadratureSpec | None = None,
@@ -453,9 +446,14 @@ class _Basin:
         (m00, m01), (m10, m11) = m[[0, -1]][:, [0, -1]]
         a0 = 0.0 if lo > 0 else math.log(m01 / m00) / h
         a1 = 0.0 if hi < math.inf else math.log(m11 / m10) / h
-        # T is 0 at the low end, or at inf where it converges: precise where |r| is big
-        self.T = (np.concatenate([[0.0], np.cumsum(dT[:, -1])]) if a1 > -h else
-                  np.concatenate([-np.cumsum(dT[::-1, -1])[::-1], [0.0]]) + m11 / a1)
+        # T is 0 at knot j: at inf where G converges (precise where |r| is
+        # big), else at the low end, or, where G grows like a power there (T
+        # would hold every digit), at the knot nearest w = 0
+        j = (self.n if a1 <= -h else
+             min(max(round(-self.w0 / h), 0), self.n) if a0 < 0 else 0)
+        d = dT[:, -1]
+        self.T = (np.concatenate([-np.cumsum(d[:j][::-1])[::-1], [0.0], np.cumsum(d[j:])])
+                  + (m11 / a1 if a1 <= -h else 0.0))
         F[:, 0] += self.T[:-1]
         self.span = 2.0 / dT[:, -1]
         p = dT * self.span[:, None] - 1.0
@@ -519,6 +517,7 @@ class DrainClock:
                 lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
         self.roots, ends = hi, [0.0, *hi.tolist(), math.inf]
         self.basins = [_Basin(rate, drift, *pair, kink) for pair in zip(ends, ends[1:])]
+        self.rate, self.drift, self._verdicts = rate, drift, {}
 
     def flow(self, x, dt):
         """The flow over dt >= 0 from x; floats or arrays of lanes."""
@@ -533,6 +532,45 @@ class DrainClock:
                 w = b.unclock(b.clock(b.coord(xo)) - b.sign * dto)
                 out[on] = np.where(dto > 0.0, b.place(w)[0], xo)
         return out.reshape(shape) if shape else float(out[0])
+
+    def drain_time(self, lo, hi):
+        """G(hi) - G(lo) for 0 <= lo <= hi, hi possibly inf; floats or arrays.
+        Divergent at or across an equilibrium, and at 0 or inf where
+        ``_diverges`` says so."""
+        lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), hi)
+        shape, lo, hi = lo.shape, lo.ravel(), hi.ravel()
+        span, out = lo < hi, np.zeros(lo.size)
+        which = np.searchsorted(self.roots, lo, side="right")
+        with np.errstate(all="ignore"):
+            for i in np.unique(which[span]):
+                on, b = span & (which == i), self.basins[i]
+                if ((b.lo in lo[on] and self._diverges(i, 0))
+                        or ((hi[on] >= b.hi).any() and self._diverges(i, 1))):
+                    raise Divergent("drain time diverges at or across an end")
+                t = b.clock(b.coord(np.concatenate([lo[on], hi[on]]))).reshape(2, -1)
+                out[on] = b.sign * (t[1] - t[0])
+        return out.reshape(shape) if shape else float(out[0])
+
+    def _diverges(self, i, side):
+        """Whether G diverges at the low (side 0) or high end of basin i: at
+        an equilibrium (a = 0) or an end exponent a past ``_EDGE``, else by
+        the quadrature's march of 1/|r - drift| from w = 0 to 0 or inf, run
+        once; it reads r past the table, so u log u gets its verdict too."""
+        b = self.basins[i]
+        if b.ends[side][3] * (1 - 2 * side) <= _EDGE:  # signed: > 0 converges
+            return True
+        if (i, side) not in self._verdicts:
+            x0 = float(b.place(0.0)[0])
+            c = (self.rate(x0) - self.drift) / x0  # the first block is about ln 2
+            spec = QuadratureSpec()
+            try:
+                _block_sum(lambda v: c / (self.rate(v) - self.drift),
+                           _tail_edges(x0) if side else _head_edges(x0), spec,
+                           [spec.max_subdivisions], spec.rel_tol, "end")
+                self._verdicts[i, side] = False
+            except Divergent:
+                self._verdicts[i, side] = True
+        return self._verdicts[i, side]
 
 
 # ---------------------------------------------------------------------------

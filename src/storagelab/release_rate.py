@@ -6,13 +6,13 @@ floats or arrays: ``flow(x, dt, drift)``, the drain flow x' = drift - r(x)
 of a lane or of many, and the drain-time primitive ``drain_time(lo, hi)`` =
 int dv / r(v), which quadrature integrands call on all nodes of a panel at
 once.  Both use one closed-form body where the family has one; otherwise
-``drain_time`` runs a quadrature per element, and ``flow`` the drain clock
-of (release, drift), ``numerics.DrainClock``, built once.
+both read the drain clock ``numerics.DrainClock``, built once per drift:
+``drain_time`` at drift 0, ``flow`` at its own (see ``Custom``).
 
 Regularity is verified numerically: local Lipschitz constants by
 finite-difference slopes on dyadic grids (including pairs against 0, which
 is where constant and raw-power rates fail), and integrability of 1/r near
-0 by the divergence-aware quadrature.
+0 by ``drain_time(0, 1)``, which raises Divergent where the quadrature would.
 """
 
 from __future__ import annotations
@@ -24,12 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Divergent, NonFiniteEvaluation
-from .numerics import (
-    DrainClock,
-    _elementwise,
-    integrate_interval,
-    integrate_semiinfinite,
-)
+from .numerics import DrainClock, _elementwise
 
 __all__ = [
     "ReleaseRate", "Constant", "Affine", "Power", "PowerSmoothed", "Plateau",
@@ -76,9 +71,10 @@ class ReleaseRate:
         return DrainClock(self.rate, drift, self.kink)
 
     def drain_time(self, lo, hi):
-        """int_lo^hi dv / r(v) for 0 < lo <= hi (hi may be inf); ``lo`` and
-        ``hi`` are floats or arrays."""
-        raise NotImplementedError
+        """int_lo^hi dv / r(v) for 0 <= lo <= hi (hi may be inf); ``lo`` and
+        ``hi`` are floats or arrays.  Closed forms override this drain-clock
+        read, which raises Divergent at an end where the integral diverges."""
+        return self._clock(0.0).drain_time(lo, hi)
 
 
 def _on_positive(u, vals):
@@ -313,7 +309,9 @@ class Plateau(ReleaseRate):
 
 @dataclass(frozen=True)
 class Custom(ReleaseRate):
-    """User callable with a declared asymptotic class."""
+    """User callable with a declared asymptotic class.  Its flows, drain
+    time and certificates read the drain clock, which evaluates ``fn`` on
+    all of (0, 1e30]: it must be finite there."""
 
     fn: object
     declared: RateAsymptotics
@@ -327,21 +325,6 @@ class Custom(ReleaseRate):
 
     def asymptotics(self):
         return self.declared
-
-    def drain_time(self, lo, hi):
-        # one quadrature of 1/r per element
-        lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float),
-                                     np.asarray(hi, dtype=float))
-        out = np.array([self._quad_time(a, b) for a, b in
-                        zip(lo.ravel().tolist(), hi.ravel().tolist())])
-        return out.reshape(lo.shape) if lo.ndim else float(out[0])
-
-    def _quad_time(self, lo, hi):
-        inv_rate = lambda v: 1.0 / self.rate(v)
-        if math.isinf(hi):
-            return integrate_semiinfinite(inv_rate, lower=lo).value
-        return integrate_interval(inv_rate, lo, hi,
-                                  singular_left=(lo == 0.0)).value
 
 
 # ---------------------------------------------------------------------------

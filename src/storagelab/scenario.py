@@ -287,6 +287,3 @@ class Scenario:
     @classmethod
     def from_json(cls, text: str) -> "Scenario":
         return cls.from_dict(json.loads(text))
-
-    def to_json(self) -> str:
-        return json.dumps(self.raw, indent=2, sort_keys=True)

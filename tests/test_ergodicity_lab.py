@@ -208,9 +208,14 @@ class TestTvDecay:
 class TestStationaryReference:
     def test_shape(self):
         for n in (1, 16, 17, 100):
-            ref = ergodicity_lab._stationary_reference(*MM1, n, 5.0, SEED, 1e-4)
+            ref, t_ref = ergodicity_lab._stationary_reference(*MM1, n, 5.0, None,
+                                                              SEED, 1e-4)
+            assert t_ref == ergodicity_lab._T_MIN
             assert ref.shape == (math.ceil(n / ergodicity_lab._REF_K),
                                  ergodicity_lab._REF_K)
+        # past the endpoint horizon, twice the last compared time decides
+        assert ergodicity_lab._stationary_reference(*MM1, 1, 30.0, None, SEED,
+                                                    1e-4)[1] == 60.0
 
     def test_estimators_draw_their_reference_from_long_chains(self, monkeypatch):
         calls = []
@@ -242,7 +247,7 @@ class TestStationaryReference:
         from storagelab.ergodicity_lab import (
             _as_lanes, _equal_mass_edges, _hist_probs, _lane_counts)
         # MM1's stationary law has an atom at 0, so draws sit on an edge
-        ref = ergodicity_lab._stationary_reference(*MM1, 640, 20.0, SEED, 1e-4)
+        ref, _ = ergodicity_lab._stationary_reference(*MM1, 640, 0.0, None, SEED, 1e-4)
         ref = ref.ravel()[:np.prod(shape)].reshape(shape)
         lanes = _as_lanes(ref)
         edges = _equal_mass_edges(ref.ravel(), 32)
@@ -271,10 +276,9 @@ class TestStationaryReference:
         from storagelab.cli import _context_certificate, _tail_oracle
         scen = load_preset("constant-mm1")
         oracle = _tail_oracle(scen)
-        t_ref = max(2.0 * scen.grids["t_grid"][-1],
-                    ergodicity_lab._endpoint_time(_context_certificate(scen)))
-        ref = ergodicity_lab._stationary_reference(
-            scen.levy, scen.release, 2 * scen.budgets["n_paths"], t_ref,
+        ref, _ = ergodicity_lab._stationary_reference(
+            scen.levy, scen.release, 2 * scen.budgets["n_paths"],
+            scen.grids["t_grid"][-1], _context_certificate(scen),
             scen.seed + 1, scen.truncation_eps)
         u = np.asarray(scen.grids["u_grid"])
         per_lane = (ref[:, :, None] > u).mean(axis=1)  # (lanes, levels)

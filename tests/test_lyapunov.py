@@ -67,20 +67,27 @@ RATIO_DIVERGES = (CompoundPoisson(1.0, DeterministicJumps(1.0)), Power(1.0, -0.5
 class TestRateFunction:
     def test_clock_closed_forms(self):
         lin = RateFunction.linear(0.5)
-        assert lin.clock(math.e ** 2) == pytest.approx(4.0)
         assert lin.clock_inv(4.0) == pytest.approx(math.e ** 2)
+        assert lin.log_clock_inv(4.0) == pytest.approx(2.0)
         pw = RateFunction.power(0.5)
-        assert pw.clock(4.0) == pytest.approx(2.0)
         assert pw.clock_inv(2.0) == pytest.approx(4.0)
+        assert pw.log_clock_inv(2.0) == pytest.approx(math.log(4.0))
         one = RateFunction.constant1()
-        assert one.clock(5.0) == 4.0 and one.clock_inv(4.0) == 5.0
+        assert one.clock_inv(4.0) == 5.0
 
     def test_custom_matches_closed(self):
-        cust = RateFunction.custom(lambda t: 0.5 * t)
-        lin = RateFunction.linear(0.5)
-        for t in (2.0, 10.0, 100.0):
-            assert cust.clock(t) == pytest.approx(lin.clock(t), rel=1e-7)
-        assert cust.clock_inv(3.0) == pytest.approx(lin.clock_inv(3.0), rel=1e-6)
+        # a custom phi reads the drain clock of x' = phi(x)
+        s = np.array([0.1, 1.0, 3.0, 50.0, 600.0])
+        for fn, closed in ((lambda t: 0.5 * t, RateFunction.linear(0.5)),
+                           (lambda t: t ** 0.45, RateFunction.power(0.45))):
+            cust = RateFunction.custom(fn)
+            for si in s:
+                assert cust.clock_inv(si) == pytest.approx(closed.clock_inv(si), rel=1e-12)
+                assert cust.log_clock_inv(si) == pytest.approx(
+                    closed.log_clock_inv(si), rel=1e-12)
+            assert cust.log_rate_at_clock(s) == pytest.approx(
+                closed.log_rate_at_clock(s), rel=1e-12)
+            assert cust.clock_inv(0.0) == 1.0
 
     def test_invalid_rejected(self):
         with pytest.raises(InvalidRateFunction):
@@ -340,6 +347,43 @@ class TestOnePassCertificate:
         assert len(calls) >= 1
 
 
+class _Counted:
+    """A user callable that counts its calls."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.fn(x)
+
+
+class TestUserCallableCertificate:
+    """A custom phi and a Custom release read drain clocks: the certificate
+    matches its closed twin and calls user code a bounded number of times
+    (quadrature per node used to take 30.7 M and 7.4 M calls here)."""
+
+    def _pair(self, closed, custom):
+        want = build_certificate(*closed)
+        cert = build_certificate(*custom)
+        assert cert.ratios == pytest.approx(want.ratios, rel=1e-12)
+        assert cert.drift_margin == pytest.approx(want.drift_margin, rel=1e-12)
+
+    def test_custom_phi(self):
+        levy, rel = CompoundPoisson(2.0, Exponential(1.0)), Affine(0.0, 1.0)
+        phi = _Counted(lambda t: 0.5 * t)
+        self._pair((levy, rel, RateFunction.linear(0.5)),
+                   (levy, rel, RateFunction.custom(phi)))
+        assert phi.calls <= 100_000
+
+    def test_custom_release(self):
+        levy, phi = CompoundPoisson(1.0, ParetoJumps(1.5)), RateFunction.power(0.45)
+        r = _Counted(lambda u: u ** 0.5)
+        self._pair((levy, Power(1.0, 0.5), phi),
+                   (levy, Custom(r, RateAsymptotics("power", 0.5, 1.0)), phi))
+        assert r.calls <= 100_000
+
+
 class TestUniform:
     def test_superlinear_uniform(self):
         levy = CompoundPoisson(1.0, ParetoJumps(1.0))
@@ -537,10 +581,15 @@ class TestWasserstein:
             assert GapBound(PowerModulus(d), 1.0, 0.8)(0.0) == 0.8
 
     def test_custom_modulus_matches_closed(self):
-        closed = GapBound(PowerModulus(2.0), 1.0, 1.0)
-        numeric = GapBound(CustomModulus(lambda t: t * t), 1.0, 1.0)
-        for t in (0.1, 1.0, 10.0):
-            assert numeric(t) == pytest.approx(closed(t), rel=1e-7)
+        # a custom beta reads the drain clock of x' = -beta(x); for d > 1
+        # its G grows like a power at 0 and does not converge at inf
+        for d in (1.0, 1.5, 2.0, 3.0):
+            for kappa in (1.0, 3.0):
+                closed = GapBound(PowerModulus(d), 1.3, kappa)
+                numeric = GapBound(CustomModulus(lambda t: t ** d), 1.3, kappa)
+                for t in (1e-3, 0.1, 1.0, 10.0, 100.0):
+                    assert numeric(t) == pytest.approx(closed(t), rel=1e-12)
+                assert numeric(0.0) == kappa
 
 
 class TestIrreducibility:

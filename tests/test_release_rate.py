@@ -7,7 +7,10 @@ import pytest
 
 from scipy.integrate import solve_ivp
 
+from storagelab.classifier import classify
 from storagelab.errors import Divergent
+from storagelab.levy_input import CompoundPoisson, Exponential
+from storagelab.numerics import integrate_semiinfinite
 from storagelab.release_rate import (
     Affine,
     Constant,
@@ -16,8 +19,10 @@ from storagelab.release_rate import (
     Power,
     PowerSmoothed,
     RateAsymptotics,
+    ReleaseRate,
     check_regularity,
     modulus_R,
+    signed_drain_time,
 )
 
 FAMILIES = [
@@ -299,6 +304,13 @@ CLOCKED = [
     # asymptotically linear: G neither converges nor grows like a power
     pytest.param(Custom(lambda u: u + u * u / (1.0 + u),
                         RateAsymptotics("power", 1.0, 2.0)), id="Custom-linear"),
+    # G diverges like a power at 0 and does not converge at inf: the table
+    # accumulates T from an interior knot, else T ~ 1e16 at its low end
+    # and a flow of order 1 keeps no digit
+    pytest.param(Custom(lambda u: u * u / (1.0 + u * u),
+                        RateAsymptotics("bounded", limit=1.0)), id="Custom-bounded"),
+    pytest.param(Custom(lambda u: u * u / (1.0 + u),
+                        RateAsymptotics("power", 1.0, 1.0)), id="Custom-quadratic-at-0"),
 ]
 
 
@@ -367,3 +379,106 @@ class TestDrainClock:
         assert not calls
         rel.flow(0.5, 1.0, 0.25)  # another drift, another table
         assert calls
+
+
+def _power_twin(beta):
+    """Power(1, beta) as a Custom rate, read through the drain clock."""
+    return Custom(lambda u: u ** beta if u > 0.0 else 0.0,
+                  RateAsymptotics("power", beta, 1.0))
+
+
+def _assert_quadrature_ends(twin):
+    """Divergent at 0 and at inf from the clock where the quadrature raises
+    it, a finite drain time where not; (finite at 0, finite at inf)."""
+    inv = lambda v: 1.0 / twin.rate(v)
+    finite = []
+    for clock, quad in (
+            (lambda: twin.drain_time(0.0, 1.0),
+             lambda: integrate_semiinfinite(
+                 lambda v: np.where(v <= 1.0, inv(np.minimum(v, 1.0)), 0.0))),
+            (lambda: twin.drain_time(1.0, math.inf),
+             lambda: integrate_semiinfinite(inv, lower=1.0))):
+        try:
+            quad()
+        except Divergent:
+            with pytest.raises(Divergent):
+                clock()
+            finite.append(False)
+        else:
+            assert math.isfinite(clock())
+            finite.append(True)
+    return tuple(finite)
+
+
+# levels away from 1, where G's relative precision is not at stake
+LEVELS = np.array([1e-6, 1e-3, 0.1, 0.5, 2.0, 10.0, 1e3, 1e6, 1e12])
+
+
+class TestClockTwins:
+    """The drain clock's G against the closed forms it replaces: Custom
+    twins of Power, and PowerSmoothed's own clock (its knee is a knot)."""
+
+    @pytest.mark.parametrize("beta", [-0.5, 0.5, 2.0])
+    def test_custom_matches_power(self, beta):
+        twin, closed = _power_twin(beta), Power(1.0, beta)
+        lo, hi = LEVELS, 3.0 * LEVELS
+        assert twin.drain_time(lo, hi) == pytest.approx(closed.drain_time(lo, hi), rel=1e-12)
+        assert signed_drain_time(twin, LEVELS) == pytest.approx(
+            signed_drain_time(closed, LEVELS), rel=1e-12)
+        assert twin.drain_time(2.0, 5.0) == pytest.approx(closed.drain_time(2.0, 5.0), rel=1e-12)
+        assert twin.drain_time(7.0, 7.0) == 0.0
+
+    def test_clock_matches_power_smoothed(self):
+        rel = PowerSmoothed(1.0, 0.5)
+        lo, hi = LEVELS, 3.0 * LEVELS
+        assert ReleaseRate.drain_time(rel, lo, hi) == pytest.approx(
+            rel.drain_time(lo, hi), rel=1e-12)
+        g = np.copysign(ReleaseRate.drain_time(rel, np.minimum(LEVELS, 1.0),
+                                               np.maximum(LEVELS, 1.0)), LEVELS - 1.0)
+        assert g == pytest.approx(signed_drain_time(rel, LEVELS), rel=1e-12)
+
+    @pytest.mark.parametrize("beta", [-0.5, 0.5, 0.99, 0.998, 1.0, 1.002, 1.01, 2.0])
+    def test_divergent_at_the_quadratures_ends(self, beta):
+        # 1/r ~ u^-beta: the clock raises Divergent at 0 and at inf exactly
+        # where the quadrature does, also within the quadrature's boundary
+        # band around beta = 1
+        _assert_quadrature_ends(_power_twin(beta))
+
+    @pytest.mark.parametrize("fn", [
+        lambda u: u * math.log(math.e + u),         # diverges at 0 and inf
+        lambda u: u * math.log(math.e + u) ** 2,    # converges at inf
+        lambda u: u * math.log1p(1.0 / u) if u > 0.0 else 0.0,       # diverges
+        lambda u: u * math.log1p(1.0 / u) ** 2 if u > 0.0 else 0.0,  # converges at 0
+    ], ids=["u-log-e+u", "u-log2-e+u", "u-log-1+1/u", "u-log2-1+1/u"])
+    def test_log_ends_follow_the_quadrature(self, fn):
+        # an end with a log factor is no power: its exponent at the table's
+        # outermost knot (u log u: -1/ln 1e30) lies on the convergent side
+        # of the boundary while the integral diverges; the verdict, and so
+        # the regime, is the quadrature's
+        twin = Custom(fn, RateAsymptotics("power", 1.0, 1.0))
+        at_0, at_inf = _assert_quadrature_ends(twin)
+        levy = CompoundPoisson(1.0, Exponential(1.0))
+        assert classify(levy, twin).uniform == at_inf
+        assert check_regularity(twin, "finite").cbar2 == at_0
+
+    @pytest.mark.parametrize("beta", [-0.5, 0.5, 2.0])
+    def test_same_regime(self, beta):
+        twin, closed = _power_twin(beta), Power(1.0, beta)
+        levy = CompoundPoisson(1.0, Exponential(1.0))
+        assert classify(levy, twin).uniform == classify(levy, closed).uniform
+        for activity in ("finite", "infinite"):
+            a, b = check_regularity(twin, activity), check_regularity(closed, activity)
+            assert (a.applicable_regime, a.cbar2) == (b.applicable_regime, b.cbar2)
+
+    def test_divergent_across_an_equilibrium(self):
+        # r = 0.7 at u = 0.49; drift 0.7 puts an equilibrium there
+        clock = _power_twin(0.5)._clock(0.7)
+        eq = float(clock.roots[0])
+        assert eq == pytest.approx(0.49, rel=1e-15)
+        # int dv / (v^0.5 - 0.7) = 2 (s + 0.7 ln(0.7 - s)), s = v^0.5 < 0.7
+        g = lambda s: 2.0 * (s + 0.7 * math.log(0.7 - s))
+        assert clock.drain_time(0.1, 0.4) == pytest.approx(
+            g(math.sqrt(0.4)) - g(math.sqrt(0.1)), rel=1e-12)
+        for lo, hi in ((0.1, 1.0), (eq, 1.0), (0.1, eq)):
+            with pytest.raises(Divergent):
+                clock.drain_time(lo, hi)
