@@ -29,9 +29,7 @@ from .levy_input import (
     StableSub,
     TabulatedTail,
     TemperedStableSub,
-    first_moment,
     laplace_check,
-    tail,
 )
 from .lyapunov import (
     DriftCertificate,

@@ -45,7 +45,15 @@ from .ergodicity_lab import (
     estimate_wp_decay,
 )
 from .levy_input import laplace_check
-from .lyapunov import GapBound, TailEnvelope, build_certificate, tv_lower_rate
+from .lyapunov import (
+    GapBound,
+    TailEnvelope,
+    build_certificate,
+    tail_lower,
+    tail_lower_log,
+    tail_upper,
+    tv_lower_rate,
+)
 from .presets import load_preset, preset_names
 from .release_rate import check_regularity
 from .scenario import Scenario, ScenarioError
@@ -204,8 +212,6 @@ def _envelope_section(scen: Scenario, cert) -> dict:
     """Tail envelopes of a valid certificate, evaluated on the scenario's
     level grid; envelopes whose hypotheses fail are reported by the failing
     condition, not an error."""
-    from .lyapunov import tail_lower, tail_lower_log, tail_upper
-
     us = [float(u) for u in scen.grids["u_grid"]]
     eps = scen.tolerances["epsilon"]
     probe_u = tuple(scen.grids["probe_u"])
@@ -451,8 +457,9 @@ def _row_labels(scen: Scenario) -> dict:
         labels["rate"] = "uniform"
     else:
         cert = _context_certificate(scen)
-        if cert is not None and cert.valid:
-            labels["rate"] = ("exponential" if scen.phi.family == "linear"
+        exponent = cert.tv_exponent if cert is not None else None
+        if exponent is not None and exponent < 0.0:
+            labels["rate"] = ("exponential" if exponent == -math.inf
                               else "polynomial")
     asym = scen.levy.asymptotics()
     labels["tail"] = "exponential" if asym.kind == "exp" else "power"

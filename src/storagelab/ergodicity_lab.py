@@ -268,21 +268,6 @@ def estimate_tv_decay(levy: LevyInput, release: ReleaseRate, x0: float,
     return DecayCurve(t_grid, "TV", values, se, fitted, floor, mask)
 
 
-def _certificate_decay_exponent(cert: DriftCertificate | None) -> float | None:
-    """Polynomial decay exponent promised by the certificate; -inf marks a
-    geometric certificate (faster than any polynomial)."""
-    if cert is None or not cert.valid:
-        return None
-    if cert.phi.family == "power":
-        a = cert.phi.a
-        return -a / (1.0 - a)
-    if cert.phi.family == "linear":
-        return -math.inf
-    if cert.phi.family == "constant1":
-        return 0.0
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Wasserstein decay
 # ---------------------------------------------------------------------------
@@ -464,7 +449,7 @@ def compare_rates(curve: DecayCurve, certificate: DriftCertificate | None = None
         raise ValueError("curve has no usable fit")
     fitted = curve.fitted.exponent
     stderr = curve.fitted.stderr
-    upper = _certificate_decay_exponent(certificate)
+    upper = certificate.tv_exponent if certificate is not None else None
     low = lower.fitted.exponent if lower is not None else None
     tol = 2.0 * eps + 2.0 * stderr
     lo_bound = low - tol if low is not None else -math.inf

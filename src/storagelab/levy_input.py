@@ -29,7 +29,7 @@ __all__ = [
     "Exponential", "ParetoJumps", "DeterministicJumps",
     "CompoundPoisson", "GammaSub", "StableSub", "TemperedStableSub",
     "TabulatedTail", "TailAsymptotics",
-    "tail", "first_moment", "laplace_check",
+    "laplace_check",
 ]
 
 
@@ -150,12 +150,14 @@ class LevyInput:
     activity: str  # "finite" | "infinite"
 
     def tail(self, u):
+        """nu_bar(u) = nu((u, inf)) for u > 0."""
         raise NotImplementedError
 
     def density(self, u):
         raise NotImplementedError
 
     def first_moment(self) -> float:
+        """m_nu = int u nu(du) = int_0^inf nu_bar(u) du, possibly +inf."""
         raise NotImplementedError
 
     def log_tail(self, u):
@@ -572,18 +574,6 @@ class TabulatedTail(LevyInput):
         else:
             log_u[~inside] = np.log(self.knots_u[-1] + over / par)
         return np.exp(log_u)
-
-
-def tail(levy: LevyInput, u: float):
-    """nu_bar(u) = nu((u, inf)) for u > 0."""
-    if np.any(np.asarray(u) <= 0):
-        raise ValueError("tail is defined for u > 0")
-    return levy.tail(u)
-
-
-def first_moment(levy: LevyInput) -> float:
-    """m_nu = int u nu(du) = int_0^inf nu_bar(u) du, possibly +inf."""
-    return levy.first_moment()
 
 
 def laplace_check(levy: LevyInput, t: float, lambdas, n_paths: int,

@@ -12,8 +12,10 @@ having limsup < 1 certifies ergodicity with total-variation rate
 phi(Phi^{-1}(t)) and stationary tail envelope 1 / max(phi(Phi^{-1}(u)),
 phi(Vbar(u))).  Geometric certificates make phi(Vbar) astronomically large,
 so every integrand here is assembled in log space and exponentiated once.
-A custom phi, and a custom modulus beta, read ``numerics.DrainClock`` (see
-``RateFunction._clock`` and ``GapBound``); the others have closed forms.
+The power law phi = c t^a and the power moduli beta = t^d run the release
+families' power flow ``release_rate._power_flow``; a custom phi, and a
+custom modulus beta, read ``numerics.DrainClock`` (see
+``RateFunction._clock`` and ``GapBound``).
 
 One function per stationary-tail envelope theorem, each checking its own
 hypotheses: ``tail_upper`` (sub-geometric), ``tail_upper_exponential``,
@@ -56,7 +58,12 @@ from .numerics import (
     integrate_semiinfinite,
     invert_monotone,
 )
-from .release_rate import ReleaseRate, modulus_R, signed_drain_time
+from .release_rate import (
+    ReleaseRate,
+    _power_flow,
+    modulus_R,
+    signed_drain_time,
+)
 
 __all__ = [
     "RateFunction", "DriftCertificate", "TailEnvelope",
@@ -75,17 +82,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RateFunction:
-    """phi on [1, inf): family 'constant1' (phi = 1), 'linear' (phi = c t),
-    'power' (phi = t^a, a in (0,1)), or 'custom' (callable, drain clock; it
-    must be finite on [1, 1e30])."""
+    """phi on [1, inf): the power law phi = c t^a with 0 <= a <= 1, or a
+    custom callable read off the drain clock (finite on [1, 1e30]).  The
+    closed families fix (c, a): 'constant1' is (1, 0), 'linear' (c, 1) and
+    'power' (1, a) with a in (0, 1)."""
 
     family: str
     c: float = 1.0
-    a: float = 0.5
+    a: float = 0.0
     fn: object = None
 
     def __post_init__(self):
-        if self.family not in ("constant1", "linear", "power", "custom"):
+        laws = {"constant1": (1.0, 0.0), "linear": (self.c, 1.0),
+                "power": (1.0, self.a)}
+        if self.family not in (*laws, "custom"):
             raise InvalidRateFunction(f"unknown family {self.family!r}")
         if self.family == "linear" and self.c <= 0:
             raise InvalidRateFunction("linear rate needs c > 0")
@@ -95,6 +105,9 @@ class RateFunction:
             if self.fn is None:
                 raise InvalidRateFunction("custom rate needs a callable")
             _check_concave_nondecreasing(self.fn)
+        elif (self.c, self.a) != laws[self.family]:
+            raise InvalidRateFunction(
+                f"{self.family} rate needs (c, a) = {laws[self.family]}")
 
     @classmethod
     def constant1(cls):
@@ -102,7 +115,7 @@ class RateFunction:
 
     @classmethod
     def linear(cls, c: float):
-        return cls("linear", c=c)
+        return cls("linear", c=c, a=1.0)
 
     @classmethod
     def power(cls, a: float):
@@ -115,49 +128,39 @@ class RateFunction:
     def value(self, t):
         """phi(t) for a float or an array; a custom callable is applied per
         element."""
-        if self.family == "constant1":
-            return 1.0
-        if self.family == "linear":
-            return self.c * t
-        if self.family == "power":
-            return t ** self.a
-        return _elementwise(self.fn, t)
+        if self.fn is not None:
+            return _elementwise(self.fn, t)
+        return self.c * t ** self.a
 
     def clock_inv(self, s: float) -> float:
+        """Phi^{-1}(s), the flow of x' = phi(x) from 1 over s: the power law's
+        is the drain flow of x' = -k x^a with k = -c."""
         if np.min(s) < 0.0:
             raise ValueError("clock values are non-negative")
-        if self.family == "constant1":
-            return 1.0 + s
-        if self.family == "linear":
-            return math.exp(self.c * s)
-        if self.family == "power":
-            return (1.0 + (1.0 - self.a) * s) ** (1.0 / (1.0 - self.a))
-        x = self._clock().flow(1.0, s)
+        with np.errstate(over="ignore"):
+            x = (_power_flow(-self.c, self.a, 1.0, s) if self.fn is None
+                 else self._clock().flow(1.0, s))
         if not np.isfinite(x).all():
             raise Divergent("clock inverse out of range")
         return x
 
     def log_clock_inv(self, s: float) -> float:
         """log Phi^{-1}(s), stable deep into geometric growth."""
-        if self.family == "constant1":
-            return math.log1p(s)
-        if self.family == "linear":
+        if self.fn is not None:
+            return math.log(self.clock_inv(s))
+        if self.a == 1.0:
             return self.c * s
-        if self.family == "power":
-            return math.log1p((1.0 - self.a) * s) / (1.0 - self.a)
-        return math.log(self.clock_inv(s))
+        return math.log1p(self.c * (1.0 - self.a) * s) / (1.0 - self.a)
 
     def log_rate_at_clock(self, s):
         """log phi(Phi^{-1}(s)), the log of the predicted rate at clock s,
         for a float or an array of clock values."""
-        if self.family == "constant1":
-            return np.zeros_like(s, dtype=float)[()]
-        if self.family == "linear":
+        if self.fn is not None:
+            return np.log(self.value(self.clock_inv(s)))
+        if self.a == 1.0:
             return math.log(self.c) + self.c * s
-        if self.family == "power":
-            r = self.a / (1.0 - self.a)
-            return r * np.log1p((1.0 - self.a) * s)
-        return np.log(self.value(self.clock_inv(s)))
+        return math.log(self.c) + self.a / (1.0 - self.a) * np.log1p(
+            self.c * (1.0 - self.a) * s)
 
     @functools.lru_cache(maxsize=16)
     def _clock(self):
@@ -230,6 +233,17 @@ class DriftCertificate:
     @property
     def valid(self) -> bool:
         return self.drift_margin > 0.0
+
+    @property
+    def tv_exponent(self) -> float | None:
+        """The t-exponent of the promised TV bound 1 / phi(Phi^{-1}(t)) ~
+        t^{-a/(1-a)}: -inf for a geometric certificate (a = 1), 0.0 for
+        constant1, None for a custom phi or an invalid certificate."""
+        if not self.valid or self.phi.fn is not None:
+            return None
+        if self.phi.a == 1.0:
+            return -math.inf
+        return 0.0 - self.phi.a / (1.0 - self.phi.a)
 
     # -- profile -----------------------------------------------------------
     def profile(self, u: float) -> float:
@@ -617,8 +631,8 @@ def check_wasserstein_contraction(release: ReleaseRate, modulus, Gamma: float):
 class GapBound:
     """t -> B_kappa^{-1}(Gamma t): deterministic bound on the coupled gap.
 
-    Decreasing, with value kappa at t = 0; closed form for power moduli,
-    otherwise the flow over s = Gamma t from kappa of x' = -beta(x), read
+    Decreasing, with value kappa at t = 0: the flow over s = Gamma t from
+    kappa of x' = -beta(x), the power flow for a power modulus, else read
     off its drain clock, beta held at beta(kappa) above kappa."""
 
     modulus: object
@@ -636,10 +650,7 @@ class GapBound:
         if s == 0.0:
             return self.kappa
         if isinstance(self.modulus, PowerModulus):
-            d = self.modulus.d
-            if d == 1.0:
-                return self.kappa * math.exp(-s)
-            return (s * (d - 1.0) + self.kappa ** (1.0 - d)) ** (-1.0 / (d - 1.0))
+            return _power_flow(1.0, self.modulus.d, self.kappa, s)
         return self._clock().flow(self.kappa, s)
 
     @functools.lru_cache(maxsize=16)

@@ -444,8 +444,11 @@ class _Basin:
         F = np.column_stack([-coef @ (-1.0) ** np.arange(1, 9), coef])
         dT = F @ np.vander(zs, 9, increasing=True).T  # T - T_k at zs
         (m00, m01), (m10, m11) = m[[0, -1]][:, [0, -1]]
-        a0 = 0.0 if lo > 0 else math.log(m01 / m00) / h
-        a1 = 0.0 if hi < math.inf else math.log(m11 / m10) / h
+        # an end slope within a few ulps of 0 is 0 (dT/dw constant, G ~ log):
+        # the continuation exp(a w) would grow that rounding past the end
+        q0, q1 = math.log(m01 / m00), math.log(m11 / m10)
+        a0 = 0.0 if lo > 0 or abs(q0) < 2e-15 else q0 / h
+        a1 = 0.0 if hi < math.inf or abs(q1) < 2e-15 else q1 / h
         # T is 0 at knot j: at inf where G converges (precise where |r| is
         # big), else at the low end, or, where G grows like a power there (T
         # would hold every digit), at the knot nearest w = 0

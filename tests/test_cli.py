@@ -137,6 +137,14 @@ class TestCli:
         assert code == 1
         assert json.loads(capsys.readouterr().err.strip())["error"] == "usage"
 
+    def test_report_labels_no_rate_for_constant1(self, tmp_path):
+        # constant1 promises a TV bound of 1 at every t: no decay to label
+        out = tmp_path / "report"
+        assert main(["report", "preset:constant-mm1", "--out", str(out),
+                     "--set", 'phi={"family":"constant1"}']) == 0
+        row = (out / "row.csv").read_text().splitlines()[-1]
+        assert row == "constant-mm1,PositiveRecurrent,-,exponential"
+
     def test_criterion_failure_exit_2(self, tmp_path, capsys):
         # an over-ambitious rate function violates the jump-moment condition
         code = main(["certify", "preset:constant-mm1", "--out", str(tmp_path),

@@ -74,20 +74,49 @@ class TestRateFunction:
         assert pw.log_clock_inv(2.0) == pytest.approx(math.log(4.0))
         one = RateFunction.constant1()
         assert one.clock_inv(4.0) == 5.0
+        # each closed family is phi = c t^a with the (c, a) it computes with
+        assert (lin.c, lin.a) == (0.5, 1.0)
+        assert (pw.c, pw.a) == (1.0, 0.5)
+        assert (one.c, one.a) == (1.0, 0.0)
 
     def test_custom_matches_closed(self):
-        # a custom phi reads the drain clock of x' = phi(x)
+        # a custom phi reads the drain clock of x' = phi(x), the closed power
+        # law the power flow; they agree wherever Phi^{-1} is finite (linear
+        # 2 leaves the float range at s = 600, and both raise Divergent)
         s = np.array([0.1, 1.0, 3.0, 50.0, 600.0])
-        for fn, closed in ((lambda t: 0.5 * t, RateFunction.linear(0.5)),
-                           (lambda t: t ** 0.45, RateFunction.power(0.45))):
+        for fn, closed in ((lambda t: 1.0, RateFunction.constant1()),
+                           (lambda t: 0.2 * t, RateFunction.linear(0.2)),
+                           (lambda t: 0.5 * t, RateFunction.linear(0.5)),
+                           (lambda t: 2.0 * t, RateFunction.linear(2.0)),
+                           (lambda t: t ** 0.1, RateFunction.power(0.1)),
+                           (lambda t: t ** 0.45, RateFunction.power(0.45)),
+                           (lambda t: t ** 0.9, RateFunction.power(0.9))):
             cust = RateFunction.custom(fn)
-            for si in s:
+            finite = np.array([closed.log_clock_inv(si) < 709.0 for si in s])
+            for si in s[~finite]:
+                for phi in (closed, cust):
+                    with pytest.raises(Divergent):
+                        phi.clock_inv(si)
+            for si in s[finite]:
                 assert cust.clock_inv(si) == pytest.approx(closed.clock_inv(si), rel=1e-12)
                 assert cust.log_clock_inv(si) == pytest.approx(
                     closed.log_clock_inv(si), rel=1e-12)
-            assert cust.log_rate_at_clock(s) == pytest.approx(
-                closed.log_rate_at_clock(s), rel=1e-12)
+            assert cust.log_rate_at_clock(s[finite]) == pytest.approx(
+                closed.log_rate_at_clock(s[finite]), rel=1e-12)
             assert cust.clock_inv(0.0) == 1.0
+
+    def test_tv_exponent(self):
+        # the certificate's promised TV exponent -a/(1-a) of its phi
+        def cert(phi, margin=0.5):
+            return lyapunov.DriftCertificate(*MM1, phi, (1.0,), (1.0 - margin,),
+                                             margin)
+
+        assert cert(RateFunction.power(0.45)).tv_exponent == -0.45 / (1.0 - 0.45)
+        assert cert(RateFunction.linear(0.5)).tv_exponent == -math.inf
+        flat = cert(RateFunction.constant1()).tv_exponent
+        assert flat == 0.0 and math.copysign(1.0, flat) == 1.0
+        assert cert(RateFunction.custom(lambda t: 0.5 * t)).tv_exponent is None
+        assert cert(RateFunction.power(0.45), margin=-0.1).tv_exponent is None
 
     def test_invalid_rejected(self):
         with pytest.raises(InvalidRateFunction):
@@ -579,6 +608,24 @@ class TestWasserstein:
     def test_rate_zero_time_kappa(self):
         for d in (1.0, 2.0, 3.0):
             assert GapBound(PowerModulus(d), 1.0, 0.8)(0.0) == 0.8
+
+    def test_power_modulus_keeps_its_closed_form(self):
+        # a power modulus runs the power flow of x' = -x^d: its closed
+        # B_kappa^{-1}(s) to the bit for d != 1; for d = 1 numpy's exp stands
+        # in for math.exp (an ulp apart), and the product with kappa may
+        # round that to two
+        rng = np.random.default_rng(5)
+        for d in (1.0, 1.5, 2.0, 3.0):
+            for kappa in (0.5, 1.0, 3.0):
+                bound = GapBound(PowerModulus(d), 1.3, kappa)
+                for t in rng.uniform(0.0, 50.0, 40):
+                    s = 1.3 * t
+                    if d == 1.0:
+                        want = kappa * math.exp(-s)
+                        assert abs(bound(t) - want) <= 2.0 * math.ulp(want)
+                    else:
+                        assert bound(t) == (s * (d - 1.0) + kappa ** (1.0 - d)) ** (
+                            -1.0 / (d - 1.0))
 
     def test_custom_modulus_matches_closed(self):
         # a custom beta reads the drain clock of x' = -beta(x); for d > 1
