@@ -43,6 +43,8 @@ from .ergodicity_lab import (
     estimate_tail,
     estimate_tv_decay,
     estimate_wp_decay,
+    reference_draws,
+    tail_draws,
 )
 from .levy_input import laplace_check
 from .lyapunov import (
@@ -293,13 +295,26 @@ def _check_args(args) -> None:
                                 f"not {value}")
 
 
-def _check_work(scen: Scenario, horizon: float, n_paths: int) -> None:
-    """Refuse a run expected to draw more than _MAX_JUMPS retained jumps
-    (retained rate x horizon x paths), before it draws any."""
-    jumps = scen.levy.restricted_rate(scen.truncation_eps) * horizon * n_paths
+def _check_work(jumps: float) -> None:
+    """Refuse a run expected to draw more than _MAX_JUMPS retained jumps,
+    before it draws any."""
     if not jumps <= _MAX_JUMPS:
         raise ScenarioError(f"the run expects {jumps:.3g} jumps, more than "
                             f"the {_MAX_JUMPS:.0e} a run may draw")
+
+
+def _ensemble_jumps(scen: Scenario, horizon: float, n_paths: int) -> float:
+    """The retained jumps of ``n_paths`` paths over ``horizon``."""
+    return scen.levy.restricted_rate(scen.truncation_eps) * horizon * n_paths
+
+
+def _curve_jumps(scen: Scenario, certificate) -> float:
+    """The draws of a TV or W_p curve: its ensemble up to the last grid time,
+    and the stationary reference of 2 n_paths samples it picks against
+    ``certificate``."""
+    t_last, n = scen.grids["t_grid"][-1], scen.budgets["n_paths"]
+    return _ensemble_jumps(scen, t_last, n) + reference_draws(
+        scen.levy, scen.release, 2 * n, t_last, certificate, scen.truncation_eps)
 
 
 def cmd_simulate(scen: Scenario, out: Path, args) -> int:
@@ -312,7 +327,7 @@ def cmd_simulate(scen: Scenario, out: Path, args) -> int:
     if args.mode == "grid" and not grid:
         raise ScenarioError("simulate --mode grid needs a t_grid time "
                             "within the horizon")
-    _check_work(scen, horizon, n)
+    _check_work(_ensemble_jumps(scen, horizon, n))
     draw = (scen.levy, scen.release, args.x0)
     if args.mode == "events":
         lane, t, size, x = event_ensemble(*draw, horizon, n, scen.seed,
@@ -367,13 +382,13 @@ def cmd_tail(scen: Scenario, out: Path, args) -> int:
     if scen.budgets["n_paths"] < _MIN_TAIL_SAMPLES:
         raise ScenarioError(f"budgets.n_paths: tail needs at least "
                             f"{_MIN_TAIL_SAMPLES} paths")
-    # the window is n_paths time units: at least n_paths x rate jumps
-    _check_work(scen, 1.0, scen.budgets["n_paths"])
+    cert = _context_certificate(scen)
+    _check_work(tail_draws(scen.levy, scen.release, scen.budgets["n_paths"],
+                           cert, scen.truncation_eps))
     est = estimate_tail(scen.levy, scen.release,
                         np.asarray(scen.grids["u_grid"]),
                         scen.budgets["n_paths"], seed=scen.seed,
-                        eps=scen.truncation_eps,
-                        certificate=_context_certificate(scen))
+                        eps=scen.truncation_eps, certificate=cert)
     oracle = _tail_oracle(scen)
     _write_curve(out / "tail.csv", "u", est.levels, est.pi_bar_hat, est.stderr,
                  [oracle(float(u)) for u in est.levels] if oracle else None)
@@ -381,9 +396,8 @@ def cmd_tail(scen: Scenario, out: Path, args) -> int:
     return 0
 
 
-def _tv_curve(scen: Scenario, x0: float):
+def _tv_curve(scen: Scenario, x0: float, cert):
     """The TV curve with its exponent fit, or NoiseFloorReached."""
-    cert = _context_certificate(scen)
     curve = estimate_tv_decay(scen.levy, scen.release, x0,
                               np.asarray(scen.grids["t_grid"]),
                               scen.budgets["n_paths"], seed=scen.seed,
@@ -391,12 +405,13 @@ def _tv_curve(scen: Scenario, x0: float):
     if curve.fitted is None:
         raise NoiseFloorReached(
             "no usable TV points above the noise floor past the grid midpoint")
-    return curve, cert
+    return curve
 
 
 def cmd_converge_tv(scen: Scenario, out: Path, args) -> int:
-    _check_work(scen, scen.grids["t_grid"][-1], scen.budgets["n_paths"])
-    curve, cert = _tv_curve(scen, args.x0)
+    cert = _context_certificate(scen)
+    _check_work(_curve_jumps(scen, cert))
+    curve = _tv_curve(scen, args.x0, cert)
     _write_curve(out / "tv.csv", "t", curve.times, curve.values, curve.stderr,
                  [1.0 / cert.predicted_tv_rate(float(t)) for t in curve.times]
                  if cert is not None and cert.valid else None)
@@ -406,7 +421,7 @@ def cmd_converge_tv(scen: Scenario, out: Path, args) -> int:
 
 
 def cmd_converge_wp(scen: Scenario, out: Path, args) -> int:
-    _check_work(scen, scen.grids["t_grid"][-1], scen.budgets["n_paths"])
+    _check_work(_curve_jumps(scen, None))
     bound = None
     if scen.modulus is not None:
         kappa = max(args.x0, scen.kappa)
@@ -429,7 +444,8 @@ def cmd_converge_wp(scen: Scenario, out: Path, args) -> int:
 
 
 def cmd_compare(scen: Scenario, out: Path, args) -> int:
-    _check_work(scen, scen.grids["t_grid"][-1], scen.budgets["n_paths"])
+    cert = _context_certificate(scen)
+    _check_work(_curve_jumps(scen, cert))
     # the lower rate first: a release out of its range is refused before
     # the curve is drawn
     try:
@@ -437,7 +453,7 @@ def cmd_compare(scen: Scenario, out: Path, args) -> int:
                               eps=scen.tolerances["epsilon"], x=max(args.x0, 1.0))
     except _CRITERION_ERRORS:
         lower = None
-    curve, cert = _tv_curve(scen, args.x0)
+    curve = _tv_curve(scen, args.x0, cert)
     rep = compare_rates(curve, certificate=cert, lower=lower,
                         eps=scen.tolerances["epsilon"])
     payload = dataclasses.asdict(rep) | {"scenario": scen.name}
@@ -491,7 +507,7 @@ def cmd_report(scen: Scenario, out: Path, args) -> int:
 
 def cmd_laplace(scen: Scenario, out: Path, args) -> int:
     n = max(scen.budgets["n_paths"], 1000)
-    _check_work(scen, 1.0, n)
+    _check_work(_ensemble_jumps(scen, 1.0, n))
     rows = laplace_check(scen.levy, 1.0, [0.5, 1.0, 2.0], n, scen.seed,
                          scen.truncation_eps)
     write_csv(out / "laplace.csv", ["lam", "empirical", "analytic", "se", "z"],

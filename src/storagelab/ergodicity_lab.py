@@ -19,7 +19,7 @@ import numpy as np
 
 from .classifier import classify
 from .errors import Divergent, MomentConditionFailed, NotStationaryRegime
-from .levy_input import LevyInput
+from .levy_input import CompoundPoisson, LevyInput
 from .lyapunov import (
     DriftCertificate,
     GapBound,
@@ -27,7 +27,7 @@ from .lyapunov import (
     check_wasserstein_contraction,
 )
 from .numerics import FitResult, fit_loglog, integrate_semiinfinite, invert_monotone
-from .release_rate import ReleaseRate, signed_drain_time
+from .release_rate import Constant, ReleaseRate, signed_drain_time
 from .rng import substream
 from .simulator import event_ensemble, grid_ensemble
 
@@ -35,6 +35,7 @@ __all__ = [
     "TailEstimate", "DecayCurve", "RateComparison", "estimate_tail",
     "estimate_tv_decay", "estimate_wp_decay", "compare_rates",
     "wasserstein_1d", "w1_cdf_area", "select_tail_scale",
+    "reference_horizon", "reference_draws", "tail_draws",
 ]
 
 N_BOOT = 200
@@ -47,7 +48,7 @@ _BOOT_CELLS = 1 << 17
 # samples each lane of the stationary reference records (see
 # _stationary_reference)
 _REF_K = 16
-# the stationary horizon's floor and target TV rate (see _stationary_reference)
+# the stationary horizon's floor and target TV rate (see reference_horizon)
 _T_MIN = 20.0
 _TARGET_RATE = 100.0
 
@@ -80,25 +81,76 @@ class DecayCurve:
 # helpers
 # ---------------------------------------------------------------------------
 
-def _stationary_reference(levy, release, n: int, t_last: float,
-                          certificate: DriftCertificate | None, seed: int, eps: float):
-    """At least ``n`` stationary draws as an (M, _REF_K) matrix, rows lanes,
-    and their horizon t_ref: the latest of 2 ``t_last`` (the last time compared
-    against), _T_MIN, and where a valid certificate's TV rate passes _TARGET_RATE.
-
-    M = ceil(n / _REF_K) lanes start at 0 and each is recorded at the
-    _REF_K times t_ref (1 + j / _REF_K), j < _REF_K: many samples along a
-    few long chains (Gelman & Rubin 1992) cost about 2 / _REF_K of n
-    independent endpoints at t_ref.  Samples on one lane are correlated, so
-    resampling and splitting go by whole lanes.
-    """
+def reference_horizon(t_last: float,
+                      certificate: DriftCertificate | None) -> float:
+    """The chains' horizon t_ref: the latest of 2 ``t_last`` (the last time
+    compared against), _T_MIN, and where a valid certificate's TV rate
+    passes _TARGET_RATE."""
     t_ref, goal = max(2.0 * t_last, _T_MIN), math.log(_TARGET_RATE)
     if (certificate is not None and certificate.valid
             and certificate.log_predicted_tv_rate(1e6) >= goal):
         t_ref = max(t_ref, invert_monotone(certificate.log_predicted_tv_rate, goal,
                                            (1e-6, 1e6)))
-    grid = t_ref * (1.0 + np.arange(_REF_K) / _REF_K)
-    return grid_ensemble(levy, release, 0.0, grid, -(-n // _REF_K), seed, eps), t_ref
+    return t_ref
+
+
+def _reference_grid(t_ref: float) -> np.ndarray:
+    """The times each chain of the reference is recorded at."""
+    return t_ref * (1.0 + np.arange(_REF_K) / _REF_K)
+
+
+def _load(levy, release) -> float | None:
+    """rho = m_nu / a where the stationary law is the Pollaczek-Khinchine
+    one (a Constant release, a CompoundPoisson input, rho < 1), else None."""
+    if not (isinstance(release, Constant) and isinstance(levy, CompoundPoisson)):
+        return None
+    rho = levy.first_moment() / release.a
+    return rho if rho < 1.0 else None
+
+
+def reference_draws(levy, release, n: int, t_last: float,
+                    certificate: DriftCertificate | None, eps: float) -> float:
+    """The draws ``_stationary_reference`` expects to make with these
+    arguments, before any is made: for the exact law M _REF_K counts and on
+    average rho / (1 - rho) sizes each, M _REF_K / (1 - rho) in all; for
+    the chains their retained jumps, M x rate x (31/16) t_ref."""
+    lanes, rho = -(-n // _REF_K), _load(levy, release)
+    if rho is not None:
+        return lanes * _REF_K / (1.0 - rho)
+    horizon = reference_horizon(t_last, certificate)
+    return lanes * levy.restricted_rate(eps) * _reference_grid(horizon)[-1]
+
+
+def _stationary_reference(levy, release, n: int, t_last: float,
+                          certificate: DriftCertificate | None, seed: int, eps: float):
+    """At least ``n`` stationary draws as an (M, _REF_K) matrix, rows lanes,
+    M = ceil(n / _REF_K), and their horizon t_ref (reference_horizon).
+
+    Under constant release a with compound-Poisson input of load rho =
+    m_nu / a < 1 the stationary law is the M/G/1 workload's, which the
+    Pollaczek-Khinchine formula gives exactly: a Geometric(rho) number N of
+    i.i.d. draws of the integrated-tail law P(J > y) / E[J] dy, summed, so
+    an atom 1 - rho at 0.  Those draws come from the key ``(seed,
+    "pollaczek-khinchine")``, and t_ref is inf.
+
+    Any other model runs chains: the M lanes start at 0 and each is
+    recorded at the _REF_K times t_ref (1 + j / _REF_K), j < _REF_K, many
+    samples along a few long chains (Gelman & Rubin 1992) at about 2 /
+    _REF_K of the cost of n independent endpoints at t_ref.  Samples on one
+    lane are correlated, so resampling and splitting go by whole lanes; for
+    the exact draws, which are i.i.d., that is exact too.
+    """
+    lanes, rho = -(-n // _REF_K), _load(levy, release)
+    if rho is not None:
+        gen = substream(seed, "pollaczek-khinchine")
+        count = gen.geometric(1.0 - rho, lanes * _REF_K) - 1
+        sizes = levy.jump.sample_integrated_tail(gen, int(count.sum()))
+        draws = np.bincount(np.repeat(np.arange(count.size), count),
+                            weights=sizes, minlength=count.size)
+        return draws.reshape(lanes, _REF_K), math.inf
+    t_ref = reference_horizon(t_last, certificate)
+    return grid_ensemble(levy, release, 0.0, _reference_grid(t_ref), lanes,
+                         seed, eps), t_ref
 
 
 def _fit_past_floor(t_grid: np.ndarray, values: np.ndarray, floor: float):
@@ -167,6 +219,16 @@ def _endpoint_tails(levy, release, u_grid, budget, seed, eps, certificate):
 
 # fewest samples a tail estimate accepts as its budget
 _MIN_TAIL_SAMPLES = 1000
+
+
+def tail_draws(levy: LevyInput, release: ReleaseRate, budget: int,
+               certificate: DriftCertificate | None, eps: float) -> float:
+    """The draws ``estimate_tail`` expects to make, before any is made: the
+    occupation chains' window of ``budget`` time units holds at least
+    budget x rate jumps; the endpoint branch draws its reference."""
+    if levy.compensator_drift(eps) == 0.0:
+        return levy.restricted_rate(eps) * budget
+    return reference_draws(levy, release, budget, 0.0, certificate, eps)
 
 
 def estimate_tail(levy: LevyInput, release: ReleaseRate, u_grid, budget: int,
@@ -396,7 +458,9 @@ def estimate_wp_decay(levy: LevyInput, release: ReleaseRate, x0,
     """
     if p < 1:
         raise ValueError("order must be >= 1")
-    _wp_moment_guard(levy, p)
+    # under constant release pi has a p-th moment only where the jumps have
+    # a (p + 1)-th (Pollaczek-Khinchine); without it W_p to pi is infinite
+    _wp_moment_guard(levy, p + 1.0 if _load(levy, release) is not None else p)
     _regime_guard(levy, release, regime)
     t_grid = np.asarray(t_grid, dtype=float)
     if reference is None:

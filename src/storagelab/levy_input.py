@@ -71,6 +71,11 @@ class Exponential:
     def sample(self, gen, n):
         return gen.exponential(1.0 / self.mu, n)
 
+    def sample_integrated_tail(self, gen, n):
+        """n draws of the integrated-tail law P(J > y) / E[J] dy: Exp(mu)
+        again, as the exponential law is memoryless."""
+        return gen.exponential(1.0 / self.mu, n)
+
     def asymptotics(self):
         return TailAsymptotics("exp", self.mu)
 
@@ -112,6 +117,18 @@ class ParetoJumps:
     def sample(self, gen, n):
         return _pareto_draw(gen, n, self.alpha, self.xm)
 
+    def sample_integrated_tail(self, gen, n):
+        """n draws of the integrated-tail law P(J > y) / E[J] dy (alpha > 1),
+        by inversion of its CDF: uniform on [0, xm) with mass (alpha - 1) /
+        alpha, so u E[J] for a uniform u below that mass, and above it
+        xm (alpha (1 - u))^(-1 / (alpha - 1))."""
+        if self.alpha <= 1:
+            raise ValueError("the integrated tail needs a finite mean, alpha > 1")
+        u = gen.random(n)  # in [0, 1), so 1 - u > 0
+        low = u < (self.alpha - 1.0) / self.alpha
+        high = self.xm * (self.alpha * (1.0 - u)) ** (-1.0 / (self.alpha - 1.0))
+        return np.where(low, u * self.mean(), high)
+
     def asymptotics(self):
         return TailAsymptotics("power", self.alpha, self.xm ** self.alpha)
 
@@ -135,6 +152,10 @@ class DeterministicJumps:
 
     def sample(self, gen, n):
         return np.full(n, self.size)
+
+    def sample_integrated_tail(self, gen, n):
+        """n draws of the integrated-tail law P(J > y) / E[J] dy: U(0, size)."""
+        return gen.uniform(0.0, self.size, n)
 
     def asymptotics(self):
         return TailAsymptotics("exp", math.inf)

@@ -145,9 +145,15 @@ class RateFunction:
         return x
 
     def log_clock_inv(self, s: float) -> float:
-        """log Phi^{-1}(s), stable deep into geometric growth."""
+        """log Phi^{-1}(s), stable deep into geometric growth (a custom phi
+        reads its clock's log coordinate, finite past the float range)."""
         if self.fn is not None:
-            return math.log(self.clock_inv(s))
+            if s < 0.0:
+                raise ValueError("clock values are non-negative")
+            w = self._clock().log_flow(1.0, s)
+            if not math.isfinite(w):
+                raise Divergent("clock inverse out of range")
+            return w
         if self.a == 1.0:
             return self.c * s
         return math.log1p(self.c * (1.0 - self.a) * s) / (1.0 - self.a)

@@ -408,6 +408,16 @@ def _poly(P, k, z):
     return t
 
 
+def _running_sum(d):
+    """np.cumsum(d) with each addition's rounding error added back (Knuth's
+    TwoSum on the running sums), so a long table keeps its digits as a
+    Kahan sum would."""
+    s = np.cumsum(d)
+    prev = np.concatenate([[0.0], s[:-1]])
+    part = s - prev
+    return s + np.cumsum((prev - (s - part)) + (d - part))
+
+
 class _Basin:
     """G between adjacent equilibria lo < hi (or lo = 0, hi = inf) as T =
     sign * G, rising with x, in w = ln((x - lo) / ell) - ln((hi - x) / ell)
@@ -455,7 +465,8 @@ class _Basin:
         j = (self.n if a1 <= -h else
              min(max(round(-self.w0 / h), 0), self.n) if a0 < 0 else 0)
         d = dT[:, -1]
-        self.T = (np.concatenate([-np.cumsum(d[:j][::-1])[::-1], [0.0], np.cumsum(d[j:])])
+        self.T = (np.concatenate([-_running_sum(d[:j][::-1])[::-1], [0.0],
+                                  _running_sum(d[j:])])
                   + (m11 / a1 if a1 <= -h else 0.0))
         F[:, 0] += self.T[:-1]
         self.span = 2.0 / dT[:, -1]
@@ -535,6 +546,16 @@ class DrainClock:
                 w = b.unclock(b.clock(b.coord(xo)) - b.sign * dto)
                 out[on] = np.where(dto > 0.0, b.place(w)[0], xo)
         return out.reshape(shape) if shape else float(out[0])
+
+    def log_flow(self, x: float, dt: float) -> float:
+        """log flow(x, dt) for x > 0 on a clock without equilibria: its one
+        basin (0, inf) has the coordinate w = log x, so the log is read off
+        w and stays finite where the flow leaves the float range."""
+        (b,) = self.basins
+        if dt == 0.0:
+            return math.log(x)
+        with np.errstate(all="ignore"):
+            return float(b.unclock(b.clock(b.coord(np.array([x]))) - b.sign * dt)[0])
 
     def drain_time(self, lo, hi):
         """G(hi) - G(lo) for 0 <= lo <= hi, hi possibly inf; floats or arrays.

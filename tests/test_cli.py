@@ -321,8 +321,14 @@ class TestCli:
          ["--set", "budgets.n_paths=200"]),
         ("converge-tv", "shotnoise-gamma", "input.rate=1e300", []),
         ("compare", "power-sharp", "input.rate=1e300", []),
+        # the ensemble alone is 6.3e6 jumps, 1.06e7 with the reference's
+        ("compare", "power-sharp", "budgets.n_paths=35000", []),
+        # an input with drift reads the tail off the reference: 1.25e7
+        # jumps, where its n_paths time units would hold 5.2e6
+        ("tail", "gamma-linear", "budgets.n_paths=600000", []),
     ], ids=["simulate-rate", "simulate-horizon", "laplace-rate", "tail-rate",
-            "converge-wp-rate", "converge-tv-rate", "compare-rate"])
+            "converge-wp-rate", "converge-tv-rate", "compare-rate",
+            "compare-reference", "tail-reference"])
     def test_unbounded_work_is_usage_error(self, command, preset, override,
                                            extra, tmp_path, capsys):
         # refused before any draw: a hang fails at the alarm, not the suite

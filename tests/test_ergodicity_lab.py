@@ -28,6 +28,7 @@ from storagelab.ergodicity_lab import (
 )
 from storagelab.levy_input import (
     CompoundPoisson,
+    DeterministicJumps,
     Exponential,
     ParetoJumps,
     StableSub,
@@ -208,14 +209,14 @@ class TestTvDecay:
 class TestStationaryReference:
     def test_shape(self):
         for n in (1, 16, 17, 100):
-            ref, t_ref = ergodicity_lab._stationary_reference(*MM1, n, 5.0, None,
-                                                              SEED, 1e-4)
+            ref, t_ref = ergodicity_lab._stationary_reference(*SHOTNOISE, n, 5.0,
+                                                              None, SEED, 1e-4)
             assert t_ref == ergodicity_lab._T_MIN
             assert ref.shape == (math.ceil(n / ergodicity_lab._REF_K),
                                  ergodicity_lab._REF_K)
         # past the endpoint horizon, twice the last compared time decides
-        assert ergodicity_lab._stationary_reference(*MM1, 1, 30.0, None, SEED,
-                                                    1e-4)[1] == 60.0
+        assert ergodicity_lab._stationary_reference(*SHOTNOISE, 1, 30.0, None,
+                                                    SEED, 1e-4)[1] == 60.0
 
     def test_estimators_draw_their_reference_from_long_chains(self, monkeypatch):
         calls = []
@@ -228,12 +229,17 @@ class TestStationaryReference:
         monkeypatch.setattr(ergodicity_lab, "grid_ensemble", spy)
         t_grid = np.array([1.0, 2.0, 4.0])
         k = ergodicity_lab._REF_K
-        estimate_tv_decay(*MM1, 5.0, t_grid, 100, seed=SEED,
+        estimate_tv_decay(*SHOTNOISE, 5.0, t_grid, 100, seed=SEED,
                           regime="PositiveRecurrent")
         estimate_wp_decay(*SHOTNOISE, 5.0, 1.0, t_grid, 100, seed=SEED,
                           regime="PositiveRecurrent")
         reference = (k, math.ceil(200 / k), SEED + 1)
         assert calls == [reference, (3, 100, SEED)] * 2
+        # M/M/1's reference is drawn exactly: the ensemble is the only chain
+        calls.clear()
+        estimate_tv_decay(*MM1, 5.0, t_grid, 100, seed=SEED,
+                          regime="PositiveRecurrent")
+        assert calls == [(3, 100, SEED)]
         # the tail of an input with drift reads the chains alone
         calls.clear()
         gamma = load_preset("gamma-linear")
@@ -288,6 +294,90 @@ class TestStationaryReference:
         se = (weights @ per_lane / m).std(axis=0, ddof=1)
         gap = np.abs(per_lane.mean(axis=0) - [oracle(x) for x in u])
         assert (gap <= 5.0 * se + 1.0 / ref.size).all(), (gap, se)
+
+
+class TestPollaczekKhinchine:
+    """Constant release with compound-Poisson input draws its reference from
+    the Pollaczek-Khinchine law: a Geometric(rho) sum of integrated-tail
+    draws, rho = m_nu / a."""
+
+    @pytest.mark.parametrize("jump, tail", [
+        (Exponential(1.5), lambda y: np.exp(-1.5 * y)),
+        # mean 3; mass 1/3 uniform below xm = 1, then (y / xm)^(-1/2) / 1.5
+        (ParetoJumps(1.5), lambda y: np.where(y < 1.0, 1.0 - y / 3.0,
+                                              y ** -0.5 / 1.5)),
+        (ParetoJumps(3.0, 0.5), lambda y: np.where(y < 0.5, 1.0 - y / 0.75,
+                                                   (y / 0.5) ** -2.0 / 3.0)),
+        (DeterministicJumps(2.0), lambda y: np.clip(1.0 - y / 2.0, 0.0, 1.0)),
+    ], ids=["exp", "pareto-1.5", "pareto-3", "deterministic"])
+    def test_integrated_tail_sampler_matches_its_tail(self, jump, tail):
+        # P(Y > y) = int_y^inf P(J > u) du / E[J], in closed form
+        n = 200_000
+        y = jump.sample_integrated_tail(substream(SEED, "it"), n)
+        assert y.shape == (n,) and (y >= 0.0).all()
+        levels = np.quantile(y, [0.05, 0.25, 0.5, 0.75, 0.95, 0.999])
+        p = tail(levels)
+        gap = np.abs((y[:, None] > levels).mean(axis=0) - p)
+        assert (gap <= 5.0 * np.sqrt(p * (1.0 - p) / n)).all(), (gap, p)
+
+    @pytest.mark.parametrize("name", ["constant-mm1", "sharp-constant"])
+    def test_atom_at_zero_is_one_minus_rho(self, name):
+        scen = load_preset(name)
+        rho = scen.levy.first_moment() / scen.release.a
+        ref, t_ref = ergodicity_lab._stationary_reference(
+            scen.levy, scen.release, 32_000, 0.0, None, SEED, 1e-4)
+        assert t_ref == math.inf and ref.shape == (2_000, ergodicity_lab._REF_K)
+        atom = (ref == 0.0).mean()
+        assert abs(atom - (1.0 - rho)) <= 5.0 * math.sqrt(rho * (1.0 - rho)
+                                                          / ref.size), atom
+
+    def test_chains_agree_with_the_exact_draw(self):
+        # the slow reference, long chains from 0 as every other model gets
+        # them, against the exact draw in 64-bin TV: within the chains' own
+        # noise, which the TV between their two halves of lanes doubles
+        from storagelab.ergodicity_lab import _equal_mass_edges, _hist_probs
+        chains = grid_ensemble(*MM1, 0.0,
+                               ergodicity_lab._reference_grid(40.0), 2_000, SEED)
+        exact, _ = ergodicity_lab._stationary_reference(*MM1, 200_000, 0.0,
+                                                        None, SEED, 1e-4)
+        edges = _equal_mass_edges(exact.ravel(), 64)
+
+        def tv(a, b):
+            return 0.5 * np.abs(_hist_probs(a.ravel(), edges)
+                                - _hist_probs(b.ravel(), edges)).sum()
+
+        assert tv(chains, exact) <= tv(chains[:1_000], chains[1_000:])
+
+    def test_load_at_or_above_one_keeps_the_chains(self):
+        null = (CompoundPoisson(2.0, Exponential(1.0)), Constant(2.0))
+        heavy = (CompoundPoisson(1.0, ParetoJumps(1.0)), Constant(2.0))
+        for model in (null, heavy):
+            assert ergodicity_lab._stationary_reference(
+                *model, 16, 0.0, None, SEED, 1e-4)[1] == ergodicity_lab._T_MIN
+
+    @pytest.mark.parametrize("model", [MM1, SHOTNOISE], ids=["exact", "chains"])
+    def test_reference_draws_counts_what_is_drawn(self, model, monkeypatch):
+        # the work bound's count against the draws the reference makes: jump
+        # sizes for the chains, the counts and integrated-tail sizes for the
+        # exact law; both are Poisson-like totals, so 5 sqrt(count) apart
+        drawn = []
+        jump = type(model[0].jump)
+        for cls, name in ((CompoundPoisson, "sample_sizes"),
+                          (jump, "sample_integrated_tail")):
+            real = getattr(cls, name)
+
+            def spy(self, gen, n, *rest, real=real):
+                drawn.append(n)
+                return real(self, gen, n, *rest)
+
+            monkeypatch.setattr(cls, name, spy)
+        n, t_last = 4_000, 5.0
+        expected = ergodicity_lab.reference_draws(*model, n, t_last, None, 1e-4)
+        ref, _ = ergodicity_lab._stationary_reference(*model, n, t_last, None,
+                                                      SEED, 1e-4)
+        total = sum(drawn) + (ref.size if model is MM1 else 0)
+        assert abs(total - expected) <= 5.0 * math.sqrt(expected), (total,
+                                                                    expected)
 
 
 class TestWasserstein1d:
@@ -397,6 +487,19 @@ class TestWpDecay:
             estimate_wp_decay(levy, PowerSmoothed(1.0, 0.5), 1.0, 2.0,
                               np.array([1.0, 2.0]), 2_000, seed=SEED,
                               regime="PositiveRecurrent")
+        # under constant release pi's tail is the jumps' integrated tail,
+        # u^(-1/2) on sharp-constant: no first moment, so W_1 to pi is
+        # infinite
+        with pytest.raises(MomentConditionFailed):
+            estimate_wp_decay(CompoundPoisson(0.5, ParetoJumps(1.5)),
+                              Constant(2.0), 1.0, 1.0,
+                              np.array([1.0, 2.0]), 2_000, seed=SEED,
+                              regime="PositiveRecurrent")
+        steep = CompoundPoisson(1.0, ParetoJumps(2.5))
+        curve = estimate_wp_decay(steep, Constant(2.0), 1.0, 1.0,
+                                  np.array([1.0, 2.0]), 2_000, seed=SEED,
+                                  regime="PositiveRecurrent")
+        assert np.isfinite(curve.values).all()
 
     def test_sampled_initial_law(self):
         t_grid = np.linspace(0.5, 4.0, 8)

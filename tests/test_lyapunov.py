@@ -105,6 +105,23 @@ class TestRateFunction:
                 closed.log_rate_at_clock(s[finite]), rel=1e-12)
             assert cust.clock_inv(0.0) == 1.0
 
+    @pytest.mark.parametrize("c", [0.2, 0.3, 0.5, 0.7, 1.3, 2.0])
+    def test_custom_linear_keeps_its_digits_across_the_table(self, c):
+        # log Phi^{-1}(w / c) = w for phi = c t: the drain clock's T table
+        # sums ~1700 intervals, and its running sum is compensated
+        w = np.linspace(1.0, 700.0, 1999)
+        cust = RateFunction.custom(lambda t: c * t)
+        assert np.abs(np.log(cust.clock_inv(w / c)) - w).max() <= 1e-12
+        assert max(abs(cust.log_clock_inv(wi / c) - wi) for wi in w[::37]) <= 1e-12
+
+    def test_custom_log_clock_inv_is_finite_deep_into_geometric_growth(self):
+        # Phi^{-1}(2000) = e^1000 leaves the float range; its log does not
+        cust = RateFunction.custom(lambda t: 0.5 * t)
+        assert cust.log_clock_inv(2000.0) == pytest.approx(1000.0, rel=1e-9)
+        assert cust.log_clock_inv(0.0) == 0.0
+        with pytest.raises(Divergent):
+            cust.clock_inv(2000.0)
+
     def test_tv_exponent(self):
         # the certificate's promised TV exponent -a/(1-a) of its phi
         def cert(phi, margin=0.5):
