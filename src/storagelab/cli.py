@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import os
@@ -87,24 +88,26 @@ def _fmt(value) -> str:
 
 # the %-conversion that writes a value of each type as _fmt does (NaN aside)
 _CSV_CONVERSIONS = {int: "%d", float: "%.9e", str: "%s"}
+_CSV_BLOCK = 1024  # rows _csv_lines fills into one repeated template
 
 
 def _csv_lines(rows):
-    """One line per row, formatted as _fmt formats each value.  A row is
-    filled into one %-template built from its value types; a row with any
-    other type, or whose line shows a NaN (an empty field), goes through
-    _fmt."""
-    templates = {}
-    for row in rows:
-        kinds = tuple(map(type, row))
-        template = templates.get(kinds)
-        if template is None:
-            template = templates[kinds] = (
-                ",".join(map(_CSV_CONVERSIONS.__getitem__, kinds)) + "\n"
-                if all(kind in _CSV_CONVERSIONS for kind in kinds) else "")
-        line = template and template % tuple(row)
-        yield (line if line and "nan" not in line
-               else ",".join(map(_fmt, row)) + "\n")
+    """The rows' lines as _fmt writes them: a block of rows of one length
+    whose columns each hold one type of _CSV_CONVERSIONS fills a repeated
+    %-template, any other, or one showing a NaN, goes through _fmt."""
+    rows = iter(rows)
+    while block := list(itertools.islice(rows, _CSV_BLOCK)):
+        width = len(block[0])
+        values = tuple(itertools.chain.from_iterable(block))
+        kinds = [set(map(type, values[j::width])) for j in range(width)]
+        convs = [_CSV_CONVERSIONS.get(k.pop()) if len(k) == 1 else None
+                 for k in kinds]
+        if None not in convs and set(map(len, block)) == {width}:
+            text = ((",".join(convs) + "\n") * len(block)) % values
+            if "nan" not in text:
+                yield text
+                continue
+        yield from (",".join(map(_fmt, row)) + "\n" for row in block)
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:

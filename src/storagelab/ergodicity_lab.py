@@ -314,9 +314,12 @@ def estimate_tv_decay(levy: LevyInput, release: ReleaseRate, x0: float,
     mat = grid_ensemble(levy, release, x0, t_grid, n_paths, seed, eps)
     gen = substream(seed, "tv-boot")
     # the reference is one sample for the whole curve, so one set of lane
-    # resamples serves every time point
+    # resamples serves every time point: Multinomial(m, 1/m) weights, as
+    # the counts of m uniform picks, by one bincount offset by replicate
     m = len(lanes)
-    weights = gen.multinomial(m, np.full(m, 1.0 / m), N_BOOT)
+    picks = gen.integers(0, m, (N_BOOT, m))
+    picks += m * np.arange(N_BOOT)[:, None]
+    weights = np.bincount(picks.ravel(), minlength=N_BOOT * m).reshape(N_BOOT, m)
     br = weights @ _lane_counts(lanes, edges).astype(float) / lanes.size
     values = np.empty(t_grid.size)
     se = np.empty(t_grid.size)
@@ -458,9 +461,12 @@ def estimate_wp_decay(levy: LevyInput, release: ReleaseRate, x0,
     """
     if p < 1:
         raise ValueError("order must be >= 1")
-    # under constant release pi has a p-th moment only where the jumps have
-    # a (p + 1)-th (Pollaczek-Khinchine); without it W_p to pi is infinite
-    _wp_moment_guard(levy, p + 1.0 if _load(levy, release) is not None else p)
+    # W_p to pi needs pi's p-th moment, so jumps' of order p + max(0, 1 -
+    # beta): pi's tail is u^(1 - alpha - beta) for jumps' u^-alpha and a
+    # release growing as u^beta (bounded: 0); order p where it gives no beta
+    ra = release.asymptotics()
+    beta = {"bounded": 0.0, "power": ra.exponent}.get(ra.kind)
+    _wp_moment_guard(levy, p if beta is None else p + max(0.0, 1.0 - beta))
     _regime_guard(levy, release, regime)
     t_grid = np.asarray(t_grid, dtype=float)
     if reference is None:

@@ -140,21 +140,24 @@ class Affine(ReleaseRate):
         return -self.b * u
 
 
-def _power_flow(k, beta, x, dt):
-    """Drift-free flow of x' = -k x^beta from x > 0 (floats or lanes)."""
+def _power_flow(k, beta, x, dt, lifted=None):
+    """Drift-free flow of x' = -k x^beta from x > 0 (floats or lanes);
+    ``lifted`` is x^(1 - beta) if the caller has it."""
     if beta == 1.0:
         return x * np.exp(-k * dt)
-    base = x ** (1.0 - beta) - k * (1.0 - beta) * dt
+    lifted = x ** (1.0 - beta) if lifted is None else lifted
+    base = lifted - k * (1.0 - beta) * dt
     # for beta < 1 the content empties in finite time: base <= 0 means empty
     return np.maximum(base, 0.0) ** (1.0 / (1.0 - beta))
 
 
-def _power_time(k, beta, lo, hi):
+def _power_time(k, beta, lo, hi, lifted=None):
     """int_lo^hi dv / (k v^beta) for 0 < lo <= hi; hi may be inf.  ``lo``
-    and ``hi`` are floats or arrays."""
+    and ``hi`` are floats or arrays, ``lifted`` hi^(1 - beta) if known."""
     if beta == 1.0:
         return np.log(hi / lo) / k
-    return (hi ** (1.0 - beta) - lo ** (1.0 - beta)) / (k * (1.0 - beta))
+    lifted = hi ** (1.0 - beta) if lifted is None else lifted
+    return (lifted - lo ** (1.0 - beta)) / (k * (1.0 - beta))
 
 
 @dataclass(frozen=True)
@@ -238,9 +241,10 @@ class PowerSmoothed(ReleaseRate):
         us = self.u_s
         top = np.maximum(x, us)
         # power law for the time tau spent above the knee, then the ramp
-        # decays exponentially and never reaches 0
-        tau = np.minimum(dt, _power_time(self.k, self.beta, us, top))
-        y = np.minimum(x, _power_flow(self.k, self.beta, top, tau))
+        # decays exponentially and never reaches 0; both read top^(1 - beta)
+        lifted = top ** (1.0 - self.beta)
+        tau = np.minimum(dt, _power_time(self.k, self.beta, us, top, lifted))
+        y = np.minimum(x, _power_flow(self.k, self.beta, top, tau, lifted))
         return y * np.exp(-self._ramp_slope * (dt - tau))
 
     def drain_time(self, lo, hi):

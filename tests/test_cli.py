@@ -562,6 +562,26 @@ class TestCli:
         expected = "".join(",".join(map(_fmt, row)) + "\n" for row in rows)
         assert path.read_text().split("\n", 2)[2] == expected
 
+    @pytest.mark.parametrize("block", [3, 1024])
+    def test_write_csv_blocks_match_fmt(self, tmp_path, monkeypatch, block):
+        # blocks filled into one repeated template read exactly as _fmt
+        # writes each row: uniform int/float/str blocks, blocks with a NaN,
+        # a type or a row length changing within a block, and a last block
+        # cut short
+        monkeypatch.setattr(cli, "_CSV_BLOCK", block)
+        gen = np.random.default_rng(5)
+        rows = [(i, float(v), "p" + str(i % 3))
+                for i, v in enumerate(gen.exponential(1.0, 2500))]
+        rows[7] = (7, math.nan, "p1")
+        rows[1500] = (1500, math.inf, "nan")
+        rows[1800] = (1800.0, 1.5, "q")
+        rows[2100] = (2100, 1.5)
+        rows += [(i, -0.0, "") for i in range(5)]
+        path = tmp_path / "b.csv"
+        write_csv(path, ["x", "y", "z"], iter(rows))
+        expected = "".join(",".join(map(_fmt, row)) + "\n" for row in rows)
+        assert path.read_text().split("\n", 2)[2] == expected
+
     def test_write_csv_streams_rows(self, tmp_path):
         # rows go to the file as they come: memory does not grow with it
         path = tmp_path / "big.csv"

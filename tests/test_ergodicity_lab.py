@@ -41,7 +41,13 @@ from storagelab.lyapunov import (
     tv_lower_rate,
 )
 from storagelab.presets import load_preset
-from storagelab.release_rate import Affine, Constant, PowerSmoothed
+from storagelab.release_rate import (
+    Affine,
+    Constant,
+    Custom,
+    PowerSmoothed,
+    RateAsymptotics,
+)
 from storagelab.rng import substream
 from storagelab.simulator import grid_ensemble
 
@@ -500,6 +506,42 @@ class TestWpDecay:
                                   np.array([1.0, 2.0]), 2_000, seed=SEED,
                                   regime="PositiveRecurrent")
         assert np.isfinite(curve.values).all()
+        # a bounded release (general-bounded's plateau) slows pi's tail to
+        # u^(1 - alpha) as a constant one does: no W_1 under Pareto(1.5)
+        # jumps, though they have a mean and the chains would stop short
+        general = load_preset("general-bounded")
+        with pytest.raises(MomentConditionFailed):
+            estimate_wp_decay(CompoundPoisson(0.5, ParetoJumps(1.5)),
+                              general.release, 1.0, 1.0,
+                              np.array([1.0, 2.0]), 2_000, seed=SEED,
+                              regime="PositiveRecurrent")
+
+    def test_moment_gate_order(self, monkeypatch):
+        # the jump moment checked is of order p + max(0, 1 - beta) for a
+        # release growing as u^beta, bounded ones at beta = 0, and of order
+        # p for affine releases and asymptotics with no exponent
+        class Checked(Exception):
+            pass
+
+        def guard(levy, order):
+            raise Checked(order)
+
+        monkeypatch.setattr(ergodicity_lab, "_wp_moment_guard", guard)
+
+        def order(release, p):
+            with pytest.raises(Checked) as exc:
+                estimate_wp_decay(SHOTNOISE[0], release, 1.0, p,
+                                  np.array([1.0]), 100, seed=SEED)
+            return exc.value.args[0]
+
+        assert order(load_preset("general-bounded").release, 1.0) == 2.0
+        assert order(Constant(2.0), 2.0) == 3.0
+        assert order(PowerSmoothed(1.0, 0.5), 1.0) == 1.5
+        assert order(Affine(0.0, 1.0), 2.0) == 2.0
+        for name in ("shotnoise-gamma", "gamma-linear"):
+            assert order(load_preset(name).release, 1.0) == 1.0
+        unknown = Custom(lambda u: u, RateAsymptotics("unknown"))
+        assert order(unknown, 1.0) == 1.0
 
     def test_sampled_initial_law(self):
         t_grid = np.linspace(0.5, 4.0, 8)

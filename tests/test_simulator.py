@@ -115,12 +115,16 @@ def _per_lane(events, n_paths):
 def _engine_jumps(levy, x0, grid, n_paths, eps=1e-4):
     """Each lane's (times, sizes) as the engine draws them for ``grid``."""
     lanes = [([], []) for _ in range(n_paths)]
-    for lo, _, slabs in simulator._chunks(levy, x0, grid, n_paths, SEED, eps):
-        for _, order, rows, t, s, _ in slabs:
-            for i, n, ti, si in zip(order, rows, t.T, s.T):
-                # the last row is the slab end
-                lanes[lo + i][0].extend(ti[:n - 1])
-                lanes[lo + i][1].extend(si[:n - 1])
+    for lo, _, slabs in simulator._chunks(levy, x0, grid, n_paths, SEED, eps,
+                                          times=True):
+        for _, order, width, _, sizes, t, _ in slabs:
+            # row k's jumps are those of its first width[k + 1] positions
+            j = 0
+            for v in width[1:]:
+                for i, tk, sk in zip(order[:v], t[j:j + v], sizes[j:j + v]):
+                    lanes[lo + i][0].append(tk)
+                    lanes[lo + i][1].append(sk)
+                j += v
     return lanes
 
 
@@ -208,14 +212,15 @@ class TestSimulatePath:
 
     def test_grid_endpoint_consistent(self):
         # both consumers read the same draws: a lane's last event state
-        # flowed to T is its endpoint, closed-form flow or drain clock
+        # flowed to T is its endpoint, closed-form flow or drain clock, bit
+        # for bit in one slab: its last step is T less the last jump's time
         for levy, rel in ((CPP, Affine(0.0, 1.0)),
                           (GammaSub(1.0, 1.0), PowerSmoothed(1.0, 0.5))):
             events = event_ensemble(levy, rel, 2.0, 3.0, 64, SEED)
             end = grid_ensemble(levy, rel, 2.0, [3.0], 64, SEED)[:, 0]
             flowed = _last_states(rel, events, 2.0, 3.0, 64,
                                   levy.compensator_drift(1e-4))
-            assert flowed == pytest.approx(end, rel=1e-12, abs=0.0)
+            assert flowed.tobytes() == end.tobytes()
             assert np.unique(events[0]).size > 48  # most lanes jumped
 
     def test_transient_model_escapes(self):
@@ -539,18 +544,27 @@ class TestVectorEngines:
         assert peak < 1.5 * out + 64 * 2**20
 
 
-def _row_loop(release, x, t, s, rows, drift, tp, out=None):
+def _rows_of(width):
+    """The rows each position of a staircase slab has."""
+    return (np.asarray(width)[:, None] > np.arange(width[0])).sum(axis=0)
+
+
+def _row_loop(release, x, width, dt, sizes, drift, out=None):
     """The slow reference of ``simulator._step_lanes``: row k of the
-    staircase, on the lanes that have it, through ``release.flow``, one
-    row at a time."""
+    staircase on the lanes that have it, picked by a mask, through
+    ``release.flow``, one row at a time, then the sizes on the lanes for
+    which the row is a jump."""
     x = np.array(x, dtype=float)
-    tp = np.full(x.size, float(tp))
+    rows = _rows_of(width)
+    lo = j = 0
     for k in range(rows.max()):
-        on = rows > k
-        x[on] = release.flow(x[on], t[k, on] - tp[on], drift) + s[k, on]
-        tp[on] = t[k, on]
+        on, jump = rows > k, rows > k + 1
+        w, v = int(on.sum()), int(jump.sum())
+        x[on] = release.flow(x[on], dt[lo:lo + w], drift)
+        x[jump] = x[jump] + sizes[j:j + v]
         if out is not None:
-            out[k, on] = x[on]
+            out[j:j + v] = x[jump]
+        lo, j = lo + w, j + v
     return x
 
 
@@ -636,48 +650,92 @@ class TestRKWalk:
 
 def _slabs_of(levy, grid, n_paths, eps=1e-4):
     """Every slab of the engine's draws for ``grid`` as ``(a, b, order,
-    rows, t, s)``, with copies of the matrices."""
+    width, dt, sizes, t)``, with a copy of the steps."""
     out = []
-    for _, _, slabs in simulator._chunks(levy, 0.0, grid, n_paths, SEED, eps):
-        for a, order, rows, t, s, _ in slabs:
-            b = t[rows[0] - 1, 0]  # the first lane's last row is the slab end
-            out.append((a, b, order, rows, t.copy(), s.copy()))
+    for _, _, slabs in simulator._chunks(levy, 0.0, grid, n_paths, SEED, eps,
+                                         times=True):
+        slabs = [(a, order, width, dt.copy(), sizes, t)
+                 for a, order, width, dt, sizes, t, _ in slabs]
+        # a slab ends where the next starts, the last at the last grid time
+        ends = [slab[0] for slab in slabs[1:]] + [float(grid[-1])]
+        out += [(a, b, *rest) for (a, *rest), b in zip(slabs, ends)]
     return out
+
+
+def _cells(width):
+    """Per row k of a staircase slab, the offsets of its steps and of its
+    jumps, each run holding the row's positions in order."""
+    steps = np.concatenate([[0], np.cumsum(width)[:-1]])
+    jumps = np.concatenate([[0], np.cumsum(width[1:])])
+    return steps, jumps
 
 
 class TestStaircase:
     def test_each_lane_is_its_jumps_then_the_slab_end(self, monkeypatch):
-        # lanes sorted by count; a lane's times are in (a, b] in order, and
-        # its last row is (b, 0)
+        # lanes sorted by count; a lane's times are in (a, b] in order, its
+        # steps are the gaps between them, and the last step ends at b
         monkeypatch.setattr(simulator, "_CHUNK", 300)
         monkeypatch.setattr(simulator, "_SLAB", 256)
         slabs = _slabs_of(CPP, (0.5, 2.0, 3.0), 700)
         assert len(slabs) > 10
-        for a, b, order, rows, t, s in slabs:
+        for a, b, order, width, dt, sizes, t in slabs:
             m = order.size
             assert np.sort(order).tolist() == list(range(m))
-            assert (np.diff(rows) <= 0).all() and rows[-1] >= 1
+            assert width[0] == m and (np.diff(width) <= 0).all() and width[-1] >= 1
+            assert dt.size == width.sum() and sizes.size == t.size == dt.size - m
+            steps, jumps = _cells(width)
+            rows = _rows_of(width)
             for p, n in enumerate(rows):
-                tp, sp = t[:n, p], s[:n, p]
+                dp = dt[steps[:n] + p]
+                tp, sp = t[jumps[:n - 1] + p], sizes[jumps[:n - 1] + p]
                 assert (tp > a).all() and (tp <= b).all()
-                assert (np.diff(tp) >= 0.0).all()
-                assert tp[-1] == b and sp[-1] == 0.0
-                assert (sp[:-1] > 0.0).all()
+                assert (np.diff(tp) >= 0.0).all() and (dp >= 0.0).all()
+                assert (sp > 0.0).all()
+                # the step to b is b less the last jump's time, bit for bit
+                assert dp[-1] == b - (tp[-1] if n > 1 else a)
+                gaps = np.diff(tp, prepend=a)
+                assert dp[:-1] == pytest.approx(gaps, rel=0, abs=1e-14 * b)
+                # the steps sum to b - a within a few ulp of b per row
+                assert abs(math.fsum(dp) - (b - a)) <= n * 2 * math.ulp(b)
             # lanes of one count keep their order
             for n in np.unique(rows):
                 assert (np.diff(order[rows == n]) > 0).all()
-            times = np.concatenate([t[:n - 1, p] for p, n in enumerate(rows)])
-            assert stats.kstest((times - a) / (b - a), "uniform").pvalue > 1e-3
+            assert stats.kstest((t - a) / (b - a), "uniform").pvalue > 1e-3
+
+    def test_times_given_a_count_are_uniform_order_statistics(self):
+        # the lanes with c jumps in a slab: their j-th normalised time is
+        # the j-th of c uniform order statistics, Beta(j, c + 1 - j), over
+        # more than 10^4 lanes
+        levy, c = CompoundPoisson(3.0, Exponential(1.0)), 3
+        slabs = _slabs_of(levy, np.arange(1.0, 7.0), simulator._CHUNK)
+        assert len(slabs) == 6
+        times = []
+        for a, b, _, width, _, _, t in slabs:
+            _, jumps = _cells(width)
+            rows = _rows_of(width)
+            at = np.flatnonzero(rows == c + 1)
+            times.append((t[jumps[:c, None] + at] - a) / (b - a))
+        times = np.concatenate(times, axis=1)
+        assert times.shape[1] > 10_000
+        for j, col in enumerate(times, start=1):
+            beta = stats.beta(j, c + 1 - j)
+            assert stats.kstest(col, beta.cdf).pvalue > 1e-3
 
     def test_counts_are_poisson(self):
-        # 8192 lanes of one slab: mean and variance of Poisson(rate (b - a))
+        # 8192 lanes of one slab: mean and variance of Poisson(rate (b - a)),
+        # and the counts' histogram
         levy = CompoundPoisson(3.0, Exponential(1.0))
-        (a, b, _, rows, _, _), = _slabs_of(levy, (2.0,), simulator._CHUNK)
-        counts, mean = rows - 1, 3.0 * (b - a)
+        (a, b, _, width, _, _, _), = _slabs_of(levy, (2.0,), simulator._CHUNK)
+        counts, mean = _rows_of(width) - 1, 3.0 * (b - a)
         n = counts.size
         assert abs(counts.mean() - mean) <= 5 * math.sqrt(mean / n)
         assert abs(counts.var(ddof=1) - mean) <= 5 * math.sqrt(
             (2 * mean ** 2 + mean) / n)
+        # the bins from 0 to 12, and 13 or more
+        seen = np.bincount(np.minimum(counts, 13), minlength=14)
+        pmf = stats.poisson(mean).pmf(np.arange(13))
+        expected = n * np.append(pmf, 1.0 - pmf.sum())
+        assert stats.chisquare(seen, expected).pvalue > 1e-3
 
     def test_flow_steps_only_real_rows(self, monkeypatch):
         # row k of a slab is flowed on the lanes that have it: each slab
@@ -696,37 +754,28 @@ class TestStaircase:
             monkeypatch.setattr(type(rel), "flow", counting)
             grid_ensemble(levy, rel, 1.0, grid, 700, SEED)
             slabs = _slabs_of(levy, grid, 700)
-            assert sizes == [int((rows > k).sum()) for *_, rows, _, _ in slabs
-                             for k in range(rows[0])]
-            assert sum(sizes) == sum(int((rows - 1).sum()) + rows.size
-                                     for *_, rows, _, _ in slabs)
+            assert sizes == [int(w) for _, _, _, width, *_ in slabs
+                             for w in width]
+            assert sum(sizes) == sum(t.size + order.size
+                                     for _, _, order, *_, t in slabs)
 
     @pytest.mark.parametrize("rel", [Affine(0.0, 1.0), CUSTOM],
                              ids=["closed-flow", "RK"])
     def test_step_reads_no_cell_past_a_lane(self, rel):
-        # NaN in every cell past a lane's last row: the states stay finite,
-        # those cells stay NaN, and the rest is the row loop's
-        (a, _, _, rows, t, s), = _slabs_of(CPP, (4.0,), 64)
-        past = np.arange(len(t))[:, None] >= rows
-        t[past] = s[past] = np.nan
+        # a lane's cells are the slab's, held row by row with no padding:
+        # with NaN in every cell past the slab's steps and sizes, as in a
+        # chunk buffer drawn for a larger slab, the states stay finite,
+        # those cells of out stay NaN, and the rest is the row loop's
+        (_, _, _, width, dt, sizes, _), = _slabs_of(CPP, (4.0,), 64)
+        tail = np.full(40, np.nan)
+        dt, sizes = np.append(dt, tail), np.append(sizes, tail)
         x0 = np.linspace(0.0, 3.0, 64)
-        out = s.copy()
-        x = simulator._step_lanes(rel, x0, t, s, rows, 0.0, a, out=out)
-        ref_out = s.copy()
-        ref = _row_loop(rel, x0, t, s, rows, 0.0, a, out=ref_out)
+        out = np.full(sizes.size, np.nan)
+        x = simulator._step_lanes(rel, x0.copy(), width, dt, sizes, 0.0, out=out)
+        ref_out = np.full(sizes.size, np.nan)
+        ref = _row_loop(rel, x0, width, dt, sizes, 0.0, out=ref_out)
+        past = np.arange(sizes.size) >= sizes.size - tail.size
         assert np.isfinite(x).all() and np.isnan(out[past]).all()
+        assert np.isfinite(out[~past]).all()
         assert x.tobytes() == ref.tobytes()
-        assert out[~past].tobytes() == ref_out[~past].tobytes()
-
-
-class TestSortRows:
-    @pytest.mark.parametrize("c", range(1, simulator._NETWORK + 2))
-    def test_network_sorts_as_numpy(self, c):
-        # up to the cut-off the network, past it numpy's sort: the same
-        # values either way, ties and a zero among them
-        u = np.random.default_rng(c).random((simulator._CHUNK, c))
-        u[::7, -1] = u[::7, 0]
-        u[::11, 0] = 0.0
-        ref = np.sort(u, axis=1)
-        simulator._sort_rows(u)
-        assert u.tobytes() == ref.tobytes()
+        assert out.tobytes() == ref_out.tobytes()
