@@ -187,6 +187,12 @@ class LevyInput:
         with np.errstate(divide="ignore"):
             return np.log(np.asarray(self.tail(u), dtype=float))
 
+    def log_tail_drop(self, u, v):
+        """log nu_bar(v) - log nu_bar(u + v) for u, v > 0: the plain
+        difference, which cancels far into a light tail, where a family with
+        a closed form overrides it."""
+        return self.log_tail(v) - self.log_tail(u + v)
+
     def laplace_exponent(self, lam: float) -> float:
         """psi(lam) = int (e^{-lam u} - 1) nu(du) <= 0, via the tail identity
         psi(lam) = -lam * int_0^inf e^{-lam u} nu_bar(u) du."""
@@ -249,6 +255,19 @@ class CompoundPoisson(LevyInput):
             lo = np.log(np.maximum(u, 1e-300) / self.jump.xm)
             return math.log(self.rate) - self.jump.alpha * np.maximum(lo, 0.0)
         return super().log_tail(u)
+
+    def log_tail_drop(self, u, v):
+        """Exact for exponential jumps, mu u, and for Pareto jumps: alpha
+        log1p(u / v) for v >= xm, below xm alpha log((u + v) / xm) floored
+        at 0.  No two logs of a far tail cancel."""
+        u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+        if self.rate > 0.0 and isinstance(self.jump, Exponential):
+            return self.jump.mu * u
+        if self.rate > 0.0 and isinstance(self.jump, ParetoJumps):
+            alpha, xm = self.jump.alpha, self.jump.xm
+            below = np.log(np.maximum((u + v) / xm, 1.0))
+            return alpha * np.where(v >= xm, np.log1p(u / np.maximum(v, xm)), below)
+        return super().log_tail_drop(u, v)
 
     def density(self, u):
         return self.rate * self.jump.pdf(u)

@@ -360,15 +360,16 @@ class TailEnvelope:
 
 def _subgeometric_ratio(levy, release, eps, u) -> float:
     """Folded form of the sub-geometric ratio hypothesis: one integral,
-    assembled in log space so exponential tails cause no overflow."""
+    assembled in log space so exponential tails cause no overflow, with
+    log nu_bar(v) - log nu_bar(u + v) read as one term (``log_tail_drop``),
+    so a family with a closed form does not cancel two logs near -mu v."""
     lt_u = levy.log_tail(u)
     lr_u = np.log(release.rate(u))
     lu = np.log(u)
 
     def integrand(v):
-        expo = (lt_u - levy.log_tail(u + v)
-                + (1.0 + eps) * (lu - np.log(u + v))
-                + levy.log_tail(v) - lr_u)
+        expo = (lt_u + levy.log_tail_drop(u, v)
+                + (1.0 + eps) * (lu - np.log(u + v)) - lr_u)
         return _exp(expo)
 
     return integrate_semiinfinite(integrand).value
@@ -551,8 +552,13 @@ def tv_lower_rate(levy: LevyInput, release: ReleaseRate, eps: float = 0.1,
     c = max(max(drift_vals), 1e-6)
 
     def log_L(w: float) -> float:
-        # an envelope that underflowed to 0 logs as -inf and fails F-monotone
-        value = float(envelope.fn(math.exp(w)))
+        # an envelope that underflowed to 0, or whose level e^w is past the
+        # float range, logs as -inf and fails F-monotone
+        try:
+            level = math.exp(w)
+        except OverflowError:
+            return -math.inf
+        value = float(envelope.fn(level))
         return math.log(value) if value > 0.0 else -math.inf
 
     def log_F(y: float) -> float:

@@ -15,13 +15,18 @@ reported as Divergent, never silently truncated.
 Integrands are array-native: the rule evaluates all 15 nodes of a panel in
 one call, and both halves of a split panel (30 nodes) in one call, so an
 integrand maps an ndarray of nodes to an array of the same shape.  Along
-the dyadic march, the first panels of a run of blocks (1, 2, 4, ... up to
-``_PREFETCH``) share one call too.  The march still takes the blocks one at
-a time and stops where it would without the shared call, so every adaptive
-tree is the same; the integrand may thus be evaluated on nodes past the
-stopping block, at most as many as the march used.  A shared call that
-raises is replaced by one call per block, so an error surfaces only at a
-block the march reaches.
+the dyadic march, the whole-block panels of a run of blocks (1, 2, 4, ...
+up to ``_PREFETCH``) share one call too, and one pass of the rule: each
+panel's Kronrod and Gauss sums are sums along its row of values, as for a
+lone panel or the halves of a split, so a panel's numbers do not depend on
+the call that held it.  A block whose whole-block panel meets the
+tolerance is taken as it is and never enters the adaptive refinement,
+which only the other blocks reach.  The march still takes the blocks one
+at a time and stops where it would without the shared call, so every
+adaptive tree is the same; the integrand may thus be evaluated on nodes
+past the stopping block, at most as many as the march used.  A shared call
+that raises, or a panel that is not finite, is replaced by one call per
+block, so an error surfaces only at a block the march reaches.
 """
 
 from __future__ import annotations
@@ -100,7 +105,9 @@ _WG = np.array([
     0.417959183673469, 0.381830050505119, 0.279705391489277,
     0.129484966168870,
 ])
-_GAUSS_IDX = np.arange(1, 15, 2)
+# the Kronrod weights and the Gauss weights on the Kronrod nodes, as rows
+_W = np.vstack([_WK, np.zeros(15)])
+_W[1, 1::2] = _WG
 
 
 def _evaluate(f, x: np.ndarray) -> np.ndarray:
@@ -114,23 +121,36 @@ def _evaluate(f, x: np.ndarray) -> np.ndarray:
     raise ValueError(f"integrand returned shape {y.shape} for {x.shape} nodes")
 
 
-def _gk_rule(x: np.ndarray, y: np.ndarray, half: float):
-    """Kronrod value and error estimate of one panel from its 15 values."""
-    ik = half * float(_WK @ y)
-    if not math.isfinite(ik):
+def _gk_sums(y: np.ndarray, half):
+    """Kronrod values and error estimates, as lists, of the panels whose 15
+    values are the rows of ``y``, with half-widths ``half``.  Each panel's
+    Kronrod and Gauss sums are sums along its row, so a panel gets the same
+    numbers alone, as half of a split or in a run of blocks."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        ik, ig = ((y[:, None, :] * _W).sum(axis=2).T * half).tolist()
+    err = []
+    for k, g in zip(ik, ig):
+        diff = abs(k - g)
+        err.append(diff if diff == 0.0 or diff > 1e200
+                   else min(diff, (200.0 * diff) ** 1.5))
+    return ik, err
+
+
+def _gk_rule(x: np.ndarray, y: np.ndarray, half):
+    """``_gk_sums`` of the panels whose 15 nodes and values are the rows of
+    ``x`` and ``y``; a NaN value raises NonFiniteEvaluation and an infinite
+    one Divergent, in the first panel whose value is not finite."""
+    y = y.reshape(-1, 15)
+    ik, err = _gk_sums(y, half)
+    for i, v in enumerate(ik):
         # a NaN or an infinite value makes the sum non-finite; so may
         # overflow of finite values, which passes both checks
-        if np.isnan(y).any():
-            bad = x[np.isnan(y)][0]
-            raise NonFiniteEvaluation(f"integrand returned NaN at node {float(bad)!r}")
-        if np.isinf(y).any():
-            raise Divergent("integrand is infinite at a quadrature node")
-    ig = half * float(_WG @ y[_GAUSS_IDX])
-    diff = abs(ik - ig)
-    if diff == 0.0 or diff > 1e200:
-        err = diff
-    else:
-        err = min(diff, (200.0 * diff) ** 1.5)
+        if not math.isfinite(v):
+            if np.isnan(y[i]).any():
+                bad = x.reshape(-1, 15)[i][np.isnan(y[i])][0]
+                raise NonFiniteEvaluation(f"integrand returned NaN at node {float(bad)!r}")
+            if np.isinf(y[i]).any():
+                raise Divergent("integrand is infinite at a quadrature node")
     return ik, err
 
 
@@ -138,29 +158,26 @@ def _gk_panel(f, a: float, b: float):
     """One Gauss-Kronrod pass, one integrand call; returns (integral,
     error estimate)."""
     x = 0.5 * (a + b) + 0.5 * (b - a) * _XK
-    return _gk_rule(x, _evaluate(f, x), 0.5 * (b - a))
+    (ik,), (err,) = _gk_rule(x, _evaluate(f, x), 0.5 * (b - a))
+    return ik, err
 
 
 def _gk_halves(f, a: float, m: float, b: float):
     """Gauss-Kronrod passes over [a, m] and [m, b] from one integrand call
-    on their 30 nodes; returns ((integral, error), (integral, error))."""
-    x = np.concatenate([0.5 * (a + m) + 0.5 * (m - a) * _XK,
-                        0.5 * (m + b) + 0.5 * (b - m) * _XK])
-    y = _evaluate(f, x)
-    left = _gk_rule(x[:15], y[:15], 0.5 * (m - a))
-    return left, _gk_rule(x[15:], y[15:], 0.5 * (b - m))
+    on their 30 nodes; returns ([left, right] integrals, [left, right]
+    error estimates)."""
+    half = np.array([0.5 * (m - a), 0.5 * (b - m)])
+    x = np.array([0.5 * (a + m), 0.5 * (m + b)])[:, None] + half[:, None] * _XK
+    return _gk_rule(x, _evaluate(f, x.ravel()), half)
 
 
 def _adaptive(f, a: float, b: float, spec: QuadratureSpec, budget: int,
               first=None):
     """Globally adaptive integration over a finite [a, b] free of endpoint
     singularities.  Returns (value, error, panels_used).  ``first``, the
-    (nodes, values) of the panel over all of [a, b] if already evaluated,
+    (value, error) of the panel over all of [a, b] if already computed,
     saves its integrand call."""
-    if first is None:
-        val, err = _gk_panel(f, a, b)
-    else:
-        val, err = _gk_rule(*first, 0.5 * (b - a))
+    val, err = first or _gk_panel(f, a, b)
     heap = [(-err, a, b, val, err)]
     total, total_err = val, err
     used = 1
@@ -170,7 +187,7 @@ def _adaptive(f, a: float, b: float, spec: QuadratureSpec, budget: int,
             heapq.heappush(heap, (neg_err, pa, pb, pval, perr))
             break
         m = 0.5 * (pa + pb)
-        (lv, le), (rv, re) = _gk_halves(f, pa, m, pb)
+        (lv, rv), (le, re) = _gk_halves(f, pa, m, pb)
         total += (lv + rv) - pval
         total_err += (le + re) - perr
         heapq.heappush(heap, (-le, pa, m, lv, le))
@@ -186,29 +203,24 @@ _EDGE = -math.log2(_RATIO_DIVERGENT)  # the same boundary for an end exponent of
 _PREFETCH = 64            # most blocks whose first panels share one call
 
 
-def _geo_mean(ratios: list[float]) -> float | None:
-    if not ratios:
-        return None
-    recent = ratios[-5:]
-    return math.exp(sum(map(math.log, recent)) / len(recent))
-
-
 def _first_panels(f, blocks: list):
-    """(a, b, first) for each (a, b) block, ``first`` being the (nodes,
-    values) of its whole-block panel, all from one integrand call.  A lone
-    block, or a run whose call raises, gets None: each such block is
-    evaluated on its own when reached, so an error surfaces at the block
-    that causes it."""
-    if len(blocks) > 1:
-        lo, hi = np.array(blocks).T[:, :, None]
-        x = 0.5 * (lo + hi) + 0.5 * (hi - lo) * _XK
-        try:
-            y = _evaluate(f, x.ravel()).reshape(x.shape)
-        except Exception:
-            pass
-        else:
-            return [(a, b, (x[i], y[i])) for i, (a, b) in enumerate(blocks)]
-    return [(a, b, None) for a, b in blocks]
+    """(a, b, value, error) for each (a, b) block, of its whole-block panel:
+    one integrand call and one ``_gk_sums`` for the run.  A block whose
+    panel is not finite, or each block of a run whose call raises, gets
+    value None and is evaluated on its own when reached, so an error
+    surfaces at the block that causes it (a lone block is always reached,
+    so its call raises at once)."""
+    lo, hi = np.array(blocks).T[:, :, None]
+    x = 0.5 * (lo + hi) + 0.5 * (hi - lo) * _XK
+    try:
+        y = _evaluate(f, x.ravel()).reshape(x.shape)
+    except Exception:
+        if len(blocks) == 1:
+            raise
+        return [(a, b, None, None) for a, b in blocks]
+    val, err = _gk_sums(y, 0.5 * (hi - lo)[:, 0])
+    return [(a, b, v if math.isfinite(v) else None, e)
+            for (a, b), v, e in zip(blocks, val, err)]
 
 
 def _block_sum(f, edges, spec: QuadratureSpec, budget: list,
@@ -223,11 +235,13 @@ def _block_sum(f, edges, spec: QuadratureSpec, budget: list,
     the singular end, or the flat log-divergent pattern) raise Divergent.
     Mass sitting many octaves from the split point merely delays the stop,
     it does not trip the divergence guard while block values stay below
-    ``tol_share``.
+    ``tol_share``.  A block whose whole-block panel meets the tolerance is
+    taken as it is; only the others are refined by ``_adaptive``.
     """
     total, total_err = 0.0, 0.0
     prev = None
-    ratios: list[float] = []
+    logs: list[float] = []  # log block ratios; their recent mean is the trend
+    rbar = None
     mag = 0.0
     last = 0.0
     zero_run = 0
@@ -235,6 +249,7 @@ def _block_sum(f, edges, spec: QuadratureSpec, budget: list,
     edges = iter(edges)
     run: list = []
     size = 1
+    abs_tol, rel_tol = spec.abs_tol, spec.rel_tol
     while budget[0] > 8 and octaves < _MAX_BLOCKS:
         if not run:
             # every block takes a panel, so no more than this many are left
@@ -244,9 +259,13 @@ def _block_sum(f, edges, spec: QuadratureSpec, budget: list,
                 break
             run = _first_panels(f, blocks)[::-1]
             size = min(2 * size, _PREFETCH)
-        a, b, first = run.pop()
-        v, e, used = _adaptive(f, a, b, spec, min(64, budget[0]), first)
-        budget[0] -= used
+        a, b, v, e = run.pop()
+        if v is None or (e > abs_tol and e > rel_tol * abs(v)):
+            v, e, used = _adaptive(f, a, b, spec, min(64, budget[0]),
+                                   None if v is None else (v, e))
+            budget[0] -= used
+        else:
+            budget[0] -= 1
         total += v
         total_err += e
         octaves += 1
@@ -261,12 +280,13 @@ def _block_sum(f, edges, spec: QuadratureSpec, budget: list,
             prev = None
             continue
         zero_run = 0
-        if prev not in (None, 0.0):
-            ratios.append(max(mag / prev, 1e-12))
+        if prev is not None:
+            logs.append(math.log(max(mag / prev, 1e-12)))
+            recent = logs[-5:]
+            rbar = math.exp(sum(recent) / len(recent))
         prev = mag
-        rbar = _geo_mean(ratios)
         if rbar is not None and rbar < 0.98:
-            if mag <= tol_share * max(1.0 - rbar, 3e-3):
+            if mag <= tol_share * (1.0 - rbar):
                 # geometric extrapolation of the rest; ratios are already
                 # near their asymptote here, so most of it is real mass
                 rem = mag * rbar / (1.0 - rbar)
@@ -274,7 +294,7 @@ def _block_sum(f, edges, spec: QuadratureSpec, budget: list,
         if (octaves >= _GROWTH_OCTAVES and mag > tol_share
                 and (rbar is None or rbar >= _RATIO_DIVERGENT)):
             raise Divergent(f"non-decaying {direction} blocks", partial=total)
-    rbar = _geo_mean(ratios) or 1.0
+    rbar = rbar or 1.0
     if rbar >= _RATIO_DIVERGENT and mag > tol_share:
         raise Divergent(f"{direction} fails to converge within budget",
                         partial=total)
@@ -425,7 +445,9 @@ class _Basin:
     are 1/16 apart, one at any kink of r.  On each interval T is F(z), the
     integral of the polynomial through dT/dw at 8 Gauss-Legendre nodes, and
     w is W(p), the polynomial through the nodes and knots in T.  Past the
-    ends dT/dw goes on as exp(a w); a = 0 at an equilibrium (G ~ log)."""
+    ends dT/dw goes on as exp(a w); a = 0 at an equilibrium (G ~ log).  An
+    end that is no pure power (``pure``) reads T at 0 or inf off
+    ``DrainClock._far`` instead."""
 
     def __init__(self, rate, drift, lo, hi, kink):
         h = self.h = 1.0 / 16
@@ -459,6 +481,11 @@ class _Basin:
         q0, q1 = math.log(m01 / m00), math.log(m11 / m10)
         a0 = 0.0 if lo > 0 or abs(q0) < 2e-15 else q0 / h
         a1 = 0.0 if hi < math.inf or abs(q1) < 2e-15 else q1 / h
+        # an end is a pure power (dT/dw is exp(a w) past it, and the
+        # continuation exact) if its two outermost intervals share one ratio
+        q0n, q1p = (math.log(m[k, -1] / m[k, 0])
+                    for k in (min(1, self.n - 1), max(self.n - 2, 0)))
+        self.pure = (abs(q0n - q0) <= 1e-12, abs(q1p - q1) <= 1e-12)
         # T is 0 at knot j: at inf where G converges (precise where |r| is
         # big), else at the low end, or, where G grows like a power there (T
         # would hold every digit), at the knot nearest w = 0
@@ -531,7 +558,7 @@ class DrainClock:
                 lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
         self.roots, ends = hi, [0.0, *hi.tolist(), math.inf]
         self.basins = [_Basin(rate, drift, *pair, kink) for pair in zip(ends, ends[1:])]
-        self.rate, self.drift, self._verdicts = rate, drift, {}
+        self.rate, self.drift, self._verdicts, self._far_T = rate, drift, {}, {}
 
     def flow(self, x, dt):
         """The flow over dt >= 0 from x; floats or arrays of lanes."""
@@ -560,7 +587,8 @@ class DrainClock:
     def drain_time(self, lo, hi):
         """G(hi) - G(lo) for 0 <= lo <= hi, hi possibly inf; floats or arrays.
         Divergent at or across an equilibrium, and at 0 or inf where
-        ``_diverges`` says so."""
+        ``_diverges`` says so.  At 0 or inf an end that is no pure power
+        reads T there off ``_far``."""
         lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), hi)
         shape, lo, hi = lo.shape, lo.ravel(), hi.ravel()
         span, out = lo < hi, np.zeros(lo.size)
@@ -568,12 +596,39 @@ class DrainClock:
         with np.errstate(all="ignore"):
             for i in np.unique(which[span]):
                 on, b = span & (which == i), self.basins[i]
-                if ((b.lo in lo[on] and self._diverges(i, 0))
-                        or ((hi[on] >= b.hi).any() and self._diverges(i, 1))):
+                at = (lo[on] == b.lo, hi[on] >= b.hi)
+                if any(at[side].any() and self._diverges(i, side) for side in (0, 1)):
                     raise Divergent("drain time diverges at or across an end")
                 t = b.clock(b.coord(np.concatenate([lo[on], hi[on]]))).reshape(2, -1)
+                for side in (0, 1):
+                    if at[side].any() and not b.pure[side]:
+                        t[side, at[side]] = self._far(i, side)
                 out[on] = b.sign * (t[1] - t[0])
         return out.reshape(shape) if shape else float(out[0])
+
+    def _far(self, i, side):
+        """T at the low (side 0) or high end of basin i, 0 or inf, past an
+        outermost knot that is no pure power: the knot's T plus the march of
+        dT/dw over blocks dyadic in |w|, run once.  There a log factor of r
+        (u log^2 u: dT/dw ~ w^-2) is a power, so its blocks are geometric
+        and the march's extrapolation is exact, where blocks dyadic in x
+        decay too slowly for it; the blocks stop where x leaves the floats."""
+        if (i, side) not in self._far_T:
+            b = self.basins[i]
+            we, te, mu, _ = b.ends[side]
+            d = 2 * side - 1  # w = d s, s > 0 growing toward the end
+            top = math.log(np.finfo(float).max) - abs(math.log(b.ell)) - 1.0
+
+            def slope(s):
+                x, dxdw = b.place(d * s)
+                return b.sign * dxdw / (self.rate(x) - self.drift)
+
+            spec = QuadratureSpec()
+            edges = itertools.takewhile(lambda e: e[1] <= top, _tail_edges(d * we))
+            rem, _, _ = _block_sum(slope, edges, spec, [spec.max_subdivisions],
+                                   spec.rel_tol * mu * d * we, "end")
+            self._far_T[i, side] = te + d * rem
+        return self._far_T[i, side]
 
     def _diverges(self, i, side):
         """Whether G diverges at the low (side 0) or high end of basin i: at

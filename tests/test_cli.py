@@ -464,6 +464,23 @@ class TestCli:
         assert payload["predicted_lower"] is None
         assert code == (0 if payload["verdict"] == "PASS" else 2)
 
+    def test_compare_with_an_envelope_past_the_float_range(self, tmp_path):
+        # Pareto(0.8) input: tv_lower_rate's log grid reaches levels past the
+        # floats, which fail F-monotone instead of raising OverflowError
+        out = tmp_path / "pareto"
+        code = main(["compare", "preset:power-sharp", "--set",
+                     'input={"family":"compound_poisson","rate":1.0,'
+                     '"jump":{"law":"pareto","alpha":0.8}}',
+                     "--set", "budgets.n_paths=2000", "--out", str(out)])
+        payload = json.loads((out / "compare.json").read_text())
+        assert payload["predicted_lower"] is None
+        assert code == (0 if payload["verdict"] == "PASS" else 2)
+
+    def test_compare_power_heavy_is_a_regime_refusal(self, tmp_path, capsys):
+        code = main(["compare", "preset:power-heavy", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["type"] == "NotStationaryRegime"
+
     def test_laplace_command(self, tmp_path):
         out = tmp_path / "lp"
         code = main(["laplace", "preset:gamma-linear", "--out", str(out),

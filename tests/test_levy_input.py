@@ -68,6 +68,34 @@ class TestTail:
         assert (np.diff(vals) <= 1e-12 * vals[:-1]).all()
 
 
+DROP_FAMILIES = PRESETS + [
+    CompoundPoisson(2.0, Exponential(3.0)),
+    CompoundPoisson(1.0, ParetoJumps(0.8, xm=2.0)),
+    CompoundPoisson(1.0, DeterministicJumps(60.0)),
+    TabulatedTail(tuple(np.geomspace(0.1, 10.0, 30)),
+                  tuple(np.minimum(np.geomspace(0.1, 10.0, 30) ** -2.0, 100.0)),
+                  ("power", 2.0)),
+]
+
+
+class TestLogTailDrop:
+    """log nu_bar(v) - log nu_bar(u + v): closed forms where the family has
+    one, the plain difference of log_tail otherwise."""
+
+    @pytest.mark.parametrize("inp", DROP_FAMILIES, ids=lambda i: repr(i)[:40])
+    def test_matches_the_plain_difference(self, inp):
+        v = np.geomspace(1e-3, 50.0, 200)
+        for u in (0.1, 1.0, 7.5, 100.0):
+            plain = inp.log_tail(v) - inp.log_tail(u + v)
+            np.testing.assert_allclose(inp.log_tail_drop(u, v), plain,
+                                       rtol=1e-12, atol=1e-13)
+
+    def test_exponential_holds_far_into_the_tail(self):
+        # log_tail is near -1e10 there, and the plain difference only noise
+        inp = CompoundPoisson(1.0, Exponential(1.0))
+        assert inp.log_tail_drop(100.0, np.array([1e10, 1e16])).tolist() == [100.0, 100.0]
+
+
 class TestFirstMoment:
     def test_cpp(self):
         assert CompoundPoisson(2.0, Exponential(1.0)).first_moment() == pytest.approx(2.0)

@@ -500,6 +500,28 @@ class TestTailUpper:
             tail_upper_exponential(levy, Constant(2.0), 1.0, 0.1)
 
 
+class TestSubgeometricRatio:
+    """With exponential jumps nu_bar(v) / nu_bar(u + v) = e^{mu u}, so the
+    ratio integral is lambda / r(u) int (u / (u + v))^{1 + eps} dv =
+    lambda u / (eps r(u)), finite however far the tail runs."""
+
+    @pytest.mark.parametrize("name", ["constant-mm1", "general-bounded",
+                                      "shotnoise-gamma"])
+    def test_matches_closed_form(self, name):
+        scen = load_preset(name)
+        levy, rel = scen.levy, scen.release
+        for u in DEFAULT_PROBE_GRID:
+            closed = levy.rate * u / (0.1 * float(rel.rate(u)))
+            assert lyapunov._subgeometric_ratio(levy, rel, 0.1, u) == pytest.approx(
+                closed, rel=1e-10)
+
+    def test_refusal_names_the_limsup(self):
+        # not "ratio integral diverges": the integral converges, to 5e6 at 1e6
+        with pytest.raises(HypothesisFailed) as exc:
+            tail_upper(*MM1, 0.1)
+        assert str(exc.value).startswith("limsup estimate 5e+06")
+
+
 class TestTailLower:
     def test_poly_quotient_power_sharp(self):
         levy, rel = POWER_SHARP

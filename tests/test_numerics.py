@@ -105,6 +105,46 @@ class TestIntegrateSemiinfinite:
             QuadratureSpec(max_subdivisions=0)
 
 
+def _quad_both_ways(f):
+    """integrate_semiinfinite(f) with its runs of blocks, and with one block
+    per call."""
+    got = integrate_semiinfinite(f)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numerics, "_PREFETCH", 1)
+        return got, integrate_semiinfinite(f)
+
+
+class TestClosedForms:
+    """The block march against closed forms: blocks whose whole-block panel
+    is accepted skip the adaptive refinement, and a march of one block per
+    call must reach the same value, error and panel count."""
+
+    @pytest.mark.parametrize("a", [0.2, 0.5, 1.0, 2.5, 5.0])
+    def test_gamma_function(self, a):
+        got, single = _quad_both_ways(lambda v: v ** (a - 1.0) * np.exp(-v))
+        assert got.value == pytest.approx(math.gamma(a), rel=1e-8)
+        assert (got.value, got.error, got.subdivisions) == (
+            single.value, single.error, single.subdivisions)
+
+    @pytest.mark.parametrize("p", [1.05, 1.3, 2.0, 4.0])
+    def test_power_tail(self, p):
+        got, single = _quad_both_ways(lambda v: (1.0 + v) ** -p)
+        assert got.value == pytest.approx(1.0 / (p - 1.0), rel=1e-8)
+        assert (got.value, got.error, got.subdivisions) == (
+            single.value, single.error, single.subdivisions)
+
+    def test_one_rule_for_runs_halves_and_lone_panels(self):
+        # a panel's sums are row sums, the same whichever call holds it
+        rng = np.random.default_rng(3)
+        y = rng.standard_normal((40, 15)) * rng.lognormal(0.0, 3.0, (40, 1))
+        half = rng.uniform(0.1, 3.0, 40)
+        run = numerics._gk_sums(y, half)
+        for i in range(39):
+            assert numerics._gk_sums(y[i:i + 1], half[i]) == ([run[0][i]], [run[1][i]])
+            pair = numerics._gk_sums(y[i:i + 2], half[i:i + 2])
+            assert pair == (run[0][i:i + 2], run[1][i:i + 2])
+
+
 def _recorded(f):
     """f and the list of node arrays it is called on."""
     seen = []
@@ -130,6 +170,24 @@ class TestBlockRuns:
         assert 3 * len(batched) <= len(single)
         nodes = [sum(v.size for v in calls) for calls in (batched, single)]
         assert nodes[0] <= 2 * nodes[1]
+
+    def test_accepted_blocks_skip_refinement(self, monkeypatch):
+        spec, calls = QuadratureSpec(), []
+        adaptive = numerics._adaptive
+
+        def spy(f, a, b, spec, budget, first=None):
+            calls.append(first)
+            return adaptive(f, a, b, spec, budget, first)
+
+        monkeypatch.setattr(numerics, "_adaptive", spy)
+        res = integrate_semiinfinite(lambda v: np.exp(-v / 50.0) * np.cos(v) ** 2)
+        assert res.value == pytest.approx(25.0 + 0.01 / (4.0 + 1.0 / 2500.0), rel=1e-7)
+        # the coarse pass starts without a panel; every block that reaches
+        # the refinement brings a panel that fails the tolerance
+        assert calls[0] is None and calls[1:]
+        for val, err in calls[1:]:
+            assert err > max(spec.abs_tol, spec.rel_tol * abs(val))
+        assert len(calls) < res.subdivisions / 4
 
     def test_callable_failing_past_the_stop(self, monkeypatch):
         # one block per call evaluates no node outside [lo, hi]; the batched

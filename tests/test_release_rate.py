@@ -461,6 +461,28 @@ class TestClockTwins:
         assert classify(levy, twin).uniform == at_inf
         assert check_regularity(twin, "finite").cbar2 == at_0
 
+    @pytest.mark.parametrize("beta", [1.5, 2.0, 3.0])
+    def test_pure_power_end_keeps_its_extrapolation(self, beta):
+        twin, closed = _power_twin(beta), Power(1.0, beta)
+        assert twin.drain_time(LEVELS, math.inf) == pytest.approx(
+            closed.drain_time(LEVELS, math.inf), rel=1e-12)
+
+    def test_log_ends_read_the_march_past_the_last_knot(self):
+        # past 1e30 (and below 1e-16) dT/dw of a log-factor end is a power
+        # of w, not exp(a w): G reads the march there, not the end's slope
+        declared = RateAsymptotics("power", 1.0, 1.0)
+        closed = Custom(lambda u: (math.e + u) * math.log(math.e + u) ** 2, declared)
+        assert closed.drain_time(1.0, math.inf) == pytest.approx(
+            1.0 / math.log(1.0 + math.e), rel=1e-8)
+        # the same integrals in s = +-log u, where both ends are powers of s
+        at_inf = Custom(lambda u: u * math.log(math.e + u) ** 2, declared)
+        ref = integrate_semiinfinite(lambda s: (s + np.log1p(np.exp(1.0 - s))) ** -2.0)
+        assert at_inf.drain_time(1.0, math.inf) == pytest.approx(ref.value, rel=1e-8)
+        at_0 = Custom(lambda u: u * math.log1p(1.0 / u) ** 2 if u > 0.0 else 0.0,
+                      declared)
+        ref = integrate_semiinfinite(lambda s: (s + np.log1p(np.exp(-s))) ** -2.0)
+        assert at_0.drain_time(0.0, 1.0) == pytest.approx(ref.value, rel=1e-8)
+
     @pytest.mark.parametrize("beta", [-0.5, 0.5, 2.0])
     def test_same_regime(self, beta):
         twin, closed = _power_twin(beta), Power(1.0, beta)
