@@ -47,7 +47,6 @@ from .lyapunov import (
 )
 from .numerics import (
     FitResult,
-    QuadratureSpec,
     fit_loglog,
     integrate_semiinfinite,
     invert_monotone,

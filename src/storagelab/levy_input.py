@@ -335,6 +335,17 @@ def _tempered_draw(gen, n, alpha, c, eps):
     return out
 
 
+def _exp_tail_drop(levy, c, k, u, v):
+    """``log_tail_drop`` of a tail whose ``log_tail`` reads C x^-k e^-x
+    (1 - k/x), x = c u, past x = 600.  There the drop is that form taken
+    apart, c u + k log1p(u / v) plus the two corrections, so no two logs
+    near -c v cancel; elsewhere it is the plain difference."""
+    u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+    x, y = c * np.maximum(v, 600.0 / c), c * np.maximum(u + v, 600.0 / c)
+    far = c * u + k * np.log1p(u / v) + np.log1p(-k / x) - np.log1p(-k / y)
+    return np.where(c * v > 600.0, far, levy.log_tail(v) - levy.log_tail(u + v))
+
+
 @dataclass(frozen=True)
 class GammaSub(LevyInput):
     """Gamma subordinator: nu(du) = shape * exp(-rate_ * u) / u du."""
@@ -361,6 +372,9 @@ class GammaSub(LevyInput):
         with np.errstate(divide="ignore"):
             direct = np.log(self.shape * special.exp1(np.minimum(x, 600.0)))
         return np.where(x > 600.0, math.log(self.shape) + asym, direct)
+
+    def log_tail_drop(self, u, v):
+        return _exp_tail_drop(self, self.rate_, 1.0, u, v)
 
     def density(self, u):
         u = np.asarray(u, dtype=float)
@@ -468,13 +482,17 @@ class TemperedStableSub(LevyInput):
     def log_tail(self, u):
         u = np.asarray(u, dtype=float)
         x = self.tempering * u
-        # Gamma(-alpha, x) ~ x^{-alpha-1} e^{-x} for large x
+        # Gamma(-alpha, x) ~ x^{-alpha-1} e^{-x} (1 - (1 + alpha)/x) for large x
         asym = (math.log(self.scale * self.alpha / self.tempering)
-                - (1.0 + self.alpha) * np.log(np.maximum(u, 1e-300)) - x)
+                - (1.0 + self.alpha) * np.log(np.maximum(u, 1e-300)) - x
+                + np.log1p(-(1.0 + self.alpha) / np.maximum(x, 2.0)))
         with np.errstate(divide="ignore"):
             direct = np.log(np.maximum(self.tail(np.minimum(u, 600.0 / self.tempering)),
                                        1e-300))
         return np.where(x > 600.0, asym, direct)
+
+    def log_tail_drop(self, u, v):
+        return _exp_tail_drop(self, self.tempering, 1.0 + self.alpha, u, v)
 
     def density(self, u):
         u = np.asarray(u, dtype=float)

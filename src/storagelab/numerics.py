@@ -5,7 +5,7 @@ drain clock (a table of the time integral G of x' = drift - r(x), read for
 the flow and for G differences: the one numeric clock, of release rates,
 custom rate functions phi and custom moduli beta), and log-log regression.
 
-The semi-infinite integrator splits [0, inf) at ``tail_split`` and covers
+The semi-infinite integrator splits [0, inf) at ``_TAIL_SPLIT`` and covers
 each side by dyadic scale blocks ([a, 2a] outward, [a/2, a] inward), each
 integrated with a globally adaptive 7-15 Gauss-Kronrod rule.  Block sums of
 a power-law integrand form a geometric series, so convergence, remainder
@@ -41,7 +41,6 @@ import numpy as np
 from .errors import DegenerateInput, Divergent, NonFiniteEvaluation, NotBracketed
 
 __all__ = [
-    "QuadratureSpec",
     "QuadResult",
     "FitResult",
     "integrate_semiinfinite",
@@ -55,22 +54,12 @@ __all__ = [
 # quadrature
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances and budget for the adaptive integrator."""
-
-    rel_tol: float = 1e-8
-    abs_tol: float = 1e-12
-    max_subdivisions: int = 2000
-    tail_split: float = 1e3
-
-    def __post_init__(self):
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
-        if not self.tail_split > 0:
-            raise ValueError("tail_split must be positive")
+# tolerances and panel budget of the adaptive integrator, and where the
+# semi-infinite integral splits into head and tail
+_REL_TOL = 1e-8
+_ABS_TOL = 1e-12
+_MAX_PANELS = 2000
+_TAIL_SPLIT = 1e3
 
 
 @dataclass(frozen=True)
@@ -171,8 +160,7 @@ def _gk_halves(f, a: float, m: float, b: float):
     return _gk_rule(x, _evaluate(f, x.ravel()), half)
 
 
-def _adaptive(f, a: float, b: float, spec: QuadratureSpec, budget: int,
-              first=None):
+def _adaptive(f, a: float, b: float, budget: int, first=None):
     """Globally adaptive integration over a finite [a, b] free of endpoint
     singularities.  Returns (value, error, panels_used).  ``first``, the
     (value, error) of the panel over all of [a, b] if already computed,
@@ -181,7 +169,7 @@ def _adaptive(f, a: float, b: float, spec: QuadratureSpec, budget: int,
     heap = [(-err, a, b, val, err)]
     total, total_err = val, err
     used = 1
-    while total_err > max(spec.abs_tol, spec.rel_tol * abs(total)) and used < budget:
+    while total_err > max(_ABS_TOL, _REL_TOL * abs(total)) and used < budget:
         neg_err, pa, pb, pval, perr = heapq.heappop(heap)
         if pb - pa < 1e-13 * max(1.0, abs(pa), abs(pb)):
             heapq.heappush(heap, (neg_err, pa, pb, pval, perr))
@@ -223,8 +211,8 @@ def _first_panels(f, blocks: list):
             for (a, b), v, e in zip(blocks, val, err)]
 
 
-def _block_sum(f, edges, spec: QuadratureSpec, budget: list,
-               tol_share: float, direction: str, mass_seen: bool = False):
+def _block_sum(f, edges, budget: list, tol_share: float, direction: str,
+               mass_seen: bool = False):
     """Sum adaptive block integrals along a dyadic edge sequence.
 
     ``edges`` yields (a, b) block endpoints marching toward the singular end
@@ -249,7 +237,6 @@ def _block_sum(f, edges, spec: QuadratureSpec, budget: list,
     edges = iter(edges)
     run: list = []
     size = 1
-    abs_tol, rel_tol = spec.abs_tol, spec.rel_tol
     while budget[0] > 8 and octaves < _MAX_BLOCKS:
         if not run:
             # every block takes a panel, so no more than this many are left
@@ -260,8 +247,8 @@ def _block_sum(f, edges, spec: QuadratureSpec, budget: list,
             run = _first_panels(f, blocks)[::-1]
             size = min(2 * size, _PREFETCH)
         a, b, v, e = run.pop()
-        if v is None or (e > abs_tol and e > rel_tol * abs(v)):
-            v, e, used = _adaptive(f, a, b, spec, min(64, budget[0]),
+        if v is None or (e > _ABS_TOL and e > _REL_TOL * abs(v)):
+            v, e, used = _adaptive(f, a, b, min(64, budget[0]),
                                    None if v is None else (v, e))
             budget[0] -= used
         else:
@@ -317,8 +304,7 @@ def _head_edges(stop: float, floor: float = 1e-290):
         b *= 0.5
 
 
-def integrate_interval(f, a: float, b: float,
-                       spec: QuadratureSpec | None = None) -> QuadResult:
+def integrate_interval(f, a: float, b: float) -> QuadResult:
     """Adaptive integral of f over a finite interval [a, b] free of endpoint
     singularities.
 
@@ -326,37 +312,33 @@ def integrate_interval(f, a: float, b: float,
     return broadcasts; any other shape raises ValueError); a NaN value
     raises NonFiniteEvaluation and an infinite one Divergent.
     """
-    spec = spec or QuadratureSpec()
     if b <= a:
         return QuadResult(0.0, 0.0, 0)
-    return QuadResult(*_adaptive(f, a, b, spec, spec.max_subdivisions))
+    return QuadResult(*_adaptive(f, a, b, _MAX_PANELS))
 
 
-def integrate_semiinfinite(f, spec: QuadratureSpec | None = None,
-                           lower: float = 0.0) -> QuadResult:
+def integrate_semiinfinite(f, lower: float = 0.0) -> QuadResult:
     """Integral of f over (lower, inf) with divergence detection.
 
     ``f`` maps an ndarray of nodes to an array of the same shape, as for
-    ``integrate_interval``.  The domain splits at ``tail_split``; the head
+    ``integrate_interval``.  The domain splits at ``_TAIL_SPLIT``; the head
     is resolved by dyadic blocks shrinking to the lower edge (integrable
     endpoint singularities such as v^{-1/2} are fine), the tail by dyadic
     blocks doubling outward.
     """
-    spec = spec or QuadratureSpec()
-    ustar = spec.tail_split
     g = (lambda v: f(lower + v)) if lower != 0.0 else f
 
-    budget = [spec.max_subdivisions]
+    budget = [_MAX_PANELS]
     # first pass gives the magnitude scale for tolerance shares
-    coarse, _, used = _adaptive(g, ustar * 1e-3, ustar, spec, 32)
+    coarse, _, used = _adaptive(g, _TAIL_SPLIT * 1e-3, _TAIL_SPLIT, 32)
     budget[0] -= used
-    tol = max(spec.abs_tol, spec.rel_tol * abs(coarse)) / 4.0
+    tol = max(_ABS_TOL, _REL_TOL * abs(coarse)) / 4.0
 
-    hv, he, _ = _block_sum(g, _head_edges(ustar), spec, budget, tol, "head")
-    tol = max(spec.abs_tol, spec.rel_tol * max(abs(hv), abs(coarse))) / 4.0
-    tv, te, _ = _block_sum(g, _tail_edges(ustar), spec, budget, tol, "tail",
+    hv, he, _ = _block_sum(g, _head_edges(_TAIL_SPLIT), budget, tol, "head")
+    tol = max(_ABS_TOL, _REL_TOL * max(abs(hv), abs(coarse))) / 4.0
+    tv, te, _ = _block_sum(g, _tail_edges(_TAIL_SPLIT), budget, tol, "tail",
                            mass_seen=(hv != 0.0))
-    return QuadResult(hv + tv, he + te, spec.max_subdivisions - budget[0])
+    return QuadResult(hv + tv, he + te, _MAX_PANELS - budget[0])
 
 
 def _elementwise(fn, x):
@@ -371,18 +353,21 @@ def _elementwise(fn, x):
 # monotone inversion
 # ---------------------------------------------------------------------------
 
-def invert_monotone(g, y: float, bracket: tuple[float, float],
-                    tol: float = 1e-10, max_iter: int = 200) -> float:
+_INVERT_TOL = 1e-10
+_INVERT_STEPS = 200
+
+
+def invert_monotone(g, y: float, bracket: tuple[float, float]) -> float:
     """Solve g(u) = y for non-decreasing g on the given bracket.
 
-    Bisection with secant acceleration; terminates when
-    |g(u) - y| <= tol * (1 + |y|).
+    Bisection with secant acceleration, at most ``_INVERT_STEPS`` steps;
+    terminates when |g(u) - y| <= ``_INVERT_TOL`` * (1 + |y|).
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ValueError("bracket must satisfy lo < hi")
     glo, ghi = g(lo), g(hi)
-    ytol = tol * (1.0 + abs(y))
+    ytol = _INVERT_TOL * (1.0 + abs(y))
     slack = 1e-12 * (1.0 + abs(y))
     if y < glo - slack or y > ghi + slack:
         raise NotBracketed(f"target {y} outside [g(lo), g(hi)] = [{glo}, {ghi}]")
@@ -391,7 +376,7 @@ def invert_monotone(g, y: float, bracket: tuple[float, float],
     if abs(ghi - y) <= ytol:
         return hi
     u = 0.5 * (lo + hi)
-    for _ in range(max_iter):
+    for _ in range(_INVERT_STEPS):
         gu = g(u)
         if abs(gu - y) <= ytol:
             return u
@@ -445,9 +430,8 @@ class _Basin:
     are 1/16 apart, one at any kink of r.  On each interval T is F(z), the
     integral of the polynomial through dT/dw at 8 Gauss-Legendre nodes, and
     w is W(p), the polynomial through the nodes and knots in T.  Past the
-    ends dT/dw goes on as exp(a w); a = 0 at an equilibrium (G ~ log).  An
-    end that is no pure power (``pure``) reads T at 0 or inf off
-    ``DrainClock._far`` instead."""
+    ends dT/dw goes on as exp(a w); a = 0 at an equilibrium (G ~ log).  T
+    at 0 or inf is ``DrainClock._end``'s."""
 
     def __init__(self, rate, drift, lo, hi, kink):
         h = self.h = 1.0 / 16
@@ -558,7 +542,7 @@ class DrainClock:
                 lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
         self.roots, ends = hi, [0.0, *hi.tolist(), math.inf]
         self.basins = [_Basin(rate, drift, *pair, kink) for pair in zip(ends, ends[1:])]
-        self.rate, self.drift, self._verdicts, self._far_T = rate, drift, {}, {}
+        self.rate, self.drift, self._ends = rate, drift, {}
 
     def flow(self, x, dt):
         """The flow over dt >= 0 from x; floats or arrays of lanes."""
@@ -586,9 +570,8 @@ class DrainClock:
 
     def drain_time(self, lo, hi):
         """G(hi) - G(lo) for 0 <= lo <= hi, hi possibly inf; floats or arrays.
-        Divergent at or across an equilibrium, and at 0 or inf where
-        ``_diverges`` says so.  At 0 or inf an end that is no pure power
-        reads T there off ``_far``."""
+        Divergent at or across an equilibrium, and at 0 or inf where G
+        diverges there; T at 0 or inf is ``_end``'s."""
         lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), hi)
         shape, lo, hi = lo.shape, lo.ravel(), hi.ravel()
         span, out = lo < hi, np.zeros(lo.size)
@@ -597,59 +580,50 @@ class DrainClock:
             for i in np.unique(which[span]):
                 on, b = span & (which == i), self.basins[i]
                 at = (lo[on] == b.lo, hi[on] >= b.hi)
-                if any(at[side].any() and self._diverges(i, side) for side in (0, 1)):
-                    raise Divergent("drain time diverges at or across an end")
+                # first, as a level past an equilibrium has no w
+                ends = {side: self._end(i, side) for side in (0, 1) if at[side].any()}
                 t = b.clock(b.coord(np.concatenate([lo[on], hi[on]]))).reshape(2, -1)
-                for side in (0, 1):
-                    if at[side].any() and not b.pure[side]:
-                        t[side, at[side]] = self._far(i, side)
+                for side, te in ends.items():
+                    t[side, at[side]] = te
                 out[on] = b.sign * (t[1] - t[0])
         return out.reshape(shape) if shape else float(out[0])
 
-    def _far(self, i, side):
-        """T at the low (side 0) or high end of basin i, 0 or inf, past an
-        outermost knot that is no pure power: the knot's T plus the march of
-        dT/dw over blocks dyadic in |w|, run once.  There a log factor of r
-        (u log^2 u: dT/dw ~ w^-2) is a power, so its blocks are geometric
-        and the march's extrapolation is exact, where blocks dyadic in x
-        decay too slowly for it; the blocks stop where x leaves the floats."""
-        if (i, side) not in self._far_T:
+    def _end(self, i, side):
+        """T at the low (side 0) or high end of basin i, 0 or inf, found
+        once (cached as None where G diverges, raised as Divergent).  G
+        diverges at an equilibrium (a = 0) and at an end exponent a past
+        ``_EDGE``.  A pure-power end gives its continuation's limit.  Any
+        other end gives the outermost knot's T plus the march of dT/dw over
+        blocks dyadic in |w|, whose Divergent is the verdict: there a log
+        factor of r (u log^2 u: dT/dw ~ w^-2) is a power, so its blocks are
+        geometric and the march's extrapolation is exact.  The blocks stop
+        where x leaves the floats."""
+        if (i, side) not in self._ends:
             b = self.basins[i]
-            we, te, mu, _ = b.ends[side]
+            we, te, mu, a = b.ends[side]
             d = 2 * side - 1  # w = d s, s > 0 growing toward the end
-            top = math.log(np.finfo(float).max) - abs(math.log(b.ell)) - 1.0
+            if a * (1 - 2 * side) <= _EDGE:  # signed: > 0 converges
+                t = None
+            elif b.pure[side]:
+                t = te - mu * (1.0 / a)  # the clock at w = d inf
+            else:
+                top = math.log(np.finfo(float).max) - abs(math.log(b.ell)) - 1.0
 
-            def slope(s):
-                x, dxdw = b.place(d * s)
-                return b.sign * dxdw / (self.rate(x) - self.drift)
+                def slope(s):
+                    x, dxdw = b.place(d * s)
+                    return b.sign * dxdw / (self.rate(x) - self.drift)
 
-            spec = QuadratureSpec()
-            edges = itertools.takewhile(lambda e: e[1] <= top, _tail_edges(d * we))
-            rem, _, _ = _block_sum(slope, edges, spec, [spec.max_subdivisions],
-                                   spec.rel_tol * mu * d * we, "end")
-            self._far_T[i, side] = te + d * rem
-        return self._far_T[i, side]
-
-    def _diverges(self, i, side):
-        """Whether G diverges at the low (side 0) or high end of basin i: at
-        an equilibrium (a = 0) or an end exponent a past ``_EDGE``, else by
-        the quadrature's march of 1/|r - drift| from w = 0 to 0 or inf, run
-        once; it reads r past the table, so u log u gets its verdict too."""
-        b = self.basins[i]
-        if b.ends[side][3] * (1 - 2 * side) <= _EDGE:  # signed: > 0 converges
-            return True
-        if (i, side) not in self._verdicts:
-            x0 = float(b.place(0.0)[0])
-            c = (self.rate(x0) - self.drift) / x0  # the first block is about ln 2
-            spec = QuadratureSpec()
-            try:
-                _block_sum(lambda v: c / (self.rate(v) - self.drift),
-                           _tail_edges(x0) if side else _head_edges(x0), spec,
-                           [spec.max_subdivisions], spec.rel_tol, "end")
-                self._verdicts[i, side] = False
-            except Divergent:
-                self._verdicts[i, side] = True
-        return self._verdicts[i, side]
+                edges = itertools.takewhile(lambda e: e[1] <= top, _tail_edges(d * we))
+                try:
+                    rem, _, _ = _block_sum(slope, edges, [_MAX_PANELS],
+                                           _REL_TOL * mu * d * we, "end")
+                    t = te + d * rem
+                except Divergent:
+                    t = None
+            self._ends[i, side] = t
+        if self._ends[i, side] is None:
+            raise Divergent("drain time diverges at or across an end")
+        return self._ends[i, side]
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ both read the drain clock ``numerics.DrainClock``, built once per drift:
 Regularity is verified numerically: local Lipschitz constants by
 finite-difference slopes on dyadic grids (including pairs against 0, which
 is where constant and raw-power rates fail), and integrability of 1/r near
-0 by ``drain_time(0, 1)``, which raises Divergent where the quadrature would.
+0 by ``drain_time(0, 1)``, which raises Divergent where the drain clock's
+end march does.
 """
 
 from __future__ import annotations
@@ -315,7 +316,8 @@ class Plateau(ReleaseRate):
 class Custom(ReleaseRate):
     """User callable with a declared asymptotic class.  Its flows, drain
     time and certificates read the drain clock, which evaluates ``fn`` on
-    all of (0, 1e30]: it must be finite there."""
+    all of (0, 1e30], and past it at an end that is no pure power: it must
+    be finite there."""
 
     fn: object
     declared: RateAsymptotics

@@ -96,6 +96,14 @@ class TestLogTailDrop:
         assert inp.log_tail_drop(100.0, np.array([1e10, 1e16])).tolist() == [100.0, 100.0]
 
 
+    @pytest.mark.parametrize("inp", [GammaSub(1.0, 1.0), TemperedStableSub(0.5, 1.0, 1.0)],
+                             ids=["gamma", "tempered-stable"])
+    def test_log_tail_continuous_where_the_asymptotic_form_starts(self, inp):
+        # log_tail switches to its asymptotic form past x = 600
+        below, above = inp.log_tail(np.nextafter(600.0, [0.0, np.inf]))
+        assert abs(above - below) <= 2e-5
+
+
 class TestFirstMoment:
     def test_cpp(self):
         assert CompoundPoisson(2.0, Exponential(1.0)).first_moment() == pytest.approx(2.0)

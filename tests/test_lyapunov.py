@@ -29,6 +29,7 @@ from storagelab.levy_input import (
     LevyInput,
     ParetoJumps,
     StableSub,
+    TemperedStableSub,
 )
 from storagelab.lyapunov import (
     CustomModulus,
@@ -514,6 +515,17 @@ class TestSubgeometricRatio:
             closed = levy.rate * u / (0.1 * float(rel.rate(u)))
             assert lyapunov._subgeometric_ratio(levy, rel, 0.1, u) == pytest.approx(
                 closed, rel=1e-10)
+
+    @pytest.mark.parametrize("levy, refs", [
+        (GammaSub(1.0, 1.0), (0.14936428687, 0.0173222712491)),
+        (TemperedStableSub(0.5, 1.0, 1.0), (0.022106635585, 0.00191472049684)),
+    ], ids=["gamma", "tempered-stable"])
+    def test_exponential_tails_do_not_cancel(self, levy, refs):
+        # at u = 100 and 1e3, against 160-digit quadrature; the plain
+        # difference of two logs near -v read 5.27e8 and 2.78e6 for gamma
+        for u, ref in zip((100.0, 1e3), refs):
+            assert lyapunov._subgeometric_ratio(levy, Affine(0.0, 1.0), 0.1, u) == \
+                pytest.approx(ref, rel=1e-5)
 
     def test_refusal_names_the_limsup(self):
         # not "ratio integral diverges": the integral converges, to 5e6 at 1e6

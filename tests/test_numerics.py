@@ -22,7 +22,6 @@ from storagelab.errors import (
 )
 from storagelab.numerics import (
     FitResult,
-    QuadratureSpec,
     fit_loglog,
     integrate_semiinfinite,
     invert_monotone,
@@ -84,7 +83,6 @@ class TestIntegrateSemiinfinite:
 
     def test_linearity(self):
         rng = np.random.default_rng(7)
-        spec = QuadratureSpec()
         for _ in range(20):
             a, b = rng.uniform(-3, 3, 2)
             c1, c2 = rng.uniform(0.5, 2.0, 2)
@@ -92,17 +90,11 @@ class TestIntegrateSemiinfinite:
             f = lambda v: np.exp(-c1 * v)
             g = lambda v: 1.0 / (1.0 + c2 * v * v)
             comb = lambda v: a * f(v) + b * g(v)
-            i_f = integrate_semiinfinite(f, spec).value
-            i_g = integrate_semiinfinite(g, spec).value
-            i_c = integrate_semiinfinite(comb, spec).value
+            i_f = integrate_semiinfinite(f).value
+            i_g = integrate_semiinfinite(g).value
+            i_c = integrate_semiinfinite(comb).value
             assert i_c == pytest.approx(a * i_f + b * i_g,
-                                        abs=10 * spec.rel_tol * (abs(i_f) + abs(i_g) + 1))
-
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(rel_tol=0.0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(max_subdivisions=0)
+                                        abs=10 * numerics._REL_TOL * (abs(i_f) + abs(i_g) + 1))
 
 
 def _quad_both_ways(f):
@@ -172,12 +164,12 @@ class TestBlockRuns:
         assert nodes[0] <= 2 * nodes[1]
 
     def test_accepted_blocks_skip_refinement(self, monkeypatch):
-        spec, calls = QuadratureSpec(), []
+        calls = []
         adaptive = numerics._adaptive
 
-        def spy(f, a, b, spec, budget, first=None):
+        def spy(f, a, b, budget, first=None):
             calls.append(first)
-            return adaptive(f, a, b, spec, budget, first)
+            return adaptive(f, a, b, budget, first)
 
         monkeypatch.setattr(numerics, "_adaptive", spy)
         res = integrate_semiinfinite(lambda v: np.exp(-v / 50.0) * np.cos(v) ** 2)
@@ -186,7 +178,7 @@ class TestBlockRuns:
         # the refinement brings a panel that fails the tolerance
         assert calls[0] is None and calls[1:]
         for val, err in calls[1:]:
-            assert err > max(spec.abs_tol, spec.rel_tol * abs(val))
+            assert err > max(numerics._ABS_TOL, numerics._REL_TOL * abs(val))
         assert len(calls) < res.subdivisions / 4
 
     def test_callable_failing_past_the_stop(self, monkeypatch):

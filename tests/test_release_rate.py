@@ -388,8 +388,12 @@ def _power_twin(beta):
 
 
 def _assert_quadrature_ends(twin):
-    """Divergent at 0 and at inf from the clock where the quadrature raises
-    it, a finite drain time where not; (finite at 0, finite at inf)."""
+    """Divergent at 0 and at inf from the clock where the quadrature of 1/r
+    raises it, a finite drain time where not; (finite at 0, finite at inf).
+    The clock follows the quadrature outside the log band only: an end with
+    a factor log^p, 1 < p < about 1.25, decays too slowly over blocks dyadic
+    in x for the quadrature, which calls it divergent, while the clock's
+    march in log x sums it."""
     inv = lambda v: 1.0 / twin.rate(v)
     finite = []
     for clock, quad in (
@@ -446,15 +450,20 @@ class TestClockTwins:
 
     @pytest.mark.parametrize("fn", [
         lambda u: u * math.log(math.e + u),         # diverges at 0 and inf
+        lambda u: u * math.log(math.e + u) ** 1.003,  # and so does this one
         lambda u: u * math.log(math.e + u) ** 2,    # converges at inf
         lambda u: u * math.log1p(1.0 / u) if u > 0.0 else 0.0,       # diverges
+        lambda u: u * math.log1p(1.0 / u) ** 1.003 if u > 0.0 else 0.0,
         lambda u: u * math.log1p(1.0 / u) ** 2 if u > 0.0 else 0.0,  # converges at 0
-    ], ids=["u-log-e+u", "u-log2-e+u", "u-log-1+1/u", "u-log2-1+1/u"])
+    ], ids=["u-log-e+u", "u-log1.003-e+u", "u-log2-e+u", "u-log-1+1/u",
+            "u-log1.003-1+1/u", "u-log2-1+1/u"])
     def test_log_ends_follow_the_quadrature(self, fn):
         # an end with a log factor is no power: its exponent at the table's
         # outermost knot (u log u: -1/ln 1e30) lies on the convergent side
-        # of the boundary while the integral diverges; the verdict, and so
-        # the regime, is the quadrature's
+        # of the boundary while the integral diverges.  The clock's march
+        # in log x judges it; outside the log band 1 < p < about 1.25 its
+        # verdict, and so the regime, is the quadrature's.  log^1.003 lies
+        # within the march's own band around p = 1, so it diverges for both
         twin = Custom(fn, RateAsymptotics("power", 1.0, 1.0))
         at_0, at_inf = _assert_quadrature_ends(twin)
         levy = CompoundPoisson(1.0, Exponential(1.0))
@@ -482,6 +491,57 @@ class TestClockTwins:
                       declared)
         ref = integrate_semiinfinite(lambda s: (s + np.log1p(np.exp(-s))) ** -2.0)
         assert at_0.drain_time(0.0, 1.0) == pytest.approx(ref.value, rel=1e-8)
+
+    @pytest.mark.parametrize("p", [1.05, 1.2])
+    def test_log_band_ends_converge(self, p):
+        # 1/r is ds / s^p in s = +-log u, finite for p > 1; over blocks
+        # dyadic in x it decays too slowly for the quadrature, which raises
+        # Divergent, while the clock's march in s sums it
+        declared = RateAsymptotics("power", 1.0, 1.0)
+        at_inf = Custom(lambda u: u * math.log(math.e + u) ** p, declared)
+        ref = integrate_semiinfinite(lambda s: (s + np.log1p(np.exp(1.0 - s))) ** -p)
+        assert at_inf.drain_time(1.0, math.inf) == pytest.approx(ref.value, rel=1e-8)
+        at_0 = Custom(lambda u: u * math.log1p(1.0 / u) ** p if u > 0.0 else 0.0,
+                      declared)
+        ref = integrate_semiinfinite(lambda s: (s + np.log1p(np.exp(-s))) ** -p)
+        assert at_0.drain_time(0.0, 1.0) == pytest.approx(ref.value, rel=1e-8)
+        assert classify(CompoundPoisson(1.0, Exponential(1.0)), at_inf).uniform
+        assert check_regularity(at_0, "finite").cbar2
+
+    def test_pure_power_end_reads_no_level_past_the_table(self):
+        # the limit of the end's continuation needs no march; a march of
+        # 1/r over blocks dyadic in x read r up to 2.7e126 here
+        seen = []
+
+        def fn(u):
+            seen.append(u)
+            return u ** 1.01 if u > 0.0 else 0.0
+
+        twin = Custom(fn, RateAsymptotics("power", 1.01, 1.0))
+        assert twin.drain_time(1.0, math.inf) == pytest.approx(100.0, rel=1e-10)
+        assert max(seen) <= 1.1e30
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_each_end_is_answered_once(self, p):
+        # the first read of the end marches past the table; a second read,
+        # from another level, neither marches nor reads r, be it Divergent
+        seen = []
+
+        def fn(u):
+            seen.append(u)
+            return u * math.log(math.e + u) ** p
+
+        twin = Custom(fn, RateAsymptotics("power", 1.0, 1.0))
+        reads, answers = [], []
+        for lo in (1.0, 5.0):
+            seen.clear()
+            try:
+                answers.append(twin.drain_time(lo, math.inf))
+            except Divergent:
+                answers.append(None)
+            reads.append(list(seen))
+        assert max(reads[0]) > 1e30 and not reads[1]
+        assert (answers[0] is None) == (p == 1.0)
 
     @pytest.mark.parametrize("beta", [-0.5, 0.5, 2.0])
     def test_same_regime(self, beta):
