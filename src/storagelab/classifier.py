@@ -75,6 +75,25 @@ def criterion_bounded_drift(levy: LevyInput, release: ReleaseRate) -> CriterionR
         note=f"limsup r = {limsup_r}, m_nu = {m_nu}")
 
 
+def _probe(name, value, probe_grid, mode: str, margin: float) -> CriterionResult:
+    """A probe criterion against the threshold 1: ``value(u)`` at each probe
+    u, then its liminf, satisfied above 1 + margin, or its limsup,
+    satisfied below 1 - margin."""
+    probe_grid = tuple(probe_grid)
+    if len(probe_grid) < 3 or any(b <= a for a, b in zip(probe_grid, probe_grid[1:])):
+        raise ValueError("probe grid must be increasing with >= 3 points")
+    values = []
+    for u in probe_grid:
+        try:
+            values.append(value(u))
+        except Divergent:
+            # non-negative integrand: divergence means +inf
+            values.append(math.inf)
+    est = limit_estimate(values, mode)
+    satisfied = est > 1.0 + margin if mode == "liminf" else est < 1.0 - margin
+    return CriterionResult(name, tuple(values), est, 1.0, bool(satisfied))
+
+
 def _heavy_tail_value(levy, release, u):
     integral = integrate_semiinfinite(
         lambda v: levy.tail(u * v) / (1.0 + v * v))
@@ -85,19 +104,8 @@ def criterion_heavy_tail(levy: LevyInput, release: ReleaseRate,
                          probe_grid=DEFAULT_PROBE_GRID,
                          margin: float = DEFAULT_DECISION_MARGIN) -> CriterionResult:
     """Transience test (b) for unbounded drain against very heavy input."""
-    probe_grid = tuple(probe_grid)
-    if len(probe_grid) < 3 or any(b <= a for a, b in zip(probe_grid, probe_grid[1:])):
-        raise ValueError("probe grid must be increasing with >= 3 points")
-    values = []
-    for u in probe_grid:
-        try:
-            values.append(_heavy_tail_value(levy, release, u))
-        except Divergent:
-            # non-negative integrand: divergence means +inf, criterion holds
-            values.append(math.inf)
-    est = limit_estimate(values, "liminf")
-    return CriterionResult("heavy_tail", tuple(values), est, 1.0,
-                           bool(est > 1.0 + margin))
+    return _probe("heavy_tail", lambda u: _heavy_tail_value(levy, release, u),
+                  probe_grid, "liminf", margin)
 
 
 def _pos_rec_value(levy, release, u):
@@ -110,18 +118,9 @@ def criterion_positive_recurrent(levy: LevyInput, release: ReleaseRate,
                                  probe_grid=DEFAULT_PROBE_GRID,
                                  margin: float = DEFAULT_DECISION_MARGIN) -> CriterionResult:
     """Ergodicity criterion: limsup int nu_bar(v)/r(u+v) dv < 1."""
-    probe_grid = tuple(probe_grid)
-    if len(probe_grid) < 3 or any(b <= a for a, b in zip(probe_grid, probe_grid[1:])):
-        raise ValueError("probe grid must be increasing with >= 3 points")
-    values = []
-    for u in probe_grid:
-        try:
-            values.append(_pos_rec_value(levy, release, u))
-        except Divergent:
-            values.append(math.inf)
-    est = limit_estimate(values, "limsup")
-    return CriterionResult("positive_recurrent", tuple(values), est, 1.0,
-                           bool(est < 1.0 - margin))
+    return _probe("positive_recurrent",
+                  lambda u: _pos_rec_value(levy, release, u),
+                  probe_grid, "limsup", margin)
 
 
 def _plateau_matches_mean(levy, release) -> bool:

@@ -34,8 +34,8 @@ from .simulator import event_ensemble, grid_ensemble
 __all__ = [
     "TailEstimate", "DecayCurve", "RateComparison", "estimate_tail",
     "estimate_tv_decay", "estimate_wp_decay", "compare_rates",
-    "wasserstein_1d", "w1_cdf_area", "select_tail_scale",
-    "reference_horizon", "reference_draws", "tail_draws",
+    "wasserstein_1d", "w1_cdf_area", "reference_horizon", "reference_draws",
+    "tail_draws",
 ]
 
 N_BOOT = 200
@@ -99,6 +99,13 @@ def _reference_grid(t_ref: float) -> np.ndarray:
     return t_ref * (1.0 + np.arange(_REF_K) / _REF_K)
 
 
+def _reference_lanes(n: int) -> int:
+    """The lanes of a stationary reference of at least ``n`` draws: n /
+    _REF_K rounded up, and at least two, so that the W_p noise floor has
+    two halves of lanes to compare."""
+    return max(2, -(-n // _REF_K))
+
+
 def _load(levy, release) -> float | None:
     """rho = m_nu / a where the stationary law is the Pollaczek-Khinchine
     one (a Constant release, a CompoundPoisson input, rho < 1), else None."""
@@ -114,7 +121,7 @@ def reference_draws(levy, release, n: int, t_last: float,
     arguments, before any is made: for the exact law M _REF_K counts and on
     average rho / (1 - rho) sizes each, M _REF_K / (1 - rho) in all; for
     the chains their retained jumps, M x rate x (31/16) t_ref."""
-    lanes, rho = -(-n // _REF_K), _load(levy, release)
+    lanes, rho = _reference_lanes(n), _load(levy, release)
     if rho is not None:
         return lanes * _REF_K / (1.0 - rho)
     horizon = reference_horizon(t_last, certificate)
@@ -124,7 +131,7 @@ def reference_draws(levy, release, n: int, t_last: float,
 def _stationary_reference(levy, release, n: int, t_last: float,
                           certificate: DriftCertificate | None, seed: int, eps: float):
     """At least ``n`` stationary draws as an (M, _REF_K) matrix, rows lanes,
-    M = ceil(n / _REF_K), and their horizon t_ref (reference_horizon).
+    M = _reference_lanes(n), and their horizon t_ref (reference_horizon).
 
     Under constant release a with compound-Poisson input of load rho =
     m_nu / a < 1 the stationary law is the M/G/1 workload's, which the
@@ -140,7 +147,7 @@ def _stationary_reference(levy, release, n: int, t_last: float,
     lane are correlated, so resampling and splitting go by whole lanes; for
     the exact draws, which are i.i.d., that is exact too.
     """
-    lanes, rho = -(-n // _REF_K), _load(levy, release)
+    lanes, rho = _reference_lanes(n), _load(levy, release)
     if rho is not None:
         gen = substream(seed, "pollaczek-khinchine")
         count = gen.geometric(1.0 - rho, lanes * _REF_K) - 1
@@ -442,11 +449,10 @@ def estimate_wp_decay(levy: LevyInput, release: ReleaseRate, x0,
                       n_paths: int = 10_000, seed: int = 0, eps: float = 1e-4,
                       reference: np.ndarray | None = None,
                       contraction: GapBound | None = None,
-                      certificate: DriftCertificate | None = None,
                       regime: str | None = None) -> DecayCurve:
     """Empirical W_p between the time-t ensemble and the stationary reference.
 
-    ``x0`` is a level or a sampler (gen, m) -> levels, as grid_ensemble
+    ``x0`` is a level or an array of ``n_paths`` starts, as grid_ensemble
     takes it.
     The reference comes from _stationary_reference (doubled budget); the
     noise floor is the distance between its two halves of lanes.
@@ -456,8 +462,8 @@ def estimate_wp_decay(levy: LevyInput, release: ReleaseRate, x0,
     (W_p(mu_0, pi)/kappa + 1) B_kappa^{-1}(Gamma t) alongside the estimates,
     but only when ``release`` satisfies the contraction the bound assumes
     (``check_wasserstein_contraction``); otherwise ``reference_curve`` is
-    None.  A sampled start gives mu_0 as ``n_paths`` draws of the sampler
-    from the key ``(seed, "wp-start")``.
+    None.  mu_0 is the empirical law of the starts: a point mass at a level,
+    or the start array.
     """
     if p < 1:
         raise ValueError("order must be >= 1")
@@ -471,7 +477,7 @@ def estimate_wp_decay(levy: LevyInput, release: ReleaseRate, x0,
     t_grid = np.asarray(t_grid, dtype=float)
     if reference is None:
         reference = _stationary_reference(levy, release, 2 * n_paths, float(t_grid[-1]),
-                                          certificate, seed + 1, eps)[0]
+                                          None, seed + 1, eps)[0]
     lanes = _as_lanes(reference)
     ref_sorted = np.sort(lanes, axis=None)
     mat = grid_ensemble(levy, release, x0, t_grid, n_paths, seed, eps)
@@ -486,8 +492,8 @@ def estimate_wp_decay(levy: LevyInput, release: ReleaseRate, x0,
     ref_curve = None
     if contraction is not None and check_wasserstein_contraction(
             release, contraction.modulus, contraction.Gamma)[0]:
-        start = (np.sort(x0(substream(seed, "wp-start"), n_paths)) if callable(x0)
-                 else np.full(256, float(x0)))
+        start = (np.full(256, float(x0)) if np.ndim(x0) == 0
+                 else np.sort(np.asarray(x0, dtype=float)))
         w0 = _wp_sorted([start], ref_sorted, p)[0]
         scale = w0 / contraction.kappa + 1.0
         ref_curve = np.asarray([scale * contraction(t) for t in t_grid])
@@ -496,7 +502,7 @@ def estimate_wp_decay(levy: LevyInput, release: ReleaseRate, x0,
 
 
 # ---------------------------------------------------------------------------
-# rate comparison and tail-scale selection
+# rate comparison
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -533,20 +539,3 @@ def compare_rates(curve: DecayCurve, certificate: DriftCertificate | None = None
         verdict = "PASS" if lo_bound <= fitted <= hi_bound else "FAIL"
         note = ""
     return RateComparison(fitted, stderr, upper, low, tol, verdict, note)
-
-
-def select_tail_scale(levels, pibar):
-    """Pick power vs exponential tail scale by the better r^2.
-
-    Power fits ln pi on ln u; exponential fits ln pi on u (realised as a
-    log-log fit against e^u, which linearises to exactly that regression).
-    """
-    levels = np.asarray(levels, dtype=float)
-    pibar = np.asarray(pibar, dtype=float)
-    keep = pibar > 0
-    levels, pibar = levels[keep], pibar[keep]
-    power = fit_loglog(levels, pibar)
-    expo = fit_loglog(np.exp(levels), pibar) if levels.max() < 500 else None
-    if expo is not None and expo.r_squared > power.r_squared:
-        return "exponential", expo
-    return "power", power

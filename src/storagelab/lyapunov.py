@@ -352,11 +352,6 @@ class TailEnvelope:
     def __call__(self, u):
         return self.fn(u)
 
-    def fitted_exponent(self, lo: float = None, hi: float = 1e6) -> FitResult:
-        lo = self.u_report if lo is None else lo
-        us = np.geomspace(max(lo, 1e-6), hi, 40)
-        return fit_loglog(us, self.fn(us))
-
 
 def _subgeometric_ratio(levy, release, eps, u) -> float:
     """Folded form of the sub-geometric ratio hypothesis: one integral,

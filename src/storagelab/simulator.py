@@ -6,9 +6,10 @@ size is added.  Infinite-activity inputs keep jumps above the truncation
 level ``eps`` and fold the discarded mean into the inter-jump dynamics as a
 constant inflow, so the flow solves x' = d_eps - r(x).
 
-One engine draws every path.  ``_chunks`` lays the jumps out: chunk c of
-``_CHUNK`` lanes draws from the key ``(seed, "grid", c)`` its starts, then
-its jumps one time slab (a, b] of about ``_SLAB`` jumps at a time.  A slab
+One engine draws every path.  Starts are given, never drawn: lane i starts
+at ``x0[i]``, or at ``x0`` where it is a level.  ``_chunks`` lays the jumps
+out: chunk c of ``_CHUNK`` lanes draws from the key ``(seed, "grid", c)``
+its jumps, one time slab (a, b] of about ``_SLAB`` jumps at a time.  A slab
 is a staircase held row-major: its lanes are ordered by Poisson count,
 descending, a lane with c jumps has c + 1 rows, and row k, held by the
 lanes with at least k jumps, is one contiguous run of a compact buffer.
@@ -21,8 +22,8 @@ Row k steps by (b - a) e_k / S, the last by b less the last jump's time.
 
 * ``grid_ensemble`` records the lanes at each grid time (a single grid
   time gives endpoints); it puts the lanes in a slab's order to step them
-  and back after.  Two calls with the same seed and ``n_paths`` from two
-  fixed starts are a synchronous coupling: lane i of each sees the same
+  and back after.  Two calls with the same seed and ``n_paths`` are a
+  synchronous coupling whatever their starts: lane i of each sees the same
   jumps.
 * ``event_ensemble`` keeps every jump with its time, size and the state
   after it, row by row; a stable sort by lane puts them lane by lane.
@@ -140,17 +141,21 @@ def _slabs(levy, gen, m, grid, lam, eps, times):
 
 def _chunks(levy, x0, grid, n_paths, seed, eps, times=False):
     """The engine's draws, one chunk of lanes at a time: ``(lo, x, slabs)``
-    with the chunk's first lane lo, its starts x and its ``_slabs`` (with
-    jump times if ``times``).  Chunk c draws from the key ``(seed, "grid",
-    c)``: its starts first (``x0`` is a level or a sampler ``(gen, m) ->
-    array``), then its slabs, each expecting at most ``_SLAB`` jumps."""
+    with the chunk's first lane lo, a copy of its starts x and its
+    ``_slabs`` (with jump times if ``times``).  ``x0`` is a level or one
+    start per lane.  Chunk c draws its slabs, each expecting at most
+    ``_SLAB`` jumps, from the key ``(seed, "grid", c)``, and nothing else."""
+    x0 = np.asarray(x0, dtype=float)
+    if x0.ndim and x0.shape != (n_paths,):
+        raise ValueError(f"x0 must be a level or {n_paths} starts, "
+                         f"not an array of shape {x0.shape}")
+    x0 = np.broadcast_to(x0, n_paths)
     lam = levy.restricted_rate(eps)
     for c, lo in enumerate(range(0, n_paths, _CHUNK)):
         m = min(_CHUNK, n_paths - lo)
         gen = substream(seed, "grid", c)
-        x = (np.array(x0(gen, m), dtype=float) if callable(x0)
-             else np.full(m, float(x0)))
-        yield lo, x, _slabs(levy, gen, m, grid, lam, eps, times)
+        yield lo, x0[lo:lo + m].copy(), _slabs(levy, gen, m, grid, lam, eps,
+                                               times)
 
 
 def grid_ensemble(levy: LevyInput, release: ReleaseRate, x0,
@@ -158,12 +163,13 @@ def grid_ensemble(levy: LevyInput, release: ReleaseRate, x0,
                   eps: float = 1e-4) -> np.ndarray:
     """Matrix (n_paths, len(grid)) of states at common grid times.
 
-    ``x0`` is a level or a sampler ``(gen, m) -> array`` for random starts;
-    ``grid_ensemble(..., [T], ...)[:, 0]`` is the ensemble of endpoints.
-    Memory stays bounded whatever the intensity and horizon, as chunks of
-    ``_CHUNK`` lanes (rows c * _CHUNK onwards) draw slabs of ``_SLAB`` jumps.
+    ``x0`` is a level or an array of ``n_paths`` starts, lane i from
+    ``x0[i]``; ``grid_ensemble(..., [T], ...)[:, 0]`` is the ensemble of
+    endpoints.  Memory stays bounded whatever the intensity and horizon, as
+    chunks of ``_CHUNK`` lanes (rows c * _CHUNK onwards) draw slabs of
+    ``_SLAB`` jumps.
 
-    A fixed start draws nothing, so two calls with equal seeds and equal
+    Starts draw nothing, so two calls with equal seeds and equal
     ``n_paths`` give the same jumps lane by lane, whatever their starts:
     lane i of ``grid_ensemble(levy, release, x, ...)`` and of
     ``grid_ensemble(levy, release, y, ...)`` is a synchronously coupled pair.
@@ -188,7 +194,8 @@ def event_ensemble(levy: LevyInput, release: ReleaseRate, x0,
     """Every jump of ``n_paths`` lanes on (0, horizon]: flat arrays
     ``(lane, t, size, x_after)``, lane-major and in time order within a
     lane, with the state just after each jump.  A lane without a jump has
-    no entry.
+    no entry.  ``x0`` is a level or one start per lane, as grid_ensemble
+    takes it.
 
     The draws are ``grid_ensemble(levy, release, x0, [horizon], n_paths,
     seed, eps)``'s, so a lane's last ``x_after`` flowed to the horizon (or

@@ -525,6 +525,16 @@ class TestCli:
         assert "no reference column" in capsys.readouterr().out
         assert header("shotnoise-gamma") == "t,estimate,stderr,reference"
 
+    def test_wp_at_few_paths_runs_without_warnings(self, tmp_path, capsys):
+        # at budgets.n_paths <= 8 the reference still has two lanes, so the
+        # noise floor compares two halves that are not empty
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            code = main(["converge-wp", "preset:shotnoise-gamma", "--set",
+                         "budgets.n_paths=4", "--out", str(tmp_path / "o")])
+        assert code == 0 and seen == []
+        assert capsys.readouterr().err == ""
+
     def test_simulate_grid_needs_a_time_within_the_horizon(self, tmp_path,
                                                            capsys):
         # constant-mm1's first t_grid time lies past a horizon of 1

@@ -303,6 +303,50 @@ class TestCoupled:
         assert (np.abs(a - b) <= np.array([bound(t) for t in grid]) + 1e-6).all()
 
 
+class TestStarts:
+    """Starts are given, one per lane or one level for all, and draw
+    nothing: lane i's jumps depend on the seed and n_paths alone."""
+
+    N = simulator._CHUNK + 100  # two chunks
+    GRID = np.array([0.5, 1.0, 2.0, 4.0])
+
+    def test_given_starts_reach_their_lanes_past_one_chunk(self):
+        y = np.random.default_rng(1).uniform(0.0, 10.0, self.N)
+        at_0 = grid_ensemble(CPP, Affine(0.0, 1.0), y, [0.0], self.N, SEED)
+        assert (at_0[:, 0] == y).all()
+
+    def test_lanes_with_equal_starts_are_bit_equal(self):
+        # the start arrays agree on two of three lanes, on both sides of the
+        # chunk boundary; an affine drain never merges the other lanes
+        x = np.random.default_rng(2).uniform(0.0, 10.0, self.N)
+        differ = np.arange(self.N) % 3 == 0
+        y = np.where(differ, x + 1.0, x)
+        a = grid_ensemble(CPP, Affine(0.0, 1.0), x, self.GRID, self.N, SEED)
+        b = grid_ensemble(CPP, Affine(0.0, 1.0), y, self.GRID, self.N, SEED)
+        equal = (a == b).all(axis=1)
+        assert (equal == ~differ).all()
+        assert equal[:simulator._CHUNK].any() and equal[simulator._CHUNK:].any()
+        assert (b[differ, -1] > 0.0).all()
+
+    def test_a_level_is_its_full_array(self):
+        full = np.full(self.N, 2.5)
+        for rel in (Affine(0.0, 1.0), Constant(2.0)):
+            a = grid_ensemble(CPP, rel, 2.5, self.GRID, self.N, SEED)
+            b = grid_ensemble(CPP, rel, full, self.GRID, self.N, SEED)
+            assert a.tobytes() == b.tobytes()
+            a = event_ensemble(CPP, rel, 2.5, 4.0, self.N, SEED)
+            b = event_ensemble(CPP, rel, full, 4.0, self.N, SEED)
+            assert all(u.tobytes() == v.tobytes() for u, v in zip(a, b))
+
+    @pytest.mark.parametrize("shape", [(99,), (101,), (1,), (100, 1)])
+    def test_a_start_array_of_the_wrong_shape_is_refused(self, shape):
+        x0 = np.ones(shape)
+        with pytest.raises(ValueError, match="x0"):
+            grid_ensemble(CPP, Affine(0.0, 1.0), x0, self.GRID, 100, SEED)
+        with pytest.raises(ValueError, match="x0"):
+            event_ensemble(CPP, Affine(0.0, 1.0), x0, 4.0, 100, SEED)
+
+
 PAIRS = {name: (load_preset(name).levy, load_preset(name).release)
          for name in preset_names()}
 
