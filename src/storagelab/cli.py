@@ -333,14 +333,10 @@ def cmd_simulate(scen: Scenario, out: Path, args) -> int:
     _check_work(_ensemble_jumps(scen, horizon, n))
     draw = (scen.levy, scen.release, args.x0)
     if args.mode == "events":
-        lane, t, size, x = event_ensemble(*draw, horizon, n, scen.seed,
-                                          scen.truncation_eps)
-        # each path's rows open with its start at t = 0
-        first = np.searchsorted(lane, np.arange(n))
-        cols = [np.insert(col, first, start) for col, start in
-                ((lane, np.arange(n)), (t, 0.0), (size, 0.0), (x, args.x0))]
+        chunks = event_ensemble(*draw, horizon, n, scen.seed,
+                                scen.truncation_eps)
         write_csv(out / "events.csv", ["path_id", "t", "jump_size", "x_after"],
-                  _rows(cols))
+                  itertools.chain.from_iterable(map(_rows, chunks)))
     else:
         paths = grid_ensemble(*draw, grid, n, scen.seed, scen.truncation_eps)
         cols = [np.repeat(np.arange(n), len(grid)), np.tile(grid, n),

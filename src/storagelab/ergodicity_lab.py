@@ -29,7 +29,7 @@ from .lyapunov import (
 from .numerics import FitResult, fit_loglog, integrate_semiinfinite, invert_monotone
 from .release_rate import Constant, ReleaseRate, signed_drain_time
 from .rng import substream
-from .simulator import event_ensemble, grid_ensemble
+from .simulator import _chunks, _positions, _step_lanes, grid_ensemble
 
 __all__ = [
     "TailEstimate", "DecayCurve", "RateComparison", "estimate_tail",
@@ -182,34 +182,40 @@ def _regime_guard(levy, release, regime: str | None):
                       stacklevel=3)
 
 
+def _burn_in(budget, certificate) -> float:
+    """Each occupation chain's burn-in: a fifth of its window, capped by 10x
+    the certificate's relaxation guess 1/drift_margin."""
+    burn = budget / _LONGRUN_LANES / 5.0
+    if certificate is not None and certificate.valid:
+        burn = min(10.0 / max(certificate.drift_margin, 1e-2), burn)
+    return burn
+
+
 def _occupation_tails(levy, release, u_grid, budget, seed, eps, certificate):
     """Per-chain fractions of time above each level, (_LONGRUN_LANES,
     n_levels), and the method label: exact occupation times along
-    _LONGRUN_LANES chains from 0, each over its burn-in plus budget /
-    _LONGRUN_LANES time units.  The burn-in is a fifth of a chain's window,
-    capped by 10x the certificate's relaxation guess 1/drift_margin.
-
-    Chains start empty, and an empty chain stays so until its next jump, so
-    the segments that count start at jumps and run to the chain's next jump
-    or to its end; a segment that starts before the burn-in is dropped."""
+    _LONGRUN_LANES chains from 0, each over its _burn_in plus budget /
+    _LONGRUN_LANES time units, read off the engine slab by slab.  A chain
+    only drains between jumps, so a step, from the slab's start or a jump,
+    spends G(x) - G(u) above u from its state x, capped by its dt; a step
+    that starts before the burn-in is dropped."""
     lane_window = budget / _LONGRUN_LANES
-    burn = lane_window / 5.0
-    if certificate is not None and certificate.valid:
-        burn = min(10.0 / max(certificate.drift_margin, 1e-2), burn)
-    total = burn + lane_window
-    lane, t, _, x = event_ensemble(levy, release, 0.0, total, _LONGRUN_LANES,
-                                   seed, eps)
-    end = np.full(t.shape, total)
-    nxt = lane[1:] == lane[:-1]  # the next jump is on the same lane
-    end[:-1][nxt] = t[1:][nxt]
-    keep = t >= burn
-    lane, x, dur = lane[keep], x[keep], (end - t)[keep]
-    # time above u from a start x is G(x) - G(u), capped by the duration
-    g_x = signed_drain_time(release, x)
-    occ = np.empty((_LONGRUN_LANES, len(u_grid)))
-    for j, gu in enumerate(signed_drain_time(release, u_grid)):
-        above = np.minimum(np.maximum(g_x - gu, 0.0), dur)
-        occ[:, j] = np.bincount(lane, weights=above, minlength=_LONGRUN_LANES)
+    burn = _burn_in(budget, certificate)
+    occ = np.zeros((_LONGRUN_LANES, len(u_grid)))
+    (_, x, slabs), = _chunks(levy, 0.0, [burn + lane_window], _LONGRUN_LANES,
+                             seed, eps, times=True)  # one chunk of lanes
+    for a, order, width, dt, sizes, t, _ in slabs:
+        # each step's start: the lanes at a, then the states after jumps
+        start = np.empty(len(dt))
+        start[:x.size] = x[order]
+        x[order] = _step_lanes(release, start[:x.size], width, dt, sizes, 0.0,
+                               out=start[x.size:])
+        keep = np.concatenate((np.full(x.size, a >= burn), t >= burn))
+        lane = order[_positions(width)][keep]
+        g_x, dt = signed_drain_time(release, start[keep]), dt[keep]
+        for j, gu in enumerate(signed_drain_time(release, u_grid)):
+            above = np.minimum(np.maximum(g_x - gu, 0.0), dt)
+            occ[:, j] += np.bincount(lane, above, minlength=_LONGRUN_LANES)
     return occ / lane_window, (f"LongRunTimeAverage(lanes={_LONGRUN_LANES}, "
                                f"window={budget:g}, burn={burn:g})")
 
@@ -228,13 +234,21 @@ def _endpoint_tails(levy, release, u_grid, budget, seed, eps, certificate):
 _MIN_TAIL_SAMPLES = 1000
 
 
+def _occupies(levy, release, eps) -> bool:
+    """Whether the tail reads occupation chains: a drift-free input, and no
+    exact stationary law (_load)."""
+    return levy.compensator_drift(eps) == 0.0 and _load(levy, release) is None
+
+
 def tail_draws(levy: LevyInput, release: ReleaseRate, budget: int,
                certificate: DriftCertificate | None, eps: float) -> float:
     """The draws ``estimate_tail`` expects to make, before any is made: the
-    occupation chains' window of ``budget`` time units holds at least
-    budget x rate jumps; the endpoint branch draws its reference."""
-    if levy.compensator_drift(eps) == 0.0:
-        return levy.restricted_rate(eps) * budget
+    occupation chains' window of ``budget`` time units and their burn-ins
+    hold rate x (budget + _LONGRUN_LANES burn) jumps; the other branches
+    draw their reference."""
+    if _occupies(levy, release, eps):
+        return levy.restricted_rate(eps) * (
+            budget + _LONGRUN_LANES * _burn_in(budget, certificate))
     return reference_draws(levy, release, budget, 0.0, certificate, eps)
 
 
@@ -248,11 +262,12 @@ def estimate_tail(levy: LevyInput, release: ReleaseRate, u_grid, budget: int,
     Between jumps a drift-free input (``levy.compensator_drift(eps) == 0``,
     finite activity) only drains, so occupation times are exact: each of
     ``_LONGRUN_LANES`` chains integrates them over budget / _LONGRUN_LANES
-    time units past its burn-in (_occupation_tails).  Any other input reads
-    the chains of the stationary reference, ``budget`` draws in all
-    (_endpoint_tails).  The estimate is the mean over chains and its stderr
-    their spread / sqrt(chains).  A chain's fraction of time, or of draws,
-    above a level cannot grow with the level, so neither can the estimate.
+    time units past its burn-in (_occupation_tails).  Any other input, and
+    one with an exact stationary law (_load), reads ``budget`` draws of the
+    stationary reference (_endpoint_tails).  The estimate is the mean over
+    chains and its stderr their spread / sqrt(chains).  A chain's fraction
+    of time, or of draws, above a level cannot grow with the level, so
+    neither can the estimate.
     """
     if budget < _MIN_TAIL_SAMPLES:
         raise ValueError(f"budget must provide at least {_MIN_TAIL_SAMPLES} "
@@ -261,7 +276,7 @@ def estimate_tail(levy: LevyInput, release: ReleaseRate, u_grid, budget: int,
     u_grid = np.asarray(u_grid, dtype=float)
     if u_grid.ndim != 1 or u_grid.size == 0 or (np.diff(u_grid) <= 0).any():
         raise ValueError("u_grid must be a non-empty, strictly increasing array")
-    tails = (_occupation_tails if levy.compensator_drift(eps) == 0.0
+    tails = (_occupation_tails if _occupies(levy, release, eps)
              else _endpoint_tails)
     per_chain, method = tails(levy, release, u_grid, budget, seed, eps,
                               certificate)

@@ -18,17 +18,18 @@ draws c + 1 standard exponentials e_k of sum S; its jump times a + (b - a)
 (e_0 + ... + e_k) / S, k < c, are then c uniform order statistics on (a, b].
 Row k steps by (b - a) e_k / S, the last by b less the last jump's time.
 ``_step_lanes`` walks the rows, x = flow(x, step) + size, one
-``release.flow`` call per row on its lanes.  Two consumers read it:
+``release.flow`` call per row on its lanes.  Two consumers read it here
+(and ``ergodicity_lab``'s occupation tail reads its steps):
 
 * ``grid_ensemble`` records the lanes at each grid time (a single grid
   time gives endpoints); it puts the lanes in a slab's order to step them
   and back after.  Two calls with the same seed and ``n_paths`` are a
   synchronous coupling whatever their starts: lane i of each sees the same
   jumps.
-* ``event_ensemble`` keeps every jump with its time, size and the state
-  after it, row by row; a stable sort by lane puts them lane by lane.
+* ``event_ensemble`` yields, chunk by chunk, each lane's start and then
+  every jump with its time, size and the state after it, lane by lane.
 
-Both consume the same draws, so the last state of a lane of
+Both consume the same draws, so the last row of a lane of
 ``event_ensemble``, flowed to the horizon, is that lane of
 ``grid_ensemble(..., [horizon], ...)``.
 """
@@ -55,7 +56,7 @@ def _step_lanes(release: ReleaseRate, x, width, dt, sizes, drift: float,
     first ``width[k]`` lanes, takes the next ``width[k]`` steps of ``dt``,
     then its first ``width[k + 1]`` lanes (for which it is a jump, not the
     slab end) the next as many ``sizes``; with ``out``, those cells of
-    ``out`` get the states after the jumps.  In place but for row 0."""
+    ``out`` get the states after the jumps.  ``x`` is read, never written."""
     width = width.tolist()
     lo = j = 0
     for w, v in zip(width, width[1:] + [0]):
@@ -72,9 +73,9 @@ def _step_lanes(release: ReleaseRate, x, width, dt, sizes, drift: float,
 
 
 def _positions(width):
-    """The position of each jump of a staircase slab, row by row."""
-    jumps = width[1:]
-    return np.arange(jumps.sum()) - np.repeat(np.cumsum(jumps) - jumps, jumps)
+    """The position of each cell of rows of widths ``width``, row by row: a
+    slab's steps for its ``width``, its jumps for ``width[1:]``."""
+    return np.arange(width.sum()) - np.repeat(np.cumsum(width) - width, width)
 
 
 def _draw_slab(levy, gen, buf, m, a, b, lam, eps, times=False):
@@ -119,7 +120,7 @@ def _draw_slab(levy, gen, buf, m, a, b, lam, eps, times=False):
             row[v:] = end[v:w]
         lo += w
     if times:
-        t *= scale[_positions(width)]
+        t *= scale[_positions(width[1:])]
         t += a
     return order, width, dt, sizes, t
 
@@ -142,20 +143,19 @@ def _slabs(levy, gen, m, grid, lam, eps, times):
 def _chunks(levy, x0, grid, n_paths, seed, eps, times=False):
     """The engine's draws, one chunk of lanes at a time: ``(lo, x, slabs)``
     with the chunk's first lane lo, a copy of its starts x and its
-    ``_slabs`` (with jump times if ``times``).  ``x0`` is a level or one
-    start per lane.  Chunk c draws its slabs, each expecting at most
-    ``_SLAB`` jumps, from the key ``(seed, "grid", c)``, and nothing else."""
+    ``_slabs`` (with jump times if ``times``).  ``x0``, checked at the call,
+    is a level or one start per lane.  Chunk c draws its slabs, each
+    expecting at most ``_SLAB`` jumps, from ``(seed, "grid", c)`` alone."""
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim and x0.shape != (n_paths,):
         raise ValueError(f"x0 must be a level or {n_paths} starts, "
                          f"not an array of shape {x0.shape}")
     x0 = np.broadcast_to(x0, n_paths)
     lam = levy.restricted_rate(eps)
-    for c, lo in enumerate(range(0, n_paths, _CHUNK)):
-        m = min(_CHUNK, n_paths - lo)
-        gen = substream(seed, "grid", c)
-        yield lo, x0[lo:lo + m].copy(), _slabs(levy, gen, m, grid, lam, eps,
-                                               times)
+    return ((lo, x0[lo:lo + _CHUNK].copy(),
+             _slabs(levy, substream(seed, "grid", c),
+                    min(_CHUNK, n_paths - lo), grid, lam, eps, times))
+            for c, lo in enumerate(range(0, n_paths, _CHUNK)))
 
 
 def grid_ensemble(levy: LevyInput, release: ReleaseRate, x0,
@@ -191,35 +191,39 @@ def grid_ensemble(levy: LevyInput, release: ReleaseRate, x0,
 def event_ensemble(levy: LevyInput, release: ReleaseRate, x0,
                    horizon: float, n_paths: int, seed: int,
                    eps: float = 1e-4):
-    """Every jump of ``n_paths`` lanes on (0, horizon]: flat arrays
-    ``(lane, t, size, x_after)``, lane-major and in time order within a
-    lane, with the state just after each jump.  A lane without a jump has
-    no entry.  ``x0`` is a level or one start per lane, as grid_ensemble
-    takes it.
+    """The rows of ``n_paths`` lanes on [0, horizon], as a generator of one
+    chunk of lanes at a time: flat arrays ``(lane, t, size, x_after)``,
+    lane-major.  A lane opens with its start (t = 0, size 0), then each
+    jump in time order, with the state just after it.  ``x0`` is a level
+    or one start per lane, as grid_ensemble takes it.
 
     The draws are ``grid_ensemble(levy, release, x0, [horizon], n_paths,
-    seed, eps)``'s, so a lane's last ``x_after`` flowed to the horizon (or
-    its start, if it has no jump) is that call's value for the lane.
+    seed, eps)``'s: a lane's last row, flowed from its ``t`` to the
+    horizon, is that call's value for the lane.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     drift = levy.compensator_drift(eps)
-    parts, key = [], np.min_scalar_type(n_paths - 1)
-    for lo, x, slabs in _chunks(levy, x0, [horizon], n_paths, seed, eps,
-                                times=True):
-        for _, order, width, dt, sizes, t, _ in slabs:
-            after = np.empty_like(sizes)
-            x[order] = _step_lanes(release, x[order], width, dt, sizes, drift,
-                                   out=after)
-            del dt  # as in grid_ensemble
-            parts.append(((lo + order[_positions(width)]).astype(key), t,
-                          sizes, after))
-    cols = list(zip(*parts))
-    del parts  # so that each column's pieces are freed once it is joined
-    lane, t, size, x_after = (np.concatenate(cols.pop(0)) for _ in range(4))
-    # slabs run in time order, and rows within one: a stable sort by lane
-    # (a radix sort up to 2^16 lanes) leaves each lane's jumps in time order
+    return (_chunk_rows(release, drift, *chunk) for chunk in
+            _chunks(levy, x0, [horizon], n_paths, seed, eps, times=True))
+
+
+def _chunk_rows(release, drift, lo, x, slabs):
+    """``event_ensemble``'s rows of a chunk: lanes lo on, from starts ``x``."""
+    parts = [(np.arange(len(x), dtype=np.uint16), np.zeros_like(x),
+              np.zeros_like(x), x.copy())]
+    for _, order, width, dt, sizes, t, _ in slabs:
+        after = np.empty_like(sizes)
+        x[order] = _step_lanes(release, x[order], width, dt, sizes, drift,
+                               out=after)
+        del dt  # as in grid_ensemble
+        parts.append((order[_positions(width[1:])].astype(np.uint16), t,
+                      sizes, after))
+    lane, t, size, x_after = map(np.concatenate, zip(*parts))
+    del parts
+    # starts first, then slabs and their rows in time order: a stable sort
+    # by the chunk's lane (a radix sort, as _CHUNK < 2^16) keeps that order
     by_lane = np.argsort(lane, kind="stable")
-    for col in (lane, t, size, x_after):
+    for col in (t, size, x_after):
         col[:] = col[by_lane]
-    return lane.astype(np.int64), t, size, x_after
+    return np.add(lane[by_lane], lo, dtype=np.int64), t, size, x_after

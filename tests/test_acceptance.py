@@ -55,7 +55,9 @@ from storagelab.release_rate import (
     Power,
     PowerSmoothed,
 )
-from storagelab.simulator import event_ensemble, grid_ensemble
+from storagelab.simulator import grid_ensemble
+
+from event_stream import flat_events
 
 SEED = 20260810
 
@@ -280,7 +282,7 @@ def test_criterion_10_invariant_suites():
     # determinism / bit-reproducibility, for both consumers of the engine
     run1, run2 = (grid_ensemble(*MM1, 1.0, [5.0], 64, SEED) for _ in range(2))
     assert run1.tobytes() == run2.tobytes()
-    ev1, ev2 = (event_ensemble(*MM1, 1.0, 5.0, 64, SEED) for _ in range(2))
+    ev1, ev2 = (flat_events(*MM1, 1.0, 5.0, 64, SEED) for _ in range(2))
     assert all(a.tobytes() == b.tobytes() for a, b in zip(ev1, ev2))
 
 

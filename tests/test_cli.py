@@ -315,8 +315,8 @@ class TestCli:
         ("simulate", "constant-mm1", "input.rate=1e300", ["--paths", "2"]),
         ("simulate", "constant-mm1", "budgets.horizon=1e300", ["--paths", "2"]),
         ("laplace", "constant-mm1", "input.rate=1e300", []),
-        ("tail", "constant-mm1", "input.rate=1e9",
-         ["--set", "release.a=2e9", "--set", "budgets.n_paths=1000"]),
+        ("tail", "shotnoise-gamma", "input.rate=1e9",
+         ["--set", "budgets.n_paths=1000"]),
         ("converge-wp", "shotnoise-gamma", "input.rate=1e300",
          ["--set", "budgets.n_paths=200"]),
         ("converge-tv", "shotnoise-gamma", "input.rate=1e300", []),
@@ -337,6 +337,22 @@ class TestCli:
         assert code == 1
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "usage" and "jumps" in err["message"]
+        assert not (tmp_path / "o").exists()
+
+    def test_tail_work_counts_the_burn_in(self, tmp_path, capsys):
+        # with no phi each of the 16 chains burns a fifth of its window:
+        # 4.5e6 time units and 16 burn-ins of 56 250 hold 1.08e7 jumps at
+        # rate 2, past the cap, though the window alone holds 9.0e6
+        raw = json.loads(json.dumps(load_preset("shotnoise-gamma").raw))
+        del raw["phi"]
+        raw["budgets"]["n_paths"] = 4_500_000
+        path = tmp_path / "scen.json"
+        path.write_text(json.dumps(raw))
+        code = _main_capped(["tail", str(path), "--out", str(tmp_path / "o")],
+                            15)
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "usage" and "1.08e+07 jumps" in err["message"]
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("argv, error", [

@@ -40,16 +40,20 @@ from storagelab.lyapunov import (
     build_certificate,
     tv_lower_rate,
 )
-from storagelab.presets import load_preset
+from storagelab.presets import load_preset, preset_names
 from storagelab.release_rate import (
     Affine,
     Constant,
     Custom,
     PowerSmoothed,
     RateAsymptotics,
+    signed_drain_time,
 )
+from storagelab import simulator
 from storagelab.rng import substream
 from storagelab.simulator import grid_ensemble
+
+from event_stream import flat_events
 
 SEED = 20260810
 MM1 = (CompoundPoisson(1.0, Exponential(1.0)), Constant(2.0))
@@ -58,6 +62,40 @@ SHOTNOISE = (CompoundPoisson(2.0, Exponential(1.0)), Affine(0.0, 1.0))
 
 def mm1_tail(u):
     return 0.5 * math.exp(-0.5 * u)
+
+
+def shotnoise_tail(u):
+    return (1.0 + u) * math.exp(-u)
+
+
+def _segment_tails(levy, release, u_grid, budget, seed, eps, certificate):
+    """The slow reference of ``_occupation_tails``: the chains' jumps as one
+    event list, each segment running from a jump to its lane's next jump or
+    to the chain's end, integrated from the state after the jump; a
+    segment that starts before the burn-in is dropped."""
+    lanes = ergodicity_lab._LONGRUN_LANES
+    lane_window = budget / lanes
+    burn = ergodicity_lab._burn_in(budget, certificate)
+    total = burn + lane_window
+    lane, t, _, x = flat_events(levy, release, 0.0, total, lanes, seed, eps)
+    end = np.full(t.shape, total)
+    nxt = lane[1:] == lane[:-1]  # the next jump is on the same lane
+    end[:-1][nxt] = t[1:][nxt]
+    keep = t >= burn
+    lane, x, dur = lane[keep], x[keep], (end - t)[keep]
+    g_x = signed_drain_time(release, x)
+    occ = np.empty((lanes, len(u_grid)))
+    for j, gu in enumerate(signed_drain_time(release, u_grid)):
+        above = np.minimum(np.maximum(g_x - gu, 0.0), dur)
+        occ[:, j] = np.bincount(lane, weights=above, minlength=lanes)
+    return occ / lane_window
+
+
+# the presets whose tail the occupation chains estimate
+OCCUPATION_PRESETS = [
+    name for name in preset_names()
+    if ergodicity_lab._occupies(load_preset(name).levy, load_preset(name).release,
+                                load_preset(name).truncation_eps)]
 
 
 class TestEstimateTail:
@@ -138,16 +176,69 @@ class TestEstimateTail:
         # window, 20_000 / 16 / 5 = 250, and the estimate still hits the
         # oracle
         grid = np.array([1.0, 2.0])
-        est = estimate_tail(*MM1, grid, 20_000,
+        est = estimate_tail(*SHOTNOISE, grid, 20_000,
                             seed=SEED, regime="PositiveRecurrent")
         assert est.method.endswith("burn=250)")
         for u, p, s in zip(est.levels, est.pi_bar_hat, est.stderr):
-            assert abs(p - mm1_tail(u)) <= 4 * s
-        # a certificate caps it at 10 / drift margin
-        cert = build_certificate(*MM1, RateFunction.linear(0.5))
-        est = estimate_tail(*MM1, grid, 20_000, seed=SEED,
+            assert abs(p - shotnoise_tail(u)) <= 4 * s
+        # a certificate caps it at 10 / drift margin (0.9998 here)
+        cert = build_certificate(*SHOTNOISE, RateFunction.linear(0.5))
+        est = estimate_tail(*SHOTNOISE, grid, 20_000, seed=SEED,
                             certificate=cert, regime="PositiveRecurrent")
-        assert est.method.endswith("burn=30)")
+        assert est.method.endswith("burn=10.002)")
+
+    @pytest.mark.parametrize("name", OCCUPATION_PRESETS)
+    def test_occupation_matches_segments(self, name):
+        # at these budgets each chain is one slab, whose steps are the
+        # segments between jumps: the two sums agree to rounding.  A
+        # duration carries the rounding of times up to the chain's end, so
+        # the bound is relative to the largest fraction, not to each one
+        scen = load_preset(name)
+        grid = np.asarray(scen.grids["u_grid"])
+        cert = (build_certificate(scen.levy, scen.release, scen.phi)
+                if scen.phi is not None else None)
+        for c in (None, cert):
+            steps, _ = ergodicity_lab._occupation_tails(
+                scen.levy, scen.release, grid, 20_000, SEED,
+                scen.truncation_eps, c)
+            ref = _segment_tails(scen.levy, scen.release, grid, 20_000, SEED,
+                                 scen.truncation_eps, c)
+            assert ref.max() > 0.0
+            assert np.abs(steps - ref).max() <= 1e-12 * ref.max()
+
+    def test_occupation_memory_is_one_slab(self, monkeypatch):
+        # slabs of 2^16 jumps, and a run of 4.8e5 across 8 of them: the
+        # chains hold one slab's steps at a time, not the run's jumps
+        monkeypatch.setattr(simulator, "_SLAB", 1 << 16)
+        tracemalloc.start()
+        try:
+            estimate_tail(*SHOTNOISE, np.array([0.5, 1.0, 2.0, 4.0]), 200_000,
+                          seed=SEED, regime="PositiveRecurrent")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        slab = 8 * simulator._SLAB  # bytes of one float per slab jump
+        assert peak < 16 * slab < 4.8e5 * 32  # the run's events: 32 B a jump
+
+    def test_sharp_constant_reads_the_exact_law(self):
+        # constant release, compound-Poisson input: the tail is read off
+        # the Pollaczek-Khinchine law, drawn exactly, where the occupation
+        # chains were far too short for the heavy tail (0.0095 +- 0.0068).
+        # The reference is independent: rho = 0.75, and a Geometric number
+        # of integrated-tail draws, P(Y <= y) = y / 3 on [0, 1] and
+        # 1 - (2 / 3) y^(-1/2) above
+        levy, rel = CompoundPoisson(0.5, ParetoJumps(1.5)), Constant(2.0)
+        est = estimate_tail(levy, rel, np.array([320.0]), 20_000, seed=SEED,
+                            regime="PositiveRecurrent")
+        assert est.method == "EnsembleEndpoint(T=inf)"
+        gen, n = np.random.default_rng(SEED), 400_000
+        count = gen.geometric(0.25, n) - 1
+        v = gen.uniform(size=int(count.sum()))
+        y = np.where(v < 1.0 / 3.0, 3.0 * v, (1.5 * (1.0 - v)) ** -2.0)
+        x = np.bincount(np.repeat(np.arange(n), count), weights=y, minlength=n)
+        p = (x > 320.0).mean()
+        se = math.hypot(est.stderr[0], math.sqrt(p * (1.0 - p) / n))
+        assert abs(est.pi_bar_hat[0] - p) <= 4.0 * se
 
 
 class TestTvDecay:

@@ -28,7 +28,9 @@ import storagelab
 from storagelab.numerics import integrate_semiinfinite, invert_monotone
 from storagelab.release_rate import Affine
 from storagelab.rng import substream
-from storagelab.simulator import event_ensemble, grid_ensemble
+from storagelab.simulator import grid_ensemble
+
+from event_stream import flat_events
 
 SEED = 20260810
 
@@ -171,8 +173,8 @@ class TestLaplace:
 
 def _jumps(levy, t, n_paths, eps=1e-4, seed=SEED):
     """The lane engine's retained jumps on (0, t]: (lane, size) arrays."""
-    lane, _, sizes, _ = event_ensemble(levy, Affine(0.0, 1.0), 0.0, t,
-                                       n_paths, seed, eps)
+    lane, _, sizes, _ = flat_events(levy, Affine(0.0, 1.0), 0.0, t, n_paths,
+                                    seed, eps)
     return lane, sizes
 
 

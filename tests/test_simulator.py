@@ -31,6 +31,8 @@ from storagelab.release_rate import (
 )
 from storagelab.simulator import event_ensemble, grid_ensemble
 
+from event_stream import flat_events
+
 SEED = 20260810
 NO_JUMPS = CompoundPoisson(0.0, Exponential(1.0))
 CPP = CompoundPoisson(1.0, Exponential(1.0))
@@ -106,8 +108,8 @@ def _walk_reference(levy, release, x0, times, sizes, grid, eps=1e-4):
 
 
 def _per_lane(events, n_paths):
-    """``event_ensemble``'s flat (lane, t, size, x_after) as one
-    (t, size, x_after) triple of arrays per lane."""
+    """``flat_events``'s (lane, t, size, x_after) as one (t, size, x_after)
+    triple of arrays per lane."""
     cuts = np.searchsorted(events[0], np.arange(1, n_paths))
     return list(zip(*(np.split(col, cuts) for col in events[1:])))
 
@@ -128,15 +130,12 @@ def _engine_jumps(levy, x0, grid, n_paths, eps=1e-4):
     return lanes
 
 
-def _last_states(release, events, x0, horizon, n_paths, drift):
-    """Each lane's last state of ``event_ensemble`` (its start if it has no
-    jump) flowed to the horizon."""
-    lane, t, _, x = events
+def _last_states(release, rows, horizon, n_paths, drift):
+    """Each lane's last row of ``flat_events(..., starts=True)`` flowed from
+    its time to the horizon."""
+    lane, t, _, x = rows
     last = np.searchsorted(lane, np.arange(n_paths), side="right") - 1
-    jumped = (last >= 0) & (lane[np.maximum(last, 0)] == np.arange(n_paths))
-    t_last = np.where(jumped, t[last], 0.0)
-    x_last = np.where(jumped, x[last], x0)
-    return release.flow(x_last, horizon - t_last, drift)
+    return release.flow(x[last], horizon - t[last], drift)
 
 
 def _independent_paths(levy, horizon, n_paths, eps, gen):
@@ -151,7 +150,7 @@ def _independent_paths(levy, horizon, n_paths, eps, gen):
 
 class TestSimulatePath:
     def test_pure_drain_matches_flow(self):
-        lane, _, _, _ = event_ensemble(NO_JUMPS, Constant(2.0), 3.0, 2.0, 1, SEED)
+        lane, _, _, _ = flat_events(NO_JUMPS, Constant(2.0), 3.0, 2.0, 1, SEED)
         assert lane.size == 0
         assert grid_ensemble(NO_JUMPS, Constant(2.0), 3.0, [2.0], 1, SEED)[0, 0] == 0.0
 
@@ -162,7 +161,7 @@ class TestSimulatePath:
 
     def test_events_mode_decreasing_between_jumps(self):
         assert CPP.compensator_drift(1e-4) == 0.0
-        events = event_ensemble(CPP, Affine(0.0, 1.0), 5.0, 10.0, 4, SEED)
+        events = flat_events(CPP, Affine(0.0, 1.0), 5.0, 10.0, 4, SEED)
         # value after each jump = flow from previous value + jump
         for t, sizes, x in _per_lane(events, 4):
             assert t.size > 1 and (np.diff(t) > 0.0).all()
@@ -181,8 +180,8 @@ class TestSimulatePath:
         # (1 - e^{-1}) E[A(1)] = 1 - e^{-1} with or without truncation
         levy = GammaSub(1.0, 1.0)
         assert levy.compensator_drift(1e-4) > 0.0
-        lane, _, sizes, x = event_ensemble(levy, Affine(0.0, 1.0), 0.0, 1.0,
-                                           4000, SEED)
+        lane, _, sizes, x = flat_events(levy, Affine(0.0, 1.0), 0.0, 1.0,
+                                        4000, SEED)
         assert (x >= sizes).all() and (sizes > 0.0).all()
         vals = grid_ensemble(levy, Affine(0.0, 1.0), 0.0, [1.0], 4000, SEED)
         assert (vals >= 0.0).all()
@@ -192,8 +191,8 @@ class TestSimulatePath:
     def test_finite_activity_no_bias(self):
         # finite activity keeps every jump: Poisson(rate * T) of them per
         # lane, with the jump law's sizes, and no compensating drift
-        lane, _, sizes, _ = event_ensemble(CPP, Affine(0.0, 1.0), 0.0, 5.0,
-                                           2000, SEED)
+        lane, _, sizes, _ = flat_events(CPP, Affine(0.0, 1.0), 0.0, 5.0,
+                                        2000, SEED)
         counts = np.bincount(lane, minlength=2000)
         assert abs(counts.mean() - 5.0) <= 4 * math.sqrt(5.0 / 2000)
         assert abs(sizes.mean() - 1.0) <= 4 / math.sqrt(sizes.size)
@@ -216,12 +215,13 @@ class TestSimulatePath:
         # for bit in one slab: its last step is T less the last jump's time
         for levy, rel in ((CPP, Affine(0.0, 1.0)),
                           (GammaSub(1.0, 1.0), PowerSmoothed(1.0, 0.5))):
-            events = event_ensemble(levy, rel, 2.0, 3.0, 64, SEED)
+            rows = flat_events(levy, rel, 2.0, 3.0, 64, SEED, starts=True)
             end = grid_ensemble(levy, rel, 2.0, [3.0], 64, SEED)[:, 0]
-            flowed = _last_states(rel, events, 2.0, 3.0, 64,
+            flowed = _last_states(rel, rows, 3.0, 64,
                                   levy.compensator_drift(1e-4))
             assert flowed.tobytes() == end.tobytes()
-            assert np.unique(events[0]).size > 48  # most lanes jumped
+            # most lanes jumped: they have a row past their start
+            assert (np.bincount(rows[0]) > 1).sum() > 48
 
     def test_transient_model_escapes(self):
         # alpha + beta < 1: paths drift to infinity; medians must ratchet up
@@ -334,8 +334,8 @@ class TestStarts:
             a = grid_ensemble(CPP, rel, 2.5, self.GRID, self.N, SEED)
             b = grid_ensemble(CPP, rel, full, self.GRID, self.N, SEED)
             assert a.tobytes() == b.tobytes()
-            a = event_ensemble(CPP, rel, 2.5, 4.0, self.N, SEED)
-            b = event_ensemble(CPP, rel, full, 4.0, self.N, SEED)
+            a = flat_events(CPP, rel, 2.5, 4.0, self.N, SEED, starts=True)
+            b = flat_events(CPP, rel, full, 4.0, self.N, SEED, starts=True)
             assert all(u.tobytes() == v.tobytes() for u, v in zip(a, b))
 
     @pytest.mark.parametrize("shape", [(99,), (101,), (1,), (100, 1)])
@@ -359,7 +359,7 @@ class TestEnsemble:
         levy, rel = PAIRS[name]
         tol = (dict(rel=0.0, abs=1e-8) if name == "power-heavy"
                else dict(rel=1e-14, abs=1e-300))
-        events = event_ensemble(levy, rel, 1.5, 6.0, 6, SEED)
+        events = flat_events(levy, rel, 1.5, 6.0, 6, SEED)
         end = grid_ensemble(levy, rel, 1.5, [6.0], 6, SEED)[:, 0]
         for i, (t, sizes, x) in enumerate(_per_lane(events, 6)):
             after, at_end = _walk_reference(levy, rel, 1.5, t, sizes, [6.0])
@@ -378,7 +378,7 @@ class TestEnsemble:
         monkeypatch.setattr(simulator, "_CHUNK", 16)
         monkeypatch.setattr(simulator, "_SLAB", 64)
         rel = Affine(0.0, 1.0)
-        events = event_ensemble(CPP, rel, 1.0, 20.0, 40, SEED)
+        events = flat_events(CPP, rel, 1.0, 20.0, 40, SEED)
         lane, t = events[:2]
         assert (np.diff(lane) >= 0).all() and np.unique(lane).size == 40
         end = grid_ensemble(CPP, rel, 1.0, [20.0], 40, SEED)[:, 0]
@@ -388,19 +388,40 @@ class TestEnsemble:
             assert x == pytest.approx(after, rel=1e-12)
             assert end[i] == pytest.approx(at_end[0], rel=1e-12)
 
+    def test_every_lane_opens_with_its_start(self, monkeypatch):
+        # three chunks of up to 16 lanes, and an input so sparse that some
+        # lane has no jump: each chunk holds its own lanes, lane by lane,
+        # and each lane opens with its start row, then its jumps
+        monkeypatch.setattr(simulator, "_CHUNK", 16)
+        x0 = np.random.default_rng(3).uniform(0.0, 10.0, 40)
+        levy = CompoundPoisson(0.2, Exponential(1.0))
+        chunks = list(event_ensemble(levy, Affine(0.0, 1.0), x0, 4.0, 40, SEED))
+        assert len(chunks) == 3
+        for c, (lane, t, size, x) in enumerate(chunks):
+            first = np.append(True, lane[1:] != lane[:-1])
+            assert (lane[first] == np.arange(16 * c, min(16 * c + 16, 40))).all()
+            assert (t[first] == 0.0).all() and (size[first] == 0.0).all()
+            assert (x[first] == x0[lane[first]]).all()
+            assert (t[~first] > 0.0).all() and (size[~first] > 0.0).all()
+        rows = np.bincount(np.concatenate([chunk[0] for chunk in chunks]))
+        assert (rows == 1).any() and (rows > 1).any()
+
+    def test_no_lanes_yield_nothing(self):
+        assert list(event_ensemble(CPP, Affine(0.0, 1.0), 0.0, 1.0, 0, SEED)) == []
+
     def test_single_path_reduces(self):
         # one lane: its events end where its endpoint does
-        events = event_ensemble(CPP, Constant(2.0), 2.0, 5.0, 1, SEED)
+        rows = flat_events(CPP, Constant(2.0), 2.0, 5.0, 1, SEED, starts=True)
         end = grid_ensemble(CPP, Constant(2.0), 2.0, [5.0], 1, SEED)
-        assert events[0].size > 0
-        assert _last_states(Constant(2.0), events, 2.0, 5.0, 1, 0.0) == end[0]
+        assert rows[0].size > 1  # a jump past the start row
+        assert _last_states(Constant(2.0), rows, 5.0, 1, 0.0) == end[0]
 
     def test_bit_reproducible(self):
         a = grid_ensemble(CPP, Affine(0.0, 1.0), 1.0, [5.0], 50, SEED)
         b = grid_ensemble(CPP, Affine(0.0, 1.0), 1.0, [5.0], 50, SEED)
         assert a.tobytes() == b.tobytes()
-        a = event_ensemble(CPP, Affine(0.0, 1.0), 1.0, 5.0, 50, SEED)
-        b = event_ensemble(CPP, Affine(0.0, 1.0), 1.0, 5.0, 50, SEED)
+        a = flat_events(CPP, Affine(0.0, 1.0), 1.0, 5.0, 50, SEED, starts=True)
+        b = flat_events(CPP, Affine(0.0, 1.0), 1.0, 5.0, 50, SEED, starts=True)
         assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
 
     def test_disjoint_seed_halves_consistent(self):
@@ -574,18 +595,37 @@ class TestVectorEngines:
         assert peak < 100 * 2**20
 
     def test_event_ensemble_memory_bounded(self):
-        # 2e6 jumps: beyond the arrays it returns, the event engine holds
+        # 2e6 jumps: beyond the arrays it yields, the event engine holds
         # one slab's buffers and copies, or a sort order over its output
         tracemalloc.start()
         try:
-            events = event_ensemble(CompoundPoisson(100.0, Exponential(1.0)),
-                                    Constant(120.0), 0.0, 10.0, 2000, SEED)
+            chunks = list(event_ensemble(CompoundPoisson(100.0, Exponential(1.0)),
+                                         Constant(120.0), 0.0, 10.0, 2000, SEED))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        out = sum(col.nbytes for col in events)
-        assert events[0].size == pytest.approx(2e6, rel=0.01)
+        out = sum(col.nbytes for chunk in chunks for col in chunk)
+        jumps = sum(chunk[0].size for chunk in chunks) - 2000  # less starts
+        assert jumps == pytest.approx(2e6, rel=0.01)
         assert peak < 1.5 * out + 64 * 2**20
+
+    def test_event_stream_holds_one_chunk(self, monkeypatch):
+        # four chunks of 1 024 lanes, about 2e5 rows each: consumed chunk by
+        # chunk, the stream holds one chunk's rows and their copies, never
+        # the run's
+        monkeypatch.setattr(simulator, "_CHUNK", 1024)
+        n, sizes = 4 * 1024, []
+        tracemalloc.start()
+        try:
+            for chunk in event_ensemble(CompoundPoisson(200.0, Exponential(1.0)),
+                                        Constant(240.0), 0.0, 1.0, n, SEED):
+                sizes.append(sum(col.nbytes for col in chunk))
+                del chunk
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(sizes) == 4
+        assert peak < 3 * max(sizes) < sum(sizes)
 
 
 def _rows_of(width):
@@ -654,7 +694,7 @@ class TestRKWalk:
 
         def run():
             return (grid_ensemble(levy, rel, 1.0, grid, 24, SEED, eps),
-                    event_ensemble(levy, rel, 1.0, 4.0, 24, SEED, eps))
+                    flat_events(levy, rel, 1.0, 4.0, 24, SEED, eps))
 
         mat, events = run()
         monkeypatch.setattr(simulator, "_step_lanes", _row_loop)
