@@ -161,9 +161,12 @@ def _stationary_reference(levy, release, n: int, t_last: float,
 
 
 def _fit_past_floor(t_grid: np.ndarray, values: np.ndarray, floor: float):
-    """Fit mask (grid midpoint on, above twice the floor) and its fit, or None."""
-    mask = (np.arange(t_grid.size) >= t_grid.size // 2) & (values > 2.0 * floor)
-    return mask, fit_loglog(t_grid[mask], values[mask]) if mask.sum() >= 2 else None
+    """Fit mask (times > 0 from the grid midpoint on, above twice the floor)
+    and its fit, or None with fewer than two distinct times in the mask."""
+    mask = ((np.arange(t_grid.size) >= t_grid.size // 2) & (t_grid > 0.0)
+            & (values > 2.0 * floor))
+    times = t_grid[mask]
+    return mask, fit_loglog(times, values[mask]) if np.unique(times).size >= 2 else None
 
 
 def _as_lanes(reference: np.ndarray) -> np.ndarray:
@@ -322,8 +325,8 @@ def estimate_tv_decay(levy: LevyInput, release: ReleaseRate, x0: float,
     variation up to binning bias.  The bootstrap resamples the time-t
     ensemble path by path and the reference lane by lane.  Points below
     twice the noise floor sqrt(bins / n_paths) and before the grid midpoint
-    are excluded from the exponent fit; with fewer than two usable points
-    ``fitted`` is None.
+    are excluded from the exponent fit, as are times <= 0; with fewer than
+    two distinct times left ``fitted`` is None.
     """
     _regime_guard(levy, release, regime)
     t_grid = np.asarray(t_grid, dtype=float)
@@ -400,16 +403,15 @@ def w1_cdf_area(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _wp_moment_guard(levy: LevyInput, p: float):
-    """int (u or u^p) nu(du) < inf, checked through the tail identity."""
+    """int (u or u^p) nu(du) < inf, checked through the tail identity: one
+    integral of the tail against 1 on (0, 1] and p u^(p-1) past 1."""
     try:
-        head = integrate_semiinfinite(
-            lambda u: np.where(u <= 1.0, levy.tail(np.minimum(u, 1.0)), 0.0)).value
-        tail_part = integrate_semiinfinite(
-            lambda u: p * u ** (p - 1.0) * levy.tail(u), lower=1.0).value
+        moment = integrate_semiinfinite(
+            lambda u: np.where(u <= 1.0, 1.0, p * u ** (p - 1.0)) * levy.tail(u)).value
     except Divergent as exc:
         raise MomentConditionFailed(
             f"int u^{p} nu(du) is infinite") from exc
-    if not (math.isfinite(head) and math.isfinite(tail_part)):
+    if not math.isfinite(moment):
         raise MomentConditionFailed(f"int u^{p} nu(du) is infinite")
 
 

@@ -10,7 +10,9 @@ each side by dyadic scale blocks ([a, 2a] outward, [a/2, a] inward), each
 integrated with a globally adaptive 7-15 Gauss-Kronrod rule.  Block sums of
 a power-law integrand form a geometric series, so convergence, remainder
 size, and divergence are all read off the block-ratio trend; divergence is
-reported as Divergent, never silently truncated.
+reported as Divergent, never silently truncated.  One rule stops every
+march, with no first pass: its geometric remainder below a quarter of
+``_REL_TOL`` of the integral built so far plus what lies outside the march.
 
 Integrands are array-native: the rule evaluates all 15 nodes of a panel in
 one call, and both halves of a split panel (30 nodes) in one call, so an
@@ -211,26 +213,27 @@ def _first_panels(f, blocks: list):
             for (a, b), v, e in zip(blocks, val, err)]
 
 
-def _block_sum(f, edges, budget: list, tol_share: float, direction: str,
-               mass_seen: bool = False):
-    """Sum adaptive block integrals along a dyadic edge sequence.
+def _block_sum(f, edges, budget: list, scale: float, direction: str):
+    """Sum adaptive block integrals along a dyadic edge sequence; returns
+    (value, error).
 
     ``edges`` yields (a, b) block endpoints marching toward the singular end
-    (v -> inf for 'tail', v -> 0 for 'head').  A power-law integrand gives a
-    geometric block sequence, so trends decide everything: decaying blocks
-    stop once the geometric remainder is below ``tol_share``; blocks that
-    are still not decaying after ``_GROWTH_OCTAVES`` octaves (growth toward
-    the singular end, or the flat log-divergent pattern) raise Divergent.
-    Mass sitting many octaves from the split point merely delays the stop,
-    it does not trip the divergence guard while block values stay below
-    ``tol_share``.  A block whose whole-block panel meets the tolerance is
-    taken as it is; only the others are refined by ``_adaptive``.
+    (v -> inf for 'tail', v -> 0 for 'head').  One rule: ``tol`` is a quarter
+    of max(``_ABS_TOL``, ``_REL_TOL`` |scale + total|), ``total`` the march's
+    sum so far and ``scale`` what lies outside it.  A power-law integrand
+    gives geometric blocks, so trends decide everything: decaying blocks
+    stop once the geometric remainder is below ``tol``; blocks above ``tol``
+    still not decaying after ``_GROWTH_OCTAVES`` octaves (growth, or the
+    flat log-divergent pattern) raise Divergent.  Two zero blocks end the
+    march once ``scale + total`` is not 0.  A block whose whole-block panel
+    meets the tolerance is taken as it is; only the others are refined by
+    ``_adaptive``.
     """
     total, total_err = 0.0, 0.0
     prev = None
     logs: list[float] = []  # log block ratios; their recent mean is the trend
     rbar = None
-    mag = 0.0
+    mag = tol = 0.0
     last = 0.0
     zero_run = 0
     octaves = 0
@@ -255,6 +258,7 @@ def _block_sum(f, edges, budget: list, tol_share: float, direction: str,
             budget[0] -= 1
         total += v
         total_err += e
+        tol = max(_ABS_TOL, _REL_TOL * abs(scale + total)) / 4.0
         octaves += 1
         mag = abs(v)
         last = v
@@ -262,8 +266,8 @@ def _block_sum(f, edges, budget: list, tol_share: float, direction: str,
             # zeros only terminate once mass has been collected; during the
             # inward approach they just mean the mass sits further along
             zero_run += 1
-            if zero_run >= 2 and (mass_seen or total != 0.0):
-                return total, total_err, True
+            if zero_run >= 2 and scale + total != 0.0:
+                return total, total_err
             prev = None
             continue
         zero_run = 0
@@ -273,21 +277,21 @@ def _block_sum(f, edges, budget: list, tol_share: float, direction: str,
             rbar = math.exp(sum(recent) / len(recent))
         prev = mag
         if rbar is not None and rbar < 0.98:
-            if mag <= tol_share * (1.0 - rbar):
+            if mag <= tol * (1.0 - rbar):
                 # geometric extrapolation of the rest; ratios are already
                 # near their asymptote here, so most of it is real mass
                 rem = mag * rbar / (1.0 - rbar)
-                return total + math.copysign(rem, last), total_err + 0.2 * rem, True
-        if (octaves >= _GROWTH_OCTAVES and mag > tol_share
+                return total + math.copysign(rem, last), total_err + 0.2 * rem
+        if (octaves >= _GROWTH_OCTAVES and mag > tol
                 and (rbar is None or rbar >= _RATIO_DIVERGENT)):
             raise Divergent(f"non-decaying {direction} blocks", partial=total)
     rbar = rbar or 1.0
-    if rbar >= _RATIO_DIVERGENT and mag > tol_share:
+    if rbar >= _RATIO_DIVERGENT and mag > tol:
         raise Divergent(f"{direction} fails to converge within budget",
                         partial=total)
     # geometric extrapolation of the unreached remainder
     rem = abs(last) * rbar / max(1.0 - rbar, 1e-6)
-    return total + math.copysign(rem, last), total_err + rem, True
+    return total + math.copysign(rem, last), total_err + rem
 
 
 def _tail_edges(start: float):
@@ -297,9 +301,9 @@ def _tail_edges(start: float):
         a *= 2.0
 
 
-def _head_edges(stop: float, floor: float = 1e-290):
+def _head_edges(stop: float):
     b = stop
-    while b > floor:
+    while b > 1e-290:
         yield 0.5 * b, b
         b *= 0.5
 
@@ -324,20 +328,15 @@ def integrate_semiinfinite(f, lower: float = 0.0) -> QuadResult:
     ``integrate_interval``.  The domain splits at ``_TAIL_SPLIT``; the head
     is resolved by dyadic blocks shrinking to the lower edge (integrable
     endpoint singularities such as v^{-1/2} are fine), the tail by dyadic
-    blocks doubling outward.
+    blocks doubling outward.  Each march stops once its remainder is below
+    a quarter of ``_REL_TOL`` of the integral so far: the head's own sum,
+    then the head plus the tail's.  There is no first pass.
     """
     g = (lambda v: f(lower + v)) if lower != 0.0 else f
 
     budget = [_MAX_PANELS]
-    # first pass gives the magnitude scale for tolerance shares
-    coarse, _, used = _adaptive(g, _TAIL_SPLIT * 1e-3, _TAIL_SPLIT, 32)
-    budget[0] -= used
-    tol = max(_ABS_TOL, _REL_TOL * abs(coarse)) / 4.0
-
-    hv, he, _ = _block_sum(g, _head_edges(_TAIL_SPLIT), budget, tol, "head")
-    tol = max(_ABS_TOL, _REL_TOL * max(abs(hv), abs(coarse))) / 4.0
-    tv, te, _ = _block_sum(g, _tail_edges(_TAIL_SPLIT), budget, tol, "tail",
-                           mass_seen=(hv != 0.0))
+    hv, he = _block_sum(g, _head_edges(_TAIL_SPLIT), budget, 0.0, "head")
+    tv, te = _block_sum(g, _tail_edges(_TAIL_SPLIT), budget, hv, "tail")
     return QuadResult(hv + tv, he + te, _MAX_PANELS - budget[0])
 
 
@@ -615,8 +614,7 @@ class DrainClock:
 
                 edges = itertools.takewhile(lambda e: e[1] <= top, _tail_edges(d * we))
                 try:
-                    rem, _, _ = _block_sum(slope, edges, [_MAX_PANELS],
-                                           _REL_TOL * mu * d * we, "end")
+                    rem, _ = _block_sum(slope, edges, [_MAX_PANELS], d * te, "end")
                     t = te + d * rem
                 except Divergent:
                     t = None

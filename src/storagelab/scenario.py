@@ -148,10 +148,14 @@ def build_input(d: dict):
         return (TemperedStableSub(f["alpha"], f["scale"], f["tempering"]),
                 f["truncation_eps"])
     if family == "tabulated":
-        f = _take(d, "input", {"family": str, "knots_u": list, "knots_tail": list},
-                  {"extension": (list, None), "truncation_eps": (float, 1e-4)})
-        ext = tuple(f["extension"]) if f["extension"] else None
-        return (TabulatedTail(tuple(f["knots_u"]), tuple(f["knots_tail"]), ext),
+        # required: every command reads the tail past the last knot
+        f = _take(d, "input", {"family": str, "knots_u": list, "knots_tail": list,
+                               "extension": list}, {"truncation_eps": (float, 1e-4)})
+        if len(f["extension"]) != 2:
+            raise ScenarioError("input.extension: expected [kind, number]")
+        kind, par = f["extension"]
+        return (TabulatedTail(tuple(f["knots_u"]), tuple(f["knots_tail"]),
+                              (kind, _coerce(par, float, "input.extension"))),
                 f["truncation_eps"])
     raise ScenarioError(f"input: unknown family {family!r}")
 

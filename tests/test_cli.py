@@ -200,6 +200,44 @@ class TestCli:
         assert override.split("=")[0].split(".")[-1] in err["message"]
         assert not (tmp_path / artifact).exists()
 
+    @pytest.mark.parametrize("extension", [
+        "", ',"extension":["power","1.5"]', ',"extension":["power",1.5,2]'],
+        ids=["missing", "text-exponent", "three-fields"])
+    def test_tabulated_input_needs_its_extension(self, extension, tmp_path,
+                                                 capsys):
+        # every command reads the tail past the last knot
+        code = main(["classify", "preset:shotnoise-gamma",
+                     "--out", str(tmp_path / "o"), "--set",
+                     'input={"family":"tabulated","knots_u":[0.5,1,2,4],'
+                     f'"knots_tail":[1.0,0.5,0.2,0.05]{extension}}}'])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        err = json.loads(lines[-1])
+        assert len(lines) == 1 and err["error"] == "usage"
+        assert "input" in err["message"] and "extension" in err["message"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv, expected, artifact", [
+        (["converge-tv", "preset:constant-mm1", "--x0", "10",
+          "--set", 'grids={"t_grid":[1.0,2.0,3.0,3.0]}',
+          "--set", "budgets.n_paths=2000"], 2, "tv.csv"),
+        (["converge-wp", "preset:shotnoise-gamma",
+          "--set", 'grids={"t_grid":[0.0,0.0,0.0,1.0]}',
+          "--set", "budgets.n_paths=500"], 0, "wp.csv"),
+    ], ids=["tv-repeated-time", "wp-zero-times"])
+    def test_fit_needs_two_distinct_positive_times(self, argv, expected,
+                                                   artifact, tmp_path, capsys):
+        # a curve whose fit mask keeps fewer than two distinct times > 0 has
+        # no fit: converge-tv stops at its noise floor, converge-wp writes
+        code = main(argv + ["--out", str(tmp_path)])
+        assert code == expected
+        err = capsys.readouterr().err
+        if expected == 2:
+            assert json.loads(err.splitlines()[-1])["type"] == "NoiseFloorReached"
+            assert not (tmp_path / artifact).exists()
+        else:
+            assert err == "" and (tmp_path / artifact).exists()
+
     @pytest.mark.parametrize("n_paths", [5, 999])
     def test_tail_below_sample_floor_is_usage_error(self, n_paths, tmp_path,
                                                     capsys):

@@ -118,6 +118,18 @@ class TestEstimateTail:
         for u, p, s in zip(grid, pibar, se):
             assert abs(p - mm1_tail(u)) <= 3.5 * s
 
+    def test_mm1_occupation_chains(self):
+        # estimate_tail reads M/M/1's exact law, so the long-run chains are
+        # checked against it here, as test_mm1_endpoint checks the ensemble
+        grid = np.array([1.0, 2.0, 4.0])
+        per_chain, method = ergodicity_lab._occupation_tails(
+            *MM1, grid, 30_000, SEED, 1e-4, None)
+        assert method.startswith("LongRunTimeAverage(")
+        pibar = per_chain.mean(axis=0)
+        se = per_chain.std(axis=0, ddof=1) / math.sqrt(len(per_chain))
+        for u, p, s in zip(grid, pibar, se):
+            assert abs(p - mm1_tail(u)) <= 3 * s
+
     def test_shotnoise_gamma(self):
         est = estimate_tail(*SHOTNOISE, np.array([2.0]),
                             30_000, seed=SEED, regime="PositiveRecurrent")

@@ -174,10 +174,10 @@ class TestBlockRuns:
         monkeypatch.setattr(numerics, "_adaptive", spy)
         res = integrate_semiinfinite(lambda v: np.exp(-v / 50.0) * np.cos(v) ** 2)
         assert res.value == pytest.approx(25.0 + 0.01 / (4.0 + 1.0 / 2500.0), rel=1e-7)
-        # the coarse pass starts without a panel; every block that reaches
-        # the refinement brings a panel that fails the tolerance
-        assert calls[0] is None and calls[1:]
-        for val, err in calls[1:]:
+        # there is no first pass: every block that reaches the refinement
+        # brings a panel, one that fails the tolerance
+        assert calls and None not in calls
+        for val, err in calls:
             assert err > max(numerics._ABS_TOL, numerics._REL_TOL * abs(val))
         assert len(calls) < res.subdivisions / 4
 
