@@ -194,7 +194,7 @@ def _out_dir(args, scen: Scenario, command: str) -> Path:
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_classify(scen: Scenario, out: Path, args) -> int:
+def cmd_classify(scen: Scenario, out: Path, args) -> None:
     margin = scen.tolerances["decision_margin"]
     rep = classify(scen.levy, scen.release, tuple(scen.grids["probe_u"]), margin)
     reg = check_regularity(scen.release, scen.levy.activity)
@@ -210,7 +210,6 @@ def cmd_classify(scen: Scenario, out: Path, args) -> int:
     }
     write_json(out / "classify.json", payload)
     print(f"{scen.name}: {rep.verdict} (method={rep.method}, uniform={rep.uniform})")
-    return 0
 
 
 def _envelope_section(scen: Scenario, cert) -> dict:
@@ -248,7 +247,7 @@ def _envelope_section(scen: Scenario, cert) -> dict:
     return section
 
 
-def cmd_certify(scen: Scenario, out: Path, args) -> int:
+def cmd_certify(scen: Scenario, out: Path, args) -> None:
     if scen.phi is None:
         raise ScenarioError("certify needs a 'phi' block in the scenario")
     cert = build_certificate(scen.levy, scen.release, scen.phi,
@@ -268,10 +267,11 @@ def cmd_certify(scen: Scenario, out: Path, args) -> int:
     write_json(out / "certificate.json", payload)
     print(f"{scen.name}: drift margin {cert.drift_margin:.6f} "
           f"(valid={cert.valid}, uniform={rep.uniform})")
-    return 0 if cert.valid else 2
+    if not cert.valid:
+        raise HypothesisFailed("certificate", "certificate is not valid")
 
 
-def cmd_predict(scen: Scenario, out: Path, args) -> int:
+def cmd_predict(scen: Scenario, out: Path, args) -> None:
     if scen.phi is None:
         raise ScenarioError("predict needs a 'phi' block in the scenario")
     cert = build_certificate(scen.levy, scen.release, scen.phi,
@@ -285,7 +285,6 @@ def cmd_predict(scen: Scenario, out: Path, args) -> int:
         rows.append((float(u), cert.predicted_tail_upper(float(u)), "tail_upper"))
     write_csv(out / "predictions.csv", ["u_or_t", "value", "kind"], rows)
     print(f"{scen.name}: wrote {len(rows)} prediction rows")
-    return 0
 
 
 def _check_args(args) -> None:
@@ -320,7 +319,7 @@ def _curve_jumps(scen: Scenario, certificate) -> float:
         scen.levy, scen.release, 2 * n, t_last, certificate, scen.truncation_eps)
 
 
-def cmd_simulate(scen: Scenario, out: Path, args) -> int:
+def cmd_simulate(scen: Scenario, out: Path, args) -> None:
     n = scen.budgets["n_paths"]
     n = n if args.paths is None else min(n, args.paths)
     if n < 1:
@@ -343,7 +342,6 @@ def cmd_simulate(scen: Scenario, out: Path, args) -> int:
                 paths.ravel()]
         write_csv(out / "paths.csv", ["path_id", "t", "x"], _rows(cols))
     print(f"{scen.name}: simulated {n} paths")
-    return 0
 
 
 _TAIL_ORACLES = {
@@ -377,7 +375,7 @@ def _context_certificate(scen: Scenario):
         return None
 
 
-def cmd_tail(scen: Scenario, out: Path, args) -> int:
+def cmd_tail(scen: Scenario, out: Path, args) -> None:
     if scen.budgets["n_paths"] < _MIN_TAIL_SAMPLES:
         raise ScenarioError(f"budgets.n_paths: tail needs at least "
                             f"{_MIN_TAIL_SAMPLES} paths")
@@ -392,7 +390,6 @@ def cmd_tail(scen: Scenario, out: Path, args) -> int:
     _write_curve(out / "tail.csv", "u", est.levels, est.pi_bar_hat, est.stderr,
                  [oracle(float(u)) for u in est.levels] if oracle else None)
     print(f"{scen.name}: tail estimated at {est.levels.size} levels ({est.method})")
-    return 0
 
 
 def _tv_curve(scen: Scenario, x0: float, cert):
@@ -407,7 +404,7 @@ def _tv_curve(scen: Scenario, x0: float, cert):
     return curve
 
 
-def cmd_converge_tv(scen: Scenario, out: Path, args) -> int:
+def cmd_converge_tv(scen: Scenario, out: Path, args) -> None:
     cert = _context_certificate(scen)
     _check_work(_curve_jumps(scen, cert))
     curve = _tv_curve(scen, args.x0, cert)
@@ -416,10 +413,9 @@ def cmd_converge_tv(scen: Scenario, out: Path, args) -> int:
                  if cert is not None and cert.valid else None)
     print(f"{scen.name}: TV curve fitted exponent {curve.fitted.exponent:.3f} "
           f"(noise floor {curve.noise_floor:.3f})")
-    return 0
 
 
-def cmd_converge_wp(scen: Scenario, out: Path, args) -> int:
+def cmd_converge_wp(scen: Scenario, out: Path, args) -> None:
     _check_work(_curve_jumps(scen, None))
     bound = None
     if scen.modulus is not None:
@@ -439,10 +435,9 @@ def cmd_converge_wp(scen: Scenario, out: Path, args) -> int:
     if bound is not None and curve.reference_curve is None:
         print(f"{scen.name}: no reference column: the release fails the "
               "beta_modulus contraction")
-    return 0
 
 
-def cmd_compare(scen: Scenario, out: Path, args) -> int:
+def cmd_compare(scen: Scenario, out: Path, args) -> None:
     cert = _context_certificate(scen)
     _check_work(_curve_jumps(scen, cert))
     # the lower rate first: a release out of its range is refused before
@@ -459,7 +454,10 @@ def cmd_compare(scen: Scenario, out: Path, args) -> int:
     write_json(out / "compare.json", payload)
     print(f"{scen.name}: fitted {rep.fitted:.3f} vs "
           f"[{rep.predicted_lower}, {rep.predicted_upper}] -> {rep.verdict}")
-    return 0 if rep.verdict == "PASS" else 2
+    if rep.verdict != "PASS":
+        raise HypothesisFailed("compare", rep.note or (
+            f"fitted exponent {rep.fitted:.3f} is more than {rep.tol:.3f} "
+            f"outside [{rep.predicted_lower}, {rep.predicted_upper}]"))
 
 
 def _row_labels(scen: Scenario) -> dict:
@@ -481,7 +479,7 @@ def _row_labels(scen: Scenario) -> dict:
     return labels
 
 
-def cmd_report(scen: Scenario, out: Path, args) -> int:
+def cmd_report(scen: Scenario, out: Path, args) -> None:
     labels = _row_labels(scen)
     asym = scen.levy.asymptotics()
     detail = {"scenario": scen.name, "labels": labels,
@@ -501,10 +499,9 @@ def cmd_report(scen: Scenario, out: Path, args) -> int:
               [(scen.name, labels["regime"], labels["rate"], labels["tail"])])
     print(f"{scen.name}: {labels['regime']} / rate {labels['rate']} / "
           f"tail {labels['tail']}")
-    return 0
 
 
-def cmd_laplace(scen: Scenario, out: Path, args) -> int:
+def cmd_laplace(scen: Scenario, out: Path, args) -> None:
     n = max(scen.budgets["n_paths"], 1000)
     _check_work(_ensemble_jumps(scen, 1.0, n))
     rows = laplace_check(scen.levy, 1.0, [0.5, 1.0, 2.0], n, scen.seed,
@@ -514,7 +511,8 @@ def cmd_laplace(scen: Scenario, out: Path, args) -> int:
                for r in rows])
     worst = max(abs(r["z"]) for r in rows)
     print(f"{scen.name}: worst |z| = {worst:.2f}")
-    return 0 if worst <= 4.0 else 2
+    if not worst <= 4.0:
+        raise HypothesisFailed("laplace", f"worst |z| = {worst:.2f} exceeds 4")
 
 
 _COMMANDS = {
@@ -572,18 +570,19 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        _check_args(args)
-        scen = _resolve_scenario(args.scenario, args.overrides)
-    except (ScenarioError, FileNotFoundError, KeyError, json.JSONDecodeError) as exc:
-        _emit_error("usage", exc)
-        return 1
-    out = _out_dir(args, scen, args.command)
     # the warnings of a run that ends in an error are dropped, so its stderr
     # is the one JSON line; a run that returns shows them
     with warnings.catch_warnings(record=True) as caught:
         try:
-            code = _COMMANDS[args.command](scen, out, args)
+            _check_args(args)
+            scen = _resolve_scenario(args.scenario, args.overrides)
+        except (ScenarioError, FileNotFoundError, KeyError,
+                json.JSONDecodeError) as exc:
+            _emit_error("usage", exc)
+            return 1
+        out = _out_dir(args, scen, args.command)
+        try:
+            _COMMANDS[args.command](scen, out, args)
         except (ScenarioError, *_RANGE_ERRORS) as exc:
             _emit_error("usage", exc)
             return 1
@@ -592,7 +591,7 @@ def main(argv=None) -> int:
             return 2
     for w in caught:
         warnings.showwarning(w.message, w.category, w.filename, w.lineno)
-    return code
+    return 0
 
 
 if __name__ == "__main__":

@@ -348,25 +348,25 @@ def _exp_tail_drop(levy, c, k, u, v):
 
 @dataclass(frozen=True)
 class GammaSub(LevyInput):
-    """Gamma subordinator: nu(du) = shape * exp(-rate_ * u) / u du."""
+    """Gamma subordinator: nu(du) = shape * exp(-rate * u) / u du."""
 
     shape: float
-    rate_: float
+    rate: float
     activity: str = field(default="infinite", init=False)
 
     def __post_init__(self):
-        if self.shape <= 0 or self.rate_ <= 0:
+        if self.shape <= 0 or self.rate <= 0:
             raise ValueError("shape and rate must be positive")
 
     def tail(self, u):
         from scipy import special
         u = np.asarray(u, dtype=float)
-        return self.shape * special.exp1(self.rate_ * u)
+        return self.shape * special.exp1(self.rate * u)
 
     def log_tail(self, u):
         from scipy import special
         u = np.asarray(u, dtype=float)
-        x = self.rate_ * u
+        x = self.rate * u
         # exp1(x) ~ e^{-x}/x (1 - 1/x) for large x, beyond float range of exp1
         asym = -x - np.log(x) + np.log1p(-1.0 / np.maximum(x, 2.0))
         with np.errstate(divide="ignore"):
@@ -374,30 +374,30 @@ class GammaSub(LevyInput):
         return np.where(x > 600.0, math.log(self.shape) + asym, direct)
 
     def log_tail_drop(self, u, v):
-        return _exp_tail_drop(self, self.rate_, 1.0, u, v)
+        return _exp_tail_drop(self, self.rate, 1.0, u, v)
 
     def density(self, u):
         u = np.asarray(u, dtype=float)
-        return self.shape * np.exp(-self.rate_ * u) / u
+        return self.shape * np.exp(-self.rate * u) / u
 
     def first_moment(self):
-        return self.shape / self.rate_
+        return self.shape / self.rate
 
     def laplace_exponent(self, lam):
-        return -self.shape * math.log1p(lam / self.rate_)
+        return -self.shape * math.log1p(lam / self.rate)
 
     def asymptotics(self):
-        return TailAsymptotics("exp", self.rate_)
+        return TailAsymptotics("exp", self.rate)
 
     def sample_sizes(self, gen, n, eps):
-        return _tempered_draw(gen, n, 0.0, self.rate_, eps)
+        return _tempered_draw(gen, n, 0.0, self.rate, eps)
 
     def compensator_drift(self, eps):
-        return self.shape * (1.0 - math.exp(-self.rate_ * eps)) / self.rate_
+        return self.shape * (1.0 - math.exp(-self.rate * eps)) / self.rate
 
     def small_jump_msq(self, eps):
-        t = self.rate_ * eps
-        return self.shape * (1.0 - math.exp(-t) * (1.0 + t)) / self.rate_ ** 2
+        t = self.rate * eps
+        return self.shape * (1.0 - math.exp(-t) * (1.0 + t)) / self.rate ** 2
 
 
 @dataclass(frozen=True)
@@ -547,8 +547,11 @@ class TabulatedTail(LevyInput):
     activity: str = field(default="finite", init=False)
 
     def __post_init__(self):
-        u = np.asarray(self.knots_u, dtype=float)
-        t = np.asarray(self.knots_tail, dtype=float)
+        try:
+            u = np.asarray(self.knots_u, dtype=float)
+            t = np.asarray(self.knots_tail, dtype=float)
+        except (TypeError, OverflowError) as exc:  # a non-number, a huge int
+            raise ValueError("knots must be finite numbers") from exc
         if u.ndim != 1 or u.size < 2 or t.shape != u.shape:
             raise ValueError("need matching 1-d knot arrays with >= 2 points")
         if (np.diff(u) <= 0).any() or (u <= 0).any():
@@ -559,6 +562,9 @@ class TabulatedTail(LevyInput):
             kind, par = self.extension
             if kind not in ("power", "exp") or par <= 0:
                 raise ValueError("extension must be ('power', a>0) or ('exp', c>0)")
+        # a NaN passes the order checks, which compare it as False
+        if not (np.isfinite(u).all() and np.isfinite(t).all()):
+            raise ValueError("knots must be finite numbers")
         object.__setattr__(self, "knots_u", tuple(float(x) for x in u))
         object.__setattr__(self, "knots_tail", tuple(float(x) for x in t))
 
@@ -640,7 +646,9 @@ def laplace_check(levy: LevyInput, t: float, lambdas, n_paths: int,
 
     Vectorised across paths, all drawn from the key ``(seed, "laplace")``
     (an SFC64 stream, see ``rng``); the whole batch is reproducible from
-    the seed.
+    the seed.  The standard error is the closed one, from the variance
+    e^(t psi(2 lam)) - e^(2 t psi(lam)) of e^(-lam A(t)): a sample spread
+    misses the rare small A(t) that carry it on a concentrated input.
     """
     if t <= 0:
         raise ValueError("t must be positive")
@@ -660,8 +668,12 @@ def laplace_check(levy: LevyInput, t: float, lambdas, n_paths: int,
         lam = float(lam)
         vals = np.exp(-lam * a)
         emp = float(vals.mean())
-        analytic = math.exp(t * levy.laplace_exponent(lam))
-        se = float(vals.std(ddof=1) / math.sqrt(n_paths))
+        psi, psi2 = levy.laplace_exponent(lam), levy.laplace_exponent(2.0 * lam)
+        analytic = math.exp(t * psi)
+        # the variance as e^(t psi2) (1 - e^(t (2 psi - psi2))): both
+        # exponents are <= 0, so it neither overflows nor cancels
+        var = math.exp(t * psi2) * -math.expm1(t * (2.0 * psi - psi2))
+        se = math.sqrt(max(var, 0.0) / n_paths)
         z = 0.0 if se == 0 else (emp - analytic) / se
         out.append({"lam": lam, "empirical": emp, "analytic": analytic,
                     "se": se, "z": z})

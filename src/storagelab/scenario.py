@@ -4,14 +4,17 @@ A scenario pins everything a run needs: the input subordinator, the release
 rate, an optional rate function and contraction modulus, grids, budgets and
 tolerances, and the master seed.  Unknown keys are rejected at every level
 so that typos fail loudly, and a parsed scenario re-serialises to exactly
-the canonical form it was built from.
+the canonical form it was built from.  A jump law, a gamma, stable or
+tempered-stable input, a release and the modulus take their model class's
+init fields as keys, with the class's defaults: ``{"family": "gamma",
+"shape": 1.0, "rate": 2.0}`` is ``GammaSub(shape=1.0, rate=2.0)``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 from .classifier import DEFAULT_DECISION_MARGIN, DEFAULT_PROBE_GRID
 from .errors import StorageLabError
@@ -30,13 +33,22 @@ from .release_rate import Affine, Constant, Plateau, Power, PowerSmoothed
 
 SCHEMA_VERSION = 1
 
-_DEFAULT_GRIDS = {
-    "probe_u": list(DEFAULT_PROBE_GRID),
-    "t_grid": [float(x) for x in (2, 3, 5, 8, 12, 18, 27, 40, 60, 90)],
-    "u_grid": [0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0],
+# the families whose keys are their model class's init fields (see _spec)
+JUMP_LAWS = {"exp": Exponential, "pareto": ParetoJumps, "fixed": DeterministicJumps}
+INPUT_FAMILIES = {"gamma": GammaSub, "stable": StableSub,
+                  "tempered_stable": TemperedStableSub}
+RELEASE_FAMILIES = {"constant": Constant, "affine": Affine, "power": Power,
+                    "power_smoothed": PowerSmoothed, "plateau": Plateau}
+
+_TRUNCATION = {"truncation_eps": (float, 1e-4)}
+_GRIDS = {
+    "probe_u": (list, list(DEFAULT_PROBE_GRID)),
+    "t_grid": (list, [float(x) for x in (2, 3, 5, 8, 12, 18, 27, 40, 60, 90)]),
+    "u_grid": (list, [0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0]),
 }
-_DEFAULT_BUDGETS = {"n_paths": 4000, "horizon": 60.0}
-_DEFAULT_TOLERANCES = {"decision_margin": DEFAULT_DECISION_MARGIN, "epsilon": 0.1}
+_BUDGETS = {"n_paths": (int, 4000), "horizon": (float, 60.0)}
+_TOLERANCES = {"decision_margin": (float, DEFAULT_DECISION_MARGIN),
+               "epsilon": (float, 0.1)}
 
 
 class ScenarioError(ValueError):
@@ -63,13 +75,9 @@ def _coerce(value, typ, context):
     if typ is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ScenarioError(f"{context}: expected a number")
-        try:
-            number = float(value)
-        except OverflowError:  # an integer beyond the float range
-            number = math.inf
-        if not math.isfinite(number):
+        if not _finite_number(value):
             raise ScenarioError(f"{context}: expected a finite number")
-        return number
+        return float(value)
     if typ is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ScenarioError(f"{context}: expected an integer")
@@ -89,6 +97,16 @@ def _coerce(value, typ, context):
     raise AssertionError(typ)
 
 
+def _finite_number(x) -> bool:
+    """x is a number, not a bool, and finite as a float."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def _check_grids(grids: dict) -> None:
     """Each grid is a non-empty list of finite numbers.  probe_u and u_grid
     are strictly increasing and positive, probe_u with at least 3 points
@@ -96,8 +114,7 @@ def _check_grids(grids: dict) -> None:
     ``grid_ensemble``).
     """
     for name, xs in grids.items():
-        if not xs or any(isinstance(x, bool) or not isinstance(x, (int, float))
-                         or not math.isfinite(x) for x in xs):
+        if not xs or not all(map(_finite_number, xs)):
             raise ScenarioError(
                 f"grids.{name}: expected a non-empty list of finite numbers")
         pairs = list(zip(xs, xs[1:]))
@@ -112,72 +129,52 @@ def _check_grids(grids: dict) -> None:
         raise ScenarioError("grids.probe_u: needs at least 3 points")
 
 
-def _build_jump(d: dict):
-    law = d.get("law")
-    if law == "exp":
-        f = _take(d, "input.jump", {"law": str, "mu": float})
-        return Exponential(f["mu"])
-    if law == "pareto":
-        f = _take(d, "input.jump", {"law": str, "alpha": float},
-                  {"xm": (float, 1.0)})
-        return ParetoJumps(f["alpha"], f["xm"])
-    if law == "fixed":
-        f = _take(d, "input.jump", {"law": str, "size": float})
-        return DeterministicJumps(f["size"])
-    raise ScenarioError(f"input.jump: unknown law {law!r}")
+def _spec(cls) -> tuple[dict, dict]:
+    """_take's required and optional specs of ``cls``'s init fields, which
+    are numbers: required where ``cls`` has no default, else optional with
+    the class's default."""
+    init = [f for f in fields(cls) if f.init]
+    return ({f.name: float for f in init if f.default is MISSING},
+            {f.name: (float, f.default) for f in init if f.default is not MISSING})
+
+
+def _build_family(d: dict, context: str, table: dict, key: str = "family",
+                  extra: dict | None = None):
+    """The model of the class ``d[key]`` names in ``table``, and _take's dict
+    of ``d``: the class's fields (see _spec), plus the block's own optional
+    ``extra`` keys."""
+    name = d.get(key)
+    cls = table.get(name) if isinstance(name, str) else None
+    if cls is None:
+        raise ScenarioError(f"{context}: unknown {key} {name!r}")
+    required, optional = _spec(cls)
+    f = _take(d, context, {key: str, **required}, {**optional, **(extra or {})})
+    return cls(**{k: f[k] for k in required | optional}), f
 
 
 def build_input(d: dict):
     family = d.get("family")
     if family == "compound_poisson":
         f = _take(d, "input", {"family": str, "rate": float, "jump": dict},
-                  {"truncation_eps": (float, 1e-4)})
-        return CompoundPoisson(f["rate"], _build_jump(f["jump"])), f["truncation_eps"]
-    if family == "gamma":
-        f = _take(d, "input", {"family": str, "shape": float, "rate": float},
-                  {"truncation_eps": (float, 1e-4)})
-        return GammaSub(f["shape"], f["rate"]), f["truncation_eps"]
-    if family == "stable":
-        f = _take(d, "input", {"family": str, "alpha": float},
-                  {"scale": (float, 1.0), "truncation_eps": (float, 1e-4)})
-        return StableSub(f["alpha"], f["scale"]), f["truncation_eps"]
-    if family == "tempered_stable":
-        f = _take(d, "input", {"family": str, "alpha": float},
-                  {"scale": (float, 1.0), "tempering": (float, 1.0),
-                   "truncation_eps": (float, 1e-4)})
-        return (TemperedStableSub(f["alpha"], f["scale"], f["tempering"]),
-                f["truncation_eps"])
+                  _TRUNCATION)
+        jump, _ = _build_family(f["jump"], "input.jump", JUMP_LAWS, "law")
+        return CompoundPoisson(f["rate"], jump), f["truncation_eps"]
     if family == "tabulated":
         # required: every command reads the tail past the last knot
         f = _take(d, "input", {"family": str, "knots_u": list, "knots_tail": list,
-                               "extension": list}, {"truncation_eps": (float, 1e-4)})
+                               "extension": list}, _TRUNCATION)
         if len(f["extension"]) != 2:
             raise ScenarioError("input.extension: expected [kind, number]")
         kind, par = f["extension"]
         return (TabulatedTail(tuple(f["knots_u"]), tuple(f["knots_tail"]),
                               (kind, _coerce(par, float, "input.extension"))),
                 f["truncation_eps"])
-    raise ScenarioError(f"input: unknown family {family!r}")
+    levy, f = _build_family(d, "input", INPUT_FAMILIES, extra=_TRUNCATION)
+    return levy, f["truncation_eps"]
 
 
 def build_release(d: dict):
-    family = d.get("family")
-    if family == "constant":
-        return Constant(_take(d, "release", {"family": str, "a": float})["a"])
-    if family == "affine":
-        f = _take(d, "release", {"family": str, "a": float, "b": float})
-        return Affine(f["a"], f["b"])
-    if family == "power":
-        f = _take(d, "release", {"family": str, "k": float, "beta": float})
-        return Power(f["k"], f["beta"])
-    if family == "power_smoothed":
-        f = _take(d, "release", {"family": str, "k": float, "beta": float},
-                  {"u_s": (float, 0.01)})
-        return PowerSmoothed(f["k"], f["beta"], f["u_s"])
-    if family == "plateau":
-        f = _take(d, "release", {"family": str, "m": float}, {"u0": (float, 1.0)})
-        return Plateau(f["m"], f["u0"])
-    raise ScenarioError(f"release: unknown family {family!r}")
+    return _build_family(d, "release", RELEASE_FAMILIES)[0]
 
 
 def build_phi(d: dict | None):
@@ -197,15 +194,18 @@ def build_phi(d: dict | None):
 def build_modulus(d: dict | None):
     if d is None:
         return None, None, None
-    f = _take(d, "beta_modulus", {"family": str, "d": float},
-              {"Gamma": (float, 1.0), "kappa": (float, 1.0)})
+    # one family, checked after the block's keys
+    required, optional = _spec(PowerModulus)
+    f = _take(d, "beta_modulus", {"family": str, **required},
+              {**optional, "Gamma": (float, 1.0), "kappa": (float, 1.0)})
     if f["family"] != "power":
         raise ScenarioError(f"beta_modulus: unknown family {f['family']!r}")
     for key in ("Gamma", "kappa"):
         if f[key] <= 0:
             raise ScenarioError(
                 f"beta_modulus.{key}: expected a finite positive number")
-    return PowerModulus(f["d"]), f["Gamma"], f["kappa"]
+    return (PowerModulus(**{k: f[k] for k in required | optional}),
+            f["Gamma"], f["kappa"])
 
 
 def _build(block: str, build, d):
@@ -243,9 +243,9 @@ class Scenario:
             "seed": (int, 0),
             "phi": (dict, None),
             "beta_modulus": (dict, None),
-            "grids": (dict, None),
-            "budgets": (dict, None),
-            "tolerances": (dict, None),
+            "grids": (dict, {}),
+            "budgets": (dict, {}),
+            "tolerances": (dict, {}),
         })
         if top["scenario_schema"] != SCHEMA_VERSION:
             raise ScenarioError(
@@ -260,28 +260,14 @@ class Scenario:
         phi = _build("phi", build_phi, top["phi"])
         modulus, gamma, kappa = _build("beta_modulus", build_modulus,
                                        top["beta_modulus"])
-        grids = dict(_DEFAULT_GRIDS)
-        if top["grids"]:
-            extra = _take(top["grids"], "grids", {},
-                          {k: (list, v) for k, v in _DEFAULT_GRIDS.items()})
-            grids.update(extra)
+        grids = _take(top["grids"], "grids", {}, _GRIDS)
         _check_grids(grids)
-        budgets = dict(_DEFAULT_BUDGETS)
-        if top["budgets"]:
-            budgets.update(_take(top["budgets"], "budgets", {}, {
-                "n_paths": (int, _DEFAULT_BUDGETS["n_paths"]),
-                "horizon": (float, _DEFAULT_BUDGETS["horizon"]),
-            }))
+        budgets = _take(top["budgets"], "budgets", {}, _BUDGETS)
         if budgets["n_paths"] < 1:
             raise ScenarioError("budgets.n_paths: needs at least one path")
         if budgets["horizon"] <= 0:
             raise ScenarioError("budgets.horizon: expected a finite positive time")
-        tolerances = dict(_DEFAULT_TOLERANCES)
-        if top["tolerances"]:
-            tolerances.update(_take(top["tolerances"], "tolerances", {}, {
-                "decision_margin": (float, _DEFAULT_TOLERANCES["decision_margin"]),
-                "epsilon": (float, _DEFAULT_TOLERANCES["epsilon"]),
-            }))
+        tolerances = _take(top["tolerances"], "tolerances", {}, _TOLERANCES)
         if tolerances["epsilon"] <= 0:
             raise ScenarioError(
                 "tolerances.epsilon: expected a finite positive number")

@@ -186,10 +186,13 @@ class TestCli:
         ("classify", "gamma-linear", "beta_modulus.kappa=0", "classify.json"),
         ("tail", "gamma-linear", "input.truncation_eps=0", "tail.csv"),
         ("simulate", "gamma-linear", "input.truncation_eps=-1", "paths.csv"),
+        # an integer beyond the float range: an OverflowError traceback
+        ("classify", "constant-mm1", f"grids.u_grid=[1,{10**400}]",
+         "classify.json"),
     ], ids=["epsilon-zero", "seed-negative", "mu-nan", "input-rate-negative",
             "phi-a-zero", "modulus-d-below-1", "modulus-gamma-zero",
             "modulus-kappa-zero", "truncation-eps-zero",
-            "truncation-eps-negative"])
+            "truncation-eps-negative", "grid-huge-integer"])
     def test_bad_number_is_usage_error(self, command, preset, override,
                                        artifact, tmp_path, capsys):
         code = main([command, f"preset:{preset}", "--out", str(tmp_path),
@@ -216,6 +219,43 @@ class TestCli:
         assert len(lines) == 1 and err["error"] == "usage"
         assert "input" in err["message"] and "extension" in err["message"]
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("knots", [
+        '"knots_u":[0.5,1,NaN,4],"knots_tail":[1.0,0.5,0.2,0.05]',
+        '"knots_u":[0.5,1,2,4],"knots_tail":[1.0,0.5,NaN,0.05]'],
+        ids=["knots_u", "knots_tail"])
+    def test_tabulated_knots_must_be_finite(self, knots, tmp_path, capsys):
+        # a NaN passes the order checks, which compare it as False: the run
+        # failed later at a quadrature node
+        code = main(["classify", "preset:shotnoise-gamma",
+                     "--out", str(tmp_path / "o"), "--set",
+                     f'input={{"family":"tabulated",{knots},'
+                     '"extension":["power",1.5]}'])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        err = json.loads(lines[-1])
+        assert len(lines) == 1 and err["error"] == "usage"
+        assert err["message"] == "input: knots must be finite numbers"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv, artifact", [
+        (["certify", "preset:power-uniform", *POWER_UNIFORM_REPRO],
+         "certificate.json"),
+        (["compare", "preset:sharp-constant",
+          "--set", "tolerances.epsilon=0.001"], "compare.json"),
+        # a truncation this coarse biases the simulated law: |z| 31
+        (["laplace", "preset:gamma-linear",
+          "--set", "input.truncation_eps=1.0"], "laplace.csv"),
+    ], ids=["certify-invalid", "compare-fail", "laplace-z"])
+    def test_exit_2_writes_its_output_then_one_json_line(self, argv, artifact,
+                                                         tmp_path, capsys):
+        code = main(argv + ["--out", str(tmp_path)])
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert (err["error"], err["type"]) == ("criterion", "HypothesisFailed")
+        assert (tmp_path / artifact).exists()
 
     @pytest.mark.parametrize("argv, expected, artifact", [
         (["converge-tv", "preset:constant-mm1", "--x0", "10",

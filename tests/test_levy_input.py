@@ -333,6 +333,19 @@ class TestSizeKernels:
 
 
 class TestLaplaceCheck:
+    @pytest.mark.parametrize("inp, n_paths", [
+        (CompoundPoisson(20.0, DeterministicJumps(2.0)), 20_000),
+        (GammaSub(5.0, 0.06), 8000)], ids=["fixed-jumps", "gamma"])
+    def test_se_is_the_closed_one(self, inp, n_paths):
+        # the sample spread of e^(-lam A) misses the rare small A that carry
+        # the variance of a concentrated input: |z| read 8.68 and 27.65
+        rows = laplace_check(inp, 1.0, [0.5, 1.0, 2.0], n_paths, SEED)
+        for row in rows:
+            psi = inp.laplace_exponent
+            var = math.exp(psi(2.0 * row["lam"])) - math.exp(2.0 * psi(row["lam"]))
+            assert row["se"] == pytest.approx(math.sqrt(var / n_paths), rel=1e-9)
+            assert abs(row["z"]) <= 4.0, row
+
     def test_cpp_analytic_value(self):
         inp = CompoundPoisson(1.0, Exponential(1.0))
         rows = laplace_check(inp, 1.0, [1.0], 20_000, SEED)
@@ -378,6 +391,18 @@ class TestTabulated:
     def test_extension_power(self):
         tab = self.make()
         assert float(tab.tail(100.0)) == pytest.approx(1e-4, rel=1e-2)
+
+    @pytest.mark.parametrize("u, t", [
+        ((0.5, 1.0, math.nan, 4.0), (1.0, 0.5, 0.2, 0.05)),
+        ((0.5, 1.0, 2.0, 4.0), (1.0, 0.5, math.nan, 0.05)),
+        ((0.5, 1.0, 2.0, math.inf), (1.0, 0.5, 0.2, 0.05)),
+        ((0.5, 1.0, 2.0, 10**400), (1.0, 0.5, 0.2, 0.05)),
+        ((0.5, 1.0, 2.0, {}), (1.0, 0.5, 0.2, 0.05))],
+        ids=["nan-level", "nan-tail", "inf-level", "huge-int", "non-number"])
+    def test_knots_must_be_finite_numbers(self, u, t):
+        # a NaN passes the order checks, which compare it as False
+        with pytest.raises(ValueError, match="knots must be finite numbers"):
+            TabulatedTail(u, t, ("power", 1.5))
 
     def test_out_of_grid(self):
         tab = self.make(extension=None)
