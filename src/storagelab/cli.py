@@ -1,10 +1,13 @@
 """Command-line front end: scenario loading, dispatch, report emission.
 
 Commands consume a scenario (JSON file or ``preset:NAME``), write their
-artifacts under ``--out`` (default ``./out/<scenario>/<command>/``,
-overridable by the STORAGELAB_OUT environment variable), and exit 0 on
-success, 2 when a hypothesis or criterion check fails, 1 on usage errors.
-Every error is also emitted as a structured JSON object on stderr.
+artifacts under ``--out`` (without it, under the STORAGELAB_OUT environment
+variable, else ``./out/<scenario>/<command>/``), and exit 0 on success, 2
+when a hypothesis or criterion check fails, 1 on usage errors.  Every error
+is also emitted as a structured JSON object on stderr.  A CSV file opens
+with a ``# csv_schema`` line and a header; a float is written ``%.9e``, an
+integer column (``path_id``) as plain integers, a label as text, and a
+missing value (a reference without a closed form) as an empty field.
 certify and predict need the scenario's drift certificate; tail,
 converge-tv, compare and report use it only where it can be built.
 """
@@ -78,53 +81,27 @@ _RANGE_ERRORS = (NonFiniteEvaluation, NotBracketed, OverflowError)
 # i/o helpers
 # ---------------------------------------------------------------------------
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        if math.isnan(value):
-            return ""
-        return f"{value:.9e}"
-    return str(value)
+# the %-conversion of a column by its numpy kind: an integer plain, a float
+# in scientific notation with 10 significant digits, text as it is
+_CONVERSIONS = {"i": "%d", "f": "%.9e", "U": "%s"}
+_CSV_BLOCK = 1024  # rows formatted by one write
 
 
-# the %-conversion that writes a value of each type as _fmt does (NaN aside)
-_CSV_CONVERSIONS = {int: "%d", float: "%.9e", str: "%s"}
-_CSV_BLOCK = 1024  # rows _csv_lines fills into one repeated template
-
-
-def _csv_lines(rows):
-    """The rows' lines as _fmt writes them: a block of rows of one length
-    whose columns each hold one type of _CSV_CONVERSIONS fills a repeated
-    %-template, any other, or one showing a NaN, goes through _fmt."""
-    rows = iter(rows)
-    while block := list(itertools.islice(rows, _CSV_BLOCK)):
-        width = len(block[0])
-        values = tuple(itertools.chain.from_iterable(block))
-        kinds = [set(map(type, values[j::width])) for j in range(width)]
-        convs = [_CSV_CONVERSIONS.get(k.pop()) if len(k) == 1 else None
-                 for k in kinds]
-        if None not in convs and set(map(len, block)) == {width}:
-            text = ((",".join(convs) + "\n") * len(block)) % values
-            if "nan" not in text:
-                yield text
-                continue
-        yield from (",".join(map(_fmt, row)) + "\n" for row in block)
-
-
-def write_csv(path: Path, header: list[str], rows) -> None:
-    """The schema line, the header, then one line per row, written as the
-    rows come, so memory does not grow with the file."""
+def write_csv(path: Path, header: list[str], blocks) -> None:
+    """The schema line, the header, then the rows of each block, a sequence
+    of equal-length columns, formatted _CSV_BLOCK rows at a time: memory
+    does not grow with the file, and blocks can come from a generator."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8") as f:
         f.write(f"# csv_schema={CSV_SCHEMA}\n{','.join(header)}\n")
-        f.writelines(_csv_lines(rows))
-
-
-def _rows(cols):
-    """The rows of equal-length column arrays as Python values, converted
-    2^16 rows at a time, so no list as long as the columns is built."""
-    block = 1 << 16
-    for lo in range(0, len(cols[0]), block):
-        yield from zip(*(col[lo:lo + block].tolist() for col in cols))
+        for cols in blocks:
+            cols = [np.asarray(col) for col in cols]
+            n = len(cols[0])
+            line = ",".join(_CONVERSIONS[col.dtype.kind] for col in cols) + "\n"
+            for lo in range(0, n, _CSV_BLOCK):
+                rows = zip(*(col[lo:lo + _CSV_BLOCK].tolist() for col in cols))
+                values = tuple(itertools.chain.from_iterable(rows))
+                f.write((line * min(_CSV_BLOCK, n - lo)) % values)
 
 
 def write_json(path: Path, payload: dict) -> None:
@@ -146,12 +123,11 @@ def _json_default(obj):
 def _write_curve(path: Path, x_name: str, xs, estimates, stderr,
                  reference=None) -> None:
     """(x, estimate, stderr, reference) rows; with no reference its column
-    stays empty."""
+    is empty."""
     if reference is None:
-        reference = [math.nan] * len(xs)
+        reference = np.full(len(xs), "")
     write_csv(path, [x_name, "estimate", "stderr", "reference"],
-              [tuple(map(float, row))
-               for row in zip(xs, estimates, stderr, reference)])
+              [(xs, estimates, stderr, reference)])
 
 
 def _resolve_scenario(spec: str, overrides: list[str]) -> Scenario:
@@ -184,10 +160,8 @@ def _apply_override(raw: dict, path: list[str], val: str) -> None:
 
 
 def _out_dir(args, scen: Scenario, command: str) -> Path:
-    base = os.environ.get("STORAGELAB_OUT") or args.out
-    if base:
-        return Path(base)
-    return Path("out") / scen.name / command
+    base = args.out or os.environ.get("STORAGELAB_OUT")
+    return Path(base) if base else Path("out") / scen.name / command
 
 
 # ---------------------------------------------------------------------------
@@ -278,13 +252,13 @@ def cmd_predict(scen: Scenario, out: Path, args) -> None:
                              tuple(scen.grids["probe_u"]))
     if not cert.valid:
         raise HypothesisFailed("certificate", "certificate is not valid")
-    rows = []
-    for t in scen.grids["t_grid"]:
-        rows.append((float(t), 1.0 / cert.predicted_tv_rate(float(t)), "tv_bound_shape"))
-    for u in scen.grids["u_grid"]:
-        rows.append((float(u), cert.predicted_tail_upper(float(u)), "tail_upper"))
-    write_csv(out / "predictions.csv", ["u_or_t", "value", "kind"], rows)
-    print(f"{scen.name}: wrote {len(rows)} prediction rows")
+    ts, us = (np.asarray(scen.grids[g], dtype=float) for g in ("t_grid", "u_grid"))
+    blocks = [(ts, [1.0 / cert.predicted_tv_rate(t) for t in ts.tolist()],
+               np.full(ts.size, "tv_bound_shape")),
+              (us, [cert.predicted_tail_upper(u) for u in us.tolist()],
+               np.full(us.size, "tail_upper"))]
+    write_csv(out / "predictions.csv", ["u_or_t", "value", "kind"], blocks)
+    print(f"{scen.name}: wrote {ts.size + us.size} prediction rows")
 
 
 def _check_args(args) -> None:
@@ -335,12 +309,12 @@ def cmd_simulate(scen: Scenario, out: Path, args) -> None:
         chunks = event_ensemble(*draw, horizon, n, scen.seed,
                                 scen.truncation_eps)
         write_csv(out / "events.csv", ["path_id", "t", "jump_size", "x_after"],
-                  itertools.chain.from_iterable(map(_rows, chunks)))
+                  chunks)
     else:
         paths = grid_ensemble(*draw, grid, n, scen.seed, scen.truncation_eps)
         cols = [np.repeat(np.arange(n), len(grid)), np.tile(grid, n),
                 paths.ravel()]
-        write_csv(out / "paths.csv", ["path_id", "t", "x"], _rows(cols))
+        write_csv(out / "paths.csv", ["path_id", "t", "x"], [cols])
     print(f"{scen.name}: simulated {n} paths")
 
 
@@ -429,8 +403,7 @@ def cmd_converge_wp(scen: Scenario, out: Path, args) -> None:
     cols = {"t": curve.times, "estimate": curve.values, "stderr": curve.stderr}
     if curve.reference_curve is not None:
         cols["reference"] = curve.reference_curve
-    write_csv(out / "wp.csv", list(cols),
-              [tuple(map(float, row)) for row in zip(*cols.values())])
+    write_csv(out / "wp.csv", list(cols), [cols.values()])
     print(f"{scen.name}: W{args.p:g} curve estimated at {curve.times.size} times")
     if bound is not None and curve.reference_curve is None:
         print(f"{scen.name}: no reference column: the release fails the "
@@ -496,7 +469,8 @@ def cmd_report(scen: Scenario, out: Path, args) -> None:
             detail["table_tv_exponent"] = (1.0 - asym.index - beta) / (1.0 - beta)
     write_json(out / "report.json", detail)
     write_csv(out / "row.csv", ["scenario", "regime", "rate", "tail"],
-              [(scen.name, labels["regime"], labels["rate"], labels["tail"])])
+              [[[scen.name], [labels["regime"]], [labels["rate"]],
+                [labels["tail"]]]])
     print(f"{scen.name}: {labels['regime']} / rate {labels['rate']} / "
           f"tail {labels['tail']}")
 
@@ -506,9 +480,8 @@ def cmd_laplace(scen: Scenario, out: Path, args) -> None:
     _check_work(_ensemble_jumps(scen, 1.0, n))
     rows = laplace_check(scen.levy, 1.0, [0.5, 1.0, 2.0], n, scen.seed,
                          scen.truncation_eps)
-    write_csv(out / "laplace.csv", ["lam", "empirical", "analytic", "se", "z"],
-              [(r["lam"], r["empirical"], r["analytic"], r["se"], r["z"])
-               for r in rows])
+    keys = ["lam", "empirical", "analytic", "se", "z"]
+    write_csv(out / "laplace.csv", keys, [[[r[k] for r in rows] for k in keys]])
     worst = max(abs(r["z"]) for r in rows)
     print(f"{scen.name}: worst |z| = {worst:.2f}")
     if not worst <= 4.0:

@@ -462,8 +462,8 @@ def _wp_bootstrap_stderr(mat: np.ndarray, refq: np.ndarray, p: float,
 
 
 def estimate_wp_decay(levy: LevyInput, release: ReleaseRate, x0,
-                      p: float = 1.0, t_grid=None,
-                      n_paths: int = 10_000, seed: int = 0, eps: float = 1e-4,
+                      p: float, t_grid, n_paths: int = 10_000,
+                      seed: int = 0, eps: float = 1e-4,
                       reference: np.ndarray | None = None,
                       contraction: GapBound | None = None,
                       regime: str | None = None) -> DecayCurve:

@@ -17,6 +17,7 @@ closed forms that use it, so importing the package does not load scipy.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -547,10 +548,14 @@ class TabulatedTail(LevyInput):
     activity: str = field(default="finite", init=False)
 
     def __post_init__(self):
+        # a numeral string or a bool would convert to a float
+        if not all(isinstance(x, numbers.Real) and not isinstance(x, bool)
+                   for x in (*self.knots_u, *self.knots_tail)):
+            raise ValueError("knots must be finite numbers")
         try:
             u = np.asarray(self.knots_u, dtype=float)
             t = np.asarray(self.knots_tail, dtype=float)
-        except (TypeError, OverflowError) as exc:  # a non-number, a huge int
+        except OverflowError as exc:  # an integer beyond the float range
             raise ValueError("knots must be finite numbers") from exc
         if u.ndim != 1 or u.size < 2 or t.shape != u.shape:
             raise ValueError("need matching 1-d knot arrays with >= 2 points")

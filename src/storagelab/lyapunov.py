@@ -144,14 +144,15 @@ class RateFunction:
             raise Divergent("clock inverse out of range")
         return x
 
-    def log_clock_inv(self, s: float) -> float:
+    def log_clock_inv(self, s):
         """log Phi^{-1}(s), stable deep into geometric growth (a custom phi
-        reads its clock's log coordinate, finite past the float range)."""
+        reads its clock's log coordinate, finite past the float range, for
+        a float or an array of clock values)."""
         if self.fn is not None:
-            if s < 0.0:
+            if np.min(s) < 0.0:
                 raise ValueError("clock values are non-negative")
             w = self._clock().log_flow(1.0, s)
-            if not math.isfinite(w):
+            if not np.isfinite(w).all():
                 raise Divergent("clock inverse out of range")
             return w
         if self.a == 1.0:
@@ -160,9 +161,17 @@ class RateFunction:
 
     def log_rate_at_clock(self, s):
         """log phi(Phi^{-1}(s)), the log of the predicted rate at clock s,
-        for a float or an array of clock values."""
+        for a float or an array of clock values.  A custom phi is read at
+        w = log Phi^{-1}(s): phi itself within its clock's table, past the
+        table's end (x > 1e30, maybe past the floats) the end's
+        continuation dT/dw = mu e^(a (w - w_e)), as dT/dw = x / phi(x)."""
         if self.fn is not None:
-            return np.log(self.value(self.clock_inv(s)))
+            w = np.atleast_1d(self.log_clock_inv(s))
+            we, _, mu, a = self._clock().basins[0].ends[1]
+            out = w - math.log(mu) - a * (w - we)
+            inside = w <= we
+            out[inside] = np.log(self.value(np.exp(w[inside])))
+            return out if np.ndim(s) else float(out[0])
         if self.a == 1.0:
             return math.log(self.c) + self.c * s
         return math.log(self.c) + self.a / (1.0 - self.a) * np.log1p(

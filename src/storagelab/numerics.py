@@ -46,7 +46,6 @@ __all__ = [
     "QuadResult",
     "FitResult",
     "integrate_semiinfinite",
-    "integrate_interval",
     "invert_monotone",
     "fit_loglog",
 ]
@@ -308,29 +307,18 @@ def _head_edges(stop: float):
         b *= 0.5
 
 
-def integrate_interval(f, a: float, b: float) -> QuadResult:
-    """Adaptive integral of f over a finite interval [a, b] free of endpoint
-    singularities.
-
-    ``f`` maps an ndarray of nodes to an array of the same shape (a scalar
-    return broadcasts; any other shape raises ValueError); a NaN value
-    raises NonFiniteEvaluation and an infinite one Divergent.
-    """
-    if b <= a:
-        return QuadResult(0.0, 0.0, 0)
-    return QuadResult(*_adaptive(f, a, b, _MAX_PANELS))
-
-
 def integrate_semiinfinite(f, lower: float = 0.0) -> QuadResult:
     """Integral of f over (lower, inf) with divergence detection.
 
-    ``f`` maps an ndarray of nodes to an array of the same shape, as for
-    ``integrate_interval``.  The domain splits at ``_TAIL_SPLIT``; the head
-    is resolved by dyadic blocks shrinking to the lower edge (integrable
-    endpoint singularities such as v^{-1/2} are fine), the tail by dyadic
-    blocks doubling outward.  Each march stops once its remainder is below
-    a quarter of ``_REL_TOL`` of the integral so far: the head's own sum,
-    then the head plus the tail's.  There is no first pass.
+    ``f`` maps an ndarray of nodes to an array of the same shape (a scalar
+    return broadcasts; any other shape raises ValueError); a NaN value
+    raises NonFiniteEvaluation and an infinite one Divergent.  The domain
+    splits at ``_TAIL_SPLIT``; the head is resolved by dyadic blocks
+    shrinking to the lower edge (integrable endpoint singularities such as
+    v^{-1/2} are fine), the tail by dyadic blocks doubling outward.  Each
+    march stops once its remainder is below a quarter of ``_REL_TOL`` of
+    the integral so far: the head's own sum, then the head plus the tail's.
+    There is no first pass.
     """
     g = (lambda v: f(lower + v)) if lower != 0.0 else f
 
@@ -557,15 +545,17 @@ class DrainClock:
                 out[on] = np.where(dto > 0.0, b.place(w)[0], xo)
         return out.reshape(shape) if shape else float(out[0])
 
-    def log_flow(self, x: float, dt: float) -> float:
-        """log flow(x, dt) for x > 0 on a clock without equilibria: its one
-        basin (0, inf) has the coordinate w = log x, so the log is read off
-        w and stays finite where the flow leaves the float range."""
+    def log_flow(self, x: float, dt):
+        """log flow(x, dt) for x > 0 on a clock without equilibria, dt a
+        float or an array: its one basin (0, inf) has the coordinate
+        w = log x, so the log is read off w and stays finite where the flow
+        leaves the float range."""
         (b,) = self.basins
-        if dt == 0.0:
-            return math.log(x)
+        dt = np.asarray(dt, dtype=float)
         with np.errstate(all="ignore"):
-            return float(b.unclock(b.clock(b.coord(np.array([x]))) - b.sign * dt)[0])
+            w = b.unclock(b.clock(b.coord(np.array([x]))) - b.sign * dt.ravel())
+        w = np.where(dt.ravel() == 0.0, math.log(x), w)
+        return w.reshape(dt.shape) if dt.ndim else float(w[0])
 
     def drain_time(self, lo, hi):
         """G(hi) - G(lo) for 0 <= lo <= hi, hi possibly inf; floats or arrays.

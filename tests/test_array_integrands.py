@@ -28,7 +28,7 @@ from storagelab.classifier import DEFAULT_PROBE_GRID
 from storagelab.errors import Divergent, HypothesisFailed, MomentConditionFailed
 from storagelab.levy_input import CompoundPoisson, LevyInput, ParetoJumps, TabulatedTail
 from storagelab.lyapunov import RateFunction
-from storagelab.numerics import integrate_interval, integrate_semiinfinite
+from storagelab.numerics import integrate_semiinfinite
 from storagelab.presets import load_preset, preset_names
 from storagelab.release_rate import Custom, RateAsymptotics
 
@@ -66,9 +66,9 @@ def _route(monkeypatch, reference, check):
         return run
 
     for mod in (classifier, lyapunov, levy_input, release_rate, ergodicity_lab):
-        for name in ("integrate_semiinfinite", "integrate_interval"):
-            if name in vars(mod):
-                monkeypatch.setattr(mod, name, pair(getattr(numerics, name)))
+        if "integrate_semiinfinite" in vars(mod):
+            monkeypatch.setattr(mod, "integrate_semiinfinite",
+                                pair(numerics.integrate_semiinfinite))
     return checked
 
 
@@ -164,19 +164,32 @@ class TestIntegrandContract:
         with pytest.raises(ValueError):
             integrate_semiinfinite(lambda v: v[:3])
         with pytest.raises(ValueError):
-            integrate_interval(lambda v: np.ones((2, v.size)), 0.0, 1.0)
+            integrate_semiinfinite(lambda v: np.ones((2, v.size)))
 
-    def test_scalar_return_broadcasts(self):
-        res = integrate_interval(lambda v: 2.0, 0.0, 3.0)
-        assert res.value == pytest.approx(6.0, rel=1e-14)
+    def test_scalar_return_broadcasts(self, monkeypatch):
+        # one block per call, and c is a head block's edge, so no call
+        # straddles it: the calls on [0, c] return the scalar 2, the others
+        # an array
+        monkeypatch.setattr(numerics, "_PREFETCH", 1)
+        c = numerics._TAIL_SPLIT / 1024
 
-    def test_panel_is_one_call(self):
+        def scalar(v):
+            return 2.0 if v.max() <= c else 2.0 * np.exp(c - v)
+
+        res = integrate_semiinfinite(scalar)
+        assert res.value == pytest.approx(2.0 * (c + 1.0), rel=1e-10)
+        assert res == integrate_semiinfinite(
+            lambda v: np.where(v <= c, 2.0, 2.0 * np.exp(c - v)))
+
+    def test_panel_is_one_call(self, monkeypatch):
+        # with one block per run, each whole-block panel is one 15-node call
+        # and each split one 30-node call for both halves
+        monkeypatch.setattr(numerics, "_PREFETCH", 1)
         shapes = []
 
         def f(v):
             shapes.append(v.shape)
-            return np.exp(-v)
+            return np.exp(-v) * (1.0 + np.sin(20.0 * v) ** 2)
 
-        integrate_interval(f, 0.0, 50.0)
-        assert shapes[0] == (15,) and set(shapes[1:]) <= {(30,)}
-        assert len(shapes) > 1
+        integrate_semiinfinite(f)
+        assert shapes[0] == (15,) and set(shapes) == {(15,), (30,)}

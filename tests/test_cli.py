@@ -12,7 +12,7 @@ import pytest
 
 from storagelab.classifier import classify
 from storagelab import cli
-from storagelab.cli import _fmt, _resolve_scenario, build_parser, main, write_csv
+from storagelab.cli import _resolve_scenario, build_parser, main, write_csv
 from storagelab.lyapunov import build_certificate
 from storagelab.presets import load_preset, preset_names, preset_row
 from storagelab.scenario import Scenario, ScenarioError
@@ -222,11 +222,14 @@ class TestCli:
 
     @pytest.mark.parametrize("knots", [
         '"knots_u":[0.5,1,NaN,4],"knots_tail":[1.0,0.5,0.2,0.05]',
-        '"knots_u":[0.5,1,2,4],"knots_tail":[1.0,0.5,NaN,0.05]'],
-        ids=["knots_u", "knots_tail"])
+        '"knots_u":[0.5,1,2,4],"knots_tail":[1.0,0.5,NaN,0.05]',
+        '"knots_u":["0.5",true,"2",4],"knots_tail":[1.0,0.5,0.2,0.05]',
+        '"knots_u":[0.5,1,2,4],"knots_tail":[1.0,0.5,"0.2",false]'],
+        ids=["knots_u", "knots_tail", "strings-bools-u", "strings-bools-tail"])
     def test_tabulated_knots_must_be_finite(self, knots, tmp_path, capsys):
         # a NaN passes the order checks, which compare it as False: the run
-        # failed later at a quadrature node
+        # failed later at a quadrature node; a numeral string or a bool
+        # converted to a float and ran
         code = main(["classify", "preset:shotnoise-gamma",
                      "--out", str(tmp_path / "o"), "--set",
                      f'input={{"family":"tabulated",{knots},'
@@ -587,6 +590,14 @@ class TestCli:
         assert main(["classify", "preset:plateau-null"]) == 0
         assert (target / "classify.json").exists()
 
+    def test_out_flag_beats_env_out(self, tmp_path, monkeypatch):
+        # the variable only replaces the default directory
+        monkeypatch.setenv("STORAGELAB_OUT", str(tmp_path / "env-out"))
+        flag = tmp_path / "flag-out"
+        assert main(["classify", "preset:plateau-null", "--out", str(flag)]) == 0
+        assert (flag / "classify.json").exists()
+        assert not (tmp_path / "env-out").exists()
+
     def test_tail_reference_follows_the_model(self, tmp_path):
         # the closed-form column holds only for the preset's own input and
         # release: a seed override keeps it, a release override drops it
@@ -664,52 +675,52 @@ class TestCli:
                     in capsys.readouterr().err)
 
     def test_write_csv_formats(self, tmp_path):
+        # one conversion per column kind: an integer plain, a float %.9e,
+        # text as it is, whatever the values
         path = tmp_path / "x.csv"
-        write_csv(path, ["a", "b"], [(1, 0.5), ("s", math.nan)])
-        lines = path.read_text().splitlines()
-        assert lines[2] == "1,5.000000000e-01"
-        assert lines[3] == "s,"
+        write_csv(path, ["i", "f", "s"], [
+            (np.array([1, -7, 10**18]), np.array([0.5, -math.inf, -0.0]),
+             np.array(["a", "", "nan"])),
+            ([3], [1e-300], ["b c"])])
+        assert path.read_text().splitlines() == [
+            "# csv_schema=1", "i,f,s", "1,5.000000000e-01,a",
+            "-7,-inf,", "1000000000000000000,-0.000000000e+00,nan",
+            "3,1.000000000e-300,b c"]
 
-    def test_write_csv_matches_fmt(self, tmp_path):
-        # rows filled into per-type templates read exactly as _fmt writes
-        # them, NaN, bool, numpy scalars and type changes mid-stream included
-        rows = [(1, 0.5, "a"), (-7, math.inf, "b"), (0, -math.inf, "c"),
-                (3, -0.0, "d"), (4, math.nan, "e"), (5, 1e-300, "nan"),
-                (True, 2.5, "f"), (False, 0.1, "g"), ("h", 6, 7.0),
-                (np.float64(0.25), np.int64(8), "i"), (10**20, 1e300, ""),
-                (9, 0.5, "j")]
-        path = tmp_path / "m.csv"
-        write_csv(path, ["x", "y", "z"], iter(rows))
-        expected = "".join(",".join(map(_fmt, row)) + "\n" for row in rows)
-        assert path.read_text().split("\n", 2)[2] == expected
+    def test_write_csv_empty_reference(self, tmp_path):
+        # a curve with no reference writes that column as empty fields
+        path = tmp_path / "c.csv"
+        cli._write_curve(path, "u", np.array([1.0, 2.0]), np.array([0.5, 0.25]),
+                         np.array([0.01, 0.02]))
+        assert path.read_text().splitlines()[1:] == [
+            "u,estimate,stderr,reference",
+            "1.000000000e+00,5.000000000e-01,1.000000000e-02,",
+            "2.000000000e+00,2.500000000e-01,2.000000000e-02,"]
 
     @pytest.mark.parametrize("block", [3, 1024])
-    def test_write_csv_blocks_match_fmt(self, tmp_path, monkeypatch, block):
-        # blocks filled into one repeated template read exactly as _fmt
-        # writes each row: uniform int/float/str blocks, blocks with a NaN,
-        # a type or a row length changing within a block, and a last block
-        # cut short
+    def test_write_csv_blocks_cut_short(self, tmp_path, monkeypatch, block):
+        # blocks of any length, each written in writes of _CSV_BLOCK rows and
+        # a last write cut short, read as one row per line in order
         monkeypatch.setattr(cli, "_CSV_BLOCK", block)
         gen = np.random.default_rng(5)
-        rows = [(i, float(v), "p" + str(i % 3))
-                for i, v in enumerate(gen.exponential(1.0, 2500))]
-        rows[7] = (7, math.nan, "p1")
-        rows[1500] = (1500, math.inf, "nan")
-        rows[1800] = (1800.0, 1.5, "q")
-        rows[2100] = (2100, 1.5)
-        rows += [(i, -0.0, "") for i in range(5)]
+        sizes = [2500, 0, 7, 1]
+        blocks = [(np.arange(n), gen.exponential(1.0, n),
+                   np.array([f"p{i % 3}" for i in range(n)])) for n in sizes]
         path = tmp_path / "b.csv"
-        write_csv(path, ["x", "y", "z"], iter(rows))
-        expected = "".join(",".join(map(_fmt, row)) + "\n" for row in rows)
+        write_csv(path, ["x", "y", "z"], iter(blocks))
+        expected = "".join(f"{i},{v:.9e},{s}\n" for cols in blocks
+                           for i, v, s in zip(*(c.tolist() for c in cols)))
         assert path.read_text().split("\n", 2)[2] == expected
 
     def test_write_csv_streams_rows(self, tmp_path):
-        # rows go to the file as they come: memory does not grow with it
+        # at most _CSV_BLOCK rows are formatted at once: memory does not
+        # grow with the file
         path = tmp_path / "big.csv"
-        rows = ((i, i * 0.5, "x") for i in range(200_000))
+        n = 200_000
+        cols = (np.arange(n), np.arange(n) * 0.5, np.full(n, "x"))
         tracemalloc.start()
         try:
-            write_csv(path, ["i", "v", "s"], rows)
+            write_csv(path, ["i", "v", "s"], [cols])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

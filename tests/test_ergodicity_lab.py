@@ -537,6 +537,11 @@ class TestWpDecay:
         assert curve.reference_curve is not None
         assert (curve.values <= curve.reference_curve + 3 * curve.stderr).all()
 
+    def test_t_grid_is_required(self):
+        # a t_grid=None default reached t_grid[-1] as a 0-d array (IndexError)
+        with pytest.raises(TypeError, match="t_grid"):
+            estimate_wp_decay(*SHOTNOISE, 0.0, 1.0, n_paths=100)
+
     @pytest.mark.parametrize("p", [1.0, 2.0])
     @pytest.mark.parametrize("n_ref", [900, 500])
     def test_values_are_wasserstein_1d_per_time(self, p, n_ref):

@@ -397,8 +397,12 @@ class TestTabulated:
         ((0.5, 1.0, 2.0, 4.0), (1.0, 0.5, math.nan, 0.05)),
         ((0.5, 1.0, 2.0, math.inf), (1.0, 0.5, 0.2, 0.05)),
         ((0.5, 1.0, 2.0, 10**400), (1.0, 0.5, 0.2, 0.05)),
-        ((0.5, 1.0, 2.0, {}), (1.0, 0.5, 0.2, 0.05))],
-        ids=["nan-level", "nan-tail", "inf-level", "huge-int", "non-number"])
+        ((0.5, 1.0, 2.0, {}), (1.0, 0.5, 0.2, 0.05)),
+        ((0.5, 1.0, "2", 4.0), (1.0, 0.5, 0.2, 0.05)),
+        ((0.5, 1.0, 2.0, 4.0), (1.0, True, 0.2, 0.05)),
+        ((0.5, 1.0, 2.0, 4.0), (1.0, 0.5, np.True_, 0.05))],
+        ids=["nan-level", "nan-tail", "inf-level", "huge-int", "non-number",
+             "string", "bool", "numpy-bool"])
     def test_knots_must_be_finite_numbers(self, u, t):
         # a NaN passes the order checks, which compare it as False
         with pytest.raises(ValueError, match="knots must be finite numbers"):

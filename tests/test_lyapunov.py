@@ -426,6 +426,16 @@ class TestUserCallableCertificate:
                    (levy, rel, RateFunction.custom(phi)))
         assert phi.calls <= 100_000
 
+    def test_custom_phi_past_the_floats(self):
+        # Phi^{-1}(s) = e^(s/2) leaves the floats at s ~ 1420, inside the
+        # ratio integral at probe u = 100: log phi is read in log space.  A
+        # greedier phi still violates (C3), as its closed twin does
+        levy, rel = MM1
+        self._pair((levy, rel, RateFunction.linear(0.5)),
+                   (levy, rel, RateFunction.custom(lambda t: 0.5 * t)))
+        with pytest.raises(C3Violation):
+            build_certificate(levy, rel, RateFunction.custom(lambda t: 2.5 * t))
+
     def test_custom_release(self):
         levy, phi = CompoundPoisson(1.0, ParetoJumps(1.5)), RateFunction.power(0.45)
         r = _Counted(lambda u: u ** 0.5)
