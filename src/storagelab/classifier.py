@@ -8,9 +8,9 @@ Three numeric criteria drive the verdict:
 
 Limits are estimated on a fixed probe grid with a min/max-of-last-3
 convention plus a decision margin; near-threshold cases come back
-Inconclusive instead of guessing.  A symbolic fast path covers preset
-power/power pairs, where the verdict is pure exponent bookkeeping
-(alpha + beta vs 1), with the boundary left Inconclusive.
+Inconclusive instead of guessing.  Where the input declares a power or
+exp tail and the release a bounded or power growth, an exponent shortcut
+(_exponent_shortcut) stands in for the last two criteria.
 """
 
 from __future__ import annotations
@@ -141,88 +141,69 @@ def drain_time_from_infinity(release: ReleaseRate) -> float:
         return math.inf
 
 
-def _positive_recurrent(release, method, evidence, margin) -> RegimeReport:
-    uniform = math.isfinite(drain_time_from_infinity(release))
-    return RegimeReport("PositiveRecurrent", "criterion", method, evidence,
-                        uniform, margin)
-
-
-def _symbolic_available(levy, release) -> bool:
-    ia = levy.asymptotics()
-    ra = release.asymptotics()
-    return ia.kind in ("power", "exp") and ra.kind in ("bounded", "power")
-
-
-def _classify_symbolic(levy, release, margin) -> RegimeReport | None:
-    ia = levy.asymptotics()
-    ra = release.asymptotics()
-    m_nu = levy.first_moment()
-    evidence = {"input_tail": ia, "release_class": ra, "m_nu": m_nu}
-
-    if _plateau_matches_mean(levy, release):
-        return RegimeReport("NullRecurrent", "structural", "Symbolic",
-                            evidence, False, margin)
-    limsup_r = ra.limsup()
-    if limsup_r < m_nu:
-        return RegimeReport("Transient", "BoundedDrift", "Symbolic",
-                            evidence, False, margin)
+def _exponent_shortcut(ia, ra, m_nu):
+    """``(verdict, via)`` from the asymptotic classes of the input tail and
+    the release once bounded drift has failed, or None for a decreasing
+    drain; m_nu = limsup r and alpha + beta = 1 stay Inconclusive."""
     if ra.kind == "bounded":
         # bounded drain exceeding the mean input drains any finite load
-        if math.isfinite(m_nu) and m_nu < limsup_r:
-            return _positive_recurrent(release, "Symbolic", evidence, margin)
-        return RegimeReport("Inconclusive", "boundary", "Symbolic",
-                            evidence, False, margin)
-    beta = ra.exponent
-    if beta <= 0:
-        return None  # decreasing drains have no exponent shortcut
+        if math.isfinite(m_nu) and m_nu < ra.limsup():
+            return "PositiveRecurrent", "criterion"
+        return "Inconclusive", "boundary"
+    if ra.exponent <= 0:
+        return None
     if ia.kind == "exp":
-        return _positive_recurrent(release, "Symbolic", evidence, margin)
-    alpha = ia.index
-    s = alpha + beta
+        return "PositiveRecurrent", "criterion"
+    s = ia.index + ra.exponent
     if s < 1.0:
-        return RegimeReport("Transient", "HeavyTailCriterion", "Symbolic",
-                            evidence, False, margin)
+        return "Transient", "HeavyTailCriterion"
     if s > 1.0:
-        return _positive_recurrent(release, "Symbolic", evidence, margin)
-    return RegimeReport("Inconclusive", "boundary", "Symbolic",
-                        evidence, False, margin)
+        return "PositiveRecurrent", "criterion"
+    return "Inconclusive", "boundary"
 
 
 def classify(levy: LevyInput, release: ReleaseRate,
              probe_grid=DEFAULT_PROBE_GRID,
              margin: float = DEFAULT_DECISION_MARGIN,
              method: str = "auto") -> RegimeReport:
-    """Regime verdict; structural null-recurrence first, then the criteria.
+    """Regime verdict in the paper's order: structural null recurrence,
+    transience by bounded drift, then the exponent shortcut or the heavy
+    tail and positive-recurrence criteria.
 
-    ``method`` is 'auto' (symbolic shortcut when both sides are presets with
-    known exponents) or 'numeric' (the criteria alone, the reference the
+    ``method`` is 'auto' (the shortcut where both sides declare their
+    asymptotics; the report's method is then 'Symbolic' up to the step
+    that decided) or 'numeric' (the criteria alone, the reference the
     shortcut is tested against).  Verdicts are deterministic functions of
     the inputs and the configuration.
     """
     if method not in ("auto", "numeric"):
         raise ValueError("method must be auto or numeric")
-    if method == "auto" and _symbolic_available(levy, release):
-        report = _classify_symbolic(levy, release, margin)
-        if report is not None:
-            return report
-
+    ia, ra = levy.asymptotics(), release.asymptotics()
+    symbolic = (method == "auto" and ia.kind in ("power", "exp")
+                and ra.kind in ("bounded", "power"))
     evidence = {}
+
+    def report(verdict, via, label="Symbolic" if symbolic else "Numeric"):
+        uniform = (verdict == "PositiveRecurrent"
+                   and math.isfinite(drain_time_from_infinity(release)))
+        return RegimeReport(verdict, via, label, evidence, uniform, margin)
+
     if _plateau_matches_mean(levy, release):
-        return RegimeReport("NullRecurrent", "structural", "Numeric",
-                            evidence, False, margin)
+        return report("NullRecurrent", "structural")
     bd = criterion_bounded_drift(levy, release)
     evidence["bounded_drift"] = bd
     if bd.satisfied:
-        return RegimeReport("Transient", "BoundedDrift", "Numeric",
-                            evidence, False, margin)
+        return report("Transient", "BoundedDrift")
+    shortcut = _exponent_shortcut(ia, ra, bd.threshold) if symbolic else None
+    if shortcut is not None:
+        evidence.update(input_tail=ia, release_class=ra)
+        return report(*shortcut)
     ht = criterion_heavy_tail(levy, release, probe_grid, margin)
     evidence["heavy_tail"] = ht
     if ht.satisfied:
-        return RegimeReport("Transient", "HeavyTailCriterion", "Numeric",
-                            evidence, False, margin)
+        return report("Transient", "HeavyTailCriterion", "Numeric")
     pr = criterion_positive_recurrent(levy, release, probe_grid, margin)
     evidence["positive_recurrent"] = pr
     if pr.satisfied:
-        return _positive_recurrent(release, "Numeric", evidence, margin)
-    return RegimeReport("Inconclusive", "criterion", "Numeric",
-                        evidence, False, margin)
+        return report("PositiveRecurrent", "criterion", "Numeric")
+    return report("Inconclusive", "criterion", "Numeric")

@@ -48,6 +48,7 @@ from .ergodicity_lab import (
     estimate_tv_decay,
     estimate_wp_decay,
     reference_draws,
+    stationary_tail,
     tail_draws,
 )
 from .levy_input import laplace_check
@@ -318,24 +319,6 @@ def cmd_simulate(scen: Scenario, out: Path, args) -> None:
     print(f"{scen.name}: simulated {n} paths")
 
 
-_TAIL_ORACLES = {
-    "constant-mm1": lambda u: 0.5 * math.exp(-0.5 * u),
-    "shotnoise-gamma": lambda u: (1.0 + u) * math.exp(-u),
-}
-
-
-def _tail_oracle(scen: Scenario):
-    """The preset's closed-form stationary tail, only while the model run is
-    the preset's own input and release (a seed override keeps it)."""
-    oracle = _TAIL_ORACLES.get(scen.name)
-    if oracle is None:
-        return None
-    preset = load_preset(scen.name)
-    if (scen.levy, scen.release) != (preset.levy, preset.release):
-        return None
-    return oracle
-
-
 def _context_certificate(scen: Scenario):
     """The scenario's drift certificate for the commands that only use it as
     context (burn-in, reference horizon and column, rate label); None when
@@ -360,9 +343,9 @@ def cmd_tail(scen: Scenario, out: Path, args) -> None:
                         np.asarray(scen.grids["u_grid"]),
                         scen.budgets["n_paths"], seed=scen.seed,
                         eps=scen.truncation_eps, certificate=cert)
-    oracle = _tail_oracle(scen)
+    exact = stationary_tail(scen.levy, scen.release)
     _write_curve(out / "tail.csv", "u", est.levels, est.pi_bar_hat, est.stderr,
-                 [oracle(float(u)) for u in est.levels] if oracle else None)
+                 None if exact is None else exact(est.levels))
     print(f"{scen.name}: tail estimated at {est.levels.size} levels ({est.method})")
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .classifier import classify
 from .errors import Divergent, MomentConditionFailed, NotStationaryRegime
-from .levy_input import CompoundPoisson, LevyInput
+from .levy_input import CompoundPoisson, Exponential, LevyInput
 from .lyapunov import (
     DriftCertificate,
     GapBound,
@@ -27,7 +27,7 @@ from .lyapunov import (
     check_wasserstein_contraction,
 )
 from .numerics import FitResult, fit_loglog, integrate_semiinfinite, invert_monotone
-from .release_rate import Constant, ReleaseRate, signed_drain_time
+from .release_rate import Affine, Constant, ReleaseRate, signed_drain_time
 from .rng import substream
 from .simulator import _chunks, _positions, _step_lanes, grid_ensemble
 
@@ -35,7 +35,7 @@ __all__ = [
     "TailEstimate", "DecayCurve", "RateComparison", "estimate_tail",
     "estimate_tv_decay", "estimate_wp_decay", "compare_rates",
     "wasserstein_1d", "w1_cdf_area", "reference_horizon", "reference_draws",
-    "tail_draws",
+    "tail_draws", "stationary_tail",
 ]
 
 N_BOOT = 200
@@ -113,6 +113,54 @@ def _load(levy, release) -> float | None:
         return None
     rho = levy.first_moment() / release.a
     return rho if rho < 1.0 else None
+
+
+def stationary_tail(levy, release):
+    """pi_bar as a function of levels where it has a closed form, else
+    None: with CompoundPoisson(lam, Exponential(mu)) input, rho e^(-(mu -
+    lam / a) u) under Constant(a) at load rho < 1 (M/M/1, see _load), and
+    the Gamma(lam / b, mu) tail under Affine(0, b) (shot noise)."""
+    if not (isinstance(levy, CompoundPoisson)
+            and isinstance(levy.jump, Exponential)):
+        return None
+    lam, mu = levy.rate, levy.jump.mu
+    rho = _load(levy, release)
+    if rho is not None:
+        return lambda u: rho * np.exp(-(mu - lam / release.a) * np.asarray(u))
+    if isinstance(release, Affine) and release.a == 0.0 and lam > 0.0:
+        tail = np.vectorize(_gamma_tail, otypes=[float])
+        return lambda u: tail(lam / release.b, mu * np.asarray(u))
+    return None
+
+
+def _gamma_tail(s: float, x: float) -> float:
+    """Q(s, x), the Gamma(s, 1) tail at x, s > 0: 1 less P's series below x
+    = s + 1, else Q's continued fraction (modified Lentz; Numerical Recipes
+    6.2), each to rounding.  Not scipy's gammaincc: scipy costs ~23 MB RSS."""
+    if x <= 0.0:
+        return 1.0
+    front = math.exp(s * math.log(x) - x - math.lgamma(s))
+    if x < s + 1.0:
+        term = total = 1.0 / s
+        k = s
+        while term > total * 1e-17:
+            k += 1.0
+            term *= x / k
+            total += term
+        return 1.0 - front * total
+    # 1 / (x + 1 - s - 1 (1 - s) / (x + 3 - s - 2 (2 - s) / (...)))
+    b = x + 1.0 - s
+    c, d = math.inf, 1.0 / b
+    h = d
+    for i in range(1, 100_000):
+        a = i * (s - i)
+        b += 2.0
+        d = 1.0 / (b + a * d)
+        c = b + a / c
+        h *= c * d
+        if abs(c * d - 1.0) < 1e-16:
+            break
+    return front * h
 
 
 def reference_draws(levy, release, n: int, t_last: float,
@@ -200,8 +248,10 @@ def _occupation_tails(levy, release, u_grid, budget, seed, eps, certificate):
     _LONGRUN_LANES chains from 0, each over its _burn_in plus budget /
     _LONGRUN_LANES time units, read off the engine slab by slab.  A chain
     only drains between jumps, so a step, from the slab's start or a jump,
-    spends G(x) - G(u) above u from its state x, capped by its dt; a step
-    that starts before the burn-in is dropped."""
+    spends G(x) - G(u) above u from its state x, capped by its dt, all at
+    its start.  A step from s < burn is cut by c = burn - s: G(x) - c, dt -
+    c, whatever the slab edges.  Steps that end before the burn-in, or
+    start at 0 (where G may be -inf), are not read."""
     lane_window = budget / _LONGRUN_LANES
     burn = _burn_in(budget, certificate)
     occ = np.zeros((_LONGRUN_LANES, len(u_grid)))
@@ -213,9 +263,15 @@ def _occupation_tails(levy, release, u_grid, budget, seed, eps, certificate):
         start[:x.size] = x[order]
         x[order] = _step_lanes(release, start[:x.size], width, dt, sizes, 0.0,
                                out=start[x.size:])
-        keep = np.concatenate((np.full(x.size, a >= burn), t >= burn))
-        lane = order[_positions(width)][keep]
-        g_x, dt = signed_drain_time(release, start[keep]), dt[keep]
+        # each step's cut: its time before the burn-in
+        cut = np.maximum(burn - np.concatenate((np.full(x.size, a), t)), 0.0)
+        keep = (start > 0.0) & (dt > cut)
+        lane, cut = order[_positions(width)][keep], cut[keep]
+        g_x = signed_drain_time(release, start[keep])
+        g_x -= cut
+        dt = dt[keep]
+        dt -= cut
+        del cut, start  # the level loop holds only its own arrays
         for j, gu in enumerate(signed_drain_time(release, u_grid)):
             above = np.minimum(np.maximum(g_x - gu, 0.0), dt)
             occ[:, j] += np.bincount(lane, above, minlength=_LONGRUN_LANES)

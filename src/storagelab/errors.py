@@ -32,10 +32,6 @@ class DegenerateInput(StorageLabError):
     """Regression input has too few distinct points or non-positive values."""
 
 
-class OutOfGrid(StorageLabError):
-    """Tabulated-tail query beyond the grid with no declared tail extension."""
-
-
 class C3Violation(StorageLabError):
     """Jump integral of the Lyapunov profile diverges; certificate invalid."""
 

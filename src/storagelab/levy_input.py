@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import Divergent, OutOfGrid
+from .errors import Divergent
 from .numerics import integrate_semiinfinite
 from .rng import substream
 
@@ -538,13 +538,12 @@ class TabulatedTail(LevyInput):
 
     All mass sits at or above the first knot; queries beyond the last knot
     use the declared parametric extension ('power', alpha) or ('exp', rate),
-    matched continuously at the last knot.  Without an extension such
-    queries raise OutOfGrid.
+    matched continuously at the last knot.
     """
 
     knots_u: tuple
     knots_tail: tuple
-    extension: tuple | None = None
+    extension: tuple
     activity: str = field(default="finite", init=False)
 
     def __post_init__(self):
@@ -563,10 +562,9 @@ class TabulatedTail(LevyInput):
             raise ValueError("knot levels must be positive and increasing")
         if (t <= 0).any() or (np.diff(t) > 0).any():
             raise ValueError("tail values must be positive and non-increasing")
-        if self.extension is not None:
-            kind, par = self.extension
-            if kind not in ("power", "exp") or par <= 0:
-                raise ValueError("extension must be ('power', a>0) or ('exp', c>0)")
+        kind, par = self.extension
+        if kind not in ("power", "exp") or par <= 0:
+            raise ValueError("extension must be ('power', a>0) or ('exp', c>0)")
         # a NaN passes the order checks, which compare it as False
         if not (np.isfinite(u).all() and np.isfinite(t).all()):
             raise ValueError("knots must be finite numbers")
@@ -587,8 +585,6 @@ class TabulatedTail(LevyInput):
         out[u <= ku[0]] = kt[0]
         beyond = u > ku[-1]
         if beyond.any():
-            if self.extension is None:
-                raise OutOfGrid(f"query beyond last knot {ku[-1]} without tail extension")
             kind, par = self.extension
             if kind == "power":
                 out[beyond] = kt[-1] * (u[beyond] / ku[-1]) ** -par
@@ -608,8 +604,6 @@ class TabulatedTail(LevyInput):
         return res.value
 
     def asymptotics(self):
-        if self.extension is None:
-            return TailAsymptotics("other")
         kind, par = self.extension
         ku, kt = self.knots_u[-1], self.knots_tail[-1]
         if kind == "power":
@@ -623,9 +617,6 @@ class TabulatedTail(LevyInput):
         # inverse transform through the normalised tail S = tail / tail(u_0):
         # -log S is piecewise linear in log u between knots, and follows the
         # extension beyond the last knot
-        if self.extension is None:
-            raise OutOfGrid("sampling needs a tail extension beyond the last "
-                            f"knot {self.knots_u[-1]}")
         lu = np.log(self._u())
         lt = np.log(self._t())
         drop = lt[0] - lt  # -log S at the knots: 0, then non-decreasing

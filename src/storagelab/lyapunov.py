@@ -356,7 +356,6 @@ class TailEnvelope:
     fn: object
     u_report: float
     up_to_constant: bool = False
-    note: str = ""
 
     def __call__(self, u):
         return self.fn(u)
@@ -475,8 +474,7 @@ def tail_lower(levy: LevyInput, release: ReleaseRate, eps: float,
         return _exp((1.0 - eps) * np.log(u) + levy.log_tail(u)
                     - np.log(release.rate(u)))
 
-    return TailEnvelope("LowerPolyQuotient", env, 1.0, up_to_constant=True,
-                        note="constant c_eps set to 1; exponent-level only")
+    return TailEnvelope("LowerPolyQuotient", env, 1.0, up_to_constant=True)
 
 
 def tail_lower_log(levy: LevyInput, release: ReleaseRate, eps: float,
@@ -498,8 +496,7 @@ def tail_lower_log(levy: LevyInput, release: ReleaseRate, eps: float,
     def env(u):
         return _exp(-eps * np.log(u) + levy.log_tail(u))
 
-    return TailEnvelope("LowerLogScale", env, 1.0, up_to_constant=True,
-                        note="constant c_eps set to 1; exponent-level only")
+    return TailEnvelope("LowerLogScale", env, 1.0, up_to_constant=True)
 
 
 # ---------------------------------------------------------------------------
@@ -510,9 +507,6 @@ def tail_lower_log(levy: LevyInput, release: ReleaseRate, eps: float,
 class LowerRateCurve:
     fn: object
     fitted: FitResult
-    drift_constant: float
-    a_h: float
-    eps: float
 
     def __call__(self, t):
         return self.fn(t)
@@ -583,7 +577,7 @@ def tv_lower_rate(levy: LevyInput, release: ReleaseRate, eps: float = 0.1,
     t0 = max(10.0, 10.0 * h(x) / c)
     ts = np.geomspace(t0, t0 * 1e6, 41)
     fitted = fit_loglog(ts, np.array([curve(t) for t in ts]))
-    return LowerRateCurve(curve, fitted, float(c), float(a_h), float(eps))
+    return LowerRateCurve(curve, fitted)
 
 
 # ---------------------------------------------------------------------------

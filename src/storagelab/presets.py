@@ -7,6 +7,8 @@ exactly, which the golden tests pin down.
 
 from __future__ import annotations
 
+import copy
+
 from .scenario import Scenario
 
 _CATALOG: dict[str, dict] = {
@@ -20,7 +22,6 @@ _CATALOG: dict[str, dict] = {
                       "jump": {"law": "exp", "mu": 1.0}},
             "release": {"family": "constant", "a": 2.0},
             "phi": {"family": "linear", "c": 0.5},
-            "beta_modulus": None,
             "grids": {"u_grid": [0.5, 1.0, 2.0, 3.0, 4.0, 6.0]},
             "budgets": {"n_paths": 20000, "horizon": 40.0},
         },
@@ -180,13 +181,10 @@ def load_preset(name: str) -> Scenario:
     if name not in _CATALOG:
         raise KeyError(f"unknown preset {name!r}; available: {preset_names()}")
     entry = _CATALOG[name]
-    raw = _strip_nones(entry["scenario"])
-    return Scenario.from_dict(raw)
+    # a copy: the scenario keeps it as its raw, which callers may change
+    return Scenario.from_dict(copy.deepcopy(entry["scenario"]))
 
 
 def preset_row(name: str) -> dict:
     return dict(_CATALOG[name]["row"])
 
-
-def _strip_nones(d: dict) -> dict:
-    return {k: v for k, v in d.items() if v is not None}

@@ -14,10 +14,14 @@ from storagelab.classifier import (
 )
 from storagelab.levy_input import (
     CompoundPoisson,
+    DeterministicJumps,
     Exponential,
+    GammaSub,
     ParetoJumps,
     StableSub,
+    TemperedStableSub,
 )
+from storagelab.presets import load_preset, preset_names
 from storagelab.release_rate import (
     Affine,
     Constant,
@@ -37,6 +41,30 @@ def power_pair(alpha, beta, k=1.0, scale=1.0):
         inp = CompoundPoisson(scale, ParetoJumps(alpha))
     rel = Power(k, beta) if beta >= 1.0 else PowerSmoothed(k, beta)
     return inp, rel
+
+
+EXP_TAILED = {"cp-exp": CompoundPoisson(1.0, Exponential(1.0)), "gamma": GammaSub(1.0, 1.0),
+              "tempered-stable": TemperedStableSub(0.5)}
+FINITE_MEAN = {**EXP_TAILED, "cp-pareto1.5": CompoundPoisson(1.0, ParetoJumps(1.5)),
+               "cp-fixed": CompoundPoisson(1.0, DeterministicJumps(1.0))}
+
+# (input, release, on a declared boundary): the power pairs by
+# "beta-alpha", exp tails against power releases, and finite means against
+# bounded releases, both above the mean and below it
+AGREE_CASES = (
+    [pytest.param(*power_pair(alpha, beta), alpha + beta == 1.0,
+                  id=f"{beta}-{alpha}")
+     for beta in (0.3, 0.7, 1.5) for alpha in (0.3, 0.7, 1.5)]
+    + [pytest.param(inp, rel, False, id=f"{name}-{rel_id}")
+       for name, inp in EXP_TAILED.items()
+       for rel_id, rel in (("smoothed0.3", PowerSmoothed(1.0, 0.3)),
+                           ("affine", Affine(0.0, 1.0)),
+                           ("power1.5", Power(1.0, 1.5)))]
+    + [pytest.param(inp, rel, False, id=f"{name}-{rel_id}")
+       for name, inp in FINITE_MEAN.items()
+       for rel_id, rel in (("constant2", Constant(2.0)),
+                           ("plateau3", Plateau(3.0, 1.0)),
+                           ("constant0.5", Constant(0.5)))])
 
 
 class TestBoundedDrift:
@@ -156,17 +184,30 @@ class TestClassify:
         b = classify(inp, rel)
         assert a == b
 
-    @pytest.mark.parametrize("alpha", [0.3, 0.7, 1.5])
-    @pytest.mark.parametrize("beta", [0.3, 0.7, 1.5])
-    def test_symbolic_numeric_agree(self, alpha, beta):
-        if alpha + beta == 1.0:
+    @pytest.mark.parametrize("inp, rel, boundary", AGREE_CASES)
+    def test_symbolic_numeric_agree(self, inp, rel, boundary):
+        if boundary:
             pytest.skip("boundary: verdict pinned to Inconclusive by design")
-        inp, rel = power_pair(alpha, beta)
         sym = classify(inp, rel, method="auto")
         num = classify(inp, rel, method="numeric")
         assert sym.method == "Symbolic"
         assert num.method == "Numeric"
-        assert sym.verdict == num.verdict
+        assert (sym.verdict, sym.uniform) == (num.verdict, num.uniform)
+
+    def test_bounded_drift_evidence_past_the_structural_check(self):
+        # bounded drift runs on every path, and its result is always kept
+        models = ([case.values[:2] for case in AGREE_CASES]
+                  # no input against a decreasing drain: the shortcut declines
+                  + [(CompoundPoisson(0.0, Exponential(1.0)), Power(1.0, -0.5))]
+                  + [(s.levy, s.release) for s in map(load_preset, preset_names())])
+        for inp, rel in models:
+            for method in ("auto", "numeric"):
+                rep = classify(inp, rel, method=method)
+                if rep.via == "structural":
+                    continue
+                bd = rep.evidence["bounded_drift"]
+                assert bd == criterion_bounded_drift(inp, rel)
+                assert bd.satisfied == (rep.via == "BoundedDrift")
 
     def test_monotone_in_parameters(self):
         # raising alpha or beta never turns PositiveRecurrent into Transient

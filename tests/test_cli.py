@@ -108,6 +108,15 @@ class TestPresets:
         with pytest.raises(KeyError):
             load_preset("nope")
 
+    def test_a_preset_raw_is_its_own_copy(self):
+        # changing one scenario's raw leaves the catalog as it was
+        raw = load_preset("constant-mm1").raw
+        raw["grids"]["u_grid"].append(99.0)
+        raw["seed"] = 1
+        again = load_preset("constant-mm1")
+        assert again.grids["u_grid"] == [0.5, 1.0, 2.0, 3.0, 4.0, 6.0]
+        assert again.seed == 20260810
+
     @pytest.mark.parametrize("name", preset_names())
     def test_golden_row_labels(self, name, tmp_path):
         # `report` must reproduce the documented regime/rate/tail row
@@ -599,8 +608,10 @@ class TestCli:
         assert not (tmp_path / "env-out").exists()
 
     def test_tail_reference_follows_the_model(self, tmp_path):
-        # the closed-form column holds only for the preset's own input and
-        # release: a seed override keeps it, a release override drops it
+        # the closed-form column is the tail of the model that ran, whatever
+        # the preset's name: Gamma(lam / b, mu) under a linear drain, so
+        # Gamma(2, 1) for the preset and Gamma(1, 1) = Exp(1) at b = 2; a
+        # jump law without a closed form leaves the column empty
         def reference(name, override):
             out = tmp_path / name
             assert main(["tail", "preset:shotnoise-gamma", "--out", str(out),
@@ -609,9 +620,15 @@ class TestCli:
             rows = (out / "tail.csv").read_text().splitlines()[2:]
             return [row.split(",")[3] for row in rows]
 
+        u = load_preset("shotnoise-gamma").grids["u_grid"]
         kept = reference("seed", "seed=7")
-        assert float(kept[0]) == pytest.approx(1.5 * math.exp(-0.5))
-        assert reference("b2", "release.b=2.0") == [""] * len(kept)
+        assert [float(r) for r in kept] == pytest.approx(
+            [(1.0 + x) * math.exp(-x) for x in u], rel=1e-9)
+        b2 = reference("b2", "release.b=2.0")
+        assert [float(r) for r in b2] == pytest.approx(
+            [math.exp(-x) for x in u], rel=1e-9)
+        fixed = reference("fixed", 'input.jump={"law":"fixed","size":1.0}')
+        assert fixed == [""] * len(u)
 
     def test_wp_reference_needs_the_contraction(self, tmp_path, capsys):
         # a constant drain fails r(u) - r(v) <= -Gamma (v - u): wp.csv gets

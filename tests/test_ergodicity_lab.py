@@ -23,6 +23,7 @@ from storagelab.ergodicity_lab import (
     estimate_tail,
     estimate_tv_decay,
     estimate_wp_decay,
+    stationary_tail,
     w1_cdf_area,
     wasserstein_1d,
 )
@@ -30,6 +31,7 @@ from storagelab.levy_input import (
     CompoundPoisson,
     DeterministicJumps,
     Exponential,
+    GammaSub,
     ParetoJumps,
     StableSub,
 )
@@ -70,9 +72,10 @@ def shotnoise_tail(u):
 
 def _segment_tails(levy, release, u_grid, budget, seed, eps, certificate):
     """The slow reference of ``_occupation_tails``: the chains' jumps as one
-    event list, each segment running from a jump to its lane's next jump or
-    to the chain's end, integrated from the state after the jump; a
-    segment that starts before the burn-in is dropped."""
+    event list, each segment running from a jump at t to its lane's next
+    jump or to the chain's end, integrated from the state after the jump;
+    of its time above a level, all at its start, the part past the burn-in
+    counts (less max(0, burn - t), and at least 0)."""
     lanes = ergodicity_lab._LONGRUN_LANES
     lane_window = budget / lanes
     burn = ergodicity_lab._burn_in(budget, certificate)
@@ -81,13 +84,12 @@ def _segment_tails(levy, release, u_grid, budget, seed, eps, certificate):
     end = np.full(t.shape, total)
     nxt = lane[1:] == lane[:-1]  # the next jump is on the same lane
     end[:-1][nxt] = t[1:][nxt]
-    keep = t >= burn
-    lane, x, dur = lane[keep], x[keep], (end - t)[keep]
-    g_x = signed_drain_time(release, x)
+    g_x, dur, before = signed_drain_time(release, x), end - t, np.maximum(burn - t, 0.0)
     occ = np.empty((lanes, len(u_grid)))
     for j, gu in enumerate(signed_drain_time(release, u_grid)):
         above = np.minimum(np.maximum(g_x - gu, 0.0), dur)
-        occ[:, j] = np.bincount(lane, weights=above, minlength=lanes)
+        occ[:, j] = np.bincount(lane, weights=np.maximum(above - before, 0.0),
+                                minlength=lanes)
     return occ / lane_window
 
 
@@ -217,6 +219,21 @@ class TestEstimateTail:
                                  scen.truncation_eps, c)
             assert ref.max() > 0.0
             assert np.abs(steps - ref).max() <= 1e-12 * ref.max()
+
+    @pytest.mark.parametrize("slab", [50, simulator._SLAB],
+                             ids=["edge-at-burn-in", "one-slab"])
+    def test_occupation_cuts_steps_at_the_burn_in(self, slab, monkeypatch):
+        # budget 4 000: each chain burns 50 and runs 250 more, in one slab
+        # by default, or in 192 slabs of 50 jumps, an edge of which lands on
+        # the burn-in.  A step that straddles the burn-in counts its part
+        # past it either way, so both agree with the segments
+        monkeypatch.setattr(simulator, "_SLAB", slab)
+        grid = np.array([0.5, 1.0, 2.0, 4.0])
+        steps, method = ergodicity_lab._occupation_tails(
+            *SHOTNOISE, grid, 4_000, 11, 1e-4, None)
+        assert method.endswith("burn=50)")
+        ref = _segment_tails(*SHOTNOISE, grid, 4_000, 11, 1e-4, None)
+        assert steps == pytest.approx(ref, rel=1e-9)
 
     def test_occupation_memory_is_one_slab(self, monkeypatch):
         # slabs of 2^16 jumps, and a run of 4.8e5 across 8 of them: the
@@ -388,9 +405,9 @@ class TestStationaryReference:
         # the long-chain reference of `converge-tv preset:constant-mm1`
         # against the preset's closed-form stationary tail; a level no
         # draw reaches is off by at most one draw's mass
-        from storagelab.cli import _context_certificate, _tail_oracle
+        from storagelab.cli import _context_certificate
         scen = load_preset("constant-mm1")
-        oracle = _tail_oracle(scen)
+        oracle = stationary_tail(scen.levy, scen.release)
         ref, _ = ergodicity_lab._stationary_reference(
             scen.levy, scen.release, 2 * scen.budgets["n_paths"],
             scen.grids["t_grid"][-1], _context_certificate(scen),
@@ -401,8 +418,37 @@ class TestStationaryReference:
         weights = np.random.default_rng(SEED).multinomial(
             m, np.full(m, 1.0 / m), ergodicity_lab.N_BOOT)
         se = (weights @ per_lane / m).std(axis=0, ddof=1)
-        gap = np.abs(per_lane.mean(axis=0) - [oracle(x) for x in u])
+        gap = np.abs(per_lane.mean(axis=0) - oracle(u))
         assert (gap <= 5.0 * se + 1.0 / ref.size).all(), (gap, se)
+
+
+class TestStationaryTail:
+    """The closed-form tails ``tail`` writes as its reference column."""
+
+    @pytest.mark.parametrize("lam, b, mu", [
+        (2.0, 1.0, 1.0), (2.0, 2.0, 1.0), (0.3, 1.0, 2.0), (1.0, 0.02, 0.5),
+        (7.0, 2.0, 3.0), (1.0, 1e-3, 1.0)])
+    def test_shot_noise_is_the_gamma_tail(self, lam, b, mu):
+        # Gamma(lam / b, mu) against scipy's regularized upper incomplete
+        # gamma, over levels on both sides of the mean lam / (b mu)
+        from scipy.special import gammaincc
+        tail = stationary_tail(CompoundPoisson(lam, Exponential(mu)),
+                               Affine(0.0, b))
+        u = np.concatenate(([0.0], np.geomspace(1e-4, 50.0 * lam / (b * mu), 80)))
+        want = gammaincc(lam / b, mu * u)
+        live = want > 1e-280
+        assert tail(u)[live] == pytest.approx(want[live], rel=1e-10)
+
+    def test_mm1_and_models_without_a_closed_form(self):
+        tail = stationary_tail(CompoundPoisson(0.5, Exponential(1.0)), Constant(2.0))
+        u = np.array([0.5, 1.0, 4.0])
+        assert tail(u) == pytest.approx(0.25 * np.exp(-0.75 * u), rel=1e-15)
+        for levy, rel in [(CompoundPoisson(2.0, Exponential(1.0)), Constant(2.0)),
+                          (CompoundPoisson(1.0, ParetoJumps(1.5)), Constant(2.0)),
+                          (CompoundPoisson(2.0, DeterministicJumps(1.0)), Affine(0.0, 1.0)),
+                          (CompoundPoisson(2.0, Exponential(1.0)), Affine(1.0, 1.0)),
+                          (GammaSub(1.0, 1.0), Affine(0.0, 1.0))]:
+            assert stationary_tail(levy, rel) is None
 
 
 class TestPollaczekKhinchine:

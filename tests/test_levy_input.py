@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from storagelab.errors import OutOfGrid
 from storagelab.levy_input import (
     CompoundPoisson,
     DeterministicJumps,
@@ -408,10 +407,12 @@ class TestTabulated:
         with pytest.raises(ValueError, match="knots must be finite numbers"):
             TabulatedTail(u, t, ("power", 1.5))
 
-    def test_out_of_grid(self):
-        tab = self.make(extension=None)
-        with pytest.raises(OutOfGrid):
-            tab.tail(100.0)
+    def test_extension_is_required(self):
+        # past the last knot the tail, its moments and its draws all read
+        # the extension, so a table without one is refused when built
+        u = np.geomspace(0.1, 10.0, 30)
+        with pytest.raises(TypeError, match="extension"):
+            TabulatedTail(tuple(u), tuple(np.minimum(u ** -2.0, 100.0)))
 
     def test_first_moment_finite(self):
         tab = self.make()
@@ -453,20 +454,11 @@ class TestTabulated:
         same = self.invert_per_draw(tab, np.random.default_rng(SEED).random(500))
         assert fast[:500] == pytest.approx(same, rel=1e-8)
 
-    def test_sampling_without_extension_is_out_of_grid(self):
-        # mass above the last knot has no law to draw from
-        tab = TabulatedTail((0.5, 1.0, 2.0, 4.0, 8.0), (1.0, 0.6, 0.3, 0.1, 0.03))
-        gen = np.random.default_rng(SEED)
-        with pytest.raises(OutOfGrid):
-            tab.sample_sizes(gen, 2000, 0.0)
-        # raised before any draw
-        assert gen.random() == np.random.default_rng(SEED).random()
-
     def test_validation(self):
         with pytest.raises(ValueError):
-            TabulatedTail((1.0, 0.5), (1.0, 0.5))
+            TabulatedTail((1.0, 0.5), (1.0, 0.5), ("power", 1.5))
         with pytest.raises(ValueError):
-            TabulatedTail((0.5, 1.0), (0.5, 1.0))
+            TabulatedTail((0.5, 1.0), (0.5, 1.0), ("power", 1.5))
 
 
 class TestJumpLaws:
