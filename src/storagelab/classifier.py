@@ -37,9 +37,9 @@ DEFAULT_DECISION_MARGIN = 0.05
 _LAST_K = 3
 
 
-def limit_estimate(values, mode: str, k: int = _LAST_K) -> float:
-    """liminf/limsup proxy: min/max of the last k probe values."""
-    tail_vals = [v for v in values[-k:]]
+def limit_estimate(values, mode: str) -> float:
+    """liminf/limsup proxy: min/max of the last _LAST_K probe values."""
+    tail_vals = [v for v in values[-_LAST_K:]]
     if not tail_vals:
         raise ValueError("no probe values")
     return min(tail_vals) if mode == "liminf" else max(tail_vals)

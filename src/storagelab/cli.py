@@ -440,10 +440,7 @@ def cmd_report(scen: Scenario, out: Path, args) -> None:
     asym = scen.levy.asymptotics()
     detail = {"scenario": scen.name, "labels": labels,
               "input_tail_kind": asym.kind,
-              "m_nu": scen.levy.first_moment(),
-              "artifacts": sorted(str(p.relative_to(out.parent))
-                                  for p in out.parent.glob("*/*")
-                                  if p.is_file())}
+              "m_nu": scen.levy.first_moment()}
     if labels["regime"] == "PositiveRecurrent" and asym.kind == "power":
         ra = scen.release.asymptotics()
         beta = ra.exponent if ra.kind == "power" else 0.0

@@ -1,17 +1,20 @@
 """Drift certificates, rate predictions, and tail envelopes.
 
 The machinery rests on a rate function phi (non-decreasing, differentiable,
-concave on [1, inf)), its clock Phi(t) = int_1^t ds/phi(s), and the profile
-Vbar(u) = Phi^{-1}(G(u) + 1) built from the drain-time primitive
-G(u) = int_1^u dv/r(v).  By construction Vbar'(u) r(u) = phi(Vbar(u)), so the
-drift ratio
+concave on [1, inf)), its clock Phi(t) = int_1^t ds/phi(s), whose inverse
+is defined on clock values s >= 0, and the profile Vbar(u) = Phi^{-1}(s(u)),
+s(u) = max(G(u) + 1, 0), built from the drain-time primitive
+G(u) = int_1^u dv/r(v) and defined once (``_profile_clock``).  So Vbar >= 1,
+Vbar = 1 where G(u) < -1, and elsewhere Vbar'(u) r(u) = phi(Vbar(u)), so
+the drift ratio
 
     ratio(u) = int_0^inf [phi(Vbar(u+v)) / r(u+v)] nu_bar(v) dv / phi(Vbar(u))
 
 having limsup < 1 certifies ergodicity with total-variation rate
 phi(Phi^{-1}(t)) and stationary tail envelope 1 / max(phi(Phi^{-1}(u)),
 phi(Vbar(u))).  Geometric certificates make phi(Vbar) astronomically large,
-so every integrand here is assembled in log space and exponentiated once.
+so Vbar is read in log space only (``log_profile``, ``log_phi_profile``)
+and every integrand is exponentiated once.
 The power law phi = c t^a and the power moduli beta = t^d run the release
 families' power flow ``release_rate._power_flow``; a custom phi, and a
 custom modulus beta, read ``numerics.DrainClock`` (see
@@ -132,38 +135,26 @@ class RateFunction:
             return _elementwise(self.fn, t)
         return self.c * t ** self.a
 
-    def clock_inv(self, s: float) -> float:
-        """Phi^{-1}(s), the flow of x' = phi(x) from 1 over s: the power law's
-        is the drain flow of x' = -k x^a with k = -c."""
-        if np.min(s) < 0.0:
-            raise ValueError("clock values are non-negative")
-        with np.errstate(over="ignore"):
-            x = (_power_flow(-self.c, self.a, 1.0, s) if self.fn is None
-                 else self._clock().flow(1.0, s))
-        if not np.isfinite(x).all():
-            raise Divergent("clock inverse out of range")
-        return x
-
     def log_clock_inv(self, s):
-        """log Phi^{-1}(s), stable deep into geometric growth (a custom phi
-        reads its clock's log coordinate, finite past the float range, for
-        a float or an array of clock values)."""
+        """log Phi^{-1}(s) at clock values s >= 0 (Phi^{-1}'s domain; below
+        it raises ValueError), stable deep into geometric growth: a custom
+        phi reads its clock's log coordinate, finite past the float range,
+        for a float or an array of clock values."""
+        _check_clock(s)
         if self.fn is not None:
-            if np.min(s) < 0.0:
-                raise ValueError("clock values are non-negative")
             w = self._clock().log_flow(1.0, s)
             if not np.isfinite(w).all():
                 raise Divergent("clock inverse out of range")
             return w
         if self.a == 1.0:
             return self.c * s
-        return math.log1p(self.c * (1.0 - self.a) * s) / (1.0 - self.a)
+        return np.log1p(self.c * (1.0 - self.a) * s) / (1.0 - self.a)
 
     def log_rate_at_clock(self, s):
-        """log phi(Phi^{-1}(s)), the log of the predicted rate at clock s,
-        for a float or an array of clock values.  A custom phi is read at
-        w = log Phi^{-1}(s): phi itself within its clock's table, past the
-        table's end (x > 1e30, maybe past the floats) the end's
+        """log phi(Phi^{-1}(s)), the log of the predicted rate at clock
+        s >= 0, for a float or an array of clock values.  A custom phi is
+        read at w = log Phi^{-1}(s): phi itself within its clock's table,
+        past the table's end (x > 1e30, maybe past the floats) the end's
         continuation dT/dw = mu e^(a (w - w_e)), as dT/dw = x / phi(x)."""
         if self.fn is not None:
             w = np.atleast_1d(self.log_clock_inv(s))
@@ -172,6 +163,7 @@ class RateFunction:
             inside = w <= we
             out[inside] = np.log(self.value(np.exp(w[inside])))
             return out if np.ndim(s) else float(out[0])
+        _check_clock(s)
         if self.a == 1.0:
             return math.log(self.c) + self.c * s
         return math.log(self.c) + self.a / (1.0 - self.a) * np.log1p(
@@ -183,7 +175,14 @@ class RateFunction:
         return DrainClock(lambda x: -self.value(np.maximum(x, 1.0)), 0.0, 1.0)
 
 
-def _check_concave_nondecreasing(fn, tol: float = 1e-7):
+def _check_clock(s) -> None:
+    """Refuse clock values (a float or an array) below Phi^{-1}'s domain."""
+    if np.minimum.reduce(s, axis=None, initial=0.0) < 0.0:
+        raise ValueError("clock values are non-negative")
+
+
+def _check_concave_nondecreasing(fn):
+    tol = 1e-7
     t = np.linspace(1.0, 1e4, 400)
     vals = _elementwise(fn, t)
     if (vals <= 0).any():
@@ -236,6 +235,13 @@ def _exp(x):
     return np.exp(np.where(x > 709.0, np.inf, x))
 
 
+def _profile_clock(release, u):
+    """s(u) = max(G(u) + 1, 0), the clock value of the profile
+    Vbar(u) = Phi^{-1}(s(u)) at a float or an array of levels u > 0:
+    G(u) + 1 itself on Phi^{-1}'s domain, its origin 0 below it."""
+    return np.maximum(signed_drain_time(release, u) + 1.0, 0.0)
+
+
 @dataclass(frozen=True)
 class DriftCertificate:
     levy: LevyInput
@@ -261,25 +267,15 @@ class DriftCertificate:
         return 0.0 - self.phi.a / (1.0 - self.phi.a)
 
     # -- profile -----------------------------------------------------------
-    def profile(self, u: float) -> float:
-        """Vbar(u) = Phi^{-1}(G(u) + 1) for u >= 1, quadratic C^1 patch below."""
-        if u >= 1.0:
-            return self.phi.clock_inv(signed_drain_time(self.release, u) + 1.0)
-        v1 = self.phi.clock_inv(1.0)
-        s1 = self.profile_slope(1.0)
-        return max(1.0, v1 - 0.5 * s1 + 0.5 * s1 * u * u)
+    def log_profile(self, u):
+        """log Vbar(u) at a float or an array of levels u > 0
+        (``_profile_clock``), usable where Vbar itself overflows."""
+        return self.phi.log_clock_inv(_profile_clock(self.release, u))
 
-    def log_profile(self, u: float) -> float:
-        """log Vbar(u) for u >= 1, usable where Vbar itself overflows."""
-        return self.phi.log_clock_inv(signed_drain_time(self.release, u) + 1.0)
-
-    def profile_slope(self, u: float) -> float:
-        """Vbar'(u) = phi(Vbar(u)) / r(u) on [1, inf)."""
-        return math.exp(self.log_phi_profile(u)) / float(self.release.rate(u))
-
-    def log_phi_profile(self, u: float) -> float:
-        """log phi(Vbar(u)), stable for geometric certificates."""
-        return self.phi.log_rate_at_clock(signed_drain_time(self.release, u) + 1.0)
+    def log_phi_profile(self, u):
+        """log phi(Vbar(u)) at a float or an array of levels u > 0, stable
+        for geometric certificates."""
+        return self.phi.log_rate_at_clock(_profile_clock(self.release, u))
 
     # -- predictions --------------------------------------------------------
     def log_predicted_tv_rate(self, t: float) -> float:
@@ -297,11 +293,11 @@ class DriftCertificate:
 
 
 def _ratio_integrand(levy, release, phi, u):
-    base = phi.log_rate_at_clock(signed_drain_time(release, u) + 1.0)
+    base = phi.log_rate_at_clock(_profile_clock(release, u))
 
     def integrand(v):
         w = u + v
-        lr = phi.log_rate_at_clock(signed_drain_time(release, w) + 1.0)
+        lr = phi.log_rate_at_clock(_profile_clock(release, w))
         return _exp(lr - base + levy.log_tail(v)) / release.rate(w)
 
     return integrand
@@ -435,12 +431,12 @@ def tail_upper_exponential(levy: LevyInput, release: ReleaseRate, c: float,
                         up_to_constant=True)
 
 
-def _submultiplicative(log_tail_fn, lo: float, hi: float, n: int = 1000,
-                       seed: int = 7) -> bool:
-    """Sampled check of nu_bar(u) nu_bar(v) <= C nu_bar(u+v), C in {1,2,4,8}."""
-    rng = np.random.default_rng(seed)
-    u = np.exp(rng.uniform(math.log(lo), math.log(hi), n))
-    v = np.exp(rng.uniform(math.log(lo), math.log(hi), n))
+def _submultiplicative(log_tail_fn, lo: float, hi: float) -> bool:
+    """Sampled check of nu_bar(u) nu_bar(v) <= C nu_bar(u+v), C in {1,2,4,8},
+    at 1000 pairs drawn log-uniform on [lo, hi]."""
+    rng = np.random.default_rng(7)
+    u = np.exp(rng.uniform(math.log(lo), math.log(hi), 1000))
+    v = np.exp(rng.uniform(math.log(lo), math.log(hi), 1000))
     gap = log_tail_fn(u) + log_tail_fn(v) - log_tail_fn(u + v)
     return bool(np.max(gap) <= math.log(8.0) + 1e-9)
 
@@ -512,11 +508,12 @@ class LowerRateCurve:
         return self.fn(t)
 
 
-def default_h_exponent(levy: LevyInput, margin: float = 0.1) -> float:
-    """Largest power with int u^{a} nu(du) finite by a clear margin."""
+def default_h_exponent(levy: LevyInput) -> float:
+    """Largest power with int u^{a} nu(du) finite by a clear margin, 0.1
+    below a power tail's index."""
     asym = levy.asymptotics()
     if asym.kind == "power":
-        return max(asym.index - margin, 0.1)
+        return max(asym.index - 0.1, 0.1)
     return 1.0
 
 

@@ -321,7 +321,6 @@ class Custom(ReleaseRate):
 
     fn: object
     declared: RateAsymptotics
-    name: str = "custom"
 
     def rate(self, u):
         vals = _elementwise(self.fn, u)
@@ -346,20 +345,17 @@ def signed_drain_time(release: ReleaseRate, u):
     return g if g.ndim else float(g)
 
 
-def modulus_R(release: ReleaseRate, u: float, probe_grid=None) -> float:
-    """sup_{v >= 0} (r(v) - r(v+u)); exact for presets, a grid lower bound
-    for Custom.  May be negative, and is 0 for any non-decreasing rate."""
+def modulus_R(release: ReleaseRate, u: float) -> float:
+    """sup_{v >= 0} (r(v) - r(v+u)); exact for presets, for Custom a lower
+    bound from v = 0 and 121 levels v in [1e-6, 1e6].  May be negative,
+    and is 0 for any non-decreasing rate."""
     if u <= 0:
         raise ValueError("gap must be positive")
     exact = getattr(release, "modulus_decrease", None)
     if exact is not None:
         return float(exact(u))
-    if probe_grid is None:
-        probe_grid = np.concatenate([[0.0], np.geomspace(1e-6, 1e6, 121)])
-    probe_grid = np.asarray(probe_grid, dtype=float)
-    if probe_grid.size == 0:
-        raise ValueError("probe grid must be non-empty")
-    diffs = release.rate(probe_grid) - release.rate(probe_grid + u)
+    v = np.concatenate([[0.0], np.geomspace(1e-6, 1e6, 121)])
+    diffs = release.rate(v) - release.rate(v + u)
     return float(np.max(diffs))
 
 

@@ -491,6 +491,43 @@ class TestCli:
         assert len(lines) == 1
         assert json.loads(lines[0])["type"] == "NonFiniteEvaluation"
 
+    @pytest.mark.parametrize("command", ["predict", "certify"])
+    def test_levels_below_the_clock_origin_are_finite(self, command, tmp_path,
+                                                        capsys):
+        # G(u) + 1 < 0 at u = 1e-9 and 1e-7 for power-sharp's release: the
+        # profile reads Vbar = 1 there, so no value is NaN and nothing warns
+        out = tmp_path / "o"
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            code = main([command, "preset:power-sharp", "--set",
+                         'grids={"u_grid":[1e-9,1e-7,0.5]}', "--out", str(out)])
+        assert code == 0 and seen == [] and capsys.readouterr().err == ""
+        if command == "predict":
+            rows = (out / "predictions.csv").read_text().splitlines()[2:]
+            values = [float(r.split(",")[1]) for r in rows]
+        else:
+            def refuse(name):
+                raise ValueError(f"certificate.json holds {name}")
+
+            cert = json.loads((out / "certificate.json").read_text(),
+                              parse_constant=refuse)
+            values = [v for env in cert["tail_envelopes"].values()
+                      for v in env["values"].values()]
+        assert len(values) >= 3 and all(math.isfinite(v) for v in values)
+
+    def test_probes_below_the_clock_origin_are_a_criterion_refusal(
+            self, tmp_path, capsys):
+        # the ratios at these probes are finite and above 1: an invalid
+        # certificate (exit 2), not a NaN integrand (exit 1)
+        out = tmp_path / "o"
+        code = main(["certify", "preset:power-sharp", "--set",
+                     'grids={"probe_u":[1e-9,1e-8,1e-7]}', "--out", str(out)])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 2 and len(lines) == 1
+        assert json.loads(lines[0])["error"] == "criterion"
+        ratios = json.loads((out / "certificate.json").read_text())["ratios"]
+        assert all(math.isfinite(r) and r > 1.0 for r in ratios[-3:])
+
     def test_warnings_of_a_run_that_returns_are_shown(self, monkeypatch,
                                                        tmp_path, capsys):
         def warn_then(result):

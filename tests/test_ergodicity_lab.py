@@ -275,9 +275,10 @@ class TestTvDecay:
         # two stationary samples: TV estimate within the noise floor
         ref = grid_ensemble(*MM1, 0.0, [40.0], 20_000, SEED)[:, 0]
         curve_ref = grid_ensemble(*MM1, 0.0, [40.0], 20_000, SEED + 5)[:, 0]
-        from storagelab.ergodicity_lab import _equal_mass_edges, _hist_probs
+        from storagelab.ergodicity_lab import _equal_mass_edges
         edges = _equal_mass_edges(ref, 64)
-        tv = 0.5 * np.abs(_hist_probs(curve_ref, edges) - _hist_probs(ref, edges)).sum()
+        p, q = (np.histogram(x, bins=edges)[0] / x.size for x in (curve_ref, ref))
+        tv = 0.5 * np.abs(p - q).sum()
         assert tv <= math.sqrt(64 / 20_000)
 
     def test_distant_start_near_one(self):
@@ -377,7 +378,7 @@ class TestStationaryReference:
     @pytest.mark.parametrize("shape", [(40, 16), (300,)])
     def test_lane_counts_add_up_to_the_histogram(self, shape):
         from storagelab.ergodicity_lab import (
-            _as_lanes, _equal_mass_edges, _hist_probs, _lane_counts)
+            _as_lanes, _equal_mass_edges, _lane_counts)
         # MM1's stationary law has an atom at 0, so draws sit on an edge
         ref, _ = ergodicity_lab._stationary_reference(*MM1, 640, 0.0, None, SEED, 1e-4)
         ref = ref.ravel()[:np.prod(shape)].reshape(shape)
@@ -387,7 +388,11 @@ class TestStationaryReference:
         assert counts.shape == (len(lanes), len(edges) - 1)
         assert (counts.sum(axis=1) == lanes.shape[1]).all()
         np.testing.assert_array_equal(
-            counts.sum(axis=0), _hist_probs(ref.ravel(), edges) * ref.size)
+            counts.sum(axis=0), np.histogram(ref.ravel(), bins=edges)[0])
+        # a column per lane, as the TV estimator counts its time columns
+        np.testing.assert_array_equal(
+            _lane_counts(lanes.T, edges),
+            [np.histogram(col, bins=edges)[0] for col in lanes.T])
 
     def test_wp_floor_compares_disjoint_lanes(self):
         # an odd lane count: the split drops the last lane, where ravelling
@@ -490,7 +495,7 @@ class TestPollaczekKhinchine:
         # the slow reference, long chains from 0 as every other model gets
         # them, against the exact draw in 64-bin TV: within the chains' own
         # noise, which the TV between their two halves of lanes doubles
-        from storagelab.ergodicity_lab import _equal_mass_edges, _hist_probs
+        from storagelab.ergodicity_lab import _equal_mass_edges
         chains = grid_ensemble(*MM1, 0.0,
                                ergodicity_lab._reference_grid(40.0), 2_000, SEED)
         exact, _ = ergodicity_lab._stationary_reference(*MM1, 200_000, 0.0,
@@ -498,8 +503,8 @@ class TestPollaczekKhinchine:
         edges = _equal_mass_edges(exact.ravel(), 64)
 
         def tv(a, b):
-            return 0.5 * np.abs(_hist_probs(a.ravel(), edges)
-                                - _hist_probs(b.ravel(), edges)).sum()
+            return 0.5 * np.abs(np.histogram(a, bins=edges)[0] / a.size
+                                - np.histogram(b, bins=edges)[0] / b.size).sum()
 
         assert tv(chains, exact) <= tv(chains[:1_000], chains[1_000:])
 

@@ -56,6 +56,7 @@ from storagelab.release_rate import (
     Power,
     PowerSmoothed,
     RateAsymptotics,
+    signed_drain_time,
 )
 
 MM1 = (CompoundPoisson(1.0, Exponential(1.0)), Constant(2.0))
@@ -71,13 +72,11 @@ ENVELOPE_U = np.geomspace(10.0, 1e5, 40)
 class TestRateFunction:
     def test_clock_closed_forms(self):
         lin = RateFunction.linear(0.5)
-        assert lin.clock_inv(4.0) == pytest.approx(math.e ** 2)
         assert lin.log_clock_inv(4.0) == pytest.approx(2.0)
         pw = RateFunction.power(0.5)
-        assert pw.clock_inv(2.0) == pytest.approx(4.0)
         assert pw.log_clock_inv(2.0) == pytest.approx(math.log(4.0))
         one = RateFunction.constant1()
-        assert one.clock_inv(4.0) == 5.0
+        assert one.log_clock_inv(4.0) == pytest.approx(math.log(5.0))
         # each closed family is phi = c t^a with the (c, a) it computes with
         assert (lin.c, lin.a) == (0.5, 1.0)
         assert (pw.c, pw.a) == (1.0, 0.5)
@@ -85,8 +84,8 @@ class TestRateFunction:
 
     def test_custom_matches_closed(self):
         # a custom phi reads the drain clock of x' = phi(x), the closed power
-        # law the power flow; they agree wherever Phi^{-1} is finite (linear
-        # 2 leaves the float range at s = 600, and both raise Divergent)
+        # law the power flow; in log space they agree also where Phi^{-1}
+        # leaves the float range (linear 2 at s = 600)
         s = np.array([0.1, 1.0, 3.0, 50.0, 600.0])
         for fn, closed in ((lambda t: 1.0, RateFunction.constant1()),
                            (lambda t: 0.2 * t, RateFunction.linear(0.2)),
@@ -96,18 +95,12 @@ class TestRateFunction:
                            (lambda t: t ** 0.45, RateFunction.power(0.45)),
                            (lambda t: t ** 0.9, RateFunction.power(0.9))):
             cust = RateFunction.custom(fn)
-            finite = np.array([closed.log_clock_inv(si) < 709.0 for si in s])
-            for si in s[~finite]:
-                for phi in (closed, cust):
-                    with pytest.raises(Divergent):
-                        phi.clock_inv(si)
-            for si in s[finite]:
-                assert cust.clock_inv(si) == pytest.approx(closed.clock_inv(si), rel=1e-12)
+            for si in s:
                 assert cust.log_clock_inv(si) == pytest.approx(
                     closed.log_clock_inv(si), rel=1e-12)
-            assert cust.log_rate_at_clock(s[finite]) == pytest.approx(
-                closed.log_rate_at_clock(s[finite]), rel=1e-12)
-            assert cust.clock_inv(0.0) == 1.0
+            assert cust.log_rate_at_clock(s) == pytest.approx(
+                closed.log_rate_at_clock(s), rel=1e-12)
+            assert cust.log_clock_inv(0.0) == 0.0
 
     @pytest.mark.parametrize("c", [0.2, 0.3, 0.5, 0.7, 1.3, 2.0])
     def test_custom_linear_keeps_its_digits_across_the_table(self, c):
@@ -115,7 +108,7 @@ class TestRateFunction:
         # sums ~1700 intervals, and its running sum is compensated
         w = np.linspace(1.0, 700.0, 1999)
         cust = RateFunction.custom(lambda t: c * t)
-        assert np.abs(np.log(cust.clock_inv(w / c)) - w).max() <= 1e-12
+        assert np.abs(cust.log_clock_inv(w / c) - w).max() <= 1e-12
         assert max(abs(cust.log_clock_inv(wi / c) - wi) for wi in w[::37]) <= 1e-12
 
     def test_custom_log_clock_inv_is_finite_deep_into_geometric_growth(self):
@@ -123,8 +116,17 @@ class TestRateFunction:
         cust = RateFunction.custom(lambda t: 0.5 * t)
         assert cust.log_clock_inv(2000.0) == pytest.approx(1000.0, rel=1e-9)
         assert cust.log_clock_inv(0.0) == 0.0
-        with pytest.raises(Divergent):
-            cust.clock_inv(2000.0)
+
+    @pytest.mark.parametrize("phi", [
+        RateFunction.constant1(), RateFunction.linear(0.5),
+        RateFunction.power(0.5), RateFunction.custom(lambda t: 0.5 * t),
+    ], ids=lambda p: p.family)
+    def test_clock_values_below_zero_are_refused(self, phi):
+        # Phi^{-1} is defined on s >= 0, closed and custom phi alike
+        for s in (-0.5, np.array([1.0, -1e-12])):
+            for read in (phi.log_clock_inv, phi.log_rate_at_clock):
+                with pytest.raises(ValueError, match="non-negative"):
+                    read(s)
 
     def test_tv_exponent(self):
         # the certificate's promised TV exponent -a/(1-a) of its phi
@@ -254,7 +256,7 @@ class TestCertificate:
         assert cert.valid
         assert cert.ratios[-1] < 1e-3
         # profile tends to a finite ceiling
-        assert cert.profile(1e6) < cert.profile(10.0) * 1.5
+        assert cert.log_profile(1e6) < cert.log_profile(10.0) + math.log(1.5)
 
     def test_constant1_matches_pos_rec_criterion(self):
         levy, rel = MM1
@@ -284,13 +286,38 @@ class TestCertificate:
     def test_profile_extension_below_one(self):
         levy, rel = MM1
         cert = build_certificate(levy, rel, RateFunction.linear(0.5))
-        # C^1 patch: value and slope continuous at 1, profile >= 1
+        # the continuation below 1 is C^1 at 1, and the profile stays >= 1
         h = 1e-7
-        left = (cert.profile(1.0) - cert.profile(1.0 - h)) / h
-        right = (cert.profile(1.0 + h) - cert.profile(1.0)) / h
+        left = (cert.log_profile(1.0) - cert.log_profile(1.0 - h)) / h
+        right = (cert.log_profile(1.0 + h) - cert.log_profile(1.0)) / h
         assert left == pytest.approx(right, rel=1e-4)
-        for u in (0.0, 0.3, 0.9):
-            assert cert.profile(u) >= 1.0
+        for u in (1e-9, 0.3, 0.9):
+            assert cert.log_profile(u) >= 0.0
+
+    @pytest.mark.parametrize("rel", [PowerSmoothed(1.0, 0.5), Affine(0.0, 1.0),
+                                     Power(1.0, 2.0)], ids=repr)
+    @pytest.mark.parametrize("phi", [
+        RateFunction.constant1(), RateFunction.linear(0.5),
+        RateFunction.power(0.45)], ids=lambda p: p.family)
+    def test_profile_is_one_below_the_clock_origin(self, rel, phi):
+        # where G(u) + 1 < 0 the profile reads its clock's origin, Vbar = 1,
+        # for a closed phi and its custom twin alike; elsewhere it is the
+        # continuation Phi^{-1}(G(u) + 1), bit for bit
+        twin = RateFunction.custom(lambda t: phi.c * t ** phi.a)
+        u = np.geomspace(1e-9, 1e6, 61)
+        clock = signed_drain_time(rel, u) + 1.0
+        below = clock < 0.0
+        assert below.any() and not below.all()
+        cert, cust = (lyapunov.DriftCertificate(MM1[0], rel, p, (1.0,), (0.5,), 0.5)
+                      for p in (phi, twin))
+        assert cert.log_phi_profile(u[below]) == pytest.approx(
+            cust.log_phi_profile(u[below]), rel=1e-12, abs=1e-15)
+        assert (cert.log_phi_profile(u[below]) == math.log(phi.c)).all()
+        assert all(cert.log_profile(ui) == 0.0 for ui in u[below])
+        assert (cert.log_phi_profile(u[~below])
+                == phi.log_rate_at_clock(clock[~below])).all()
+        assert all(cert.log_profile(ui) == phi.log_clock_inv(ci)
+                   for ui, ci in zip(u[~below], clock[~below]))
 
     @pytest.mark.parametrize("phi", [
         RateFunction.constant1(), RateFunction.linear(0.5),
@@ -300,8 +327,9 @@ class TestCertificate:
         # Vbar(1) = Phi^{-1}(1) > 1 for every admissible rate function
         levy, rel = MM1
         cert = build_certificate(levy, rel, phi)
-        assert cert.profile(1.0) == pytest.approx(phi.clock_inv(1.0), rel=1e-12)
-        assert cert.profile(1.0) > 1.0
+        assert cert.log_profile(1.0) == pytest.approx(phi.log_clock_inv(1.0),
+                                                      rel=1e-12)
+        assert cert.log_profile(1.0) > 0.0
 
     def test_tail_envelope_definitional_identity(self):
         levy, rel = MM1
