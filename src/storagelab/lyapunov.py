@@ -5,8 +5,8 @@ concave on [1, inf)), its clock Phi(t) = int_1^t ds/phi(s), whose inverse
 is defined on clock values s >= 0, and the profile Vbar(u) = Phi^{-1}(s(u)),
 s(u) = max(G(u) + 1, 0), built from the drain-time primitive
 G(u) = int_1^u dv/r(v) and defined once (``_profile_clock``).  So Vbar >= 1,
-Vbar = 1 where G(u) < -1, and elsewhere Vbar'(u) r(u) = phi(Vbar(u)), so
-the drift ratio
+Vbar = 1 where G(u) <= -1, a flat stretch with no drift (ratio +inf), and
+elsewhere Vbar'(u) r(u) = phi(Vbar(u)), so the drift ratio
 
     ratio(u) = int_0^inf [phi(Vbar(u+v)) / r(u+v)] nu_bar(v) dv / phi(Vbar(u))
 
@@ -189,9 +189,7 @@ def _check_concave_nondecreasing(fn):
         raise InvalidRateFunction("rate function must be positive")
     if (np.diff(vals) < -tol * np.abs(vals[:-1])).any():
         raise InvalidRateFunction("rate function must be non-decreasing")
-    second = np.diff(vals, 2)
-    scale = np.max(np.abs(vals))
-    if (second > tol * scale).any():
+    if (np.diff(vals, 2) > tol * np.max(np.abs(vals))).any():
         raise InvalidRateFunction("rate function must be concave")
 
 
@@ -293,7 +291,8 @@ class DriftCertificate:
 
 
 def _ratio_integrand(levy, release, phi, u):
-    base = phi.log_rate_at_clock(_profile_clock(release, u))
+    # unclamped: where Vbar is flat (no drift) this raises, not reads phi(1)
+    base = phi.log_rate_at_clock(signed_drain_time(release, u) + 1.0)
 
     def integrand(v):
         w = u + v
@@ -323,13 +322,15 @@ def build_certificate(levy: LevyInput, release: ReleaseRate, phi: RateFunction,
     One pass: each ratio integrates the non-negative (C3) integrand over
     [0, inf) instead of [1, inf), so a finite ratio proves (C3).  Where the
     ratio diverges, (C3) raises C3Violation if it diverges too, else the
-    ratio is +inf.  A ratio above 1 only marks the certificate invalid.
+    ratio is +inf, as it is at a probe where Vbar is flat (no drift).  A
+    ratio above 1 only marks the certificate invalid.
     """
     probe_grid = tuple(probe_grid)
     ratios = []
     for u in probe_grid:
         try:
-            ratios.append(_drift_ratio(levy, release, phi, u))
+            ratios.append(math.inf if _profile_clock(release, u) == 0.0
+                          else _drift_ratio(levy, release, phi, u))
         except Divergent:
             try:
                 _c3_jump_integral(levy, release, phi, u)

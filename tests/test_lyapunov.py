@@ -319,6 +319,19 @@ class TestCertificate:
         assert all(cert.log_profile(ui) == phi.log_clock_inv(ci)
                    for ui, ci in zip(u[~below], clock[~below]))
 
+    def test_probes_below_the_clock_origin_have_no_drift(self):
+        # G(u) + 1 < 0 below u = 1/e for r(u) = u: Vbar is flat there, so
+        # -r Vbar' = 0 gives no negative drift and the ratio is +inf, not
+        # int Vbar'(u + v) nu_bar(v) dv over phi(1), which read valid
+        levy, rel = CompoundPoisson(0.2, Exponential(1.0)), Affine(0.0, 1.0)
+        phi = RateFunction.linear(0.5)
+        cert = build_certificate(levy, rel, phi, (0.01, 0.05, 0.1))
+        assert cert.ratios == (math.inf,) * 3 and not cert.valid
+        with pytest.raises(ValueError, match="non-negative"):
+            lyapunov._drift_ratio(levy, rel, phi, 0.01)
+        # a probe just above the origin has its drift ratio
+        assert math.isfinite(build_certificate(levy, rel, phi, (0.5,)).ratios[0])
+
     @pytest.mark.parametrize("phi", [
         RateFunction.constant1(), RateFunction.linear(0.5),
         RateFunction.power(0.5),
