@@ -477,22 +477,26 @@ def _lane_halves(lanes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _wp_bootstrap_stderr(mat: np.ndarray, refq: np.ndarray, p: float,
-                         gen: np.random.Generator) -> np.ndarray:
+                         gen: np.random.Generator):
     """Bootstrap stderr of W_p(column, reference) for every column of the
-    (n_paths, T) ensemble ``mat``, which this sorts in place; ``refq`` holds
-    the reference quantiles at the n_paths mid-probabilities.
+    (n_paths, T) ensemble ``mat``, and those columns sorted, as the rows of
+    one contiguous (T, n_paths) array; ``refq`` holds the reference
+    quantiles at the n_paths mid-probabilities.
 
     Each replicate resamples whole paths, the same ones at every time.  A
     column's resample is sorted as int32 ranks into the sorted column, which
-    gives the same doubles as sorting the resampled values.
+    gives the same doubles as sorting the resampled values; each gather
+    reads one contiguous row.
     """
     n_paths, n_t = mat.shape
     rank = np.empty((n_t, n_paths), dtype=np.int32)
+    cols = np.empty((n_t, n_paths))
     ids = np.arange(n_paths, dtype=np.int32)
     for j in range(n_t):
         order = np.argsort(mat[:, j])
         rank[j, order] = ids
-        mat[:, j] = mat[order, j]
+        cols[j] = mat[order, j]
+    del mat  # the sorted rows replace the ensemble from here on
     # one contiguous row of replicates per time: its std sums them in the
     # same order as the 1-D array of a single time would
     wp_boot = np.empty((n_t, N_BOOT))
@@ -505,13 +509,13 @@ def _wp_bootstrap_stderr(mat: np.ndarray, refq: np.ndarray, p: float,
         for j in range(n_t):
             pos = rank[j][ridx]
             pos.sort(axis=1)
-            bs = np.take(mat[:, j], pos)
+            bs = np.take(cols[j], pos)
             bs -= refq
             np.abs(bs, out=bs)
             if p != 1.0:
                 bs **= p
             wp_boot[j, r:r + len(bs)] = bs.mean(axis=1) ** (1.0 / p)
-    return wp_boot.std(axis=1, ddof=1)
+    return wp_boot.std(axis=1, ddof=1), cols
 
 
 def estimate_wp_decay(levy: LevyInput, release: ReleaseRate, x0,
@@ -550,13 +554,13 @@ def estimate_wp_decay(levy: LevyInput, release: ReleaseRate, x0,
                                           None, seed + 1, eps)[0]
     lanes = _as_lanes(reference)
     ref_sorted = np.sort(lanes, axis=None)
-    mat = grid_ensemble(levy, release, x0, t_grid, n_paths, seed, eps)
     q = (np.arange(n_paths) + 0.5) / n_paths
     refq = ref_sorted[np.minimum((q * ref_sorted.size).astype(np.int64),
                                  ref_sorted.size - 1)]
-    se = _wp_bootstrap_stderr(mat, refq, p, substream(seed, "wp-boot"))
-    # the bootstrap has sorted mat's columns
-    values = np.array(_wp_sorted(mat.T, ref_sorted, p))
+    se, cols = _wp_bootstrap_stderr(
+        grid_ensemble(levy, release, x0, t_grid, n_paths, seed, eps), refq, p,
+        substream(seed, "wp-boot"))
+    values = np.array(_wp_sorted(cols, ref_sorted, p))
     floor = wasserstein_1d(*_lane_halves(lanes), p)
     mask, fitted = _fit_past_floor(t_grid, values, floor)
     ref_curve = None

@@ -8,11 +8,13 @@ custom rate functions phi and custom moduli beta), and log-log regression.
 The semi-infinite integrator splits [0, inf) at ``_TAIL_SPLIT`` and covers
 each side by dyadic scale blocks ([a, 2a] outward, [a/2, a] inward), each
 integrated with a globally adaptive 7-15 Gauss-Kronrod rule.  Block sums of
-a power-law integrand form a geometric series, so convergence, remainder
-size, and divergence are all read off the block-ratio trend; divergence is
-reported as Divergent, never silently truncated.  One rule stops every
-march, with no first pass: its geometric remainder below a quarter of
-``_REL_TOL`` of the integral built so far plus what lies outside the march.
+a power-law integrand form a geometric series, so convergence and
+divergence are read off the block-ratio trend; divergence is reported as
+Divergent, never silently truncated.  One rule stops every march, with no
+first pass: Wynn's epsilon algorithm extrapolates the partial sums (as
+QUADPACK's QAGI does), and the march stops once the extrapolation's error
+bound is below a quarter of ``_REL_TOL`` of the integral built so far plus
+what lies outside the march.
 
 Integrands are array-native: the rule evaluates all 15 nodes of a panel in
 one call, and both halves of a split panel (30 nodes) in one call, so an
@@ -212,6 +214,20 @@ def _first_panels(f, blocks: list):
             for (a, b), v, e in zip(blocks, val, err)]
 
 
+def _wynn_step(diag: list, s: float) -> list:
+    """Wynn's epsilon table with the partial sum ``s`` appended: ``diag``
+    holds the last ascending diagonal, columns 0 to 4 (fewer at the start),
+    and so does the list returned.  Column 2 is Aitken's extrapolation of
+    the last three sums, column 4 Shanks' e2 of the last five, exact for a
+    remainder r^k (a k + b).  A difference of exactly 0 gives inf, and the
+    difference of two infs nan; callers read only finite even entries."""
+    new = [s]
+    for k, d in enumerate(diag[:4]):
+        gap = new[k] - d
+        new.append((diag[k - 1] if k else 0.0) + (1.0 / gap if gap else math.inf))
+    return new
+
+
 def _block_sum(f, edges, budget: list, scale: float, direction: str):
     """Sum adaptive block integrals along a dyadic edge sequence; returns
     (value, error).
@@ -219,21 +235,29 @@ def _block_sum(f, edges, budget: list, scale: float, direction: str):
     ``edges`` yields (a, b) block endpoints marching toward the singular end
     (v -> inf for 'tail', v -> 0 for 'head').  One rule: ``tol`` is a quarter
     of max(``_ABS_TOL``, ``_REL_TOL`` |scale + total|), ``total`` the march's
-    sum so far and ``scale`` what lies outside it.  A power-law integrand
-    gives geometric blocks, so trends decide everything: decaying blocks
-    stop once the geometric remainder is below ``tol``; blocks above ``tol``
-    still not decaying after ``_GROWTH_OCTAVES`` octaves (growth, or the
-    flat log-divergent pattern) raise Divergent.  Two zero blocks end the
-    march once ``scale + total`` is not 0.  A block whose whole-block panel
-    meets the tolerance is taken as it is; only the others are refined by
-    ``_adaptive``.
+    sum so far and ``scale`` what lies outside it.  After each block the
+    epsilon table (``_wynn_step``) extrapolates the partial sums; its bound
+    is the distance of the latest extrapolated limit from the three before
+    it (QUADPACK's), over (1 - r)^2 for r the recent mean block ratio.  The
+    scale keeps the bound above the miss where the ratios drift toward 1 (a
+    log factor: the extrapolants then converge only as fast as the sums).
+    Once the ratios are geometric (r < 0.98), the march stops with the
+    limit when its bound is below ``tol`` and adds the bound to the error;
+    a march that runs out of blocks returns the limit and its bound as they
+    stand.  Blocks above ``tol`` still not decaying after
+    ``_GROWTH_OCTAVES`` octaves (growth, or the flat log-divergent pattern)
+    raise Divergent.  Two zero blocks end the march once ``scale + total``
+    is not 0.  A block whose whole-block panel meets the tolerance is taken
+    as it is; only the others are refined by ``_adaptive``.
     """
     total, total_err = 0.0, 0.0
     prev = None
     logs: list[float] = []  # log block ratios; their recent mean is the trend
     rbar = None
     mag = tol = 0.0
-    last = 0.0
+    eps = [total]  # the epsilon table's last ascending diagonal
+    limits = [total] * 3  # the last three extrapolated limits, latest last
+    spread = 0.0  # the distances of the latest limit from those three
     zero_run = 0
     octaves = 0
     edges = iter(edges)
@@ -260,7 +284,6 @@ def _block_sum(f, edges, budget: list, scale: float, direction: str):
         tol = max(_ABS_TOL, _REL_TOL * abs(scale + total)) / 4.0
         octaves += 1
         mag = abs(v)
-        last = v
         if mag == 0.0:
             # zeros only terminate once mass has been collected; during the
             # inward approach they just mean the mass sits further along
@@ -268,6 +291,7 @@ def _block_sum(f, edges, budget: list, scale: float, direction: str):
             if zero_run >= 2 and scale + total != 0.0:
                 return total, total_err
             prev = None
+            eps = [total]
             continue
         zero_run = 0
         if prev is not None:
@@ -275,12 +299,17 @@ def _block_sum(f, edges, budget: list, scale: float, direction: str):
             recent = logs[-5:]
             rbar = math.exp(sum(recent) / len(recent))
         prev = mag
-        if rbar is not None and rbar < 0.98:
-            if mag <= tol * (1.0 - rbar):
-                # geometric extrapolation of the rest; ratios are already
-                # near their asymptote here, so most of it is real mass
-                rem = mag * rbar / (1.0 - rbar)
-                return total + math.copysign(rem, last), total_err + 0.2 * rem
+        old, eps = eps, _wynn_step(eps, total)
+        # the deepest even column finite on both diagonals; column 0, the
+        # partial sums, always is
+        k = (len(old) - 1) // 2 * 2
+        while not math.isfinite(eps[k] - old[k]):
+            k -= 2
+        limit = eps[k]
+        spread = abs(limit - limits[0]) + abs(limit - limits[1]) + abs(limit - limits[2])
+        limits = limits[1:] + [limit]
+        if rbar is not None and rbar < 0.98 and spread <= tol * (1.0 - rbar) ** 2:
+            return limit, total_err + spread / (1.0 - rbar) ** 2
         if (octaves >= _GROWTH_OCTAVES and mag > tol
                 and (rbar is None or rbar >= _RATIO_DIVERGENT)):
             raise Divergent(f"non-decaying {direction} blocks", partial=total)
@@ -288,9 +317,7 @@ def _block_sum(f, edges, budget: list, scale: float, direction: str):
     if rbar >= _RATIO_DIVERGENT and mag > tol:
         raise Divergent(f"{direction} fails to converge within budget",
                         partial=total)
-    # geometric extrapolation of the unreached remainder
-    rem = abs(last) * rbar / max(1.0 - rbar, 1e-6)
-    return total + math.copysign(rem, last), total_err + rem
+    return limits[2], total_err + spread / max(1.0 - rbar, 1e-6) ** 2
 
 
 def _tail_edges(start: float):
@@ -316,9 +343,10 @@ def integrate_semiinfinite(f, lower: float = 0.0) -> QuadResult:
     splits at ``_TAIL_SPLIT``; the head is resolved by dyadic blocks
     shrinking to the lower edge (integrable endpoint singularities such as
     v^{-1/2} are fine), the tail by dyadic blocks doubling outward.  Each
-    march stops once its remainder is below a quarter of ``_REL_TOL`` of
-    the integral so far: the head's own sum, then the head plus the tail's.
-    There is no first pass.
+    march stops once the error bound of its extrapolated remainder is below
+    a quarter of ``_REL_TOL`` of the integral so far: the head's own sum,
+    then the head plus the tail's.  ``error`` sums the panels' estimates
+    and those bounds.  There is no first pass.
     """
     g = (lambda v: f(lower + v)) if lower != 0.0 else f
 

@@ -438,6 +438,44 @@ class TestOnePassCertificate:
         assert len(calls) >= 1
 
 
+def _quad_in_log(f):
+    """int_0^inf f(v) dv by scipy.integrate.quad at epsrel 1e-13 in v = e^t,
+    over unit panels of t marching out from t = 0 both ways until three
+    panels in a row add less than 1e-17 of the sum.  A panel edge sits at
+    v = 1, the Pareto laws' kink."""
+    from scipy.integrate import quad
+
+    def g(t):
+        return float(f(np.array([math.exp(t)]))[0]) * math.exp(t)
+
+    total = 0.0
+    for t, step in ((0.0, 1.0), (-1.0, -1.0)):
+        small = 0
+        while small < 3 and -740.0 < t < 700.0:
+            part = quad(g, t, t + 1.0, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+            total += part
+            small = small + 1 if abs(part) <= 1e-17 * abs(total) else 0
+            t += step
+    return total
+
+
+class TestRatiosAgainstQuad:
+    # power-sharp-fast's ratios at u >= 1e3 read 3.3e-9 off whatever stops
+    # the march: the Pareto(1.5) kink at v = 1 lies inside a head block,
+    # whose adaptive refinement stops with its error estimate ten times
+    # below its miss
+    BOUND = {"power-sharp-fast": 5e-9}
+
+    @pytest.mark.parametrize("name", sorted(_phi_preset_cases()))
+    def test_ratios_match_quad(self, name):
+        levy, rel, phi, grid = _phi_preset_cases()[name]
+        probes = sorted(set(grid) | {1e6})
+        cert = build_certificate(levy, rel, phi, probes)
+        for u, got in zip(probes, cert.ratios):
+            want = _quad_in_log(lyapunov._ratio_integrand(levy, rel, phi, u))
+            assert got == pytest.approx(want, rel=self.BOUND.get(name, 1e-9)), u
+
+
 class _Counted:
     """A user callable that counts its calls."""
 

@@ -137,6 +137,41 @@ class TestClosedForms:
             assert pair == (run[0][i:i + 2], run[1][i:i + 2])
 
 
+class TestExtrapolatedStop:
+    """A march stops once the epsilon extrapolation of its partial sums has
+    an error bound below the tolerance, long before a single block is that
+    small: closed forms hold the value and the bound to account.  Exact
+    values: 1/(s - 1); 100 + int_1^inf x^-1.1 log(1 + e/x) dx and E1(1e-4)
+    by mpmath at 30 digits."""
+
+    @pytest.mark.parametrize("f, lower, exact", [
+        *[(lambda x, s=s: x ** -s, 1.0, 1.0 / (s - 1.0))
+          for s in (1.05, 1.1, 1.5, 2.0, 3.0)],
+        (lambda x: x ** -1.1 * np.log(math.e + x), 1.0, 101.61154937036276),
+        (lambda x: np.exp(-x) / x, 1e-4, 8.633224704574705),
+    ], ids=["x^-1.05", "x^-1.1", "x^-1.5", "x^-2", "x^-3", "x^-1.1 log", "E1"])
+    def test_value_within_tolerance_and_error(self, f, lower, exact):
+        res = integrate_semiinfinite(f, lower)
+        miss = abs(res.value - exact)
+        assert miss <= max(1e-12, 1e-8 * abs(exact))
+        assert miss <= res.error
+
+    @pytest.mark.parametrize("f, lower", [
+        (lambda x: 1.0 / x, 1.0),
+        (lambda x: x ** -0.9, 1.0),
+        (lambda x: 1.0 / (x * np.log(x)), math.e),
+    ], ids=["x^-1", "x^-0.9", "1/(x log x)"])
+    def test_non_summable_tails_still_diverge(self, f, lower):
+        with pytest.raises(Divergent):
+            integrate_semiinfinite(f, lower)
+
+    def test_log_decaying_error_covers_its_miss(self):
+        # block ratios tend to 1, so no extrapolation settles and the march
+        # runs to its block cap; value 1.18988397 by mpmath in u = e^s
+        res = integrate_semiinfinite(lambda u: 1.0 / (u * np.log(math.e + u) ** 2), 1.0)
+        assert abs(res.value - 1.18988397034435) <= res.error
+
+
 def _recorded(f):
     """f and the list of node arrays it is called on."""
     seen = []
