@@ -17,6 +17,7 @@ from .ergodicity_lab import (
     estimate_tail,
     estimate_tv_decay,
     estimate_wp_decay,
+    laplace_check,
     w1_cdf_area,
     wasserstein_1d,
 )
@@ -29,7 +30,6 @@ from .levy_input import (
     StableSub,
     TabulatedTail,
     TemperedStableSub,
-    laplace_check,
 )
 from .lyapunov import (
     DriftCertificate,

@@ -47,11 +47,11 @@ from .ergodicity_lab import (
     estimate_tail,
     estimate_tv_decay,
     estimate_wp_decay,
+    laplace_check,
     reference_draws,
     stationary_tail,
     tail_draws,
 )
-from .levy_input import laplace_check
 from .lyapunov import (
     GapBound,
     TailEnvelope,

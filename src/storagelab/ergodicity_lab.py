@@ -6,7 +6,8 @@ stationary reference sample, and one-dimensional Wasserstein decay from
 sorted samples.  Each reports standard errors (bootstrap, or the spread
 between independent chains) and, where a decay exponent is wanted, a
 log-log fit restricted to the trustworthy part of the curve (past the
-transient, above the estimator noise floor).
+transient, above the estimator noise floor).  ``laplace_check`` tests the
+engine's own jumps against E e^(-lam A(t)) = e^(t psi(lam)).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ __all__ = [
     "TailEstimate", "DecayCurve", "RateComparison", "estimate_tail",
     "estimate_tv_decay", "estimate_wp_decay", "compare_rates",
     "wasserstein_1d", "w1_cdf_area", "reference_horizon", "reference_draws",
-    "tail_draws", "stationary_tail",
+    "tail_draws", "stationary_tail", "laplace_check",
 ]
 
 N_BOOT = 200
@@ -613,3 +614,54 @@ def compare_rates(curve: DecayCurve, certificate: DriftCertificate | None = None
         verdict = "PASS" if lo_bound <= fitted <= hi_bound else "FAIL"
         note = ""
     return RateComparison(fitted, stderr, upper, low, tol, verdict, note)
+
+
+# ---------------------------------------------------------------------------
+# the input law
+# ---------------------------------------------------------------------------
+
+def _input_totals(levy: LevyInput, t: float, n_paths: int, seed: int,
+                  eps: float) -> np.ndarray:
+    """A(t) of each of ``n_paths`` lanes, read off the engine's draws one
+    slab at a time: lane i sums the sizes of the jumps that lane i of
+    ``grid_ensemble(levy, release, x0, [t], n_paths, seed, eps)`` takes,
+    whatever the release, and adds the compensator drift times t."""
+    a = np.zeros(n_paths)
+    for lo, x, slabs in _chunks(levy, 0.0, [t], n_paths, seed, eps):
+        m = len(x)
+        for _, order, width, _, sizes, _, _ in slabs:
+            a[lo:lo + m] += np.bincount(order[_positions(width[1:])], sizes,
+                                        minlength=m)
+    a += levy.compensator_drift(eps) * t
+    return a
+
+
+def laplace_check(levy: LevyInput, t: float, lambdas, n_paths: int,
+                  seed: int, eps: float = 1e-4):
+    """Empirical vs analytic Laplace transform of A(t), with z-scores.
+
+    A(t) is read off the engine's own jumps, drawn from the keys ``(seed,
+    "grid", c)`` (``_input_totals``).  The standard error is the closed one, from the
+    variance e^(t psi(2 lam)) - e^(2 t psi(lam)) of e^(-lam A(t)): a sample
+    spread misses the rare small A(t) that carry it on a concentrated input.
+    """
+    if t <= 0:
+        raise ValueError("t must be positive")
+    if n_paths < 100:
+        raise ValueError("need at least 100 paths")
+    a = _input_totals(levy, t, n_paths, seed, eps)
+    out = []
+    for lam in np.atleast_1d(lambdas):
+        lam = float(lam)
+        vals = np.exp(-lam * a)
+        emp = float(vals.mean())
+        psi, psi2 = levy.laplace_exponent(lam), levy.laplace_exponent(2.0 * lam)
+        analytic = math.exp(t * psi)
+        # the variance as e^(t psi2) (1 - e^(t (2 psi - psi2))): both
+        # exponents are <= 0, so it neither overflows nor cancels
+        var = math.exp(t * psi2) * -math.expm1(t * (2.0 * psi - psi2))
+        se = math.sqrt(max(var, 0.0) / n_paths)
+        z = 0.0 if se == 0 else (emp - analytic) / se
+        out.append({"lam": lam, "empirical": emp, "analytic": analytic,
+                    "se": se, "z": z})
+    return out

@@ -8,16 +8,7 @@ class StorageLabError(Exception):
 
 
 class Divergent(StorageLabError):
-    """An integral (or limit) fails to converge.
-
-    ``partial`` carries the best estimate accumulated before the
-    subdivision budget ran out.
-    """
-
-    def __init__(self, message: str = "integral diverges",
-                 partial: float | None = None):
-        super().__init__(message)
-        self.partial = partial
+    """An integral (or limit) fails to converge."""
 
 
 class NonFiniteEvaluation(StorageLabError):

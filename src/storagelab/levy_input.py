@@ -8,7 +8,8 @@ draws of the restricted law (Pareto for the stable family, one rejection
 sampler, ``_tempered_draw``, for Gamma and tempered stable), and replacing
 the discarded small jumps by their mean drift int_0^eps u nu(du); the
 induced bias is controlled by the discarded second moment
-int_0^eps u^2 nu(du), which every family reports.
+int_0^eps u^2 nu(du), which every family reports.  Only ``simulator``'s
+engine draws A(t); ``ergodicity_lab.laplace_check`` checks its sums.
 
 ``scipy.special`` is imported inside the gamma, stable and tempered-stable
 closed forms that use it, so importing the package does not load scipy.
@@ -24,13 +25,11 @@ import numpy as np
 
 from .errors import Divergent
 from .numerics import integrate_semiinfinite
-from .rng import substream
 
 __all__ = [
     "Exponential", "ParetoJumps", "DeterministicJumps",
     "CompoundPoisson", "GammaSub", "StableSub", "TemperedStableSub",
     "TabulatedTail", "TailAsymptotics",
-    "laplace_check",
 ]
 
 
@@ -635,42 +634,3 @@ class TabulatedTail(LevyInput):
             log_u[~inside] = np.log(self.knots_u[-1] + over / par)
         return np.exp(log_u)
 
-
-def laplace_check(levy: LevyInput, t: float, lambdas, n_paths: int,
-                  seed: int, eps: float = 1e-4):
-    """Empirical vs analytic Laplace transform of A(t), with z-scores.
-
-    Vectorised across paths, all drawn from the key ``(seed, "laplace")``
-    (an SFC64 stream, see ``rng``); the whole batch is reproducible from
-    the seed.  The standard error is the closed one, from the variance
-    e^(t psi(2 lam)) - e^(2 t psi(lam)) of e^(-lam A(t)): a sample spread
-    misses the rare small A(t) that carry it on a concentrated input.
-    """
-    if t <= 0:
-        raise ValueError("t must be positive")
-    if n_paths < 100:
-        raise ValueError("need at least 100 paths")
-    lam_rate = levy.restricted_rate(eps)
-    gen = substream(seed, "laplace")
-    counts = gen.poisson(lam_rate * t, n_paths)
-    total = int(counts.sum())
-    sizes = levy.sample_sizes(gen, total, eps) if total else np.empty(0)
-    sums = np.bincount(np.repeat(np.arange(n_paths), counts), weights=sizes,
-                       minlength=n_paths)
-    drift = levy.compensator_drift(eps)
-    a = sums + drift * t
-    out = []
-    for lam in np.atleast_1d(lambdas):
-        lam = float(lam)
-        vals = np.exp(-lam * a)
-        emp = float(vals.mean())
-        psi, psi2 = levy.laplace_exponent(lam), levy.laplace_exponent(2.0 * lam)
-        analytic = math.exp(t * psi)
-        # the variance as e^(t psi2) (1 - e^(t (2 psi - psi2))): both
-        # exponents are <= 0, so it neither overflows nor cancels
-        var = math.exp(t * psi2) * -math.expm1(t * (2.0 * psi - psi2))
-        se = math.sqrt(max(var, 0.0) / n_paths)
-        z = 0.0 if se == 0 else (emp - analytic) / se
-        out.append({"lam": lam, "empirical": emp, "analytic": analytic,
-                    "se": se, "z": z})
-    return out

@@ -71,9 +71,6 @@ class QuadResult:
     error: float
     subdivisions: int
 
-    def __float__(self):
-        return self.value
-
 
 # 7-point Gauss / 15-point Kronrod nodes and weights on [-1, 1].
 _XK = np.array([
@@ -312,11 +309,10 @@ def _block_sum(f, edges, budget: list, scale: float, direction: str):
             return limit, total_err + spread / (1.0 - rbar) ** 2
         if (octaves >= _GROWTH_OCTAVES and mag > tol
                 and (rbar is None or rbar >= _RATIO_DIVERGENT)):
-            raise Divergent(f"non-decaying {direction} blocks", partial=total)
+            raise Divergent(f"non-decaying {direction} blocks")
     rbar = rbar or 1.0
     if rbar >= _RATIO_DIVERGENT and mag > tol:
-        raise Divergent(f"{direction} fails to converge within budget",
-                        partial=total)
+        raise Divergent(f"{direction} fails to converge within budget")
     return limits[2], total_err + spread / max(1.0 - rbar, 1e-6) ** 2
 
 

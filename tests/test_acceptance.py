@@ -27,6 +27,7 @@ from storagelab.classifier import classify, criterion_positive_recurrent
 from storagelab.ergodicity_lab import (
     estimate_tail,
     estimate_tv_decay,
+    laplace_check,
     w1_cdf_area,
     wasserstein_1d,
 )
@@ -36,7 +37,6 @@ from storagelab.levy_input import (
     GammaSub,
     ParetoJumps,
     StableSub,
-    laplace_check,
 )
 from storagelab.lyapunov import (
     GapBound,

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from storagelab import ergodicity_lab
+from storagelab.cli import main
 from storagelab.errors import MomentConditionFailed, NotStationaryRegime
 from storagelab.ergodicity_lab import (
     compare_rates,
@@ -34,6 +35,7 @@ from storagelab.levy_input import (
     GammaSub,
     ParetoJumps,
     StableSub,
+    TemperedStableSub,
 )
 from storagelab.lyapunov import (
     GapBound,
@@ -872,3 +874,43 @@ class TestTailScaleSelection:
         slope = np.polyfit(est.levels[keep], np.log(est.pi_bar_hat[keep]), 1)[0]
         ref = np.polyfit(est.levels, np.log1p(est.levels) - est.levels, 1)[0]
         assert abs(slope - ref) <= 0.15
+
+
+class TestLaplaceCheck:
+    """``laplace`` reads A(t) off the engine's own jumps."""
+
+    @pytest.mark.parametrize("levy, eps", [
+        (CompoundPoisson(3.0, Exponential(1.0)), 1e-4),
+        (GammaSub(1.0, 1.0), 1e-4),
+        (StableSub(0.9), 1e-2),
+        (TemperedStableSub(0.5), 1e-3),
+    ], ids=["cpp-exp", "gamma", "stable", "tempered-stable"])
+    def test_totals_are_the_event_ensembles_jumps(self, levy, eps,
+                                                  monkeypatch):
+        # 8 292 lanes are two chunks; small slabs give each chunk several
+        monkeypatch.setattr(simulator, "_SLAB", 1 << 14)
+        n, t = 8292, 1.0
+        assert simulator._CHUNK < n < 2 * simulator._CHUNK
+        lane, _, size, _ = flat_events(levy, Constant(1.0), 0.0, t, n, SEED,
+                                       eps)
+        want = np.bincount(lane, size, minlength=n)
+        want += levy.compensator_drift(eps) * t
+        got = ergodicity_lab._input_totals(levy, t, n, SEED, eps)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("preset, sets", [
+        ("shotnoise-gamma", []),
+        ("plateau-null", []),
+        ("gamma-linear", []),
+        ("gamma-linear",
+         ["--set", 'input={"family":"tempered_stable","alpha":0.5}']),
+    ], ids=["shotnoise-gamma", "plateau-null", "gamma-linear",
+            "tempered-stable"])
+    def test_command_z_bounded_over_seeds(self, preset, sets, tmp_path):
+        for seed in range(1, 11):
+            out = tmp_path / str(seed)
+            assert main(["laplace", f"preset:{preset}", *sets,
+                         "--set", f"seed={seed}", "--out", str(out)]) == 0
+            z = np.loadtxt(out / "laplace.csv", delimiter=",", skiprows=2,
+                           usecols=4)
+            assert np.abs(z).max() < 4.0, (seed, z)

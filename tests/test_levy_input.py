@@ -21,9 +21,9 @@ from storagelab.levy_input import (
     StableSub,
     TabulatedTail,
     TemperedStableSub,
-    laplace_check,
 )
 import storagelab
+from storagelab.ergodicity_lab import laplace_check
 from storagelab.numerics import integrate_semiinfinite, invert_monotone
 from storagelab.release_rate import Affine
 from storagelab.rng import substream
