@@ -344,7 +344,11 @@ def cmd_tail(scen: Scenario, out: Path, args) -> None:
                         scen.budgets["n_paths"], seed=scen.seed,
                         eps=scen.truncation_eps, certificate=cert)
     exact = stationary_tail(scen.levy, scen.release)
-    _write_curve(out / "tail.csv", "u", est.levels, est.pi_bar_hat, est.stderr,
+    # a level no chain or draw exceeds carries no estimate: empty, not 0 +- 0
+    seen = est.pi_bar_hat > 0.0
+    estimate, stderr = (np.where(seen, np.char.mod(_CONVERSIONS["f"], col), "")
+                        for col in (est.pi_bar_hat, est.stderr))
+    _write_curve(out / "tail.csv", "u", est.levels, estimate, stderr,
                  None if exact is None else exact(est.levels))
     print(f"{scen.name}: tail estimated at {est.levels.size} levels ({est.method})")
 

@@ -185,8 +185,8 @@ def _check_concave_nondecreasing(fn):
     tol = 1e-7
     t = np.linspace(1.0, 1e4, 400)
     vals = _elementwise(fn, t)
-    if (vals <= 0).any():
-        raise InvalidRateFunction("rate function must be positive")
+    if not (np.isfinite(vals) & (vals > 0)).all():
+        raise InvalidRateFunction("rate function must be positive and finite")
     if (np.diff(vals) < -tol * np.abs(vals[:-1])).any():
         raise InvalidRateFunction("rate function must be non-decreasing")
     if (np.diff(vals, 2) > tol * np.max(np.abs(vals))).any():
@@ -607,8 +607,9 @@ class CustomModulus:
 
     def __post_init__(self):
         vals = _elementwise(self.fn, np.linspace(0.0, 10.0, 200))
-        if vals[0] != 0.0 or (vals[1:] <= 0).any():
-            raise InvalidModulus("modulus must vanish exactly at 0 and be positive after")
+        if vals[0] != 0.0 or not (np.isfinite(vals) & (vals > 0))[1:].all():
+            raise InvalidModulus("modulus must vanish exactly at 0 and be positive "
+                                 "and finite after")
         if (np.diff(vals, 2) < -1e-9 * max(1.0, vals.max())).any():
             raise InvalidModulus("modulus must be convex")
 

@@ -16,21 +16,21 @@ QUADPACK's QAGI does), and the march stops once the extrapolation's error
 bound is below a quarter of ``_REL_TOL`` of the integral built so far plus
 what lies outside the march.
 
-Integrands are array-native: the rule evaluates all 15 nodes of a panel in
-one call, and both halves of a split panel (30 nodes) in one call, so an
-integrand maps an ndarray of nodes to an array of the same shape.  Along
-the dyadic march, the whole-block panels of a run of blocks (1, 2, 4, ...
-up to ``_PREFETCH``) share one call too, and one pass of the rule: each
-panel's Kronrod and Gauss sums are sums along its row of values, as for a
-lone panel or the halves of a split, so a panel's numbers do not depend on
-the call that held it.  A block whose whole-block panel meets the
-tolerance is taken as it is and never enters the adaptive refinement,
-which only the other blocks reach.  The march still takes the blocks one
-at a time and stops where it would without the shared call, so every
-adaptive tree is the same; the integrand may thus be evaluated on nodes
-past the stopping block, at most as many as the march used.  A shared call
-that raises, or a panel that is not finite, is replaced by one call per
-block, so an error surfaces only at a block the march reaches.
+Integrands are array-native: one pass of the rule (``_gk``) evaluates a
+set of panels from one call on all their nodes, so an integrand maps an
+ndarray of nodes to an array of the same shape.  The sets are a lone
+block's panel, the two halves of a split panel, and, along the dyadic
+march, the whole-block panels of a run of blocks (1, 2, 4, ... up to
+``_PREFETCH``).  Each panel's Kronrod and Gauss sums are sums along its row
+of values, so its numbers do not depend on the call that held it.  A block
+whose whole-block panel meets the tolerance is taken as it is and never
+enters the adaptive refinement, which only the other blocks reach.  The
+march still takes the blocks one at a time and stops where it would
+without the shared call, so every adaptive tree is the same; the integrand
+may thus be evaluated on nodes past the stopping block, at most as many as
+the march used.  A run whose shared call raises, a NaN or an infinite
+value included, falls back to one call per block as the march reaches
+each block, so an error surfaces only at a block the march reaches.
 """
 
 from __future__ import annotations
@@ -110,62 +110,40 @@ def _evaluate(f, x: np.ndarray) -> np.ndarray:
     raise ValueError(f"integrand returned shape {y.shape} for {x.shape} nodes")
 
 
-def _gk_sums(y: np.ndarray, half):
-    """Kronrod values and error estimates, as lists, of the panels whose 15
-    values are the rows of ``y``, with half-widths ``half``.  Each panel's
-    Kronrod and Gauss sums are sums along its row, so a panel gets the same
-    numbers alone, as half of a split or in a run of blocks."""
+def _gk(f, lo: np.ndarray, hi: np.ndarray):
+    """One Gauss-Kronrod pass over the panels [lo[i], hi[i]], 1-D arrays,
+    from one integrand call on all their nodes; returns (integrals, error
+    estimates) as lists.  Each panel's Kronrod and Gauss sums are sums along
+    its row of values, so a panel gets the same numbers alone, as half of a
+    split or in a run of blocks.  A NaN value raises NonFiniteEvaluation and
+    an infinite one Divergent, in the first panel whose integral is not
+    finite."""
+    half = 0.5 * (hi - lo)
+    x = (0.5 * (lo + hi))[:, None] + half[:, None] * _XK
+    y = _evaluate(f, x.ravel()).reshape(x.shape)
     with np.errstate(over="ignore", invalid="ignore"):
         ik, ig = ((y[:, None, :] * _W).sum(axis=2).T * half).tolist()
     err = []
-    for k, g in zip(ik, ig):
+    for i, (k, g) in enumerate(zip(ik, ig)):
+        # a NaN or an infinite value makes the sum non-finite; so may
+        # overflow of finite values, which passes both checks
+        if not math.isfinite(k):
+            if np.isnan(y[i]).any():
+                bad = x[i][np.isnan(y[i])][0]
+                raise NonFiniteEvaluation(f"integrand returned NaN at node {float(bad)!r}")
+            if np.isinf(y[i]).any():
+                raise Divergent("integrand is infinite at a quadrature node")
         diff = abs(k - g)
         err.append(diff if diff == 0.0 or diff > 1e200
                    else min(diff, (200.0 * diff) ** 1.5))
     return ik, err
 
 
-def _gk_rule(x: np.ndarray, y: np.ndarray, half):
-    """``_gk_sums`` of the panels whose 15 nodes and values are the rows of
-    ``x`` and ``y``; a NaN value raises NonFiniteEvaluation and an infinite
-    one Divergent, in the first panel whose value is not finite."""
-    y = y.reshape(-1, 15)
-    ik, err = _gk_sums(y, half)
-    for i, v in enumerate(ik):
-        # a NaN or an infinite value makes the sum non-finite; so may
-        # overflow of finite values, which passes both checks
-        if not math.isfinite(v):
-            if np.isnan(y[i]).any():
-                bad = x.reshape(-1, 15)[i][np.isnan(y[i])][0]
-                raise NonFiniteEvaluation(f"integrand returned NaN at node {float(bad)!r}")
-            if np.isinf(y[i]).any():
-                raise Divergent("integrand is infinite at a quadrature node")
-    return ik, err
-
-
-def _gk_panel(f, a: float, b: float):
-    """One Gauss-Kronrod pass, one integrand call; returns (integral,
-    error estimate)."""
-    x = 0.5 * (a + b) + 0.5 * (b - a) * _XK
-    (ik,), (err,) = _gk_rule(x, _evaluate(f, x), 0.5 * (b - a))
-    return ik, err
-
-
-def _gk_halves(f, a: float, m: float, b: float):
-    """Gauss-Kronrod passes over [a, m] and [m, b] from one integrand call
-    on their 30 nodes; returns ([left, right] integrals, [left, right]
-    error estimates)."""
-    half = np.array([0.5 * (m - a), 0.5 * (b - m)])
-    x = np.array([0.5 * (a + m), 0.5 * (m + b)])[:, None] + half[:, None] * _XK
-    return _gk_rule(x, _evaluate(f, x.ravel()), half)
-
-
-def _adaptive(f, a: float, b: float, budget: int, first=None):
+def _adaptive(f, a: float, b: float, budget: int, first):
     """Globally adaptive integration over a finite [a, b] free of endpoint
-    singularities.  Returns (value, error, panels_used).  ``first``, the
-    (value, error) of the panel over all of [a, b] if already computed,
-    saves its integrand call."""
-    val, err = first or _gk_panel(f, a, b)
+    singularities, from ``first``, the (value, error) of the panel over all
+    of [a, b].  Returns (value, error, panels_used)."""
+    val, err = first
     heap = [(-err, a, b, val, err)]
     total, total_err = val, err
     used = 1
@@ -175,7 +153,7 @@ def _adaptive(f, a: float, b: float, budget: int, first=None):
             heapq.heappush(heap, (neg_err, pa, pb, pval, perr))
             break
         m = 0.5 * (pa + pb)
-        (lv, rv), (le, re) = _gk_halves(f, pa, m, pb)
+        (lv, rv), (le, re) = _gk(f, np.array([pa, m]), np.array([m, pb]))
         total += (lv + rv) - pval
         total_err += (le + re) - perr
         heapq.heappush(heap, (-le, pa, m, lv, le))
@@ -192,23 +170,17 @@ _PREFETCH = 64            # most blocks whose first panels share one call
 
 
 def _first_panels(f, blocks: list):
-    """(a, b, value, error) for each (a, b) block, of its whole-block panel:
-    one integrand call and one ``_gk_sums`` for the run.  A block whose
-    panel is not finite, or each block of a run whose call raises, gets
-    value None and is evaluated on its own when reached, so an error
-    surfaces at the block that causes it (a lone block is always reached,
-    so its call raises at once)."""
-    lo, hi = np.array(blocks).T[:, :, None]
-    x = 0.5 * (lo + hi) + 0.5 * (hi - lo) * _XK
+    """(value, error) of each (a, b) block's whole-block panel, from one
+    ``_gk`` pass for the run.  Each block of a run whose call raises gets
+    None and is evaluated on its own when reached, so an error surfaces at
+    the block that causes it (a lone block is always reached, so its call
+    raises at once)."""
     try:
-        y = _evaluate(f, x.ravel()).reshape(x.shape)
+        return list(zip(*_gk(f, *np.array(blocks).T)))
     except Exception:
         if len(blocks) == 1:
             raise
-        return [(a, b, None, None) for a, b in blocks]
-    val, err = _gk_sums(y, 0.5 * (hi - lo)[:, 0])
-    return [(a, b, v if math.isfinite(v) else None, e)
-            for (a, b), v, e in zip(blocks, val, err)]
+        return [None] * len(blocks)
 
 
 def _wynn_step(diag: list, s: float) -> list:
@@ -267,12 +239,14 @@ def _block_sum(f, edges, budget: list, scale: float, direction: str):
             blocks = list(itertools.islice(edges, room))
             if not blocks:
                 break
-            run = _first_panels(f, blocks)[::-1]
+            run = list(zip(blocks, _first_panels(f, blocks)))[::-1]
             size = min(2 * size, _PREFETCH)
-        a, b, v, e = run.pop()
-        if v is None or (e > _ABS_TOL and e > _REL_TOL * abs(v)):
-            v, e, used = _adaptive(f, a, b, min(64, budget[0]),
-                                   None if v is None else (v, e))
+        (a, b), first = run.pop()
+        if first is None:  # its run's shared call raised
+            first = _first_panels(f, [(a, b)])[0]
+        v, e = first
+        if e > _ABS_TOL and e > _REL_TOL * abs(v):
+            v, e, used = _adaptive(f, a, b, min(64, budget[0]), first)
             budget[0] -= used
         else:
             budget[0] -= 1

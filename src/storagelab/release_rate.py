@@ -316,17 +316,25 @@ class Plateau(ReleaseRate):
 class Custom(ReleaseRate):
     """User callable with a declared asymptotic class.  Its flows, drain
     time and certificates read the drain clock, which evaluates ``fn`` on
-    all of (0, 1e30], and past it at an end that is no pure power: it must
-    be finite there."""
+    all of (0, 1e30], and past it at an end that is no pure power.  There
+    ``fn`` may overflow: an OverflowError or a value of +inf reads as r =
+    +inf, an end the clock's tables cut.  A NaN or -inf value raises
+    NonFiniteEvaluation."""
 
     fn: object
     declared: RateAsymptotics
 
     def rate(self, u):
-        vals = _elementwise(self.fn, u)
-        if not np.isfinite(vals).all():
-            raise NonFiniteEvaluation("custom release rate returned a non-finite value")
+        vals = _elementwise(self._value, u)
+        if not np.greater(vals, -math.inf).all():
+            raise NonFiniteEvaluation("custom release rate returned NaN or -inf")
         return _on_positive(u, vals)
+
+    def _value(self, u):
+        try:
+            return self.fn(u)
+        except OverflowError:
+            return math.inf
 
     def asymptotics(self):
         return self.declared
@@ -355,8 +363,9 @@ def modulus_R(release: ReleaseRate, u: float) -> float:
     if exact is not None:
         return float(exact(u))
     v = np.concatenate([[0.0], np.geomspace(1e-6, 1e6, 121)])
-    diffs = release.rate(v) - release.rate(v + u)
-    return float(np.max(diffs))
+    with np.errstate(invalid="ignore"):  # inf - inf where a Custom rate overflows
+        diffs = release.rate(v) - release.rate(v + u)
+    return float(np.nanmax(diffs))
 
 
 @dataclass(frozen=True)

@@ -668,6 +668,19 @@ class TestCli:
         fixed = reference("fixed", 'input.jump={"law":"fixed","size":1.0}')
         assert fixed == [""] * len(u)
 
+    def test_tail_level_never_exceeded_is_empty(self, tmp_path):
+        # gamma-linear's draws stay below u = 8: those levels carry no
+        # estimate, so estimate and stderr are empty, not 0 with stderr 0
+        assert main(["tail", "preset:gamma-linear", "--out", str(tmp_path)]) == 0
+        rows = [row.split(",") for row in
+                (tmp_path / "tail.csv").read_text().splitlines()[2:]]
+        assert [float(u) for u, *_ in rows] == load_preset("gamma-linear").grids["u_grid"]
+        for u, estimate, stderr, _ in rows:
+            if float(u) >= 8.0:
+                assert (estimate, stderr) == ("", "")
+            else:
+                assert float(estimate) > 0.0 and float(stderr) > 0.0
+
     def test_wp_reference_needs_the_contraction(self, tmp_path, capsys):
         # a constant drain fails r(u) - r(v) <= -Gamma (v - u): wp.csv gets
         # no reference column, while shotnoise-gamma's affine drain keeps it

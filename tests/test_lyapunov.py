@@ -148,6 +148,9 @@ class TestRateFunction:
             RateFunction.power(1.5)
         with pytest.raises(InvalidRateFunction):
             RateFunction.custom(lambda t: t * t)  # convex, not concave
+        for bad in (math.nan, math.inf):  # not finite on the check grid
+            with pytest.raises(InvalidRateFunction):
+                RateFunction.custom(lambda t, bad=bad: bad if t > 5.0 else t)
 
     def test_log_rate_at_clock(self):
         lin = RateFunction.linear(0.5)
@@ -735,6 +738,9 @@ class TestWasserstein:
             PowerModulus(0.5)
         with pytest.raises(InvalidModulus):
             CustomModulus(lambda t: math.sqrt(t))  # concave
+        for bad in (math.nan, math.inf):  # not finite on the check grid
+            with pytest.raises(InvalidModulus):
+                CustomModulus(lambda t, bad=bad: bad if t > 5.0 else t * t)
         CustomModulus(lambda t: t * t)  # fine
 
     def test_rate_exponential(self):

@@ -69,13 +69,12 @@ class TestIntegrateSemiinfinite:
             integrate_semiinfinite(lambda v: math.nan)
 
     def test_nan_message_names_the_node_as_a_float(self):
-        # the first NaN node, written as a Python float and not as the
-        # numpy repr np.float64(...)
-        x = np.arange(15) / 16.0
-        y = np.where(x > 0.5, math.nan, 1.0)
+        # the first NaN node of the panel [0, 1], 0.5 + 0.5 * 0.2077...,
+        # written as a Python float and not as the numpy repr np.float64(...)
+        f = lambda v: np.where(v > 0.5, math.nan, 1.0)
         with pytest.raises(NonFiniteEvaluation) as exc:
-            numerics._gk_rule(x, y, 0.5)
-        assert str(exc.value) == "integrand returned NaN at node 0.5625"
+            numerics._gk(f, np.array([0.0]), np.array([1.0]))
+        assert str(exc.value) == "integrand returned NaN at node 0.603892477503949"
 
     def test_shifted_lower(self):
         res = integrate_semiinfinite(lambda v: np.exp(-v), lower=2.0)
@@ -126,15 +125,18 @@ class TestClosedForms:
             single.value, single.error, single.subdivisions)
 
     def test_one_rule_for_runs_halves_and_lone_panels(self):
-        # a panel's sums are row sums, the same whichever call holds it
+        # a panel's sums are row sums, the same whichever call holds it:
+        # alone, as a half of a split (two adjacent panels) or in a run of 40
         rng = np.random.default_rng(3)
-        y = rng.standard_normal((40, 15)) * rng.lognormal(0.0, 3.0, (40, 1))
-        half = rng.uniform(0.1, 3.0, 40)
-        run = numerics._gk_sums(y, half)
+        edges = np.cumsum(rng.uniform(0.1, 3.0, 41))
+        lo, hi = edges[:-1], edges[1:]
+        f = lambda v: np.cos(7.0 * v) * np.exp(3.0 * np.sin(v)) * 10.0 ** (v % 6.0)
+        run = numerics._gk(f, lo, hi)
         for i in range(39):
-            assert numerics._gk_sums(y[i:i + 1], half[i]) == ([run[0][i]], [run[1][i]])
-            pair = numerics._gk_sums(y[i:i + 2], half[i:i + 2])
-            assert pair == (run[0][i:i + 2], run[1][i:i + 2])
+            lone = numerics._gk(f, np.array([lo[i]]), np.array([hi[i]]))
+            assert lone == ([run[0][i]], [run[1][i]])
+            split = numerics._gk(f, np.array([lo[i], hi[i]]), np.array([hi[i], hi[i + 1]]))
+            assert split == (run[0][i:i + 2], run[1][i:i + 2])
 
 
 class TestExtrapolatedStop:
@@ -202,7 +204,7 @@ class TestBlockRuns:
         calls = []
         adaptive = numerics._adaptive
 
-        def spy(f, a, b, budget, first=None):
+        def spy(f, a, b, budget, first):
             calls.append(first)
             return adaptive(f, a, b, budget, first)
 
@@ -236,6 +238,25 @@ class TestBlockRuns:
 
         assert integrate_semiinfinite(strict) == ref
         assert failed
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_non_finite_past_the_stop(self, monkeypatch, bad):
+        # a value past the stopping block that is not finite raises in the
+        # shared call, whose run then takes one call per block: the answer
+        # is the one-block-per-call march's, which never meets that value
+        f = lambda v: v ** -0.5 / (1.0 + v) ** 2
+        with monkeypatch.context() as mp:
+            mp.setattr(numerics, "_PREFETCH", 1)
+            g, seen = _recorded(f)
+            ref = integrate_semiinfinite(g)
+        lo = min(v.min() for v in seen)
+        hi = max(v.max() for v in seen)
+        g, seen = _recorded(lambda v: np.where((v < lo) | (v > hi), bad, f(v)))
+        got, single = _quad_both_ways(g)
+        assert any((v < lo).any() or (v > hi).any() for v in seen)
+        for res in (got, single):
+            assert (res.value, res.error, res.subdivisions) == (
+                ref.value, ref.error, ref.subdivisions)
 
     def test_error_inside_the_march_surfaces(self, monkeypatch):
         def f(v):

@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from storagelab.classifier import classify
-from storagelab.errors import Divergent
+from storagelab.errors import Divergent, NonFiniteEvaluation
 from storagelab.levy_input import CompoundPoisson, Exponential
 from storagelab.numerics import integrate_semiinfinite
 from storagelab.release_rate import (
@@ -363,6 +363,24 @@ class TestDrainClock:
         xs = np.array([0.05, 1.5])
         ref = [_dop853_flow(rel, x, 0.5, 1.2) for x in xs]
         assert rel.flow(xs, 0.5, 1.2) == pytest.approx(ref, rel=1e-10, abs=1e-10)
+
+    def test_overflowing_custom_rate_is_infinite(self):
+        # math.exp overflows past u = 709.8; its OverflowError reads as r =
+        # inf, an end the clock's tables cut.  References: DOP853 at rtol
+        # 1e-13 for the flow, int_1^inf du / (e^u - 1) = -log(1 - 1/e)
+        rel = Custom(lambda u: math.exp(u) - 1.0, RateAsymptotics("power", 1.0, 1.0))
+        assert rel.rate(1e3) == math.inf
+        assert rel.flow(2.0, 1.0, 0.5) == pytest.approx(0.6012781693542033, abs=1e-12)
+        assert rel.drain_time(1.0, math.inf) == pytest.approx(
+            -math.log1p(-math.exp(-1.0)), rel=1e-13)
+        assert modulus_R(rel, 1.0) == pytest.approx(1.0 - math.e)
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf], ids=["nan", "-inf"])
+    def test_custom_rate_nan_or_negative_infinite_refused(self, bad):
+        # the clock tabulates r above 2 too, where it is not a rate
+        rel = Custom(lambda u: bad if u > 2.0 else u, RateAsymptotics("power", 1.0, 1.0))
+        with pytest.raises(NonFiniteEvaluation):
+            rel.flow(1.0, 1.0)
 
     def test_table_is_built_once_per_drift(self):
         calls = []
