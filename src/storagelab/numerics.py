@@ -631,8 +631,8 @@ class FitResult:
             raise ValueError("a fit needs at least two points")
 
 
-def fit_loglog(xs, ys, weights=None) -> FitResult:
-    """Weighted least squares on (ln x, ln y); the slope is the exponent."""
+def fit_loglog(xs, ys) -> FitResult:
+    """Least squares on (ln x, ln y); the slope is the exponent."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.shape != ys.shape or xs.ndim != 1:
@@ -642,24 +642,17 @@ def fit_loglog(xs, ys, weights=None) -> FitResult:
     if (xs <= 0).any() or (ys <= 0).any():
         raise DegenerateInput("log-log fit needs strictly positive data")
     lx, ly = np.log(xs), np.log(ys)
-    if weights is None:
-        w = np.ones_like(lx)
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != lx.shape or (w <= 0).any():
-            raise DegenerateInput("weights must be positive, one per point")
-    sw = w.sum()
-    mx = (w * lx).sum() / sw
-    my = (w * ly).sum() / sw
-    sxx = (w * (lx - mx) ** 2).sum()
+    mx = lx.sum() / lx.size
+    my = ly.sum() / ly.size
+    sxx = ((lx - mx) ** 2).sum()
     if sxx <= 0:
-        raise DegenerateInput("x values are not distinct after weighting")
-    sxy = (w * (lx - mx) * (ly - my)).sum()
+        raise DegenerateInput("x values are not distinct")
+    sxy = ((lx - mx) * (ly - my)).sum()
     slope = sxy / sxx
     intercept = my - slope * mx
     resid = ly - (intercept + slope * lx)
-    rss = float((w * resid ** 2).sum())
-    tss = float((w * (ly - my) ** 2).sum())
+    rss = float((resid ** 2).sum())
+    tss = float(((ly - my) ** 2).sum())
     n = xs.size
     if n > 2:
         sigma2 = rss / (n - 2)

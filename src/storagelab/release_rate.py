@@ -355,8 +355,11 @@ def signed_drain_time(release: ReleaseRate, u):
 
 def modulus_R(release: ReleaseRate, u: float) -> float:
     """sup_{v >= 0} (r(v) - r(v+u)); exact for presets, for Custom a lower
-    bound from v = 0 and 121 levels v in [1e-6, 1e6].  May be negative,
-    and is 0 for any non-decreasing rate."""
+    bound from v = 0 and 121 levels v in [1e-6, 1e6].  It is 0 where the
+    rate's increments vanish at infinity (Constant, Plateau, a sublinear
+    power), negative for growth at least linear (-b u for Affine, -k u^beta
+    for Power with beta >= 1 and PowerSmoothed with beta > 1), and +inf for
+    Power with beta < 0, which blows up at 0+."""
     if u <= 0:
         raise ValueError("gap must be positive")
     exact = getattr(release, "modulus_decrease", None)

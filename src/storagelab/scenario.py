@@ -5,16 +5,18 @@ rate, an optional rate function and contraction modulus, grids, budgets and
 tolerances, and the master seed.  Unknown keys are rejected at every level
 so that typos fail loudly, and a parsed scenario re-serialises to exactly
 the canonical form it was built from.  A jump law, a gamma, stable or
-tempered-stable input, a release and the modulus take their model class's
-init fields as keys, with the class's defaults: ``{"family": "gamma",
-"shape": 1.0, "rate": 2.0}`` is ``GammaSub(shape=1.0, rate=2.0)``.
+tempered-stable input, a release, phi and the modulus take the parameters
+of the constructor their family names as keys, with its defaults:
+``{"family": "linear", "c": 0.5}`` is ``RateFunction.linear(0.5)``.  Every
+other key is declared once, with its type, default and bound (see _take).
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 
 from .classifier import DEFAULT_DECISION_MARGIN, DEFAULT_PROBE_GRID
 from .errors import StorageLabError
@@ -33,22 +35,29 @@ from .release_rate import Affine, Constant, Plateau, Power, PowerSmoothed
 
 SCHEMA_VERSION = 1
 
-# the families whose keys are their model class's init fields (see _spec)
+# the families whose keys are their constructor's parameters (see _spec)
 JUMP_LAWS = {"exp": Exponential, "pareto": ParetoJumps, "fixed": DeterministicJumps}
 INPUT_FAMILIES = {"gamma": GammaSub, "stable": StableSub,
                   "tempered_stable": TemperedStableSub}
 RELEASE_FAMILIES = {"constant": Constant, "affine": Affine, "power": Power,
                     "power_smoothed": PowerSmoothed, "plateau": Plateau}
+PHI_FAMILIES = {"constant1": RateFunction.constant1, "linear": RateFunction.linear,
+                "power": RateFunction.power}
+MODULI = {"power": PowerModulus}
 
-_TRUNCATION = {"truncation_eps": (float, 1e-4)}
+_TRUNCATION = {"truncation_eps": (float, 1e-4, 0.0)}
 _GRIDS = {
     "probe_u": (list, list(DEFAULT_PROBE_GRID)),
     "t_grid": (list, [float(x) for x in (2, 3, 5, 8, 12, 18, 27, 40, 60, 90)]),
     "u_grid": (list, [0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0]),
 }
-_BUDGETS = {"n_paths": (int, 4000), "horizon": (float, 60.0)}
+_BUDGETS = {"n_paths": (int, 4000, 1), "horizon": (float, 60.0, 0.0)}
 _TOLERANCES = {"decision_margin": (float, DEFAULT_DECISION_MARGIN),
-               "epsilon": (float, 0.1)}
+               "epsilon": (float, 0.1, 0.0)}
+_CONTRACTION = {"Gamma": (float, 1.0, 0.0), "kappa": (float, 1.0, 0.0)}
+# each type's accepted Python types (a bool is never a number) and its name
+_TYPES = {float: ((int, float), "a number"), int: (int, "an integer"),
+          str: (str, "a string"), list: (list, "a list"), dict: (dict, "an object")}
 
 
 class ScenarioError(ValueError):
@@ -56,45 +65,37 @@ class ScenarioError(ValueError):
 
 
 def _take(d: dict, context: str, required: dict, optional: dict | None = None):
-    """Pull typed fields out of a dict, rejecting anything unexpected."""
+    """Pull typed fields out of a dict, rejecting anything unexpected.  An
+    optional key's spec is (type, default) or (type, default, low): a float
+    must be above low (0 wherever one is set), an integer at least low."""
     optional = optional or {}
     out = {}
     for key, typ in required.items():
         if key not in d:
             raise ScenarioError(f"{context}: missing key {key!r}")
         out[key] = _coerce(d[key], typ, f"{context}.{key}")
-    for key, (typ, default) in optional.items():
-        out[key] = _coerce(d[key], typ, f"{context}.{key}") if key in d else default
+    for key, (typ, default, *low) in optional.items():
+        out[key] = (_coerce(d[key], typ, f"{context}.{key}", *low) if key in d
+                    else default)
     unknown = set(d) - set(required) - set(optional)
     if unknown:
         raise ScenarioError(f"{context}: unknown keys {sorted(unknown)}")
     return out
 
 
-def _coerce(value, typ, context):
+def _coerce(value, typ, context, low=None):
+    accepted, name = _TYPES[typ]
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ScenarioError(f"{context}: expected {name}")
     if typ is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ScenarioError(f"{context}: expected a number")
         if not _finite_number(value):
             raise ScenarioError(f"{context}: expected a finite number")
-        return float(value)
-    if typ is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ScenarioError(f"{context}: expected an integer")
-        return value
-    if typ is str:
-        if not isinstance(value, str):
-            raise ScenarioError(f"{context}: expected a string")
-        return value
-    if typ is list:
-        if not isinstance(value, list):
-            raise ScenarioError(f"{context}: expected a list")
-        return value
-    if typ is dict:
-        if not isinstance(value, dict):
-            raise ScenarioError(f"{context}: expected an object")
-        return value
-    raise AssertionError(typ)
+        value = float(value)
+        if low is not None and value <= low:
+            raise ScenarioError(f"{context}: expected a finite positive number")
+    elif low is not None and value < low:
+        raise ScenarioError(f"{context}: expected an integer >= {low}")
+    return value
 
 
 def _finite_number(x) -> bool:
@@ -129,27 +130,32 @@ def _check_grids(grids: dict) -> None:
         raise ScenarioError("grids.probe_u: needs at least 3 points")
 
 
-def _spec(cls) -> tuple[dict, dict]:
-    """_take's required and optional specs of ``cls``'s init fields, which
-    are numbers: required where ``cls`` has no default, else optional with
-    the class's default."""
-    init = [f for f in fields(cls) if f.init]
+def _spec(build) -> tuple[dict, dict]:
+    """_take's required and optional specs of the parameters of ``build``,
+    which are numbers: required where ``build`` has no default, else
+    optional with its default.  A model class's are its init fields, read
+    uncached: other forms moved mc-ensemble's peak RSS (see CHANGES.md)."""
+    if not is_dataclass(build):  # a factory such as RateFunction.linear
+        params = inspect.signature(build).parameters.values()
+        return ({p.name: float for p in params if p.default is p.empty},
+                {p.name: (float, p.default) for p in params if p.default is not p.empty})
+    init = [f for f in fields(build) if f.init]
     return ({f.name: float for f in init if f.default is MISSING},
             {f.name: (float, f.default) for f in init if f.default is not MISSING})
 
 
 def _build_family(d: dict, context: str, table: dict, key: str = "family",
                   extra: dict | None = None):
-    """The model of the class ``d[key]`` names in ``table``, and _take's dict
-    of ``d``: the class's fields (see _spec), plus the block's own optional
-    ``extra`` keys."""
+    """The model that the constructor ``d[key]`` names in ``table`` builds,
+    and _take's dict of ``d``: the constructor's parameters (see _spec),
+    plus the block's own optional ``extra`` keys."""
     name = d.get(key)
-    cls = table.get(name) if isinstance(name, str) else None
-    if cls is None:
+    build = table.get(name) if isinstance(name, str) else None
+    if build is None:
         raise ScenarioError(f"{context}: unknown {key} {name!r}")
-    required, optional = _spec(cls)
+    required, optional = _spec(build)
     f = _take(d, context, {key: str, **required}, {**optional, **(extra or {})})
-    return cls(**{k: f[k] for k in required | optional}), f
+    return build(**{k: f[k] for k in required | optional}), f
 
 
 def build_input(d: dict):
@@ -178,34 +184,14 @@ def build_release(d: dict):
 
 
 def build_phi(d: dict | None):
-    if d is None:
-        return None
-    family = d.get("family")
-    if family == "constant1":
-        _take(d, "phi", {"family": str})
-        return RateFunction.constant1()
-    if family == "linear":
-        return RateFunction.linear(_take(d, "phi", {"family": str, "c": float})["c"])
-    if family == "power":
-        return RateFunction.power(_take(d, "phi", {"family": str, "a": float})["a"])
-    raise ScenarioError(f"phi: unknown family {family!r}")
+    return None if d is None else _build_family(d, "phi", PHI_FAMILIES)[0]
 
 
 def build_modulus(d: dict | None):
     if d is None:
         return None, None, None
-    # one family, checked after the block's keys
-    required, optional = _spec(PowerModulus)
-    f = _take(d, "beta_modulus", {"family": str, **required},
-              {**optional, "Gamma": (float, 1.0), "kappa": (float, 1.0)})
-    if f["family"] != "power":
-        raise ScenarioError(f"beta_modulus: unknown family {f['family']!r}")
-    for key in ("Gamma", "kappa"):
-        if f[key] <= 0:
-            raise ScenarioError(
-                f"beta_modulus.{key}: expected a finite positive number")
-    return (PowerModulus(**{k: f[k] for k in required | optional}),
-            f["Gamma"], f["kappa"])
+    modulus, f = _build_family(d, "beta_modulus", MODULI, extra=_CONTRACTION)
+    return modulus, f["Gamma"], f["kappa"]
 
 
 def _build(block: str, build, d):
@@ -240,7 +226,7 @@ class Scenario:
         top = _take(d, "scenario", {
             "scenario_schema": int, "name": str, "input": dict, "release": dict,
         }, {
-            "seed": (int, 0),
+            "seed": (int, 0, 0),
             "phi": (dict, None),
             "beta_modulus": (dict, None),
             "grids": (dict, {}),
@@ -250,12 +236,7 @@ class Scenario:
         if top["scenario_schema"] != SCHEMA_VERSION:
             raise ScenarioError(
                 f"scenario_schema {top['scenario_schema']} != {SCHEMA_VERSION}")
-        if top["seed"] < 0:
-            raise ScenarioError("seed: expected a non-negative integer")
         levy, eps = _build("input", build_input, top["input"])
-        if eps <= 0:
-            raise ScenarioError(
-                "input.truncation_eps: expected a finite positive number")
         release = _build("release", build_release, top["release"])
         phi = _build("phi", build_phi, top["phi"])
         modulus, gamma, kappa = _build("beta_modulus", build_modulus,
@@ -263,14 +244,7 @@ class Scenario:
         grids = _take(top["grids"], "grids", {}, _GRIDS)
         _check_grids(grids)
         budgets = _take(top["budgets"], "budgets", {}, _BUDGETS)
-        if budgets["n_paths"] < 1:
-            raise ScenarioError("budgets.n_paths: needs at least one path")
-        if budgets["horizon"] <= 0:
-            raise ScenarioError("budgets.horizon: expected a finite positive time")
         tolerances = _take(top["tolerances"], "tolerances", {}, _TOLERANCES)
-        if tolerances["epsilon"] <= 0:
-            raise ScenarioError(
-                "tolerances.epsilon: expected a finite positive number")
         return cls(top["name"], top["seed"], d, levy, release, phi, modulus,
                    gamma, kappa, eps, grids, budgets, tolerances)
 

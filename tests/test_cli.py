@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import signal
 import tracemalloc
 import warnings
@@ -90,6 +91,41 @@ class TestScenario:
         bad["input"]["jump"]["mu"] = value
         with pytest.raises(ScenarioError, match="input.jump.mu: expected a finite"):
             Scenario.from_dict(bad)
+
+    @pytest.mark.parametrize("block, key, low, refused, message", [
+        (None, "seed", 0, -1, "scenario.seed: expected an integer >= 0"),
+        ("input", "truncation_eps", 1e-300, 0.0,
+         "input.truncation_eps: expected a finite positive number"),
+        ("budgets", "n_paths", 1, 0, "budgets.n_paths: expected an integer >= 1"),
+        ("budgets", "horizon", 1e-300, 0.0,
+         "budgets.horizon: expected a finite positive number"),
+        ("tolerances", "epsilon", 1e-300, 0.0,
+         "tolerances.epsilon: expected a finite positive number"),
+        ("beta_modulus", "Gamma", 1e-300, 0.0,
+         "beta_modulus.Gamma: expected a finite positive number"),
+        ("beta_modulus", "kappa", 1e-300, 0.0,
+         "beta_modulus.kappa: expected a finite positive number"),
+    ], ids=["seed", "truncation_eps", "n_paths", "horizon", "epsilon", "Gamma",
+            "kappa"])
+    def test_bounded_key_refused_at_its_bound(self, block, key, low, refused,
+                                              message):
+        def with_value(value):
+            d = json.loads(json.dumps(MINIMAL))
+            d["beta_modulus"] = {"family": "power", "d": 1.0}
+            (d if block is None else d.setdefault(block, {}))[key] = value
+            return d
+        Scenario.from_dict(with_value(low))
+        with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+            Scenario.from_dict(with_value(refused))
+
+    @pytest.mark.parametrize("block, message", [
+        ({"family": "x"}, "'x'"), ({"family": "x", "d": "a"}, "'x'"),
+        ({"d": 1.0}, "None"), ({"family": 3, "d": 1.0}, "3"),
+    ], ids=["unknown", "unknown-bad-key", "missing", "not-a-string"])
+    def test_modulus_names_its_family_first(self, block, message):
+        with pytest.raises(ScenarioError, match=re.escape(
+                f"beta_modulus: unknown family {message}") + "$"):
+            Scenario.from_dict(dict(MINIMAL, beta_modulus=block))
 
     def test_defaults_filled(self):
         scen = Scenario.from_dict(MINIMAL)

@@ -378,12 +378,6 @@ class TestFitLoglog:
         with pytest.raises(DegenerateInput):
             fit_loglog([1.0, 2.0], [1.0, -2.0])
 
-    def test_weighted(self):
-        xs = np.array([1.0, 2.0, 4.0, 8.0])
-        ys = xs ** 1.5
-        fit = fit_loglog(xs, ys, weights=[1.0, 2.0, 3.0, 4.0])
-        assert fit.exponent == pytest.approx(1.5, abs=1e-12)
-
     @given(st.floats(-3.0, 3.0), st.floats(0.1, 10.0))
     @settings(max_examples=40, deadline=None)
     def test_planted_exponent(self, slope, coef):

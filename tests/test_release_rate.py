@@ -200,6 +200,9 @@ class TestModulusR:
     def test_superlinear(self):
         assert modulus_R(Power(1.0, 2.0), 2.0) == pytest.approx(-4.0)
 
+    def test_blowing_up_at_zero_is_infinite(self):
+        assert modulus_R(Power(1.0, -0.5), 1.0) == math.inf
+
     def test_custom_grid_bounded_by_range(self):
         # decreasing rate: sup difference is below r(0+) - inf r
         r = Custom(lambda u: 1.0 + 1.0 / (1.0 + u),

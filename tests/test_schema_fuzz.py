@@ -1,23 +1,23 @@
 """The whole scenario schema against the CLI's contract, by Hypothesis.
 
 The scenario strategy is built from the family tables of ``scenario`` and
-the model classes' init fields, so a family or a field added there is drawn
-here without an edit.  Numbers include edge values and non-finite ones, and
-a block may lose a key, gain an unknown one or carry a list- or dict-valued
-family name.  Every command runs in-process on a scenario file; the
-path-drawing commands at small budgets.  Examples are derandomized and
-their number fixed, so the suite is deterministic.
+their constructors' parameters, so a family or a parameter added there is
+drawn here without an edit.  Numbers include edge values and non-finite
+ones, and a block may lose a key, gain an unknown one or carry a list- or
+dict-valued family name.  Every command runs in-process on a scenario
+file; the path-drawing commands at small budgets.  Examples are
+derandomized and their number fixed, so the suite is deterministic.
 """
 
 import contextlib
 import copy
+import inspect
 import io
 import json
 import math
 import sys
 import tempfile
 import warnings
-from dataclasses import MISSING, fields
 from pathlib import Path
 
 import pytest
@@ -26,14 +26,16 @@ from hypothesis import strategies as st
 
 from storagelab.cli import main
 from storagelab.errors import StorageLabError
-from storagelab.lyapunov import PowerModulus
 from storagelab.presets import load_preset
 from storagelab.scenario import (
     INPUT_FAMILIES,
     JUMP_LAWS,
+    MODULI,
+    PHI_FAMILIES,
     RELEASE_FAMILIES,
     Scenario,
     ScenarioError,
+    _spec,
 )
 
 EDGES = [0.0, -1.0, 1e-300, 1e300, 10**400, math.nan, math.inf, -math.inf,
@@ -46,15 +48,13 @@ truncation = st.sampled_from([1e-6, 1e-4, 1e-3])
 
 
 def _family(table, key="family", extra=None):
-    """A block of one of ``table``'s families: the required init fields of
-    its class and a subset of its optional ones, plus ``extra`` keys."""
+    """A block of one of ``table``'s families: the required parameters of
+    its constructor and a subset of its optional ones, plus ``extra`` keys."""
     def block(name):
-        init = [f for f in fields(table[name]) if f.init]
+        required, optional = _spec(table[name])
         return st.fixed_dictionaries(
-            {key: st.just(name)}
-            | {f.name: numbers for f in init if f.default is MISSING},
-            optional={f.name: numbers for f in init if f.default is not MISSING}
-            | (extra or {}))
+            {key: st.just(name)} | {k: numbers for k in required},
+            optional={k: numbers for k in optional} | (extra or {}))
     return st.sampled_from(sorted(table)).flatmap(block)
 
 
@@ -81,11 +81,7 @@ INPUTS = st.one_of(
             "knots_tail": knots[len(knots) // 2:], "extension": extension},
         _KNOTS, st.tuples(st.sampled_from(["power", "exp"]), numbers).map(list)),
 )
-PHIS = st.one_of(
-    st.just({"family": "constant1"}),
-    st.fixed_dictionaries({"family": st.just("linear"), "c": numbers}),
-    st.fixed_dictionaries({"family": st.just("power"), "a": numbers}),
-)
+PHIS = _family(PHI_FAMILIES)
 GRIDS = st.fixed_dictionaries({}, optional={
     "probe_u": _grid(0.1, min_size=3), "t_grid": _grid(0.0, unique=False),
     "u_grid": _grid(0.1)})
@@ -126,7 +122,7 @@ def scenarios(budgets):
          "input": INPUTS, "release": _family(RELEASE_FAMILIES),
          "phi": st.one_of(PHIS, PHIS, PHIS, st.none()), "budgets": budgets},
         optional={"seed": st.sampled_from([0, 7]),
-                  "beta_modulus": _family({"power": PowerModulus}, extra={
+                  "beta_modulus": _family(MODULI, extra={
                       "Gamma": numbers, "kappa": numbers}),
                   "grids": GRIDS,
                   "tolerances": st.fixed_dictionaries({}, optional={
@@ -187,32 +183,34 @@ COMPARE_FAIL = _preset("sharp-constant", tolerances={"epsilon": 0.001})
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(st.sampled_from([
     ("input", INPUT_FAMILIES, "family"), ("input.jump", JUMP_LAWS, "law"),
-    ("release", RELEASE_FAMILIES, "family"),
-    ("beta_modulus", {"power": PowerModulus}, "family"),
+    ("release", RELEASE_FAMILIES, "family"), ("phi", PHI_FAMILIES, "family"),
+    ("beta_modulus", MODULI, "family"),
 ]).flatmap(lambda t: st.tuples(st.just(t), _family(t[1], t[2]))))
 def test_a_block_builds_the_model_its_keys_name(case):
-    # the block builds exactly when its class takes its values as keywords
+    # the block builds exactly when its constructor takes its values as
+    # keywords
     (where, table, key), block = case
     raw = _preset("constant-mm1")
     if where == "input.jump":
         raw["input"]["jump"] = block
     else:
         raw[where] = block
-    cls = table[block[key]]
+    build = table[block[key]]
     try:
-        expected = cls(**{k: v for k, v in block.items() if k != key})
+        expected = build(**{k: v for k, v in block.items() if k != key})
     except (ValueError, StorageLabError):
         with pytest.raises(ScenarioError, match=f"^{where.split('.')[0]}: "):
             Scenario.from_dict(raw)
         return
     scen = Scenario.from_dict(raw)
     model = (scen.levy.jump if where == "input.jump" else
-             {"input": scen.levy, "release": scen.release,
+             {"input": scen.levy, "release": scen.release, "phi": scen.phi,
               "beta_modulus": scen.modulus}[where])
     assert model == expected
-    for f in fields(model):
-        if f.init:  # the keys given, the class's defaults for the others
-            assert getattr(model, f.name) == block.get(f.name, f.default), f.name
+    # the keys given, the constructor's defaults for the others: not every
+    # field is a key (linear sets a = 1)
+    for p in inspect.signature(build).parameters.values():
+        assert getattr(model, p.name) == block.get(p.name, p.default), p.name
 
 
 @settings(derandomize=True, max_examples=300, deadline=None,
