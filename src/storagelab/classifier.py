@@ -170,8 +170,8 @@ def classify(levy: LevyInput, release: ReleaseRate,
     transience by bounded drift, then the exponent shortcut or the heavy
     tail and positive-recurrence criteria.
 
-    ``method`` is 'auto' (the shortcut where both sides declare their
-    asymptotics; the report's method is then 'Symbolic' up to the step
+    ``method`` is 'auto' (the shortcut where the input declares a power or
+    exponential tail; the report's method is then 'Symbolic' up to the step
     that decided) or 'numeric' (the criteria alone, the reference the
     shortcut is tested against).  Verdicts are deterministic functions of
     the inputs and the configuration.
@@ -179,8 +179,7 @@ def classify(levy: LevyInput, release: ReleaseRate,
     if method not in ("auto", "numeric"):
         raise ValueError("method must be auto or numeric")
     ia, ra = levy.asymptotics(), release.asymptotics()
-    symbolic = (method == "auto" and ia.kind in ("power", "exp")
-                and ra.kind in ("bounded", "power"))
+    symbolic = method == "auto" and ia.kind in ("power", "exp")
     evidence = {}
 
     def report(verdict, via, label="Symbolic" if symbolic else "Numeric"):

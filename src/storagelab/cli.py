@@ -446,8 +446,7 @@ def cmd_report(scen: Scenario, out: Path, args) -> None:
               "input_tail_kind": asym.kind,
               "m_nu": scen.levy.first_moment()}
     if labels["regime"] == "PositiveRecurrent" and asym.kind == "power":
-        ra = scen.release.asymptotics()
-        beta = ra.exponent if ra.kind == "power" else 0.0
+        beta = scen.release.asymptotics().exponent
         detail["table_tail_exponent"] = 1.0 - asym.index - beta
         if beta < 1.0:
             detail["table_tv_exponent"] = (1.0 - asym.index - beta) / (1.0 - beta)

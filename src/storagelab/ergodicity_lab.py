@@ -544,10 +544,9 @@ def estimate_wp_decay(levy: LevyInput, release: ReleaseRate, x0,
         raise ValueError("order must be >= 1")
     # W_p to pi needs pi's p-th moment, so jumps' of order p + max(0, 1 -
     # beta): pi's tail is u^(1 - alpha - beta) for jumps' u^-alpha and a
-    # release growing as u^beta (bounded: 0); order p where it gives no beta
-    ra = release.asymptotics()
-    beta = {"bounded": 0.0, "power": ra.exponent}.get(ra.kind)
-    _wp_moment_guard(levy, p if beta is None else p + max(0.0, 1.0 - beta))
+    # release growing as u^beta (bounded: 0)
+    beta = release.asymptotics().exponent
+    _wp_moment_guard(levy, p + max(0.0, 1.0 - beta))
     _regime_guard(levy, release, regime)
     t_grid = np.asarray(t_grid, dtype=float)
     if reference is None:

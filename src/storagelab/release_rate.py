@@ -7,13 +7,14 @@ of a lane or of many, and the drain-time primitive ``drain_time(lo, hi)`` =
 int dv / r(v), which quadrature integrands call on all nodes of a panel at
 once.  Both use one closed-form body where the family has one; otherwise
 both read the drain clock ``numerics.DrainClock``, built once per drift:
-``drain_time`` at drift 0, ``flow`` at its own (see ``Custom``).
+``drain_time`` at drift 0, ``flow`` at its own (see ``Custom``).  A family's
+declared growth, ``asymptotics()``, gives its beta and its ``modulus_R``.
 
 Regularity is verified numerically: local Lipschitz constants by
 finite-difference slopes on dyadic grids (including pairs against 0, which
 is where constant and raw-power rates fail), and integrability of 1/r near
-0 by ``drain_time(0, 1)``, which raises Divergent where the drain clock's
-end march does.
+0 by ``drain_time(0, 1)``, which every family, closed form or drain clock,
+makes raise Divergent where that integral diverges.
 """
 
 from __future__ import annotations
@@ -37,12 +38,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RateAsymptotics:
-    """kind 'bounded': r(u) -> limit; kind 'power': r(u) ~ coef * u^exponent."""
+    """A release's growth: 'bounded', r(u) -> a finite limit, or 'power',
+    r(u) ~ coef * u^exponent, exponent finite; no other kind.  So
+    ``exponent`` is the growth exponent beta of every release (bounded: 0)."""
 
     kind: str
     exponent: float = 0.0
     coef: float = math.nan
     limit: float = math.nan
+
+    def __post_init__(self):
+        if not (self.kind == "bounded" and self.exponent == 0.0 and math.isfinite(self.limit)
+                or self.kind == "power" and math.isfinite(self.exponent)):
+            raise ValueError("rate asymptotics are 'bounded' (exponent 0, a "
+                             "finite limit) or 'power' (a finite exponent)")
 
     def limsup(self) -> float:
         if self.kind == "bounded":
@@ -107,10 +116,6 @@ class Constant(ReleaseRate):
     def drain_time(self, lo, hi):
         return (hi - lo) / self.a
 
-    def modulus_decrease(self, u):
-        # sup_v (r(v) - r(v+u)) = 0: candidates v = 0 gives -a, any v > 0 gives 0
-        return 0.0
-
 
 @dataclass(frozen=True)
 class Affine(ReleaseRate):
@@ -135,10 +140,9 @@ class Affine(ReleaseRate):
         return np.maximum(x_eq + (x - x_eq) * np.exp(-self.b * dt), 0.0)
 
     def drain_time(self, lo, hi):
+        if self.a == 0.0 and np.asarray(lo).min(initial=np.inf) == 0.0:
+            raise Divergent("time integral diverges at the empty state")
         return np.log((self.a + self.b * hi) / (self.a + self.b * lo)) / self.b
-
-    def modulus_decrease(self, u):
-        return -self.b * u
 
 
 def _power_flow(k, beta, x, dt, lifted=None):
@@ -191,13 +195,6 @@ class Power(ReleaseRate):
         if self.beta >= 1.0 and np.asarray(lo).min(initial=np.inf) == 0.0:
             raise Divergent("time integral diverges at the empty state")
         return _power_time(self.k, self.beta, lo, hi)
-
-    def modulus_decrease(self, u):
-        if self.beta < 0.0:
-            return math.inf  # r blows up at 0+, so decreases are unbounded
-        if self.beta < 1.0:
-            return 0.0
-        return -self.k * u ** self.beta
 
 
 @dataclass(frozen=True)
@@ -258,11 +255,6 @@ class PowerSmoothed(ReleaseRate):
         return ramp + _power_time(self.k, self.beta, np.maximum(lo, us),
                                   np.maximum(hi, us))
 
-    def modulus_decrease(self, u):
-        if self.beta <= 1.0:
-            return 0.0
-        return -self.k * u ** self.beta
-
 
 @dataclass(frozen=True)
 class Plateau(ReleaseRate):
@@ -308,9 +300,6 @@ class Plateau(ReleaseRate):
         ramp = np.log(np.minimum(hi, u0) / np.minimum(lo, u0)) / (self.m / u0)
         return ramp + (np.maximum(hi, u0) - np.maximum(lo, u0)) / self.m
 
-    def modulus_decrease(self, u):
-        return 0.0
-
 
 @dataclass(frozen=True)
 class Custom(ReleaseRate):
@@ -354,17 +343,20 @@ def signed_drain_time(release: ReleaseRate, u):
 
 
 def modulus_R(release: ReleaseRate, u: float) -> float:
-    """sup_{v >= 0} (r(v) - r(v+u)); exact for presets, for Custom a lower
-    bound from v = 0 and 121 levels v in [1e-6, 1e6].  It is 0 where the
-    rate's increments vanish at infinity (Constant, Plateau, a sublinear
-    power), negative for growth at least linear (-b u for Affine, -k u^beta
-    for Power with beta >= 1 and PowerSmoothed with beta > 1), and +inf for
-    Power with beta < 0, which blows up at 0+."""
+    """sup_{v >= 0} (r(v) - r(v+u)).  A closed family reads it off the
+    growth exponent e of its asymptotics: +inf if e < 0 (r blows up at 0+),
+    0 if e < 1 (r is concave: increments fall to 0 at infinity), -coef * u
+    if e = 1 (r is linear past 0), and -r(u) if e > 1 (r is convex from
+    r(0) = 0, a smoothed power's ramp being flatter than its power at the
+    knee, so the sup is at v = 0).  A Custom release's declared class is
+    not checked: it gets a lower bound at v = 0 and 121 v in [1e-6, 1e6]."""
     if u <= 0:
         raise ValueError("gap must be positive")
-    exact = getattr(release, "modulus_decrease", None)
-    if exact is not None:
-        return float(exact(u))
+    if isinstance(release, (Constant, Affine, Power, PowerSmoothed, Plateau)):
+        ra = release.asymptotics()
+        if ra.exponent < 1.0:
+            return math.inf if ra.exponent < 0.0 else 0.0
+        return -ra.coef * u if ra.exponent == 1.0 else -float(release.rate(u))
     v = np.concatenate([[0.0], np.geomspace(1e-6, 1e6, 121)])
     with np.errstate(invalid="ignore"):  # inf - inf where a Custom rate overflows
         diffs = release.rate(v) - release.rate(v + u)
@@ -404,7 +396,7 @@ def _lipschitz_scan(release: ReleaseRate, rho: float):
 def _inv_rate_integrable(release: ReleaseRate) -> bool:
     try:
         return math.isfinite(release.drain_time(0.0, 1.0))
-    except (Divergent, ZeroDivisionError, OverflowError):
+    except Divergent:
         return False
 
 

@@ -48,7 +48,6 @@ from storagelab.presets import load_preset, preset_names
 from storagelab.release_rate import (
     Affine,
     Constant,
-    Custom,
     PowerSmoothed,
     RateAsymptotics,
     signed_drain_time,
@@ -695,7 +694,7 @@ class TestWpDecay:
     def test_moment_gate_order(self, monkeypatch):
         # the jump moment checked is of order p + max(0, 1 - beta) for a
         # release growing as u^beta, bounded ones at beta = 0, and of order
-        # p for affine releases and asymptotics with no exponent
+        # p for affine releases; asymptotics with no exponent are refused
         class Checked(Exception):
             pass
 
@@ -716,8 +715,8 @@ class TestWpDecay:
         assert order(Affine(0.0, 1.0), 2.0) == 2.0
         for name in ("shotnoise-gamma", "gamma-linear"):
             assert order(load_preset(name).release, 1.0) == 1.0
-        unknown = Custom(lambda u: u, RateAsymptotics("unknown"))
-        assert order(unknown, 1.0) == 1.0
+        with pytest.raises(ValueError):
+            RateAsymptotics("unknown")
 
     def test_sampled_initial_law(self):
         t_grid = np.linspace(0.5, 4.0, 8)

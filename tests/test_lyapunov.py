@@ -722,6 +722,18 @@ class TestWasserstein:
             Affine(0.0, 1.0), PowerModulus(1.0), 1.5)
         assert not passed
 
+    @pytest.mark.parametrize("Gamma, passes", [(1.0, True), (0.5, True), (1.5, False)])
+    def test_linear_smoothed_power_as_affine(self, Gamma, passes):
+        # PowerSmoothed(1, 1) is r(u) = u, the rate of Affine(0, 1): the
+        # same margins, 0 at the worst gap for Gamma = 1
+        got = check_wasserstein_contraction(PowerSmoothed(1.0, 1.0),
+                                            PowerModulus(1.0), Gamma)
+        assert got == check_wasserstein_contraction(Affine(0.0, 1.0),
+                                                    PowerModulus(1.0), Gamma)
+        assert got[0] is passes
+        if Gamma == 1.0:
+            assert got[1] == 0.0
+
     def test_power_d2(self):
         passed, _, _ = check_wasserstein_contraction(
             Power(1.0, 2.0), PowerModulus(2.0), 1.0)

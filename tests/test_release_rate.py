@@ -114,6 +114,14 @@ class TestFlowTimeIntegral:
         with pytest.raises(Divergent):
             Power(1.0, 2.0).drain_time(0.0, 1.0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_shot_noise_from_zero_divergent(self):
+        # int_0 dv / (b v) diverges: a float and an array raise alike,
+        # with no division warning
+        for lo in (0.0, np.array([0.0, 0.5])):
+            with pytest.raises(Divergent):
+                Affine(0.0, 1.0).drain_time(lo, 1.0)
+
     @pytest.mark.parametrize("r", FAMILIES, ids=lambda r: type(r).__name__)
     def test_additivity(self, r):
         lo, mid, hi = 0.5, 3.0, 40.0
@@ -202,6 +210,51 @@ class TestModulusR:
 
     def test_blowing_up_at_zero_is_infinite(self):
         assert modulus_R(Power(1.0, -0.5), 1.0) == math.inf
+
+    def test_smoothed_power_linear_and_below_the_knee(self):
+        # beta = 1: ramp and power are one line r(u) = u, so -g; beta = 2
+        # below the knee u_s = 0.01: the sup at v = 0 is -r(g) on the ramp
+        assert modulus_R(PowerSmoothed(1.0, 1.0), 1.0) == -1.0
+        assert modulus_R(PowerSmoothed(1.0, 2.0), 1e-3) == pytest.approx(-1e-5, rel=1e-12)
+
+    @pytest.mark.parametrize("release, gaps", [
+        (Constant(2.0), (1e-3, 0.5, 2.0)),
+        (Plateau(1.0, 1.0), (1e-3, 0.5, 2.0)),
+        (Affine(1.0, 2.0), (1e-3, 0.5, 100.0)),
+        (Power(1.0, -0.5), (1e-3, 1.0)),
+        (Power(1.0, 0.5), (1e-3, 0.05)),
+        (Power(1.0, 1.0), (1e-3, 1.0, 100.0)),
+        (Power(1.0, 2.0), (1e-3, 1.0, 100.0)),
+        # gaps below and above the knee u_s = 0.01
+        (PowerSmoothed(1.0, 0.5), (1e-3, 0.05)),
+        (PowerSmoothed(1.0, 1.0), (1e-3, 1.0, 100.0)),
+        (PowerSmoothed(1.0, 2.0), (1e-3, 1.0, 100.0)),
+    ], ids=repr)
+    def test_closed_families_match_a_dense_sup(self, release, gaps):
+        # the slow reference: r(v) - r(v + g) on a dense grid of v, which
+        # modulus_R bounds (within rounding of the terms) and nearly meets;
+        # sublinear gaps stay small enough that the grid's end at 1e9 sees
+        # the vanishing increments
+        v = np.concatenate([[0.0], np.geomspace(1e-9, 1e9, 4001)])
+        for g in gaps:
+            got = modulus_R(release, g)
+            if release.asymptotics().exponent < 0.0:
+                assert got == math.inf
+                continue
+            lo, hi = release.rate(v), release.rate(v + g)
+            diffs = lo - hi
+            assert (diffs <= got + 1e-12 * (np.abs(lo) + np.abs(hi))).all()
+            assert abs(got - diffs.max()) <= 1e-6 * (1.0 + abs(got))
+
+    def test_asymptotics_are_bounded_or_power(self):
+        # the growth exponent every criterion reads is declared, never guessed
+        for bad in (dict(kind="bound", limit=3.0), dict(kind="unknown"),
+                    dict(kind="bounded", exponent=1.0, limit=3.0),
+                    dict(kind="bounded"), dict(kind="bounded", limit=math.inf),
+                    dict(kind="power", exponent=math.nan)):
+            with pytest.raises(ValueError):
+                RateAsymptotics(**bad)
+        assert RateAsymptotics("bounded", limit=3.0).exponent == 0.0
 
     def test_custom_grid_bounded_by_range(self):
         # decreasing rate: sup difference is below r(0+) - inf r
