@@ -4,8 +4,11 @@ Each family knows its tail function nu_bar(u) = nu((u, inf)), Levy density,
 first moment, Laplace exponent, and how to sample its jumps.  Infinite
 activity families are simulated by keeping the jumps above a truncation
 level ``eps``, which arrive at rate nu_bar(eps) and whose sizes are exact
-draws of the restricted law (Pareto for the stable family, one rejection
-sampler, ``_tempered_draw``, for Gamma and tempered stable), and replacing
+draws of the restricted law (Pareto for the stable family; for Gamma and
+tempered stable one rejection sampler, ``_tempered_draw``, which takes per
+call the smaller of two dominating envelopes with closed-form inverses, so
+no draw branches, and keeps 0.937 of its proposals at alpha = 0, c eps =
+1e-4, the gamma-linear preset, and above 0.292 anywhere), and replacing
 the discarded small jumps by their mean drift int_0^eps u nu(du); the
 induced bias is controlled by the discarded second moment
 int_0^eps u^2 nu(du), which every family reports.  Only ``simulator``'s
@@ -302,36 +305,45 @@ _PROPOSALS = 1 << 15
 
 
 def _tempered_draw(gen, n, alpha, c, eps):
-    """n independent draws of the density proportional to u^(-1-alpha)
+    """n independent draws of the density f(u) proportional to u^(-1-alpha)
     e^(-c u) on (eps, inf), 0 <= alpha < 1, by rejection in blocks of at
-    most ``_PROPOSALS`` proposals.  Below k = max(eps, 1/c) a proposal
-    follows u^(-1-alpha), kept with probability e^(-c u); above k it is
-    k + Exp(c), kept with probability (k/u)^(1+alpha).  Each proposal picks
-    its piece by the envelope's masses, and the kept ones keep its order."""
-    k = max(eps, 1.0 / c)
-    span = math.log(k / eps)
-    # the envelope's masses below and above k, both times k^alpha
-    below = math.expm1(alpha * span) / alpha if alpha else span
-    above = math.exp(-c * k) / (c * k)
-    p = below / (below + above) if below else 0.0
+    most ``_PROPOSALS`` proposals from one of two envelopes that dominate f:
+
+    - h1 = u^(-1-alpha) (1 + c u)^(alpha-1), which y = u / (1 + c u) maps
+      to y^(-1-alpha) on (eps / (1 + c eps), 1/c], drawn by inversion; a
+      proposal is kept with probability e^(-c u) (1 + c u)^(1-alpha);
+    - h2 = eps^(-1-alpha) e^(-c u): eps + Exp(c), kept with probability
+      (eps / u)^(1+alpha).
+
+    The call takes the envelope of smaller mass, so no draw branches.  Its
+    acceptance is 0.937 at alpha = 0, c eps = 1e-4, and above 0.292 for
+    every alpha in [0, 1) and c eps > 0, that bound being approached as
+    alpha -> 1 at c eps = 0.567, where the two masses meet.  The kept
+    proposals keep their order."""
+    ce = c * eps
+    span = math.log1p(1.0 / ce)  # log((1/c) / y0)
+    k = math.expm1(alpha * span)
+    # the logs of h1's and h2's masses, both times c^alpha
+    inverted = math.log(k / alpha if alpha else span) <= -(1.0 + alpha) * math.log(ce) - ce
     out = np.empty(n)
-    filled = 0
+    filled = proposed = 0
     while filled < n:
-        # 5/4 of the draws still wanted, as most proposals are kept
-        u = gen.random(min(_PROPOSALS, (n - filled) * 5 // 4 + 64))
-        w = gen.random(u.size)  # kept where w / acceptance probability < 1
-        lo, hi = u < p, u >= p
-        x = np.empty(u.size)
-        v = u[lo] / p  # uniform on [0, 1): inverse transform on (eps, k)
-        x[lo] = (eps * np.exp(span * v) if alpha == 0 else
-                 eps * (1.0 + v * math.expm1(-alpha * span)) ** (-1.0 / alpha))
-        w[lo] *= np.exp(c * x[lo])
-        # (u - p) / (1 - p) is the survival function of the Exp(c) above k
-        x[hi] = k + (math.log1p(-p) - np.log1p(-u[hi])) / c
-        w[hi] *= (x[hi] / k) ** (1.0 + alpha)
-        kept = x[w < 1.0][:n - filled]
+        # the draws still wanted at the acceptance seen so far, and 64 more
+        m = min(_PROPOSALS, (n - filled) * (proposed + 1) // (filled + 1) + 64)
+        proposed += m
+        v = 1.0 - gen.random(m)  # uniform on (0, 1]
+        w = gen.random(m)  # kept where w < acceptance probability
+        if inverted:
+            # x = c u, at which h1 holds the share v of its mass above u
+            x = 1.0 / np.expm1(np.log1p(k * v) / alpha if alpha else span * v)
+            keep = w < np.exp((1.0 - alpha) * np.log1p(x) - x)
+        else:
+            x = ce - np.log(v)
+            keep = w < (ce / x) ** (1.0 + alpha)
+        kept = x[keep][:n - filled]
         out[filled:filled + kept.size] = kept
         filled += kept.size
+    out *= 1.0 / c
     return out
 
 

@@ -349,18 +349,23 @@ def modulus_R(release: ReleaseRate, u: float) -> float:
     if e = 1 (r is linear past 0), and -r(u) if e > 1 (r is convex from
     r(0) = 0, a smoothed power's ramp being flatter than its power at the
     knee, so the sup is at v = 0).  A Custom release's declared class is
-    not checked: it gets a lower bound at v = 0 and 121 v in [1e-6, 1e6]."""
+    not checked: it gets a lower bound at v = 0 and 121 v in [1e-6, 1e6],
+    raised to its class's value for e < 1, as that grid stops short of the
+    increments that vanish at infinity."""
     if u <= 0:
         raise ValueError("gap must be positive")
+    ra = release.asymptotics()
+    if ra.exponent < 0.0:
+        return math.inf
     if isinstance(release, (Constant, Affine, Power, PowerSmoothed, Plateau)):
-        ra = release.asymptotics()
         if ra.exponent < 1.0:
-            return math.inf if ra.exponent < 0.0 else 0.0
+            return 0.0
         return -ra.coef * u if ra.exponent == 1.0 else -float(release.rate(u))
     v = np.concatenate([[0.0], np.geomspace(1e-6, 1e6, 121)])
     with np.errstate(invalid="ignore"):  # inf - inf where a Custom rate overflows
         diffs = release.rate(v) - release.rate(v + u)
-    return float(np.nanmax(diffs))
+    sampled = float(np.nanmax(diffs))
+    return max(sampled, 0.0) if ra.exponent < 1.0 else sampled
 
 
 @dataclass(frozen=True)

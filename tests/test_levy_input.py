@@ -268,6 +268,25 @@ class _Counting:
         return counted
 
 
+def _upper_gamma(s, x):
+    """Gamma(s, x) for s > -1, by Gamma(s, x) = (Gamma(s + 1, x) - x^s
+    e^-x) / s below s = 0, and E1 at s = 0."""
+    if s == 0.0:
+        return float(special.exp1(x))
+    if s < 0.0:
+        return (_upper_gamma(s + 1.0, x) - x ** s * math.exp(-x)) / s
+    return float(special.gammaincc(s, x) * special.gamma(s))
+
+
+def _acceptance(alpha, ce):
+    """The closed-form acceptance of the sampler of u^(-1-alpha) e^(-u) on
+    (ce, inf): its mass Gamma(-alpha, ce) over the smaller envelope mass."""
+    span = math.log1p(1.0 / ce)
+    h1 = math.expm1(alpha * span) / alpha if alpha else span
+    h2 = ce ** (-1.0 - alpha) * math.exp(-ce)
+    return _upper_gamma(-alpha, ce) / min(h1, h2)
+
+
 class TestSizeKernels:
     """The exact samplers draw the restricted law, and the in-place power
     draws give the doubles of the plain expressions, leaving the generator
@@ -297,6 +316,53 @@ class TestSizeKernels:
         top = float(inp.tail(eps))
         p = stats.kstest(sizes, lambda u: 1.0 - inp.tail(u) / top).pvalue
         assert p > 1e-3, p
+
+    @pytest.mark.parametrize("alpha, ce, acceptance", [
+        (0.0, 0.3, 0.6176), (0.0, 0.56, 0.4833), (0.0, 1.5, 0.6723),
+        (0.9, 0.3, 0.4804), (0.9, 0.56, 0.3088), (0.9, 1.5, 0.5055),
+    ])
+    def test_tempered_draws_are_exact_near_the_envelope_switch(self, alpha, ce, acceptance):
+        # c eps = 0.3 takes the envelope u^(-1-alpha) (1 + c u)^(alpha-1)
+        # and 1.5 the exponential one; at 0.56 their masses nearly meet.
+        # The sizes follow the restricted law, at most 1.05 / acceptance
+        # proposals of 2 uniforms each per kept draw
+        bound = 1.05 / acceptance
+        inp = TemperedStableSub(alpha, 1.0, 1.0) if alpha else GammaSub(1.0, 1.0)
+        assert _acceptance(alpha, ce) == pytest.approx(acceptance, abs=1e-4)
+        n = 200_000
+        gen = _Counting(substream(SEED, "switch", alpha, ce))
+        sizes = inp.sample_sizes(gen, n, ce)
+        assert sizes.shape == (n,) and (sizes > ce).all()
+        assert gen.values <= 2 * bound * n, gen.values / (2 * n)
+        top = float(inp.tail(ce))
+        p = stats.kstest(sizes, lambda u: 1.0 - inp.tail(u) / top).pvalue
+        assert p > 1e-3, p
+
+    def test_gamma_linear_proposals_pinned(self):
+        # gamma-linear's input: acceptance 0.937, so 1.067 proposals per
+        # kept draw; a count repeats exactly for a seed
+        n = 200_000
+        gen = _Counting(substream(SEED, "pinned"))
+        GammaSub(1.0, 1.0).sample_sizes(gen, n, 1e-4)
+        assert gen.values <= 2 * 1.1 * n, gen.values / (2 * n)
+
+    @pytest.mark.parametrize("alpha, c, eps", [
+        (0.0, 1.0, 1e-4), (0.0, 1.0, 0.3), (0.0, 1.0, 0.56), (0.0, 1.0, 1.5),
+        (0.9, 1.0, 0.3), (0.9, 1.0, 0.56), (0.9, 1.0, 1.5),
+        (0.6914, 2.4019, 1e-4),
+    ])
+    def test_tempered_draws_have_the_restricted_mean(self, alpha, c, eps):
+        # E[U] = Gamma(1 - alpha, c eps) / (c Gamma(-alpha, c eps)), and
+        # E[U^2] the same with 2 - alpha over c^2
+        n = 200_000
+        inp = TemperedStableSub(alpha, 1.0, c) if alpha else GammaSub(1.0, c)
+        sizes = inp.sample_sizes(substream(SEED, "mean", alpha, c, eps), n, eps)
+        ce = c * eps
+        z0 = _upper_gamma(-alpha, ce)
+        mean = _upper_gamma(1.0 - alpha, ce) / (c * z0)
+        var = _upper_gamma(2.0 - alpha, ce) / (c * c * z0) - mean ** 2
+        z = (sizes.mean() - mean) / math.sqrt(var / n)
+        assert abs(z) < 4, z
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0, 1.5, 2.0])
     def test_power_families_are_the_plain_expressions(self, alpha):

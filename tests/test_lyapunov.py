@@ -734,6 +734,17 @@ class TestWasserstein:
         if Gamma == 1.0:
             assert got[1] == 0.0
 
+    def test_sublinear_custom_fails_as_its_closed_twin(self):
+        # a declared sqrt growth: increments vanish at infinity, past the
+        # sampled grid's end, so the decrease is 0 as for PowerSmoothed(1,
+        # 0.5), and the check fails with margin Gamma beta(1e4) = 1
+        custom = Custom(math.sqrt, RateAsymptotics("power", 0.5, 1.0))
+        for release in (custom, PowerSmoothed(1.0, 0.5)):
+            passed, worst, gap = check_wasserstein_contraction(
+                release, PowerModulus(1.0), 1e-4)
+            assert not passed, release
+            assert (worst, gap) == (pytest.approx(1.0), pytest.approx(1e4))
+
     def test_power_d2(self):
         passed, _, _ = check_wasserstein_contraction(
             Power(1.0, 2.0), PowerModulus(2.0), 1.0)

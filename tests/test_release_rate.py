@@ -263,6 +263,19 @@ class TestModulusR:
         est = modulus_R(r, 1.0)
         assert 0.0 < est <= 1.0
 
+    @pytest.mark.parametrize("release, floor", [
+        (Custom(math.sqrt, RateAsymptotics("power", 0.5, 1.0)), 0.0),
+        (Custom(lambda u: 2.0 - 1.0 / (1.0 + u), RateAsymptotics("bounded", limit=2.0)),
+         0.0),
+        (Custom(lambda u: u ** -0.5 if u > 0 else math.inf,
+                RateAsymptotics("power", -0.5, 1.0)), math.inf),
+    ], ids=["sqrt", "bounded-increasing", "blowing-up-at-zero"])
+    def test_custom_never_below_its_class(self, release, floor):
+        # the closed families' value for growth exponent < 1 bounds a
+        # Custom release's from below, whatever its sampled grid reads
+        for g in (1e-3, 1.0, 1e4):
+            assert modulus_R(release, g) == floor
+
     def test_custom_non_finite_rejected(self):
         from storagelab.errors import NonFiniteEvaluation
         r = Custom(lambda u: float("nan"), RateAsymptotics("bounded", limit=1.0))
