@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import itertools
 import json
 import math
 import os
@@ -85,24 +84,167 @@ _RANGE_ERRORS = (NonFiniteEvaluation, NotBracketed, OverflowError)
 # the %-conversion of a column by its numpy kind: an integer plain, a float
 # in scientific notation with 10 significant digits, text as it is
 _CONVERSIONS = {"i": "%d", "f": "%.9e", "U": "%s"}
-_CSV_BLOCK = 1024  # rows formatted by one write
+_CSV_BLOCK = 8192  # rows formatted by one write
+
+
+def _words(cells: list[str]) -> np.ndarray:
+    """Each 4-character ASCII string as one native uint32: a table whose
+    gathers write four bytes of a row at once."""
+    return np.frombuffer("".join(cells).encode("ascii"), np.uint32)
+
+
+# a float cell is four words, [-d.d][dddd][dddd][e+dd]: its leading sign
+# byte is kept for a negative value only; the exponent words cover the
+# exponents whose scale 10^(9 - e) is an exact double (|9 - e| <= 22).
+# An integer cell is 4-digit words.
+_DIGITS2 = (np.arange(100)[:, None] // [10, 1] % 10
+            + ord("0")).astype(np.uint8)
+_DIGITS4 = np.hstack([np.repeat(_DIGITS2, 100, axis=0),
+                      np.tile(_DIGITS2, (100, 1))]).view(np.uint32).ravel()
+_HEAD = _words([f"-{i // 10}.{i % 10}" for i in range(100)])
+_EXPONENT = _words([f"e{e:+03d}" for e in range(-13, 32)])
+_UP = np.array([10.0 ** max(9 - e, 0) for e in range(-13, 32)])
+_DOWN = np.array([10.0 ** max(e - 9, 0) for e in range(-13, 32)])
+# a scaled float this close to a rounding tie goes to printf.  One correctly
+# rounded multiply or divide can land on a tie k + 0.5 (a double below 1e10)
+# but not cross it, so only a landing is ambiguous; the window, far above
+# the scaling's error of at most 1.2e-6, is a margin
+_TIE = 1e-5
+# an integer of magnitude >= 10^j has more than j digits
+_TENS = 10 ** np.arange(1, 19, dtype=np.uint64)
+# the keep-mask word of a word whose last 0 .. 4 bytes are kept
+_KEEP = np.array([[0] * (4 - c) + [1] * c for c in range(5)],
+                 np.uint8).view(np.uint32).ravel()
+_MINUS, _COMMA, _NEWLINE = _words(["   -", ",   ", "\n   "])
+_SEPARATOR_KEPT = np.array([1, 0, 0, 0], np.uint8).view(np.uint32)[0]
+
+
+def _float_cell(x):
+    """The cell width and filler of a float column: e = floor(log10|x|)
+    within the exponent words, s = |x| 10^(9 - e) by one correctly rounded
+    multiply or divide, and the 10 digits of rint(s) with e's word; 0 is
+    read as 1 with its digits zeroed.  A value whose s is near a tie or
+    whose rint(s) is not 10 digits, and a non-finite one, are printf's."""
+    x = x.astype(np.float64, copy=False)
+    a = np.abs(x)
+    nonzero = a > 0.0
+    ok = a < np.inf
+    a = np.where(ok & nonzero, a, 1.0)  # log10 warns of nothing
+    k = np.fmax(np.fmin(np.floor(np.log10(a)), 31.0), -13.0)
+    k = (k + 13.0).astype(np.intp)
+    s = a * _UP[k]
+    s /= _DOWN[k]
+    r = np.rint(s)
+    # s < 1e9: e below the words (or log10 one too high); rint(s) = 1e10:
+    # a carry, or e above the words (or log10 one too low)
+    ok &= (s >= 1e9) & (r < 1e10)
+    s -= r
+    ok &= np.abs(s, out=s) < 0.5 - _TIE
+    r *= ok & nonzero  # printf's cells: any valid digits, overwritten
+    # r's 2 + 4 + 4 digits: exact, as r < 1e10 is an integer
+    top = np.floor(r / 1e8)
+    r -= top * 1e8
+    mid = np.floor(r / 1e4)
+    r -= mid * 1e4
+    slow = np.nonzero(~ok)[0]
+    text = np.array([(_CONVERSIONS["f"] % v).encode("ascii")
+                     for v in x[slow].tolist()], dtype=np.bytes_)
+    width = 16 if text.itemsize <= 16 else 20
+
+    def fill(cell, keep):
+        words = cell.view(np.uint32)
+        words[:, 0] = _HEAD[top.astype(np.intp)]
+        words[:, 1] = _DIGITS4[mid.astype(np.intp)]
+        words[:, 2] = _DIGITS4[r.astype(np.intp)]
+        words[:, 3] = _EXPONENT[k]
+        keep[:, 0] = np.signbit(x)  # numpy 2.4 errs into a strided out=
+        keep[:, 16:] = False
+        if slow.size:
+            cell[slow, :text.itemsize] = text.view(np.uint8).reshape(
+                slow.size, -1)
+            keep[slow] = np.arange(width) < np.char.str_len(text)[:, None]
+    return width, fill
+
+
+def _int_cell(x):
+    """The cell width and filler of an integer column: a sign word when
+    the block has a negative value, then 4-digit words with leading zeros
+    dropped."""
+    x = x.astype(np.int64, copy=False)
+    mag = np.abs(x).view(np.uint64)  # -2^63 too
+    digits = np.searchsorted(_TENS, mag, side="right") + 1
+    groups = -(-int(digits.max()) // 4)
+    neg = x < 0
+    sign = int(neg.any())
+
+    def fill(cell, keep):
+        words, kept = cell.view(np.uint32), keep.view(np.uint32)
+        if sign:
+            words[:, 0] = _MINUS
+            kept[:, 0] = _KEEP[neg.view(np.uint8)]
+        q = mag
+        for g in range(groups):  # from the last word
+            q, low = np.divmod(q, 10**4)
+            j = sign + groups - 1 - g
+            words[:, j] = _DIGITS4[low]
+            kept[:, j] = _KEEP[np.clip(digits - 4 * g, 0, 4)]
+    return 4 * (sign + groups), fill
+
+
+def _text_cell(x):
+    """The cell width and filler of a text column: its UTF-8 bytes."""
+    raw = np.char.encode(x, "utf-8")
+    size = raw.dtype.itemsize
+    width = -(-size // 4) * 4
+
+    def fill(cell, keep):
+        cell[:, :size] = raw.view(np.uint8).reshape(len(raw), size)
+        keep[:] = np.arange(width) < np.char.str_len(raw)[:, None]
+    return width, fill
+
+
+_CELLS = {"i": _int_cell, "f": _float_cell, "U": _text_cell}
+
+
+def _csv_rows(cols, space: dict) -> bytes:
+    """The rows of equal-length columns as bytes: a uint8 matrix with a row
+    per CSV row, compacted by a keep-mask of the bytes written.  Each cell
+    is followed by a separator word, ',' or '\\n' then three dropped bytes,
+    so that kept bytes run on (the mask copies a run at a time).  ``space``
+    holds the flat ``rows`` matrix and ``keep`` mask, reused from block to
+    block and grown when a block needs more."""
+    cells = [_CELLS[col.dtype.kind](col) for col in cols]
+    width = sum(w for w, _ in cells) + 4 * len(cells)
+    size = len(cols[0]) * width
+    if space["rows"].size < size:
+        space.update(rows=np.empty(size, np.uint8), keep=np.empty(size, bool))
+    rows, keep = (space[a][:size].reshape(-1, width) for a in ("rows", "keep"))
+    keep.fill(True)
+    words, kept = rows.view(np.uint32), keep.view(np.uint32)
+    lo = 0
+    for (w, fill), sep in zip(cells, [_COMMA] * (len(cells) - 1) + [_NEWLINE]):
+        fill(rows[:, lo:lo + w], keep[:, lo:lo + w])
+        lo += w
+        words[:, lo // 4] = sep
+        kept[:, lo // 4] = _SEPARATOR_KEPT
+        lo += 4
+    return rows[keep].tobytes()
 
 
 def write_csv(path: Path, header: list[str], blocks) -> None:
     """The schema line, the header, then the rows of each block, a sequence
     of equal-length columns, formatted _CSV_BLOCK rows at a time: memory
-    does not grow with the file, and blocks can come from a generator."""
+    does not grow with the file, and blocks can come from a generator.
+    Every byte is what the column's _CONVERSIONS entry writes."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as f:
-        f.write(f"# csv_schema={CSV_SCHEMA}\n{','.join(header)}\n")
+    space = {"rows": np.empty(0, np.uint8), "keep": np.empty(0, bool)}
+    with path.open("wb") as f:
+        f.write(f"# csv_schema={CSV_SCHEMA}\n{','.join(header)}\n".encode())
         for cols in blocks:
             cols = [np.asarray(col) for col in cols]
-            n = len(cols[0])
-            line = ",".join(_CONVERSIONS[col.dtype.kind] for col in cols) + "\n"
-            for lo in range(0, n, _CSV_BLOCK):
-                rows = zip(*(col[lo:lo + _CSV_BLOCK].tolist() for col in cols))
-                values = tuple(itertools.chain.from_iterable(rows))
-                f.write((line * min(_CSV_BLOCK, n - lo)) % values)
+            for lo in range(0, len(cols[0]), _CSV_BLOCK):
+                f.write(_csv_rows([col[lo:lo + _CSV_BLOCK] for col in cols],
+                                  space))
 
 
 def write_json(path: Path, payload: dict) -> None:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import inspect
 import json
 import math
+import re
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 
 from .classifier import DEFAULT_DECISION_MARGIN, DEFAULT_PROBE_GRID
@@ -55,6 +56,8 @@ _BUDGETS = {"n_paths": (int, 4000, 1), "horizon": (float, 60.0, 0.0)}
 _TOLERANCES = {"decision_margin": (float, DEFAULT_DECISION_MARGIN),
                "epsilon": (float, 0.1, 0.0)}
 _CONTRACTION = {"Gamma": (float, 1.0, 0.0), "kappa": (float, 1.0, 0.0)}
+# a scenario's name is a CSV field and a path component: one safe token
+_NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
 # each type's accepted Python types (a bool is never a number) and its name
 _TYPES = {float: ((int, float), "a number"), int: (int, "an integer"),
           str: (str, "a string"), list: (list, "a list"), dict: (dict, "an object")}
@@ -236,6 +239,10 @@ class Scenario:
         if top["scenario_schema"] != SCHEMA_VERSION:
             raise ScenarioError(
                 f"scenario_schema {top['scenario_schema']} != {SCHEMA_VERSION}")
+        if not _NAME.fullmatch(top["name"]):
+            raise ScenarioError(
+                f"name {top['name']!r}: expected letters, digits, '.', '_' "
+                "and '-', starting with a letter or digit")
         levy, eps = _build("input", build_input, top["input"])
         release = _build("release", build_release, top["release"])
         phi = _build("phi", build_phi, top["phi"])

@@ -177,6 +177,29 @@ class TestCli:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "usage"
 
+    @pytest.mark.parametrize("name", ["a,b", "../x", "a/b", ""])
+    def test_name_must_be_one_token(self, name, tmp_path, monkeypatch, capsys):
+        # the name is a row.csv field and, without --out, a directory under
+        # ./out: a comma split the row, "../" wrote outside ./out
+        spec = tmp_path / "s.json"
+        spec.write_text(json.dumps(dict(MINIMAL, name=name)))
+        (tmp_path / "run").mkdir()
+        monkeypatch.chdir(tmp_path / "run")
+        monkeypatch.delenv("STORAGELAB_OUT", raising=False)
+        assert main(["report", str(spec)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        err = json.loads(lines[-1])
+        assert len(lines) == 1 and err["error"] == "usage"
+        assert repr(name) in err["message"]
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["run", "s.json"]
+
+    @pytest.mark.parametrize("name", ["tiny", "fuzz", "c", "my-model",
+                                      "v1.2_b-3", *preset_names()])
+    def test_token_names_load(self, name):
+        assert Scenario.from_dict(dict(MINIMAL, name=name)).name == name
+        if name in preset_names():
+            assert load_preset(name).name == name
+
     def test_certify_without_phi_is_usage_error(self, tmp_path, capsys):
         code = main(["certify", "preset:plateau-null", "--out", str(tmp_path)])
         assert code == 1
